@@ -29,15 +29,12 @@ from .linalg import (
     is_zero_vec,
     kernel_basis,
     matrix_with_kernel,
-    maximal_minors,
     rank,
     vec,
     vec_sub,
 )
 from .lp import Rel, feasible, make_system, positive_kernel_vector, realize_kernel_sign, realize_sign_vector
-from .matroid import FaceLattice, face_lattice, is_interior_point, minty_alternative
-from .matroid import covectors as om_covectors
-from .matroid import vectors as om_vectors
+from .matroid import FaceLattice, OrientedMatroid, is_interior_point, minty_alternative
 from .signs import EnumerationCap, SignVector, minimal_support_members, nonneg_part, sign_of
 
 HOLDS = "holds"
@@ -91,6 +88,7 @@ class ExponentialMapSpec:
                 raise InputError(f"{name} matrix must have full row rank")
         self.coeff = coeff
         self.exponents = exponents
+        self._oriented_matroids: dict[RationalMatrix, OrientedMatroid] = {}
 
     @property
     def n(self) -> int:
@@ -122,6 +120,13 @@ class ExponentialMapSpec:
     def __eq__(self, other):
         return (isinstance(other, ExponentialMapSpec)
                 and self.coeff == other.coeff and self.exponents == other.exponents)
+
+    def _om(self, M: RationalMatrix) -> OrientedMatroid:
+        """Oriented-matroid data of M, shared by every condition run on this
+        spec; equal matrices (W = Wt under mass action) share one object."""
+        if M not in self._oriented_matroids:
+            self._oriented_matroids[M] = OrientedMatroid(M)
+        return self._oriented_matroids[M]
 
 
 @dataclass(frozen=True)
@@ -156,44 +161,6 @@ def _jidx(indices) -> list[int]:
     return [i + 1 for i in indices]  # 1-based in reports
 
 
-class _SignData:
-    """Lazily shared sign-vector enumerations for one spec."""
-
-    def __init__(self, spec: ExponentialMapSpec, caps: Caps):
-        self.spec = spec
-        self.caps = caps
-        self._memo: dict[str, object] = {}
-
-    def _get(self, key, fn):
-        if key not in self._memo:
-            self._memo[key] = fn()
-        return self._memo[key]
-
-    def vectors_coeff(self) -> set[SignVector]:
-        return self._get("vc", lambda: om_vectors(self.spec.coeff, self.caps.max_n_enumeration))
-
-    def vectors_exp(self) -> set[SignVector]:
-        return self._get("ve", lambda: om_vectors(self.spec.exponents, self.caps.max_n_enumeration))
-
-    def covectors_coeff(self) -> set[SignVector]:
-        return self._get("cc", lambda: om_covectors(self.spec.coeff, self.caps.max_n_enumeration))
-
-    def covectors_exp(self) -> set[SignVector]:
-        return self._get("ce", lambda: om_covectors(self.spec.exponents, self.caps.max_n_enumeration))
-
-    def faces_coeff(self) -> set[SignVector]:
-        return self._get("fc", lambda: nonneg_part(self.covectors_coeff()))
-
-    def faces_exp(self) -> set[SignVector]:
-        return self._get("fe", lambda: nonneg_part(self.covectors_exp()))
-
-    def cone_coeff(self) -> FaceLattice:
-        return self._get("conec", lambda: face_lattice(self.spec.coeff, self.caps.max_n_enumeration))
-
-    def cone_exp(self) -> FaceLattice:
-        return self._get("conee", lambda: face_lattice(self.spec.exponents, self.caps.max_n_enumeration))
-
-
 def _closure_excluded(V: set[SignVector], T: set[SignVector]) -> SignVector | None:
     """First member of V (tope reduction) outside the down-closure of T, or None.
 
@@ -225,13 +192,13 @@ def _kernel_point_positive_on(M: RationalMatrix, indices) -> Vec | None:
 # injectivity
 
 
-def injectivity_via_signs(spec: ExponentialMapSpec, caps: Caps = Caps(),
-                          _data: _SignData | None = None) -> ConditionResult:
+def injectivity_via_signs(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
     """Injective for all c > 0 iff sign(ker W) meets sign(im Wt^T) only in 0."""
     tag = "injectivity-sign-criterion"
-    data = _data or _SignData(spec, caps)
+    cap = caps.max_n_enumeration
     try:
-        common = {t for t in data.vectors_coeff() & data.covectors_exp() if not t.is_zero()}
+        common = {t for t in spec._om(spec.coeff).vectors(cap) & spec._om(spec.exponents).covectors(cap)
+                  if not t.is_zero()}
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
     if not common:
@@ -248,13 +215,18 @@ def injectivity_via_signs(spec: ExponentialMapSpec, caps: Caps = Caps(),
     })
 
 
+def _minor_products(spec: ExponentialMapSpec) -> dict[tuple[int, ...], Fraction]:
+    """det(W_I) det(Wt_I) for every column subset I of size d."""
+    minors_w = spec._om(spec.coeff).minors
+    minors_wt = spec._om(spec.exponents).minors
+    return {I: minors_w[I] * minors_wt[I] for I in minors_w}
+
+
 def injectivity_via_minors(spec: ExponentialMapSpec) -> ConditionResult:
     """Products det(W_I) det(Wt_I) all >= 0 or all <= 0, at least one nonzero."""
     tag = "injectivity-minor-criterion"
     spec.require_square()
-    minors_w = maximal_minors(spec.coeff)
-    minors_wt = maximal_minors(spec.exponents)
-    products = {I: minors_w[I] * minors_wt[I] for I in minors_w}
+    products = _minor_products(spec)
     reference = next(((I, p) for I, p in sorted(products.items()) if p != 0), None)
     if reference is None:
         return ConditionResult(FAILS, tag, certificate={"reason": "all-products-zero"})
@@ -274,16 +246,15 @@ def injectivity_via_minors(spec: ExponentialMapSpec) -> ConditionResult:
 # bijectivity conditions (ii), (iii), (iv)
 
 
-def condition_ii(spec: ExponentialMapSpec, caps: Caps = Caps(),
-                 _data: _SignData | None = None) -> ConditionResult:
+def condition_ii(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
     """Every proper face of the exponent cone is covered by a proper face of
     the coefficient cone (on index sets: nonneg covector below it)."""
     tag = "surjectivity-face-cover"
     spec.require_square()
-    data = _data or _SignData(spec, caps)
+    cap = caps.max_n_enumeration
     try:
-        faces_w = data.faces_coeff()
-        minimal_exp = minimal_support_members(data.faces_exp())
+        faces_w = spec._om(spec.coeff).face_lattice(cap).faces
+        minimal_exp = spec._om(spec.exponents).face_lattice(cap).facet_covectors()
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
     nonzero_w = [t for t in faces_w if not t.is_zero()]
@@ -359,8 +330,7 @@ def _ordered_partitions(elements: tuple[int, ...], admissible):
             yield (block,) + tail
 
 
-def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps(),
-                        _data: _SignData | None = None) -> ConditionResult:
+def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
     """Exhaustive nondegeneracy decision for the subspace pair.
 
     Searches for a value vector z = Wt^T x with a positive component whose
@@ -370,18 +340,17 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps(),
     """
     tag = "properness-nondegeneracy"
     spec.require_square()
-    data = _data or _SignData(spec, caps)
-    n = spec.n
+    cap = caps.max_n_enumeration
     try:
-        faces_w = data.faces_coeff()
-        if SignVector(n, (1 << n) - 1, 0) in faces_w:
+        cone_w = spec._om(spec.coeff).face_lattice(cap)
+        if cone_w.all_plus:
             # pointed coefficient cone with no zero column: no positive dependence at all
             return ConditionResult(HOLDS, tag, detail="all-plus coefficient covector")
-        covs_exp = data.covectors_exp()
+        covs_exp = spec._om(spec.exponents).covectors(cap)
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
 
-    min_faces_w = sorted(minimal_support_members(faces_w), key=str)
+    min_faces_w = sorted(cone_w.facet_covectors(), key=str)
 
     def has_covering_face(tau_t: SignVector) -> bool:
         return any((t.support & ~tau_t.support) == 0 for t in min_faces_w)
@@ -449,15 +418,14 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps(),
         f"{len(candidates)} candidate covectors, {pairs_tried} ordered partitions tried"))
 
 
-def condition_iv(spec: ExponentialMapSpec, caps: Caps = Caps(),
-                 _data: _SignData | None = None) -> ConditionResult:
+def condition_iv(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
     """Sign-vector condition sufficient for nondegeneracy (the weakest one)."""
     tag = "nondegeneracy-sign-sufficient"
     spec.require_square()
-    data = _data or _SignData(spec, caps)
+    cap = caps.max_n_enumeration
     try:
-        vectors_w = data.vectors_coeff()
-        covs_exp = data.covectors_exp()
+        vectors_w = spec._om(spec.coeff).vectors(cap)
+        covs_exp = spec._om(spec.exponents).covectors(cap)
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
     n = spec.n
@@ -503,7 +471,7 @@ def newton_polytope_sufficient(spec: ExponentialMapSpec, caps: Caps = Caps()) ->
     n = spec.n
     hat = RationalMatrix(list(spec.exponents.row_tuples) + [[1] * n])
     try:
-        hat_faces = nonneg_part(om_covectors(hat, caps.max_n_enumeration))
+        hat_faces = nonneg_part(spec._om(hat).covectors(caps.max_n_enumeration))
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
     index_sets = sorted({t.zero_set() for t in hat_faces} - {()})
@@ -537,12 +505,11 @@ def _positive_face_support(exponents: RationalMatrix, I) -> Vec | None:
 # closure conditions and robustness
 
 
-def _closure_condition(spec, caps, swap: bool, tag: str, _data=None) -> ConditionResult:
+def _closure_condition(spec, caps, swap: bool, tag: str) -> ConditionResult:
     first, second = (spec.exponents, spec.coeff) if swap else (spec.coeff, spec.exponents)
-    data = _data or _SignData(spec, caps)
     try:
-        V = data.vectors_exp() if swap else data.vectors_coeff()
-        T = data.vectors_coeff() if swap else data.vectors_exp()
+        V = spec._om(first).vectors(caps.max_n_enumeration)
+        T = spec._om(second).vectors(caps.max_n_enumeration)
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
     excluded = _closure_excluded(V, T)
@@ -559,20 +526,20 @@ def _closure_condition(spec, caps, swap: bool, tag: str, _data=None) -> Conditio
     })
 
 
-def closure_cc(spec: ExponentialMapSpec, caps: Caps = Caps(), _data=None) -> ConditionResult:
+def closure_cc(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
     """sign(ker W) inside the closure of sign(ker Wt)."""
-    return _closure_condition(spec, caps, swap=False, tag="kernel-sign-closure", _data=_data)
+    return _closure_condition(spec, caps, swap=False, tag="kernel-sign-closure")
 
 
-def closure_cc_prime(spec: ExponentialMapSpec, caps: Caps = Caps(), _data=None) -> ConditionResult:
+def closure_cc_prime(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
     """sign(ker Wt) inside the closure of sign(ker W)."""
-    return _closure_condition(spec, caps, swap=True, tag="kernel-sign-closure-reversed", _data=_data)
+    return _closure_condition(spec, caps, swap=True, tag="kernel-sign-closure-reversed")
 
 
 def _minor_form_strict_closure(spec) -> tuple[str, dict]:
     """det(W_I) != 0 implies det(W_I) det(Wt_I) > 0 for all I (or < 0 for all I)."""
-    minors_w = maximal_minors(spec.coeff)
-    minors_wt = maximal_minors(spec.exponents)
+    minors_w = spec._om(spec.coeff).minors
+    minors_wt = spec._om(spec.exponents).minors
     ref = None
     for I in sorted(minors_w):
         if minors_w[I] == 0:
@@ -592,12 +559,12 @@ def _minor_form_strict_closure(spec) -> tuple[str, dict]:
     return HOLDS, {"reference_subset": _jidx(ref[0]), "reference_sign": "+" if ref[1] > 0 else "-"}
 
 
-def robust_exponents(spec: ExponentialMapSpec, caps: Caps = Caps(), _data=None) -> ConditionResult:
+def robust_exponents(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
     """Bijective for all c and all small exponent perturbations."""
     tag = "robust-exponent-perturbations"
     spec.require_square()
     minor_verdict, minor_cert = _minor_form_strict_closure(spec)
-    sign_form = closure_cc(spec, caps, _data=_data)
+    sign_form = closure_cc(spec, caps)
     if sign_form.verdict != INCONCLUSIVE and sign_form.verdict != minor_verdict:
         raise AssertionError("closure condition disagrees with its minor form")
     cert = {"minor_form": minor_cert}
@@ -606,20 +573,19 @@ def robust_exponents(spec: ExponentialMapSpec, caps: Caps = Caps(), _data=None) 
     return ConditionResult(minor_verdict, tag, certificate=cert)
 
 
-def robust_coefficients(spec: ExponentialMapSpec, caps: Caps = Caps(), _data=None) -> ConditionResult:
+def robust_coefficients(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
     """Bijective for all c and all small coefficient perturbations."""
     tag = "robust-coefficient-perturbations"
     spec.require_square()
-    ccp = closure_cc_prime(spec, caps, _data=_data)
+    ccp = closure_cc_prime(spec, caps)
     if ccp.verdict == INCONCLUSIVE:
         return ConditionResult(INCONCLUSIVE, tag, detail=ccp.detail)
     if ccp.verdict == FAILS:
         return ConditionResult(FAILS, tag, certificate={
             "reason": "reversed-closure-fails", "closure_form": ccp.certificate})
-    data = _data or _SignData(spec, caps)
     try:
-        cone_w = data.cone_coeff()
-        cone_wt = data.cone_exp()
+        cone_w = spec._om(spec.coeff).face_lattice(caps.max_n_enumeration)
+        cone_wt = spec._om(spec.exponents).face_lattice(caps.max_n_enumeration)
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
     if cone_w.full_space and cone_wt.full_space:
@@ -635,14 +601,12 @@ def robust_coefficients(spec: ExponentialMapSpec, caps: Caps = Caps(), _data=Non
     return ConditionResult(HOLDS, tag)
 
 
-def robust_both(spec: ExponentialMapSpec, caps: Caps = Caps(), _data=None) -> ConditionResult:
+def robust_both(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
     """Bijective for all c and all small perturbations of both matrices:
     all maximal-minor products strictly share one sign."""
     tag = "robust-general-perturbations"
     spec.require_square()
-    minors_w = maximal_minors(spec.coeff)
-    minors_wt = maximal_minors(spec.exponents)
-    products = {I: minors_w[I] * minors_wt[I] for I in minors_w}
+    products = _minor_products(spec)
     zero = next((I for I in sorted(products) if products[I] == 0), None)
     verdict = FAILS if zero is not None else (
         HOLDS if len({p > 0 for p in products.values()}) == 1 else FAILS)
@@ -656,17 +620,17 @@ def robust_both(spec: ExponentialMapSpec, caps: Caps = Caps(), _data=None) -> Co
                     "reason": "mixed-product-signs"}
     else:
         cert = {"reference_sign": "+" if next(iter(products.values())) > 0 else "-"}
-    _cross_check_robust_both(spec, caps, verdict, _data)
+    _cross_check_robust_both(spec, caps, verdict)
     return ConditionResult(verdict, tag, certificate=cert)
 
 
-def _cross_check_robust_both(spec, caps, minor_verdict, _data=None):
+def _cross_check_robust_both(spec, caps, minor_verdict):
     """The strict minor form must match: equal kernel sign sets plus every
     minimal-support covector having exactly d-1 zeros."""
-    data = _data or _SignData(spec, caps)
+    om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
     try:
-        sign_equal = data.vectors_coeff() == data.vectors_exp()
-        covs = data.covectors_coeff()
+        sign_equal = om_w.vectors(caps.max_n_enumeration) == om_wt.vectors(caps.max_n_enumeration)
+        covs = om_w.covectors(caps.max_n_enumeration)
     except EnumerationCap:
         return
     nonzero = {t for t in covs if not t.is_zero()}
@@ -803,7 +767,8 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
     """Run every condition on the canonicalized spec and classify the family."""
     spec.require_square()
     spec_c = spec.canonical()
-    data = _SignData(spec_c, caps)
+    om_w, om_wt = spec_c._om(spec_c.coeff), spec_c._om(spec_c.exponents)
+    cap = caps.max_n_enumeration
     conditions: dict[str, ConditionResult] = {}
     runtimes: dict[str, float] = {}
 
@@ -815,11 +780,11 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
 
     sign_sets_equal: bool | None
     try:
-        sign_sets_equal = data.vectors_coeff() == data.vectors_exp()
+        sign_sets_equal = om_w.vectors(cap) == om_wt.vectors(cap)
     except EnumerationCap:
         sign_sets_equal = None
 
-    cond_i = run("i", injectivity_via_signs, spec_c, caps, data)
+    cond_i = run("i", injectivity_via_signs, spec_c, caps)
     minors = run("injectivity_minors", injectivity_via_minors, spec_c)
     if cond_i.verdict != INCONCLUSIVE and cond_i.verdict != minors.verdict:
         raise AssertionError("sign-form and minor-form injectivity disagree")
@@ -828,11 +793,11 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
                                  detail="sign form capped; verdict from the minor form")
         conditions["i"] = cond_i
 
-    run("ii", condition_ii, spec_c, caps, data)
-    cond_iv = run("iv", condition_iv, spec_c, caps, data)
+    run("ii", condition_ii, spec_c, caps)
+    cond_iv = run("iv", condition_iv, spec_c, caps)
     newton = run("newton", newton_polytope_sufficient, spec_c, caps)
-    cc = run("cc", closure_cc, spec_c, caps, data)
-    ccp = run("cc_prime", closure_cc_prime, spec_c, caps, data)
+    cc = run("cc", closure_cc, spec_c, caps)
+    ccp = run("cc_prime", closure_cc_prime, spec_c, caps)
 
     t0 = time.perf_counter()
     if sign_sets_equal:
@@ -848,16 +813,16 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
         cond_iii = ConditionResult(HOLDS, "properness-nondegeneracy",
                                    detail="implied by the positive-face test")
     else:
-        cond_iii = condition_iii_exact(spec_c, caps, data)
+        cond_iii = condition_iii_exact(spec_c, caps)
     conditions["iii"] = cond_iii
     runtimes["iii"] = round((time.perf_counter() - t0) * 1000, 3)
 
-    run("robust_exponents", robust_exponents, spec_c, caps, data)
-    run("robust_coefficients", robust_coefficients, spec_c, caps, data)
-    run("robust_both", robust_both, spec_c, caps, data)
+    run("robust_exponents", robust_exponents, spec_c, caps)
+    run("robust_coefficients", robust_coefficients, spec_c, caps)
+    run("robust_both", robust_both, spec_c, caps)
 
     try:
-        cones: dict[str, FaceLattice | None] = {"coeff": data.cone_coeff(), "exp": data.cone_exp()}
+        cones: dict[str, FaceLattice | None] = {"coeff": om_w.face_lattice(cap), "exp": om_wt.face_lattice(cap)}
     except EnumerationCap:
         cones = {"coeff": None, "exp": None}
 

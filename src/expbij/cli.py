@@ -104,14 +104,15 @@ def _cmd_matroid(args) -> int:
 def _cmd_crn(args) -> int:
     if args.action != "analyze":
         raise InputError(f"unknown crn action: {args.action}")
-    net = parse_network(_load_json(args.network))
+    doc = _load_json(args.network)
+    net = parse_network(doc)
     caps = _load_caps(args.caps)
     struct = structure(net)
     verdict = deficiency_zero_gmak(net, caps)
     robust = robust_deficiency_zero_gmak(net, caps)
     report = {
         "tool": {"name": "expbij", "version": __version__},
-        "inputs": {"network_sha256": digest_of(_load_json(args.network))},
+        "inputs": {"network_sha256": digest_of(doc)},
         "network": {
             "species": list(net.species),
             "vertices": net.num_vertices,

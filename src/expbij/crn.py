@@ -297,6 +297,21 @@ class DeficiencyZeroVerdict:
         }
 
 
+def _failed_precondition(network: GeneralizedNetwork,
+                         struct: NetworkStructure) -> tuple[str, str] | None:
+    """(verdict, reason) of the first precondition of the deficiency-zero
+    criteria that the network fails, or None when it meets them all."""
+    if struct.stoich_subspace.dim != struct.kinetic_subspace.dim:
+        return NOT_APPLICABLE, "stoichiometric and kinetic-order subspaces differ in dimension"
+    if struct.stoich_subspace.dim >= network.num_species:
+        return NOT_APPLICABLE, "the stoichiometric subspace is the whole species space"
+    if not struct.weakly_reversible:
+        return FAILS, "not weakly reversible"
+    if struct.deficiency != 0 or struct.kinetic_deficiency != 0:
+        return FAILS, f"nonzero deficiencies: {struct.deficiency} and {struct.kinetic_deficiency}"
+    return None
+
+
 def deficiency_zero_gmak(network: GeneralizedNetwork, caps: Caps = Caps()) -> DeficiencyZeroVerdict:
     struct = structure(network)
     existence = struct.kinetic_deficiency == 0 and struct.weakly_reversible
@@ -307,18 +322,12 @@ def deficiency_zero_gmak(network: GeneralizedNetwork, caps: Caps = Caps()) -> De
         existence_for_all_rates=existence,
         mass_action=network.is_mass_action,
     )
-    if struct.stoich_subspace.dim != struct.kinetic_subspace.dim:
-        return DeficiencyZeroVerdict(verdict=NOT_APPLICABLE, reason=(
-            "stoichiometric and kinetic-order subspaces differ in dimension "
-            f"({struct.stoich_subspace.dim} vs {struct.kinetic_subspace.dim})"), **base)
-    if struct.stoich_subspace.dim >= network.num_species:
-        return DeficiencyZeroVerdict(verdict=NOT_APPLICABLE, reason=(
-            "the stoichiometric subspace is the whole species space"), **base)
-    if not struct.weakly_reversible:
-        return DeficiencyZeroVerdict(verdict=FAILS, reason="not weakly reversible", **base)
-    if struct.deficiency != 0 or struct.kinetic_deficiency != 0:
-        return DeficiencyZeroVerdict(verdict=FAILS, reason=(
-            f"nonzero deficiencies: {struct.deficiency} and {struct.kinetic_deficiency}"), **base)
+    failed = _failed_precondition(network, struct)
+    if failed is not None:
+        verdict, reason = failed
+        if struct.stoich_subspace.dim != struct.kinetic_subspace.dim:
+            reason += f" ({struct.stoich_subspace.dim} vs {struct.kinetic_subspace.dim})"
+        return DeficiencyZeroVerdict(verdict=verdict, reason=reason, **base)
     report = analyze(map_spec_of(struct), caps)
     if report.classification == CLASS_BIJECTIVE:
         verdict, reason = HOLDS, None
@@ -366,17 +375,9 @@ def robust_deficiency_zero_gmak(network: GeneralizedNetwork,
         mass_action=mak,
         mass_action_reduction=mak,
     )
-    if struct.stoich_subspace.dim != struct.kinetic_subspace.dim:
-        return RobustDeficiencyZeroVerdict(verdict=NOT_APPLICABLE, reason=(
-            "stoichiometric and kinetic-order subspaces differ in dimension"), **base)
-    if struct.stoich_subspace.dim >= network.num_species:
-        return RobustDeficiencyZeroVerdict(verdict=NOT_APPLICABLE, reason=(
-            "the stoichiometric subspace is the whole species space"), **base)
-    if not struct.weakly_reversible:
-        return RobustDeficiencyZeroVerdict(verdict=FAILS, reason="not weakly reversible", **base)
-    if struct.deficiency != 0 or struct.kinetic_deficiency != 0:
-        return RobustDeficiencyZeroVerdict(verdict=FAILS, reason=(
-            f"nonzero deficiencies: {struct.deficiency} and {struct.kinetic_deficiency}"), **base)
+    failed = _failed_precondition(network, struct)
+    if failed is not None:
+        return RobustDeficiencyZeroVerdict(verdict=failed[0], reason=failed[1], **base)
     spec = map_spec_of(struct).canonical()
     cc = closure_cc(spec, caps)
     if mak:

@@ -28,16 +28,11 @@ STRICT = (Rel.GT, Rel.LT)
 
 @dataclass(frozen=True)
 class SignSystem:
-    """Rows are linear forms over R^dim; each row carries a sign requirement.
-
-    Equality groups constrain the listed rows to share a common value (the
-    value itself is otherwise unconstrained).
-    """
+    """Rows are linear forms over R^dim; each row carries a sign requirement."""
 
     dim: int
     forms: tuple[Vec, ...]
     rels: tuple[Rel, ...]
-    equality_groups: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         if len(self.forms) != len(self.rels):
@@ -45,14 +40,6 @@ class SignSystem:
         for f in self.forms:
             if len(f) != self.dim:
                 raise InputError("form length differs from the system dimension")
-        seen: set[int] = set()
-        for group in self.equality_groups:
-            for i in group:
-                if not 0 <= i < len(self.forms):
-                    raise InputError(f"equality group row {i} out of range")
-                if i in seen:
-                    raise InputError("equality groups must be pairwise disjoint")
-                seen.add(i)
 
 
 @dataclass(frozen=True)
@@ -61,11 +48,11 @@ class FeasibilityWitness:
     slack: Fraction
 
 
-def make_system(dim, rows, groups=()) -> SignSystem:
+def make_system(dim, rows) -> SignSystem:
     """rows: iterable of (form, Rel)."""
     forms = tuple(vec(f) for f, _ in rows)
     rels = tuple(r for _, r in rows)
-    return SignSystem(dim, forms, rels, tuple(tuple(g) for g in groups))
+    return SignSystem(dim, forms, rels)
 
 
 def _pivot(A, b, obj, basis, r, j):
@@ -169,7 +156,6 @@ def feasible(system: SignSystem) -> FeasibilityWitness | None:
     b: list[Fraction] = []
 
     n_slack = sum(1 for rel in system.rels if rel is not Rel.EQ)
-    n_groups_rows = sum(max(0, len(g) - 1) for g in system.equality_groups)
     width = 2 * dim + (1 if strict else 0) + n_slack + (1 if strict else 0)
     t_col = 2 * dim if strict else None
     slack_at = 2 * dim + (1 if strict else 0)
@@ -193,16 +179,6 @@ def feasible(system: SignSystem) -> FeasibilityWitness | None:
             row[t_col] = Fraction(1)
         rows.append(row)
         b.append(Fraction(0))
-    for group in system.equality_groups:
-        first = group[0]
-        for other in group[1:]:
-            row = blank()
-            for j in range(dim):
-                a = system.forms[first][j] - system.forms[other][j]
-                row[j] = a
-                row[dim + j] = -a
-            rows.append(row)
-            b.append(Fraction(0))
     if strict:
         row = blank()
         row[t_col] = Fraction(1)
@@ -227,8 +203,8 @@ def feasible(system: SignSystem) -> FeasibilityWitness | None:
 
 def check_witness(system: SignSystem, witness: FeasibilityWitness) -> bool:
     """Re-substitute the witness; strict rows must clear the stated slack."""
-    vals = [dot(form, witness.point) for form in system.forms]
-    for v, rel in zip(vals, system.rels):
+    for form, rel in zip(system.forms, system.rels):
+        v = dot(form, witness.point)
         if rel is Rel.EQ and v != 0:
             return False
         if rel is Rel.GE and v < 0:
@@ -238,9 +214,6 @@ def check_witness(system: SignSystem, witness: FeasibilityWitness) -> bool:
         if rel is Rel.GT and v < witness.slack:
             return False
         if rel is Rel.LT and v > -witness.slack:
-            return False
-    for group in system.equality_groups:
-        if len({vals[i] for i in group}) > 1:
             return False
     return True
 

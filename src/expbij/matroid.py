@@ -1,17 +1,21 @@
 """Oriented-matroid data of a rational vector configuration.
 
-Circuits and cocircuits are computed directly from exact kernels of column
-subsets; the full vector/covector sets are their composition closures. The
-chirotope gives an independent route to the cocircuits, used as a
-cross-check. Face lattices of the cone spanned by the columns, conformal
-decomposition, interior membership, and the two-branch alternative for sign
-vectors against a subspace all live here.
+All of it comes from one table per matrix, its maximal minors. The chirotope
+is the table's signs; the cocircuits are read off the chirotope on
+(d-1)-subsets, and the circuits on (d+1)-subsets by Cramer's rule. The full
+vector and covector sets are the composition closures of the circuits and
+cocircuits, and the face lattice of the cone spanned by the columns is the
+nonnegative part of the covectors. `OrientedMatroid` holds these for one
+matrix and computes each at most once. Conformal decomposition, interior
+membership, and the two-branch alternative for sign vectors against a
+subspace also live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .linalg import (
@@ -19,11 +23,13 @@ from .linalg import (
     RationalMatrix,
     SubspaceBasis,
     Vec,
+    _bareiss_echelon,
+    _int_rows,
     dot,
     is_zero_vec,
     kernel_basis,
+    maximal_minors,
     rank,
-    row_space_basis,
     vec_scale,
     vec_sub,
 )
@@ -39,13 +45,13 @@ from .signs import (
 
 
 def _row_basis(M: RationalMatrix) -> RationalMatrix:
-    """Full-rank matrix with the same row space (and hence the same kernel)."""
-    basis = row_space_basis(M)
-    if basis.dim == 0:
+    """Full-rank matrix with the same row space (and hence the same kernel):
+    M itself, or the nonzero rows of its fraction-free echelon form."""
+    ints, _ = _int_rows([list(r) for r in M.row_tuples])
+    echelon, r, _ = _bareiss_echelon(ints)
+    if r == 0:
         raise InputError("zero matrix has no vector configuration")
-    if basis.dim == M.rows:
-        return M
-    return RationalMatrix(basis.vectors)
+    return M if r == M.rows else RationalMatrix(echelon[:r])
 
 
 def _perm_sign(tup) -> int:
@@ -84,19 +90,6 @@ class Chirotope:
                 and (self.d, self.n, self._signs) == (other.d, other.n, other._signs))
 
 
-def chirotope(W: RationalMatrix) -> Chirotope:
-    d, n = W.rows, W.cols
-    if d > n:
-        raise InputError("chirotope needs d <= n")
-    if rank(W) < d:
-        raise InputError("chirotope needs a full-rank configuration")
-    signs = {}
-    for I in combinations(range(n), d):
-        det = W.column_submatrix(I).det()
-        signs[I] = 0 if det == 0 else (1 if det > 0 else -1)
-    return Chirotope(d, n, signs)
-
-
 def cocircuits_from_chirotope(chi: Chirotope) -> set[SignVector]:
     out: set[SignVector] = set()
     for I in combinations(range(chi.n), chi.d - 1):
@@ -107,90 +100,176 @@ def cocircuits_from_chirotope(chi: Chirotope) -> set[SignVector]:
     return out
 
 
-def cocircuits(M: RationalMatrix) -> set[SignVector]:
-    """Minimal-support sign vectors of im M^T, from rank-(d-1) column subsets."""
-    W = _row_basis(M)
-    d, n = W.rows, W.cols
-    out: set[SignVector] = set()
-    if d == 1:
-        sv = sign_of(W.row(0))
-        return {sv, -sv}
-    cols = [W.column(j) for j in range(n)]
-    for I in combinations(range(n), d - 1):
-        sub = RationalMatrix([cols[i] for i in I])  # rows w^i, i in I
-        ker = kernel_basis(sub)
-        if ker.dim != 1:
-            continue  # columns in I do not span a hyperplane
-        x = ker.vectors[0]
-        sv = sign_of(W.transpose_vec(x))
-        if not sv.is_zero():
-            out.add(sv)
-            out.add(-sv)
-    return out
-
-
-def circuits(M: RationalMatrix) -> set[SignVector]:
-    """Minimal-support sign vectors of ker M: minimal dependent column sets."""
-    W = _row_basis(M)
-    d, n = W.rows, W.cols
-    out: set[SignVector] = set()
-    found_supports: list[set[int]] = []
-    for size in range(1, min(d + 1, n) + 1):
-        for J in combinations(range(n), size):
-            Jset = set(J)
-            if any(s <= Jset for s in found_supports):
-                continue
-            ker = kernel_basis(W.column_submatrix(J))
-            if ker.dim == 0:
-                continue
-            v = ker.vectors[0]
-            if ker.dim > 1 or any(x == 0 for x in v):
-                continue  # dependency not minimal on J; handled by a subset
-            comps = [Fraction(0)] * n
-            for pos, j in enumerate(J):
-                comps[j] = v[pos]
-            sv = sign_of(comps)
-            out.add(sv)
-            out.add(-sv)
-            found_supports.append(Jset)
-    return out
-
-
-def covectors(M: RationalMatrix, cap: int = 12) -> set[SignVector]:
-    """All of sign(im M^T): composition closure of the cocircuits."""
-    if M.cols > cap:
-        raise EnumerationCap(f"covector enumeration capped at n <= {cap}, got n = {M.cols}")
-    return composition_closure(cocircuits(M), M.cols)
-
-
-def vectors(M: RationalMatrix, cap: int = 12) -> set[SignVector]:
-    """All of sign(ker M): composition closure of the circuits."""
-    if M.cols > cap:
-        raise EnumerationCap(f"vector enumeration capped at n <= {cap}, got n = {M.cols}")
-    return composition_closure(circuits(M), M.cols)
-
-
 @dataclass(frozen=True)
-class OrientedMatroidData:
-    circuits: frozenset[SignVector]
-    cocircuits: frozenset[SignVector]
-    vectors: frozenset[SignVector]
-    covectors: frozenset[SignVector]
-    chirotope: Chirotope
+class FaceLattice:
+    """Nonnegative covectors of cone(columns), with the face order reversed:
+    face(tau) is contained in face(tau') iff tau' <= tau."""
+
+    n: int
+    d: int
+    faces: frozenset[SignVector]
+    pointed: bool
+    lineality_dim: int
+    robustly_generated: bool
+    full_space: bool
+    all_plus: bool
+    zero_columns: tuple[int, ...]
+
+    def facet_covectors(self) -> set[SignVector]:
+        return minimal_support_members(self.faces)
 
 
-def oriented_matroid(W: RationalMatrix, cap: int = 12) -> OrientedMatroidData:
-    chi = chirotope(W)
-    coc = cocircuits(W)
-    if coc != cocircuits_from_chirotope(chi):
-        raise AssertionError("cocircuits disagree with the chirotope-derived set")
-    return OrientedMatroidData(
-        circuits=frozenset(circuits(W)),
-        cocircuits=frozenset(coc),
-        vectors=frozenset(vectors(W, cap)),
-        covectors=frozenset(covectors(W, cap)),
-        chirotope=chi,
-    )
+class OrientedMatroid:
+    """Oriented-matroid data of the columns of M, filled lazily.
+
+    Everything is derived from the maximal minors of a full-rank matrix W with
+    the row space of M (W is M when M has full rank), and each piece is
+    computed at most once. The sets are frozen because callers share them.
+    """
+
+    def __init__(self, M: RationalMatrix):
+        self.M = M
+        self.W = _row_basis(M)
+
+    @cached_property
+    def minors(self) -> dict[tuple[int, ...], Fraction]:
+        return maximal_minors(self.W)
+
+    @cached_property
+    def chirotope(self) -> Chirotope:
+        return Chirotope(self.W.rows, self.W.cols,
+                         {I: (m > 0) - (m < 0) for I, m in self.minors.items()})
+
+    @cached_property
+    def cocircuits(self) -> frozenset[SignVector]:
+        """Minimal-support sign vectors of im W^T."""
+        return frozenset(cocircuits_from_chirotope(self.chirotope))
+
+    @cached_property
+    def circuits(self) -> frozenset[SignVector]:
+        """Minimal-support sign vectors of ker W, by Cramer's rule: for sorted
+        J = (j_0..j_d) the vector with entry (-1)^k chi(J minus j_k) at j_k
+        spans the kernel of W_J when it is nonzero, and it is zero when W_J
+        has rank below d. Every circuit lies in some J of rank d."""
+        chi = self.chirotope
+        out: set[SignVector] = set()
+        for J in combinations(range(chi.n), chi.d + 1):
+            comps = [0] * chi.n
+            for k, j in enumerate(J):
+                comps[j] = (-1) ** k * chi.value(J[:k] + J[k + 1:])
+            sv = SignVector.from_components(comps)
+            if not sv.is_zero():
+                out.add(sv)
+                out.add(-sv)
+        return frozenset(out)
+
+    def _check_cap(self, what: str, cap: int):
+        if self.W.cols > cap:
+            raise EnumerationCap(f"{what} enumeration capped at n <= {cap}, got n = {self.W.cols}")
+
+    @cached_property
+    def _covectors(self) -> frozenset[SignVector]:
+        return frozenset(composition_closure(self.cocircuits, self.W.cols))
+
+    @cached_property
+    def _vectors(self) -> frozenset[SignVector]:
+        return frozenset(composition_closure(self.circuits, self.W.cols))
+
+    def covectors(self, cap: int = 12) -> frozenset[SignVector]:
+        """All of sign(im W^T): composition closure of the cocircuits."""
+        self._check_cap("covector", cap)
+        return self._covectors
+
+    def vectors(self, cap: int = 12) -> frozenset[SignVector]:
+        """All of sign(ker W): composition closure of the circuits."""
+        self._check_cap("vector", cap)
+        return self._vectors
+
+    def face_lattice(self, cap: int = 12) -> FaceLattice:
+        self._check_cap("covector", cap)
+        return self._face_lattice
+
+    @cached_property
+    def _face_lattice(self) -> FaceLattice:
+        W, n = self.W, self.W.cols
+        faces = nonneg_part(self._covectors)
+        full_space = faces == {SignVector.zero(n)}
+        top = SignVector.zero(n)
+        for tau in faces:
+            top = top.compose(tau)
+        lineality_cols = top.zero_set()
+        if full_space:
+            lineality_dim = W.rows
+        elif lineality_cols:
+            lineality_dim = rank(W.column_submatrix(lineality_cols))
+        else:
+            lineality_dim = 0
+        zero_columns = tuple(j for j in range(n) if is_zero_vec(W.column(j)))
+        return FaceLattice(
+            n=n,
+            d=self.M.rows,
+            faces=frozenset(faces),
+            pointed=(lineality_dim == 0),
+            lineality_dim=lineality_dim,
+            robustly_generated=_robustly_generated(W, faces, full_space, zero_columns),
+            full_space=full_space,
+            all_plus=(SignVector(n, (1 << n) - 1, 0) in faces),
+            zero_columns=zero_columns,
+        )
+
+
+def _robustly_generated(W, faces, full_space, zero_columns) -> bool:
+    """Either d = 1, or every extreme ray carries a unique generator and all
+    remaining generators are interior. W has full row rank."""
+    if W.rows == 1:
+        return True
+    if full_space:
+        return True
+    if zero_columns:
+        return False
+    n = W.cols
+    nonzero_faces = [t for t in faces if not t.is_zero()]
+    singleton_zero_sets = {t.zero_set()[0] for t in nonzero_faces if len(t.zero_set()) == 1}
+    for i in range(n):
+        if i in singleton_zero_sets:
+            continue  # generator i spans its own extreme-ray face
+        if all(t[i] == 1 for t in nonzero_faces):
+            continue  # generator i is interior
+        return False
+    return True
+
+
+def chirotope(W: RationalMatrix) -> Chirotope:
+    d, n = W.rows, W.cols
+    if d > n:
+        raise InputError("chirotope needs d <= n")
+    if rank(W) < d:
+        raise InputError("chirotope needs a full-rank configuration")
+    return OrientedMatroid(W).chirotope
+
+
+def cocircuits(M: RationalMatrix) -> frozenset[SignVector]:
+    """Minimal-support sign vectors of im M^T."""
+    return OrientedMatroid(M).cocircuits
+
+
+def circuits(M: RationalMatrix) -> frozenset[SignVector]:
+    """Minimal-support sign vectors of ker M: minimal dependent column sets."""
+    return OrientedMatroid(M).circuits
+
+
+def covectors(M: RationalMatrix, cap: int = 12) -> frozenset[SignVector]:
+    """All of sign(im M^T): composition closure of the cocircuits."""
+    return OrientedMatroid(M).covectors(cap)
+
+
+def vectors(M: RationalMatrix, cap: int = 12) -> frozenset[SignVector]:
+    """All of sign(ker M): composition closure of the circuits."""
+    return OrientedMatroid(M).vectors(cap)
+
+
+def face_lattice(W: RationalMatrix, cap: int = 12) -> FaceLattice:
+    return OrientedMatroid(W).face_lattice(cap)
 
 
 def conformal_decompose(M: RationalMatrix, tau: SignVector,
@@ -229,74 +308,6 @@ def conformal_decompose(M: RationalMatrix, tau: SignVector,
         composed = composed.compose(rho)
     assert composed == tau
     return out
-
-
-@dataclass(frozen=True)
-class FaceLattice:
-    """Nonnegative covectors of cone(columns), with the face order reversed:
-    face(tau) is contained in face(tau') iff tau' <= tau."""
-
-    n: int
-    d: int
-    faces: frozenset[SignVector]
-    pointed: bool
-    lineality_dim: int
-    robustly_generated: bool
-    full_space: bool
-    all_plus: bool
-    zero_columns: tuple[int, ...]
-
-    def facet_covectors(self) -> set[SignVector]:
-        return minimal_support_members(self.faces)
-
-
-def face_lattice(W: RationalMatrix, cap: int = 12) -> FaceLattice:
-    d, n = W.rows, W.cols
-    faces = nonneg_part(covectors(W, cap))
-    full_space = faces == {SignVector.zero(n)}
-    top = SignVector.zero(n)
-    for tau in faces:
-        top = top.compose(tau)
-    lineality_cols = top.zero_set()
-    if full_space:
-        lineality_dim = rank(W)
-    elif lineality_cols:
-        lineality_dim = rank(W.column_submatrix(lineality_cols))
-    else:
-        lineality_dim = 0
-    zero_columns = tuple(j for j in range(n) if is_zero_vec(W.column(j)))
-    return FaceLattice(
-        n=n,
-        d=d,
-        faces=frozenset(faces),
-        pointed=(lineality_dim == 0),
-        lineality_dim=lineality_dim,
-        robustly_generated=_robustly_generated(W, faces, full_space, zero_columns),
-        full_space=full_space,
-        all_plus=(SignVector(n, (1 << n) - 1, 0) in faces),
-        zero_columns=zero_columns,
-    )
-
-
-def _robustly_generated(W, faces, full_space, zero_columns) -> bool:
-    """Either d = 1, or every extreme ray carries a unique generator and all
-    remaining generators are interior."""
-    if rank(W) == 1:
-        return True
-    if full_space:
-        return True
-    if zero_columns:
-        return False
-    n = W.cols
-    nonzero_faces = [t for t in faces if not t.is_zero()]
-    singleton_zero_sets = {t.zero_set()[0] for t in nonzero_faces if len(t.zero_set()) == 1}
-    for i in range(n):
-        if i in singleton_zero_sets:
-            continue  # generator i spans its own extreme-ray face
-        if all(t[i] == 1 for t in nonzero_faces):
-            continue  # generator i is interior
-        return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -52,11 +52,13 @@ def _need(condition: bool, what: str):
 
 
 def verify_certificate(report: dict) -> bool:
-    """Re-check every certificate by exact substitution. True iff all pass."""
+    """Re-check every certificate by exact substitution. True iff all pass;
+    False for a malformed report."""
     try:
         _verify(report)
         return True
-    except (_Tampered, InputError, KeyError, ValueError, TypeError, ZeroDivisionError):
+    except (_Tampered, InputError, AttributeError, IndexError, KeyError, ValueError, TypeError,
+            ZeroDivisionError):
         return False
 
 

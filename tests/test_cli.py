@@ -173,3 +173,19 @@ def test_build_report_round_trip():
     text = canonical_json(report)
     assert json.loads(text) == json.loads(canonical_json(json.loads(text)))
     assert verify_certificate(report)
+
+
+def test_verify_certificate_rejects_malformed_reports():
+    spec = ExponentialMapSpec(RationalMatrix(SV_W["entries"]), RationalMatrix(sv_wt(2)["entries"]))
+    report = json.loads(canonical_json(build_report(analyze(spec), {})))
+    assert report["conditions"]["iii"]["verdict"] == "fails"
+    assert verify_certificate(report)
+
+    as_list = json.loads(json.dumps(report))
+    as_list["conditions"] = list(as_list["conditions"].values())
+    string_entry = json.loads(json.dumps(report))
+    string_entry["conditions"]["ii"] = "holds"
+    block_out_of_range = json.loads(json.dumps(report))
+    block_out_of_range["conditions"]["iii"]["certificate"]["blocks"][0]["indices"] = [99]
+    for bad in (as_list, string_entry, block_out_of_range):
+        assert verify_certificate(bad) is False

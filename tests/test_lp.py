@@ -49,12 +49,9 @@ def test_feasible_examples():
     assert x is not None
     assert sign_of(W.transpose_vec(x)) == S("0+-")
 
-
-def test_feasible_with_equality_groups():
-    # rows must share a value, ordered above a third row
-    forms = [vec([1, 0]), vec([0, 1]), vec([1, 1])]
-    sys_ = SignSystem(2, tuple(forms), (Rel.GT, Rel.GT, Rel.GT), ((0, 1),))
-    wit = feasible(sys_)
+    # two rows held at a common positive value by an explicit difference row
+    wit = feasible(make_system(2, [((1, -1), Rel.EQ), ((1, 0), Rel.GT), ((0, 1), Rel.GT),
+                                   ((1, 1), Rel.GT)]))
     assert wit is not None
     assert wit.point[0] == wit.point[1] > 0
 

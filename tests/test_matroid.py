@@ -1,10 +1,12 @@
 import random
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
-from expbij.linalg import RationalMatrix, SubspaceBasis, dot, kernel_basis, rank, vec
+from expbij.linalg import RationalMatrix, SubspaceBasis, dot, kernel_basis, rank, row_space_basis, vec
 from expbij.matroid import (
+    OrientedMatroid,
     chirotope,
     circuits,
     cocircuits,
@@ -14,13 +16,13 @@ from expbij.matroid import (
     face_lattice,
     is_interior_point,
     minty_alternative,
-    oriented_matroid,
     vectors,
 )
 from expbij.signs import (
     SignVector,
     all_sign_vectors,
     minimal_support_members,
+    nonneg_part,
     orthogonal_set,
     sign_of,
 )
@@ -34,6 +36,77 @@ def _random_full_rank(rng, d, n):
         mat = M([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
         if rank(mat) == d:
             return mat
+
+
+def _rref_row_basis(mat):
+    basis = row_space_basis(mat)
+    return mat if basis.dim == mat.rows else M(basis.vectors)
+
+
+def _rref_cocircuits(mat):
+    """Reference oracle: one exact kernel per rank-(d-1) column subset."""
+    W = _rref_row_basis(mat)
+    d, n = W.rows, W.cols
+    if d == 1:
+        sv = sign_of(W.row(0))
+        return {sv, -sv}
+    out = set()
+    cols = [W.column(j) for j in range(n)]
+    for I in combinations(range(n), d - 1):
+        ker = kernel_basis(M([cols[i] for i in I]))  # rows w^i, i in I
+        if ker.dim != 1:
+            continue  # columns in I do not span a hyperplane
+        sv = sign_of(W.transpose_vec(ker.vectors[0]))
+        if not sv.is_zero():
+            out |= {sv, -sv}
+    return out
+
+
+def _rref_circuits(mat):
+    """Reference oracle: minimal column subsets with a one-dimensional,
+    nowhere-zero kernel, by exact kernels in order of size."""
+    W = _rref_row_basis(mat)
+    d, n = W.rows, W.cols
+    out = set()
+    found_supports = []
+    for size in range(1, min(d + 1, n) + 1):
+        for J in combinations(range(n), size):
+            if any(s <= set(J) for s in found_supports):
+                continue
+            ker = kernel_basis(W.column_submatrix(J))
+            if ker.dim != 1 or any(x == 0 for x in ker.vectors[0]):
+                continue  # no dependency, or not minimal on J; handled by a subset
+            comps = [Fraction(0)] * n
+            for pos, j in enumerate(J):
+                comps[j] = ker.vectors[0][pos]
+            sv = sign_of(comps)
+            out |= {sv, -sv}
+            found_supports.append(set(J))
+    return out
+
+
+def test_circuits_cocircuits_match_rref_oracle():
+    # seeded random matrices, a third of them rank-deficient, with zero entries
+    # and zero columns
+    rng = random.Random(31337)
+    deficient = 0
+    for _ in range(400):
+        d = rng.randint(1, 4)
+        n = rng.randint(1, 7)
+        rows = [[rng.choice((-2, -1, 0, 0, 0, 1, 2)) for _ in range(n)] for _ in range(d)]
+        if d > 1 and rng.random() < 0.35:
+            rows[-1] = [a - b for a, b in zip(rows[0], rows[-2])]
+        if rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        W = M(rows)
+        if rank(W) == 0:
+            continue
+        deficient += rank(W) < d
+        assert circuits(W) == _rref_circuits(W), W
+        assert cocircuits(W) == _rref_cocircuits(W), W
+    assert deficient >= 80
 
 
 def test_chirotope_examples():
@@ -118,10 +191,15 @@ def test_vectors_covectors_orthogonal_pairs_random():
 
 
 def test_oriented_matroid_consistency():
-    om = oriented_matroid(M([[1, 0, -1], [0, 1, -1]]))
+    om = OrientedMatroid(M([[1, 0, -1], [0, 1, -1]]))
     assert om.circuits == {S("+++"), S("---")}
     assert om.cocircuits == cocircuits_from_chirotope(om.chirotope)
-    assert SignVector.zero(3) in om.vectors and SignVector.zero(3) in om.covectors
+    assert SignVector.zero(3) in om.vectors() and SignVector.zero(3) in om.covectors()
+    assert om.face_lattice().faces == nonneg_part(om.covectors())
+    # each piece is computed once and then shared
+    assert om.covectors() is om.covectors() and om.face_lattice() is om.face_lattice()
+    # a rank-deficient matrix has the data of its row space
+    assert OrientedMatroid(M([[1, 0, -1], [0, 1, -1], [1, 1, -2]])).circuits == om.circuits
 
 
 def test_conformal_decompose_examples():
