@@ -49,10 +49,14 @@ def test_feasible_examples():
     assert x is not None
     assert sign_of(W.transpose_vec(x)) == S("0+-")
 
-    # two rows held at a common positive value by an explicit difference row
-    wit = feasible(make_system(2, [((1, -1), Rel.EQ), ((1, 0), Rel.GT), ((0, 1), Rel.GT),
-                                   ((1, 1), Rel.GT)]))
-    assert wit is not None
+
+def test_feasible_with_equality_groups():
+    # rows must share a value, ordered above a third row; the shared value is
+    # an explicit EQ difference row
+    sys_ = make_system(2, [((1, -1), Rel.EQ), ((1, 0), Rel.GT), ((0, 1), Rel.GT),
+                           ((1, 1), Rel.GT)])
+    wit = feasible(sys_)
+    assert wit is not None and check_witness(sys_, wit)
     assert wit.point[0] == wit.point[1] > 0
 
 
