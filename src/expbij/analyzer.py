@@ -778,11 +778,13 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
         runtimes[key] = round((time.perf_counter() - t0) * 1000, 3)
         return conditions[key]
 
+    t0 = time.perf_counter()
     sign_sets_equal: bool | None
     try:
         sign_sets_equal = om_w.vectors(cap) == om_wt.vectors(cap)
     except EnumerationCap:
         sign_sets_equal = None
+    runtimes["sign_sets"] = round((time.perf_counter() - t0) * 1000, 3)
 
     cond_i = run("i", injectivity_via_signs, spec_c, caps)
     minors = run("injectivity_minors", injectivity_via_minors, spec_c)

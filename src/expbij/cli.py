@@ -1,7 +1,8 @@
 """Command-line surface: analyze, matroid, crn, solve.
 
 Exit codes: 0 for definitive verdicts, 2 when a verdict is inconclusive
-(an enumeration cap fired), 1 for input errors.
+(an enumeration cap fired), 1 for input errors, 3 when an internal
+consistency check fails (a bug, not a verdict).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from . import __version__
 from .analyzer import Caps, ExponentialMapSpec, analyze
 from .crn import deficiency_zero_gmak, parse_network, robust_deficiency_zero_gmak, structure
-from .linalg import InputError, RationalMatrix
+from .linalg import InputError, InternalInconsistency, RationalMatrix
 from .matroid import chirotope, circuits, cocircuits, covectors, face_lattice
 from .numeric import NumericMapInstance, multi_start_solve, solve
 from .report import build_report, canonical_json, digest_of
@@ -22,6 +23,7 @@ from .signs import EnumerationCap
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INCONCLUSIVE = 2
+EXIT_INTERNAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -211,6 +213,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InternalInconsistency as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -20,6 +20,11 @@ class InputError(ValueError):
     """Malformed external input (JSON schemas, dimension mismatches)."""
 
 
+class InternalInconsistency(RuntimeError):
+    """A result failed its own re-check: a bug in the package, never a verdict
+    or an input error. Raised explicitly, so `python -O` keeps the check."""
+
+
 def frac(value) -> Fraction:
     """Parse an entry: int, Fraction, or a string "p/q" with q > 0."""
     if isinstance(value, Fraction):
@@ -118,6 +123,12 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], int, int]:
     return m, rank, sign
 
 
+def _int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    ech, rank, sign = _bareiss_echelon(rows)
+    return sign * ech[-1][-1] if rank == len(rows) else 0
+
+
 class RationalMatrix:
     """Immutable d x n matrix of exact rationals (d, n >= 1)."""
 
@@ -175,10 +186,7 @@ class RationalMatrix:
         if self.rows != self.cols:
             raise InputError("det: matrix is not square")
         ints, scale = _int_rows([list(r) for r in self._data])
-        ech, rank, sign = _bareiss_echelon(ints)
-        if rank < self.rows:
-            return Fraction(0)
-        return Fraction(sign * ech[self.rows - 1][self.cols - 1], 1) / scale
+        return _int_det(ints) / scale
 
     def __eq__(self, other):
         return isinstance(other, RationalMatrix) and self._data == other._data
@@ -318,7 +326,9 @@ def maximal_minors(M: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
     d, n = M.rows, M.cols
     if d > n:
         raise InputError("maximal_minors requires d <= n")
-    return {I: M.column_submatrix(I).det() for I in combinations(range(n), d)}
+    ints, scale = _int_rows([list(r) for r in M.row_tuples])
+    return {I: _int_det([[row[j] for j in I] for row in ints]) / scale
+            for I in combinations(range(n), d)}
 
 
 def intersection_dim(A: SubspaceBasis, B: SubspaceBasis) -> int:

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 
-from .linalg import InputError, RationalMatrix, Vec, dot, vec
+from .linalg import InputError, InternalInconsistency, RationalMatrix, Vec, dot, vec
 
 
 class Rel(Enum):
@@ -55,96 +56,105 @@ def make_system(dim, rows) -> SignSystem:
     return SignSystem(dim, forms, rels)
 
 
-def _pivot(A, b, obj, basis, r, j):
-    inv = A[r][j]
-    A[r] = [x / inv for x in A[r]]
-    b[r] /= inv
-    for i in range(len(A)):
-        if i != r and A[i][j] != 0:
-            f = A[i][j]
-            A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-            b[i] -= f * b[r]
-    if obj[j] != 0:
-        f = obj[j]
-        for k in range(len(obj)):
-            obj[k] -= f * A[r][k]
-        obj_val = f * b[r]
-    else:
-        obj_val = Fraction(0)
+def _reduce(row: list[int]) -> list[int]:
+    """Divide an int row by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _pivot(T, obj, basis, r, j):
+    """Make column j basic in row r. Every row of T is a positive integer
+    multiple of the rational tableau row (right-hand side last) with a
+    positive basic entry, and obj a positive multiple of the reduced costs,
+    so the signs and ratios the pivoting rule reads are those of the rational
+    tableau."""
+    p = T[r] if T[r][j] > 0 else [-x for x in T[r]]
+    pj = p[j]
+    T[r] = p
+    for i, row in enumerate(T):
+        f = row[j]
+        if f and i != r:
+            T[i] = _reduce([pj * x - f * y for x, y in zip(row, p)])
+    f = obj[j]
+    if f:
+        obj[:] = _reduce([pj * x - f * y for x, y in zip(obj, p)])
     basis[r] = j
-    return obj_val
 
 
-def _run_simplex(A, b, obj, basis, allowed):
-    """Maximize; obj holds reduced costs. Returns accumulated objective gain."""
-    gain = Fraction(0)
+def _run_simplex(T, obj, basis) -> str:
+    """Maximize by Bland's rule: the first column with a positive reduced cost
+    enters; the smallest ratio leaves, ties broken by smallest basic index."""
     while True:
-        enter = next((j for j in range(len(obj)) if allowed[j] and obj[j] > 0), None)
+        enter = next((j for j, cost in enumerate(obj) if cost > 0), None)
         if enter is None:
-            return gain, "optimal"
-        ratios = [(b[r] / A[r][enter], basis[r], r) for r in range(len(A)) if A[r][enter] > 0]
-        if not ratios:
-            return gain, "unbounded"
-        # Bland: smallest ratio, ties broken by smallest basic variable index
-        _, _, leave = min(ratios, key=lambda t: (t[0], t[1]))
-        gain += _pivot(A, b, obj, basis, leave, enter)
+            return "optimal"
+        leave = None
+        for r, row in enumerate(T):
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave, la, lb = r, a, row[-1]
+                    continue
+                lhs, rhs = row[-1] * la, lb * a  # row[-1] / a against lb / la
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave, la, lb = r, a, row[-1]
+        if leave is None:
+            return "unbounded"
+        _pivot(T, obj, basis, leave, enter)
 
 
 def simplex_max(A_rows, b_vals, c_vals):
     """max c.x subject to A x = b, x >= 0 over exact rationals.
 
-    Returns (status, x, value) with status in {"optimal", "infeasible", "unbounded"}.
+    Entries are ints or Fractions. Returns (status, x, value) with status in
+    {"optimal", "infeasible", "unbounded"}. The tableau is kept fraction-free,
+    one primitive integer row per constraint, and pivoted by Bland's rule.
     """
     m = len(A_rows)
     n = len(c_vals)
-    A = [[Fraction(x) for x in row] for row in A_rows]
-    b = [Fraction(x) for x in b_vals]
-    for r in range(m):
-        if b[r] < 0:
-            A[r] = [-x for x in A[r]]
-            b[r] = -b[r]
     # phase 1: artificial columns n..n+m-1 form the starting basis
-    for r in range(m):
-        for i in range(m):
-            A[i].append(Fraction(1 if i == r else 0))
+    T = []
+    for r, (row, b) in enumerate(zip(A_rows, b_vals)):
+        scale = lcm(b.denominator, *(x.denominator for x in row))
+        unit = [0] * m
+        unit[r] = scale
+        if b < 0:  # negate the constraint, not the artificial column
+            scale = -scale
+        ints = [x.numerator * (scale // x.denominator) for x in row]
+        T.append(_reduce(ints + unit + [b.numerator * (scale // b.denominator)]))
     basis = list(range(n, n + m))
-    obj = [Fraction(0)] * (n + m)
-    for j in range(n):
-        obj[j] = sum(A[r][j] for r in range(m))  # reduced costs of max(-sum artificials)
-    value = -sum(b)
-    allowed = [True] * (n + m)
-    gain, status = _run_simplex(A, b, obj, basis, allowed)
-    value += gain
-    if status != "optimal" or value < 0:
+    # reduced costs of max(-sum artificials): the column sums of the rows
+    # divided by their artificial entries
+    scale = lcm(*(T[r][n + r] for r in range(m)))
+    obj = _reduce([sum(scale // T[r][n + r] * T[r][j] for r in range(m)) for j in range(n)]
+                  + [0] * m)
+    status = _run_simplex(T, obj, basis)
+    if status != "optimal" or any(basis[r] >= n and T[r][-1] > 0 for r in range(m)):
         return "infeasible", None, None
     # drive artificials out of the basis; drop redundant rows
     r = 0
-    while r < len(A):
+    while r < len(T):
         if basis[r] >= n:
-            j = next((j for j in range(n) if A[r][j] != 0), None)
+            j = next((j for j in range(n) if T[r][j] != 0), None)
             if j is None:
-                del A[r], b[r], basis[r]
+                del T[r], basis[r]
                 continue
-            _pivot(A, b, obj, basis, r, j)
+            _pivot(T, obj, basis, r, j)
         r += 1
-    A = [row[:n] for row in A]
+    T = [row[:n] + row[-1:] for row in T]
     # phase 2
-    obj = [Fraction(c) for c in c_vals]
-    value = Fraction(0)
-    for r in range(len(A)):
-        if obj[basis[r]] != 0:
-            f = obj[basis[r]]
-            for k in range(n):
-                obj[k] -= f * A[r][k]
-            value += f * b[r]
-    allowed = [True] * n
-    gain, status = _run_simplex(A, b, obj, basis, allowed)
-    value += gain
-    if status == "unbounded":
+    scale = lcm(*(c.denominator for c in c_vals))
+    obj = _reduce([c.numerator * (scale // c.denominator) for c in c_vals])
+    for row, j in zip(T, basis):
+        f = obj[j]
+        if f:
+            obj = _reduce([row[j] * x - f * y for x, y in zip(obj, row)])
+    if _run_simplex(T, obj, basis) == "unbounded":
         return "unbounded", None, None
     x = [Fraction(0)] * n
-    for r, j in enumerate(basis):
-        x[j] = b[r]
+    for row, j in zip(T, basis):
+        x[j] = Fraction(row[-1], row[j])
+    value = sum((Fraction(c_vals[j]) * x[j] for j in basis), Fraction(0))
     return "optimal", x, value
 
 
@@ -197,7 +207,8 @@ def feasible(system: SignSystem) -> FeasibilityWitness | None:
     point = tuple(x[j] - x[dim + j] for j in range(dim))
     slack = value if strict else Fraction(1)
     witness = FeasibilityWitness(point, slack)
-    assert check_witness(system, witness), "simplex returned a point violating the system"
+    if not check_witness(system, witness):
+        raise InternalInconsistency("simplex returned a point violating the system")
     return witness
 
 

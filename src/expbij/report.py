@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import cache
 
 from . import __version__
 from .analyzer import AnalysisReport
@@ -75,6 +76,8 @@ def _verify(report: dict):
     W = RationalMatrix.from_json_dict(m["canonical_coeff"])
     Wt = RationalMatrix.from_json_dict(m["canonical_exponents"])
     conditions = report["conditions"]
+    # both minor tables, computed once and only if a minor certificate needs them
+    minors = cache(lambda: (maximal_minors(W), maximal_minors(Wt)))
 
     for key, entry in conditions.items():
         cert = entry.get("certificate")
@@ -89,7 +92,7 @@ def _verify(report: dict):
             _need(Wt.transpose_vec(x) == z, "rowspace vector mismatch")
             _need(sign_of(z) == tau, "rowspace vector sign mismatch")
         elif key == "injectivity_minors" and cert is not None:
-            _verify_minor_cert(W, Wt, verdict, cert, strict=False)
+            _verify_minor_cert(minors, verdict, cert)
         elif key == "ii" and verdict == "fails":
             tau_t = _sv(cert["uncovered_face"])
             x_t = vec(cert["exponent_functional"])
@@ -126,7 +129,7 @@ def _verify(report: dict):
         elif key == "robust_exponents" and cert is not None:
             if "closure_form" in cert and verdict == "fails":
                 _verify_closure_cert(W, Wt, "cc", cert["closure_form"])
-            _verify_strict_minor_cert(W, Wt, verdict, cert["minor_form"])
+            _verify_strict_minor_cert(minors, verdict, cert["minor_form"])
         elif key == "robust_coefficients" and verdict == "fails":
             if cert.get("reason") == "reversed-closure-fails":
                 _verify_closure_cert(W, Wt, "cc_prime", cert["closure_form"])
@@ -136,7 +139,7 @@ def _verify(report: dict):
                 _need(cert["separating_face"] in faces_w ^ faces_wt,
                       "separating face not in the symmetric difference")
         elif key == "robust_both" and cert is not None:
-            _verify_robust_both_cert(W, Wt, verdict, cert)
+            _verify_robust_both_cert(minors, verdict, cert)
 
     want = _classification_of(conditions)
     _need(report["classification"] == want, "classification inconsistent with verdicts")
@@ -157,14 +160,11 @@ def _classification_of(conditions) -> str:
     return "bijective-for-all-c"
 
 
-def _verify_minor_cert(W, Wt, verdict, cert, strict: bool):
+def _verify_minor_cert(minors, verdict, cert):
+    minors_w, minors_wt = minors()
     if cert.get("reason") == "all-products-zero":
-        minors_w = maximal_minors(W)
-        minors_wt = maximal_minors(Wt)
         _need(all(minors_w[I] * minors_wt[I] == 0 for I in minors_w), "a nonzero product exists")
         return
-    minors_w = maximal_minors(W)
-    minors_wt = maximal_minors(Wt)
     ref = tuple(_idx(cert["reference_subset"]))
     ref_p = minors_w[ref] * minors_wt[ref]
     sign = 1 if cert["reference_sign"] == "+" else -1
@@ -178,9 +178,8 @@ def _verify_minor_cert(W, Wt, verdict, cert, strict: bool):
               "a product opposes the reference sign")
 
 
-def _verify_strict_minor_cert(W, Wt, verdict, cert):
-    minors_w = maximal_minors(W)
-    minors_wt = maximal_minors(Wt)
+def _verify_strict_minor_cert(minors, verdict, cert):
+    minors_w, minors_wt = minors()
     if verdict == "fails":
         bad = tuple(_idx(cert["violating_subset"]))
         if cert.get("reason") == "zero-product-at-nonzero-minor":
@@ -195,9 +194,8 @@ def _verify_strict_minor_cert(W, Wt, verdict, cert):
               "strict minor condition does not hold")
 
 
-def _verify_robust_both_cert(W, Wt, verdict, cert):
-    minors_w = maximal_minors(W)
-    minors_wt = maximal_minors(Wt)
+def _verify_robust_both_cert(minors, verdict, cert):
+    minors_w, minors_wt = minors()
     products = {I: minors_w[I] * minors_wt[I] for I in minors_w}
     if verdict == "holds":
         _need(all(p != 0 for p in products.values()), "a zero product exists")

@@ -211,17 +211,26 @@ def composition_closure(generators, n: int) -> set[SignVector]:
 
     Every element is a finite left-to-right composition of generators, so a
     breadth-first sweep composing frontier elements with generators suffices.
+    The sweep runs on one packed int `plus | minus << n` per sign vector:
+    composing x with g is `x | (g & ~(s | s << n))` for the support s of x.
     """
-    gens = list(set(generators))
-    out = {SignVector.zero(n)} | set(gens)
+    full = (1 << n) - 1
+    gens = []
+    for g in set(generators):
+        if g.n != n:
+            raise ValueError(f"sign vector length mismatch: {n} vs {g.n}")
+        gens.append(g.plus | g.minus << n)
+    out = {0, *gens}
     frontier = list(out)
     while frontier:
         new = []
-        for tau in frontier:
+        for x in frontier:
+            s = (x | x >> n) & full
+            keep = ~(s | s << n)
             for g in gens:
-                c = tau.compose(g)
+                c = x | (g & keep)
                 if c not in out:
                     out.add(c)
                     new.append(c)
         frontier = new
-    return out
+    return {SignVector(n, x & full, x >> n) for x in out}

@@ -1,8 +1,10 @@
 import json
 
+import expbij.cli
+import expbij.report
 from expbij.analyzer import ExponentialMapSpec, analyze
 from expbij.cli import main
-from expbij.linalg import RationalMatrix
+from expbij.linalg import InternalInconsistency, RationalMatrix, maximal_minors
 from expbij.report import build_report, canonical_json, digest_of, verify_certificate
 
 
@@ -151,6 +153,9 @@ def test_reports_deterministic(tmp_path):
     spec = ExponentialMapSpec(RationalMatrix(SV_W["entries"]), RationalMatrix(sv_wt(2)["entries"]))
     rep = build_report(analyze(spec), {})
     assert rep["runtimes_ms"] and "runtimes_ms" not in canonical_json(rep)
+    # one entry per condition plus the up-front sign-set enumeration
+    assert set(rep["runtimes_ms"]) == set(rep["conditions"]) | {"sign_sets"}
+    assert rep["runtimes_ms"]["sign_sets"] >= 0
 
 
 def test_robust_flag_filters_conditions(tmp_path):
@@ -189,3 +194,27 @@ def test_verify_certificate_rejects_malformed_reports():
     block_out_of_range["conditions"]["iii"]["certificate"]["blocks"][0]["indices"] = [99]
     for bad in (as_list, string_entry, block_out_of_range):
         assert verify_certificate(bad) is False
+
+
+def test_verify_certificate_computes_each_minor_table_once(monkeypatch):
+    spec = ExponentialMapSpec(RationalMatrix(SV_W["entries"]), RationalMatrix(sv_wt(2)["entries"]))
+    report = json.loads(canonical_json(build_report(analyze(spec), {})))
+    for key in ("injectivity_minors", "robust_exponents", "robust_both"):
+        assert report["conditions"][key]["certificate"] is not None
+    calls = []
+    monkeypatch.setattr(expbij.report, "maximal_minors",
+                        lambda M: calls.append(M) or maximal_minors(M))
+    assert verify_certificate(report)
+    assert len(calls) == 2
+
+
+def test_internal_inconsistency_exit_three(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InternalInconsistency("simplex returned a point violating the system")
+
+    monkeypatch.setattr(expbij.cli, "analyze", broken)
+    args = ["analyze",
+            "--coeff", write_json(tmp_path, "W.json", BIRCH),
+            "--exp", write_json(tmp_path, "Wt.json", BIRCH)]
+    assert main(args) == 3
+    assert "internal error" in capsys.readouterr().err

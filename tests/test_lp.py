@@ -1,7 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
+import expbij
+from expbij import lp
 from expbij.linalg import RationalMatrix, vec
 from expbij.lp import (
     Rel,
@@ -135,3 +142,192 @@ def test_random_strict_systems_sound_and_grid_complete():
                     for v, r in zip(vals, rels)
                 )
                 assert not ok, f"grid point {point} satisfies a system reported infeasible"
+
+
+# Reference oracle: the Fraction-tableau Bland simplex that the integer-row
+# simplex_max replaced. Both must take the same pivots and return the same
+# (status, x, value).
+
+def _fraction_pivot(A, b, obj, basis, r, j):
+    inv = A[r][j]
+    A[r] = [x / inv for x in A[r]]
+    b[r] /= inv
+    for i in range(len(A)):
+        if i != r and A[i][j] != 0:
+            f = A[i][j]
+            A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+            b[i] -= f * b[r]
+    if obj[j] != 0:
+        f = obj[j]
+        for k in range(len(obj)):
+            obj[k] -= f * A[r][k]
+        obj_val = f * b[r]
+    else:
+        obj_val = Fraction(0)
+    basis[r] = j
+    return obj_val
+
+
+def _fraction_run_simplex(A, b, obj, basis):
+    gain = Fraction(0)
+    while True:
+        enter = next((j for j in range(len(obj)) if obj[j] > 0), None)
+        if enter is None:
+            return gain, "optimal"
+        ratios = [(b[r] / A[r][enter], basis[r], r) for r in range(len(A)) if A[r][enter] > 0]
+        if not ratios:
+            return gain, "unbounded"
+        _, _, leave = min(ratios, key=lambda t: (t[0], t[1]))
+        gain += _fraction_pivot(A, b, obj, basis, leave, enter)
+
+
+def _fraction_simplex_max(A_rows, b_vals, c_vals):
+    m = len(A_rows)
+    n = len(c_vals)
+    A = [[Fraction(x) for x in row] for row in A_rows]
+    b = [Fraction(x) for x in b_vals]
+    for r in range(m):
+        if b[r] < 0:
+            A[r] = [-x for x in A[r]]
+            b[r] = -b[r]
+    for r in range(m):
+        for i in range(m):
+            A[i].append(Fraction(1 if i == r else 0))
+    basis = list(range(n, n + m))
+    obj = [Fraction(0)] * (n + m)
+    for j in range(n):
+        obj[j] = sum(A[r][j] for r in range(m))
+    value = -sum(b)
+    gain, status = _fraction_run_simplex(A, b, obj, basis)
+    value += gain
+    if status != "optimal" or value < 0:
+        return "infeasible", None, None
+    r = 0
+    while r < len(A):
+        if basis[r] >= n:
+            j = next((j for j in range(n) if A[r][j] != 0), None)
+            if j is None:
+                del A[r], b[r], basis[r]
+                continue
+            _fraction_pivot(A, b, obj, basis, r, j)
+        r += 1
+    A = [row[:n] for row in A]
+    obj = [Fraction(c) for c in c_vals]
+    value = Fraction(0)
+    for r in range(len(A)):
+        if obj[basis[r]] != 0:
+            f = obj[basis[r]]
+            for k in range(n):
+                obj[k] -= f * A[r][k]
+            value += f * b[r]
+    gain, status = _fraction_run_simplex(A, b, obj, basis)
+    value += gain
+    if status == "unbounded":
+        return "unbounded", None, None
+    x = [Fraction(0)] * n
+    for r, j in enumerate(basis):
+        x[j] = b[r]
+    return "optimal", x, value
+
+
+def _random_lp(rng):
+    """A random standard-form LP, shaped to hit degenerate, redundant-row and
+    rational-entry cases as well as the three outcomes."""
+    m, n = rng.randint(1, 5), rng.randint(1, 7)
+    entry = lambda: rng.choice([0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    A = [[entry() for _ in range(n)] for _ in range(m)]
+    shape = rng.choice(["free", "degenerate", "redundant", "feasible"])
+    if shape == "feasible":  # b = A x0 for some x0 >= 0
+        x0 = [rng.choice([0, 0, 1, 2, Fraction(1, 3)]) for _ in range(n)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    elif shape == "degenerate":
+        b = [0] * m
+    else:
+        b = [rng.randint(-3, 3) for _ in range(m)]
+    if shape == "redundant":  # repeat a combination of the rows, rhs included
+        k = rng.choice([1, -2, Fraction(3, 2)])
+        i, j = rng.randrange(m), rng.randrange(m)
+        A.append([k * x + y for x, y in zip(A[i], A[j])])
+        b.append(k * b[i] + b[j])
+    c = [entry() for _ in range(n)]
+    return A, b, c, shape
+
+
+def test_simplex_matches_fraction_oracle(monkeypatch):
+    # same pivots (row, entering column) in the same order, same results
+    pivots = {"int": [], "fraction": []}
+
+    def recording(pivot, key):
+        def wrapped(*args):
+            pivots[key].append(args[-2:])
+            return pivot(*args)
+        return wrapped
+
+    monkeypatch.setattr(lp, "_pivot", recording(lp._pivot, "int"))
+    monkeypatch.setitem(globals(), "_fraction_pivot", recording(_fraction_pivot, "fraction"))
+    rng = random.Random(20180417)
+    seen = set()
+    for _ in range(600):
+        A, b, c, shape = _random_lp(rng)
+        got = simplex_max(A, b, c)
+        assert got == _fraction_simplex_max(A, b, c), (A, b, c)
+        assert pivots["int"] == pivots["fraction"], (A, b, c)
+        pivots["int"].clear()
+        pivots["fraction"].clear()
+        if got[0] == "optimal":
+            assert all(sum(a * x for a, x in zip(row, got[1])) == rhs for row, rhs in zip(A, b))
+        seen.add((shape, got[0]))
+    for status in ("optimal", "infeasible", "unbounded"):
+        assert any(st == status for _, st in seen)
+    for shape in ("degenerate", "redundant"):
+        assert (shape, "optimal") in seen and (shape, "unbounded") in seen
+    assert ("redundant", "infeasible") in seen
+
+
+def test_feasible_systems_match_fraction_oracle(monkeypatch):
+    # the LPs feasible() itself builds: split free variables, slacks, a margin
+    calls = []
+
+    def both(A, b, c):
+        got = simplex_max(A, b, c)
+        assert got == _fraction_simplex_max(A, b, c)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(lp, "simplex_max", both)
+    rng = random.Random(8128)
+    outcomes = set()
+    for _ in range(150):
+        dim = rng.randint(1, 4)
+        nrows = rng.randint(1, 6)
+        forms = [vec([rng.choice([0, 1, -1, 2, "1/2", "-3/2"]) for _ in range(dim)])
+                 for _ in range(nrows)]
+        rels = [rng.choice(list(Rel)) for _ in range(nrows)]
+        sys_ = SignSystem(dim, tuple(forms), tuple(rels))
+        wit = feasible(sys_)
+        assert wit is None or check_witness(sys_, wit)
+        outcomes.add(wit is not None)
+    assert len(calls) == 150 and outcomes == {True, False}
+
+
+def test_witness_check_survives_python_O():
+    # the re-substitution of the witness must raise even when asserts are stripped
+    code = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        from expbij import lp
+        from expbij.linalg import InputError, InternalInconsistency
+        if sys.flags.optimize < 1 or issubclass(InternalInconsistency, InputError):
+            sys.exit(2)
+        lp.simplex_max = lambda A, b, c: ("optimal", [Fraction(-1)] * len(c), Fraction(1))
+        try:
+            lp.feasible(lp.make_system(1, [((1,), lp.Rel.GT)]))
+        except InternalInconsistency:
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    src = str(Path(expbij.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -135,3 +135,50 @@ def test_composition_closure_generators():
         expected.add(sign_of([a, b, a + b]))
     assert closed == expected
     assert len(closed) == 13
+
+
+def _signvector_closure(generators, n):
+    """Reference oracle: the SignVector-object sweep that the packed-int
+    composition_closure replaced."""
+    gens = list(set(generators))
+    out = {SignVector.zero(n)} | set(gens)
+    frontier = list(out)
+    while frontier:
+        new = []
+        for tau in frontier:
+            for g in gens:
+                c = tau.compose(g)
+                if c not in out:
+                    out.add(c)
+                    new.append(c)
+        frontier = new
+    return out
+
+
+def test_composition_closure_matches_signvector_oracle():
+    from expbij.linalg import RationalMatrix
+    from expbij.matroid import OrientedMatroid
+
+    rng = random.Random(31337)
+    kinds = set()
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        d = rng.randint(1, n)
+        rows = [[rng.choice([0, 0, 1, -1, 2, -2, 3]) for _ in range(n)] for _ in range(d)]
+        if rng.random() < 0.3:  # rank-deficient: add a dependent row
+            rows.append([a - 2 * b for a, b in zip(rows[0], rows[-1])])
+            kinds.add("dependent")
+        if n > 1 and rng.random() < 0.3:
+            zero = rng.randrange(n)
+            for row in rows:
+                row[zero] = 0
+            kinds.add("zero column")
+        if not any(any(row) for row in rows):
+            continue
+        om = OrientedMatroid(RationalMatrix(rows))
+        for gens in (om.circuits, om.cocircuits):
+            assert composition_closure(gens, n) == _signvector_closure(gens, n)
+    assert kinds == {"dependent", "zero column"}
+    assert composition_closure(set(), 2) == _signvector_closure(set(), 2) == {S("00")}
+    with pytest.raises(ValueError):
+        composition_closure({S("+0")}, 3)
