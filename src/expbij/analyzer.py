@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from .linalg import (
     InputError,
+    InternalInconsistency,
     RationalMatrix,
     Vec,
     dot,
-    frac,
     frac_str,
     is_zero_vec,
     kernel_basis,
@@ -35,7 +35,7 @@ from .linalg import (
 )
 from .lp import Rel, feasible, make_system, positive_kernel_vector, realize_kernel_sign, realize_sign_vector
 from .matroid import FaceLattice, OrientedMatroid, is_interior_point, minty_alternative
-from .signs import EnumerationCap, SignVector, minimal_support_members, nonneg_part, sign_of
+from .signs import EnumerationCap, SignVector, minimal_support_members, sign_of
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -170,12 +170,24 @@ def _closure_excluded(V: set[SignVector], T: set[SignVector]) -> SignVector | No
     union = 0
     for t in V:
         union |= t.support
+    # a tope pi is below r iff r agrees with pi on pi's support, the union
+    below = {(r.plus & union, r.minus & union) for r in T}
     topes = sorted((t for t in V if t.support == union), key=str)
-    candidates = [r for r in T if (union & ~r.support) == 0]
-    for pi in topes:
-        if not any(pi.leq(r) for r in candidates):
-            return pi
-    return None
+    return next((pi for pi in topes if (pi.plus, pi.minus) not in below), None)
+
+
+def _check(ok: bool, what: str):
+    """Internal consistency check that `python -O` keeps."""
+    if not ok:
+        raise InternalInconsistency(what)
+
+
+def _positively_dependent(spec: ExponentialMapSpec, cap: int):
+    """Predicate on index sets I: some v >= 0 in ker W has support exactly I,
+    i.e. the sign vector + on I and 0 elsewhere is a vector of W."""
+    vectors_w = spec._om(spec.coeff).vectors(cap)
+    n = spec.n
+    return lambda I: SignVector(n, sum(1 << i for i in I), 0) in vectors_w
 
 
 def _kernel_point_positive_on(M: RationalMatrix, indices) -> Vec | None:
@@ -206,7 +218,7 @@ def injectivity_via_signs(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Cond
     tau = min(common, key=str)
     v = realize_kernel_sign(spec.coeff, tau)
     x = realize_sign_vector(spec.exponents, tau)
-    assert v is not None and x is not None
+    _check(v is not None and x is not None, f"common sign vector {tau} has no realization")
     return ConditionResult(FAILS, tag, certificate={
         "common_sign_vector": str(tau),
         "kernel_vector": _jvec(v),
@@ -263,9 +275,9 @@ def condition_ii(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResu
         tau = next((t for t in sorted(nonzero_w, key=str) if t.leq(tau_t)), None)
         if tau is None:
             evidence = _kernel_point_positive_on(spec.coeff, tau_t.plus_set())
-            assert evidence is not None, "uncovered face without interior evidence"
+            _check(evidence is not None, "uncovered face without interior evidence")
             x_t = realize_sign_vector(spec.exponents, tau_t)
-            assert x_t is not None
+            _check(x_t is not None, f"face covector {tau_t} has no supporting functional")
             return ConditionResult(FAILS, tag, certificate={
                 "uncovered_face": str(tau_t),
                 "exponent_functional": _jvec(x_t),
@@ -347,6 +359,7 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
             # pointed coefficient cone with no zero column: no positive dependence at all
             return ConditionResult(HOLDS, tag, detail="all-plus coefficient covector")
         covs_exp = spec._om(spec.exponents).covectors(cap)
+        dependent = _positively_dependent(spec, cap)
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
 
@@ -354,13 +367,6 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
 
     def has_covering_face(tau_t: SignVector) -> bool:
         return any((t.support & ~tau_t.support) == 0 for t in min_faces_w)
-
-    dependence_memo: dict[frozenset, Vec | None] = {}
-
-    def block_vector(block: frozenset) -> Vec | None:
-        if block not in dependence_memo:
-            dependence_memo[block] = positive_kernel_vector(spec.coeff, block)
-        return dependence_memo[block]
 
     candidates = [t for t in sorted(covs_exp, key=str)
                   if t.plus != 0 and not has_covering_face(t)]
@@ -374,7 +380,7 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
                 f"{len(candidates) - idx} candidates unexplored"))
         zero_rows = [(spec.exponents.column(i), Rel.EQ) for i in tau_t.zero_set()]
         minus_rows = [(spec.exponents.column(i), Rel.LT) for i in tau_t.minus_set()]
-        for blocks in _ordered_partitions(plus, lambda b: block_vector(b) is not None):
+        for blocks in _ordered_partitions(plus, dependent):
             pairs_tried += 1
             if pairs_tried > caps.max_partition_pairs:
                 return ConditionResult(INCONCLUSIVE, tag, detail=(
@@ -395,23 +401,21 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
                 continue
             x = wit.point
             z = spec.exponents.transpose_vec(x)
-            assert sign_of(z) == tau_t
+            _check(sign_of(z) == tau_t, f"partition witness misses the sign vector {tau_t}")
             evidence = _kernel_point_positive_on(spec.coeff, tau_t.support_set())
-            assert evidence is not None, "candidate without covering face lacks interior evidence"
+            _check(evidence is not None, "candidate without covering face lacks interior evidence")
+            cert_blocks = []
+            for b in blocks:
+                v = positive_kernel_vector(spec.coeff, b)
+                _check(v is not None, f"block {_jidx(sorted(b))} is a nonnegative vector of W "
+                                      "but has no positive kernel vector")
+                cert_blocks.append(DegeneracyBlock(
+                    indices=tuple(sorted(b)),
+                    level=dot(spec.exponents.column(min(b)), x),
+                    kernel_vector=v,
+                ))
             witness = DegeneracyWitness(
-                direction=x,
-                z=z,
-                tau=tau_t,
-                blocks=tuple(
-                    DegeneracyBlock(
-                        indices=tuple(sorted(b)),
-                        level=dot(spec.exponents.column(min(b)), x),
-                        kernel_vector=block_vector(b),
-                    )
-                    for b in blocks
-                ),
-                no_cover_evidence=evidence,
-            )
+                direction=x, z=z, tau=tau_t, blocks=tuple(cert_blocks), no_cover_evidence=evidence)
             return ConditionResult(FAILS, tag, certificate=witness.to_json_dict(),
                                    detail=f"{pairs_tried} ordered partitions tried")
     return ConditionResult(HOLDS, tag, detail=(
@@ -450,7 +454,8 @@ def condition_iv(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResu
         v_pi = positive_kernel_vector(spec.coeff, tau_t.plus_set())
         v_rho = realize_kernel_sign(spec.coeff, rho)
         x_t = realize_sign_vector(spec.exponents, tau_t)
-        assert v_pi is not None and v_rho is not None and x_t is not None
+        _check(v_pi is not None and v_rho is not None and x_t is not None,
+               f"covector {tau_t} or its dominating vector {rho} has no realization")
         return ConditionResult(FAILS, tag, certificate={
             "exponent_covector": str(tau_t),
             "exponent_functional": _jvec(x_t),
@@ -464,41 +469,30 @@ def condition_iv(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResu
 def newton_polytope_sufficient(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
     """Sufficient nondegeneracy test via positive faces of conv(exponent columns).
 
-    "holds" implies nondegeneracy; "inconclusive" draws no conclusion.
+    A face with index set I is positive when some w.x = level > 0 supports
+    it: w_i.x = level on I and w_i.x < level elsewhere. On the lifted matrix
+    L = [[Wt, 0], [1^T, 1]], whose last column stands for the origin, these
+    are the nonnegative covectors of L that are + at the origin, with zero set
+    I. "holds" implies nondegeneracy; "inconclusive" draws no conclusion.
     """
     tag = "nondegeneracy-newton-polytope"
     spec.require_square()
-    n = spec.n
-    hat = RationalMatrix(list(spec.exponents.row_tuples) + [[1] * n])
+    n, cap = spec.n, caps.max_n_enumeration
+    lifted = RationalMatrix([list(r) + [0] for r in spec.exponents.row_tuples] + [[1] * (n + 1)])
     try:
-        hat_faces = nonneg_part(spec._om(hat).covectors(caps.max_n_enumeration))
+        spec._om(spec.exponents).check_cap("covector", cap)  # the cap counts the map's n columns
+        lifted_covs = spec._om(lifted).covectors(cap + 1)
+        dependent = _positively_dependent(spec, cap)
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
-    index_sets = sorted({t.zero_set() for t in hat_faces} - {()})
-    checked = []
-    for I in index_sets:
-        x = _positive_face_support(spec.exponents, I)
-        if x is None:
-            continue  # face has no supporting level above zero
-        if positive_kernel_vector(spec.coeff, I) is not None:
+    origin = 1 << n
+    positive_faces = sorted({t.zero_set() for t in lifted_covs if t.minus == 0 and t.plus & origin}
+                            - {()})
+    for I in positive_faces:
+        if dependent(I):
             return ConditionResult(INCONCLUSIVE, tag, detail=(
                 f"positive face {{{','.join(str(i + 1) for i in I)}}} is positively dependent"))
-        checked.append(I)
-    return ConditionResult(HOLDS, tag, detail=f"{len(checked)} positive faces checked")
-
-
-def _positive_face_support(exponents: RationalMatrix, I) -> Vec | None:
-    """(x, level) support with level > 0 for the face with index set I, if any."""
-    n = exponents.cols
-    d = exponents.rows
-    Iset = set(I)
-    rows = []
-    for j in range(n):
-        form = tuple(exponents.column(j)) + (Fraction(-1),)
-        rows.append((form, Rel.EQ if j in Iset else Rel.LT))
-    rows.append((tuple([Fraction(0)] * d) + (Fraction(1),), Rel.GT))
-    wit = feasible(make_system(d + 1, rows))
-    return wit.point if wit else None
+    return ConditionResult(HOLDS, tag, detail=f"{len(positive_faces)} positive faces checked")
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +510,9 @@ def _closure_condition(spec, caps, swap: bool, tag: str) -> ConditionResult:
     if excluded is None:
         return ConditionResult(HOLDS, tag)
     v = realize_kernel_sign(first, excluded)
-    assert v is not None
+    _check(v is not None, f"excluded sign vector {excluded} has no kernel realization")
     wit = minty_alternative(kernel_basis(second), excluded)
-    assert wit.branch == "orthogonal", "excluded sign vector admits a dominating one"
+    _check(wit.branch == "orthogonal", "excluded sign vector admits a dominating one")
     return ConditionResult(FAILS, tag, certificate={
         "excluded_sign_vector": str(excluded),
         "kernel_vector": _jvec(v),
@@ -555,7 +549,7 @@ def _minor_form_strict_closure(spec) -> tuple[str, dict]:
                 "violating_subset": _jidx(I),
                 "reason": "mixed-product-signs",
             }
-    assert ref is not None  # full rank guarantees a nonzero minor
+    _check(ref is not None, "full-rank coefficient matrix without a nonzero minor")
     return HOLDS, {"reference_subset": _jidx(ref[0]), "reference_sign": "+" if ref[1] > 0 else "-"}
 
 
@@ -565,8 +559,8 @@ def robust_exponents(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condition
     spec.require_square()
     minor_verdict, minor_cert = _minor_form_strict_closure(spec)
     sign_form = closure_cc(spec, caps)
-    if sign_form.verdict != INCONCLUSIVE and sign_form.verdict != minor_verdict:
-        raise AssertionError("closure condition disagrees with its minor form")
+    _check(sign_form.verdict in (INCONCLUSIVE, minor_verdict),
+           "closure condition disagrees with its minor form")
     cert = {"minor_form": minor_cert}
     if sign_form.certificate:
         cert["closure_form"] = sign_form.certificate
@@ -637,8 +631,7 @@ def _cross_check_robust_both(spec, caps, minor_verdict):
     minimal = minimal_support_members(covs)
     uniform = {t for t in nonzero if len(t.zero_set()) == spec.d - 1}
     sign_verdict = HOLDS if (sign_equal and minimal == uniform) else FAILS
-    if sign_verdict != minor_verdict:
-        raise AssertionError("strict minor form disagrees with its sign-vector form")
+    _check(sign_verdict == minor_verdict, "strict minor form disagrees with its sign-vector form")
 
 
 # ---------------------------------------------------------------------------
@@ -788,8 +781,8 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
 
     cond_i = run("i", injectivity_via_signs, spec_c, caps)
     minors = run("injectivity_minors", injectivity_via_minors, spec_c)
-    if cond_i.verdict != INCONCLUSIVE and cond_i.verdict != minors.verdict:
-        raise AssertionError("sign-form and minor-form injectivity disagree")
+    _check(cond_i.verdict in (INCONCLUSIVE, minors.verdict),
+           "sign-form and minor-form injectivity disagree")
     if cond_i.verdict == INCONCLUSIVE:
         cond_i = ConditionResult(minors.verdict, cond_i.tag, minors.certificate,
                                  detail="sign form capped; verdict from the minor form")
@@ -866,23 +859,22 @@ def _assert_implications(conditions, cones, sign_sets_equal, classification):
     def v(key):
         return conditions[key].verdict
 
-    if v("cc") == HOLDS:
-        assert v("i") == HOLDS and v("ii") == HOLDS and v("iv") == HOLDS and v("iii") == HOLDS
-    if v("cc_prime") == HOLDS:
-        assert v("i") == HOLDS and v("iv") == HOLDS and v("iii") == HOLDS
-    if v("iv") == HOLDS:
-        assert v("iii") == HOLDS
-    if conditions["newton"].verdict == HOLDS:
-        assert v("iii") == HOLDS
-    if sign_sets_equal:
-        assert classification == CLASS_BIJECTIVE
-    if v("cc_prime") == HOLDS and v("ii") == HOLDS:
-        cw, ce = cones.get("coeff"), cones.get("exp")
-        if cw is not None and ce is not None:
-            assert cw.faces == ce.faces
-    if classification == CLASS_BIJECTIVE:
-        cw, ce = cones.get("coeff"), cones.get("exp")
-        if cw is not None and ce is not None and cw.all_plus:
-            assert ce.all_plus
-    if v("robust_both") == HOLDS:
-        assert v("robust_exponents") == HOLDS
+    def implies(premise: bool, conclusion: bool, what: str):
+        _check(not premise or conclusion, f"implication violated: {what}")
+
+    implies(v("cc") == HOLDS, v("i") == v("ii") == v("iv") == v("iii") == HOLDS,
+            "cc holds but i, ii, iv or iii does not")
+    implies(v("cc_prime") == HOLDS, v("i") == v("iv") == v("iii") == HOLDS,
+            "cc_prime holds but i, iv or iii does not")
+    implies(v("iv") == HOLDS, v("iii") == HOLDS, "iv holds but iii does not")
+    implies(v("newton") == HOLDS, v("iii") == HOLDS, "newton holds but iii does not")
+    implies(bool(sign_sets_equal), classification == CLASS_BIJECTIVE,
+            "equal kernel sign sets but not bijective")
+    cw, ce = cones.get("coeff"), cones.get("exp")
+    if cw is not None and ce is not None:
+        implies(v("cc_prime") == HOLDS and v("ii") == HOLDS, cw.faces == ce.faces,
+                "cc_prime and ii hold but the cones' faces differ")
+        implies(classification == CLASS_BIJECTIVE and cw.all_plus, ce.all_plus,
+                "bijective with an all-plus coefficient covector but none on the exponent side")
+    implies(v("robust_both") == HOLDS, v("robust_exponents") == HOLDS,
+            "robust_both holds but robust_exponents does not")

@@ -59,18 +59,11 @@ def vec(values) -> Vec:
     return tuple(frac(v) for v in values)
 
 
-def vec_str(v: Vec) -> list[str]:
-    return [frac_str(x) for x in v]
-
-
 def dot(u: Vec, v: Vec) -> Fraction:
     if len(u) != len(v):
         raise InputError(f"dot: length mismatch {len(u)} vs {len(v)}")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
@@ -215,10 +208,6 @@ class RationalMatrix:
             if key in obj and obj[key] != want:
                 raise InputError(f'matrix JSON field "{key}"={obj[key]} does not match entries ({want})')
         return mat
-
-
-def matrix_from_columns(columns) -> RationalMatrix:
-    return RationalMatrix(zip(*[vec(c) for c in columns]))
 
 
 def rank(M: RationalMatrix) -> int:

@@ -163,7 +163,8 @@ class OrientedMatroid:
                 out.add(-sv)
         return frozenset(out)
 
-    def _check_cap(self, what: str, cap: int):
+    def check_cap(self, what: str, cap: int):
+        """Raise EnumerationCap when the configuration has more than cap columns."""
         if self.W.cols > cap:
             raise EnumerationCap(f"{what} enumeration capped at n <= {cap}, got n = {self.W.cols}")
 
@@ -177,16 +178,16 @@ class OrientedMatroid:
 
     def covectors(self, cap: int = 12) -> frozenset[SignVector]:
         """All of sign(im W^T): composition closure of the cocircuits."""
-        self._check_cap("covector", cap)
+        self.check_cap("covector", cap)
         return self._covectors
 
     def vectors(self, cap: int = 12) -> frozenset[SignVector]:
         """All of sign(ker W): composition closure of the circuits."""
-        self._check_cap("vector", cap)
+        self.check_cap("vector", cap)
         return self._vectors
 
     def face_lattice(self, cap: int = 12) -> FaceLattice:
-        self._check_cap("covector", cap)
+        self.check_cap("covector", cap)
         return self._face_lattice
 
     @cached_property

@@ -125,9 +125,6 @@ class SignVector:
         neg = (self.plus & other.minus) | (self.minus & other.plus)
         return (pos == 0 and neg == 0) or (pos != 0 and neg != 0)
 
-    def abs(self) -> "SignVector":
-        return SignVector(self.n, self.support, 0)
-
 
 def _bits(mask: int) -> tuple[int, ...]:
     out = []
@@ -148,13 +145,6 @@ def _check(a: SignVector, b: SignVector):
 def sign_of(values) -> SignVector:
     """Componentwise sign of a rational (or integer) vector."""
     return SignVector.from_components((0 if x == 0 else (1 if x > 0 else -1)) for x in values)
-
-
-def from_plus_set(n: int, plus_indices) -> SignVector:
-    plus = 0
-    for i in plus_indices:
-        plus |= 1 << i
-    return SignVector(n, plus, 0)
 
 
 def all_sign_vectors(n: int, cap: int = 12):

@@ -1,8 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import expbij
 from expbij.analyzer import (
     CLASS_BIJECTIVE,
     CLASS_INJECTIVE,
@@ -25,7 +32,9 @@ from expbij.analyzer import (
     robust_exponents,
 )
 from expbij.linalg import RationalMatrix, rank, vec
-from expbij.signs import SignVector, sign_of
+from expbij.lp import Rel, feasible, make_system, positive_kernel_vector
+from expbij.matroid import OrientedMatroid
+from expbij.signs import EnumerationCap, SignVector, nonneg_part, sign_of
 
 M = RationalMatrix
 S = SignVector.from_string
@@ -48,9 +57,11 @@ FACE_GAP = spec_of([[1, 1, 0], [0, 1, 1]], [[1, 0, -1], [0, 1, 0]])
 NONINJ = spec_of([[1, 1]], [[1, -1]])
 
 
-def _random_full_rank(rng, d, n):
+def _random_full_rank(rng, d, n, zero_p=0.0):
+    # with zero_p = 0 no extra draw is taken, so the corpus stays the same
     while True:
-        mat = M([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
+        mat = M([[0 if zero_p and rng.random() < zero_p else rng.randint(-3, 3) for _ in range(n)]
+                 for _ in range(d)])
         if rank(mat) == d:
             return mat
 
@@ -141,6 +152,64 @@ def test_newton_examples():
     assert newton_polytope_sufficient(sv_example(2)).verdict == "inconclusive"
 
 
+def _positive_face_support(exponents, I):
+    """(x, level) with w_j.x = level on I, w_j.x < level elsewhere, level > 0."""
+    n, d = exponents.cols, exponents.rows
+    rows = [(tuple(exponents.column(j)) + (Fraction(-1),), Rel.EQ if j in I else Rel.LT)
+            for j in range(n)]
+    rows.append((tuple([Fraction(0)] * d) + (Fraction(1),), Rel.GT))
+    wit = feasible(make_system(d + 1, rows))
+    return wit.point if wit else None
+
+
+def _lp_newton(spec, caps):
+    """Reference form of the positive-face test: faces from the homogenized
+    matrix [Wt; 1^T], one LP per face for a positive supporting level, and
+    positive_kernel_vector for the dependence of each positive face."""
+    hat = M(list(spec.exponents.row_tuples) + [[1] * spec.n])
+    try:
+        hat_faces = nonneg_part(OrientedMatroid(hat).covectors(caps.max_n_enumeration))
+    except EnumerationCap as e:
+        return "inconclusive", str(e)
+    checked = 0
+    for I in sorted({t.zero_set() for t in hat_faces} - {()}):
+        if _positive_face_support(spec.exponents, set(I)) is None:
+            continue
+        if positive_kernel_vector(spec.coeff, I) is not None:
+            return "inconclusive", (
+                f"positive face {{{','.join(str(i + 1) for i in I)}}} is positively dependent")
+        checked += 1
+    return "holds", f"{checked} positive faces checked"
+
+
+def test_newton_matches_lp_oracle():
+    rng = random.Random(31337)
+    specs = [sv_example(Fraction(a)) for a in ("1/2", "1", "3/2", "2", "3", "0")]
+    specs += [EX1, EX2, CC_EXAMPLE, FACE_GAP]
+    for k in range(45):
+        d = rng.randint(1, 3)
+        n = rng.randint(d, d + 3)
+        Wt = _random_full_rank(rng, d, n, 0.5)
+        if k % 3 == 0:  # 1^T in the row space of Wt: the homogenized matrix loses rank
+            Wt = M([[rng.randint(-2, 2) for _ in range(n)] for _ in range(d - 1)] + [[1] * n])
+            if rank(Wt) < d:
+                continue
+        specs.append(ExponentialMapSpec(_random_full_rank(rng, d, n, 0.3), Wt))
+    kinds = Counter()
+    for spec in specs:
+        hat = M(list(spec.exponents.row_tuples) + [[1] * spec.n])
+        kinds["rank-deficient hat"] += rank(hat) <= spec.d
+        kinds["zero column"] += any(not any(spec.exponents.column(j)) for j in range(spec.n))
+        for caps in (Caps(), Caps(max_n_enumeration=spec.n), Caps(max_n_enumeration=spec.n - 1)):
+            res = newton_polytope_sufficient(spec, caps)
+            assert (res.verdict, res.detail) == _lp_newton(spec, caps), (spec.coeff, spec.exponents)
+            kinds[res.detail.split()[0]] += 1  # a face count, "positive" or "covector"
+    # both special shapes occur, and every branch: capped, dependent face, faces checked
+    assert kinds["rank-deficient hat"] and kinds["zero column"]
+    assert kinds["covector"] and kinds["positive"]
+    assert any(kinds[str(k)] for k in range(1, 20))
+
+
 def test_closure_examples():
     same = spec_of([[1, 0, -1], [0, 1, -1]], [[1, 0, -1], [0, 1, -1]])
     assert closure_cc(same).holds and closure_cc_prime(same).holds
@@ -225,27 +294,29 @@ def test_analyze_cone_flags_for_worked_examples():
 
 
 def test_degeneracy_witness_substitution():
-    spec = sv_example(2)
-    res = condition_iii_exact(spec)
-    cert = res.certificate
-    x = vec(cert["direction"])
-    z = spec.exponents.transpose_vec(x)
-    assert list(map(str, z)) == cert["z"] or z == vec(cert["z"])
-    assert str(sign_of(z)) == cert["sign_vector"]
-    levels = [Fraction(b["level"]) for b in cert["blocks"]]
-    assert levels == sorted(levels, reverse=True) and min(levels) > 0
-    for b in cert["blocks"]:
-        idx = [i - 1 for i in b["indices"]]
-        for i in idx:
-            assert z[i] == Fraction(b["level"])
-        kv = vec(b["kernel_vector"])
-        assert spec.coeff.mat_vec(kv) == (0,) * spec.d
-        assert all(x >= 0 for x in kv)
-        assert {i for i, x in enumerate(kv) if x > 0} == set(idx)
-    ev = vec(cert["no_cover_evidence"])
-    assert spec.coeff.mat_vec(ev) == (0,) * spec.d
-    support = [i for i, s in enumerate(cert["sign_vector"]) if s != "0"]
-    assert all(ev[i] > 0 for i in support)
+    # sv_example(2) has a one-block witness, the second pair a two-block one
+    two_levels = spec_of([[0, 0, 0, -3]], [[-2, 0, -3, 0]])
+    for spec, n_blocks in ((sv_example(2), 1), (two_levels, 2)):
+        cert = condition_iii_exact(spec).certificate
+        assert len(cert["blocks"]) == n_blocks
+        x = vec(cert["direction"])
+        z = spec.exponents.transpose_vec(x)
+        assert list(map(str, z)) == cert["z"] or z == vec(cert["z"])
+        assert str(sign_of(z)) == cert["sign_vector"]
+        levels = [Fraction(b["level"]) for b in cert["blocks"]]
+        assert levels == sorted(levels, reverse=True) and min(levels) > 0
+        for b in cert["blocks"]:
+            idx = [i - 1 for i in b["indices"]]
+            for i in idx:
+                assert z[i] == Fraction(b["level"])
+            kv = vec(b["kernel_vector"])
+            assert spec.coeff.mat_vec(kv) == (0,) * spec.d
+            assert all(x >= 0 for x in kv)
+            assert {i for i, x in enumerate(kv) if x > 0} == set(idx)
+        ev = vec(cert["no_cover_evidence"])
+        assert spec.coeff.mat_vec(ev) == (0,) * spec.d
+        support = [i for i, s in enumerate(cert["sign_vector"]) if s != "0"]
+        assert all(ev[i] > 0 for i in support)
 
 
 CORPUS_SEED = 90125
@@ -272,6 +343,57 @@ def test_equivalence_oracles_on_random_corpus():
         robust_exponents(spec)
         # robust_both cross-checks its sign-vector form internally
         robust_both(spec)
+
+
+def test_iii_shortcuts_agree_with_exact_search_on_random_corpus():
+    # every shortcut analyze takes to settle iii must agree with the exact search
+    settled = 0
+    for spec in _corpus(200):
+        om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
+        shortcuts = {
+            "sign_sets_equal": om_w.vectors() == om_wt.vectors(),
+            "iv": condition_iv(spec).holds,
+            "cc": closure_cc(spec).holds,
+            "cc_prime": closure_cc_prime(spec).holds,
+            "newton": newton_polytope_sufficient(spec).holds,
+        }
+        if any(shortcuts.values()):
+            settled += 1
+            exact = condition_iii_exact(spec)
+            assert exact.holds, (spec.coeff, spec.exponents, shortcuts, exact)
+    assert settled >= 100
+
+
+def test_internal_checks_survive_python_O():
+    # the LP and the sign sets, and the two injectivity forms, are forced to
+    # disagree; the analyzer must raise even when asserts are stripped
+    code = textwrap.dedent("""
+        import sys
+        from expbij import analyzer
+        from expbij.analyzer import ConditionResult, ExponentialMapSpec
+        from expbij.linalg import InternalInconsistency, RationalMatrix as M
+        if sys.flags.optimize < 1:
+            sys.exit(2)
+        W = [[0, 0, 1, 1, -1, 0], [1, -1, 0, 0, 0, -1], [0, 0, 1, -1, 0, 0]]
+        Wt = [[1, 1, 0, 0, -1, 2], [1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0]]
+        analyzer.positive_kernel_vector = lambda M_, support: None
+        try:
+            analyzer.condition_iii_exact(ExponentialMapSpec(M(W), M(Wt)))
+            sys.exit(3)
+        except InternalInconsistency:
+            pass
+        analyzer.injectivity_via_minors = lambda spec: ConditionResult("fails", "flipped")
+        try:
+            analyzer.analyze(ExponentialMapSpec(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]])))
+            sys.exit(4)
+        except InternalInconsistency:
+            sys.exit(0)
+    """)
+    src = str(Path(expbij.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
 
 
 def test_implication_monotonicity_on_random_corpus():
