@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from .linalg import (
     InputError,
-    InternalInconsistency,
     RationalMatrix,
     Vec,
+    check,
     dot,
     frac_str,
     is_zero_vec,
@@ -34,7 +34,7 @@ from .linalg import (
     vec_sub,
 )
 from .lp import Rel, feasible, make_system, positive_kernel_vector, realize_kernel_sign, realize_sign_vector
-from .matroid import FaceLattice, OrientedMatroid, is_interior_point, minty_alternative
+from .matroid import FaceLattice, OrientedMatroid, is_interior_point, orthogonal_witness
 from .signs import EnumerationCap, SignVector, minimal_support_members, sign_of
 
 HOLDS = "holds"
@@ -89,6 +89,7 @@ class ExponentialMapSpec:
         self.coeff = coeff
         self.exponents = exponents
         self._oriented_matroids: dict[RationalMatrix, OrientedMatroid] = {}
+        self._closure_results: dict[tuple[bool, int], ConditionResult] = {}
 
     @property
     def n(self) -> int:
@@ -176,12 +177,6 @@ def _closure_excluded(V: set[SignVector], T: set[SignVector]) -> SignVector | No
     return next((pi for pi in topes if (pi.plus, pi.minus) not in below), None)
 
 
-def _check(ok: bool, what: str):
-    """Internal consistency check that `python -O` keeps."""
-    if not ok:
-        raise InternalInconsistency(what)
-
-
 def _positively_dependent(spec: ExponentialMapSpec, cap: int):
     """Predicate on index sets I: some v >= 0 in ker W has support exactly I,
     i.e. the sign vector + on I and 0 elsewhere is a vector of W."""
@@ -218,7 +213,7 @@ def injectivity_via_signs(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Cond
     tau = min(common, key=str)
     v = realize_kernel_sign(spec.coeff, tau)
     x = realize_sign_vector(spec.exponents, tau)
-    _check(v is not None and x is not None, f"common sign vector {tau} has no realization")
+    check(v is not None and x is not None, f"common sign vector {tau} has no realization")
     return ConditionResult(FAILS, tag, certificate={
         "common_sign_vector": str(tau),
         "kernel_vector": _jvec(v),
@@ -275,9 +270,9 @@ def condition_ii(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResu
         tau = next((t for t in sorted(nonzero_w, key=str) if t.leq(tau_t)), None)
         if tau is None:
             evidence = _kernel_point_positive_on(spec.coeff, tau_t.plus_set())
-            _check(evidence is not None, "uncovered face without interior evidence")
+            check(evidence is not None, "uncovered face without interior evidence")
             x_t = realize_sign_vector(spec.exponents, tau_t)
-            _check(x_t is not None, f"face covector {tau_t} has no supporting functional")
+            check(x_t is not None, f"face covector {tau_t} has no supporting functional")
             return ConditionResult(FAILS, tag, certificate={
                 "uncovered_face": str(tau_t),
                 "exponent_functional": _jvec(x_t),
@@ -401,14 +396,14 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
                 continue
             x = wit.point
             z = spec.exponents.transpose_vec(x)
-            _check(sign_of(z) == tau_t, f"partition witness misses the sign vector {tau_t}")
+            check(sign_of(z) == tau_t, f"partition witness misses the sign vector {tau_t}")
             evidence = _kernel_point_positive_on(spec.coeff, tau_t.support_set())
-            _check(evidence is not None, "candidate without covering face lacks interior evidence")
+            check(evidence is not None, "candidate without covering face lacks interior evidence")
             cert_blocks = []
             for b in blocks:
                 v = positive_kernel_vector(spec.coeff, b)
-                _check(v is not None, f"block {_jidx(sorted(b))} is a nonnegative vector of W "
-                                      "but has no positive kernel vector")
+                check(v is not None, f"block {_jidx(sorted(b))} is a nonnegative vector of W "
+                                     "but has no positive kernel vector")
                 cert_blocks.append(DegeneracyBlock(
                     indices=tuple(sorted(b)),
                     level=dot(spec.exponents.column(min(b)), x),
@@ -454,8 +449,8 @@ def condition_iv(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResu
         v_pi = positive_kernel_vector(spec.coeff, tau_t.plus_set())
         v_rho = realize_kernel_sign(spec.coeff, rho)
         x_t = realize_sign_vector(spec.exponents, tau_t)
-        _check(v_pi is not None and v_rho is not None and x_t is not None,
-               f"covector {tau_t} or its dominating vector {rho} has no realization")
+        check(v_pi is not None and v_rho is not None and x_t is not None,
+              f"covector {tau_t} or its dominating vector {rho} has no realization")
         return ConditionResult(FAILS, tag, certificate={
             "exponent_covector": str(tau_t),
             "exponent_functional": _jvec(x_t),
@@ -481,13 +476,12 @@ def newton_polytope_sufficient(spec: ExponentialMapSpec, caps: Caps = Caps()) ->
     lifted = RationalMatrix([list(r) + [0] for r in spec.exponents.row_tuples] + [[1] * (n + 1)])
     try:
         spec._om(spec.exponents).check_cap("covector", cap)  # the cap counts the map's n columns
-        lifted_covs = spec._om(lifted).covectors(cap + 1)
+        lifted_faces = spec._om(lifted).nonneg_covectors(cap + 1)
         dependent = _positively_dependent(spec, cap)
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
     origin = 1 << n
-    positive_faces = sorted({t.zero_set() for t in lifted_covs if t.minus == 0 and t.plus & origin}
-                            - {()})
+    positive_faces = sorted({t.zero_set() for t in lifted_faces if t.plus & origin} - {()})
     for I in positive_faces:
         if dependent(I):
             return ConditionResult(INCONCLUSIVE, tag, detail=(
@@ -500,23 +494,34 @@ def newton_polytope_sufficient(spec: ExponentialMapSpec, caps: Caps = Caps()) ->
 
 
 def _closure_condition(spec, caps, swap: bool, tag: str) -> ConditionResult:
+    """The closure result, computed once per spec, direction and cap: the
+    robustness conditions reuse what cc and cc_prime built."""
+    key = (swap, caps.max_n_enumeration)
+    if key not in spec._closure_results:
+        spec._closure_results[key] = _closure_result(spec, caps.max_n_enumeration, swap, tag)
+    return spec._closure_results[key]
+
+
+def _closure_result(spec, cap: int, swap: bool, tag: str) -> ConditionResult:
     first, second = (spec.exponents, spec.coeff) if swap else (spec.coeff, spec.exponents)
     try:
-        V = spec._om(first).vectors(caps.max_n_enumeration)
-        T = spec._om(second).vectors(caps.max_n_enumeration)
+        V = spec._om(first).vectors(cap)
+        T = spec._om(second).vectors(cap)
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
     excluded = _closure_excluded(V, T)
     if excluded is None:
         return ConditionResult(HOLDS, tag)
     v = realize_kernel_sign(first, excluded)
-    _check(v is not None, f"excluded sign vector {excluded} has no kernel realization")
-    wit = minty_alternative(kernel_basis(second), excluded)
-    _check(wit.branch == "orthogonal", "excluded sign vector admits a dominating one")
+    check(v is not None, f"excluded sign vector {excluded} has no kernel realization")
+    # the sign sets rule out a dominating vector of ker(second), so by Minty's
+    # alternative the orthogonal branch must hold
+    w = orthogonal_witness(kernel_basis(second), excluded)
+    check(w is not None, "excluded sign vector admits a dominating one")
     return ConditionResult(FAILS, tag, certificate={
         "excluded_sign_vector": str(excluded),
         "kernel_vector": _jvec(v),
-        "orthogonal_witness": _jvec(wit.vector),
+        "orthogonal_witness": _jvec(w),
     })
 
 
@@ -549,7 +554,7 @@ def _minor_form_strict_closure(spec) -> tuple[str, dict]:
                 "violating_subset": _jidx(I),
                 "reason": "mixed-product-signs",
             }
-    _check(ref is not None, "full-rank coefficient matrix without a nonzero minor")
+    check(ref is not None, "full-rank coefficient matrix without a nonzero minor")
     return HOLDS, {"reference_subset": _jidx(ref[0]), "reference_sign": "+" if ref[1] > 0 else "-"}
 
 
@@ -559,8 +564,8 @@ def robust_exponents(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condition
     spec.require_square()
     minor_verdict, minor_cert = _minor_form_strict_closure(spec)
     sign_form = closure_cc(spec, caps)
-    _check(sign_form.verdict in (INCONCLUSIVE, minor_verdict),
-           "closure condition disagrees with its minor form")
+    check(sign_form.verdict in (INCONCLUSIVE, minor_verdict),
+          "closure condition disagrees with its minor form")
     cert = {"minor_form": minor_cert}
     if sign_form.certificate:
         cert["closure_form"] = sign_form.certificate
@@ -631,7 +636,7 @@ def _cross_check_robust_both(spec, caps, minor_verdict):
     minimal = minimal_support_members(covs)
     uniform = {t for t in nonzero if len(t.zero_set()) == spec.d - 1}
     sign_verdict = HOLDS if (sign_equal and minimal == uniform) else FAILS
-    _check(sign_verdict == minor_verdict, "strict minor form disagrees with its sign-vector form")
+    check(sign_verdict == minor_verdict, "strict minor form disagrees with its sign-vector form")
 
 
 # ---------------------------------------------------------------------------
@@ -781,8 +786,8 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
 
     cond_i = run("i", injectivity_via_signs, spec_c, caps)
     minors = run("injectivity_minors", injectivity_via_minors, spec_c)
-    _check(cond_i.verdict in (INCONCLUSIVE, minors.verdict),
-           "sign-form and minor-form injectivity disagree")
+    check(cond_i.verdict in (INCONCLUSIVE, minors.verdict),
+          "sign-form and minor-form injectivity disagree")
     if cond_i.verdict == INCONCLUSIVE:
         cond_i = ConditionResult(minors.verdict, cond_i.tag, minors.certificate,
                                  detail="sign form capped; verdict from the minor form")
@@ -860,7 +865,7 @@ def _assert_implications(conditions, cones, sign_sets_equal, classification):
         return conditions[key].verdict
 
     def implies(premise: bool, conclusion: bool, what: str):
-        _check(not premise or conclusion, f"implication violated: {what}")
+        check(not premise or conclusion, f"implication violated: {what}")
 
     implies(v("cc") == HOLDS, v("i") == v("ii") == v("iv") == v("iii") == HOLDS,
             "cc holds but i, ii, iv or iii does not")

@@ -28,6 +28,7 @@ from .linalg import (
     RationalMatrix,
     SubspaceBasis,
     Vec,
+    check,
     frac,
     intersection_dim,
     kernel_basis,
@@ -236,9 +237,10 @@ def structure(network: GeneralizedNetwork) -> NetworkStructure:
     ell = len(comps)
     deficiency = m - ell - S.dim
     kinetic_deficiency = m - ell - St.dim
-    assert deficiency >= 0 and kinetic_deficiency >= 0
+    check(deficiency >= 0 and kinetic_deficiency >= 0, "negative deficiency")
     # the two standard formulas must agree
-    assert deficiency == intersection_dim(kernel_basis(Y), row_space_basis(incidence.transpose()))
+    check(deficiency == intersection_dim(kernel_basis(Y), row_space_basis(incidence.transpose())),
+          "the two deficiency formulas disagree")
 
     return NetworkStructure(
         stoich_complexes=Y,
@@ -380,6 +382,6 @@ def robust_deficiency_zero_gmak(network: GeneralizedNetwork,
         return RobustDeficiencyZeroVerdict(verdict=failed[0], reason=failed[1], **base)
     spec = map_spec_of(struct).canonical()
     cc = closure_cc(spec, caps)
-    if mak:
-        assert cc.holds  # equal subspaces make the closure condition automatic
+    # equal subspaces make the closure condition automatic
+    check(not mak or cc.holds, "mass-action network fails the closure condition")
     return RobustDeficiencyZeroVerdict(verdict=cc.verdict, closure=cc, **base)

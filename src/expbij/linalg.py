@@ -25,6 +25,12 @@ class InternalInconsistency(RuntimeError):
     or an input error. Raised explicitly, so `python -O` keeps the check."""
 
 
+def check(ok: bool, what: str):
+    """Internal consistency check that `python -O` keeps."""
+    if not ok:
+        raise InternalInconsistency(what)
+
+
 def frac(value) -> Fraction:
     """Parse an entry: int, Fraction, or a string "p/q" with q > 0."""
     if isinstance(value, Fraction):

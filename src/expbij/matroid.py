@@ -4,8 +4,10 @@ All of it comes from one table per matrix, its maximal minors. The chirotope
 is the table's signs; the cocircuits are read off the chirotope on
 (d-1)-subsets, and the circuits on (d+1)-subsets by Cramer's rule. The full
 vector and covector sets are the composition closures of the circuits and
-cocircuits, and the face lattice of the cone spanned by the columns is the
-nonnegative part of the covectors. `OrientedMatroid` holds these for one
+cocircuits. The face lattice of the cone spanned by the columns is the
+nonnegative part of the covectors, which is the closure of the nonnegative
+cocircuits alone, since every covector is the composition of the cocircuits
+conformal to it. `OrientedMatroid` holds these for one
 matrix and computes each at most once. Conformal decomposition, interior
 membership, and the two-branch alternative for sign vectors against a
 subspace also live here.
@@ -25,6 +27,7 @@ from .linalg import (
     Vec,
     _bareiss_echelon,
     _int_rows,
+    check,
     dot,
     is_zero_vec,
     kernel_basis,
@@ -91,12 +94,28 @@ class Chirotope:
 
 
 def cocircuits_from_chirotope(chi: Chirotope) -> set[SignVector]:
+    """The nonzero sign vectors j -> chi(I + j) over sorted (d-1)-tuples I, and
+    their negatives. For j not in I, inserting j into I at position k sorts
+    the tuple with len(I) - k transpositions."""
+    signs, n, m = chi._signs, chi.n, chi.d - 1
     out: set[SignVector] = set()
-    for I in combinations(range(chi.n), chi.d - 1):
-        sv = SignVector.from_components(chi.value(I + (j,)) for j in range(chi.n))
-        if not sv.is_zero():
-            out.add(sv)
-            out.add(-sv)
+    for I in combinations(range(n), m):
+        plus = minus = 0
+        k = 0
+        for j in range(n):
+            if k < m and I[k] == j:
+                k += 1
+                continue
+            s = signs[I[:k] + (j,) + I[k:]]
+            if (m - k) & 1:
+                s = -s
+            if s > 0:
+                plus |= 1 << j
+            elif s < 0:
+                minus |= 1 << j
+        if plus | minus:
+            out.add(SignVector(n, plus, minus))
+            out.add(SignVector(n, minus, plus))
     return out
 
 
@@ -152,15 +171,21 @@ class OrientedMatroid:
         spans the kernel of W_J when it is nonzero, and it is zero when W_J
         has rank below d. Every circuit lies in some J of rank d."""
         chi = self.chirotope
+        signs, n = chi._signs, chi.n
         out: set[SignVector] = set()
-        for J in combinations(range(chi.n), chi.d + 1):
-            comps = [0] * chi.n
+        for J in combinations(range(n), chi.d + 1):
+            plus = minus = 0
             for k, j in enumerate(J):
-                comps[j] = (-1) ** k * chi.value(J[:k] + J[k + 1:])
-            sv = SignVector.from_components(comps)
-            if not sv.is_zero():
-                out.add(sv)
-                out.add(-sv)
+                s = signs[J[:k] + J[k + 1:]]  # already sorted
+                if k & 1:
+                    s = -s
+                if s > 0:
+                    plus |= 1 << j
+                elif s < 0:
+                    minus |= 1 << j
+            if plus | minus:
+                out.add(SignVector(n, plus, minus))
+                out.add(SignVector(n, minus, plus))
         return frozenset(out)
 
     def check_cap(self, what: str, cap: int):
@@ -176,6 +201,11 @@ class OrientedMatroid:
     def _vectors(self) -> frozenset[SignVector]:
         return frozenset(composition_closure(self.circuits, self.W.cols))
 
+    @cached_property
+    def _nonneg_covectors(self) -> frozenset[SignVector]:
+        # a covector is the composition of the cocircuits conformal to it
+        return frozenset(composition_closure(nonneg_part(self.cocircuits), self.W.cols))
+
     def covectors(self, cap: int = 12) -> frozenset[SignVector]:
         """All of sign(im W^T): composition closure of the cocircuits."""
         self.check_cap("covector", cap)
@@ -186,6 +216,12 @@ class OrientedMatroid:
         self.check_cap("vector", cap)
         return self._vectors
 
+    def nonneg_covectors(self, cap: int = 12) -> frozenset[SignVector]:
+        """sign(im W^T) within {0,+}^n: composition closure of the nonnegative
+        cocircuits."""
+        self.check_cap("covector", cap)
+        return self._nonneg_covectors
+
     def face_lattice(self, cap: int = 12) -> FaceLattice:
         self.check_cap("covector", cap)
         return self._face_lattice
@@ -193,7 +229,7 @@ class OrientedMatroid:
     @cached_property
     def _face_lattice(self) -> FaceLattice:
         W, n = self.W, self.W.cols
-        faces = nonneg_part(self._covectors)
+        faces = self._nonneg_covectors
         full_space = faces == {SignVector.zero(n)}
         top = SignVector.zero(n)
         for tau in faces:
@@ -209,7 +245,7 @@ class OrientedMatroid:
         return FaceLattice(
             n=n,
             d=self.M.rows,
-            faces=frozenset(faces),
+            faces=faces,
             pointed=(lineality_dim == 0),
             lineality_dim=lineality_dim,
             robustly_generated=_robustly_generated(W, faces, full_space, zero_columns),
@@ -290,24 +326,24 @@ def conformal_decompose(M: RationalMatrix, tau: SignVector,
     while not is_zero_vec(x):
         sx = sign_of(x)
         rho = next((c for c in ordered if c.leq(sx)), None)
-        assert rho is not None, "nonzero kernel vector without a conformal circuit"
+        check(rho is not None, "nonzero kernel vector without a conformal circuit")
         J = rho.support_set()
         ker = kernel_basis(M.column_submatrix(J))
-        assert ker.dim == 1
+        check(ker.dim == 1, f"circuit {rho} without a one-dimensional kernel")
         u = [Fraction(0)] * M.cols
         for pos, j in enumerate(J):
             u[j] = ker.vectors[0][pos]
         u = tuple(u)
         if sign_of(u) != rho:
             u = vec_scale(-1, u)
-        assert sign_of(u) == rho
+        check(sign_of(u) == rho, f"kernel vector of circuit {rho} has another sign")
         t = min(x[j] / u[j] for j in J)
         x = vec_sub(x, vec_scale(t, u))
         out.append(rho)
     composed = out[0]
     for rho in out[1:]:
         composed = composed.compose(rho)
-    assert composed == tau
+    check(composed == tau, f"circuits of {tau} compose to {composed}")
     return out
 
 
@@ -330,13 +366,20 @@ def minty_alternative(basis: SubspaceBasis, sigma: SignVector) -> MintyWitness:
     primal = _signed_point_in_span(basis.vectors, sigma, strict=True)
     if primal is not None:
         return MintyWitness("subspace", primal)
+    dual = orthogonal_witness(basis, sigma)
+    check(dual is not None, "both branches of the alternative failed")
+    return MintyWitness("orthogonal", dual)
+
+
+def orthogonal_witness(basis: SubspaceBasis, sigma: SignVector) -> Vec | None:
+    """Nonzero x in S-perp with sign(x) <= sigma, or None: the orthogonal
+    branch of the alternative on its own."""
+    n = basis.ambient_dim
     comp = kernel_basis(RationalMatrix(basis.vectors)) if basis.dim else None
     comp_vectors = comp.vectors if comp is not None else tuple(
         tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
     )
-    dual = _nonzero_conformal_point(comp_vectors, sigma)
-    assert dual is not None, "both branches of the alternative failed"
-    return MintyWitness("orthogonal", dual)
+    return _nonzero_conformal_point(comp_vectors, sigma)
 
 
 def _signed_point_in_span(span_vectors, sigma, strict: bool):
@@ -391,11 +434,10 @@ def is_interior_point(W: RationalMatrix, y: Vec, cap: int = 12) -> bool:
     facet's supporting functional."""
     if len(y) != W.rows:
         raise InputError("point dimension differs from the cone's ambient dimension")
-    faces = nonneg_part(covectors(W, cap))
-    facets = minimal_support_members(faces)
+    facets = minimal_support_members(OrientedMatroid(W).nonneg_covectors(cap))
     for tau in facets:
         x = realize_sign_vector(W, tau)
-        assert x is not None, "face covector without a supporting functional"
+        check(x is not None, f"face covector {tau} without a supporting functional")
         if dot(x, y) <= 0:
             return False
     return True

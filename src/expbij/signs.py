@@ -202,23 +202,30 @@ def composition_closure(generators, n: int) -> set[SignVector]:
     Every element is a finite left-to-right composition of generators, so a
     breadth-first sweep composing frontier elements with generators suffices.
     The sweep runs on one packed int `plus | minus << n` per sign vector:
-    composing x with g is `x | (g & ~(s | s << n))` for the support s of x.
+    composing x with g is `x | (g & (z | z << n))` for the zero set z of x.
+    That depends only on g's entries on z, so each zero set gets the distinct
+    nonzero restrictions of the generators once, and x is composed with those
+    only; a full-support element gets none.
     """
     full = (1 << n) - 1
-    gens = []
+    gens = set()
     for g in set(generators):
         if g.n != n:
             raise ValueError(f"sign vector length mismatch: {n} vs {g.n}")
-        gens.append(g.plus | g.minus << n)
+        gens.add(g.plus | g.minus << n)
     out = {0, *gens}
+    restrictions: dict[int, tuple[int, ...]] = {}
     frontier = list(out)
     while frontier:
         new = []
         for x in frontier:
-            s = (x | x >> n) & full
-            keep = ~(s | s << n)
-            for g in gens:
-                c = x | (g & keep)
+            z = full & ~(x | x >> n)
+            rs = restrictions.get(z)
+            if rs is None:
+                zz = z | z << n
+                rs = restrictions[z] = tuple({g & zz for g in gens} - {0})
+            for r in rs:
+                c = x | r
                 if c not in out:
                     out.add(c)
                     new.append(c)

@@ -364,30 +364,55 @@ def test_iii_shortcuts_agree_with_exact_search_on_random_corpus():
     assert settled >= 100
 
 
+def test_analyze_builds_each_closure_once(monkeypatch):
+    # robust_exponents and robust_coefficients reuse the cc and cc_prime results
+    calls = Counter()
+    build = expbij.analyzer._closure_result
+
+    def counted(spec, cap, swap, tag):
+        calls[swap] += 1
+        return build(spec, cap, swap, tag)
+
+    monkeypatch.setattr(expbij.analyzer, "_closure_result", counted)
+    rep = analyze(CC_EXAMPLE)
+    assert calls == {False: 1, True: 1}
+    assert rep.conditions["cc"].fails
+    assert rep.conditions["robust_exponents"].certificate["closure_form"] == rep.conditions["cc"].certificate
+
+
 def test_internal_checks_survive_python_O():
-    # the LP and the sign sets, and the two injectivity forms, are forced to
-    # disagree; the analyzer must raise even when asserts are stripped
+    # the LP and the sign sets, the two injectivity forms, a face covector and
+    # its functional, and the two deficiency formulas are forced to disagree;
+    # each module must raise even when asserts are stripped
     code = textwrap.dedent("""
         import sys
-        from expbij import analyzer
+        from expbij import analyzer, crn, matroid
         from expbij.analyzer import ConditionResult, ExponentialMapSpec
-        from expbij.linalg import InternalInconsistency, RationalMatrix as M
+        from expbij.linalg import InternalInconsistency, RationalMatrix as M, vec
         if sys.flags.optimize < 1:
             sys.exit(2)
+
+        def expect_raise(call, code):
+            try:
+                call()
+            except InternalInconsistency:
+                return
+            sys.exit(code)
+
         W = [[0, 0, 1, 1, -1, 0], [1, -1, 0, 0, 0, -1], [0, 0, 1, -1, 0, 0]]
         Wt = [[1, 1, 0, 0, -1, 2], [1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0]]
         analyzer.positive_kernel_vector = lambda M_, support: None
-        try:
-            analyzer.condition_iii_exact(ExponentialMapSpec(M(W), M(Wt)))
-            sys.exit(3)
-        except InternalInconsistency:
-            pass
+        expect_raise(lambda: analyzer.condition_iii_exact(ExponentialMapSpec(M(W), M(Wt))), 3)
         analyzer.injectivity_via_minors = lambda spec: ConditionResult("fails", "flipped")
-        try:
-            analyzer.analyze(ExponentialMapSpec(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]])))
-            sys.exit(4)
-        except InternalInconsistency:
-            sys.exit(0)
+        expect_raise(lambda: analyzer.analyze(
+            ExponentialMapSpec(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]]))), 4)
+        matroid.realize_sign_vector = lambda M_, tau: None
+        expect_raise(lambda: matroid.is_interior_point(M([[1, 0], [0, 1]]), vec([1, 1])), 5)
+        net = crn.parse_network({"species": ["A", "B"], "reactions": [
+            {"from": {"stoich": {"A": 1}}, "to": {"stoich": {"B": 1}}, "reversible": True}]})
+        crn.intersection_dim = lambda U, V: -1
+        expect_raise(lambda: crn.structure(net), 6)
+        sys.exit(0)
     """)
     src = str(Path(expbij.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

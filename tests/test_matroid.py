@@ -19,6 +19,7 @@ from expbij.matroid import (
     vectors,
 )
 from expbij.signs import (
+    EnumerationCap,
     SignVector,
     all_sign_vectors,
     minimal_support_members,
@@ -107,6 +108,78 @@ def test_circuits_cocircuits_match_rref_oracle():
         assert circuits(W) == _rref_circuits(W), W
         assert cocircuits(W) == _rref_cocircuits(W), W
     assert deficient >= 80
+
+
+def _value_cocircuits(chi):
+    """Reference oracle: cocircuits read through Chirotope.value, which sorts
+    each tuple and counts its inversions."""
+    out = set()
+    for I in combinations(range(chi.n), chi.d - 1):
+        sv = SignVector.from_components(chi.value(I + (j,)) for j in range(chi.n))
+        if not sv.is_zero():
+            out |= {sv, -sv}
+    return out
+
+
+def _value_circuits(chi):
+    """Reference oracle: Cramer's rule through Chirotope.value."""
+    out = set()
+    for J in combinations(range(chi.n), chi.d + 1):
+        comps = [0] * chi.n
+        for k, j in enumerate(J):
+            comps[j] = (-1) ** k * chi.value(J[:k] + J[k + 1:])
+        sv = SignVector.from_components(comps)
+        if not sv.is_zero():
+            out |= {sv, -sv}
+    return out
+
+
+def _random_matrix(rng, max_n):
+    """Seeded matrix with zero entries, often rank-deficient or with a zero column."""
+    n = rng.randint(1, max_n)
+    d = rng.randint(1, min(n, 5))
+    rows = [[rng.choice((-2, -1, 0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(d)]
+    if d > 1 and rng.random() < 0.3:
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[-2])]
+    if n > 1 and rng.random() < 0.3:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = 0
+    return M(rows)
+
+
+def test_direct_chirotope_reads_match_value_route():
+    rng = random.Random(16180)
+    checked = 0
+    while checked < 150:
+        W = _random_matrix(rng, 8)
+        if rank(W) < W.rows:
+            continue
+        chi = chirotope(W)
+        assert cocircuits_from_chirotope(chi) == _value_cocircuits(chi), W
+        assert OrientedMatroid(W).circuits == _value_circuits(chi), W
+        checked += 1
+
+
+def test_nonneg_covectors_are_closure_of_nonneg_cocircuits():
+    rng = random.Random(14142)
+    kinds = set()
+    checked = 0
+    while checked < 300:
+        W = _random_matrix(rng, 7)
+        if rank(W) == 0:
+            continue
+        if checked % 3 == 0:  # the lifted form [[W, 0], [1^T, 1]] that newton reads
+            W = M([list(r) + [0] for r in W.row_tuples] + [[1] * (W.cols + 1)])
+            kinds.add("lifted")
+        kinds.add("deficient" if rank(W) < W.rows else "full rank")
+        om = OrientedMatroid(W)
+        assert om.nonneg_covectors() == nonneg_part(om.covectors()), W
+        assert om.face_lattice().faces == om.nonneg_covectors()
+        checked += 1
+    assert kinds == {"lifted", "deficient", "full rank"}
+    with pytest.raises(EnumerationCap):
+        OrientedMatroid(M([[1, 2, 3]])).nonneg_covectors(cap=2)
 
 
 def test_chirotope_examples():

@@ -182,3 +182,60 @@ def test_composition_closure_matches_signvector_oracle():
     assert composition_closure(set(), 2) == _signvector_closure(set(), 2) == {S("00")}
     with pytest.raises(ValueError):
         composition_closure({S("+0")}, 3)
+
+
+def _packed_bfs_closure(generators, n):
+    """Reference oracle: the packed-int sweep that composed every frontier
+    element with every generator, before the per-zero-set restrictions."""
+    full = (1 << n) - 1
+    gens = [g.plus | g.minus << n for g in set(generators)]
+    out = {0, *gens}
+    frontier = list(out)
+    while frontier:
+        new = []
+        for x in frontier:
+            s = (x | x >> n) & full
+            keep = ~(s | s << n)
+            for g in gens:
+                c = x | (g & keep)
+                if c not in out:
+                    out.add(c)
+                    new.append(c)
+        frontier = new
+    return {SignVector(n, x & full, x >> n) for x in out}
+
+
+def test_composition_closure_matches_packed_bfs_oracle():
+    from expbij.linalg import RationalMatrix, rank
+    from expbij.matroid import OrientedMatroid
+
+    rng = random.Random(271828)
+    kinds = set()
+    for _ in range(70):
+        n = rng.randint(1, 9)
+        d = rng.randint(1, min(n, 5))
+        rows = [[rng.choice([0, 0, 1, -1, 2, -2, 3]) for _ in range(n)] for _ in range(d)]
+        if d > 1 and rng.random() < 0.3:
+            rows[-1] = [a + b for a, b in zip(rows[0], rows[-2])]
+        if n > 1 and rng.random() < 0.3:
+            zero = rng.randrange(n)
+            for row in rows:
+                row[zero] = 0
+            kinds.add("zero column")
+        W = RationalMatrix(rows)
+        if rank(W) == 0:
+            continue
+        if rank(W) < d:
+            kinds.add("dependent")
+        if n == 9:
+            kinds.add("n = 9")
+        om = OrientedMatroid(W)
+        for gens in (om.circuits, om.cocircuits):
+            assert composition_closure(gens, n) == _packed_bfs_closure(gens, n)
+    assert kinds == {"dependent", "zero column", "n = 9"}
+    # arbitrary generator sets: the sweep assumes nothing about them
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        gens = [SignVector.from_components(rng.choice((-1, 0, 0, 1)) for _ in range(n))
+                for _ in range(rng.randint(0, 6))]
+        assert composition_closure(gens, n) == _packed_bfs_closure(gens, n), gens
