@@ -173,8 +173,8 @@ def _closure_excluded(V: set[SignVector], T: set[SignVector]) -> SignVector | No
         union |= t.support
     # a tope pi is below r iff r agrees with pi on pi's support, the union
     below = {(r.plus & union, r.minus & union) for r in T}
-    topes = sorted((t for t in V if t.support == union), key=str)
-    return next((pi for pi in topes if (pi.plus, pi.minus) not in below), None)
+    return min((pi for pi in V if pi.support == union and (pi.plus, pi.minus) not in below),
+               key=str, default=None)
 
 
 def _positively_dependent(spec: ExponentialMapSpec, cap: int):
@@ -267,7 +267,7 @@ def condition_ii(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResu
     nonzero_w = [t for t in faces_w if not t.is_zero()]
     coverings = []
     for tau_t in sorted(minimal_exp, key=str):
-        tau = next((t for t in sorted(nonzero_w, key=str) if t.leq(tau_t)), None)
+        tau = min((t for t in nonzero_w if t.leq(tau_t)), key=str, default=None)
         if tau is None:
             evidence = _kernel_point_positive_on(spec.coeff, tau_t.plus_set())
             check(evidence is not None, "uncovered face without interior evidence")
@@ -358,13 +358,12 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
 
-    min_faces_w = sorted(cone_w.facet_covectors(), key=str)
+    min_faces_w = cone_w.facet_covectors()
 
     def has_covering_face(tau_t: SignVector) -> bool:
         return any((t.support & ~tau_t.support) == 0 for t in min_faces_w)
 
-    candidates = [t for t in sorted(covs_exp, key=str)
-                  if t.plus != 0 and not has_covering_face(t)]
+    candidates = sorted((t for t in covs_exp if t.plus != 0 and not has_covering_face(t)), key=str)
     pairs_tried = 0
     for idx, tau_t in enumerate(candidates):
         plus = tau_t.plus_set()
@@ -428,21 +427,17 @@ def condition_iv(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResu
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
     n = spec.n
-    vectors_w_sorted = sorted(vectors_w, key=str)
     dominating_memo: dict[int, SignVector | None] = {}
 
     def dominating(support_mask: int) -> SignVector | None:
         if support_mask not in dominating_memo:
-            dominating_memo[support_mask] = next(
-                (r for r in vectors_w_sorted if (support_mask & ~r.plus) == 0), None)
+            dominating_memo[support_mask] = min(
+                (r for r in vectors_w if (support_mask & ~r.plus) == 0), key=str, default=None)
         return dominating_memo[support_mask]
 
-    for tau_t in sorted(covs_exp, key=str):
-        if tau_t.plus == 0:
-            continue
-        pi = SignVector(n, tau_t.plus, 0)
-        if pi not in vectors_w:
-            continue
+    # covectors with a positive part that is itself a nonnegative vector of W
+    dependent = [t for t in covs_exp if t.plus != 0 and SignVector(n, t.plus, 0) in vectors_w]
+    for tau_t in sorted(dependent, key=str):
         rho = dominating(tau_t.support)
         if rho is None:
             continue
@@ -826,7 +821,7 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
     except EnumerationCap:
         cones = {"coeff": None, "exp": None}
 
-    classification = _classify(conditions)
+    classification = _classify(*(conditions[k].verdict for k in ("i", "ii", "iii")))
     _assert_implications(conditions, cones, sign_sets_equal, classification)
 
     return AnalysisReport(
@@ -844,10 +839,8 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
     )
 
 
-def _classify(conditions: dict[str, ConditionResult]) -> str:
-    i = conditions["i"].verdict
-    ii = conditions["ii"].verdict
-    iii = conditions["iii"].verdict
+def _classify(i: str, ii: str, iii: str) -> str:
+    """The family's class from the verdicts of conditions i, ii and iii."""
     if i == FAILS:
         return CLASS_NOT_INJECTIVE
     if i == INCONCLUSIVE:

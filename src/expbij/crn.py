@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .analyzer import (
     AnalysisReport,
@@ -21,7 +22,6 @@ from .analyzer import (
     ConditionResult,
     ExponentialMapSpec,
     analyze,
-    closure_cc,
 )
 from .linalg import (
     InputError,
@@ -64,6 +64,16 @@ class GeneralizedNetwork:
     @property
     def is_mass_action(self) -> bool:
         return all(y == yt for y, yt in self.vertices)
+
+    # Derived results live on this object, not in a cache keyed by its value,
+    # so each parsed network computes its own structure and analyses.
+    @cached_property
+    def _structure(self) -> NetworkStructure:
+        return _structure_of(self)
+
+    @cached_property
+    def _verdicts_by_caps(self) -> dict[Caps, tuple[DeficiencyZeroVerdict, RobustDeficiencyZeroVerdict]]:
+        return {}
 
 
 def _parse_complex(side: dict, species_index: dict[str, int], field: str, nonneg: bool) -> Vec:
@@ -209,6 +219,11 @@ class NetworkStructure:
 
 
 def structure(network: GeneralizedNetwork) -> NetworkStructure:
+    """Structural data of the network, computed once per network object."""
+    return network._structure
+
+
+def _structure_of(network: GeneralizedNetwork) -> NetworkStructure:
     ns, m = network.num_species, network.num_vertices
     Y = RationalMatrix([[network.vertices[j][0][i] for j in range(m)] for i in range(ns)])
     Yt = RationalMatrix([[network.vertices[j][1][i] for j in range(m)] for i in range(ns)])
@@ -299,47 +314,6 @@ class DeficiencyZeroVerdict:
         }
 
 
-def _failed_precondition(network: GeneralizedNetwork,
-                         struct: NetworkStructure) -> tuple[str, str] | None:
-    """(verdict, reason) of the first precondition of the deficiency-zero
-    criteria that the network fails, or None when it meets them all."""
-    if struct.stoich_subspace.dim != struct.kinetic_subspace.dim:
-        return NOT_APPLICABLE, "stoichiometric and kinetic-order subspaces differ in dimension"
-    if struct.stoich_subspace.dim >= network.num_species:
-        return NOT_APPLICABLE, "the stoichiometric subspace is the whole species space"
-    if not struct.weakly_reversible:
-        return FAILS, "not weakly reversible"
-    if struct.deficiency != 0 or struct.kinetic_deficiency != 0:
-        return FAILS, f"nonzero deficiencies: {struct.deficiency} and {struct.kinetic_deficiency}"
-    return None
-
-
-def deficiency_zero_gmak(network: GeneralizedNetwork, caps: Caps = Caps()) -> DeficiencyZeroVerdict:
-    struct = structure(network)
-    existence = struct.kinetic_deficiency == 0 and struct.weakly_reversible
-    base = dict(
-        deficiency=struct.deficiency,
-        kinetic_deficiency=struct.kinetic_deficiency,
-        weakly_reversible=struct.weakly_reversible,
-        existence_for_all_rates=existence,
-        mass_action=network.is_mass_action,
-    )
-    failed = _failed_precondition(network, struct)
-    if failed is not None:
-        verdict, reason = failed
-        if struct.stoich_subspace.dim != struct.kinetic_subspace.dim:
-            reason += f" ({struct.stoich_subspace.dim} vs {struct.kinetic_subspace.dim})"
-        return DeficiencyZeroVerdict(verdict=verdict, reason=reason, **base)
-    report = analyze(map_spec_of(struct), caps)
-    if report.classification == CLASS_BIJECTIVE:
-        verdict, reason = HOLDS, None
-    elif report.classification == CLASS_INCONCLUSIVE:
-        verdict, reason = INCONCLUSIVE, "map analysis hit an enumeration cap"
-    else:
-        verdict, reason = FAILS, f"map analysis: {report.classification}"
-    return DeficiencyZeroVerdict(verdict=verdict, reason=reason, analysis=report, **base)
-
-
 @dataclass(frozen=True)
 class RobustDeficiencyZeroVerdict:
     """Unique equilibrium for all rates and all small kinetic-order perturbations."""
@@ -366,22 +340,60 @@ class RobustDeficiencyZeroVerdict:
         }
 
 
+def _build_verdicts(network: GeneralizedNetwork,
+                    caps: Caps) -> tuple[DeficiencyZeroVerdict, RobustDeficiencyZeroVerdict]:
+    """Both deficiency-zero verdicts from one structure, one precondition pass
+    and one map analysis. The robust verdict is the closure condition cc of
+    that analysis, which runs on the same canonical spec."""
+    struct = network._structure
+    mak = network.is_mass_action
+    common = dict(deficiency=struct.deficiency, kinetic_deficiency=struct.kinetic_deficiency,
+                  weakly_reversible=struct.weakly_reversible, mass_action=mak)
+    unique = dict(common, existence_for_all_rates=struct.kinetic_deficiency == 0 and struct.weakly_reversible)
+    robust = dict(common, mass_action_reduction=mak)
+
+    dim, kinetic_dim = struct.stoich_subspace.dim, struct.kinetic_subspace.dim
+    failed = None
+    if dim != kinetic_dim:
+        failed = NOT_APPLICABLE, "stoichiometric and kinetic-order subspaces differ in dimension"
+    elif dim >= network.num_species:
+        failed = NOT_APPLICABLE, "the stoichiometric subspace is the whole species space"
+    elif not struct.weakly_reversible:
+        failed = FAILS, "not weakly reversible"
+    elif struct.deficiency != 0 or struct.kinetic_deficiency != 0:
+        failed = FAILS, f"nonzero deficiencies: {struct.deficiency} and {struct.kinetic_deficiency}"
+    if failed is not None:
+        verdict, reason = failed
+        suffix = f" ({dim} vs {kinetic_dim})" if dim != kinetic_dim else ""
+        return (DeficiencyZeroVerdict(verdict=verdict, reason=reason + suffix, **unique),
+                RobustDeficiencyZeroVerdict(verdict=verdict, reason=reason, **robust))
+
+    report = analyze(map_spec_of(struct), caps)
+    if report.classification == CLASS_BIJECTIVE:
+        verdict, reason = HOLDS, None
+    elif report.classification == CLASS_INCONCLUSIVE:
+        verdict, reason = INCONCLUSIVE, "map analysis hit an enumeration cap"
+    else:
+        verdict, reason = FAILS, f"map analysis: {report.classification}"
+    cc = report.conditions["cc"]
+    # equal subspaces make the closure condition automatic; only a cap can stop it
+    check(not (mak and cc.fails), "mass-action network fails the closure condition")
+    return (DeficiencyZeroVerdict(verdict=verdict, reason=reason, analysis=report, **unique),
+            RobustDeficiencyZeroVerdict(verdict=cc.verdict, closure=cc, **robust))
+
+
+def _verdicts(network: GeneralizedNetwork,
+              caps: Caps) -> tuple[DeficiencyZeroVerdict, RobustDeficiencyZeroVerdict]:
+    built = network._verdicts_by_caps
+    if caps not in built:
+        built[caps] = _build_verdicts(network, caps)
+    return built[caps]
+
+
+def deficiency_zero_gmak(network: GeneralizedNetwork, caps: Caps = Caps()) -> DeficiencyZeroVerdict:
+    return _verdicts(network, caps)[0]
+
+
 def robust_deficiency_zero_gmak(network: GeneralizedNetwork,
                                 caps: Caps = Caps()) -> RobustDeficiencyZeroVerdict:
-    struct = structure(network)
-    mak = network.is_mass_action
-    base = dict(
-        deficiency=struct.deficiency,
-        kinetic_deficiency=struct.kinetic_deficiency,
-        weakly_reversible=struct.weakly_reversible,
-        mass_action=mak,
-        mass_action_reduction=mak,
-    )
-    failed = _failed_precondition(network, struct)
-    if failed is not None:
-        return RobustDeficiencyZeroVerdict(verdict=failed[0], reason=failed[1], **base)
-    spec = map_spec_of(struct).canonical()
-    cc = closure_cc(spec, caps)
-    # equal subspaces make the closure condition automatic
-    check(not mak or cc.holds, "mass-action network fails the closure condition")
-    return RobustDeficiencyZeroVerdict(verdict=cc.verdict, closure=cc, **base)
+    return _verdicts(network, caps)[1]

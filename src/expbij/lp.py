@@ -256,9 +256,5 @@ def realize_sign_vector(M: RationalMatrix, tau) -> Vec | None:
 
 def positive_kernel_vector(M: RationalMatrix, support) -> Vec | None:
     """v >= 0 with M v = 0 and supp(v) exactly the given index set, or None."""
-    n = M.cols
     support = set(support)
-    rows = [(M.row(i), Rel.EQ) for i in range(M.rows)]
-    rows += [(_unit(n, i), Rel.GT if i in support else Rel.EQ) for i in range(n)]
-    wit = feasible(make_system(n, rows))
-    return wit.point if wit else None
+    return realize_kernel_sign(M, [int(i in support) for i in range(M.cols)])

@@ -14,7 +14,7 @@ import json
 from functools import cache
 
 from . import __version__
-from .analyzer import AnalysisReport
+from .analyzer import AnalysisReport, _classify
 from .linalg import InputError, RationalMatrix, Vec, dot, frac, kernel_basis, maximal_minors, vec
 from .signs import SignVector, sign_of
 
@@ -82,6 +82,7 @@ def _verify(report: dict):
     for key, entry in conditions.items():
         cert = entry.get("certificate")
         verdict = entry["verdict"]
+        _need(verdict != "fails" or isinstance(cert, dict), "fails without a certificate")
         if key == "i" and verdict == "fails":
             tau = _sv(cert["common_sign_vector"])
             v = vec(cert["kernel_vector"])
@@ -138,31 +139,25 @@ def _verify(report: dict):
                 faces_wt = set(report["cones"]["exp"]["faces"])
                 _need(cert["separating_face"] in faces_w ^ faces_wt,
                       "separating face not in the symmetric difference")
+            else:
+                _reason(cert, "all-plus-covector-missing", "cone-not-robustly-generated")
         elif key == "robust_both" and cert is not None:
             _verify_robust_both_cert(minors, verdict, cert)
 
-    want = _classification_of(conditions)
+    want = _classify(*(conditions[k]["verdict"] for k in ("i", "ii", "iii")))
     _need(report["classification"] == want, "classification inconsistent with verdicts")
 
 
-def _classification_of(conditions) -> str:
-    i = conditions["i"]["verdict"]
-    ii = conditions["ii"]["verdict"]
-    iii = conditions["iii"]["verdict"]
-    if i == "fails":
-        return "not-injective"
-    if i == "inconclusive":
-        return "inconclusive"
-    if "fails" in (ii, iii):
-        return "injective-not-bijective"
-    if "inconclusive" in (ii, iii):
-        return "inconclusive"
-    return "bijective-for-all-c"
+def _reason(cert, *known) -> str | None:
+    """The certificate's reason, which must be one the analyzer emits."""
+    reason = cert.get("reason")
+    _need(reason in known, f"unknown reason {reason!r}")
+    return reason
 
 
 def _verify_minor_cert(minors, verdict, cert):
     minors_w, minors_wt = minors()
-    if cert.get("reason") == "all-products-zero":
+    if _reason(cert, None, "all-products-zero") == "all-products-zero":
         _need(all(minors_w[I] * minors_wt[I] == 0 for I in minors_w), "a nonzero product exists")
         return
     ref = tuple(_idx(cert["reference_subset"]))
@@ -182,7 +177,8 @@ def _verify_strict_minor_cert(minors, verdict, cert):
     minors_w, minors_wt = minors()
     if verdict == "fails":
         bad = tuple(_idx(cert["violating_subset"]))
-        if cert.get("reason") == "zero-product-at-nonzero-minor":
+        reason = _reason(cert, "zero-product-at-nonzero-minor", "mixed-product-signs")
+        if reason == "zero-product-at-nonzero-minor":
             _need(minors_w[bad] != 0 and minors_wt[bad] == 0, "zero-product claim wrong")
         else:
             ref = tuple(_idx(cert["reference_subset"]))
@@ -202,7 +198,7 @@ def _verify_robust_both_cert(minors, verdict, cert):
         signs = {p > 0 for p in products.values()}
         _need(len(signs) == 1, "mixed product signs")
         _need(("+" == cert["reference_sign"]) == signs.pop(), "reference sign wrong")
-    elif cert.get("reason") == "zero-product":
+    elif _reason(cert, "zero-product", "mixed-product-signs") == "zero-product":
         _need(products[tuple(_idx(cert["violating_subset"]))] == 0, "product is not zero")
     else:
         pos = products[tuple(_idx(cert["positive_subset"]))]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import expbij.cli
 import expbij.report
 from expbij.analyzer import ExponentialMapSpec, analyze
@@ -194,6 +196,45 @@ def test_verify_certificate_rejects_malformed_reports():
     block_out_of_range["conditions"]["iii"]["certificate"]["blocks"][0]["indices"] = [99]
     for bad in (as_list, string_entry, block_out_of_range):
         assert verify_certificate(bad) is False
+
+
+VERIFY_EXAMPLES = {
+    "NONINJ": ([[1, 1]], [[1, -1]]),
+    "CC_EXAMPLE": ([[1, 1, -1]], [[1, 0, -1]]),
+    "EX1": (EX1_W["entries"], EX1_WT["entries"]),
+    "FACE_GAP": ([[1, 1, 0], [0, 1, 1]], [[1, 0, -1], [0, 1, 0]]),
+}
+
+
+# where: None drops the certificate of a "fails"; a tuple is the path to the
+# certificate's "reason", which is replaced by one the analyzer never emits
+@pytest.mark.parametrize("example, key, where", [
+    ("NONINJ", "injectivity_minors", None),
+    ("NONINJ", "robust_exponents", None),
+    ("CC_EXAMPLE", "robust_exponents", None),
+    ("NONINJ", "robust_both", None),
+    ("EX1", "robust_both", None),
+    ("NONINJ", "robust_coefficients", ()),
+    ("EX1", "robust_coefficients", ()),
+    ("FACE_GAP", "robust_coefficients", ()),
+    ("NONINJ", "robust_both", ()),
+    ("NONINJ", "robust_exponents", ("minor_form",)),
+])
+def test_verify_certificate_rejects_unchecked_fails(example, key, where):
+    W, Wt = VERIFY_EXAMPLES[example]
+    spec = ExponentialMapSpec(RationalMatrix(W), RationalMatrix(Wt))
+    report = json.loads(canonical_json(build_report(analyze(spec), {})))
+    assert verify_certificate(report)
+    entry = report["conditions"][key]
+    assert entry["verdict"] == "fails"
+    if where is None:
+        entry["certificate"] = None
+    else:
+        cert = entry["certificate"]
+        for field in where:
+            cert = cert[field]
+        cert["reason"] = "unknown-reason"
+    assert verify_certificate(report) is False
 
 
 def test_verify_certificate_computes_each_minor_table_once(monkeypatch):

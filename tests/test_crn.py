@@ -1,7 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import expbij.crn
+from expbij.analyzer import Caps
 from expbij.crn import (
     NetworkError,
     deficiency_zero_gmak,
@@ -196,3 +199,42 @@ def test_robust_mak_reduces_to_classical():
     assert res.verdict == "holds" and res.mass_action_reduction
     res = robust_deficiency_zero_gmak(parse_network(AB_IRREVERSIBLE))
     assert res.verdict == "fails"
+
+
+def test_capped_mass_action_network_is_inconclusive():
+    net = parse_network(AB_REVERSIBLE)
+    caps = Caps(max_n_enumeration=1)
+    assert deficiency_zero_gmak(net, caps).verdict == "inconclusive"
+    robust = robust_deficiency_zero_gmak(net, caps)
+    assert robust.verdict == "inconclusive" and robust.closure.verdict == "inconclusive"
+
+
+@pytest.mark.parametrize("doc", [AB_REVERSIBLE, CC_NETWORK])
+def test_one_structure_and_one_analysis_per_network_and_caps(monkeypatch, doc):
+    calls = Counter()
+    for name in ("_structure_of", "_build_verdicts", "map_spec_of", "analyze"):
+        def counted(*args, _name=name, _fn=getattr(expbij.crn, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(expbij.crn, name, counted)
+    net = parse_network(doc)
+    structure(net)
+    verdict = deficiency_zero_gmak(net)
+    robust = robust_deficiency_zero_gmak(net)
+    assert calls == {"_structure_of": 1, "_build_verdicts": 1, "map_spec_of": 1, "analyze": 1}
+    # the robust verdict is the closure condition of the same analysis
+    assert robust.closure is verdict.analysis.conditions["cc"]
+    assert robust.verdict == robust.closure.verdict
+
+    other = Caps(max_blocks=7)
+    assert deficiency_zero_gmak(net, other).analysis is not verdict.analysis
+    robust_deficiency_zero_gmak(net, other)
+    assert calls == {"_structure_of": 1, "_build_verdicts": 2, "map_spec_of": 2, "analyze": 2}
+
+
+def test_equal_networks_parsed_separately_build_their_own_results():
+    a, b = parse_network(CC_NETWORK), parse_network(CC_NETWORK)
+    assert a == b and hash(a) == hash(b)
+    assert structure(a) is structure(a)
+    assert structure(a) is not structure(b)
+    assert deficiency_zero_gmak(a).analysis is not deficiency_zero_gmak(b).analysis
