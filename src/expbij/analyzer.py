@@ -28,8 +28,8 @@ from .linalg import (
     frac_str,
     is_zero_vec,
     kernel_basis,
-    matrix_with_kernel,
     rank,
+    rref,
     vec,
     vec_sub,
 )
@@ -112,11 +112,10 @@ class ExponentialMapSpec:
     def canonical(self) -> "ExponentialMapSpec":
         """Replace both matrices by the canonical representatives of their kernels,
         so that every downstream verdict and certificate depends only on the
-        subspace pair (ker W, ker Wt)."""
-        return ExponentialMapSpec(
-            matrix_with_kernel(kernel_basis(self.coeff)),
-            matrix_with_kernel(kernel_basis(self.exponents)),
-        )
+        subspace pair (ker W, ker Wt). For a full-row-rank matrix that
+        representative is its reduced row echelon form."""
+        return ExponentialMapSpec(RationalMatrix(rref(self.coeff)[0]),
+                                  RationalMatrix(rref(self.exponents)[0]))
 
     def __eq__(self, other):
         return (isinstance(other, ExponentialMapSpec)

@@ -1,9 +1,13 @@
 """Exact rational vectors, matrices, and the elimination kernel.
 
 All entries are `fractions.Fraction` (always reduced, positive denominator).
-Determinants and ranks use fraction-free Bareiss elimination on integer-scaled
-rows; kernels and row spaces come from the reduced row echelon form, which is
-unique and therefore gives reproducible bases and certificates.
+Inside the kernel the arithmetic runs on Python ints: determinants and ranks
+use fraction-free Bareiss elimination on integer-scaled rows, the reduced row
+echelon form runs Gauss-Jordan on primitive integer rows, and products
+accumulate one numerator and one denominator. A `Fraction` is built only for
+a value that leaves the kernel. Kernels and row spaces come from the reduced
+row echelon form, which is unique and therefore gives reproducible bases and
+certificates.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 Vec = tuple[Fraction, ...]
 
@@ -66,9 +70,20 @@ def vec(values) -> Vec:
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
+    """Exact u . v; the sum is kept as one int numerator over one int denominator."""
     if len(u) != len(v):
         raise InputError(f"dot: length mismatch {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    num, den = 0, 1
+    for a, b in zip(u, v):
+        if a and b:
+            q = a.denominator * b.denominator
+            if q == den:
+                num += a.numerator * b.numerator
+            else:
+                m = lcm(den, q)
+                num = num * (m // den) + a.numerator * b.numerator * (m // q)
+                den = m
+    return Fraction(num, den)
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
@@ -82,15 +97,19 @@ def is_zero_vec(v: Vec) -> bool:
     return all(x == 0 for x in v)
 
 
-def _int_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], Fraction]:
+def _reduce(row: list[int]) -> list[int]:
+    """Divide an int row by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _int_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], int]:
     """Scale each row to integers; return (int rows, product of the row scales)."""
     out = []
-    scale = Fraction(1)
+    scale = 1
     for row in rows:
-        m = 1
-        for x in row:
-            m = m * x.denominator // gcd(m, x.denominator)
-        out.append([int(x * m) for x in row])
+        m = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (m // x.denominator) for x in row])
         scale *= m
     return out, scale
 
@@ -131,7 +150,7 @@ def _int_det(rows: list[list[int]]) -> int:
 class RationalMatrix:
     """Immutable d x n matrix of exact rationals (d, n >= 1)."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_hash")
 
     def __init__(self, entries):
         data = tuple(tuple(frac(x) for x in row) for row in entries)
@@ -140,6 +159,7 @@ class RationalMatrix:
         if any(len(row) != len(data[0]) for row in data):
             raise InputError("matrix rows must all have the same length")
         self._data = data
+        self._hash = None
         self.rows = len(data)
         self.cols = len(data[0])
 
@@ -168,13 +188,12 @@ class RationalMatrix:
         """M^T x without materializing the transpose."""
         if len(x) != self.rows:
             raise InputError(f"transpose_vec: expected length {self.rows}, got {len(x)}")
-        return tuple(sum((self._data[i][j] * x[i] for i in range(self.rows)), Fraction(0))
-                     for j in range(self.cols))
+        return tuple(dot(col, x) for col in zip(*self._data))
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise InputError("matmul: inner dimensions differ")
-        cols = [other.column(j) for j in range(other.cols)]
+        cols = list(zip(*other._data))
         return RationalMatrix([[dot(row, c) for c in cols] for row in self._data])
 
     def column_submatrix(self, idx) -> "RationalMatrix":
@@ -185,13 +204,15 @@ class RationalMatrix:
         if self.rows != self.cols:
             raise InputError("det: matrix is not square")
         ints, scale = _int_rows([list(r) for r in self._data])
-        return _int_det(ints) / scale
+        return Fraction(_int_det(ints), scale)
 
     def __eq__(self, other):
         return isinstance(other, RationalMatrix) and self._data == other._data
 
     def __hash__(self):
-        return hash(self._data)
+        if self._hash is None:
+            self._hash = hash(self._data)
+        return self._hash
 
     def __repr__(self):
         body = "; ".join(" ".join(frac_str(x) for x in row) for row in self._data)
@@ -223,8 +244,12 @@ def rank(M: RationalMatrix) -> int:
 
 
 def rref(M: RationalMatrix) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-    """Reduced row echelon form over Fractions. Returns (rows, pivot columns)."""
-    m = [list(r) for r in M.row_tuples]
+    """Reduced row echelon form. Returns (rows, pivot columns).
+
+    Gauss-Jordan on integer rows: each elimination p_c * row - f * p is
+    divided by its gcd, and each pivot row is divided by its pivot only when
+    the rows leave as Fractions."""
+    m, _ = _int_rows([list(r) for r in M.row_tuples])
     nr, nc = M.rows, M.cols
     pivots = []
     r = 0
@@ -233,17 +258,18 @@ def rref(M: RationalMatrix) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
+        p = m[r]
+        pc = p[c]
         for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f != 0:
+                m[i] = _reduce([pc * a - f * b for a, b in zip(m[i], p)])
         pivots.append(c)
         r += 1
         if r == nr:
             break
-    return tuple(tuple(row) for row in m), tuple(pivots)
+    rows = tuple(tuple(Fraction(x, m[k][c]) for x in m[k]) for k, c in enumerate(pivots))
+    return rows + ((Fraction(0),) * nc,) * (nr - r), tuple(pivots)
 
 
 @dataclass(frozen=True)
@@ -322,7 +348,7 @@ def maximal_minors(M: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
     if d > n:
         raise InputError("maximal_minors requires d <= n")
     ints, scale = _int_rows([list(r) for r in M.row_tuples])
-    return {I: _int_det([[row[j] for j in I] for row in ints]) / scale
+    return {I: Fraction(_int_det([[row[j] for j in I] for row in ints]), scale)
             for I in combinations(range(n), d)}
 
 

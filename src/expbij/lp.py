@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .linalg import InputError, InternalInconsistency, RationalMatrix, Vec, dot, vec
+from .linalg import InputError, InternalInconsistency, RationalMatrix, Vec, _reduce, dot, vec
 
 
 class Rel(Enum):
@@ -54,12 +54,6 @@ def make_system(dim, rows) -> SignSystem:
     forms = tuple(vec(f) for f, _ in rows)
     rels = tuple(r for _, r in rows)
     return SignSystem(dim, forms, rels)
-
-
-def _reduce(row: list[int]) -> list[int]:
-    """Divide an int row by the gcd of its entries."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
 
 
 def _pivot(T, obj, basis, r, j):
@@ -159,52 +153,48 @@ def simplex_max(A_rows, b_vals, c_vals):
 
 
 def feasible(system: SignSystem) -> FeasibilityWitness | None:
-    """Exact witness for the open/closed system, or None if it has no solution."""
+    """Exact witness for the open/closed system, or None if it has no solution.
+
+    The LP splits each free variable as x+ - x-, gives every inequality a
+    slack and every strict row a shared margin t <= 1, and maximizes t. Its
+    rows are built as ints: column j of the forms is scaled by the lcm of its
+    denominators, a positive change of variables that leaves every sign and
+    ratio Bland's rule reads, and so the pivots, unchanged."""
     dim = system.dim
     strict = any(rel in STRICT for rel in system.rels)
-    rows: list[list[Fraction]] = []
-    b: list[Fraction] = []
-
+    scales = [lcm(*(form[j].denominator for form in system.forms)) for j in range(dim)]
     n_slack = sum(1 for rel in system.rels if rel is not Rel.EQ)
-    width = 2 * dim + (1 if strict else 0) + n_slack + (1 if strict else 0)
-    t_col = 2 * dim if strict else None
-    slack_at = 2 * dim + (1 if strict else 0)
+    t_col = 2 * dim
+    slack_at = t_col + strict
+    width = slack_at + n_slack + strict
 
-    def blank():
-        return [Fraction(0)] * width
-
+    rows: list[list[int]] = []
     k = 0
     for form, rel in zip(system.forms, system.rels):
-        row = blank()
-        for j, a in enumerate(form):
-            row[j] = a
-            row[dim + j] = -a
+        ints = [a.numerator * (m // a.denominator) for a, m in zip(form, scales)]
+        row = ints + [-a for a in ints] + [0] * (width - t_col)
         if rel is not Rel.EQ:
-            sgn = -1 if rel in (Rel.GE, Rel.GT) else 1
-            row[slack_at + k] = Fraction(sgn)
+            row[slack_at + k] = -1 if rel in (Rel.GE, Rel.GT) else 1
             k += 1
         if rel is Rel.GT:
-            row[t_col] = Fraction(-1)
+            row[t_col] = -1
         elif rel is Rel.LT:
-            row[t_col] = Fraction(1)
+            row[t_col] = 1
         rows.append(row)
-        b.append(Fraction(0))
+    b = [0] * len(rows)
+    c = [0] * width
     if strict:
-        row = blank()
-        row[t_col] = Fraction(1)
-        row[slack_at + k] = Fraction(1)
+        row = [0] * width
+        row[t_col] = row[slack_at + k] = 1
         rows.append(row)
-        b.append(Fraction(1))
-
-    c = [Fraction(0)] * width
-    if strict:
-        c[t_col] = Fraction(1)
+        b.append(1)
+        c[t_col] = 1
     status, x, value = simplex_max(rows, b, c)
     if status != "optimal":
         return None
     if strict and value <= 0:
         return None
-    point = tuple(x[j] - x[dim + j] for j in range(dim))
+    point = tuple(m * (x[j] - x[dim + j]) for j, m in enumerate(scales))
     slack = value if strict else Fraction(1)
     witness = FeasibilityWitness(point, slack)
     if not check_witness(system, witness):

@@ -394,11 +394,7 @@ def _signed_point_in_span(span_vectors, sigma, strict: bool):
     wit = feasible(make_system(k, rows))
     if wit is None:
         return None
-    point = tuple(
-        sum((wit.point[j] * span_vectors[j][i] for j in range(k)), Fraction(0))
-        for i in range(sigma.n)
-    )
-    return point
+    return tuple(dot(wit.point, col) for col in zip(*span_vectors))
 
 
 def _nonzero_conformal_point(span_vectors, sigma):
@@ -423,10 +419,7 @@ def _nonzero_conformal_point(span_vectors, sigma):
     wit = feasible(make_system(k, rows))
     if wit is None:
         return None
-    return tuple(
-        sum((wit.point[j] * span_vectors[j][i] for j in range(k)), Fraction(0))
-        for i in range(n)
-    )
+    return tuple(dot(wit.point, col) for col in zip(*span_vectors))
 
 
 def is_interior_point(W: RationalMatrix, y: Vec, cap: int = 12) -> bool:

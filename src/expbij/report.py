@@ -83,7 +83,10 @@ def _verify(report: dict):
         cert = entry.get("certificate")
         verdict = entry["verdict"]
         _need(verdict != "fails" or isinstance(cert, dict), "fails without a certificate")
-        if key == "i" and verdict == "fails":
+        if key == "i" and cert is not None and "common_sign_vector" not in cert:
+            # the sign form hit a cap and the minor form decided instead
+            _verify_minor_cert(minors, verdict, cert)
+        elif key == "i" and verdict == "fails":
             tau = _sv(cert["common_sign_vector"])
             v = vec(cert["kernel_vector"])
             x = vec(cert["exponent_direction"])

@@ -31,7 +31,7 @@ from expbij.analyzer import (
     robust_coefficients,
     robust_exponents,
 )
-from expbij.linalg import RationalMatrix, rank, vec
+from expbij.linalg import RationalMatrix, kernel_basis, matrix_with_kernel, rank, vec
 from expbij.lp import Rel, feasible, make_system, positive_kernel_vector
 from expbij.matroid import OrientedMatroid
 from expbij.signs import EnumerationCap, SignVector, nonneg_part, sign_of
@@ -459,3 +459,28 @@ def _random_invertible(rng, d):
         mat = M([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
         if mat.det() != 0:
             return mat
+
+
+def test_canonical_is_the_matrix_with_the_same_kernel():
+    # canonical() takes one RREF; the representative of ker M it must equal is
+    # matrix_with_kernel(kernel_basis(M)), including the identity for square M
+    rng = random.Random(400)
+    square = 0
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        n = rng.randint(d, d + 3)
+        mats = []
+        for _ in range(2):
+            while True:
+                mat = M([[rng.choice([0, 0, 1, -2, 3, Fraction(1, 2), Fraction(-4, 3)])
+                          for _ in range(n)] for _ in range(d)])
+                if rank(mat) == d:
+                    mats.append(mat)
+                    break
+        canon = ExponentialMapSpec(*mats).canonical()
+        for mat, got in zip(mats, (canon.coeff, canon.exponents)):
+            assert got == matrix_with_kernel(kernel_basis(mat))
+        square += d == n
+    assert square > 10
+    assert spec_of([[2, 1], [1, 1]], [[0, 3], ["1/2", 0]]).canonical() == spec_of(
+        [[1, 0], [0, 1]], [[1, 0], [0, 1]])

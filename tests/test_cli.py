@@ -4,7 +4,7 @@ import pytest
 
 import expbij.cli
 import expbij.report
-from expbij.analyzer import ExponentialMapSpec, analyze
+from expbij.analyzer import Caps, ExponentialMapSpec, analyze
 from expbij.cli import main
 from expbij.linalg import InternalInconsistency, RationalMatrix, maximal_minors
 from expbij.report import build_report, canonical_json, digest_of, verify_certificate
@@ -235,6 +235,24 @@ def test_verify_certificate_rejects_unchecked_fails(example, key, where):
             cert = cert[field]
         cert["reason"] = "unknown-reason"
     assert verify_certificate(report) is False
+
+
+@pytest.mark.parametrize("example, verdict", [("NONINJ", "fails"), ("EX1", "holds")])
+def test_verify_certificate_reads_minor_form_of_capped_i(example, verdict):
+    # with the sign form of i capped, i carries the minor-form certificate
+    W, Wt = VERIFY_EXAMPLES[example]
+    spec = ExponentialMapSpec(RationalMatrix(W), RationalMatrix(Wt))
+    report = json.loads(canonical_json(build_report(analyze(spec, Caps(max_n_enumeration=1)), {})))
+    entry = report["conditions"]["i"]
+    assert entry["verdict"] == verdict and "reference_subset" in entry["certificate"]
+    assert verify_certificate(report)
+    tampers = [("reference_sign", "-" if entry["certificate"]["reference_sign"] == "+" else "+")]
+    if verdict == "fails":
+        tampers.append(("violating_subset", entry["certificate"]["reference_subset"]))
+    for field, value in tampers:
+        tampered = json.loads(json.dumps(report))
+        tampered["conditions"]["i"]["certificate"][field] = value
+        assert verify_certificate(tampered) is False, field
 
 
 def test_verify_certificate_computes_each_minor_table_once(monkeypatch):

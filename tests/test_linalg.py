@@ -7,6 +7,7 @@ from expbij.linalg import (
     InputError,
     RationalMatrix,
     SubspaceBasis,
+    dot,
     frac,
     frac_str,
     intersection_dim,
@@ -15,6 +16,7 @@ from expbij.linalg import (
     maximal_minors,
     rank,
     row_space_basis,
+    rref,
     vec,
 )
 
@@ -171,7 +173,8 @@ def test_det_bareiss_against_cofactor():
                 - mat.entry(0, 1) * (mat.entry(1, 0) * mat.entry(2, 2) - mat.entry(1, 2) * mat.entry(2, 0))
                 + mat.entry(0, 2) * (mat.entry(1, 0) * mat.entry(2, 1) - mat.entry(1, 1) * mat.entry(2, 0))
             )
-        assert mat.det() == expected
+        assert mat.det() == expected and type(mat.det()) is Fraction
+        assert all(type(v) is Fraction for v in maximal_minors(mat).values())
 
 
 def test_matrix_json_roundtrip_and_validation():
@@ -192,3 +195,96 @@ def test_intersection_dim():
     B = SubspaceBasis(3, (vec([0, 1, 0]), vec([0, 0, 1])))
     assert intersection_dim(A, B) == 1
     assert intersection_dim(A, SubspaceBasis(3, ())) == 0
+
+
+# Reference oracle: the Fraction Gauss-Jordan that the integer-row rref
+# replaced. The reduced row echelon form is unique, so both must agree exactly.
+
+def _fraction_rref(M):
+    m = [list(r) for r in M.row_tuples]
+    nr, nc = M.rows, M.cols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return tuple(tuple(row) for row in m), tuple(pivots)
+
+
+def _random_rref_input(rng):
+    """A random matrix of one of the shapes the elimination must handle."""
+    kind = rng.choice(["tall", "wide", "square", "deficient", "zero-lines", "rational"])
+    d, n = rng.randint(1, 5), rng.randint(1, 6)
+    if kind == "tall":
+        d = n + rng.randint(1, 3)
+    elif kind == "wide":
+        n = d + rng.randint(1, 4)
+    elif kind == "square":
+        n = d
+    entry = lambda: rng.randint(-4, 4)
+    if kind == "rational":
+        entry = lambda: Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 6]))
+    rows = [[entry() for _ in range(n)] for _ in range(d)]
+    if kind == "deficient" and d > 1:  # a combination of two other rows
+        f = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        rows[rng.randrange(d)] = [a + f * b for a, b in zip(rows[0], rows[-1])]
+    if kind == "zero-lines":
+        rows[rng.randrange(d)] = [0] * n
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = 0
+    return kind, M(rows)
+
+
+def test_rref_matches_fraction_oracle():
+    rng = random.Random(19680101)
+    kinds = set()
+    for _ in range(360):
+        kind, mat = _random_rref_input(rng)
+        got = rref(mat)
+        assert got == _fraction_rref(mat), mat
+        assert all(type(x) is Fraction for row in got[0] for x in row)
+        kinds.add(kind)
+        if rank(mat) < min(mat.rows, mat.cols):
+            kinds.add("rank-deficient")
+        if any(x.denominator > 1 for row in mat.row_tuples for x in row):
+            kinds.add("has-fractions")
+    assert kinds == {"tall", "wide", "square", "deficient", "zero-lines", "rational",
+                     "rank-deficient", "has-fractions"}
+
+
+def test_products_match_fraction_sums():
+    rng = random.Random(31)
+    entry = lambda: rng.choice([0, 0, 1, -2, Fraction(1, 2), Fraction(-5, 6), Fraction(7, 4)])
+    assert dot((), ()) == 0 and type(dot((), ())) is Fraction
+    zero = dot(vec([0, 0]), vec(["1/2", 3]))
+    assert zero == 0 and type(zero) is Fraction
+    with pytest.raises(InputError):
+        dot(vec([1]), vec([1, 2]))
+    for _ in range(200):
+        d, n, k = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 4)
+        A = M([[entry() for _ in range(n)] for _ in range(d)])
+        B = M([[entry() for _ in range(k)] for _ in range(n)])
+        u, x = vec([entry() for _ in range(n)]), vec([entry() for _ in range(d)])
+        got = dot(A.row(0), u)
+        assert type(got) is Fraction and got == sum(a * b for a, b in zip(A.row(0), u))
+        assert A.mat_vec(u) == tuple(sum(a * b for a, b in zip(row, u)) for row in A.row_tuples)
+        want = tuple(sum(A.entry(i, j) * x[i] for i in range(d)) for j in range(n))
+        got = A.transpose_vec(x)
+        assert got == want and all(type(t) is Fraction for t in got)
+        prod = A.matmul(B)
+        assert prod == M([[sum(A.entry(i, l) * B.entry(l, j) for l in range(n)) for j in range(k)]
+                          for i in range(d)])
+        assert hash(prod) == hash(M(prod.row_tuples))

@@ -310,6 +310,65 @@ def test_feasible_systems_match_fraction_oracle(monkeypatch):
     assert len(calls) == 150 and outcomes == {True, False}
 
 
+# Reference construction: the Fraction rows feasible() built before its rows
+# became column-scaled ints. Scaling a column by a positive constant leaves
+# Bland's pivots unchanged, so both must return the same (point, slack).
+
+def _fraction_feasible(system):
+    dim = system.dim
+    strict = any(rel in lp.STRICT for rel in system.rels)
+    rows, b = [], []
+    n_slack = sum(1 for rel in system.rels if rel is not Rel.EQ)
+    width = 2 * dim + (1 if strict else 0) + n_slack + (1 if strict else 0)
+    t_col = 2 * dim if strict else None
+    slack_at = 2 * dim + (1 if strict else 0)
+    k = 0
+    for form, rel in zip(system.forms, system.rels):
+        row = [Fraction(0)] * width
+        for j, a in enumerate(form):
+            row[j] = a
+            row[dim + j] = -a
+        if rel is not Rel.EQ:
+            row[slack_at + k] = Fraction(-1 if rel in (Rel.GE, Rel.GT) else 1)
+            k += 1
+        if rel is Rel.GT:
+            row[t_col] = Fraction(-1)
+        elif rel is Rel.LT:
+            row[t_col] = Fraction(1)
+        rows.append(row)
+        b.append(Fraction(0))
+    if strict:
+        row = [Fraction(0)] * width
+        row[t_col] = Fraction(1)
+        row[slack_at + k] = Fraction(1)
+        rows.append(row)
+        b.append(Fraction(1))
+    c = [Fraction(0)] * width
+    if strict:
+        c[t_col] = Fraction(1)
+    status, x, value = simplex_max(rows, b, c)
+    if status != "optimal" or (strict and value <= 0):
+        return None
+    return tuple(x[j] - x[dim + j] for j in range(dim)), value if strict else Fraction(1)
+
+
+def test_feasible_matches_fraction_row_construction():
+    rng = random.Random(1968)
+    entries = [0, 0, 1, -1, 2, "1/2", "-3/2", "2/3", "-1/5", "7/6"]
+    outcomes = set()
+    for _ in range(400):
+        dim = rng.randint(1, 5)
+        nrows = rng.randint(1, 7)
+        forms = [vec([rng.choice(entries) for _ in range(dim)]) for _ in range(nrows)]
+        rels = [rng.choice(list(Rel)) for _ in range(nrows)]
+        sys_ = SignSystem(dim, tuple(forms), tuple(rels))
+        wit = feasible(sys_)
+        got = None if wit is None else (wit.point, wit.slack)
+        assert got == _fraction_feasible(sys_), sys_
+        outcomes.add((wit is not None, any(x.denominator > 1 for f in forms for x in f)))
+    assert outcomes == {(True, True), (False, True), (True, False), (False, False)}
+
+
 def test_witness_check_survives_python_O():
     # the re-substitution of the witness must raise even when asserts are stripped
     code = textwrap.dedent("""
