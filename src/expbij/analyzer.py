@@ -19,6 +19,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
+
 from .linalg import (
     InputError,
     RationalMatrix,
@@ -35,7 +38,7 @@ from .linalg import (
 )
 from .lp import Rel, feasible, make_system, positive_kernel_vector, realize_kernel_sign, realize_sign_vector
 from .matroid import FaceLattice, OrientedMatroid, is_interior_point, orthogonal_witness
-from .signs import EnumerationCap, SignVector, minimal_support_members, sign_of
+from .signs import EnumerationCap, SignVector, bits, minimal_support_masks, sign_of, str_order, unpack
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -90,6 +93,7 @@ class ExponentialMapSpec:
         self.exponents = exponents
         self._oriented_matroids: dict[RationalMatrix, OrientedMatroid] = {}
         self._closure_results: dict[tuple[bool, int], ConditionResult] = {}
+        self._realizations: dict[tuple, Vec | None] = {}
 
     @property
     def n(self) -> int:
@@ -128,6 +132,15 @@ class ExponentialMapSpec:
             self._oriented_matroids[M] = OrientedMatroid(M)
         return self._oriented_matroids[M]
 
+    def _realize(self, solve, M: RationalMatrix, x: int) -> Vec | None:
+        """solve(M, packed sign vector x) for solve realize_kernel_sign or
+        realize_sign_vector, run once per spec: the simplex is deterministic,
+        so a repeated system would give the same witness."""
+        key = (solve, M, x)
+        if key not in self._realizations:
+            self._realizations[key] = solve(M, unpack(x, M.cols))
+        return self._realizations[key]
+
 
 @dataclass(frozen=True)
 class ConditionResult:
@@ -161,27 +174,27 @@ def _jidx(indices) -> list[int]:
     return [i + 1 for i in indices]  # 1-based in reports
 
 
-def _closure_excluded(V: set[SignVector], T: set[SignVector]) -> SignVector | None:
-    """First member of V (tope reduction) outside the down-closure of T, or None.
+def _closure_excluded(V: frozenset[int], T: frozenset[int], n: int) -> int | None:
+    """First member of V (tope reduction) outside the down-closure of T, or
+    None; both sets are packed sign vectors of length n.
 
     Maximal members of a subspace sign set all have the same support (the
     union of supports), so V is inside the closure iff its topes are.
     """
-    union = 0
-    for t in V:
-        union |= t.support
+    union = reduce(or_, V, 0)
+    union = (union | union >> n) & ((1 << n) - 1)
+    both = union | union << n
     # a tope pi is below r iff r agrees with pi on pi's support, the union
-    below = {(r.plus & union, r.minus & union) for r in T}
-    return min((pi for pi in V if pi.support == union and (pi.plus, pi.minus) not in below),
-               key=str, default=None)
+    below = {r & both for r in T}
+    return min((pi for pi in V - below if (pi | pi >> n) & union == union),
+               key=str_order(n), default=None)
 
 
 def _positively_dependent(spec: ExponentialMapSpec, cap: int):
     """Predicate on index sets I: some v >= 0 in ker W has support exactly I,
     i.e. the sign vector + on I and 0 elsewhere is a vector of W."""
-    vectors_w = spec._om(spec.coeff).vectors(cap)
-    n = spec.n
-    return lambda I: SignVector(n, sum(1 << i for i in I), 0) in vectors_w
+    vectors_w = spec._om(spec.coeff).vector_masks(cap)
+    return lambda I: sum(1 << i for i in I) in vectors_w
 
 
 def _kernel_point_positive_on(M: RationalMatrix, indices) -> Vec | None:
@@ -203,15 +216,16 @@ def injectivity_via_signs(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Cond
     tag = "injectivity-sign-criterion"
     cap = caps.max_n_enumeration
     try:
-        common = {t for t in spec._om(spec.coeff).vectors(cap) & spec._om(spec.exponents).covectors(cap)
-                  if not t.is_zero()}
+        common = (spec._om(spec.coeff).vector_masks(cap)
+                  & spec._om(spec.exponents).covector_masks(cap)) - {0}
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
     if not common:
         return ConditionResult(HOLDS, tag)
-    tau = min(common, key=str)
-    v = realize_kernel_sign(spec.coeff, tau)
-    x = realize_sign_vector(spec.exponents, tau)
+    tau = min(common, key=str_order(spec.n))
+    v = spec._realize(realize_kernel_sign, spec.coeff, tau)
+    x = spec._realize(realize_sign_vector, spec.exponents, tau)
+    tau = unpack(tau, spec.n)
     check(v is not None and x is not None, f"common sign vector {tau} has no realization")
     return ConditionResult(FAILS, tag, certificate={
         "common_sign_vector": str(tau),
@@ -257,31 +271,34 @@ def condition_ii(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResu
     the coefficient cone (on index sets: nonneg covector below it)."""
     tag = "surjectivity-face-cover"
     spec.require_square()
-    cap = caps.max_n_enumeration
+    n, cap = spec.n, caps.max_n_enumeration
     try:
-        faces_w = spec._om(spec.coeff).face_lattice(cap).faces
-        minimal_exp = spec._om(spec.exponents).face_lattice(cap).facet_covectors()
+        # nonnegative covectors are packed as their positive parts
+        faces_w = spec._om(spec.coeff).nonneg_covector_masks(cap)
+        minimal_exp = minimal_support_masks(spec._om(spec.exponents).nonneg_covector_masks(cap), n)
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
-    nonzero_w = [t for t in faces_w if not t.is_zero()]
+    order = str_order(n)
+    nonzero_w = sorted((t for t in faces_w if t), key=order)
     coverings = []
-    for tau_t in sorted(minimal_exp, key=str):
-        tau = min((t for t in nonzero_w if t.leq(tau_t)), key=str, default=None)
+    for tau_t in sorted(minimal_exp, key=order):
+        tau = next((t for t in nonzero_w if t & ~tau_t == 0), None)
+        face = str(unpack(tau_t, n))
         if tau is None:
-            evidence = _kernel_point_positive_on(spec.coeff, tau_t.plus_set())
+            evidence = _kernel_point_positive_on(spec.coeff, bits(tau_t))
             check(evidence is not None, "uncovered face without interior evidence")
-            x_t = realize_sign_vector(spec.exponents, tau_t)
-            check(x_t is not None, f"face covector {tau_t} has no supporting functional")
+            x_t = spec._realize(realize_sign_vector, spec.exponents, tau_t)
+            check(x_t is not None, f"face covector {face} has no supporting functional")
             return ConditionResult(FAILS, tag, certificate={
-                "uncovered_face": str(tau_t),
+                "uncovered_face": face,
                 "exponent_functional": _jvec(x_t),
                 "kernel_interior_evidence": _jvec(evidence),
             })
         coverings.append({
-            "exponent_face": str(tau_t),
-            "coeff_face": str(tau),
-            "coeff_functional": _jvec(realize_sign_vector(spec.coeff, tau)),
-            "exponent_functional": _jvec(realize_sign_vector(spec.exponents, tau_t)),
+            "exponent_face": face,
+            "coeff_face": str(unpack(tau, n)),
+            "coeff_functional": _jvec(spec._realize(realize_sign_vector, spec.coeff, tau)),
+            "exponent_functional": _jvec(spec._realize(realize_sign_vector, spec.exponents, tau_t)),
         })
     return ConditionResult(HOLDS, tag, certificate={"coverings": coverings} if coverings else None)
 
@@ -336,6 +353,20 @@ def _ordered_partitions(elements: tuple[int, ...], admissible):
             yield (block,) + tail
 
 
+def _degeneracy_candidates(faces_w: frozenset[int], covs_exp: frozenset[int], n: int) -> list[int]:
+    """Covectors of Wt with a positive component whose support contains the
+    support of no proper face of cone(W), in string order. The nonnegative
+    covectors faces_w of W are packed as their supports."""
+    min_faces_w = minimal_support_masks(faces_w, n)
+    full = (1 << n) - 1
+
+    def has_covering_face(support: int) -> bool:
+        return any(t & ~support == 0 for t in min_faces_w)
+
+    return sorted((t for t in covs_exp if t & full and not has_covering_face((t | t >> n) & full)),
+                  key=str_order(n))
+
+
 def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
     """Exhaustive nondegeneracy decision for the subspace pair.
 
@@ -346,25 +377,21 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
     """
     tag = "properness-nondegeneracy"
     spec.require_square()
-    cap = caps.max_n_enumeration
+    n, cap = spec.n, caps.max_n_enumeration
+    full = (1 << n) - 1
     try:
-        cone_w = spec._om(spec.coeff).face_lattice(cap)
-        if cone_w.all_plus:
+        faces_w = spec._om(spec.coeff).nonneg_covector_masks(cap)
+        if full in faces_w:
             # pointed coefficient cone with no zero column: no positive dependence at all
             return ConditionResult(HOLDS, tag, detail="all-plus coefficient covector")
-        covs_exp = spec._om(spec.exponents).covectors(cap)
+        candidates = _degeneracy_candidates(faces_w, spec._om(spec.exponents).covector_masks(cap), n)
         dependent = _positively_dependent(spec, cap)
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
 
-    min_faces_w = cone_w.facet_covectors()
-
-    def has_covering_face(tau_t: SignVector) -> bool:
-        return any((t.support & ~tau_t.support) == 0 for t in min_faces_w)
-
-    candidates = sorted((t for t in covs_exp if t.plus != 0 and not has_covering_face(t)), key=str)
     pairs_tried = 0
-    for idx, tau_t in enumerate(candidates):
+    for idx, packed in enumerate(candidates):
+        tau_t = unpack(packed, n)
         plus = tau_t.plus_set()
         if len(plus) > caps.max_blocks:
             return ConditionResult(INCONCLUSIVE, tag, detail=(
@@ -421,28 +448,30 @@ def condition_iv(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResu
     spec.require_square()
     cap = caps.max_n_enumeration
     try:
-        vectors_w = spec._om(spec.coeff).vectors(cap)
-        covs_exp = spec._om(spec.exponents).covectors(cap)
+        vectors_w = spec._om(spec.coeff).vector_masks(cap)
+        covs_exp = spec._om(spec.exponents).covector_masks(cap)
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
     n = spec.n
-    dominating_memo: dict[int, SignVector | None] = {}
-
-    def dominating(support_mask: int) -> SignVector | None:
-        if support_mask not in dominating_memo:
-            dominating_memo[support_mask] = min(
-                (r for r in vectors_w if (support_mask & ~r.plus) == 0), key=str, default=None)
-        return dominating_memo[support_mask]
-
+    full = (1 << n) - 1
+    order = str_order(n)
     # covectors with a positive part that is itself a nonnegative vector of W
-    dependent = [t for t in covs_exp if t.plus != 0 and SignVector(n, t.plus, 0) in vectors_w]
-    for tau_t in sorted(dependent, key=str):
-        rho = dominating(tau_t.support)
-        if rho is None:
+    dependent = sorted((t for t in covs_exp if t & full and t & full in vectors_w), key=order)
+    by_order = sorted(vectors_w, key=order) if dependent else []
+    undominated: set[int] = set()
+    for tau_t in dependent:
+        support = (tau_t | tau_t >> n) & full
+        if support in undominated:
             continue
-        v_pi = positive_kernel_vector(spec.coeff, tau_t.plus_set())
-        v_rho = realize_kernel_sign(spec.coeff, rho)
-        x_t = realize_sign_vector(spec.exponents, tau_t)
+        # the first vector of W that is + on the whole support of tau_t
+        rho = next((r for r in by_order if support & ~r == 0), None)
+        if rho is None:
+            undominated.add(support)
+            continue
+        v_pi = positive_kernel_vector(spec.coeff, bits(tau_t & full))
+        v_rho = spec._realize(realize_kernel_sign, spec.coeff, rho)
+        x_t = spec._realize(realize_sign_vector, spec.exponents, tau_t)
+        tau_t, rho = unpack(tau_t, n), unpack(rho, n)
         check(v_pi is not None and v_rho is not None and x_t is not None,
               f"covector {tau_t} or its dominating vector {rho} has no realization")
         return ConditionResult(FAILS, tag, certificate={
@@ -470,12 +499,13 @@ def newton_polytope_sufficient(spec: ExponentialMapSpec, caps: Caps = Caps()) ->
     lifted = RationalMatrix([list(r) + [0] for r in spec.exponents.row_tuples] + [[1] * (n + 1)])
     try:
         spec._om(spec.exponents).check_cap("covector", cap)  # the cap counts the map's n columns
-        lifted_faces = spec._om(lifted).nonneg_covectors(cap + 1)
+        lifted_faces = spec._om(lifted).nonneg_covector_masks(cap + 1)
         dependent = _positively_dependent(spec, cap)
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
-    origin = 1 << n
-    positive_faces = sorted({t.zero_set() for t in lifted_faces if t.plus & origin} - {()})
+    full = (1 << n) - 1
+    # lifted faces that are + at the origin (bit n), by their zero sets
+    positive_faces = sorted(bits(z) for z in {full & ~t for t in lifted_faces if t >> n} - {0})
     for I in positive_faces:
         if dependent(I):
             return ConditionResult(INCONCLUSIVE, tag, detail=(
@@ -499,14 +529,15 @@ def _closure_condition(spec, caps, swap: bool, tag: str) -> ConditionResult:
 def _closure_result(spec, cap: int, swap: bool, tag: str) -> ConditionResult:
     first, second = (spec.exponents, spec.coeff) if swap else (spec.coeff, spec.exponents)
     try:
-        V = spec._om(first).vectors(cap)
-        T = spec._om(second).vectors(cap)
+        V = spec._om(first).vector_masks(cap)
+        T = spec._om(second).vector_masks(cap)
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
-    excluded = _closure_excluded(V, T)
+    excluded = _closure_excluded(V, T, spec.n)
     if excluded is None:
         return ConditionResult(HOLDS, tag)
-    v = realize_kernel_sign(first, excluded)
+    v = spec._realize(realize_kernel_sign, first, excluded)
+    excluded = unpack(excluded, spec.n)
     check(v is not None, f"excluded sign vector {excluded} has no kernel realization")
     # the sign sets rule out a dominating vector of ker(second), so by Minty's
     # alternative the orthogonal branch must hold
@@ -576,19 +607,22 @@ def robust_coefficients(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
     if ccp.verdict == FAILS:
         return ConditionResult(FAILS, tag, certificate={
             "reason": "reversed-closure-fails", "closure_form": ccp.certificate})
+    om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
+    cap = caps.max_n_enumeration
     try:
-        cone_w = spec._om(spec.coeff).face_lattice(caps.max_n_enumeration)
-        cone_wt = spec._om(spec.exponents).face_lattice(caps.max_n_enumeration)
+        cone_w = om_w.face_lattice(cap)
+        cone_wt = om_wt.face_lattice(cap)
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
     if cone_w.full_space and cone_wt.full_space:
         return ConditionResult(HOLDS, tag, detail="both cones are the full space")
     if not (cone_w.all_plus and cone_wt.all_plus):
         return ConditionResult(FAILS, tag, certificate={"reason": "all-plus-covector-missing"})
-    if cone_w.faces != cone_wt.faces:
-        diff = min((str(t) for t in cone_w.faces ^ cone_wt.faces))
+    faces_w, faces_wt = om_w.nonneg_covector_masks(cap), om_wt.nonneg_covector_masks(cap)
+    if faces_w != faces_wt:
+        diff = min(faces_w ^ faces_wt, key=str_order(spec.n))
         return ConditionResult(FAILS, tag, certificate={
-            "reason": "face-sets-differ", "separating_face": diff})
+            "reason": "face-sets-differ", "separating_face": str(unpack(diff, spec.n))})
     if not (cone_w.robustly_generated and cone_wt.robustly_generated):
         return ConditionResult(FAILS, tag, certificate={"reason": "cone-not-robustly-generated"})
     return ConditionResult(HOLDS, tag)
@@ -621,14 +655,16 @@ def _cross_check_robust_both(spec, caps, minor_verdict):
     """The strict minor form must match: equal kernel sign sets plus every
     minimal-support covector having exactly d-1 zeros."""
     om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
+    n, cap = spec.n, caps.max_n_enumeration
     try:
-        sign_equal = om_w.vectors(caps.max_n_enumeration) == om_wt.vectors(caps.max_n_enumeration)
-        covs = om_w.covectors(caps.max_n_enumeration)
+        sign_equal = om_w.vector_masks(cap) == om_wt.vector_masks(cap)
+        covs = om_w.covector_masks(cap)
     except EnumerationCap:
         return
-    nonzero = {t for t in covs if not t.is_zero()}
-    minimal = minimal_support_members(covs)
-    uniform = {t for t in nonzero if len(t.zero_set()) == spec.d - 1}
+    full = (1 << n) - 1
+    minimal = minimal_support_masks(covs, n)
+    # nonzero covectors with exactly d - 1 zeros
+    uniform = {t for t in covs if t and bin(full & ~(t | t >> n)).count("1") == spec.d - 1}
     sign_verdict = HOLDS if (sign_equal and minimal == uniform) else FAILS
     check(sign_verdict == minor_verdict, "strict minor form disagrees with its sign-vector form")
 
@@ -773,7 +809,7 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
     t0 = time.perf_counter()
     sign_sets_equal: bool | None
     try:
-        sign_sets_equal = om_w.vectors(cap) == om_wt.vectors(cap)
+        sign_sets_equal = om_w.vector_masks(cap) == om_wt.vector_masks(cap)
     except EnumerationCap:
         sign_sets_equal = None
     runtimes["sign_sets"] = round((time.perf_counter() - t0) * 1000, 3)

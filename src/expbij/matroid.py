@@ -40,10 +40,11 @@ from .lp import Rel, feasible, make_system, realize_kernel_sign, realize_sign_ve
 from .signs import (
     EnumerationCap,
     SignVector,
+    bits,
     composition_closure,
     minimal_support_members,
-    nonneg_part,
     sign_of,
+    unpack_all,
 )
 
 
@@ -95,10 +96,15 @@ class Chirotope:
 
 def cocircuits_from_chirotope(chi: Chirotope) -> set[SignVector]:
     """The nonzero sign vectors j -> chi(I + j) over sorted (d-1)-tuples I, and
-    their negatives. For j not in I, inserting j into I at position k sorts
-    the tuple with len(I) - k transpositions."""
+    their negatives."""
+    return set(unpack_all(_cocircuit_masks(chi), chi.n))
+
+
+def _cocircuit_masks(chi: Chirotope) -> set[int]:
+    """cocircuits_from_chirotope as packed ints. For j not in I, inserting j
+    into I at position k sorts the tuple with len(I) - k transpositions."""
     signs, n, m = chi._signs, chi.n, chi.d - 1
-    out: set[SignVector] = set()
+    out: set[int] = set()
     for I in combinations(range(n), m):
         plus = minus = 0
         k = 0
@@ -114,8 +120,8 @@ def cocircuits_from_chirotope(chi: Chirotope) -> set[SignVector]:
             elif s < 0:
                 minus |= 1 << j
         if plus | minus:
-            out.add(SignVector(n, plus, minus))
-            out.add(SignVector(n, minus, plus))
+            out.add(plus | minus << n)
+            out.add(minus | plus << n)
     return out
 
 
@@ -144,11 +150,20 @@ class OrientedMatroid:
     Everything is derived from the maximal minors of a full-rank matrix W with
     the row space of M (W is M when M has full rank), and each piece is
     computed at most once. The sets are frozen because callers share them.
+    They are built as packed ints (`*_masks`, see `signs`); each `SignVector`
+    form is converted once, on first use.
     """
 
     def __init__(self, M: RationalMatrix):
         self.M = M
         self.W = _row_basis(M)
+        self._sign_vectors: dict[frozenset[int], frozenset[SignVector]] = {}
+
+    def _unpacked(self, masks: frozenset[int]) -> frozenset[SignVector]:
+        """The sign vectors of one of the cached mask sets, converted once."""
+        if masks not in self._sign_vectors:
+            self._sign_vectors[masks] = unpack_all(masks, self.W.cols)
+        return self._sign_vectors[masks]
 
     @cached_property
     def minors(self) -> dict[tuple[int, ...], Fraction]:
@@ -160,19 +175,19 @@ class OrientedMatroid:
                          {I: (m > 0) - (m < 0) for I, m in self.minors.items()})
 
     @cached_property
-    def cocircuits(self) -> frozenset[SignVector]:
-        """Minimal-support sign vectors of im W^T."""
-        return frozenset(cocircuits_from_chirotope(self.chirotope))
+    def cocircuit_masks(self) -> frozenset[int]:
+        """Minimal-support sign vectors of im W^T, packed."""
+        return frozenset(_cocircuit_masks(self.chirotope))
 
     @cached_property
-    def circuits(self) -> frozenset[SignVector]:
-        """Minimal-support sign vectors of ker W, by Cramer's rule: for sorted
-        J = (j_0..j_d) the vector with entry (-1)^k chi(J minus j_k) at j_k
-        spans the kernel of W_J when it is nonzero, and it is zero when W_J
+    def circuit_masks(self) -> frozenset[int]:
+        """Minimal-support sign vectors of ker W, packed, by Cramer's rule: for
+        sorted J = (j_0..j_d) the vector with entry (-1)^k chi(J minus j_k) at
+        j_k spans the kernel of W_J when it is nonzero, and it is zero when W_J
         has rank below d. Every circuit lies in some J of rank d."""
         chi = self.chirotope
         signs, n = chi._signs, chi.n
-        out: set[SignVector] = set()
+        out: set[int] = set()
         for J in combinations(range(n), chi.d + 1):
             plus = minus = 0
             for k, j in enumerate(J):
@@ -184,9 +199,19 @@ class OrientedMatroid:
                 elif s < 0:
                     minus |= 1 << j
             if plus | minus:
-                out.add(SignVector(n, plus, minus))
-                out.add(SignVector(n, minus, plus))
+                out.add(plus | minus << n)
+                out.add(minus | plus << n)
         return frozenset(out)
+
+    @property
+    def cocircuits(self) -> frozenset[SignVector]:
+        """Minimal-support sign vectors of im W^T."""
+        return self._unpacked(self.cocircuit_masks)
+
+    @property
+    def circuits(self) -> frozenset[SignVector]:
+        """Minimal-support sign vectors of ker W."""
+        return self._unpacked(self.circuit_masks)
 
     def check_cap(self, what: str, cap: int):
         """Raise EnumerationCap when the configuration has more than cap columns."""
@@ -194,33 +219,47 @@ class OrientedMatroid:
             raise EnumerationCap(f"{what} enumeration capped at n <= {cap}, got n = {self.W.cols}")
 
     @cached_property
-    def _covectors(self) -> frozenset[SignVector]:
-        return frozenset(composition_closure(self.cocircuits, self.W.cols))
+    def _covector_masks(self) -> frozenset[int]:
+        return composition_closure(self.cocircuit_masks, self.W.cols)
 
     @cached_property
-    def _vectors(self) -> frozenset[SignVector]:
-        return frozenset(composition_closure(self.circuits, self.W.cols))
+    def _vector_masks(self) -> frozenset[int]:
+        return composition_closure(self.circuit_masks, self.W.cols)
 
     @cached_property
-    def _nonneg_covectors(self) -> frozenset[SignVector]:
-        # a covector is the composition of the cocircuits conformal to it
-        return frozenset(composition_closure(nonneg_part(self.cocircuits), self.W.cols))
+    def _nonneg_covector_masks(self) -> frozenset[int]:
+        # a covector is the composition of the cocircuits conformal to it;
+        # a nonnegative packed int has no bits above n
+        n = self.W.cols
+        return composition_closure({c for c in self.cocircuit_masks if not c >> n}, n)
+
+    def covector_masks(self, cap: int = 12) -> frozenset[int]:
+        """covectors(cap), packed."""
+        self.check_cap("covector", cap)
+        return self._covector_masks
+
+    def vector_masks(self, cap: int = 12) -> frozenset[int]:
+        """vectors(cap), packed."""
+        self.check_cap("vector", cap)
+        return self._vector_masks
+
+    def nonneg_covector_masks(self, cap: int = 12) -> frozenset[int]:
+        """nonneg_covectors(cap), packed: each is its own positive part."""
+        self.check_cap("covector", cap)
+        return self._nonneg_covector_masks
 
     def covectors(self, cap: int = 12) -> frozenset[SignVector]:
         """All of sign(im W^T): composition closure of the cocircuits."""
-        self.check_cap("covector", cap)
-        return self._covectors
+        return self._unpacked(self.covector_masks(cap))
 
     def vectors(self, cap: int = 12) -> frozenset[SignVector]:
         """All of sign(ker W): composition closure of the circuits."""
-        self.check_cap("vector", cap)
-        return self._vectors
+        return self._unpacked(self.vector_masks(cap))
 
     def nonneg_covectors(self, cap: int = 12) -> frozenset[SignVector]:
         """sign(im W^T) within {0,+}^n: composition closure of the nonnegative
         cocircuits."""
-        self.check_cap("covector", cap)
-        return self._nonneg_covectors
+        return self._unpacked(self.nonneg_covector_masks(cap))
 
     def face_lattice(self, cap: int = 12) -> FaceLattice:
         self.check_cap("covector", cap)
@@ -229,12 +268,13 @@ class OrientedMatroid:
     @cached_property
     def _face_lattice(self) -> FaceLattice:
         W, n = self.W, self.W.cols
-        faces = self._nonneg_covectors
-        full_space = faces == {SignVector.zero(n)}
-        top = SignVector.zero(n)
-        for tau in faces:
-            top = top.compose(tau)
-        lineality_cols = top.zero_set()
+        full = (1 << n) - 1
+        masks = self._nonneg_covector_masks
+        full_space = masks == {0}
+        top = 0
+        for tau in masks:
+            top |= tau
+        lineality_cols = bits(full & ~top)
         if full_space:
             lineality_dim = W.rows
         elif lineality_cols:
@@ -245,35 +285,34 @@ class OrientedMatroid:
         return FaceLattice(
             n=n,
             d=self.M.rows,
-            faces=faces,
+            faces=self._unpacked(masks),
             pointed=(lineality_dim == 0),
             lineality_dim=lineality_dim,
-            robustly_generated=_robustly_generated(W, faces, full_space, zero_columns),
+            robustly_generated=_robustly_generated(W, masks, full_space, zero_columns),
             full_space=full_space,
-            all_plus=(SignVector(n, (1 << n) - 1, 0) in faces),
+            all_plus=full in masks,
             zero_columns=zero_columns,
         )
 
 
 def _robustly_generated(W, faces, full_space, zero_columns) -> bool:
     """Either d = 1, or every extreme ray carries a unique generator and all
-    remaining generators are interior. W has full row rank."""
+    remaining generators are interior. W has full row rank; faces are the
+    packed nonnegative covectors."""
     if W.rows == 1:
         return True
     if full_space:
         return True
     if zero_columns:
         return False
-    n = W.cols
-    nonzero_faces = [t for t in faces if not t.is_zero()]
-    singleton_zero_sets = {t.zero_set()[0] for t in nonzero_faces if len(t.zero_set()) == 1}
-    for i in range(n):
-        if i in singleton_zero_sets:
-            continue  # generator i spans its own extreme-ray face
-        if all(t[i] == 1 for t in nonzero_faces):
-            continue  # generator i is interior
-        return False
-    return True
+    full = (1 << W.cols) - 1
+    nonzero_faces = [t for t in faces if t]
+    # generator i spans its own extreme-ray face when a face is zero at i only
+    extreme = {full & ~t for t in nonzero_faces}
+    interior = full  # generator i is interior when every nonzero face is + at i
+    for t in nonzero_faces:
+        interior &= t
+    return all(1 << i in extreme or interior >> i & 1 for i in range(W.cols))
 
 
 def chirotope(W: RationalMatrix) -> Chirotope:

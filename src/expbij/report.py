@@ -76,8 +76,10 @@ def _verify(report: dict):
     W = RationalMatrix.from_json_dict(m["canonical_coeff"])
     Wt = RationalMatrix.from_json_dict(m["canonical_exponents"])
     conditions = report["conditions"]
-    # both minor tables, computed once and only if a minor certificate needs them
+    # both minor tables and each kernel basis, computed once and only if a
+    # certificate needs them
     minors = cache(lambda: (maximal_minors(W), maximal_minors(Wt)))
+    kernel = cache(kernel_basis)
 
     for key, entry in conditions.items():
         cert = entry.get("certificate")
@@ -129,14 +131,14 @@ def _verify(report: dict):
             _need(sign_of(u) == _sv(cert["dominating_sign_vector"]), "dominating sign mismatch")
             _need(all(u[i] > 0 for i in tau_t.support_set()), "dominating vector not positive on support")
         elif key in ("cc", "cc_prime") and verdict == "fails":
-            _verify_closure_cert(W, Wt, key, cert)
+            _verify_closure_cert(W, Wt, kernel, key, cert)
         elif key == "robust_exponents" and cert is not None:
             if "closure_form" in cert and verdict == "fails":
-                _verify_closure_cert(W, Wt, "cc", cert["closure_form"])
+                _verify_closure_cert(W, Wt, kernel, "cc", cert["closure_form"])
             _verify_strict_minor_cert(minors, verdict, cert["minor_form"])
         elif key == "robust_coefficients" and verdict == "fails":
             if cert.get("reason") == "reversed-closure-fails":
-                _verify_closure_cert(W, Wt, "cc_prime", cert["closure_form"])
+                _verify_closure_cert(W, Wt, kernel, "cc_prime", cert["closure_form"])
             elif cert.get("reason") == "face-sets-differ":
                 faces_w = set(report["cones"]["coeff"]["faces"])
                 faces_wt = set(report["cones"]["exp"]["faces"])
@@ -209,7 +211,7 @@ def _verify_robust_both_cert(minors, verdict, cert):
         _need(pos > 0 > neg, "claimed mixed signs are wrong")
 
 
-def _verify_closure_cert(W, Wt, key, cert):
+def _verify_closure_cert(W, Wt, kernel, key, cert):
     first, second = (W, Wt) if key == "cc" else (Wt, W)
     pi = _sv(cert["excluded_sign_vector"])
     v = vec(cert["kernel_vector"])
@@ -218,7 +220,7 @@ def _verify_closure_cert(W, Wt, key, cert):
     z = vec(cert["orthogonal_witness"])
     _need(any(x != 0 for x in z), "orthogonal witness is zero")
     _need(sign_of(z).leq(pi), "orthogonal witness not conformal to the excluded vector")
-    for b in kernel_basis(second).vectors:
+    for b in kernel(second).vectors:
         _need(dot(z, b) == 0, "orthogonal witness not orthogonal to the kernel")
 
 

@@ -3,11 +3,17 @@
 Sign vectors are stored as two bitmasks (positive positions, negative
 positions), which makes the partial order (0 < -, 0 < +), composition, and
 orthogonality O(1) bit operations. Lengths are capped at 64.
+
+Inside the exact layer a sign vector of length n is one packed int,
+`plus | minus << n`: `x <= y` is `x & ~y == 0`, the support is
+`(x | x >> n) & (2^n - 1)`, and sets of sign vectors are sets of ints.
+`SignVector` objects are built from packed ints only at the API and report
+boundary.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from functools import cache
 
 MAX_LEN = 64
 
@@ -28,6 +34,13 @@ class SignVector:
         self.n = n
         self.plus = plus
         self.minus = minus
+
+    @classmethod
+    def _trusted(cls, n: int, plus: int, minus: int) -> "SignVector":
+        """No validation: for masks that are valid by construction."""
+        t = object.__new__(cls)
+        t.n, t.plus, t.minus = n, plus, minus
+        return t
 
     @classmethod
     def zero(cls, n: int) -> "SignVector":
@@ -84,17 +97,17 @@ class SignVector:
         return self.plus | self.minus
 
     def support_set(self) -> tuple[int, ...]:
-        return _bits(self.support)
+        return bits(self.support)
 
     def plus_set(self) -> tuple[int, ...]:
-        return _bits(self.plus)
+        return bits(self.plus)
 
     def minus_set(self) -> tuple[int, ...]:
-        return _bits(self.minus)
+        return bits(self.minus)
 
     def zero_set(self) -> tuple[int, ...]:
         mask = (1 << self.n) - 1
-        return _bits(mask & ~self.support)
+        return bits(mask & ~self.support)
 
     def is_zero(self) -> bool:
         return self.support == 0
@@ -126,7 +139,8 @@ class SignVector:
         return (pos == 0 and neg == 0) or (pos != 0 and neg != 0)
 
 
-def _bits(mask: int) -> tuple[int, ...]:
+def bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits, in increasing order."""
     out = []
     i = 0
     while mask:
@@ -147,72 +161,86 @@ def sign_of(values) -> SignVector:
     return SignVector.from_components((0 if x == 0 else (1 if x > 0 else -1)) for x in values)
 
 
-def all_sign_vectors(n: int, cap: int = 12):
-    """Iterate all of {-,0,+}^n; refuses to run for n above the cap."""
-    if n > cap:
-        raise EnumerationCap(f"3^{n} enumeration exceeds cap n <= {cap}")
-    for comps in product((-1, 0, 1), repeat=n):
-        yield SignVector.from_components(comps)
+def pack(t: SignVector) -> int:
+    return t.plus | t.minus << t.n
 
 
-def orthogonal_set(members, n: int, cap: int = 12) -> set[SignVector]:
-    """All sign vectors orthogonal to every member (brute force over 3^n)."""
-    members = list(members)
-    return {tau for tau in all_sign_vectors(n, cap)
-            if all(tau.is_orthogonal(rho) for rho in members)}
+def unpack(x: int, n: int) -> SignVector:
+    """The sign vector of a packed int that is valid by construction."""
+    return SignVector._trusted(n, x & ((1 << n) - 1), x >> n)
 
 
-def closure(members) -> set[SignVector]:
-    """All tau with tau <= rho for some member rho (the down-set)."""
-    seen: set[SignVector] = set()
-    ordered = sorted(set(members), key=lambda t: bin(t.support).count("1"), reverse=True)
-    for rho in ordered:
-        if rho in seen:
-            continue  # its down-set was added with an earlier, larger member
-        supp = rho.support_set()
-        for k in range(1 << len(supp)):
-            drop = 0
-            for bit, idx in enumerate(supp):
-                if k >> bit & 1:
-                    drop |= 1 << idx
-            seen.add(SignVector(rho.n, rho.plus & ~drop, rho.minus & ~drop))
-    return seen
+def unpack_all(xs, n: int) -> frozenset[SignVector]:
+    full = (1 << n) - 1
+    trusted = SignVector._trusted
+    return frozenset(trusted(n, x & full, x >> n) for x in xs)
 
 
-def nonneg_part(members) -> set[SignVector]:
-    """Members with no negative component (T_plus = T intersected with {0,+}^n)."""
-    return {t for t in members if t.is_nonneg()}
+@cache
+def str_order(n: int):
+    """Key on packed sign vectors of length n that sorts them as their
+    strings do: position 0 most significant and + < - < 0. Position i is the
+    base-4 digit 2 z_i + m_i (z the zero mask, m the minus mask) at weight
+    4^(n-1-i); the digits are summed a byte of z and m at a time from
+    per-byte tables."""
+    full = (1 << n) - 1
+    tables = []
+    for base in range(0, n, 8):
+        weight = [4 ** (n - 1 - i) if i < n else 0 for i in range(base, base + 8)]
+        table = [0] * 256
+        for b in range(1, 256):
+            low = b & -b
+            table[b] = table[b ^ low] + weight[low.bit_length() - 1]
+        tables.append(table)
+
+    def key(x: int) -> int:
+        m = x >> n
+        z = full & ~(x | m)
+        k = 0
+        for table in tables:
+            k += 2 * table[z & 255] + table[m & 255]
+            z >>= 8
+            m >>= 8
+        return k
+
+    return key
+
+
+def minimal_support_masks(members, n: int) -> set[int]:
+    """Nonzero packed members whose support strictly contains no other
+    nonzero member's support."""
+    full = (1 << n) - 1
+    nonzero = [x for x in members if x]
+    supports = {(x | x >> n) & full for x in nonzero}
+    minimal = {s for s in supports if not any(o != s and o & ~s == 0 for o in supports)}
+    return {x for x in nonzero if (x | x >> n) & full in minimal}
 
 
 def minimal_support_members(members) -> set[SignVector]:
     """Nonzero members whose support strictly contains no other nonzero member's support."""
-    nonzero = [t for t in members if not t.is_zero()]
-    supports = {t.support for t in nonzero}
-    out = set()
-    for t in nonzero:
-        s = t.support
-        if not any(o != s and (o & ~s) == 0 for o in supports):
-            out.add(t)
-    return out
+    members = list(members)
+    if not members:
+        return set()
+    n = members[0].n
+    return {unpack(x, n) for x in minimal_support_masks(map(pack, members), n)}
 
 
-def composition_closure(generators, n: int) -> set[SignVector]:
-    """Smallest composition-closed set containing 0 and the generators.
+def composition_closure(generators, n: int) -> frozenset[int]:
+    """Smallest composition-closed set containing 0 and the generators, all
+    packed ints `plus | minus << n`.
 
     Every element is a finite left-to-right composition of generators, so a
     breadth-first sweep composing frontier elements with generators suffices.
-    The sweep runs on one packed int `plus | minus << n` per sign vector:
-    composing x with g is `x | (g & (z | z << n))` for the zero set z of x.
+    Composing x with g is `x | (g & (z | z << n))` for the zero set z of x.
     That depends only on g's entries on z, so each zero set gets the distinct
     nonzero restrictions of the generators once, and x is composed with those
     only; a full-support element gets none.
     """
     full = (1 << n) - 1
-    gens = set()
-    for g in set(generators):
-        if g.n != n:
-            raise ValueError(f"sign vector length mismatch: {n} vs {g.n}")
-        gens.add(g.plus | g.minus << n)
+    gens = set(generators)
+    for g in gens:
+        if g < 0 or g >> 2 * n or g & g >> n:
+            raise ValueError(f"{g} is not a packed sign vector of length {n}")
     out = {0, *gens}
     restrictions: dict[int, tuple[int, ...]] = {}
     frontier = list(out)
@@ -230,4 +258,4 @@ def composition_closure(generators, n: int) -> set[SignVector]:
                     out.add(c)
                     new.append(c)
         frontier = new
-    return {SignVector(n, x & full, x >> n) for x in out}
+    return frozenset(out)

@@ -49,7 +49,8 @@ from expbij.matroid import (
 )
 from expbij.numeric import NumericMapInstance, evaluate, probe_bijectivity, solve
 from expbij.report import build_report, canonical_json, verify_certificate
-from expbij.signs import SignVector, all_sign_vectors, orthogonal_set, sign_of
+from expbij.signs import SignVector, sign_of
+from sign_oracles import all_sign_vectors, orthogonal_set
 
 M = RationalMatrix
 S = SignVector.from_string

@@ -17,6 +17,7 @@ from expbij.analyzer import (
     Caps,
     DimensionMismatch,
     ExponentialMapSpec,
+    _degeneracy_candidates,
     analyze,
     closure_cc,
     closure_cc_prime,
@@ -34,7 +35,9 @@ from expbij.analyzer import (
 from expbij.linalg import RationalMatrix, kernel_basis, matrix_with_kernel, rank, vec
 from expbij.lp import Rel, feasible, make_system, positive_kernel_vector
 from expbij.matroid import OrientedMatroid
-from expbij.signs import EnumerationCap, SignVector, nonneg_part, sign_of
+from expbij.report import build_report, verify_certificate
+from expbij.signs import EnumerationCap, SignVector, minimal_support_members, pack, sign_of, unpack
+from sign_oracles import closure_excluded, nonneg_part
 
 M = RationalMatrix
 S = SignVector.from_string
@@ -362,6 +365,81 @@ def test_iii_shortcuts_agree_with_exact_search_on_random_corpus():
             exact = condition_iii_exact(spec)
             assert exact.holds, (spec.coeff, spec.exponents, shortcuts, exact)
     assert settled >= 100
+
+
+def _signvector_picks(spec):
+    """The first-match picks of i, iv, cc, cc_prime and the iii candidates,
+    made on SignVector sets in str order."""
+    n = spec.n
+    om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
+    V, T, C = om_w.vectors(), om_wt.vectors(), om_wt.covectors()
+    common = min((t for t in V & C if not t.is_zero()), key=str, default=None)
+    iv = None
+    for tau_t in sorted((t for t in C if t.plus and SignVector(n, t.plus, 0) in V), key=str):
+        rho = min((r for r in V if tau_t.support & ~r.plus == 0), key=str, default=None)
+        if rho is not None:
+            iv = (str(tau_t), str(rho))
+            break
+    facets_w = minimal_support_members(om_w.face_lattice().faces)
+    candidates = sorted((t for t in C if t.plus
+                         and not any(f.support & ~t.support == 0 for f in facets_w)), key=str)
+    return {
+        "i": None if common is None else str(common),
+        "iv": iv,
+        "cc": closure_excluded(V, T),
+        "cc_prime": closure_excluded(T, V),
+        "iii": candidates,
+    }
+
+
+def test_packed_picks_match_signvector_oracle_on_random_corpus():
+    # the packed analyzer's str_order key must pick what key=str picked
+    seen = Counter()
+    for spec in _corpus(200):
+        want = _signvector_picks(spec)
+        i = injectivity_via_signs(spec)
+        assert (i.certificate or {}).get("common_sign_vector") == want["i"]
+        iv = condition_iv(spec).certificate
+        assert (None if iv is None else (iv["exponent_covector"], iv["dominating_sign_vector"])) == want["iv"]
+        for key, cond in (("cc", closure_cc), ("cc_prime", closure_cc_prime)):
+            cert = cond(spec).certificate
+            assert (None if cert is None else cert["excluded_sign_vector"]) == (
+                None if want[key] is None else str(want[key]))
+        om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
+        candidates = _degeneracy_candidates(om_w.nonneg_covector_masks(), om_wt.covector_masks(), spec.n)
+        assert [unpack(t, spec.n) for t in candidates] == want["iii"]
+        seen.update(k for k, v in want.items() if v)
+        seen["iii order"] += len(want["iii"]) > 1
+    # every pick was made on some pair, and some iii candidate lists have an order
+    assert all(seen[k] for k in ("i", "iv", "cc", "cc_prime", "iii", "iii order")), seen
+
+
+def test_realizations_are_solved_once_per_spec(monkeypatch):
+    # the LP systems that i, ii, iv and the closure conditions share are
+    # solved once per analysis, each witness still checks, and the memo
+    # lives on the analysed spec
+    calls = Counter()
+    for name in ("realize_kernel_sign", "realize_sign_vector"):
+        solve = getattr(expbij.analyzer, name)
+
+        def counted(M, tau, solve=solve, name=name):
+            calls[name, M, pack(tau)] += 1
+            return solve(M, tau)
+
+        monkeypatch.setattr(expbij.analyzer, name, counted)
+    # in the last pair ii covers an exponent face by the equal coefficient
+    # face: one sign vector realized on two matrices
+    shared_face = spec_of([[1, 2, 1], [1, 2, -1]], [[-1, 2, 2], [1, 1, -1]])
+    for spec in _corpus(20) + [FACE_GAP, CC_EXAMPLE, NONINJ, EX1, EX2, shared_face]:
+        spec = ExponentialMapSpec(spec.coeff, spec.exponents)
+        calls.clear()
+        rep = analyze(spec)
+        assert calls and max(calls.values()) == 1
+        assert verify_certificate(build_report(rep, {}))
+        assert spec._realizations == {}  # analyze memoizes on its canonical spec
+        calls.clear()
+        assert analyze(spec).to_json_dict()["conditions"] == rep.to_json_dict()["conditions"]
+        assert calls  # a second analysis solves again
 
 
 def test_analyze_builds_each_closure_once(monkeypatch):

@@ -6,7 +6,7 @@ import expbij.cli
 import expbij.report
 from expbij.analyzer import Caps, ExponentialMapSpec, analyze
 from expbij.cli import main
-from expbij.linalg import InternalInconsistency, RationalMatrix, maximal_minors
+from expbij.linalg import InternalInconsistency, RationalMatrix, kernel_basis, maximal_minors
 from expbij.report import build_report, canonical_json, digest_of, verify_certificate
 
 
@@ -265,6 +265,22 @@ def test_verify_certificate_computes_each_minor_table_once(monkeypatch):
                         lambda M: calls.append(M) or maximal_minors(M))
     assert verify_certificate(report)
     assert len(calls) == 2
+
+
+def test_verify_certificate_computes_each_kernel_basis_once(monkeypatch):
+    # four closure certificates (cc, cc_prime and the closure forms of both
+    # robustness conditions) over the report's two matrices
+    spec = ExponentialMapSpec(RationalMatrix([[1, 1, 1]]), RationalMatrix([[1, 1, -1]]))
+    report = json.loads(canonical_json(build_report(analyze(spec), {})))
+    conditions = report["conditions"]
+    assert conditions["cc"]["verdict"] == conditions["cc_prime"]["verdict"] == "fails"
+    assert "closure_form" in conditions["robust_exponents"]["certificate"]
+    assert "closure_form" in conditions["robust_coefficients"]["certificate"]
+    calls = []
+    monkeypatch.setattr(expbij.report, "kernel_basis",
+                        lambda M: calls.append(M) or kernel_basis(M))
+    assert verify_certificate(report)
+    assert len(calls) == 2 and calls[0] != calls[1]
 
 
 def test_internal_inconsistency_exit_three(tmp_path, monkeypatch, capsys):

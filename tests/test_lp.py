@@ -21,7 +21,8 @@ from expbij.lp import (
     realize_sign_vector,
     simplex_max,
 )
-from expbij.signs import SignVector, all_sign_vectors, sign_of
+from expbij.signs import SignVector, sign_of
+from sign_oracles import all_sign_vectors
 
 S = SignVector.from_string
 

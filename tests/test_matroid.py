@@ -18,15 +18,8 @@ from expbij.matroid import (
     minty_alternative,
     vectors,
 )
-from expbij.signs import (
-    EnumerationCap,
-    SignVector,
-    all_sign_vectors,
-    minimal_support_members,
-    nonneg_part,
-    orthogonal_set,
-    sign_of,
-)
+from expbij.signs import EnumerationCap, SignVector, minimal_support_members, pack, sign_of, unpack
+from sign_oracles import all_sign_vectors, nonneg_part, orthogonal_set
 
 S = SignVector.from_string
 M = RationalMatrix
@@ -180,6 +173,51 @@ def test_nonneg_covectors_are_closure_of_nonneg_cocircuits():
     assert kinds == {"lifted", "deficient", "full rank"}
     with pytest.raises(EnumerationCap):
         OrientedMatroid(M([[1, 2, 3]])).nonneg_covectors(cap=2)
+
+
+def test_mask_accessors_are_the_packed_sets():
+    rng = random.Random(16180)
+    for _ in range(40):
+        W = _random_matrix(rng, 7)
+        if rank(W) == 0:
+            continue
+        om = OrientedMatroid(W)
+        n = W.cols
+        for masks, svs in ((om.circuit_masks, om.circuits), (om.cocircuit_masks, om.cocircuits),
+                           (om.vector_masks(), om.vectors()), (om.covector_masks(), om.covectors()),
+                           (om.nonneg_covector_masks(), om.nonneg_covectors())):
+            assert masks == {pack(t) for t in svs}, W
+            assert all(unpack(x, n) == SignVector(n, x & ((1 << n) - 1), x >> n) for x in masks)
+    om = OrientedMatroid(M([[1, 2, 3]]))
+    for accessor, what in ((om.vector_masks, "vector"), (om.covector_masks, "covector"),
+                           (om.nonneg_covector_masks, "covector")):
+        with pytest.raises(EnumerationCap, match=what):
+            accessor(cap=2)
+
+
+def _robustly_generated_oracle(W, fl) -> bool:
+    """d = 1, or every generator spans its own extreme-ray face (a face zero
+    at it only) or is + on every nonzero face, on SignVector faces."""
+    if rank(W) == 1 or fl.full_space:
+        return True
+    if fl.zero_columns:
+        return False
+    nonzero = [t for t in fl.faces if not t.is_zero()]
+    return all(any(t.zero_set() == (i,) for t in nonzero) or all(t[i] == 1 for t in nonzero)
+               for i in range(W.cols))
+
+
+def test_robustly_generated_matches_signvector_oracle():
+    rng = random.Random(4242)
+    seen = set()
+    for _ in range(150):
+        W = _random_matrix(rng, 6)
+        if rank(W) == 0:
+            continue
+        fl = face_lattice(W)
+        assert fl.robustly_generated == _robustly_generated_oracle(W, fl), W
+        seen.add(fl.robustly_generated)
+    assert seen == {True, False}
 
 
 def test_chirotope_examples():

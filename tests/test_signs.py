@@ -7,16 +7,31 @@ import pytest
 from expbij.signs import (
     EnumerationCap,
     SignVector,
-    all_sign_vectors,
-    closure,
     composition_closure,
     minimal_support_members,
-    nonneg_part,
-    orthogonal_set,
+    pack,
     sign_of,
+    str_order,
+    unpack_all,
 )
+from sign_oracles import all_sign_vectors, closure, nonneg_part, orthogonal_set
 
 S = SignVector.from_string
+
+
+def test_str_order_matches_string_order():
+    for n in range(1, 7):
+        everything = list(all_sign_vectors(n))
+        key = str_order(n)
+        assert sorted(everything, key=lambda t: key(pack(t))) == sorted(everything, key=str)
+        assert len({key(pack(t)) for t in everything}) == 3 ** n
+    # lengths past one byte of positions, sampled
+    rng = random.Random(8)
+    for n in (9, 16, 17, 64):
+        sample = [SignVector.from_components(rng.choice((-1, 0, 1)) for _ in range(n)) for _ in range(300)]
+        sample += [SignVector(n, t.plus & 1, t.minus & ~1) for t in sample]  # long shared prefixes
+        key = str_order(n)
+        assert sorted(sample, key=lambda t: key(pack(t))) == sorted(sample, key=str)
 
 
 def test_sign_of():
@@ -126,9 +141,14 @@ def test_subspace_orthogonal_complement_identity():
     assert orthogonal_set(covectors, 3) == vectors
 
 
+def _closure(generators, n):
+    """composition_closure on sign vectors, packed and unpacked at the boundary."""
+    return unpack_all(composition_closure({pack(g) for g in generators}, n), n)
+
+
 def test_composition_closure_generators():
     gens = {S("+0+"), S("-0-"), S("0++"), S("0--"), S("+-0"), S("-+0")}
-    closed = composition_closure(gens, 3)
+    closed = _closure(gens, 3)
     # sign vectors of ker(1,1,-1): 12 nonzero + 0
     expected = set()
     for a, b in product(range(-3, 4), repeat=2):
@@ -177,11 +197,13 @@ def test_composition_closure_matches_signvector_oracle():
             continue
         om = OrientedMatroid(RationalMatrix(rows))
         for gens in (om.circuits, om.cocircuits):
-            assert composition_closure(gens, n) == _signvector_closure(gens, n)
+            assert _closure(gens, n) == _signvector_closure(gens, n)
     assert kinds == {"dependent", "zero column"}
-    assert composition_closure(set(), 2) == _signvector_closure(set(), 2) == {S("00")}
-    with pytest.raises(ValueError):
-        composition_closure({S("+0")}, 3)
+    assert _closure(set(), 2) == _signvector_closure(set(), 2) == {S("00")}
+    # a generator must be a packed sign vector of the given length
+    for bad in (pack(S("+00+")), 1 << 6, -1):
+        with pytest.raises(ValueError):
+            composition_closure({bad}, 3)
 
 
 def _packed_bfs_closure(generators, n):
@@ -231,11 +253,11 @@ def test_composition_closure_matches_packed_bfs_oracle():
             kinds.add("n = 9")
         om = OrientedMatroid(W)
         for gens in (om.circuits, om.cocircuits):
-            assert composition_closure(gens, n) == _packed_bfs_closure(gens, n)
+            assert _closure(gens, n) == _packed_bfs_closure(gens, n)
     assert kinds == {"dependent", "zero column", "n = 9"}
     # arbitrary generator sets: the sweep assumes nothing about them
     for _ in range(300):
         n = rng.randint(1, 7)
         gens = [SignVector.from_components(rng.choice((-1, 0, 0, 1)) for _ in range(n))
                 for _ in range(rng.randint(0, 6))]
-        assert composition_closure(gens, n) == _packed_bfs_closure(gens, n), gens
+        assert _closure(gens, n) == _packed_bfs_closure(gens, n), gens
