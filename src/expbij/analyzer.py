@@ -38,7 +38,7 @@ from .linalg import (
 )
 from .lp import Rel, feasible, make_system, positive_kernel_vector, realize_kernel_sign, realize_sign_vector
 from .matroid import FaceLattice, OrientedMatroid, is_interior_point, orthogonal_witness
-from .signs import EnumerationCap, SignVector, bits, minimal_support_masks, sign_of, str_order, unpack
+from .signs import EnumerationCap, SignVector, bits, sign_of, str_order, unpack
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -62,10 +62,15 @@ class Caps:
 
     @classmethod
     def from_json_dict(cls, obj) -> "Caps":
+        if not isinstance(obj, dict):
+            raise InputError("caps JSON must be an object")
         known = {f: obj[f] for f in ("max_n_enumeration", "max_partition_pairs", "max_blocks") if f in obj}
         unknown = set(obj) - set(known)
         if unknown:
             raise InputError(f"unknown caps fields: {sorted(unknown)}")
+        for f, value in known.items():
+            if type(value) is not int or value < 0:  # bool is an int subclass
+                raise InputError(f"caps field {f} must be a non-negative integer, got {value!r}")
         return cls(**known)
 
     def to_json_dict(self) -> dict:
@@ -266,25 +271,25 @@ def injectivity_via_minors(spec: ExponentialMapSpec) -> ConditionResult:
 # bijectivity conditions (ii), (iii), (iv)
 
 
-def condition_ii(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
+def condition_ii(spec: ExponentialMapSpec) -> ConditionResult:
     """Every proper face of the exponent cone is covered by a proper face of
-    the coefficient cone (on index sets: nonneg covector below it)."""
+    the coefficient cone (on index sets: nonneg covector below it).
+
+    It suffices to cover the facets of cone(Wt), its nonnegative cocircuits.
+    The nonnegative covectors of W below a facet are closed under composition,
+    so the largest of them, which is also the first in string order, is the OR
+    of W's nonnegative cocircuits below it. Nothing is enumerated, so no cap
+    applies and none is taken."""
     tag = "surjectivity-face-cover"
     spec.require_square()
-    n, cap = spec.n, caps.max_n_enumeration
-    try:
-        # nonnegative covectors are packed as their positive parts
-        faces_w = spec._om(spec.coeff).nonneg_covector_masks(cap)
-        minimal_exp = minimal_support_masks(spec._om(spec.exponents).nonneg_covector_masks(cap), n)
-    except EnumerationCap as e:
-        return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
-    order = str_order(n)
-    nonzero_w = sorted((t for t in faces_w if t), key=order)
+    n = spec.n
+    # nonnegative cocircuits are packed as their positive parts
+    facets_w = spec._om(spec.coeff).nonneg_cocircuit_masks
     coverings = []
-    for tau_t in sorted(minimal_exp, key=order):
-        tau = next((t for t in nonzero_w if t & ~tau_t == 0), None)
+    for tau_t in sorted(spec._om(spec.exponents).nonneg_cocircuit_masks, key=str_order(n)):
+        tau = reduce(or_, (t for t in facets_w if t & ~tau_t == 0), 0)
         face = str(unpack(tau_t, n))
-        if tau is None:
+        if not tau:
             evidence = _kernel_point_positive_on(spec.coeff, bits(tau_t))
             check(evidence is not None, "uncovered face without interior evidence")
             x_t = spec._realize(realize_sign_vector, spec.exponents, tau_t)
@@ -353,15 +358,15 @@ def _ordered_partitions(elements: tuple[int, ...], admissible):
             yield (block,) + tail
 
 
-def _degeneracy_candidates(faces_w: frozenset[int], covs_exp: frozenset[int], n: int) -> list[int]:
+def _degeneracy_candidates(facets_w: frozenset[int], covs_exp: frozenset[int], n: int) -> list[int]:
     """Covectors of Wt with a positive component whose support contains the
-    support of no proper face of cone(W), in string order. The nonnegative
-    covectors faces_w of W are packed as their supports."""
-    min_faces_w = minimal_support_masks(faces_w, n)
+    support of no nonzero nonnegative covector of W, in string order. Each of
+    those is composed of nonnegative cocircuits, so testing W's nonnegative
+    cocircuits facets_w (packed as their supports) suffices."""
     full = (1 << n) - 1
 
     def has_covering_face(support: int) -> bool:
-        return any(t & ~support == 0 for t in min_faces_w)
+        return any(t & ~support == 0 for t in facets_w)
 
     return sorted((t for t in covs_exp if t & full and not has_covering_face((t | t >> n) & full)),
                   key=str_order(n))
@@ -378,18 +383,19 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
     tag = "properness-nondegeneracy"
     spec.require_square()
     n, cap = spec.n, caps.max_n_enumeration
-    full = (1 << n) - 1
+    facets_w = spec._om(spec.coeff).nonneg_cocircuit_masks
+    if reduce(or_, facets_w, 0) == (1 << n) - 1:
+        # an all-plus coefficient covector: pointed coefficient cone with no
+        # zero column, so no positive dependence at all
+        return ConditionResult(HOLDS, tag, detail="all-plus coefficient covector")
     try:
-        faces_w = spec._om(spec.coeff).nonneg_covector_masks(cap)
-        if full in faces_w:
-            # pointed coefficient cone with no zero column: no positive dependence at all
-            return ConditionResult(HOLDS, tag, detail="all-plus coefficient covector")
-        candidates = _degeneracy_candidates(faces_w, spec._om(spec.exponents).covector_masks(cap), n)
+        candidates = _degeneracy_candidates(facets_w, spec._om(spec.exponents).covector_masks(cap), n)
         dependent = _positively_dependent(spec, cap)
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
 
     pairs_tried = 0
+    infeasible: set[frozenset] = set()  # systems this search already found empty
     for idx, packed in enumerate(candidates):
         tau_t = unpack(packed, n)
         plus = tau_t.plus_set()
@@ -416,8 +422,14 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
             for ra, rb in zip(reps, reps[1:]):
                 rows.append((vec_sub(spec.exponents.column(ra), spec.exponents.column(rb)), Rel.GT))
             rows.append((spec.exponents.column(reps[-1]), Rel.GT))
+            # partitions can repeat a system when columns or their differences
+            # coincide; feasibility does not depend on the order of the rows
+            key = frozenset(rows)
+            if key in infeasible:
+                continue
             wit = feasible(make_system(spec.d_tilde, rows))
             if wit is None:
+                infeasible.add(key)
                 continue
             x = wit.point
             z = spec.exponents.transpose_vec(x)
@@ -652,20 +664,16 @@ def robust_both(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResul
 
 
 def _cross_check_robust_both(spec, caps, minor_verdict):
-    """The strict minor form must match: equal kernel sign sets plus every
-    minimal-support covector having exactly d-1 zeros."""
+    """The strict minor form must match: equal kernel sign sets, compared as
+    closures so that the check does not reduce to the minor form, plus a
+    uniform matroid of W, i.e. every cocircuit having exactly d-1 zeros."""
     om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
-    n, cap = spec.n, caps.max_n_enumeration
+    cap = caps.max_n_enumeration
     try:
         sign_equal = om_w.vector_masks(cap) == om_wt.vector_masks(cap)
-        covs = om_w.covector_masks(cap)
     except EnumerationCap:
         return
-    full = (1 << n) - 1
-    minimal = minimal_support_masks(covs, n)
-    # nonzero covectors with exactly d - 1 zeros
-    uniform = {t for t in covs if t and bin(full & ~(t | t >> n)).count("1") == spec.d - 1}
-    sign_verdict = HOLDS if (sign_equal and minimal == uniform) else FAILS
+    sign_verdict = HOLDS if (sign_equal and om_w.uniform) else FAILS
     check(sign_verdict == minor_verdict, "strict minor form disagrees with its sign-vector form")
 
 
@@ -699,7 +707,7 @@ class RayLimit:
     interior: bool | None = None
 
 
-def ray_limit(spec: ExponentialMapSpec, c: Vec, x: Vec, caps: Caps = Caps()) -> RayLimit:
+def ray_limit(spec: ExponentialMapSpec, c: Vec, x: Vec) -> RayLimit:
     """Behaviour of t -> F_c(x t) as t grows: escape to infinity or a limit in
     the closed coefficient cone."""
     c = vec(c)
@@ -738,7 +746,7 @@ def ray_limit(spec: ExponentialMapSpec, c: Vec, x: Vec, caps: Caps = Caps()) -> 
         y = [a + c[i] * b for a, b in zip(y, col)]
     y = tuple(y)
     return RayLimit(False, partition, limit=y,
-                    interior=is_interior_point(spec.coeff, y, caps.max_n_enumeration))
+                    interior=is_interior_point(spec.coeff, y))
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +763,7 @@ class AnalysisReport:
     conditions: dict[str, ConditionResult]
     classification: str
     cones: dict[str, FaceLattice | None]
-    sign_sets_equal: bool | None
+    sign_sets_equal: bool
     caps: Caps
     runtimes_ms: dict[str, float] = field(default_factory=dict)
 
@@ -806,13 +814,8 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
         runtimes[key] = round((time.perf_counter() - t0) * 1000, 3)
         return conditions[key]
 
-    t0 = time.perf_counter()
-    sign_sets_equal: bool | None
-    try:
-        sign_sets_equal = om_w.vector_masks(cap) == om_wt.vector_masks(cap)
-    except EnumerationCap:
-        sign_sets_equal = None
-    runtimes["sign_sets"] = round((time.perf_counter() - t0) * 1000, 3)
+    # sign(ker W) = sign(ker Wt) iff the chirotopes agree up to a global sign
+    sign_sets_equal = om_w.chirotope.equal_up_to_sign(om_wt.chirotope)
 
     cond_i = run("i", injectivity_via_signs, spec_c, caps)
     minors = run("injectivity_minors", injectivity_via_minors, spec_c)
@@ -823,7 +826,7 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
                                  detail="sign form capped; verdict from the minor form")
         conditions["i"] = cond_i
 
-    run("ii", condition_ii, spec_c, caps)
+    run("ii", condition_ii, spec_c)
     cond_iv = run("iv", condition_iv, spec_c, caps)
     newton = run("newton", newton_polytope_sufficient, spec_c, caps)
     cc = run("cc", closure_cc, spec_c, caps)
@@ -901,7 +904,7 @@ def _assert_implications(conditions, cones, sign_sets_equal, classification):
             "cc_prime holds but i, iv or iii does not")
     implies(v("iv") == HOLDS, v("iii") == HOLDS, "iv holds but iii does not")
     implies(v("newton") == HOLDS, v("iii") == HOLDS, "newton holds but iii does not")
-    implies(bool(sign_sets_equal), classification == CLASS_BIJECTIVE,
+    implies(sign_sets_equal, classification == CLASS_BIJECTIVE,
             "equal kernel sign sets but not bijective")
     cw, ce = cones.get("coeff"), cones.get("exp")
     if cw is not None and ce is not None:

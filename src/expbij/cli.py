@@ -45,6 +45,22 @@ def _load_matrix(path: str) -> RationalMatrix:
     return RationalMatrix.from_json_dict(_load_json(path))
 
 
+def _load_vector(path: str, length: int, what: str, positive: bool = False) -> list:
+    """A JSON array of `length` numbers that fit a double (not NaN, not
+    infinite); booleans are not numbers."""
+    v = _load_json(path)
+    if not isinstance(v, list):
+        raise InputError(f"{what} vector must be a JSON array of numbers")
+    if len(v) != length:
+        raise InputError(f"{what} vector must have length {length}")
+    for x in v:
+        if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
+            raise InputError(f"{what} vector entries must be finite JSON numbers, got {x!r}")
+        if positive and x <= 0:
+            raise InputError(f"{what} vector entries must be strictly positive, got {x!r}")
+    return v
+
+
 def _load_caps(path: str | None) -> Caps:
     return Caps.from_json_dict(_load_json(path)) if path else Caps()
 
@@ -136,13 +152,9 @@ def _cmd_crn(args) -> int:
 
 def _cmd_solve(args) -> int:
     spec = ExponentialMapSpec(_load_matrix(args.coeff), _load_matrix(args.exp))
-    c = _load_json(args.c)
-    y = _load_json(args.y)
-    if not isinstance(c, list) or not isinstance(y, list):
-        raise InputError("parameter and target vectors must be JSON arrays of numbers")
+    c = _load_vector(args.c, spec.n, "parameter", positive=True)
+    y = _load_vector(args.y, spec.d, "target")
     instance = NumericMapInstance.from_spec(spec, c)
-    if len(y) != spec.d:
-        raise InputError(f"target vector must have length {spec.d}")
     if args.starts > 1:
         solutions = multi_start_solve(instance, y, starts=args.starts, seed=args.seed)
         result = {

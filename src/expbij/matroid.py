@@ -7,10 +7,11 @@ vector and covector sets are the composition closures of the circuits and
 cocircuits. The face lattice of the cone spanned by the columns is the
 nonnegative part of the covectors, which is the closure of the nonnegative
 cocircuits alone, since every covector is the composition of the cocircuits
-conformal to it. `OrientedMatroid` holds these for one
-matrix and computes each at most once. Conformal decomposition, interior
-membership, and the two-branch alternative for sign vectors against a
-subspace also live here.
+conformal to it. The facets of that cone are the nonnegative cocircuits, and
+two configurations have equal vector sets iff their chirotopes agree up to
+sign, so neither needs a closure. `OrientedMatroid` holds these for one matrix and computes each at
+most once. Conformal decomposition, interior membership, and the two-branch
+alternative for sign vectors against a subspace also live here.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .signs import (
     SignVector,
     bits,
     composition_closure,
-    minimal_support_members,
     sign_of,
     unpack_all,
 )
@@ -93,6 +93,10 @@ class Chirotope:
         return (isinstance(other, Chirotope)
                 and (self.d, self.n, self._signs) == (other.d, other.n, other._signs))
 
+    def equal_up_to_sign(self, other: "Chirotope") -> bool:
+        """chi = +-other: the two configurations have the same vectors."""
+        return self._signs in (other._signs, {I: -s for I, s in other._signs.items()})
+
 
 def cocircuits_from_chirotope(chi: Chirotope) -> set[SignVector]:
     """The nonzero sign vectors j -> chi(I + j) over sorted (d-1)-tuples I, and
@@ -140,9 +144,6 @@ class FaceLattice:
     all_plus: bool
     zero_columns: tuple[int, ...]
 
-    def facet_covectors(self) -> set[SignVector]:
-        return minimal_support_members(self.faces)
-
 
 class OrientedMatroid:
     """Oriented-matroid data of the columns of M, filled lazily.
@@ -178,6 +179,21 @@ class OrientedMatroid:
     def cocircuit_masks(self) -> frozenset[int]:
         """Minimal-support sign vectors of im W^T, packed."""
         return frozenset(_cocircuit_masks(self.chirotope))
+
+    @cached_property
+    def nonneg_cocircuit_masks(self) -> frozenset[int]:
+        """The cocircuits in {0,+}^n, packed (a nonnegative packed int has no
+        bits above n): the minimal nonzero nonnegative covectors, i.e. the
+        facets of cone(columns)."""
+        n = self.W.cols
+        return frozenset(c for c in self.cocircuit_masks if not c >> n)
+
+    @cached_property
+    def uniform(self) -> bool:
+        """Every d-subset of columns is a basis: every cocircuit has exactly
+        d-1 zeros, since a dependent d-subset lies in some cocircuit's zeros."""
+        n, full = self.W.cols, (1 << self.W.cols) - 1
+        return all(bin(full & ~(c | c >> n)).count("1") == self.W.rows - 1 for c in self.cocircuit_masks)
 
     @cached_property
     def circuit_masks(self) -> frozenset[int]:
@@ -228,10 +244,8 @@ class OrientedMatroid:
 
     @cached_property
     def _nonneg_covector_masks(self) -> frozenset[int]:
-        # a covector is the composition of the cocircuits conformal to it;
-        # a nonnegative packed int has no bits above n
-        n = self.W.cols
-        return composition_closure({c for c in self.cocircuit_masks if not c >> n}, n)
+        # a covector is the composition of the cocircuits conformal to it
+        return composition_closure(self.nonneg_cocircuit_masks, self.W.cols)
 
     def covector_masks(self, cap: int = 12) -> frozenset[int]:
         """covectors(cap), packed."""
@@ -461,13 +475,12 @@ def _nonzero_conformal_point(span_vectors, sigma):
     return tuple(dot(wit.point, col) for col in zip(*span_vectors))
 
 
-def is_interior_point(W: RationalMatrix, y: Vec, cap: int = 12) -> bool:
+def is_interior_point(W: RationalMatrix, y: Vec) -> bool:
     """y in the interior of cone(columns of W): strictly positive at every
-    facet's supporting functional."""
+    facet's supporting functional. The facets are the nonnegative cocircuits."""
     if len(y) != W.rows:
         raise InputError("point dimension differs from the cone's ambient dimension")
-    facets = minimal_support_members(OrientedMatroid(W).nonneg_covectors(cap))
-    for tau in facets:
+    for tau in unpack_all(OrientedMatroid(W).nonneg_cocircuit_masks, W.cols):
         x = realize_sign_vector(W, tau)
         check(x is not None, f"face covector {tau} without a supporting functional")
         if dot(x, y) <= 0:

@@ -206,23 +206,12 @@ def str_order(n: int):
     return key
 
 
-def minimal_support_masks(members, n: int) -> set[int]:
-    """Nonzero packed members whose support strictly contains no other
-    nonzero member's support."""
-    full = (1 << n) - 1
-    nonzero = [x for x in members if x]
-    supports = {(x | x >> n) & full for x in nonzero}
-    minimal = {s for s in supports if not any(o != s and o & ~s == 0 for o in supports)}
-    return {x for x in nonzero if (x | x >> n) & full in minimal}
-
-
 def minimal_support_members(members) -> set[SignVector]:
     """Nonzero members whose support strictly contains no other nonzero member's support."""
-    members = list(members)
-    if not members:
-        return set()
-    n = members[0].n
-    return {unpack(x, n) for x in minimal_support_masks(map(pack, members), n)}
+    nonzero = [t for t in members if t.support]
+    supports = {t.support for t in nonzero}
+    minimal = {s for s in supports if not any(o != s and o & ~s == 0 for o in supports)}
+    return {t for t in nonzero if t.support in minimal}
 
 
 def composition_closure(generators, n: int) -> frozenset[int]:

@@ -12,12 +12,19 @@ import pytest
 import expbij
 from expbij.analyzer import (
     CLASS_BIJECTIVE,
+    CLASS_INCONCLUSIVE,
     CLASS_INJECTIVE,
     CLASS_NOT_INJECTIVE,
+    FAILS,
+    HOLDS,
+    INCONCLUSIVE,
     Caps,
+    ConditionResult,
     DimensionMismatch,
     ExponentialMapSpec,
     _degeneracy_candidates,
+    _jvec,
+    _kernel_point_positive_on,
     analyze,
     closure_cc,
     closure_cc_prime,
@@ -33,7 +40,7 @@ from expbij.analyzer import (
     robust_exponents,
 )
 from expbij.linalg import RationalMatrix, kernel_basis, matrix_with_kernel, rank, vec
-from expbij.lp import Rel, feasible, make_system, positive_kernel_vector
+from expbij.lp import Rel, feasible, make_system, positive_kernel_vector, realize_sign_vector
 from expbij.matroid import OrientedMatroid
 from expbij.report import build_report, verify_certificate
 from expbij.signs import EnumerationCap, SignVector, minimal_support_members, pack, sign_of, unpack
@@ -406,12 +413,132 @@ def test_packed_picks_match_signvector_oracle_on_random_corpus():
             assert (None if cert is None else cert["excluded_sign_vector"]) == (
                 None if want[key] is None else str(want[key]))
         om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
-        candidates = _degeneracy_candidates(om_w.nonneg_covector_masks(), om_wt.covector_masks(), spec.n)
+        candidates = _degeneracy_candidates(om_w.nonneg_cocircuit_masks, om_wt.covector_masks(), spec.n)
         assert [unpack(t, spec.n) for t in candidates] == want["iii"]
         seen.update(k for k, v in want.items() if v)
         seen["iii order"] += len(want["iii"]) > 1
     # every pick was made on some pair, and some iii candidate lists have an order
     assert all(seen[k] for k in ("i", "iv", "cc", "cc_prime", "iii", "iii order")), seen
+
+
+def _zero_heavy_corpus(count):
+    rng = random.Random(60221)
+    specs = []
+    for _ in range(count):
+        d = rng.randint(1, 4)
+        n = rng.randint(d, d + 4)
+        specs.append(ExponentialMapSpec(_random_full_rank(rng, d, n, 0.45),
+                                        _random_full_rank(rng, d, n, 0.45)))
+    return specs
+
+
+def _closure_condition_ii(spec):
+    """condition_ii built from the closures: the facets of cone(Wt) are its
+    minimal nonnegative covectors, and each is covered by the first nonzero
+    nonnegative covector of W below it in string order."""
+    tag = "surjectivity-face-cover"
+    faces_w = spec._om(spec.coeff).nonneg_covectors()
+    facets_exp = minimal_support_members(spec._om(spec.exponents).nonneg_covectors())
+    nonzero_w = sorted((t for t in faces_w if t.support), key=str)
+    coverings = []
+    for tau_t in sorted(facets_exp, key=str):
+        tau = next((t for t in nonzero_w if t.leq(tau_t)), None)
+        if tau is None:
+            return ConditionResult(FAILS, tag, certificate={
+                "uncovered_face": str(tau_t),
+                "exponent_functional": _jvec(realize_sign_vector(spec.exponents, tau_t)),
+                "kernel_interior_evidence": _jvec(_kernel_point_positive_on(spec.coeff,
+                                                                            tau_t.support_set())),
+            })
+        coverings.append({
+            "exponent_face": str(tau_t),
+            "coeff_face": str(tau),
+            "coeff_functional": _jvec(realize_sign_vector(spec.coeff, tau)),
+            "exponent_functional": _jvec(realize_sign_vector(spec.exponents, tau_t)),
+        })
+    return ConditionResult(HOLDS, tag, certificate={"coverings": coverings} if coverings else None)
+
+
+def test_condition_ii_matches_closure_oracle():
+    # ii reads facets and covering faces off the nonnegative cocircuits
+    seen = Counter()
+    for spec in _corpus(200) + _zero_heavy_corpus(100) + [EX1, EX2, FACE_GAP, CC_EXAMPLE]:
+        res = condition_ii(spec)
+        assert res == _closure_condition_ii(spec), (spec.coeff, spec.exponents)
+        seen[res.verdict] += 1
+        coverings = (res.certificate or {}).get("coverings", [])
+        seen["larger cover"] += any(c["coeff_face"] != c["exponent_face"] for c in coverings)
+        seen["smaller cover"] += any(c["coeff_face"].count("+") < c["exponent_face"].count("+")
+                                     for c in coverings)
+    assert all(seen[k] for k in (HOLDS, FAILS, "larger cover", "smaller cover")), seen
+
+
+def test_chirotopes_decide_sign_set_equality():
+    # analyze reads sign(ker W) = sign(ker Wt) off the chirotopes; the vector
+    # closures it no longer builds must agree, including after row changes
+    # that flip the chirotope's sign
+    rng = random.Random(1618)
+    specs = _corpus(200)
+    for spec in specs[:60]:
+        scaled = M([[rng.choice((-3, -1, Fraction(1, 2), 2)) * x for x in row]
+                    for row in spec.coeff.row_tuples])
+        specs.append(ExponentialMapSpec(spec.coeff, spec.coeff))
+        specs.append(ExponentialMapSpec(spec.coeff, scaled))
+    seen = Counter()
+    for spec in specs:
+        om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
+        equal = om_w.vectors() == om_wt.vectors()
+        assert om_w.chirotope.equal_up_to_sign(om_wt.chirotope) == equal, (spec.coeff, spec.exponents)
+        assert om_wt.chirotope.equal_up_to_sign(om_w.chirotope) == equal
+        seen[equal] += 1
+        seen["flipped"] += equal and om_w.chirotope != om_wt.chirotope
+        seen["other kernel"] += equal and spec.canonical().coeff != spec.canonical().exponents
+    assert all(seen[k] for k in (True, False, "flipped", "other kernel")), seen
+    for spec in specs[:40] + specs[200:240]:
+        assert analyze(spec).sign_sets_equal == (
+            spec._om(spec.coeff).vectors() == spec._om(spec.exponents).vectors())
+
+
+def test_verdicts_decided_under_caps_match_uncapped():
+    # ii, iii's all-plus test and sign_sets_equal enumerate nothing, so a cap
+    # no longer leaves them undecided; whatever is decided must be right
+    seen = Counter()
+    for spec in _corpus(100) + _zero_heavy_corpus(40):
+        full = analyze(spec)
+        capped = analyze(spec, Caps(max_n_enumeration=spec.n - 1))
+        assert verify_certificate(build_report(capped, {}))
+        assert capped.sign_sets_equal == full.sign_sets_equal
+        assert capped.conditions["ii"] == full.conditions["ii"]
+        for key, res in capped.conditions.items():
+            if res.verdict != INCONCLUSIVE:
+                assert res.verdict == full.conditions[key].verdict, (key, spec.coeff, spec.exponents)
+            seen[key, res.verdict] += 1
+        if capped.classification != CLASS_INCONCLUSIVE:
+            assert capped.classification == full.classification
+        seen[capped.classification] += 1
+    assert seen[CLASS_INCONCLUSIVE] and seen[CLASS_BIJECTIVE] and seen[CLASS_INJECTIVE], seen
+    assert seen["iii", INCONCLUSIVE] and seen["iii", HOLDS], seen
+
+
+def test_iii_search_solves_no_system_twice(monkeypatch):
+    # only infeasible systems can repeat (a feasible one ends the search);
+    # a repeat is skipped but still counted as a partition tried
+    keys = Counter()
+
+    def counted(system):
+        keys[frozenset(zip(system.forms, system.rels))] += 1
+        return feasible(system)
+
+    monkeypatch.setattr(expbij.analyzer, "feasible", counted)
+    skipped = 0
+    for spec in _corpus(200) + [sv_example(a) for a in (-1, Fraction(1, 2), 1, 2, 3)]:
+        keys.clear()
+        res = condition_iii_exact(spec)
+        assert max(keys.values(), default=1) == 1, (spec.coeff, spec.exponents)
+        if res.detail and "ordered partitions tried" in res.detail:
+            tried = int(res.detail.split(" ordered")[0].split()[-1])
+            skipped += tried - (len(keys) - res.fails)  # a failure adds one evidence LP
+    assert skipped > 0
 
 
 def test_realizations_are_solved_once_per_spec(monkeypatch):

@@ -204,7 +204,9 @@ def test_robust_mak_reduces_to_classical():
 def test_capped_mass_action_network_is_inconclusive():
     net = parse_network(AB_REVERSIBLE)
     caps = Caps(max_n_enumeration=1)
-    assert deficiency_zero_gmak(net, caps).verdict == "inconclusive"
+    # equal kernel sign sets are read off the chirotopes, which no cap bounds,
+    # so the unique equilibrium is decided; the robust closure stays capped
+    assert deficiency_zero_gmak(net, caps).verdict == "holds"
     robust = robust_deficiency_zero_gmak(net, caps)
     assert robust.verdict == "inconclusive" and robust.closure.verdict == "inconclusive"
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -173,6 +174,46 @@ def test_nonneg_covectors_are_closure_of_nonneg_cocircuits():
     assert kinds == {"lifted", "deficient", "full rank"}
     with pytest.raises(EnumerationCap):
         OrientedMatroid(M([[1, 2, 3]])).nonneg_covectors(cap=2)
+
+
+def test_nonneg_cocircuits_are_the_minimal_nonneg_covectors():
+    # the facets that ii, iii and is_interior_point read without a closure,
+    # and uniformity read off the cocircuits, against the closures they replace
+    rng = random.Random(27182)
+    kinds = Counter()
+    checked = 0
+    while checked < 300:
+        W = _random_matrix(rng, 7)
+        if rank(W) == 0:
+            continue
+        if checked % 3 == 0:  # the lifted form newton reads
+            W = M([list(r) + [0] for r in W.row_tuples] + [[1] * (W.cols + 1)])
+            kinds["lifted"] += 1
+        kinds["deficient" if rank(W) < W.rows else "full rank"] += 1
+        kinds["zero column"] += any(all(x == 0 for x in W.column(j)) for j in range(W.cols))
+        om = OrientedMatroid(W)
+        facets = {pack(t) for t in minimal_support_members(om.nonneg_covectors())}
+        assert om.nonneg_cocircuit_masks == facets, W
+        kinds["no facet"] += not facets
+        d, n = om.W.rows, W.cols
+        C = om.covectors()
+        with_d_minus_1_zeros = {t for t in C if t.support and n - len(t.support_set()) == d - 1}
+        assert om.uniform == (minimal_support_members(C) == with_d_minus_1_zeros), W
+        assert om.uniform == all(m != 0 for m in om.minors.values()), W
+        kinds["uniform" if om.uniform else "not uniform"] += 1
+        checked += 1
+    assert all(kinds[k] for k in ("lifted", "deficient", "full rank", "zero column", "no facet",
+                                  "uniform", "not uniform")), kinds
+
+
+def test_chirotopes_up_to_sign():
+    chi = chirotope(M([[1, 0, -1], [0, 1, 1]]))
+    assert chi.equal_up_to_sign(chi)
+    assert chi.equal_up_to_sign(chirotope(M([[0, 1, 1], [1, 0, -1]])))  # rows swapped: -chi
+    assert chi.equal_up_to_sign(chirotope(M([[2, 1, -1], [0, 3, 3]])))
+    assert not chi.equal_up_to_sign(chirotope(M([[1, 0, 1], [0, 1, 1]])))
+    assert not chi.equal_up_to_sign(chirotope(M([[1, 0, -1, 0], [0, 1, 1, 0]])))  # another n
+    assert not chi.equal_up_to_sign(chirotope(M([[1, 0, -1]])))  # another d
 
 
 def test_mask_accessors_are_the_packed_sets():
