@@ -36,7 +36,7 @@ from .linalg import (
     vec,
     vec_sub,
 )
-from .lp import Rel, feasible, make_system, positive_kernel_vector, realize_kernel_sign, realize_sign_vector
+from .lp import Rel, feasible, make_system, realize_kernel_sign, realize_sign_vector
 from .matroid import FaceLattice, OrientedMatroid, is_interior_point, orthogonal_witness
 from .signs import EnumerationCap, SignVector, bits, sign_of, str_order, unpack
 
@@ -132,15 +132,19 @@ class ExponentialMapSpec:
 
     def _om(self, M: RationalMatrix) -> OrientedMatroid:
         """Oriented-matroid data of M, shared by every condition run on this
-        spec; equal matrices (W = Wt under mass action) share one object."""
+        spec; equal matrices (W = Wt under mass action) share one object. It
+        lives with the spec, not on M (`matroid.oriented_matroid`): a report
+        keeps the canonical matrices, and should not keep their sign sets."""
         if M not in self._oriented_matroids:
             self._oriented_matroids[M] = OrientedMatroid(M)
         return self._oriented_matroids[M]
 
     def _realize(self, solve, M: RationalMatrix, x: int) -> Vec | None:
-        """solve(M, packed sign vector x) for solve realize_kernel_sign or
-        realize_sign_vector, run once per spec: the simplex is deterministic,
-        so a repeated system would give the same witness."""
+        """solve(M, packed sign vector x) for solve realize_kernel_sign,
+        realize_sign_vector or _kernel_point_positive_on, run once per spec:
+        the simplex is deterministic, so a repeated system would give the same
+        witness. A positive kernel vector with support S is realize_kernel_sign
+        of S packed, the sign vector + on S."""
         key = (solve, M, x)
         if key not in self._realizations:
             self._realizations[key] = solve(M, unpack(x, M.cols))
@@ -202,14 +206,23 @@ def _positively_dependent(spec: ExponentialMapSpec, cap: int):
     return lambda I: sum(1 << i for i in I) in vectors_w
 
 
-def _kernel_point_positive_on(M: RationalMatrix, indices) -> Vec | None:
-    """x in ker M with x_i > 0 for the given indices (other coordinates free)."""
+def _kernel_point_positive_on(M: RationalMatrix, tau: SignVector) -> Vec | None:
+    """x in ker M with x_i > 0 where tau is + (other coordinates free)."""
     n = M.cols
     rows = [(M.row(i), Rel.EQ) for i in range(M.rows)]
     unit = lambda i: tuple(Fraction(1 if j == i else 0) for j in range(n))
-    rows += [(unit(i), Rel.GT) for i in sorted(indices)]
+    rows += [(unit(i), Rel.GT) for i in sorted(tau.plus_set())]
     wit = feasible(make_system(n, rows))
     return wit.point if wit else None
+
+
+def _interior_evidence(spec: ExponentialMapSpec, support: int) -> Vec | None:
+    """_kernel_point_positive_on(W, support) through the per-spec memo, for a
+    packed support. With no coordinate free that is the system realize_kernel_sign
+    solves for the all-plus sign vector, so it shares that entry."""
+    full = (1 << spec.n) - 1
+    solve = realize_kernel_sign if support == full else _kernel_point_positive_on
+    return spec._realize(solve, spec.coeff, support)
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +253,11 @@ def injectivity_via_signs(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Cond
     })
 
 
-def _minor_products(spec: ExponentialMapSpec) -> dict[tuple[int, ...], Fraction]:
-    """det(W_I) det(Wt_I) for every column subset I of size d."""
-    minors_w = spec._om(spec.coeff).minors
-    minors_wt = spec._om(spec.exponents).minors
-    return {I: minors_w[I] * minors_wt[I] for I in minors_w}
+def _minor_products(spec: ExponentialMapSpec) -> dict[tuple[int, ...], int]:
+    """The sign of det(W_I) det(Wt_I) for every column subset I of size d."""
+    signs_w = spec._om(spec.coeff).minor_signs
+    signs_wt = spec._om(spec.exponents).minor_signs
+    return {I: s * signs_wt[I] for I, s in signs_w.items()}
 
 
 def injectivity_via_minors(spec: ExponentialMapSpec) -> ConditionResult:
@@ -290,7 +303,7 @@ def condition_ii(spec: ExponentialMapSpec) -> ConditionResult:
         tau = reduce(or_, (t for t in facets_w if t & ~tau_t == 0), 0)
         face = str(unpack(tau_t, n))
         if not tau:
-            evidence = _kernel_point_positive_on(spec.coeff, bits(tau_t))
+            evidence = _interior_evidence(spec, tau_t)
             check(evidence is not None, "uncovered face without interior evidence")
             x_t = spec._realize(realize_sign_vector, spec.exponents, tau_t)
             check(x_t is not None, f"face covector {face} has no supporting functional")
@@ -434,11 +447,11 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
             x = wit.point
             z = spec.exponents.transpose_vec(x)
             check(sign_of(z) == tau_t, f"partition witness misses the sign vector {tau_t}")
-            evidence = _kernel_point_positive_on(spec.coeff, tau_t.support_set())
+            evidence = _interior_evidence(spec, (packed | packed >> n) & ((1 << n) - 1))
             check(evidence is not None, "candidate without covering face lacks interior evidence")
             cert_blocks = []
             for b in blocks:
-                v = positive_kernel_vector(spec.coeff, b)
+                v = spec._realize(realize_kernel_sign, spec.coeff, sum(1 << i for i in b))
                 check(v is not None, f"block {_jidx(sorted(b))} is a nonnegative vector of W "
                                      "but has no positive kernel vector")
                 cert_blocks.append(DegeneracyBlock(
@@ -480,7 +493,7 @@ def condition_iv(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResu
         if rho is None:
             undominated.add(support)
             continue
-        v_pi = positive_kernel_vector(spec.coeff, bits(tau_t & full))
+        v_pi = spec._realize(realize_kernel_sign, spec.coeff, tau_t & full)
         v_rho = spec._realize(realize_kernel_sign, spec.coeff, rho)
         x_t = spec._realize(realize_sign_vector, spec.exponents, tau_t)
         tau_t, rho = unpack(tau_t, n), unpack(rho, n)
@@ -574,13 +587,13 @@ def closure_cc_prime(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condition
 
 def _minor_form_strict_closure(spec) -> tuple[str, dict]:
     """det(W_I) != 0 implies det(W_I) det(Wt_I) > 0 for all I (or < 0 for all I)."""
-    minors_w = spec._om(spec.coeff).minors
-    minors_wt = spec._om(spec.exponents).minors
+    signs_w = spec._om(spec.coeff).minor_signs
+    signs_wt = spec._om(spec.exponents).minor_signs
     ref = None
-    for I in sorted(minors_w):
-        if minors_w[I] == 0:
+    for I in sorted(signs_w):
+        if signs_w[I] == 0:
             continue
-        p = minors_w[I] * minors_wt[I]
+        p = signs_w[I] * signs_wt[I]
         if p == 0:
             return FAILS, {"violating_subset": _jidx(I), "reason": "zero-product-at-nonzero-minor"}
         if ref is None:

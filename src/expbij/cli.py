@@ -15,7 +15,7 @@ from . import __version__
 from .analyzer import Caps, ExponentialMapSpec, analyze
 from .crn import deficiency_zero_gmak, parse_network, robust_deficiency_zero_gmak, structure
 from .linalg import InputError, InternalInconsistency, RationalMatrix
-from .matroid import chirotope, circuits, cocircuits, covectors, face_lattice
+from .matroid import chirotope, circuits, cocircuits, covectors, face_lattice, vectors
 from .numeric import NumericMapInstance, multi_start_solve, solve
 from .report import build_report, canonical_json, digest_of
 from .signs import EnumerationCap
@@ -112,6 +112,8 @@ def _cmd_matroid(args) -> int:
             svs = cocircuits(mat)
         elif args.what == "covectors":
             svs = covectors(mat)
+        elif args.what == "vectors":
+            svs = vectors(mat)
         else:
             svs = face_lattice(mat).faces
         lines = sorted(str(t) for t in svs)
@@ -191,7 +193,8 @@ def build_parser() -> _Parser:
     a.set_defaults(fn=_cmd_analyze)
 
     m = sub.add_parser("matroid", help="print oriented-matroid data of a matrix")
-    m.add_argument("what", choices=["circuits", "cocircuits", "covectors", "chirotope", "faces"])
+    m.add_argument("what", choices=["circuits", "cocircuits", "covectors", "vectors", "chirotope",
+                                    "faces"])
     m.add_argument("matrix", help="matrix JSON file")
     m.set_defaults(fn=_cmd_matroid)
 

@@ -7,7 +7,11 @@ echelon form runs Gauss-Jordan on primitive integer rows, and products
 accumulate one numerator and one denominator. A `Fraction` is built only for
 a value that leaves the kernel. Kernels and row spaces come from the reduced
 row echelon form, which is unique and therefore gives reproducible bases and
-certificates.
+certificates. The signs of all maximal minors, which is what the analyzer
+reads, come from one integer table per matrix (`maximal_minor_signs`: one
+echelon form, one Bareiss determinant, then Laplace expansion without
+division); the certificate verifier keeps one Bareiss determinant per minor
+(`maximal_minors`) as an independent route.
 """
 
 from __future__ import annotations
@@ -148,9 +152,12 @@ def _int_det(rows: list[list[int]]) -> int:
 
 
 class RationalMatrix:
-    """Immutable d x n matrix of exact rationals (d, n >= 1)."""
+    """Immutable d x n matrix of exact rationals (d, n >= 1).
 
-    __slots__ = ("rows", "cols", "_data", "_hash")
+    `_om` holds the matrix's `matroid.OrientedMatroid` once a `matroid`
+    function has built it, so that it lives exactly as long as this object."""
+
+    __slots__ = ("rows", "cols", "_data", "_hash", "_om")
 
     def __init__(self, entries):
         data = tuple(tuple(frac(x) for x in row) for row in entries)
@@ -160,6 +167,7 @@ class RationalMatrix:
             raise InputError("matrix rows must all have the same length")
         self._data = data
         self._hash = None
+        self._om = None
         self.rows = len(data)
         self.cols = len(data[0])
 
@@ -243,12 +251,11 @@ def rank(M: RationalMatrix) -> int:
     return r
 
 
-def rref(M: RationalMatrix) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-    """Reduced row echelon form. Returns (rows, pivot columns).
-
-    Gauss-Jordan on integer rows: each elimination p_c * row - f * p is
-    divided by its gcd, and each pivot row is divided by its pivot only when
-    the rows leave as Fractions."""
+def _int_rref(M: RationalMatrix) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan on integer rows: each elimination p_c * row - f * p is
+    divided by its gcd. Returns (rows, pivot columns); row k is p_k times
+    the k-th row of the reduced row echelon form, where p_k is its entry in
+    pivot column k, and rows past the rank are zero."""
     m, _ = _int_rows([list(r) for r in M.row_tuples])
     nr, nc = M.rows, M.cols
     pivots = []
@@ -268,8 +275,18 @@ def rref(M: RationalMatrix) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
         r += 1
         if r == nr:
             break
+    return m, pivots
+
+
+def rref(M: RationalMatrix) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+    """Reduced row echelon form. Returns (rows, pivot columns).
+
+    The integer rows of `_int_rref` are divided by their pivots only when
+    they leave as Fractions."""
+    m, pivots = _int_rref(M)
+    nc, r = M.cols, len(pivots)
     rows = tuple(tuple(Fraction(x, m[k][c]) for x in m[k]) for k, c in enumerate(pivots))
-    return rows + ((Fraction(0),) * nc,) * (nr - r), tuple(pivots)
+    return rows + ((Fraction(0),) * nc,) * (M.rows - r), tuple(pivots)
 
 
 @dataclass(frozen=True)
@@ -350,6 +367,53 @@ def maximal_minors(M: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
     ints, scale = _int_rows([list(r) for r in M.row_tuples])
     return {I: Fraction(_int_det([[row[j] for j in I] for row in ints]), scale)
             for I in combinations(range(n), d)}
+
+
+def maximal_minor_signs(M: RationalMatrix) -> dict[tuple[int, ...], int]:
+    """sign det(M_I) for every column subset I of size d, keys sorted ascending
+    (0-based), from one integer table.
+
+    Let R be the reduced row echelon form of M and B its pivot columns. Then
+    M = M_B R, so det(M_I) = det(M_B) det(R_I). Row k of the integer echelon
+    form E of `_int_rref` is p_k times row k of R, so det(R_I) has the sign
+    of det(E_I) times the signs of the p_k. The minors of E on its first k
+    rows follow from those on its first k - 1 rows by Laplace expansion along
+    row k, on ints and without division; a zero entry or a zero smaller minor
+    adds no term, so the identity block of E costs little. One Bareiss
+    determinant gives the sign of det(M_B). A matrix of rank below d has
+    every maximal minor zero."""
+    d, n = M.rows, M.cols
+    if d > n:
+        raise InputError("maximal_minor_signs requires d <= n")
+    E, pivots = _int_rref(M)
+    if len(pivots) < d:
+        return dict.fromkeys(combinations(range(n), d), 0)
+    ints, _ = _int_rows([[row[j] for j in pivots] for row in M.row_tuples])
+    scale = _int_det(ints)
+    for k, c in enumerate(pivots):
+        scale *= E[k][c]
+    # minors of E on its first k rows, keyed by their column sets as bitmasks;
+    # the empty minor carries the sign that turns det(E_I) into det(M_I)
+    table = {0: 1 if scale > 0 else -1}
+    for k, row in enumerate(E):
+        entries = [(j, a) for j, a in enumerate(row) if a]
+        nxt: dict[int, int] = {}
+        for cols, v in table.items():
+            for j, a in entries:
+                bit = 1 << j
+                if cols & bit:
+                    continue
+                # cofactor sign (-1)^(k + p), p the place of j in cols | bit
+                if (k + (cols & (bit - 1)).bit_count()) & 1:
+                    nxt[cols | bit] = nxt.get(cols | bit, 0) - a * v
+                else:
+                    nxt[cols | bit] = nxt.get(cols | bit, 0) + a * v
+        table = {cols: v for cols, v in nxt.items() if v}
+    out = {}
+    for I in combinations(range(n), d):
+        v = table.get(sum(1 << j for j in I), 0)
+        out[I] = (v > 0) - (v < 0)
+    return out
 
 
 def intersection_dim(A: SubspaceBasis, B: SubspaceBasis) -> int:

@@ -1,7 +1,8 @@
 """Oriented-matroid data of a rational vector configuration.
 
-All of it comes from one table per matrix, its maximal minors. The chirotope
-is the table's signs; the cocircuits are read off the chirotope on
+All of it comes from one table per matrix, the signs of its maximal minors
+(`linalg.maximal_minor_signs`, an integer table built from one echelon form).
+That table is the chirotope; the cocircuits are read off the chirotope on
 (d-1)-subsets, and the circuits on (d+1)-subsets by Cramer's rule. The full
 vector and covector sets are the composition closures of the circuits and
 cocircuits. The face lattice of the cone spanned by the columns is the
@@ -9,9 +10,11 @@ nonnegative part of the covectors, which is the closure of the nonnegative
 cocircuits alone, since every covector is the composition of the cocircuits
 conformal to it. The facets of that cone are the nonnegative cocircuits, and
 two configurations have equal vector sets iff their chirotopes agree up to
-sign, so neither needs a closure. `OrientedMatroid` holds these for one matrix and computes each at
-most once. Conformal decomposition, interior membership, and the two-branch
-alternative for sign vectors against a subspace also live here.
+sign, so neither needs a closure. `OrientedMatroid` holds these for one
+matrix and computes each at most once, and the module functions share one
+`OrientedMatroid` per matrix object (`oriented_matroid`). Conformal
+decomposition, interior membership, and the two-branch alternative for sign
+vectors against a subspace also live here.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .linalg import (
     dot,
     is_zero_vec,
     kernel_basis,
-    maximal_minors,
+    maximal_minor_signs,
     rank,
     vec_scale,
     vec_sub,
@@ -75,7 +78,7 @@ class Chirotope:
     def __init__(self, d: int, n: int, signs: dict[tuple[int, ...], int]):
         self.d = d
         self.n = n
-        self._signs = dict(signs)
+        self._signs = signs  # shared with the OrientedMatroid that built it
 
     def value(self, tup) -> int:
         tup = tuple(tup)
@@ -148,15 +151,16 @@ class FaceLattice:
 class OrientedMatroid:
     """Oriented-matroid data of the columns of M, filled lazily.
 
-    Everything is derived from the maximal minors of a full-rank matrix W with
-    the row space of M (W is M when M has full rank), and each piece is
+    Everything is derived from the signs of the maximal minors of a
+    full-rank matrix W with the row space of M (W is M when M has full
+    rank), and each piece is
     computed at most once. The sets are frozen because callers share them.
     They are built as packed ints (`*_masks`, see `signs`); each `SignVector`
     form is converted once, on first use.
     """
 
     def __init__(self, M: RationalMatrix):
-        self.M = M
+        self.d = M.rows  # W has rank(M) rows
         self.W = _row_basis(M)
         self._sign_vectors: dict[frozenset[int], frozenset[SignVector]] = {}
 
@@ -167,13 +171,14 @@ class OrientedMatroid:
         return self._sign_vectors[masks]
 
     @cached_property
-    def minors(self) -> dict[tuple[int, ...], Fraction]:
-        return maximal_minors(self.W)
+    def minor_signs(self) -> dict[tuple[int, ...], int]:
+        """sign det(W_I) for every sorted d-subset I, in ascending order; the
+        chirotope reads this table, so it must not be changed."""
+        return maximal_minor_signs(self.W)
 
     @cached_property
     def chirotope(self) -> Chirotope:
-        return Chirotope(self.W.rows, self.W.cols,
-                         {I: (m > 0) - (m < 0) for I, m in self.minors.items()})
+        return Chirotope(self.W.rows, self.W.cols, self.minor_signs)
 
     @cached_property
     def cocircuit_masks(self) -> frozenset[int]:
@@ -298,7 +303,7 @@ class OrientedMatroid:
         zero_columns = tuple(j for j in range(n) if is_zero_vec(W.column(j)))
         return FaceLattice(
             n=n,
-            d=self.M.rows,
+            d=self.d,
             faces=self._unpacked(masks),
             pointed=(lineality_dim == 0),
             lineality_dim=lineality_dim,
@@ -329,37 +334,48 @@ def _robustly_generated(W, faces, full_space, zero_columns) -> bool:
     return all(1 << i in extreme or interior >> i & 1 for i in range(W.cols))
 
 
+def oriented_matroid(M: RationalMatrix) -> OrientedMatroid:
+    """The OrientedMatroid of M, built once per matrix object and kept on it.
+
+    It is built on an equal copy of M, so that it holds no reference back to
+    M and dies with M without waiting for the cyclic garbage collector. An
+    equal but distinct matrix object gets its own."""
+    if M._om is None:
+        M._om = OrientedMatroid(RationalMatrix(M.row_tuples))
+    return M._om
+
+
 def chirotope(W: RationalMatrix) -> Chirotope:
     d, n = W.rows, W.cols
     if d > n:
         raise InputError("chirotope needs d <= n")
     if rank(W) < d:
         raise InputError("chirotope needs a full-rank configuration")
-    return OrientedMatroid(W).chirotope
+    return oriented_matroid(W).chirotope
 
 
 def cocircuits(M: RationalMatrix) -> frozenset[SignVector]:
     """Minimal-support sign vectors of im M^T."""
-    return OrientedMatroid(M).cocircuits
+    return oriented_matroid(M).cocircuits
 
 
 def circuits(M: RationalMatrix) -> frozenset[SignVector]:
     """Minimal-support sign vectors of ker M: minimal dependent column sets."""
-    return OrientedMatroid(M).circuits
+    return oriented_matroid(M).circuits
 
 
 def covectors(M: RationalMatrix, cap: int = 12) -> frozenset[SignVector]:
     """All of sign(im M^T): composition closure of the cocircuits."""
-    return OrientedMatroid(M).covectors(cap)
+    return oriented_matroid(M).covectors(cap)
 
 
 def vectors(M: RationalMatrix, cap: int = 12) -> frozenset[SignVector]:
     """All of sign(ker M): composition closure of the circuits."""
-    return OrientedMatroid(M).vectors(cap)
+    return oriented_matroid(M).vectors(cap)
 
 
 def face_lattice(W: RationalMatrix, cap: int = 12) -> FaceLattice:
-    return OrientedMatroid(W).face_lattice(cap)
+    return oriented_matroid(W).face_lattice(cap)
 
 
 def conformal_decompose(M: RationalMatrix, tau: SignVector,
@@ -480,7 +496,7 @@ def is_interior_point(W: RationalMatrix, y: Vec) -> bool:
     facet's supporting functional. The facets are the nonnegative cocircuits."""
     if len(y) != W.rows:
         raise InputError("point dimension differs from the cone's ambient dimension")
-    for tau in unpack_all(OrientedMatroid(W).nonneg_cocircuit_masks, W.cols):
+    for tau in unpack_all(oriented_matroid(W).nonneg_cocircuit_masks, W.cols):
         x = realize_sign_vector(W, tau)
         check(x is not None, f"face covector {tau} without a supporting functional")
         if dot(x, y) <= 0:

@@ -447,8 +447,7 @@ def _closure_condition_ii(spec):
             return ConditionResult(FAILS, tag, certificate={
                 "uncovered_face": str(tau_t),
                 "exponent_functional": _jvec(realize_sign_vector(spec.exponents, tau_t)),
-                "kernel_interior_evidence": _jvec(_kernel_point_positive_on(spec.coeff,
-                                                                            tau_t.support_set())),
+                "kernel_interior_evidence": _jvec(_kernel_point_positive_on(spec.coeff, tau_t)),
             })
         coverings.append({
             "exponent_face": str(tau_t),
@@ -569,6 +568,32 @@ def test_realizations_are_solved_once_per_spec(monkeypatch):
         assert calls  # a second analysis solves again
 
 
+def test_kernel_systems_are_solved_once_per_analysis(monkeypatch):
+    # iv's positive dependence, iii's block vectors and the interior evidence
+    # of ii and iii go through the per-spec memo, keyed like the kernel
+    # realizations whose systems they repeat, so one analysis solves no
+    # system "x in ker W with sign conditions" twice
+    keys = Counter()
+
+    def counted(system):
+        keys[system.dim, tuple(system.forms), tuple(system.rels)] += 1
+        return feasible(system)
+
+    monkeypatch.setattr(expbij.lp, "feasible", counted)
+    monkeypatch.setattr(expbij.analyzer, "feasible", counted)
+    kinds = Counter()
+    for spec in _corpus(200):
+        d, n = spec.d, spec.n
+        kernels = {c.row_tuples for c in (spec.canonical().coeff, spec.canonical().exponents)}
+        keys.clear()
+        analyze(spec)
+        for (dim, forms, rels), count in keys.items():
+            if dim == n and forms[:d] in kernels and set(rels[:d]) == {Rel.EQ}:
+                assert count == 1, (spec.coeff, spec.exponents, forms, rels)
+                kinds["some coordinate free" if len(forms) < d + n else "every coordinate signed"] += 1
+    assert kinds["some coordinate free"] and kinds["every coordinate signed"], kinds
+
+
 def test_analyze_builds_each_closure_once(monkeypatch):
     # robust_exponents and robust_coefficients reuse the cc and cc_prime results
     calls = Counter()
@@ -606,7 +631,7 @@ def test_internal_checks_survive_python_O():
 
         W = [[0, 0, 1, 1, -1, 0], [1, -1, 0, 0, 0, -1], [0, 0, 1, -1, 0, 0]]
         Wt = [[1, 1, 0, 0, -1, 2], [1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0]]
-        analyzer.positive_kernel_vector = lambda M_, support: None
+        analyzer.realize_kernel_sign = lambda M_, tau: None
         expect_raise(lambda: analyzer.condition_iii_exact(ExponentialMapSpec(M(W), M(Wt))), 3)
         analyzer.injectivity_via_minors = lambda spec: ConditionResult("fails", "flipped")
         expect_raise(lambda: analyzer.analyze(

@@ -7,6 +7,7 @@ import expbij.report
 from expbij.analyzer import Caps, ExponentialMapSpec, analyze
 from expbij.cli import main
 from expbij.linalg import InternalInconsistency, RationalMatrix, kernel_basis, maximal_minors
+from expbij.matroid import vectors
 from expbij.report import build_report, canonical_json, digest_of, verify_certificate
 
 
@@ -98,6 +99,14 @@ def test_matroid_subcommand(tmp_path, capsys):
     assert main(["matroid", "faces", write_json(tmp_path, "I.json", BIRCH)]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert set(out) == {"00", "+0", "0+", "++"}
+
+
+@pytest.mark.parametrize("entries", [[[1, 0, -1], [0, 1, -1]], [[1, "1/2", 0, -2]],
+                                     [[1, 1, 0, 2], [2, 2, 1, 0], [3, 3, 1, 2]]])
+def test_matroid_vectors_subcommand(tmp_path, capsys, entries):
+    W = RationalMatrix(entries)
+    assert main(["matroid", "vectors", write_json(tmp_path, "M.json", matrix_json(entries))]) == 0
+    assert capsys.readouterr().out.splitlines() == sorted(str(t) for t in vectors(W))
 
 
 def test_crn_subcommand(tmp_path):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from expbij.linalg import (
     intersection_dim,
     kernel_basis,
     matrix_with_kernel,
+    maximal_minor_signs,
     maximal_minors,
     rank,
     row_space_basis,
@@ -92,6 +94,42 @@ def test_maximal_minors_examples():
     for (i, j), val in maximal_minors(W).items():
         a, b = W.column(i), W.column(j)
         assert val == a[0] * b[1] - a[1] * b[0]
+
+
+def test_maximal_minor_signs_match_bareiss_minors():
+    # the integer table against the signs of the Bareiss minors, on matrices
+    # of every shape the package hands it
+    rng = random.Random(27182)
+    kinds = Counter()
+    for t in range(320):
+        d = rng.randint(1, 6)
+        n = d if t % 6 == 0 else rng.randint(d, 10)
+        rational = t % 4 == 1
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rational else rng.randint(-2, 2)
+                 for _ in range(n)] for _ in range(d)]
+        if n > 1 and t % 5 == 2:
+            j, k = rng.sample(range(n), 2)
+            for row in rows:
+                row[j] = 0 if t % 2 else row[k]
+        if t % 7 == 3 and n < 10:  # the lifted form newton reads, [[Wt, 0], [1^T, 1]]
+            rows = [row + [0] for row in rows] + [[1] * (n + 1)]
+            kinds["lifted"] += 1
+        mat = M(rows)
+        signs = maximal_minor_signs(mat)
+        assert signs == {I: (m > 0) - (m < 0) for I, m in maximal_minors(mat).items()}, mat
+        assert all(type(s) is int for s in signs.values())
+        kinds[f"d={min(mat.rows, 6)}"] += 1
+        kinds["square" if mat.rows == mat.cols else "wide"] += 1
+        kinds["rational" if rational else "integer"] += 1
+        columns = [mat.column(j) for j in range(mat.cols)]
+        kinds["zero column"] += any(not any(c) for c in columns)
+        kinds["repeated column"] += len(set(columns)) < len(columns)
+        kinds["full rank" if rank(mat) == mat.rows else "rank-deficient"] += 1
+    assert all(kinds[k] for k in ("lifted", "square", "wide", "rational", "integer", "zero column",
+                                  "repeated column", "full rank", "rank-deficient",
+                                  *(f"d={d}" for d in range(1, 7)))), kinds
+    with pytest.raises(InputError):
+        maximal_minor_signs(M([[1], [2]]))
 
 
 def test_matrix_with_kernel_examples():

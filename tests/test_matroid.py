@@ -1,11 +1,25 @@
+import gc
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from expbij.linalg import RationalMatrix, SubspaceBasis, dot, kernel_basis, rank, row_space_basis, vec
+import expbij.matroid
+from expbij.analyzer import ExponentialMapSpec, condition_ii
+from expbij.linalg import (
+    RationalMatrix,
+    SubspaceBasis,
+    dot,
+    kernel_basis,
+    maximal_minor_signs,
+    maximal_minors,
+    rank,
+    row_space_basis,
+    vec,
+)
 from expbij.matroid import (
     OrientedMatroid,
     chirotope,
@@ -17,6 +31,7 @@ from expbij.matroid import (
     face_lattice,
     is_interior_point,
     minty_alternative,
+    oriented_matroid,
     vectors,
 )
 from expbij.signs import EnumerationCap, SignVector, minimal_support_members, pack, sign_of, unpack
@@ -199,7 +214,7 @@ def test_nonneg_cocircuits_are_the_minimal_nonneg_covectors():
         C = om.covectors()
         with_d_minus_1_zeros = {t for t in C if t.support and n - len(t.support_set()) == d - 1}
         assert om.uniform == (minimal_support_members(C) == with_d_minus_1_zeros), W
-        assert om.uniform == all(m != 0 for m in om.minors.values()), W
+        assert om.uniform == all(m != 0 for m in maximal_minors(om.W).values()), W
         kinds["uniform" if om.uniform else "not uniform"] += 1
         checked += 1
     assert all(kinds[k] for k in ("lifted", "deficient", "full rank", "zero column", "no facet",
@@ -499,3 +514,49 @@ def test_is_interior_point_examples():
 
     # full space: everything is interior
     assert is_interior_point(M([[1, -1, 0, 0], [0, 0, 1, -1]]), vec([5, -7]))
+
+
+def test_public_calls_share_one_table_per_matrix_object(monkeypatch):
+    built = []
+
+    def counted(W):
+        built.append(W)
+        return maximal_minor_signs(W)
+
+    monkeypatch.setattr(expbij.matroid, "maximal_minor_signs", counted)
+    W = M([[1, 0, -1, 2], [0, 1, 1, -1]])
+    om = oriented_matroid(W)
+    chi = chirotope(W)
+    results = (covectors(W), vectors(W), face_lattice(W), cocircuits(W), circuits(W),
+               is_interior_point(W, vec([1, 1])))
+    assert len(built) == 1 and oriented_matroid(W) is om and chi is om.chirotope
+    assert results[3] == cocircuits_from_chirotope(chi)
+    # an equal but distinct matrix object gets its own OrientedMatroid and table
+    twin = M(W.row_tuples)
+    assert twin == W and oriented_matroid(twin) is not om
+    assert chirotope(twin) == chi and covectors(twin) == results[0]
+    assert len(built) == 2
+    # OrientedMatroid itself keeps no cache outside the object
+    assert OrientedMatroid(W).chirotope == chi and len(built) == 3
+
+
+def test_shared_oriented_matroid_dies_with_its_matrix():
+    # no reference cycle: without the cyclic collector the OrientedMatroid
+    # goes when the matrix does, and a spec's go when the spec does
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        W = M([[1, 0, -1, 2], [0, 1, 1, -1]])
+        covectors(W)
+        ref = weakref.ref(oriented_matroid(W))
+        del W
+        assert ref() is None
+        spec = ExponentialMapSpec(M([[1, 0, -1], [0, 1, -1]]), M([[1, 0, -1], [0, 1, -1]]))
+        condition_ii(spec)
+        ref = weakref.ref(spec._om(spec.exponents))
+        assert spec._om(spec.coeff) is ref()  # W = Wt: one object, by value
+        del spec
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
