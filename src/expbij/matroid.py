@@ -10,7 +10,10 @@ nonnegative part of the covectors, which is the closure of the nonnegative
 cocircuits alone, since every covector is the composition of the cocircuits
 conformal to it. The facets of that cone are the nonnegative cocircuits, and
 two configurations have equal vector sets iff their chirotopes agree up to
-sign, so neither needs a closure. `OrientedMatroid` holds these for one
+sign, so neither needs a closure. Nor do questions about single vectors: a
+sign vector is a vector iff it is orthogonal to every cocircuit, which
+`extends` tests on a restriction and `first_vector` uses to find the first
+vector with given signs by prefix search. `OrientedMatroid` holds these for one
 matrix and computes each at most once, and the module functions share one
 `OrientedMatroid` per matrix object (`oriented_matroid`). Conformal
 decomposition, interior membership, and the two-branch alternative for sign
@@ -184,6 +187,51 @@ class OrientedMatroid:
     def cocircuit_masks(self) -> frozenset[int]:
         """Minimal-support sign vectors of im W^T, packed."""
         return frozenset(_cocircuit_masks(self.chirotope))
+
+    @cached_property
+    def _cocircuit_pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """(c, -c, supp c), packed, once per opposite pair of cocircuits."""
+        n, full = self.W.cols, (1 << self.W.cols) - 1
+        pairs = ((c, c >> n | (c & full) << n) for c in self.cocircuit_masks)
+        return tuple((c, neg, (c | neg) & full) for c, neg in pairs if c < neg)
+
+    def extends(self, x: int, A: int) -> bool:
+        """Some vector of ker W agrees with the packed sign vector x on the
+        index mask A (x is zero off A). The restrictions of ker W to A are the
+        kernel of the contraction to A, whose cocircuits are the cocircuits
+        with support inside A; a sign vector is a vector iff it is orthogonal
+        to every cocircuit. x is not orthogonal to c iff it meets exactly one
+        of c and -c. extends(x, full) is membership in sign(ker W)."""
+        for c, neg, support in self._cocircuit_pairs:
+            if support & ~A == 0 and (x & c == 0) != (x & neg == 0):
+                return False
+        return True
+
+    def first_vector(self, x: int, A: int, nonzero: int = 0) -> int | None:
+        """The first vector of ker W in `str_order` that agrees with x on A and
+        is nonzero on `nonzero`, or None. Each position outside A is fixed in
+        turn to the first of +, -, 0 (0 only outside `nonzero`) that still
+        `extends`, so at most 2n + 1 orthogonality sweeps replace the sort of
+        sign(ker W).
+
+        Later positions in `nonzero` are left free while a prefix is tested,
+        which is exact when `nonzero` is 0, or when it holds every position
+        outside A and x is zero on A only where every vector is: a vector that
+        agrees with the prefix then composes with a tope to one that is
+        nonzero there as well."""
+        n = self.W.cols
+        if not self.extends(x, A):
+            return None
+        for j in bits(((1 << n) - 1) & ~A):
+            A |= 1 << j
+            for s in (1 << j, 1 << j + n):
+                if self.extends(x | s, A):
+                    x |= s
+                    break
+            else:  # 0 is then the only value left at j
+                if nonzero >> j & 1:
+                    return None
+        return x
 
     @cached_property
     def nonneg_cocircuit_masks(self) -> frozenset[int]:

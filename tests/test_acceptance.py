@@ -152,7 +152,11 @@ def test_criterion_2_oracle_equivalences():
             swapped = ExponentialMapSpec(spec.exponents, spec.coeff)
             assert injectivity_via_signs(swapped).verdict == signs.verdict
             robust_exponents(spec)  # raises if the closure and minor forms disagree
-            robust_both(spec)  # raises if the strict forms disagree
+            # the strict minor form against equal kernel sign sets (closures)
+            # plus a uniform matroid of W
+            om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
+            sign_form = om_w.vectors() == om_wt.vectors() and om_w.uniform
+            assert robust_both(spec).holds == sign_form
             count += 1
         assert time.perf_counter() - t0 < 300
 

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import random
 import subprocess
@@ -23,6 +24,7 @@ from expbij.analyzer import (
     DimensionMismatch,
     ExponentialMapSpec,
     _degeneracy_candidates,
+    _excluded_tope,
     _jvec,
     _kernel_point_positive_on,
     analyze,
@@ -39,12 +41,22 @@ from expbij.analyzer import (
     robust_coefficients,
     robust_exponents,
 )
+from expbij.crn import deficiency_zero_gmak, parse_network, robust_deficiency_zero_gmak
 from expbij.linalg import RationalMatrix, kernel_basis, matrix_with_kernel, rank, vec
 from expbij.lp import Rel, feasible, make_system, positive_kernel_vector, realize_sign_vector
 from expbij.matroid import OrientedMatroid
 from expbij.report import build_report, verify_certificate
-from expbij.signs import EnumerationCap, SignVector, minimal_support_members, pack, sign_of, unpack
-from sign_oracles import closure_excluded, nonneg_part
+from expbij.signs import (
+    EnumerationCap,
+    SignVector,
+    composition_closure,
+    minimal_support_members,
+    pack,
+    sign_of,
+    str_order,
+    unpack,
+)
+from sign_oracles import closure_excluded, closure_excluded_masks, nonneg_part
 
 M = RationalMatrix
 S = SignVector.from_string
@@ -340,6 +352,7 @@ def _corpus(count):
 def test_equivalence_oracles_on_random_corpus():
     # sign-form vs minor-form injectivity, its symmetry, closure vs strict
     # minor form, and both strict-perturbation forms; zero disagreements.
+    seen = Counter()
     for spec in _corpus(200):
         signs = injectivity_via_signs(spec)
         minors = injectivity_via_minors(spec)
@@ -351,8 +364,14 @@ def test_equivalence_oracles_on_random_corpus():
         # closure_cc computes the sign form; robust_exponents cross-checks the
         # minor form internally and raises on disagreement
         robust_exponents(spec)
-        # robust_both cross-checks its sign-vector form internally
-        robust_both(spec)
+        # robust_both's strict minor form against its sign-vector form: equal
+        # kernel sign sets, compared as closures so that the check does not
+        # reduce to the minor form, and a uniform matroid of W
+        om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
+        sign_form = HOLDS if om_w.vector_masks() == om_wt.vector_masks() and om_w.uniform else FAILS
+        assert robust_both(spec).verdict == sign_form, (spec.coeff, spec.exponents)
+        seen[sign_form] += 1
+    assert seen[HOLDS] and seen[FAILS], seen
 
 
 def test_iii_shortcuts_agree_with_exact_search_on_random_corpus():
@@ -499,15 +518,17 @@ def test_chirotopes_decide_sign_set_equality():
 
 
 def test_verdicts_decided_under_caps_match_uncapped():
-    # ii, iii's all-plus test and sign_sets_equal enumerate nothing, so a cap
-    # no longer leaves them undecided; whatever is decided must be right
+    # ii, iii's all-plus test, cc, cc_prime and sign_sets_equal enumerate
+    # nothing, so a cap no longer leaves them undecided; whatever is decided
+    # must be right
     seen = Counter()
-    for spec in _corpus(100) + _zero_heavy_corpus(40):
+    for spec in _corpus(200) + _zero_heavy_corpus(40):
         full = analyze(spec)
         capped = analyze(spec, Caps(max_n_enumeration=spec.n - 1))
         assert verify_certificate(build_report(capped, {}))
         assert capped.sign_sets_equal == full.sign_sets_equal
-        assert capped.conditions["ii"] == full.conditions["ii"]
+        for key in ("ii", "cc", "cc_prime"):
+            assert capped.conditions[key] == full.conditions[key], (key, spec.coeff, spec.exponents)
         for key, res in capped.conditions.items():
             if res.verdict != INCONCLUSIVE:
                 assert res.verdict == full.conditions[key].verdict, (key, spec.coeff, spec.exponents)
@@ -517,6 +538,67 @@ def test_verdicts_decided_under_caps_match_uncapped():
         seen[capped.classification] += 1
     assert seen[CLASS_INCONCLUSIVE] and seen[CLASS_BIJECTIVE] and seen[CLASS_INJECTIVE], seen
     assert seen["iii", INCONCLUSIVE] and seen["iii", HOLDS], seen
+
+
+def test_excluded_tope_matches_closure_route():
+    # the tope read off the cocircuits is the first tope outside the closure
+    # that the closure route found, in both directions
+    seen = Counter()
+    for spec in _corpus(200) + _zero_heavy_corpus(100):
+        om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
+        for first, second in ((om_w, om_wt), (om_wt, om_w)):
+            want = closure_excluded_masks(first.vector_masks(), second.vector_masks(), spec.n)
+            assert _excluded_tope(first, second, spec.n) == want, (spec.coeff, spec.exponents)
+            seen[want is None] += 1
+    assert seen[True] and seen[False], seen
+
+
+def test_iv_dominating_vector_matches_sorted_closure():
+    # first_vector(S, S) is the vector iv took first from W's closure sorted by
+    # str_order among those + on the support S, for every dependent covector
+    seen = Counter()
+    for spec in _corpus(200) + _zero_heavy_corpus(100):
+        n, full = spec.n, (1 << spec.n) - 1
+        om_w = spec._om(spec.coeff)
+        by_order = sorted(om_w.vector_masks(), key=str_order(n))
+        for t in spec._om(spec.exponents).covector_masks():
+            if not (t & full and t & full in om_w.vector_masks()):
+                continue
+            support = (t | t >> n) & full
+            want = next((r for r in by_order if support & ~r == 0), None)
+            assert om_w.first_vector(support, support) == want, (spec.coeff, spec.exponents)
+            seen[want is None] += 1
+    assert seen[True] and seen[False], seen
+
+
+def _crn_pool_networks():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    loader = importlib.util.spec_from_file_location("crn_pool_workloads", path)
+    module = importlib.util.module_from_spec(loader)
+    sys.modules[loader.name] = module  # its dataclasses look their module up
+    loader.loader.exec_module(module)
+    return [parse_network(inst["doc"]) for inst in module.POOLS["crn-networks"]()]
+
+
+def test_analyze_enumerates_no_vector_set(monkeypatch):
+    # every sign(ker .) question of analyze is answered from the cocircuits;
+    # only the public vectors API builds the closure
+    built = []
+
+    def vector_masks(om):
+        built.append(om)
+        return composition_closure(om.circuit_masks, om.W.cols)
+
+    monkeypatch.setattr(OrientedMatroid, "_vector_masks", property(vector_masks))
+    for spec in _corpus(200):
+        analyze(spec)
+        assert not built, (spec.coeff, spec.exponents)
+    for net in _crn_pool_networks():
+        deficiency_zero_gmak(net)
+        robust_deficiency_zero_gmak(net)
+        assert not built, net
+    OrientedMatroid(M([[1, 2, -1]])).vectors()
+    assert built  # the patch sees a closure that is built
 
 
 def test_iii_search_solves_no_system_twice(monkeypatch):
@@ -599,9 +681,9 @@ def test_analyze_builds_each_closure_once(monkeypatch):
     calls = Counter()
     build = expbij.analyzer._closure_result
 
-    def counted(spec, cap, swap, tag):
+    def counted(spec, swap, tag):
         calls[swap] += 1
-        return build(spec, cap, swap, tag)
+        return build(spec, swap, tag)
 
     monkeypatch.setattr(expbij.analyzer, "_closure_result", counted)
     rep = analyze(CC_EXAMPLE)

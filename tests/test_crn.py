@@ -201,14 +201,17 @@ def test_robust_mak_reduces_to_classical():
     assert res.verdict == "fails"
 
 
-def test_capped_mass_action_network_is_inconclusive():
+def test_capped_mass_action_network_is_decided():
     net = parse_network(AB_REVERSIBLE)
     caps = Caps(max_n_enumeration=1)
-    # equal kernel sign sets are read off the chirotopes, which no cap bounds,
-    # so the unique equilibrium is decided; the robust closure stays capped
-    assert deficiency_zero_gmak(net, caps).verdict == "holds"
+    # equal kernel sign sets are read off the chirotopes and the closure
+    # condition off the cocircuits, which no cap bounds, so both verdicts are
+    # decided even when the cap refuses every enumeration
+    verdict = deficiency_zero_gmak(net, caps)
+    assert verdict.verdict == "holds"
+    assert verdict.analysis.conditions["iv"].verdict == "inconclusive"  # the cap still fires
     robust = robust_deficiency_zero_gmak(net, caps)
-    assert robust.verdict == "inconclusive" and robust.closure.verdict == "inconclusive"
+    assert robust.verdict == "holds" and robust.closure.verdict == "holds"
 
 
 @pytest.mark.parametrize("doc", [AB_REVERSIBLE, CC_NETWORK])

@@ -34,7 +34,7 @@ from expbij.matroid import (
     oriented_matroid,
     vectors,
 )
-from expbij.signs import EnumerationCap, SignVector, minimal_support_members, pack, sign_of, unpack
+from expbij.signs import EnumerationCap, SignVector, bits, minimal_support_members, pack, sign_of, unpack
 from sign_oracles import all_sign_vectors, nonneg_part, orthogonal_set
 
 S = SignVector.from_string
@@ -249,6 +249,91 @@ def test_mask_accessors_are_the_packed_sets():
                            (om.nonneg_covector_masks, "covector")):
         with pytest.raises(EnumerationCap, match=what):
             accessor(cap=2)
+
+
+def _oracle_matrices(count):
+    """Seeded matrices with n <= 6: zero entries, rational entries, and often
+    rank-deficient or with a zero column."""
+    rng = random.Random(27182)
+    kinds = Counter()
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 6)
+        d = rng.randint(1, min(n, 4))
+        rows = [[rng.choice((-2, -1, 0, 0, 1, 2, Fraction(1, 2), Fraction(-2, 3))) for _ in range(n)]
+                for _ in range(d)]
+        if d > 1 and rng.random() < 0.3:
+            rows[-1] = [a + b for a, b in zip(rows[0], rows[-2])]
+        if n > 1 and rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        W = M(rows)
+        if rank(W) == 0:
+            continue
+        kinds["rank-deficient"] += rank(W) < d
+        kinds["zero column"] += any(not any(W.column(j)) for j in range(n))
+        kinds["rational"] += any(x.denominator != 1 for row in W.row_tuples for x in row)
+        out.append(W)
+    assert all(kinds[k] >= 20 for k in ("rank-deficient", "zero column", "rational")), kinds
+    return out
+
+
+def _packed_on(A, n, comps):
+    """The packed sign vector with the given signs on the positions of A."""
+    x = 0
+    for j, s in zip(bits(A), comps):
+        if s > 0:
+            x |= 1 << j
+        elif s < 0:
+            x |= 1 << j + n
+    return x
+
+
+def test_extends_is_membership_in_the_restricted_closure():
+    # extends(x, A) against the restrictions to A of every vector of the
+    # closure, for every sign vector x on A
+    rng = random.Random(4669)
+    for W in _oracle_matrices(220):
+        om, n = OrientedMatroid(W), W.cols
+        full = (1 << n) - 1
+        vectors_w = om.vector_masks()
+        for A in {full, rng.randrange(1 << n), rng.randrange(1 << n)}:
+            both = A | A << n
+            restricted = {v & both for v in vectors_w}
+            for comps in product((1, -1, 0), repeat=len(bits(A))):
+                x = _packed_on(A, n, comps)
+                assert om.extends(x, A) == (x in restricted), (W, unpack(x, n), bits(A))
+
+
+def test_first_vector_is_the_first_of_the_sorted_closure():
+    # against the closure sorted by the strings of its members: the first
+    # vector agreeing with x on A, and the first tope agreeing with x on A
+    rng = random.Random(1729)
+    seen = Counter()
+    for W in _oracle_matrices(220):
+        om, n = OrientedMatroid(W), W.cols
+        full = (1 << n) - 1
+        by_str = sorted(om.vector_masks(), key=lambda v: str(unpack(v, n)))
+        union = 0
+        for v in by_str:
+            union |= (v | v >> n) & full
+        for _ in range(6):
+            A = rng.randrange(1 << n)
+            x = _packed_on(A, n, [rng.choice((1, -1, 0)) for _ in bits(A)])
+            both = A | A << n
+            want = next((v for v in by_str if v & both == x), None)
+            assert om.first_vector(x, A) == want, (W, unpack(x, n), bits(A))
+            seen["vector", want is not None] += 1
+            # topes: x nonzero on S inside the union U, zero off U
+            S = rng.randrange(1 << n) & union
+            A = S | full & ~union
+            x = _packed_on(S, n, [rng.choice((1, -1)) for _ in bits(S)])
+            both = A | A << n
+            want = next((v for v in by_str if (v | v >> n) & full == union and v & both == x), None)
+            assert om.first_vector(x, A, union) == want, (W, unpack(x, n), bits(A))
+            seen["tope", want is not None] += 1
+    assert all(seen[k, found] for k in ("vector", "tope") for found in (True, False)), seen
 
 
 def _robustly_generated_oracle(W, fl) -> bool:
