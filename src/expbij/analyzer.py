@@ -198,9 +198,11 @@ def _excluded_tope(om_first: OrientedMatroid, om_second: OrientedMatroid, n: int
     pi is below a vector of ker(second) iff one agrees with it on U, i.e. iff
     pi is orthogonal to every cocircuit of second with support inside U;
     with supp pi = U it fails that iff such a cocircuit c conforms to pi. The
-    first tope that agrees with c is at least c with + on the rest of U, so
-    the c are visited in the order of that bound, until it reaches the best
-    tope found.
+    first vector that agrees with c on supp c and is zero off U is a tope: a
+    vector extending any prefix of it composes with a tope to one that also
+    extends it and is nonzero at the next position. It is at least c with +
+    on the rest of U, so the c are visited in the order of that bound, until
+    it reaches the best tope found.
     """
     full = (1 << n) - 1
     U = full
@@ -218,7 +220,7 @@ def _excluded_tope(om_first: OrientedMatroid, om_second: OrientedMatroid, n: int
     for bound, c, support in sorted(bounds):
         if bound >= best_key:
             break
-        pi = om_first.first_vector(c, support | full & ~U, U)
+        pi = om_first.first_vector(c, support | full & ~U)
         if pi is not None and order(pi) < best_key:
             best, best_key = pi, order(pi)
     return best
@@ -924,12 +926,12 @@ def _assert_implications(conditions, cones, sign_sets_equal, classification):
     def implies(premise: bool, conclusion: bool, what: str):
         check(not premise or conclusion, f"implication violated: {what}")
 
-    # cc and cc_prime enumerate nothing, so a cap can leave what they imply
-    # inconclusive beside them; only a failure contradicts them
-    implies(v("cc") == HOLDS, FAILS not in (v("i"), v("ii"), v("iv"), v("iii")),
-            "cc holds but i, ii, iv or iii fails")
-    implies(v("cc_prime") == HOLDS, FAILS not in (v("i"), v("iv"), v("iii")),
-            "cc_prime holds but i, iv or iii fails")
+    # cc and cc_prime enumerate nothing, so a covector cap can leave iv
+    # inconclusive beside them; i, ii and iii are never left open there
+    implies(v("cc") == HOLDS, v("i") == v("ii") == v("iii") == HOLDS and v("iv") != FAILS,
+            "cc holds but i, ii or iii does not, or iv fails")
+    implies(v("cc_prime") == HOLDS, v("i") == v("iii") == HOLDS and v("iv") != FAILS,
+            "cc_prime holds but i or iii does not, or iv fails")
     implies(v("iv") == HOLDS, v("iii") == HOLDS, "iv holds but iii does not")
     implies(v("newton") == HOLDS, v("iii") == HOLDS, "newton holds but iii does not")
     implies(sign_sets_equal, classification == CLASS_BIJECTIVE,

@@ -376,7 +376,7 @@ def _build_verdicts(network: GeneralizedNetwork,
     else:
         verdict, reason = FAILS, f"map analysis: {report.classification}"
     cc = report.conditions["cc"]
-    # equal subspaces make the closure condition automatic; only a cap can stop it
+    # equal subspaces make the closure condition automatic
     check(not (mak and cc.fails), "mass-action network fails the closure condition")
     return (DeficiencyZeroVerdict(verdict=verdict, reason=reason, analysis=report, **unique),
             RobustDeficiencyZeroVerdict(verdict=cc.verdict, closure=cc, **robust))

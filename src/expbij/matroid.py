@@ -207,18 +207,11 @@ class OrientedMatroid:
                 return False
         return True
 
-    def first_vector(self, x: int, A: int, nonzero: int = 0) -> int | None:
-        """The first vector of ker W in `str_order` that agrees with x on A and
-        is nonzero on `nonzero`, or None. Each position outside A is fixed in
-        turn to the first of +, -, 0 (0 only outside `nonzero`) that still
-        `extends`, so at most 2n + 1 orthogonality sweeps replace the sort of
-        sign(ker W).
-
-        Later positions in `nonzero` are left free while a prefix is tested,
-        which is exact when `nonzero` is 0, or when it holds every position
-        outside A and x is zero on A only where every vector is: a vector that
-        agrees with the prefix then composes with a tope to one that is
-        nonzero there as well."""
+    def first_vector(self, x: int, A: int) -> int | None:
+        """The first vector of ker W in `str_order` that agrees with x on A, or
+        None. Each position outside A is fixed in turn to the first of +, -, 0
+        that still `extends`, so at most 2n + 1 orthogonality sweeps replace
+        the sort of sign(ker W)."""
         n = self.W.cols
         if not self.extends(x, A):
             return None
@@ -228,9 +221,6 @@ class OrientedMatroid:
                 if self.extends(x | s, A):
                     x |= s
                     break
-            else:  # 0 is then the only value left at j
-                if nonzero >> j & 1:
-                    return None
         return x
 
     @cached_property

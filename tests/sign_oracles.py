@@ -7,7 +7,7 @@ checked against them.
 
 from itertools import product
 
-from expbij.signs import EnumerationCap, SignVector, str_order
+from expbij.signs import EnumerationCap, SignVector
 
 
 def all_sign_vectors(n: int, cap: int = 12):
@@ -59,16 +59,3 @@ def closure_excluded(V, T) -> SignVector | None:
     return min((pi for pi in V if pi.support == union and (pi.plus, pi.minus) not in below),
                key=str, default=None)
 
-
-def closure_excluded_masks(V, T, n: int) -> int | None:
-    """closure_excluded on packed sets V and T of sign vectors of length n,
-    with the first tope taken in `str_order`: the closure route the analyzer
-    took before it read the excluded tope off the cocircuits."""
-    union = 0
-    for t in V:
-        union |= t
-    union = (union | union >> n) & ((1 << n) - 1)
-    both = union | union << n
-    below = {r & both for r in T}
-    return min((pi for pi in V - below if (pi | pi >> n) & union == union),
-               key=str_order(n), default=None)

@@ -56,7 +56,7 @@ from expbij.signs import (
     str_order,
     unpack,
 )
-from sign_oracles import closure_excluded, closure_excluded_masks, nonneg_part
+from sign_oracles import closure_excluded, nonneg_part
 
 M = RationalMatrix
 S = SignVector.from_string
@@ -547,8 +547,9 @@ def test_excluded_tope_matches_closure_route():
     for spec in _corpus(200) + _zero_heavy_corpus(100):
         om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
         for first, second in ((om_w, om_wt), (om_wt, om_w)):
-            want = closure_excluded_masks(first.vector_masks(), second.vector_masks(), spec.n)
-            assert _excluded_tope(first, second, spec.n) == want, (spec.coeff, spec.exponents)
+            want = closure_excluded(first.vectors(), second.vectors())
+            got = _excluded_tope(first, second, spec.n)
+            assert (None if got is None else unpack(got, spec.n)) == want, (spec.coeff, spec.exponents)
             seen[want is None] += 1
     assert seen[True] and seen[False], seen
 
