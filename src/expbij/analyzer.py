@@ -41,7 +41,7 @@ from .linalg import (
     vec,
     vec_sub,
 )
-from .lp import Rel, feasible, make_system, realize_kernel_sign, realize_sign_vector
+from .lp import Rel, feasible, make_system, realize_kernel_sign, realize_sign_vector, unit_vectors
 from .matroid import FaceLattice, OrientedMatroid, is_interior_point, orthogonal_witness
 from .signs import EnumerationCap, SignVector, bits, sign_of, str_order, unpack
 
@@ -244,9 +244,9 @@ def _positively_dependent(spec: ExponentialMapSpec):
 def _kernel_point_positive_on(M: RationalMatrix, tau: SignVector) -> Vec | None:
     """x in ker M with x_i > 0 where tau is + (other coordinates free)."""
     n = M.cols
+    unit = unit_vectors(n)
     rows = [(M.row(i), Rel.EQ) for i in range(M.rows)]
-    unit = lambda i: tuple(Fraction(1 if j == i else 0) for j in range(n))
-    rows += [(unit(i), Rel.GT) for i in sorted(tau.plus_set())]
+    rows += [(unit[i], Rel.GT) for i in sorted(tau.plus_set())]
     wit = feasible(make_system(n, rows))
     return wit.point if wit else None
 

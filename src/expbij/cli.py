@@ -32,13 +32,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str):
+    """The JSON document in a UTF-8 file; any failure to read it is an input error."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}")
 
 
 def _load_matrix(path: str) -> RationalMatrix:
@@ -67,8 +70,11 @@ def _load_caps(path: str | None) -> Caps:
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out_path}: {exc}")
     else:
         sys.stdout.write(text)
 

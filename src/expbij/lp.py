@@ -4,6 +4,10 @@ Strict inequalities are handled by slack maximization: maximize t subject to
 strict rows having margin >= t and t <= 1. Over the rationals with Bland's
 pivoting rule the simplex method terminates, so feasibility is decided
 exactly and every witness is an exact rational point.
+
+One integer simplex core, `_simplex`, solves every LP. `feasible` hands it
+the int rows it builds and reads the witness off the final basis rows;
+`simplex_max` is the Fraction interface to the same core.
 """
 
 from __future__ import annotations
@@ -11,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from math import gcd, lcm
 
-from .linalg import InputError, InternalInconsistency, RationalMatrix, Vec, _reduce, dot, vec
+from .linalg import InputError, InternalInconsistency, RationalMatrix, Vec, dot, vec
 
 
 class Rel(Enum):
@@ -56,22 +61,43 @@ def make_system(dim, rows) -> SignSystem:
     return SignSystem(dim, forms, rels)
 
 
+def _eliminate(row: list[int], f: int, pj: int, nz) -> None:
+    """Set row, in place, to a positive multiple of row - (f / pj) p, where p
+    is the pivot row, pj > 0 its pivot entry and nz its nonzero (column,
+    entry) pairs. Only those columns change, unless pj does not divide f:
+    then the row is first scaled by pj / gcd(pj, f) and divided by its gcd
+    after."""
+    q, rem = divmod(f, pj)
+    if rem:
+        g = gcd(f, pj)
+        q, a = f // g, pj // g
+        row[:] = [a * x for x in row]
+    for k, x in nz:
+        row[k] -= q * x
+    if rem:
+        g = gcd(*row)
+        if g > 1:
+            row[:] = [x // g for x in row]
+
+
 def _pivot(T, obj, basis, r, j):
     """Make column j basic in row r. Every row of T is a positive integer
     multiple of the rational tableau row (right-hand side last) with a
     positive basic entry, and obj a positive multiple of the reduced costs,
     so the signs and ratios the pivoting rule reads are those of the rational
     tableau."""
-    p = T[r] if T[r][j] > 0 else [-x for x in T[r]]
+    if T[r][j] < 0:
+        T[r] = [-x for x in T[r]]
+    p = T[r]
     pj = p[j]
-    T[r] = p
+    nz = [(k, x) for k, x in enumerate(p) if x]
     for i, row in enumerate(T):
         f = row[j]
         if f and i != r:
-            T[i] = _reduce([pj * x - f * y for x, y in zip(row, p)])
+            _eliminate(row, f, pj, nz)
     f = obj[j]
-    if f:
-        obj[:] = _reduce([pj * x - f * y for x, y in zip(obj, p)])
+    if f:  # obj has no right-hand side entry
+        _eliminate(obj, f, pj, nz[:-1] if p[-1] else nz)
     basis[r] = j
 
 
@@ -97,31 +123,38 @@ def _run_simplex(T, obj, basis) -> str:
         _pivot(T, obj, basis, leave, enter)
 
 
-def simplex_max(A_rows, b_vals, c_vals):
-    """max c.x subject to A x = b, x >= 0 over exact rationals.
+def _simplex(rows: list[list[int]], art: list[int], c: list[int]):
+    """max c.x subject to A x = b, x >= 0, on ints, by the two-phase simplex
+    with Bland's rule.
 
-    Entries are ints or Fractions. Returns (status, x, value) with status in
-    {"optimal", "infeasible", "unbounded"}. The tableau is kept fraction-free,
-    one primitive integer row per constraint, and pivoted by Bland's rule.
-    """
-    m = len(A_rows)
-    n = len(c_vals)
+    rows[r] is [A_r | b_r] with b_r >= 0: the rational constraint times
+    art[r] > 0. art[r] is also the coefficient of row r's artificial column,
+    so phase 1 weighs each row as the rational constraint with artificial
+    coefficient 1, and takes the rational tableau's pivots. The input lists
+    are not modified.
+
+    Returns (status, T, basis), status in {"optimal", "infeasible",
+    "unbounded"}. On "optimal", T holds the final basis rows [A | b], without
+    redundant rows: variable basis[r] takes the value T[r][-1] / T[r][basis[r]]
+    (the denominator is positive) and every nonbasic variable is 0."""
+    m, n = len(rows), len(c)
     # phase 1: artificial columns n..n+m-1 form the starting basis
     T = []
-    for r, (row, b) in enumerate(zip(A_rows, b_vals)):
-        scale = lcm(b.denominator, *(x.denominator for x in row))
-        unit = [0] * m
-        unit[r] = scale
-        if b < 0:  # negate the constraint, not the artificial column
-            scale = -scale
-        ints = [x.numerator * (scale // x.denominator) for x in row]
-        T.append(_reduce(ints + unit + [b.numerator * (scale // b.denominator)]))
+    for r, (row, a) in enumerate(zip(rows, art)):
+        t = row[:-1] + [0] * m
+        t[n + r] = a
+        t.append(row[-1])
+        T.append(t)
     basis = list(range(n, n + m))
     # reduced costs of max(-sum artificials): the column sums of the rows
     # divided by their artificial entries
-    scale = lcm(*(T[r][n + r] for r in range(m)))
-    obj = _reduce([sum(scale // T[r][n + r] * T[r][j] for r in range(m)) for j in range(n)]
-                  + [0] * m)
+    scale = lcm(*art)
+    obj = [0] * (n + m)
+    for row, a in zip(rows, art):
+        w = scale // a
+        for j in range(n):
+            if row[j]:
+                obj[j] += w * row[j]
     status = _run_simplex(T, obj, basis)
     if status != "optimal" or any(basis[r] >= n and T[r][-1] > 0 for r in range(m)):
         return "infeasible", None, None
@@ -136,20 +169,44 @@ def simplex_max(A_rows, b_vals, c_vals):
             _pivot(T, obj, basis, r, j)
         r += 1
     T = [row[:n] + row[-1:] for row in T]
-    # phase 2
-    scale = lcm(*(c.denominator for c in c_vals))
-    obj = _reduce([c.numerator * (scale // c.denominator) for c in c_vals])
+    # phase 2: price out the basic columns
+    obj = list(c)
     for row, j in zip(T, basis):
         f = obj[j]
         if f:
-            obj = _reduce([row[j] * x - f * y for x, y in zip(obj, row)])
+            _eliminate(obj, f, row[j], [(k, x) for k, x in enumerate(row[:n]) if x])
     if _run_simplex(T, obj, basis) == "unbounded":
         return "unbounded", None, None
-    x = [Fraction(0)] * n
+    return "optimal", T, basis
+
+
+def simplex_max(A_rows, b_vals, c_vals):
+    """max c.x subject to A x = b, x >= 0 over exact rationals.
+
+    Entries are ints or Fractions. Returns (status, x, value) with status in
+    {"optimal", "infeasible", "unbounded"}. Each row goes to `_simplex` as
+    ints scaled by the lcm of its denominators, the costs likewise.
+    """
+    rows, art = [], []
+    for row, b in zip(A_rows, b_vals):
+        scale = lcm(b.denominator, *(x.denominator for x in row))
+        art.append(scale)
+        if b < 0:  # negate the constraint, not the artificial column
+            scale = -scale
+        rows.append([x.numerator * (scale // x.denominator) for x in row]
+                    + [b.numerator * (scale // b.denominator)])
+    scale = lcm(*(c.denominator for c in c_vals))
+    status, T, basis = _simplex(rows, art, [c.numerator * (scale // c.denominator) for c in c_vals])
+    if status != "optimal":
+        return status, None, None
+    x = [Fraction(0)] * len(c_vals)
     for row, j in zip(T, basis):
         x[j] = Fraction(row[-1], row[j])
     value = sum((Fraction(c_vals[j]) * x[j] for j in basis), Fraction(0))
     return "optimal", x, value
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def feasible(system: SignSystem) -> FeasibilityWitness | None:
@@ -159,7 +216,8 @@ def feasible(system: SignSystem) -> FeasibilityWitness | None:
     slack and every strict row a shared margin t <= 1, and maximizes t. Its
     rows are built as ints: column j of the forms is scaled by the lcm of its
     denominators, a positive change of variables that leaves every sign and
-    ratio Bland's rule reads, and so the pivots, unchanged."""
+    ratio Bland's rule reads, and so the pivots, unchanged. Each coordinate of
+    the point, and t, is read off the one basis row where it is basic."""
     dim = system.dim
     strict = any(rel in STRICT for rel in system.rels)
     scales = [lcm(*(form[j].denominator for form in system.forms)) for j in range(dim)]
@@ -172,7 +230,7 @@ def feasible(system: SignSystem) -> FeasibilityWitness | None:
     k = 0
     for form, rel in zip(system.forms, system.rels):
         ints = [a.numerator * (m // a.denominator) for a, m in zip(form, scales)]
-        row = ints + [-a for a in ints] + [0] * (width - t_col)
+        row = ints + [-a for a in ints] + [0] * (width - t_col + 1)
         if rel is not Rel.EQ:
             row[slack_at + k] = -1 if rel in (Rel.GE, Rel.GT) else 1
             k += 1
@@ -181,22 +239,27 @@ def feasible(system: SignSystem) -> FeasibilityWitness | None:
         elif rel is Rel.LT:
             row[t_col] = 1
         rows.append(row)
-    b = [0] * len(rows)
     c = [0] * width
     if strict:
-        row = [0] * width
-        row[t_col] = row[slack_at + k] = 1
+        row = [0] * (width + 1)
+        row[t_col] = row[slack_at + k] = row[-1] = 1
         rows.append(row)
-        b.append(1)
         c[t_col] = 1
-    status, x, value = simplex_max(rows, b, c)
+    status, T, basis = _simplex(rows, [1] * len(rows), c)
     if status != "optimal":
         return None
-    if strict and value <= 0:
+    point = [_ZERO] * dim
+    slack = _ZERO if strict else _ONE
+    for row, j in zip(T, basis):
+        if j < dim:
+            point[j] = Fraction(scales[j] * row[-1], row[j])
+        elif j < t_col:
+            point[j - dim] = Fraction(-scales[j - dim] * row[-1], row[j])
+        elif strict and j == t_col:
+            slack = Fraction(row[-1], row[j])
+    if slack <= 0:
         return None
-    point = tuple(m * (x[j] - x[dim + j]) for j, m in enumerate(scales))
-    slack = value if strict else Fraction(1)
-    witness = FeasibilityWitness(point, slack)
+    witness = FeasibilityWitness(tuple(point), slack)
     if not check_witness(system, witness):
         raise InternalInconsistency("simplex returned a point violating the system")
     return witness
@@ -219,8 +282,11 @@ def check_witness(system: SignSystem, witness: FeasibilityWitness) -> bool:
     return True
 
 
-def _unit(n: int, i: int) -> Vec:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+@cache
+def unit_vectors(n: int) -> tuple[Vec, ...]:
+    """The n unit vectors of Q^n. They are shared between calls, which is
+    safe because the tuples are immutable."""
+    return tuple(tuple(Fraction(int(j == i)) for j in range(n)) for i in range(n))
 
 
 _REL_OF_SIGN = {1: Rel.GT, -1: Rel.LT, 0: Rel.EQ}
@@ -230,7 +296,7 @@ def realize_kernel_sign(M: RationalMatrix, tau) -> Vec | None:
     """v with M v = 0 and sign(v) = tau, or None."""
     n = M.cols
     rows = [(M.row(i), Rel.EQ) for i in range(M.rows)]
-    rows += [(_unit(n, i), _REL_OF_SIGN[tau[i]]) for i in range(n)]
+    rows += [(e, _REL_OF_SIGN[tau[i]]) for i, e in enumerate(unit_vectors(n))]
     wit = feasible(make_system(n, rows))
     return wit.point if wit else None
 

@@ -67,6 +67,31 @@ def test_missing_file_exit_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_directory_input_exit_one(tmp_path, capsys):
+    assert main(["analyze", "--coeff", str(tmp_path), "--exp", str(tmp_path)]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_non_utf8_input_exit_one(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"rows": 1, "cols": 1, "entries": [["\u00e9"]]}'.encode("latin-1"))
+    assert main(["analyze", "--coeff", str(bad), "--exp", str(bad)]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_unwritable_output_exit_one(tmp_path, capsys):
+    assert main(["analyze",
+                 "--coeff", write_json(tmp_path, "W.json", EX1_W),
+                 "--exp", write_json(tmp_path, "Wt.json", EX1_WT),
+                 "--out", str(tmp_path / "missing_dir" / "x.json")]) == 1
+    assert _one_error_line(capsys)
+
+
 def test_unknown_flag_exit_one(capsys):
     assert main(["analyze", "--coeff", "a", "--exp", "b", "--bogus"]) == 1
 

@@ -4,11 +4,14 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from pathlib import Path
 
+import pytest
+
 import expbij
-from expbij import lp
+from expbij import analyzer, lp, matroid
 from expbij.linalg import RationalMatrix, vec
 from expbij.lp import (
     Rel,
@@ -23,6 +26,7 @@ from expbij.lp import (
 )
 from expbij.signs import SignVector, sign_of
 from sign_oracles import all_sign_vectors
+from test_analyzer import _corpus, sv_example
 
 S = SignVector.from_string
 
@@ -254,8 +258,55 @@ def _random_lp(rng):
     return A, b, c, shape
 
 
+def _rational_lp(rows, art, c):
+    """The (A, b, c) of simplex_max for the int rows [A_r | b_r] * art[r] of lp._simplex."""
+    A = [[Fraction(x, a) for x in row[:-1]] for row, a in zip(rows, art)]
+    return A, [Fraction(row[-1], a) for row, a in zip(rows, art)], c
+
+
+def _core_result(got, n):
+    """lp._simplex's (status, T, basis) as simplex_max's (status, x) for n variables."""
+    status, T, basis = got
+    if status != "optimal":
+        return status, None
+    x = [Fraction(0)] * n
+    for row, j in zip(T, basis):
+        x[j] = Fraction(row[-1], row[j])
+    return status, x
+
+
+@cache
+def _analyzer_systems():
+    """The sign systems analyze solves on sv_example at nine alphas and on the
+    first 24 pairs of the random corpus (seed 90125), each with the LP that
+    feasible builds for it, as (system, (A, b, c)). The kernel systems of
+    realize_kernel_sign among them have dim = n and n + d forms, so n + d + 1
+    LP rows; the 24th pair is the first with n = 8."""
+    out, lps = [], []
+    core = lp._simplex
+
+    def recording(system):
+        wit = feasible(system)
+        out.append((system, lps.pop()))
+        return wit
+
+    def solve(rows, art, c):
+        lps.append(_rational_lp(rows, art, c))
+        return core(rows, art, c)
+
+    alphas = ("1/3", "1/2", "2/3", "1", "4/3", "3/2", "2", "5/2", "3")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_simplex", solve)
+        for module in (lp, analyzer, matroid):
+            mp.setattr(module, "feasible", recording)
+        for spec in [sv_example(Fraction(a)) for a in alphas] + _corpus(24):
+            analyzer.analyze(spec)
+    return out
+
+
 def test_simplex_matches_fraction_oracle(monkeypatch):
-    # same pivots (row, entering column) in the same order, same results
+    # same pivots (row, entering column) in the same order, same results, on
+    # random LPs and on the LPs feasible builds for the analyzer's systems
     pivots = {"int": [], "fraction": []}
 
     def recording(pivot, key):
@@ -264,12 +315,13 @@ def test_simplex_matches_fraction_oracle(monkeypatch):
             return pivot(*args)
         return wrapped
 
+    rng = random.Random(20180417)
+    cases = [_random_lp(rng) for _ in range(600)]
+    cases += [(A, b, c, "analyzer") for _, (A, b, c) in _analyzer_systems()]
     monkeypatch.setattr(lp, "_pivot", recording(lp._pivot, "int"))
     monkeypatch.setitem(globals(), "_fraction_pivot", recording(_fraction_pivot, "fraction"))
-    rng = random.Random(20180417)
     seen = set()
-    for _ in range(600):
-        A, b, c, shape = _random_lp(rng)
+    for A, b, c, shape in cases:
         got = simplex_max(A, b, c)
         assert got == _fraction_simplex_max(A, b, c), (A, b, c)
         assert pivots["int"] == pivots["fraction"], (A, b, c)
@@ -283,19 +335,22 @@ def test_simplex_matches_fraction_oracle(monkeypatch):
     for shape in ("degenerate", "redundant"):
         assert (shape, "optimal") in seen and (shape, "unbounded") in seen
     assert ("redundant", "infeasible") in seen
+    assert ("analyzer", "optimal") in seen
 
 
 def test_feasible_systems_match_fraction_oracle(monkeypatch):
     # the LPs feasible() itself builds: split free variables, slacks, a margin
     calls = []
+    core = lp._simplex
 
-    def both(A, b, c):
-        got = simplex_max(A, b, c)
-        assert got == _fraction_simplex_max(A, b, c)
+    def both(rows, art, c):
+        got = core(rows, art, c)
+        A, b, _ = _rational_lp(rows, art, c)
+        assert _core_result(got, len(c)) == _fraction_simplex_max(A, b, c)[:2]
         calls.append(got)
         return got
 
-    monkeypatch.setattr(lp, "simplex_max", both)
+    monkeypatch.setattr(lp, "_simplex", both)
     rng = random.Random(8128)
     outcomes = set()
     for _ in range(150):
@@ -353,7 +408,7 @@ def _fraction_feasible(system):
     return tuple(x[j] - x[dim + j] for j in range(dim)), value if strict else Fraction(1)
 
 
-def test_feasible_matches_fraction_row_construction():
+def test_feasible_matches_fraction_row_construction(monkeypatch):
     rng = random.Random(1968)
     entries = [0, 0, 1, -1, 2, "1/2", "-3/2", "2/3", "-1/5", "7/6"]
     outcomes = set()
@@ -368,18 +423,43 @@ def test_feasible_matches_fraction_row_construction():
         assert got == _fraction_feasible(sys_), sys_
         outcomes.add((wit is not None, any(x.denominator > 1 for f in forms for x in f)))
     assert outcomes == {(True, True), (False, True), (True, False), (False, False)}
+    # the analyzer's own systems, with the same pivots on both constructions
+    pivots = []
+    pivot = lp._pivot
+
+    def recording(*args):
+        pivots.append(args[-2:])
+        return pivot(*args)
+
+    monkeypatch.setattr(lp, "_pivot", recording)
+    outcomes.clear()
+    for sys_, _ in _analyzer_systems():
+        wit = feasible(sys_)
+        got = None if wit is None else (wit.point, wit.slack)
+        int_pivots = pivots[:]
+        pivots.clear()
+        assert got == _fraction_feasible(sys_), sys_
+        assert int_pivots == pivots, sys_
+        pivots.clear()
+        outcomes.add((wit is not None, any(x.denominator > 1 for f in sys_.forms for x in f)))
+    assert outcomes >= {(True, True), (False, True), (True, False)}
+    # the kernel systems of sv_example (n = 6, d = 3) and of an n = 8, d = 4 pair
+    shapes = {(s.dim, len(s.forms)) for s, _ in _analyzer_systems()}
+    assert {(6, 6 + 3), (8, 8 + 4)} <= shapes
 
 
 def test_witness_check_survives_python_O():
     # the re-substitution of the witness must raise even when asserts are stripped
     code = textwrap.dedent("""
         import sys
-        from fractions import Fraction
         from expbij import lp
         from expbij.linalg import InputError, InternalInconsistency
         if sys.flags.optimize < 1 or issubclass(InternalInconsistency, InputError):
             sys.exit(2)
-        lp.simplex_max = lambda A, b, c: ("optimal", [Fraction(-1)] * len(c), Fraction(1))
+        # final basis rows [x+, x-, t, slack, margin slack | rhs] with x- = t = 1,
+        # so the point is -1 against a required margin of 1
+        lp._simplex = lambda rows, art, c: ("optimal", [[0, 1, 0, 0, 0, 1], [0, 0, 1, 0, 0, 1]],
+                                            [1, 2])
         try:
             lp.feasible(lp.make_system(1, [((1,), lp.Rel.GT)]))
         except InternalInconsistency:
