@@ -123,14 +123,12 @@ def _run_simplex(T, obj, basis) -> str:
         _pivot(T, obj, basis, leave, enter)
 
 
-def _simplex(rows: list[list[int]], art: list[int], c: list[int]):
+def _simplex(rows: list[list[int]], c: list[int]):
     """max c.x subject to A x = b, x >= 0, on ints, by the two-phase simplex
     with Bland's rule.
 
-    rows[r] is [A_r | b_r] with b_r >= 0: the rational constraint times
-    art[r] > 0. art[r] is also the coefficient of row r's artificial column,
-    so phase 1 weighs each row as the rational constraint with artificial
-    coefficient 1, and takes the rational tableau's pivots. The input lists
+    rows[r] is [A_r | b_r] with b_r >= 0. Each row gets an artificial column
+    with coefficient 1, and phase 1 maximizes minus their sum. The input lists
     are not modified.
 
     Returns (status, T, basis), status in {"optimal", "infeasible",
@@ -140,21 +138,14 @@ def _simplex(rows: list[list[int]], art: list[int], c: list[int]):
     m, n = len(rows), len(c)
     # phase 1: artificial columns n..n+m-1 form the starting basis
     T = []
-    for r, (row, a) in enumerate(zip(rows, art)):
+    for r, row in enumerate(rows):
         t = row[:-1] + [0] * m
-        t[n + r] = a
+        t[n + r] = 1
         t.append(row[-1])
         T.append(t)
     basis = list(range(n, n + m))
     # reduced costs of max(-sum artificials): the column sums of the rows
-    # divided by their artificial entries
-    scale = lcm(*art)
-    obj = [0] * (n + m)
-    for row, a in zip(rows, art):
-        w = scale // a
-        for j in range(n):
-            if row[j]:
-                obj[j] += w * row[j]
+    obj = [sum(row[j] for row in rows) for j in range(n)] + [0] * m
     status = _run_simplex(T, obj, basis)
     if status != "optimal" or any(basis[r] >= n and T[r][-1] > 0 for r in range(m)):
         return "infeasible", None, None
@@ -180,28 +171,36 @@ def _simplex(rows: list[list[int]], art: list[int], c: list[int]):
     return "optimal", T, basis
 
 
+def _basic_solution(T, basis, n: int) -> list[Fraction]:
+    """The n-variable point of `_simplex`'s final basis rows."""
+    x = [Fraction(0)] * n
+    for row, j in zip(T, basis):
+        x[j] = Fraction(row[-1], row[j])
+    return x
+
+
 def simplex_max(A_rows, b_vals, c_vals):
     """max c.x subject to A x = b, x >= 0 over exact rationals.
 
     Entries are ints or Fractions. Returns (status, x, value) with status in
-    {"optimal", "infeasible", "unbounded"}. Each row goes to `_simplex` as
-    ints scaled by the lcm of its denominators, the costs likewise.
+    {"optimal", "infeasible", "unbounded"}. Every row goes to `_simplex` as
+    ints, times one scale L, the lcm of all denominators in A and b, and
+    negated where b < 0; the costs are scaled by the lcm of theirs. This is
+    the rational tableau with each artificial variable scaled by L, so the
+    signs and ratios Bland's rule reads, and so the pivots, are the rational
+    tableau's.
     """
-    rows, art = [], []
+    scale = lcm(*(x.denominator for row in A_rows for x in row),
+                *(b.denominator for b in b_vals))
+    rows = []
     for row, b in zip(A_rows, b_vals):
-        scale = lcm(b.denominator, *(x.denominator for x in row))
-        art.append(scale)
-        if b < 0:  # negate the constraint, not the artificial column
-            scale = -scale
-        rows.append([x.numerator * (scale // x.denominator) for x in row]
-                    + [b.numerator * (scale // b.denominator)])
+        s = -scale if b < 0 else scale
+        rows.append([x.numerator * (s // x.denominator) for x in (*row, b)])
     scale = lcm(*(c.denominator for c in c_vals))
-    status, T, basis = _simplex(rows, art, [c.numerator * (scale // c.denominator) for c in c_vals])
+    status, T, basis = _simplex(rows, [c.numerator * (scale // c.denominator) for c in c_vals])
     if status != "optimal":
         return status, None, None
-    x = [Fraction(0)] * len(c_vals)
-    for row, j in zip(T, basis):
-        x[j] = Fraction(row[-1], row[j])
+    x = _basic_solution(T, basis, len(c_vals))
     value = sum((Fraction(c_vals[j]) * x[j] for j in basis), Fraction(0))
     return "optimal", x, value
 
@@ -245,7 +244,7 @@ def feasible(system: SignSystem) -> FeasibilityWitness | None:
         row[t_col] = row[slack_at + k] = row[-1] = 1
         rows.append(row)
         c[t_col] = 1
-    status, T, basis = _simplex(rows, [1] * len(rows), c)
+    status, T, basis = _simplex(rows, c)
     if status != "optimal":
         return None
     point = [_ZERO] * dim

@@ -258,21 +258,9 @@ def _random_lp(rng):
     return A, b, c, shape
 
 
-def _rational_lp(rows, art, c):
-    """The (A, b, c) of simplex_max for the int rows [A_r | b_r] * art[r] of lp._simplex."""
-    A = [[Fraction(x, a) for x in row[:-1]] for row, a in zip(rows, art)]
-    return A, [Fraction(row[-1], a) for row, a in zip(rows, art)], c
-
-
-def _core_result(got, n):
-    """lp._simplex's (status, T, basis) as simplex_max's (status, x) for n variables."""
-    status, T, basis = got
-    if status != "optimal":
-        return status, None
-    x = [Fraction(0)] * n
-    for row, j in zip(T, basis):
-        x[j] = Fraction(row[-1], row[j])
-    return status, x
+def _rational_lp(rows, c):
+    """The (A, b, c) of simplex_max for the int rows [A_r | b_r] of lp._simplex."""
+    return [row[:-1] for row in rows], [row[-1] for row in rows], c
 
 
 @cache
@@ -290,9 +278,9 @@ def _analyzer_systems():
         out.append((system, lps.pop()))
         return wit
 
-    def solve(rows, art, c):
-        lps.append(_rational_lp(rows, art, c))
-        return core(rows, art, c)
+    def solve(rows, c):
+        lps.append(_rational_lp(rows, c))
+        return core(rows, c)
 
     alphas = ("1/3", "1/2", "2/3", "1", "4/3", "3/2", "2", "5/2", "3")
     with pytest.MonkeyPatch.context() as mp:
@@ -343,10 +331,10 @@ def test_feasible_systems_match_fraction_oracle(monkeypatch):
     calls = []
     core = lp._simplex
 
-    def both(rows, art, c):
-        got = core(rows, art, c)
-        A, b, _ = _rational_lp(rows, art, c)
-        assert _core_result(got, len(c)) == _fraction_simplex_max(A, b, c)[:2]
+    def both(rows, c):
+        got = status, T, basis = core(rows, c)
+        x = lp._basic_solution(T, basis, len(c)) if status == "optimal" else None
+        assert (status, x) == _fraction_simplex_max(*_rational_lp(rows, c))[:2]
         calls.append(got)
         return got
 
@@ -458,8 +446,7 @@ def test_witness_check_survives_python_O():
             sys.exit(2)
         # final basis rows [x+, x-, t, slack, margin slack | rhs] with x- = t = 1,
         # so the point is -1 against a required margin of 1
-        lp._simplex = lambda rows, art, c: ("optimal", [[0, 1, 0, 0, 0, 1], [0, 0, 1, 0, 0, 1]],
-                                            [1, 2])
+        lp._simplex = lambda rows, c: ("optimal", [[0, 1, 0, 0, 0, 1], [0, 0, 1, 0, 0, 1]], [1, 2])
         try:
             lp.feasible(lp.make_system(1, [((1,), lp.Rel.GT)]))
         except InternalInconsistency:
