@@ -17,12 +17,15 @@ Every question about a kernel sign set sign(ker M), membership or the first
 member with given signs, is answered from the cocircuits of M
 (`OrientedMatroid.extends`, `first_vector`), so no vector set is enumerated.
 The only enumerations are covector sets, and `max_n_enumeration` caps those.
+Sign vectors stay packed ints; the witnesses a certificate names come from
+the same `OrientedMatroid` (`vector_point`, `covector_point`), and only the
+nondegeneracy search builds LP rows of its own.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -41,9 +44,9 @@ from .linalg import (
     vec,
     vec_sub,
 )
-from .lp import Rel, feasible, make_system, realize_kernel_sign, realize_sign_vector, unit_vectors
+from .lp import Rel, feasible, make_system
 from .matroid import FaceLattice, OrientedMatroid, is_interior_point, orthogonal_witness
-from .signs import EnumerationCap, SignVector, bits, sign_of, str_order, unpack
+from .signs import EnumerationCap, SignVector, bits, pack, sign_of, str_order, unpack
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -69,7 +72,7 @@ class Caps:
     def from_json_dict(cls, obj) -> "Caps":
         if not isinstance(obj, dict):
             raise InputError("caps JSON must be an object")
-        known = {f: obj[f] for f in ("max_n_enumeration", "max_partition_pairs", "max_blocks") if f in obj}
+        known = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
         unknown = set(obj) - set(known)
         if unknown:
             raise InputError(f"unknown caps fields: {sorted(unknown)}")
@@ -79,11 +82,7 @@ class Caps:
         return cls(**known)
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_n_enumeration": self.max_n_enumeration,
-            "max_partition_pairs": self.max_partition_pairs,
-            "max_blocks": self.max_blocks,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class ExponentialMapSpec:
@@ -103,7 +102,6 @@ class ExponentialMapSpec:
         self.exponents = exponents
         self._oriented_matroids: dict[RationalMatrix, OrientedMatroid] = {}
         self._closure_results: dict[bool, ConditionResult] = {}
-        self._realizations: dict[tuple, Vec | None] = {}
 
     @property
     def n(self) -> int:
@@ -136,24 +134,14 @@ class ExponentialMapSpec:
                 and self.coeff == other.coeff and self.exponents == other.exponents)
 
     def _om(self, M: RationalMatrix) -> OrientedMatroid:
-        """Oriented-matroid data of M, shared by every condition run on this
-        spec; equal matrices (W = Wt under mass action) share one object. It
-        lives with the spec, not on M (`matroid.oriented_matroid`): a report
-        keeps the canonical matrices, and should not keep their sign sets."""
+        """Oriented-matroid data of M, with its memoized witnesses, shared by
+        every condition run on this spec; equal matrices (W = Wt under mass
+        action) share one object. It lives with the spec, not on M
+        (`matroid.oriented_matroid`): a report keeps the canonical matrices,
+        and should not keep their sign sets."""
         if M not in self._oriented_matroids:
             self._oriented_matroids[M] = OrientedMatroid(M)
         return self._oriented_matroids[M]
-
-    def _realize(self, solve, M: RationalMatrix, x: int) -> Vec | None:
-        """solve(M, packed sign vector x) for solve realize_kernel_sign,
-        realize_sign_vector or _kernel_point_positive_on, run once per spec:
-        the simplex is deterministic, so a repeated system would give the same
-        witness. A positive kernel vector with support S is realize_kernel_sign
-        of S packed, the sign vector + on S."""
-        key = (solve, M, x)
-        if key not in self._realizations:
-            self._realizations[key] = solve(M, unpack(x, M.cols))
-        return self._realizations[key]
 
 
 @dataclass(frozen=True)
@@ -241,25 +229,6 @@ def _positively_dependent(spec: ExponentialMapSpec):
     return dependent
 
 
-def _kernel_point_positive_on(M: RationalMatrix, tau: SignVector) -> Vec | None:
-    """x in ker M with x_i > 0 where tau is + (other coordinates free)."""
-    n = M.cols
-    unit = unit_vectors(n)
-    rows = [(M.row(i), Rel.EQ) for i in range(M.rows)]
-    rows += [(unit[i], Rel.GT) for i in sorted(tau.plus_set())]
-    wit = feasible(make_system(n, rows))
-    return wit.point if wit else None
-
-
-def _interior_evidence(spec: ExponentialMapSpec, support: int) -> Vec | None:
-    """_kernel_point_positive_on(W, support) through the per-spec memo, for a
-    packed support. With no coordinate free that is the system realize_kernel_sign
-    solves for the all-plus sign vector, so it shares that entry."""
-    full = (1 << spec.n) - 1
-    solve = realize_kernel_sign if support == full else _kernel_point_positive_on
-    return spec._realize(solve, spec.coeff, support)
-
-
 # ---------------------------------------------------------------------------
 # injectivity
 
@@ -269,17 +238,18 @@ def injectivity_via_signs(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Cond
     The covectors of Wt are enumerated, and each is tested against the
     cocircuits of W for membership in sign(ker W)."""
     tag = "injectivity-sign-criterion"
+    om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
     try:
-        covs_exp = spec._om(spec.exponents).covector_masks(caps.max_n_enumeration)
+        covs_exp = om_wt.covector_masks(caps.max_n_enumeration)
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
-    om_w, full = spec._om(spec.coeff), (1 << spec.n) - 1
+    full = (1 << spec.n) - 1
     common = [t for t in covs_exp if t and om_w.extends(t, full)]
     if not common:
         return ConditionResult(HOLDS, tag)
     tau = min(common, key=str_order(spec.n))
-    v = spec._realize(realize_kernel_sign, spec.coeff, tau)
-    x = spec._realize(realize_sign_vector, spec.exponents, tau)
+    v = om_w.vector_point(tau, full)
+    x = om_wt.covector_point(tau)
     tau = unpack(tau, spec.n)
     check(v is not None and x is not None, f"common sign vector {tau} has no realization")
     return ConditionResult(FAILS, tag, certificate={
@@ -333,16 +303,18 @@ def condition_ii(spec: ExponentialMapSpec) -> ConditionResult:
     tag = "surjectivity-face-cover"
     spec.require_square()
     n = spec.n
+    om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
     # nonnegative cocircuits are packed as their positive parts
-    facets_w = spec._om(spec.coeff).nonneg_cocircuit_masks
+    facets_w = om_w.nonneg_cocircuit_masks
     coverings = []
-    for tau_t in sorted(spec._om(spec.exponents).nonneg_cocircuit_masks, key=str_order(n)):
+    for tau_t in sorted(om_wt.nonneg_cocircuit_masks, key=str_order(n)):
         tau = reduce(or_, (t for t in facets_w if t & ~tau_t == 0), 0)
         face = str(unpack(tau_t, n))
         if not tau:
-            evidence = _interior_evidence(spec, tau_t)
+            # a kernel point positive on the face's support, free elsewhere
+            evidence = om_w.vector_point(tau_t, tau_t)
             check(evidence is not None, "uncovered face without interior evidence")
-            x_t = spec._realize(realize_sign_vector, spec.exponents, tau_t)
+            x_t = om_wt.covector_point(tau_t)
             check(x_t is not None, f"face covector {face} has no supporting functional")
             return ConditionResult(FAILS, tag, certificate={
                 "uncovered_face": face,
@@ -352,8 +324,8 @@ def condition_ii(spec: ExponentialMapSpec) -> ConditionResult:
         coverings.append({
             "exponent_face": face,
             "coeff_face": str(unpack(tau, n)),
-            "coeff_functional": _jvec(spec._realize(realize_sign_vector, spec.coeff, tau)),
-            "exponent_functional": _jvec(spec._realize(realize_sign_vector, spec.exponents, tau_t)),
+            "coeff_functional": _jvec(om_w.covector_point(tau)),
+            "exponent_functional": _jvec(om_wt.covector_point(tau_t)),
         })
     return ConditionResult(HOLDS, tag, certificate={"coverings": coverings} if coverings else None)
 
@@ -433,8 +405,10 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
     tag = "properness-nondegeneracy"
     spec.require_square()
     n, cap = spec.n, caps.max_n_enumeration
-    facets_w = spec._om(spec.coeff).nonneg_cocircuit_masks
-    if reduce(or_, facets_w, 0) == (1 << n) - 1:
+    full = (1 << n) - 1
+    om_w = spec._om(spec.coeff)
+    facets_w = om_w.nonneg_cocircuit_masks
+    if reduce(or_, facets_w, 0) == full:
         # an all-plus coefficient covector: pointed coefficient cone with no
         # zero column, so no positive dependence at all
         return ConditionResult(HOLDS, tag, detail="all-plus coefficient covector")
@@ -446,22 +420,21 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
 
     pairs_tried = 0
     infeasible: set[frozenset] = set()  # systems this search already found empty
-    for idx, packed in enumerate(candidates):
-        tau_t = unpack(packed, n)
-        plus = tau_t.plus_set()
+    for idx, tau_t in enumerate(candidates):
+        plus, support = bits(tau_t & full), (tau_t | tau_t >> n) & full
         if len(plus) > caps.max_blocks:
             return ConditionResult(INCONCLUSIVE, tag, detail=(
-                f"candidate {tau_t} has {len(plus)} positive components, "
+                f"candidate {unpack(tau_t, n)} has {len(plus)} positive components, "
                 f"above max_blocks = {caps.max_blocks}; "
                 f"{len(candidates) - idx} candidates unexplored"))
-        zero_rows = [(spec.exponents.column(i), Rel.EQ) for i in tau_t.zero_set()]
-        minus_rows = [(spec.exponents.column(i), Rel.LT) for i in tau_t.minus_set()]
+        zero_rows = [(spec.exponents.column(i), Rel.EQ) for i in bits(full & ~support)]
+        minus_rows = [(spec.exponents.column(i), Rel.LT) for i in bits(tau_t >> n)]
         for blocks in _ordered_partitions(plus, dependent):
             pairs_tried += 1
             if pairs_tried > caps.max_partition_pairs:
                 return ConditionResult(INCONCLUSIVE, tag, detail=(
                     f"max_partition_pairs = {caps.max_partition_pairs} exhausted at "
-                    f"candidate {tau_t} ({len(candidates) - idx} candidates unexplored)"))
+                    f"candidate {unpack(tau_t, n)} ({len(candidates) - idx} candidates unexplored)"))
             reps = [min(b) for b in blocks]
             rows = list(zero_rows) + list(minus_rows)
             for block, rep in zip(blocks, reps):
@@ -483,12 +456,13 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
                 continue
             x = wit.point
             z = spec.exponents.transpose_vec(x)
-            check(sign_of(z) == tau_t, f"partition witness misses the sign vector {tau_t}")
-            evidence = _interior_evidence(spec, (packed | packed >> n) & ((1 << n) - 1))
+            check(pack(sign_of(z)) == tau_t, f"partition witness misses the sign vector {unpack(tau_t, n)}")
+            # a kernel point positive on the candidate's support, free elsewhere
+            evidence = om_w.vector_point(support, support)
             check(evidence is not None, "candidate without covering face lacks interior evidence")
             cert_blocks = []
             for b in blocks:
-                v = spec._realize(realize_kernel_sign, spec.coeff, sum(1 << i for i in b))
+                v = om_w.vector_point(sum(1 << i for i in b), full)
                 check(v is not None, f"block {_jidx(sorted(b))} is a nonnegative vector of W "
                                      "but has no positive kernel vector")
                 cert_blocks.append(DegeneracyBlock(
@@ -496,8 +470,8 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
                     level=dot(spec.exponents.column(min(b)), x),
                     kernel_vector=v,
                 ))
-            witness = DegeneracyWitness(
-                direction=x, z=z, tau=tau_t, blocks=tuple(cert_blocks), no_cover_evidence=evidence)
+            witness = DegeneracyWitness(direction=x, z=z, tau=unpack(tau_t, n),
+                                        blocks=tuple(cert_blocks), no_cover_evidence=evidence)
             return ConditionResult(FAILS, tag, certificate=witness.to_json_dict(),
                                    detail=f"{pairs_tried} ordered partitions tried")
     return ConditionResult(HOLDS, tag, detail=(
@@ -510,13 +484,13 @@ def condition_iv(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResu
     against come from W's cocircuits."""
     tag = "nondegeneracy-sign-sufficient"
     spec.require_square()
+    om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
     try:
-        covs_exp = spec._om(spec.exponents).covector_masks(caps.max_n_enumeration)
+        covs_exp = om_wt.covector_masks(caps.max_n_enumeration)
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
     n = spec.n
     full = (1 << n) - 1
-    om_w = spec._om(spec.coeff)
     # covectors with a positive part that is itself a nonnegative vector of W
     dependent = sorted((t for t in covs_exp if t & full and om_w.extends(t & full, full)),
                        key=str_order(n))
@@ -530,9 +504,9 @@ def condition_iv(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResu
         if rho is None:
             undominated.add(support)
             continue
-        v_pi = spec._realize(realize_kernel_sign, spec.coeff, tau_t & full)
-        v_rho = spec._realize(realize_kernel_sign, spec.coeff, rho)
-        x_t = spec._realize(realize_sign_vector, spec.exponents, tau_t)
+        v_pi = om_w.vector_point(tau_t & full, full)
+        v_rho = om_w.vector_point(rho, full)
+        x_t = om_wt.covector_point(tau_t)
         tau_t, rho = unpack(tau_t, n), unpack(rho, n)
         check(v_pi is not None and v_rho is not None and x_t is not None,
               f"covector {tau_t} or its dominating vector {rho} has no realization")
@@ -591,18 +565,19 @@ def _closure_result(spec, swap: bool, tag: str) -> ConditionResult:
     """Read off the cocircuits of both sides; nothing is enumerated, so no
     cap applies."""
     first, second = (spec.exponents, spec.coeff) if swap else (spec.coeff, spec.exponents)
-    excluded = _excluded_tope(spec._om(first), spec._om(second), spec.n)
+    om_first = spec._om(first)
+    excluded = _excluded_tope(om_first, spec._om(second), spec.n)
     if excluded is None:
         return ConditionResult(HOLDS, tag)
-    v = spec._realize(realize_kernel_sign, first, excluded)
-    excluded = unpack(excluded, spec.n)
-    check(v is not None, f"excluded sign vector {excluded} has no kernel realization")
+    v = om_first.vector_point(excluded, (1 << spec.n) - 1)
+    tau = unpack(excluded, spec.n)
+    check(v is not None, f"excluded sign vector {tau} has no kernel realization")
     # the sign sets rule out a dominating vector of ker(second), so by Minty's
     # alternative the orthogonal branch must hold
-    w = orthogonal_witness(kernel_basis(second), excluded)
+    w = orthogonal_witness(kernel_basis(second), tau)
     check(w is not None, "excluded sign vector admits a dominating one")
     return ConditionResult(FAILS, tag, certificate={
-        "excluded_sign_vector": str(excluded),
+        "excluded_sign_vector": str(tau),
         "kernel_vector": _jvec(v),
         "orthogonal_witness": _jvec(w),
     })

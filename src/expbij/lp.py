@@ -8,6 +8,11 @@ exactly and every witness is an exact rational point.
 One integer simplex core, `_simplex`, solves every LP. `feasible` hands it
 the int rows it builds and reads the witness off the final basis rows;
 `simplex_max` is the Fraction interface to the same core.
+
+The realization builders take sign vectors as packed ints (`plus | minus << n`,
+see `signs`). `realize_kernel_sign` builds every kernel system, signed on an
+index mask and free elsewhere; `realize_sign_vector` builds the covector
+systems. `matroid.OrientedMatroid` memoizes both per argument.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-from .linalg import InputError, InternalInconsistency, RationalMatrix, Vec, dot, vec
+from .linalg import InputError, InternalInconsistency, RationalMatrix, Vec, dot
+from .signs import bits
 
 
 class Rel(Enum):
@@ -55,8 +61,10 @@ class FeasibilityWitness:
 
 
 def make_system(dim, rows) -> SignSystem:
-    """rows: iterable of (form, Rel)."""
-    forms = tuple(vec(f) for f, _ in rows)
+    """rows: iterable of (form, Rel). A form's entries are ints or Fractions,
+    stored as given: `feasible` and `dot` read only their numerators and
+    denominators."""
+    forms = tuple(tuple(f) for f, _ in rows)
     rels = tuple(r for _, r in rows)
     return SignSystem(dim, forms, rels)
 
@@ -288,28 +296,36 @@ def unit_vectors(n: int) -> tuple[Vec, ...]:
     return tuple(tuple(Fraction(int(j == i)) for j in range(n)) for i in range(n))
 
 
-_REL_OF_SIGN = {1: Rel.GT, -1: Rel.LT, 0: Rel.EQ}
+def _rel(x: int, i: int, n: int) -> Rel:
+    """The requirement of the packed sign vector x at position i."""
+    return Rel.GT if x >> i & 1 else Rel.LT if x >> i + n & 1 else Rel.EQ
 
 
-def realize_kernel_sign(M: RationalMatrix, tau) -> Vec | None:
-    """v with M v = 0 and sign(v) = tau, or None."""
+def realize_kernel_sign(M: RationalMatrix, x: int, A: int) -> Vec | None:
+    """v with M v = 0 whose signs agree with the packed sign vector x on the
+    index mask A, the other coordinates free, or None. This builds every
+    kernel system: the rows of M as EQ, then one unit row for each i in A, in
+    increasing i, with the sign of x at i."""
     n = M.cols
+    unit = unit_vectors(n)
     rows = [(M.row(i), Rel.EQ) for i in range(M.rows)]
-    rows += [(e, _REL_OF_SIGN[tau[i]]) for i, e in enumerate(unit_vectors(n))]
+    rows += [(unit[i], _rel(x, i, n)) for i in bits(A)]
     wit = feasible(make_system(n, rows))
     return wit.point if wit else None
 
 
-def realize_sign_vector(M: RationalMatrix, tau) -> Vec | None:
-    """x with sign(M^T x) = tau, or None (tau is then not a covector of M)."""
-    if tau.n != M.cols:
-        raise InputError(f"sign vector length {tau.n} differs from column count {M.cols}")
-    rows = [(M.column(i), _REL_OF_SIGN[tau[i]]) for i in range(M.cols)]
+def realize_sign_vector(M: RationalMatrix, x: int) -> Vec | None:
+    """y with sign(M^T y) equal to the packed sign vector x, or None (x is then
+    not a covector of M)."""
+    n = M.cols
+    if x >> 2 * n or x & x >> n:
+        raise InputError(f"{x} is not a packed sign vector of length {n}")
+    rows = [(M.column(i), _rel(x, i, n)) for i in range(n)]
     wit = feasible(make_system(M.rows, rows))
     return wit.point if wit else None
 
 
 def positive_kernel_vector(M: RationalMatrix, support) -> Vec | None:
     """v >= 0 with M v = 0 and supp(v) exactly the given index set, or None."""
-    support = set(support)
-    return realize_kernel_sign(M, [int(i in support) for i in range(M.cols)])
+    x = sum(1 << i for i in set(support))
+    return realize_kernel_sign(M, x, (1 << M.cols) - 1)

@@ -13,9 +13,11 @@ two configurations have equal vector sets iff their chirotopes agree up to
 sign, so neither needs a closure. Nor do questions about single vectors: a
 sign vector is a vector iff it is orthogonal to every cocircuit, which
 `extends` tests on a restriction and `first_vector` uses to find the first
-vector with given signs by prefix search. `OrientedMatroid` holds these for one
-matrix and computes each at most once, and the module functions share one
-`OrientedMatroid` per matrix object (`oriented_matroid`). Conformal
+vector with given signs by prefix search; `vector_point` and `covector_point`
+return the rational witnesses of such questions. `OrientedMatroid` holds these
+for one matrix, as packed ints, and computes each at most once. The module
+functions are the `SignVector` API: they share one `OrientedMatroid` per
+matrix object (`oriented_matroid`) and unpack its sets. Conformal
 decomposition, interior membership, and the two-branch alternative for sign
 vectors against a subspace also live here.
 """
@@ -49,7 +51,9 @@ from .signs import (
     SignVector,
     bits,
     composition_closure,
+    pack,
     sign_of,
+    unpack,
     unpack_all,
 )
 
@@ -156,22 +160,19 @@ class OrientedMatroid:
 
     Everything is derived from the signs of the maximal minors of a
     full-rank matrix W with the row space of M (W is M when M has full
-    rank), and each piece is
-    computed at most once. The sets are frozen because callers share them.
-    They are built as packed ints (`*_masks`, see `signs`); each `SignVector`
-    form is converted once, on first use.
+    rank), and each piece is computed at most once. Sign vectors are packed
+    ints (see `signs`) and sign sets are frozen sets of them, because callers
+    share them; the module functions convert them to `SignVector`s. Beside
+    its two oracles, `extends` for sign(ker W) and the covector sets for
+    sign(im W^T), it hands out their rational witnesses, `vector_point` and
+    `covector_point`, each solved once per argument.
     """
 
     def __init__(self, M: RationalMatrix):
         self.d = M.rows  # W has rank(M) rows
         self.W = _row_basis(M)
-        self._sign_vectors: dict[frozenset[int], frozenset[SignVector]] = {}
-
-    def _unpacked(self, masks: frozenset[int]) -> frozenset[SignVector]:
-        """The sign vectors of one of the cached mask sets, converted once."""
-        if masks not in self._sign_vectors:
-            self._sign_vectors[masks] = unpack_all(masks, self.W.cols)
-        return self._sign_vectors[masks]
+        self._vector_points: dict[tuple[int, int], Vec | None] = {}
+        self._covector_points: dict[int, Vec | None] = {}
 
     @cached_property
     def minor_signs(self) -> dict[tuple[int, ...], int]:
@@ -223,6 +224,23 @@ class OrientedMatroid:
                     break
         return x
 
+    def vector_point(self, x: int, A: int) -> Vec | None:
+        """A point of ker W whose signs agree with the packed x on the index
+        mask A, the other coordinates free, or None: the witness of
+        extends(x, A). The simplex is deterministic, so it is solved once per
+        argument."""
+        key = (x, A)
+        if key not in self._vector_points:
+            self._vector_points[key] = realize_kernel_sign(self.W, x, A)
+        return self._vector_points[key]
+
+    def covector_point(self, x: int) -> Vec | None:
+        """y with sign(W^T y) = x for the packed x, or None when x is not a
+        covector; solved once per argument."""
+        if x not in self._covector_points:
+            self._covector_points[x] = realize_sign_vector(self.W, x)
+        return self._covector_points[x]
+
     @cached_property
     def nonneg_cocircuit_masks(self) -> frozenset[int]:
         """The cocircuits in {0,+}^n, packed (a nonnegative packed int has no
@@ -262,16 +280,6 @@ class OrientedMatroid:
                 out.add(minus | plus << n)
         return frozenset(out)
 
-    @property
-    def cocircuits(self) -> frozenset[SignVector]:
-        """Minimal-support sign vectors of im W^T."""
-        return self._unpacked(self.cocircuit_masks)
-
-    @property
-    def circuits(self) -> frozenset[SignVector]:
-        """Minimal-support sign vectors of ker W."""
-        return self._unpacked(self.circuit_masks)
-
     def check_cap(self, what: str, cap: int):
         """Raise EnumerationCap when the configuration has more than cap columns."""
         if self.W.cols > cap:
@@ -291,32 +299,20 @@ class OrientedMatroid:
         return composition_closure(self.nonneg_cocircuit_masks, self.W.cols)
 
     def covector_masks(self, cap: int = 12) -> frozenset[int]:
-        """covectors(cap), packed."""
+        """All of sign(im W^T), packed: composition closure of the cocircuits."""
         self.check_cap("covector", cap)
         return self._covector_masks
 
     def vector_masks(self, cap: int = 12) -> frozenset[int]:
-        """vectors(cap), packed."""
+        """All of sign(ker W), packed: composition closure of the circuits."""
         self.check_cap("vector", cap)
         return self._vector_masks
 
     def nonneg_covector_masks(self, cap: int = 12) -> frozenset[int]:
-        """nonneg_covectors(cap), packed: each is its own positive part."""
+        """sign(im W^T) within {0,+}^n, packed (each is its own positive part):
+        composition closure of the nonnegative cocircuits."""
         self.check_cap("covector", cap)
         return self._nonneg_covector_masks
-
-    def covectors(self, cap: int = 12) -> frozenset[SignVector]:
-        """All of sign(im W^T): composition closure of the cocircuits."""
-        return self._unpacked(self.covector_masks(cap))
-
-    def vectors(self, cap: int = 12) -> frozenset[SignVector]:
-        """All of sign(ker W): composition closure of the circuits."""
-        return self._unpacked(self.vector_masks(cap))
-
-    def nonneg_covectors(self, cap: int = 12) -> frozenset[SignVector]:
-        """sign(im W^T) within {0,+}^n: composition closure of the nonnegative
-        cocircuits."""
-        return self._unpacked(self.nonneg_covector_masks(cap))
 
     def face_lattice(self, cap: int = 12) -> FaceLattice:
         self.check_cap("covector", cap)
@@ -342,7 +338,7 @@ class OrientedMatroid:
         return FaceLattice(
             n=n,
             d=self.d,
-            faces=self._unpacked(masks),
+            faces=unpack_all(masks, n),
             pointed=(lineality_dim == 0),
             lineality_dim=lineality_dim,
             robustly_generated=_robustly_generated(W, masks, full_space, zero_columns),
@@ -394,22 +390,22 @@ def chirotope(W: RationalMatrix) -> Chirotope:
 
 def cocircuits(M: RationalMatrix) -> frozenset[SignVector]:
     """Minimal-support sign vectors of im M^T."""
-    return oriented_matroid(M).cocircuits
+    return unpack_all(oriented_matroid(M).cocircuit_masks, M.cols)
 
 
 def circuits(M: RationalMatrix) -> frozenset[SignVector]:
     """Minimal-support sign vectors of ker M: minimal dependent column sets."""
-    return oriented_matroid(M).circuits
+    return unpack_all(oriented_matroid(M).circuit_masks, M.cols)
 
 
 def covectors(M: RationalMatrix, cap: int = 12) -> frozenset[SignVector]:
     """All of sign(im M^T): composition closure of the cocircuits."""
-    return oriented_matroid(M).covectors(cap)
+    return unpack_all(oriented_matroid(M).covector_masks(cap), M.cols)
 
 
 def vectors(M: RationalMatrix, cap: int = 12) -> frozenset[SignVector]:
     """All of sign(ker M): composition closure of the circuits."""
-    return oriented_matroid(M).vectors(cap)
+    return unpack_all(oriented_matroid(M).vector_masks(cap), M.cols)
 
 
 def face_lattice(W: RationalMatrix, cap: int = 12) -> FaceLattice:
@@ -423,7 +419,7 @@ def conformal_decompose(M: RationalMatrix, tau: SignVector,
         raise InputError("sign vector length differs from the column count")
     if tau.is_zero():
         return []
-    x = realize_kernel_sign(M, tau)
+    x = realize_kernel_sign(M, pack(tau), (1 << M.cols) - 1)
     if x is None:
         raise InputError(f"{tau} is not a sign vector of the kernel")
     if circuit_set is None:
@@ -534,9 +530,9 @@ def is_interior_point(W: RationalMatrix, y: Vec) -> bool:
     facet's supporting functional. The facets are the nonnegative cocircuits."""
     if len(y) != W.rows:
         raise InputError("point dimension differs from the cone's ambient dimension")
-    for tau in unpack_all(oriented_matroid(W).nonneg_cocircuit_masks, W.cols):
+    for tau in oriented_matroid(W).nonneg_cocircuit_masks:
         x = realize_sign_vector(W, tau)
-        check(x is not None, f"face covector {tau} without a supporting functional")
+        check(x is not None, f"face covector {unpack(tau, W.cols)} without a supporting functional")
         if dot(x, y) <= 0:
             return False
     return True

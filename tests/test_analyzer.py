@@ -26,7 +26,6 @@ from expbij.analyzer import (
     _degeneracy_candidates,
     _excluded_tope,
     _jvec,
-    _kernel_point_positive_on,
     analyze,
     closure_cc,
     closure_cc_prime,
@@ -43,8 +42,15 @@ from expbij.analyzer import (
 )
 from expbij.crn import deficiency_zero_gmak, parse_network, robust_deficiency_zero_gmak
 from expbij.linalg import RationalMatrix, kernel_basis, matrix_with_kernel, rank, vec
-from expbij.lp import Rel, feasible, make_system, positive_kernel_vector, realize_sign_vector
-from expbij.matroid import OrientedMatroid
+from expbij.lp import (
+    Rel,
+    feasible,
+    make_system,
+    positive_kernel_vector,
+    realize_kernel_sign,
+    realize_sign_vector,
+)
+from expbij.matroid import OrientedMatroid, covectors, vectors
 from expbij.report import build_report, verify_certificate
 from expbij.signs import (
     EnumerationCap,
@@ -55,6 +61,7 @@ from expbij.signs import (
     sign_of,
     str_order,
     unpack,
+    unpack_all,
 )
 from sign_oracles import closure_excluded, nonneg_part
 
@@ -190,7 +197,7 @@ def _lp_newton(spec, caps):
     positive_kernel_vector for the dependence of each positive face."""
     hat = M(list(spec.exponents.row_tuples) + [[1] * spec.n])
     try:
-        hat_faces = nonneg_part(OrientedMatroid(hat).covectors(caps.max_n_enumeration))
+        hat_faces = nonneg_part(covectors(hat, caps.max_n_enumeration))
     except EnumerationCap as e:
         return "inconclusive", str(e)
     checked = 0
@@ -380,7 +387,7 @@ def test_iii_shortcuts_agree_with_exact_search_on_random_corpus():
     for spec in _corpus(200):
         om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
         shortcuts = {
-            "sign_sets_equal": om_w.vectors() == om_wt.vectors(),
+            "sign_sets_equal": om_w.vector_masks() == om_wt.vector_masks(),
             "iv": condition_iv(spec).holds,
             "cc": closure_cc(spec).holds,
             "cc_prime": closure_cc_prime(spec).holds,
@@ -398,7 +405,8 @@ def _signvector_picks(spec):
     made on SignVector sets in str order."""
     n = spec.n
     om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
-    V, T, C = om_w.vectors(), om_wt.vectors(), om_wt.covectors()
+    V, T, C = (unpack_all(masks, n) for masks in (
+        om_w.vector_masks(), om_wt.vector_masks(), om_wt.covector_masks()))
     common = min((t for t in V & C if not t.is_zero()), key=str, default=None)
     iv = None
     for tau_t in sorted((t for t in C if t.plus and SignVector(n, t.plus, 0) in V), key=str):
@@ -456,8 +464,9 @@ def _closure_condition_ii(spec):
     minimal nonnegative covectors, and each is covered by the first nonzero
     nonnegative covector of W below it in string order."""
     tag = "surjectivity-face-cover"
-    faces_w = spec._om(spec.coeff).nonneg_covectors()
-    facets_exp = minimal_support_members(spec._om(spec.exponents).nonneg_covectors())
+    faces_w = unpack_all(spec._om(spec.coeff).nonneg_covector_masks(), spec.n)
+    facets_exp = minimal_support_members(
+        unpack_all(spec._om(spec.exponents).nonneg_covector_masks(), spec.n))
     nonzero_w = sorted((t for t in faces_w if t.support), key=str)
     coverings = []
     for tau_t in sorted(facets_exp, key=str):
@@ -465,14 +474,15 @@ def _closure_condition_ii(spec):
         if tau is None:
             return ConditionResult(FAILS, tag, certificate={
                 "uncovered_face": str(tau_t),
-                "exponent_functional": _jvec(realize_sign_vector(spec.exponents, tau_t)),
-                "kernel_interior_evidence": _jvec(_kernel_point_positive_on(spec.coeff, tau_t)),
+                "exponent_functional": _jvec(realize_sign_vector(spec.exponents, pack(tau_t))),
+                "kernel_interior_evidence": _jvec(
+                    realize_kernel_sign(spec.coeff, pack(tau_t), tau_t.support)),
             })
         coverings.append({
             "exponent_face": str(tau_t),
             "coeff_face": str(tau),
-            "coeff_functional": _jvec(realize_sign_vector(spec.coeff, tau)),
-            "exponent_functional": _jvec(realize_sign_vector(spec.exponents, tau_t)),
+            "coeff_functional": _jvec(realize_sign_vector(spec.coeff, pack(tau))),
+            "exponent_functional": _jvec(realize_sign_vector(spec.exponents, pack(tau_t))),
         })
     return ConditionResult(HOLDS, tag, certificate={"coverings": coverings} if coverings else None)
 
@@ -505,7 +515,7 @@ def test_chirotopes_decide_sign_set_equality():
     seen = Counter()
     for spec in specs:
         om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
-        equal = om_w.vectors() == om_wt.vectors()
+        equal = om_w.vector_masks() == om_wt.vector_masks()
         assert om_w.chirotope.equal_up_to_sign(om_wt.chirotope) == equal, (spec.coeff, spec.exponents)
         assert om_wt.chirotope.equal_up_to_sign(om_w.chirotope) == equal
         seen[equal] += 1
@@ -514,7 +524,7 @@ def test_chirotopes_decide_sign_set_equality():
     assert all(seen[k] for k in (True, False, "flipped", "other kernel")), seen
     for spec in specs[:40] + specs[200:240]:
         assert analyze(spec).sign_sets_equal == (
-            spec._om(spec.coeff).vectors() == spec._om(spec.exponents).vectors())
+            spec._om(spec.coeff).vector_masks() == spec._om(spec.exponents).vector_masks())
 
 
 def test_verdicts_decided_under_caps_match_uncapped():
@@ -547,7 +557,8 @@ def test_excluded_tope_matches_closure_route():
     for spec in _corpus(200) + _zero_heavy_corpus(100):
         om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
         for first, second in ((om_w, om_wt), (om_wt, om_w)):
-            want = closure_excluded(first.vectors(), second.vectors())
+            want = closure_excluded(unpack_all(first.vector_masks(), spec.n),
+                                    unpack_all(second.vector_masks(), spec.n))
             got = _excluded_tope(first, second, spec.n)
             assert (None if got is None else unpack(got, spec.n)) == want, (spec.coeff, spec.exponents)
             seen[want is None] += 1
@@ -598,7 +609,7 @@ def test_analyze_enumerates_no_vector_set(monkeypatch):
         deficiency_zero_gmak(net)
         robust_deficiency_zero_gmak(net)
         assert not built, net
-    OrientedMatroid(M([[1, 2, -1]])).vectors()
+    vectors(M([[1, 2, -1]]))
     assert built  # the patch sees a closure that is built
 
 
@@ -626,16 +637,20 @@ def test_iii_search_solves_no_system_twice(monkeypatch):
 def test_realizations_are_solved_once_per_spec(monkeypatch):
     # the LP systems that i, ii, iv and the closure conditions share are
     # solved once per analysis, each witness still checks, and the memo
-    # lives on the analysed spec
+    # lives on the OrientedMatroids of the analysed (canonical) spec
     calls = Counter()
     for name in ("realize_kernel_sign", "realize_sign_vector"):
-        solve = getattr(expbij.analyzer, name)
+        solve = getattr(expbij.matroid, name)
 
-        def counted(M, tau, solve=solve, name=name):
-            calls[name, M, pack(tau)] += 1
-            return solve(M, tau)
+        def counted(M, *packed, solve=solve, name=name):
+            calls[name, M, packed] += 1
+            return solve(M, *packed)
 
-        monkeypatch.setattr(expbij.analyzer, name, counted)
+        monkeypatch.setattr(expbij.matroid, name, counted)
+    canonical = []
+    make_canonical = ExponentialMapSpec.canonical
+    monkeypatch.setattr(ExponentialMapSpec, "canonical",
+                        lambda spec: canonical.append(make_canonical(spec)) or canonical[-1])
     # in the last pair ii covers an exponent face by the equal coefficient
     # face: one sign vector realized on two matrices
     shared_face = spec_of([[1, 2, 1], [1, 2, -1]], [[-1, 2, 2], [1, 1, -1]])
@@ -645,7 +660,10 @@ def test_realizations_are_solved_once_per_spec(monkeypatch):
         rep = analyze(spec)
         assert calls and max(calls.values()) == 1
         assert verify_certificate(build_report(rep, {}))
-        assert spec._realizations == {}  # analyze memoizes on its canonical spec
+        assert spec._oriented_matroids == {}  # analyze memoizes on its canonical spec
+        memo = sum(len(om._vector_points) + len(om._covector_points)
+                   for om in canonical[-1]._oriented_matroids.values())
+        assert memo == len(calls)
         calls.clear()
         assert analyze(spec).to_json_dict()["conditions"] == rep.to_json_dict()["conditions"]
         assert calls  # a second analysis solves again
@@ -653,9 +671,9 @@ def test_realizations_are_solved_once_per_spec(monkeypatch):
 
 def test_kernel_systems_are_solved_once_per_analysis(monkeypatch):
     # iv's positive dependence, iii's block vectors and the interior evidence
-    # of ii and iii go through the per-spec memo, keyed like the kernel
-    # realizations whose systems they repeat, so one analysis solves no
-    # system "x in ker W with sign conditions" twice
+    # of ii and iii are vector_point witnesses of W's OrientedMatroid, memoized
+    # per argument, so one analysis solves no system "x in ker W with sign
+    # conditions" twice
     keys = Counter()
 
     def counted(system):
@@ -714,12 +732,12 @@ def test_internal_checks_survive_python_O():
 
         W = [[0, 0, 1, 1, -1, 0], [1, -1, 0, 0, 0, -1], [0, 0, 1, -1, 0, 0]]
         Wt = [[1, 1, 0, 0, -1, 2], [1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0]]
-        analyzer.realize_kernel_sign = lambda M_, tau: None
+        matroid.realize_kernel_sign = lambda M_, x, A: None
         expect_raise(lambda: analyzer.condition_iii_exact(ExponentialMapSpec(M(W), M(Wt))), 3)
         analyzer.injectivity_via_minors = lambda spec: ConditionResult("fails", "flipped")
         expect_raise(lambda: analyzer.analyze(
             ExponentialMapSpec(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]]))), 4)
-        matroid.realize_sign_vector = lambda M_, tau: None
+        matroid.realize_sign_vector = lambda M_, x: None
         expect_raise(lambda: matroid.is_interior_point(M([[1, 0], [0, 1]]), vec([1, 1])), 5)
         net = crn.parse_network({"species": ["A", "B"], "reactions": [
             {"from": {"stoich": {"A": 1}}, "to": {"stoich": {"B": 1}}, "reversible": True}]})

@@ -12,7 +12,7 @@ import pytest
 
 import expbij
 from expbij import analyzer, lp, matroid
-from expbij.linalg import RationalMatrix, vec
+from expbij.linalg import InputError, RationalMatrix, vec
 from expbij.lp import (
     Rel,
     SignSystem,
@@ -24,7 +24,7 @@ from expbij.lp import (
     realize_sign_vector,
     simplex_max,
 )
-from expbij.signs import SignVector, sign_of
+from expbij.signs import SignVector, pack, sign_of
 from sign_oracles import all_sign_vectors
 from test_analyzer import _corpus, sv_example
 
@@ -57,7 +57,7 @@ def test_feasible_examples():
 
     # realize covector (0,+,-) for rows of [[1,0,-1],[0,1,-1]]
     W = RationalMatrix([[1, 0, -1], [0, 1, -1]])
-    x = realize_sign_vector(W, S("0+-"))
+    x = realize_sign_vector(W, pack(S("0+-")))
     assert x is not None
     assert sign_of(W.transpose_vec(x)) == S("0+-")
 
@@ -82,15 +82,18 @@ def test_witness_tamper_detection():
 
 def test_realize_sign_vector_examples():
     ident = RationalMatrix([[1, 0], [0, 1]])
-    x = realize_sign_vector(ident, S("+-"))
+    x = realize_sign_vector(ident, pack(S("+-")))
     assert x is not None and x[0] > 0 and x[1] < 0
 
     row = RationalMatrix([[1, 1, -1]])
-    x = realize_sign_vector(row, S("++-"))
+    x = realize_sign_vector(row, pack(S("++-")))
     assert x is not None and x[0] > 0
 
     W = RationalMatrix([[1, 0, -1], [0, 1, -1]])
-    assert realize_sign_vector(W, S("+00")) is None  # not a covector
+    assert realize_sign_vector(W, pack(S("+00"))) is None  # not a covector
+    for bad in (1 << 6, 1 | 1 << 3):  # a bit beyond 2n; + and - at position 0
+        with pytest.raises(InputError):
+            realize_sign_vector(W, bad)
 
 
 def test_realize_matches_grid_enumeration():
@@ -100,7 +103,7 @@ def test_realize_matches_grid_enumeration():
     for a, b in product(range(-3, 4), repeat=2):
         grid_covectors.add(sign_of(W.transpose_vec(vec([a, b]))))
     for tau in all_sign_vectors(3):
-        x = realize_sign_vector(W, tau)
+        x = realize_sign_vector(W, pack(tau))
         if tau in grid_covectors:
             assert x is not None and sign_of(W.transpose_vec(x)) == tau
         else:
@@ -118,9 +121,9 @@ def test_positive_kernel_vector():
 
 def test_realize_kernel_sign():
     W = RationalMatrix([[1, 1, -1]])
-    v = realize_kernel_sign(W, S("+-0"))
+    v = realize_kernel_sign(W, pack(S("+-0")), 0b111)
     assert v is not None and sign_of(v) == S("+-0") and W.mat_vec(v) == (0,)
-    assert realize_kernel_sign(W, S("++0")) is None
+    assert realize_kernel_sign(W, pack(S("++0")), 0b111) is None
 
 
 def test_random_strict_systems_sound_and_grid_complete():

@@ -34,7 +34,16 @@ from expbij.matroid import (
     oriented_matroid,
     vectors,
 )
-from expbij.signs import EnumerationCap, SignVector, bits, minimal_support_members, pack, sign_of, unpack
+from expbij.signs import (
+    EnumerationCap,
+    SignVector,
+    bits,
+    minimal_support_members,
+    pack,
+    sign_of,
+    unpack,
+    unpack_all,
+)
 from sign_oracles import all_sign_vectors, nonneg_part, orthogonal_set
 
 S = SignVector.from_string
@@ -166,7 +175,7 @@ def test_direct_chirotope_reads_match_value_route():
             continue
         chi = chirotope(W)
         assert cocircuits_from_chirotope(chi) == _value_cocircuits(chi), W
-        assert OrientedMatroid(W).circuits == _value_circuits(chi), W
+        assert circuits(W) == _value_circuits(chi), W
         checked += 1
 
 
@@ -182,13 +191,14 @@ def test_nonneg_covectors_are_closure_of_nonneg_cocircuits():
             W = M([list(r) + [0] for r in W.row_tuples] + [[1] * (W.cols + 1)])
             kinds.add("lifted")
         kinds.add("deficient" if rank(W) < W.rows else "full rank")
-        om = OrientedMatroid(W)
-        assert om.nonneg_covectors() == nonneg_part(om.covectors()), W
-        assert om.face_lattice().faces == om.nonneg_covectors()
+        om, n = OrientedMatroid(W), W.cols
+        nonneg = unpack_all(om.nonneg_covector_masks(), n)
+        assert nonneg == nonneg_part(unpack_all(om.covector_masks(), n)), W
+        assert om.face_lattice().faces == nonneg
         checked += 1
     assert kinds == {"lifted", "deficient", "full rank"}
     with pytest.raises(EnumerationCap):
-        OrientedMatroid(M([[1, 2, 3]])).nonneg_covectors(cap=2)
+        OrientedMatroid(M([[1, 2, 3]])).nonneg_covector_masks(cap=2)
 
 
 def test_nonneg_cocircuits_are_the_minimal_nonneg_covectors():
@@ -207,11 +217,11 @@ def test_nonneg_cocircuits_are_the_minimal_nonneg_covectors():
         kinds["deficient" if rank(W) < W.rows else "full rank"] += 1
         kinds["zero column"] += any(all(x == 0 for x in W.column(j)) for j in range(W.cols))
         om = OrientedMatroid(W)
-        facets = {pack(t) for t in minimal_support_members(om.nonneg_covectors())}
+        facets = {pack(t) for t in minimal_support_members(unpack_all(om.nonneg_covector_masks(), W.cols))}
         assert om.nonneg_cocircuit_masks == facets, W
         kinds["no facet"] += not facets
         d, n = om.W.rows, W.cols
-        C = om.covectors()
+        C = unpack_all(om.covector_masks(), n)
         with_d_minus_1_zeros = {t for t in C if t.support and n - len(t.support_set()) == d - 1}
         assert om.uniform == (minimal_support_members(C) == with_d_minus_1_zeros), W
         assert om.uniform == all(m != 0 for m in maximal_minors(om.W).values()), W
@@ -239,9 +249,9 @@ def test_mask_accessors_are_the_packed_sets():
             continue
         om = OrientedMatroid(W)
         n = W.cols
-        for masks, svs in ((om.circuit_masks, om.circuits), (om.cocircuit_masks, om.cocircuits),
-                           (om.vector_masks(), om.vectors()), (om.covector_masks(), om.covectors()),
-                           (om.nonneg_covector_masks(), om.nonneg_covectors())):
+        for masks, svs in ((om.circuit_masks, circuits(W)), (om.cocircuit_masks, cocircuits(W)),
+                           (om.vector_masks(), vectors(W)), (om.covector_masks(), covectors(W)),
+                           (om.nonneg_covector_masks(), face_lattice(W).faces)):
             assert masks == {pack(t) for t in svs}, W
             assert all(unpack(x, n) == SignVector(n, x & ((1 << n) - 1), x >> n) for x in masks)
     om = OrientedMatroid(M([[1, 2, 3]]))
@@ -304,6 +314,42 @@ def test_extends_is_membership_in_the_restricted_closure():
             for comps in product((1, -1, 0), repeat=len(bits(A))):
                 x = _packed_on(A, n, comps)
                 assert om.extends(x, A) == (x in restricted), (W, unpack(x, n), bits(A))
+
+
+def test_witnesses_exist_iff_the_oracles_say_so():
+    # on the matrices of the extends test with n <= 4 (one LP per x; n = 5
+    # and 6 would add some 100,000 LPs): vector_point(x, A) is a point of
+    # ker W with the signs of x on A iff extends(x, A), and covector_point(x)
+    # is a y with sign(W^T y) = x iff x is a covector
+    rng = random.Random(4669)
+    seen = Counter()
+    for W in _oracle_matrices(220):
+        om, n = OrientedMatroid(W), W.cols
+        if n > 4:
+            continue
+        seen["rank-deficient"] += om.W.rows < W.rows
+        seen["zero column"] += any(not any(W.column(j)) for j in range(n))
+        seen["rational"] += any(x.denominator != 1 for row in W.row_tuples for x in row)
+        full = (1 << n) - 1
+        covectors_w = om.covector_masks()
+        for A in {full, rng.randrange(1 << n), rng.randrange(1 << n)}:
+            both = A | A << n
+            for comps in product((1, -1, 0), repeat=len(bits(A))):
+                x = _packed_on(A, n, comps)
+                v = om.vector_point(x, A)
+                assert (v is not None) == om.extends(x, A), (W, unpack(x, n), bits(A))
+                if v is not None:
+                    assert not any(W.mat_vec(v)) and pack(sign_of(v)) & both == x, (W, v)
+                seen["vector", A == full, v is not None] += 1
+                if A == full:
+                    y = om.covector_point(x)
+                    assert (y is not None) == (x in covectors_w), (W, unpack(x, n))
+                    if y is not None:
+                        assert pack(sign_of(om.W.transpose_vec(y))) == x, (W, y)
+                    seen["covector", y is not None] += 1
+    assert all(seen["vector", on_full, found] for on_full in (True, False) for found in (True, False)), seen
+    assert seen["covector", True] and seen["covector", False], seen
+    assert all(seen[k] >= 10 for k in ("rank-deficient", "zero column", "rational")), seen
 
 
 def test_first_vector_is_the_first_of_the_sorted_closure():
@@ -443,15 +489,16 @@ def test_vectors_covectors_orthogonal_pairs_random():
 
 
 def test_oriented_matroid_consistency():
-    om = OrientedMatroid(M([[1, 0, -1], [0, 1, -1]]))
-    assert om.circuits == {S("+++"), S("---")}
-    assert om.cocircuits == cocircuits_from_chirotope(om.chirotope)
-    assert SignVector.zero(3) in om.vectors() and SignVector.zero(3) in om.covectors()
-    assert om.face_lattice().faces == nonneg_part(om.covectors())
+    W = M([[1, 0, -1], [0, 1, -1]])
+    om = oriented_matroid(W)
+    assert circuits(W) == {S("+++"), S("---")}
+    assert cocircuits(W) == cocircuits_from_chirotope(om.chirotope)
+    assert SignVector.zero(3) in vectors(W) and SignVector.zero(3) in covectors(W)
+    assert om.face_lattice().faces == nonneg_part(covectors(W))
     # each piece is computed once and then shared
-    assert om.covectors() is om.covectors() and om.face_lattice() is om.face_lattice()
+    assert om.covector_masks() is om.covector_masks() and om.face_lattice() is om.face_lattice()
     # a rank-deficient matrix has the data of its row space
-    assert OrientedMatroid(M([[1, 0, -1], [0, 1, -1], [1, 1, -2]])).circuits == om.circuits
+    assert circuits(M([[1, 0, -1], [0, 1, -1], [1, 1, -2]])) == circuits(W)
 
 
 def test_conformal_decompose_examples():
