@@ -17,9 +17,12 @@ Every question about a kernel sign set sign(ker M), membership or the first
 member with given signs, is answered from the cocircuits of M
 (`OrientedMatroid.extends`, `first_vector`), so no vector set is enumerated.
 The only enumerations are covector sets, and `max_n_enumeration` caps those.
-Sign vectors stay packed ints; the witnesses a certificate names come from
-the same `OrientedMatroid` (`vector_point`, `covector_point`), and only the
-nondegeneracy search builds LP rows of its own.
+Sign vectors stay packed ints, and `SignVector` appears only as the strings
+a certificate names. The kernel and covector witnesses come from the same
+`OrientedMatroid` (`vector_point`, `covector_point`); the closure's
+orthogonal witness comes from `matroid.orthogonal_witness`, on the kernel
+basis of the other side. Only the nondegeneracy search builds LP rows of its
+own.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .linalg import (
 )
 from .lp import Rel, feasible, make_system
 from .matroid import FaceLattice, OrientedMatroid, is_interior_point, orthogonal_witness
-from .signs import EnumerationCap, SignVector, bits, pack, sign_of, str_order, unpack
+from .signs import EnumerationCap, bits, pack, sign_of, str_order, unpack
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -330,40 +333,6 @@ def condition_ii(spec: ExponentialMapSpec) -> ConditionResult:
     return ConditionResult(HOLDS, tag, certificate={"coverings": coverings} if coverings else None)
 
 
-@dataclass(frozen=True)
-class DegeneracyBlock:
-    indices: tuple[int, ...]
-    level: Fraction
-    kernel_vector: Vec
-
-
-@dataclass(frozen=True)
-class DegeneracyWitness:
-    """A direction x whose value vector z = Wt^T x breaks properness for some c."""
-
-    direction: Vec
-    z: Vec
-    tau: SignVector
-    blocks: tuple[DegeneracyBlock, ...]
-    no_cover_evidence: Vec
-
-    def to_json_dict(self) -> dict:
-        return {
-            "direction": _jvec(self.direction),
-            "z": _jvec(self.z),
-            "sign_vector": str(self.tau),
-            "blocks": [
-                {
-                    "indices": _jidx(b.indices),
-                    "level": frac_str(b.level),
-                    "kernel_vector": _jvec(b.kernel_vector),
-                }
-                for b in self.blocks
-            ],
-            "no_cover_evidence": _jvec(self.no_cover_evidence),
-        }
-
-
 def _ordered_partitions(elements: tuple[int, ...], admissible):
     """Ordered partitions of the element set into admissible blocks."""
     if not elements:
@@ -462,18 +431,22 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
             check(evidence is not None, "candidate without covering face lacks interior evidence")
             cert_blocks = []
             for b in blocks:
+                indices = sorted(b)
                 v = om_w.vector_point(sum(1 << i for i in b), full)
-                check(v is not None, f"block {_jidx(sorted(b))} is a nonnegative vector of W "
+                check(v is not None, f"block {_jidx(indices)} is a nonnegative vector of W "
                                      "but has no positive kernel vector")
-                cert_blocks.append(DegeneracyBlock(
-                    indices=tuple(sorted(b)),
-                    level=dot(spec.exponents.column(min(b)), x),
-                    kernel_vector=v,
-                ))
-            witness = DegeneracyWitness(direction=x, z=z, tau=unpack(tau_t, n),
-                                        blocks=tuple(cert_blocks), no_cover_evidence=evidence)
-            return ConditionResult(FAILS, tag, certificate=witness.to_json_dict(),
-                                   detail=f"{pairs_tried} ordered partitions tried")
+                cert_blocks.append({
+                    "indices": _jidx(indices),
+                    "level": frac_str(dot(spec.exponents.column(indices[0]), x)),
+                    "kernel_vector": _jvec(v),
+                })
+            return ConditionResult(FAILS, tag, certificate={
+                "direction": _jvec(x),
+                "z": _jvec(z),
+                "sign_vector": str(unpack(tau_t, n)),
+                "blocks": cert_blocks,
+                "no_cover_evidence": _jvec(evidence),
+            }, detail=f"{pairs_tried} ordered partitions tried")
     return ConditionResult(HOLDS, tag, detail=(
         f"{len(candidates)} candidate covectors, {pairs_tried} ordered partitions tried"))
 
@@ -570,14 +543,14 @@ def _closure_result(spec, swap: bool, tag: str) -> ConditionResult:
     if excluded is None:
         return ConditionResult(HOLDS, tag)
     v = om_first.vector_point(excluded, (1 << spec.n) - 1)
-    tau = unpack(excluded, spec.n)
+    tau = str(unpack(excluded, spec.n))
     check(v is not None, f"excluded sign vector {tau} has no kernel realization")
     # the sign sets rule out a dominating vector of ker(second), so by Minty's
     # alternative the orthogonal branch must hold
-    w = orthogonal_witness(kernel_basis(second), tau)
+    w = orthogonal_witness(kernel_basis(second), excluded)
     check(w is not None, "excluded sign vector admits a dominating one")
     return ConditionResult(FAILS, tag, certificate={
-        "excluded_sign_vector": str(tau),
+        "excluded_sign_vector": tau,
         "kernel_vector": _jvec(v),
         "orthogonal_witness": _jvec(w),
     })

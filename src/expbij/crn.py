@@ -34,6 +34,7 @@ from .linalg import (
     kernel_basis,
     matrix_with_kernel,
     row_space_basis,
+    vec_sub,
 )
 
 HOLDS = "holds"
@@ -243,12 +244,15 @@ def _structure_of(network: GeneralizedNetwork) -> NetworkStructure:
         laplacian = RationalMatrix(lap)
 
     comps = _weak_components(m, network.edges)
-    weakly_reversible = all(_strongly_connected(c, network.edges) for c in comps)
 
-    YI = Y.matmul(incidence)
-    YtI = Yt.matmul(incidence)
-    S = row_space_basis(YI.transpose())
-    St = row_space_basis(YtI.transpose())
+    # the reaction vectors y(v) - y(u), one per edge: the columns of Y times
+    # the incidence matrix
+    def reactions(side: int) -> RationalMatrix:
+        return RationalMatrix([vec_sub(network.vertices[v][side], network.vertices[u][side])
+                               for u, v in network.edges])
+
+    S = row_space_basis(reactions(0))
+    St = row_space_basis(reactions(1))
     ell = len(comps)
     deficiency = m - ell - S.dim
     kinetic_deficiency = m - ell - St.dim
@@ -263,7 +267,7 @@ def _structure_of(network: GeneralizedNetwork) -> NetworkStructure:
         incidence=incidence,
         laplacian=laplacian,
         components=tuple(tuple(c) for c in comps),
-        weakly_reversible=weakly_reversible,
+        weakly_reversible=is_weakly_reversible(network),
         stoich_subspace=S,
         kinetic_subspace=St,
         deficiency=deficiency,

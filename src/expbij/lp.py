@@ -9,10 +9,13 @@ One integer simplex core, `_simplex`, solves every LP. `feasible` hands it
 the int rows it builds and reads the witness off the final basis rows;
 `simplex_max` is the Fraction interface to the same core.
 
-The realization builders take sign vectors as packed ints (`plus | minus << n`,
-see `signs`). `realize_kernel_sign` builds every kernel system, signed on an
-index mask and free elsewhere; `realize_sign_vector` builds the covector
-systems. `matroid.OrientedMatroid` memoizes both per argument.
+Every realization system is built here, by one of three builders that take
+sign vectors as packed ints (`plus | minus << n`, see `signs`):
+`realize_kernel_sign` builds the kernel systems and `realize_sign_vector` the
+covector systems, each signed on an index mask and free elsewhere, and
+`realize_conformal_covector` the orthogonal branch of Minty's alternative, a
+nonzero covector conformal to a sign vector. `matroid.OrientedMatroid`
+memoizes the first two per argument; `matroid` builds no LP rows itself.
 """
 
 from __future__ import annotations
@@ -314,13 +317,35 @@ def realize_kernel_sign(M: RationalMatrix, x: int, A: int) -> Vec | None:
     return wit.point if wit else None
 
 
-def realize_sign_vector(M: RationalMatrix, x: int) -> Vec | None:
-    """y with sign(M^T y) equal to the packed sign vector x, or None (x is then
-    not a covector of M)."""
-    n = M.cols
+def _check_packed(x: int, n: int) -> None:
     if x >> 2 * n or x & x >> n:
         raise InputError(f"{x} is not a packed sign vector of length {n}")
-    rows = [(M.column(i), _rel(x, i, n)) for i in range(n)]
+
+
+def realize_sign_vector(M: RationalMatrix, x: int, A: int) -> Vec | None:
+    """y whose functional values (M^T y)_i have the signs of the packed sign
+    vector x at every column i in the index mask A, the others free, or None.
+    This builds every covector system: one row per i in A, in increasing i.
+    With A = all columns it asks for sign(M^T y) = x, and None says that x is
+    not a covector of M."""
+    n = M.cols
+    _check_packed(x, n)
+    rows = [(M.column(i), _rel(x, i, n)) for i in bits(A)]
+    wit = feasible(make_system(M.rows, rows))
+    return wit.point if wit else None
+
+
+def realize_conformal_covector(M: RationalMatrix, x: int) -> Vec | None:
+    """y with M^T y nonzero and sign(M^T y) <= the packed sign vector x, or
+    None: one weak row per column, >= 0, <= 0 or = 0 by the sign of x there,
+    then the x-signed sum of the columns > 0."""
+    n = M.cols
+    _check_packed(x, n)
+    weak = {Rel.GT: Rel.GE, Rel.LT: Rel.LE, Rel.EQ: Rel.EQ}
+    rows = [(M.column(i), weak[_rel(x, i, n)]) for i in range(n)]
+    plus, minus = bits(x & ((1 << n) - 1)), bits(x >> n)
+    weight = tuple(sum(r[i] for i in plus) - sum(r[i] for i in minus) for r in M.row_tuples)
+    rows.append((weight, Rel.GT))
     wit = feasible(make_system(M.rows, rows))
     return wit.point if wit else None
 

@@ -19,15 +19,17 @@ for one matrix, as packed ints, and computes each at most once. The module
 functions are the `SignVector` API: they share one `OrientedMatroid` per
 matrix object (`oriented_matroid`) and unpack its sets. Conformal
 decomposition, interior membership, and the two-branch alternative for sign
-vectors against a subspace also live here.
+vectors against a subspace also live here. This module builds no LP rows:
+every system it solves comes from a builder in `lp`, on packed sign vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 
 from .linalg import (
     InputError,
@@ -45,7 +47,7 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
-from .lp import Rel, feasible, make_system, realize_kernel_sign, realize_sign_vector
+from .lp import realize_conformal_covector, realize_kernel_sign, realize_sign_vector, unit_vectors
 from .signs import (
     EnumerationCap,
     SignVector,
@@ -53,6 +55,7 @@ from .signs import (
     composition_closure,
     pack,
     sign_of,
+    str_order,
     unpack,
     unpack_all,
 )
@@ -238,7 +241,7 @@ class OrientedMatroid:
         """y with sign(W^T y) = x for the packed x, or None when x is not a
         covector; solved once per argument."""
         if x not in self._covector_points:
-            self._covector_points[x] = realize_sign_vector(self.W, x)
+            self._covector_points[x] = realize_sign_vector(self.W, x, (1 << self.W.cols) - 1)
         return self._covector_points[x]
 
     @cached_property
@@ -412,42 +415,43 @@ def face_lattice(W: RationalMatrix, cap: int = 12) -> FaceLattice:
     return oriented_matroid(W).face_lattice(cap)
 
 
-def conformal_decompose(M: RationalMatrix, tau: SignVector,
-                        circuit_set: set[SignVector] | None = None) -> list[SignVector]:
-    """Circuits rho_k <= tau composing to tau, at most min(dim ker, |supp tau|) of them."""
-    if tau.n != M.cols:
+def conformal_decompose(M: RationalMatrix, tau: SignVector) -> list[SignVector]:
+    """Circuits rho_k <= tau composing to tau, at most min(dim ker, |supp tau|)
+    of them. Each step takes the first circuit in string order conformal to
+    the remaining kernel vector."""
+    n = M.cols
+    if tau.n != n:
         raise InputError("sign vector length differs from the column count")
     if tau.is_zero():
         return []
-    x = realize_kernel_sign(M, pack(tau), (1 << M.cols) - 1)
+    full = (1 << n) - 1
+    target = pack(tau)
+    x = realize_kernel_sign(M, target, full)
     if x is None:
         raise InputError(f"{tau} is not a sign vector of the kernel")
-    if circuit_set is None:
-        circuit_set = circuits(M)
-    ordered = sorted(circuit_set, key=str)
-    out: list[SignVector] = []
+    ordered = sorted(oriented_matroid(M).circuit_masks, key=str_order(n))
+    out: list[int] = []
     while not is_zero_vec(x):
-        sx = sign_of(x)
-        rho = next((c for c in ordered if c.leq(sx)), None)
+        sx = pack(sign_of(x))
+        rho = next((c for c in ordered if c & ~sx == 0), None)
         check(rho is not None, "nonzero kernel vector without a conformal circuit")
-        J = rho.support_set()
+        J = bits((rho | rho >> n) & full)
         ker = kernel_basis(M.column_submatrix(J))
-        check(ker.dim == 1, f"circuit {rho} without a one-dimensional kernel")
-        u = [Fraction(0)] * M.cols
+        check(ker.dim == 1, f"circuit {unpack(rho, n)} without a one-dimensional kernel")
+        u = [Fraction(0)] * n
         for pos, j in enumerate(J):
             u[j] = ker.vectors[0][pos]
         u = tuple(u)
-        if sign_of(u) != rho:
+        if pack(sign_of(u)) != rho:
             u = vec_scale(-1, u)
-        check(sign_of(u) == rho, f"kernel vector of circuit {rho} has another sign")
+        check(pack(sign_of(u)) == rho, f"kernel vector of circuit {unpack(rho, n)} has another sign")
         t = min(x[j] / u[j] for j in J)
         x = vec_sub(x, vec_scale(t, u))
         out.append(rho)
-    composed = out[0]
-    for rho in out[1:]:
-        composed = composed.compose(rho)
-    check(composed == tau, f"circuits of {tau} compose to {composed}")
-    return out
+    # sign vectors conformal to one another compose by OR
+    composed = reduce(or_, out)
+    check(composed == target, f"circuits of {tau} compose to {unpack(composed, n)}")
+    return [unpack(rho, n) for rho in out]
 
 
 @dataclass(frozen=True)
@@ -466,72 +470,42 @@ def minty_alternative(basis: SubspaceBasis, sigma: SignVector) -> MintyWitness:
         raise InputError("sign vector length differs from the ambient dimension")
     if sigma.is_zero():
         raise InputError("the alternative needs a nonzero sign vector")
-    primal = _signed_point_in_span(basis.vectors, sigma, strict=True)
-    if primal is not None:
-        return MintyWitness("subspace", primal)
-    dual = orthogonal_witness(basis, sigma)
+    x = pack(sigma)
+    if basis.dim:
+        B = RationalMatrix(basis.vectors)
+        y = realize_sign_vector(B, x, sigma.support)
+        if y is not None:
+            return MintyWitness("subspace", B.transpose_vec(y))
+    dual = orthogonal_witness(basis, x)
     check(dual is not None, "both branches of the alternative failed")
     return MintyWitness("orthogonal", dual)
 
 
-def orthogonal_witness(basis: SubspaceBasis, sigma: SignVector) -> Vec | None:
-    """Nonzero x in S-perp with sign(x) <= sigma, or None: the orthogonal
-    branch of the alternative on its own."""
+def orthogonal_witness(basis: SubspaceBasis, x: int) -> Vec | None:
+    """Nonzero v in S-perp with sign(v) <= the packed sign vector x, or None:
+    the orthogonal branch of the alternative on its own. S-perp is spanned by
+    the kernel basis of the basis matrix, which fixes the LP and so the
+    witness."""
     n = basis.ambient_dim
-    comp = kernel_basis(RationalMatrix(basis.vectors)) if basis.dim else None
-    comp_vectors = comp.vectors if comp is not None else tuple(
-        tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-    )
-    return _nonzero_conformal_point(comp_vectors, sigma)
-
-
-def _signed_point_in_span(span_vectors, sigma, strict: bool):
-    if not span_vectors:
+    comp = kernel_basis(RationalMatrix(basis.vectors)).vectors if basis.dim else unit_vectors(n)
+    if not comp:
         return None
-    k = len(span_vectors)
-    rows = []
-    for i in sigma.plus_set():
-        rows.append((tuple(v[i] for v in span_vectors), Rel.GT if strict else Rel.GE))
-    for i in sigma.minus_set():
-        rows.append((tuple(v[i] for v in span_vectors), Rel.LT if strict else Rel.LE))
-    wit = feasible(make_system(k, rows))
-    if wit is None:
-        return None
-    return tuple(dot(wit.point, col) for col in zip(*span_vectors))
-
-
-def _nonzero_conformal_point(span_vectors, sigma):
-    if not span_vectors:
-        return None
-    k = len(span_vectors)
-    n = sigma.n
-    rows = []
-    weight = [Fraction(0)] * k
-    for i in range(n):
-        form = tuple(v[i] for v in span_vectors)
-        s = sigma[i]
-        if s > 0:
-            rows.append((form, Rel.GE))
-            weight = [w + f for w, f in zip(weight, form)]
-        elif s < 0:
-            rows.append((form, Rel.LE))
-            weight = [w - f for w, f in zip(weight, form)]
-        else:
-            rows.append((form, Rel.EQ))
-    rows.append((tuple(weight), Rel.GT))
-    wit = feasible(make_system(k, rows))
-    if wit is None:
-        return None
-    return tuple(dot(wit.point, col) for col in zip(*span_vectors))
+    C = RationalMatrix(comp)
+    y = realize_conformal_covector(C, x)
+    return None if y is None else C.transpose_vec(y)
 
 
 def is_interior_point(W: RationalMatrix, y: Vec) -> bool:
     """y in the interior of cone(columns of W): strictly positive at every
-    facet's supporting functional. The facets are the nonnegative cocircuits."""
+    facet's supporting functional. The facets are the nonnegative cocircuits.
+    A cone whose columns do not span the ambient space has no interior."""
     if len(y) != W.rows:
         raise InputError("point dimension differs from the cone's ambient dimension")
-    for tau in oriented_matroid(W).nonneg_cocircuit_masks:
-        x = realize_sign_vector(W, tau)
+    om = oriented_matroid(W)
+    if om.W.rows < W.rows:
+        return False
+    for tau in om.nonneg_cocircuit_masks:
+        x = om.covector_point(tau)
         check(x is not None, f"face covector {unpack(tau, W.cols)} without a supporting functional")
         if dot(x, y) <= 0:
             return False

@@ -88,43 +88,44 @@ def solve(instance: NumericMapInstance, y, x0=None, tol: float = 1e-10,
     x = np.zeros(instance.d_tilde) if x0 is None else np.asarray(x0, dtype=float)
     scale = 1.0 + float(np.linalg.norm(y))
     overflowed = False
-    for it in range(max_iterations):
-        mono, over = _monomials(instance, x)
-        overflowed = overflowed or over
-        r = instance.coeff @ mono - y
-        res = float(np.linalg.norm(r))
-        if res <= tol * scale:
-            x, res = _polish(instance, x, y, res)
-            return SolveResult("converged", x, res, it)
-        if not np.isfinite(res) or np.linalg.norm(x) > 1e8:
-            break
-        J = instance.coeff @ (mono[:, None] * instance.exponents.T)
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -r, rcond=None)[0]
-        if not np.all(np.isfinite(step)) or np.linalg.norm(step) == 0:
-            break
-        phi = res * res
-        slope = 2.0 * float(r @ (J @ step))
-        alpha = 1.0
-        while alpha > 1e-14:
-            trial = x + alpha * step
-            mono_t, _ = _monomials(instance, trial)
-            with np.errstate(over="ignore", invalid="ignore"):
-                phi_t = float((instance.coeff @ mono_t - y) @ (instance.coeff @ mono_t - y))
-            if np.isfinite(phi_t) and phi_t <= phi + 1e-4 * alpha * slope:
-                break
-            alpha *= 0.5
-        if alpha <= 1e-14:
-            break  # no descent; treat as stalled
-        x = x + alpha * step
-    norm = float(np.linalg.norm(x))
-    mono, over = _monomials(instance, x)
+    # a huge x or step overflows to inf, which the finiteness and size
+    # checks below already handle
     with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(max_iterations):
+            mono, over = _monomials(instance, x)
+            overflowed = overflowed or over
+            r = instance.coeff @ mono - y
+            res = float(np.linalg.norm(r))
+            if res <= tol * scale:
+                x, res = _polish(instance, x, y, res)
+                return SolveResult("converged", x, res, it)
+            if not np.isfinite(res) or np.linalg.norm(x) > 1e8:
+                break
+            J = instance.coeff @ (mono[:, None] * instance.exponents.T)
+            try:
+                step = np.linalg.solve(J, -r)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(J, -r, rcond=None)[0]
+            if not np.all(np.isfinite(step)) or np.linalg.norm(step) == 0:
+                break
+            phi = res * res
+            slope = 2.0 * float(r @ (J @ step))
+            alpha = 1.0
+            while alpha > 1e-14:
+                trial = x + alpha * step
+                mono_t, _ = _monomials(instance, trial)
+                phi_t = float((instance.coeff @ mono_t - y) @ (instance.coeff @ mono_t - y))
+                if np.isfinite(phi_t) and phi_t <= phi + 1e-4 * alpha * slope:
+                    break
+                alpha *= 0.5
+            if alpha <= 1e-14:
+                break  # no descent; treat as stalled
+            x = x + alpha * step
+        norm = float(np.linalg.norm(x))
+        mono, over = _monomials(instance, x)
         res = float(np.linalg.norm(instance.coeff @ mono - y))
-    if norm > 1e6 or (overflowed and norm > 1e2):
-        return SolveResult("diverged-along-ray", None, res, max_iterations, direction=x / norm)
+        if norm > 1e6 or (overflowed and norm > 1e2):
+            return SolveResult("diverged-along-ray", None, res, max_iterations, direction=x / norm)
     return SolveResult("max-iterations", x, res, max_iterations)
 
 

@@ -39,7 +39,6 @@ from expbij.linalg import (
 )
 from expbij.matroid import (
     chirotope,
-    circuits,
     cocircuits,
     cocircuits_from_chirotope,
     conformal_decompose,
@@ -178,12 +177,11 @@ def test_criterion_3_oriented_matroid_consistency():
             C = covectors(W)
             assert C == orthogonal_set(V, n)
             assert V == orthogonal_set(C, n)
-            circ = circuits(W)
             dim_ker = n - rank(W)
             for tau in V:
                 if tau.is_zero():
                     continue
-                parts = conformal_decompose(W, tau, circ)
+                parts = conformal_decompose(W, tau)
                 assert len(parts) <= min(dim_ker, len(tau.support_set()))
 
 

@@ -270,6 +270,9 @@ def test_robust_coefficients_examples():
     assert robust_coefficients(FACE_GAP).fails
     full = spec_of([[1, -1, 0, 0], [0, 0, 1, -1]], [[1, -1, 0, 0], [0, 0, 1, -1]])
     assert robust_coefficients(full).holds
+    # equal face sets, but columns 1 and 2 of W share an extreme ray
+    not_robust = spec_of([[1, 1, 1], [-2, -2, 1]], [[-2, -2, 2], [-2, -2, -1]])
+    assert robust_coefficients(not_robust).certificate == {"reason": "cone-not-robustly-generated"}
 
 
 def test_robust_both_examples():
@@ -464,6 +467,7 @@ def _closure_condition_ii(spec):
     minimal nonnegative covectors, and each is covered by the first nonzero
     nonnegative covector of W below it in string order."""
     tag = "surjectivity-face-cover"
+    full = (1 << spec.n) - 1
     faces_w = unpack_all(spec._om(spec.coeff).nonneg_covector_masks(), spec.n)
     facets_exp = minimal_support_members(
         unpack_all(spec._om(spec.exponents).nonneg_covector_masks(), spec.n))
@@ -474,15 +478,15 @@ def _closure_condition_ii(spec):
         if tau is None:
             return ConditionResult(FAILS, tag, certificate={
                 "uncovered_face": str(tau_t),
-                "exponent_functional": _jvec(realize_sign_vector(spec.exponents, pack(tau_t))),
+                "exponent_functional": _jvec(realize_sign_vector(spec.exponents, pack(tau_t), full)),
                 "kernel_interior_evidence": _jvec(
                     realize_kernel_sign(spec.coeff, pack(tau_t), tau_t.support)),
             })
         coverings.append({
             "exponent_face": str(tau_t),
             "coeff_face": str(tau),
-            "coeff_functional": _jvec(realize_sign_vector(spec.coeff, pack(tau))),
-            "exponent_functional": _jvec(realize_sign_vector(spec.exponents, pack(tau_t))),
+            "coeff_functional": _jvec(realize_sign_vector(spec.coeff, pack(tau), full)),
+            "exponent_functional": _jvec(realize_sign_vector(spec.exponents, pack(tau_t), full)),
         })
     return ConditionResult(HOLDS, tag, certificate={"coverings": coverings} if coverings else None)
 
@@ -737,7 +741,7 @@ def test_internal_checks_survive_python_O():
         analyzer.injectivity_via_minors = lambda spec: ConditionResult("fails", "flipped")
         expect_raise(lambda: analyzer.analyze(
             ExponentialMapSpec(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]]))), 4)
-        matroid.realize_sign_vector = lambda M_, x: None
+        matroid.realize_sign_vector = lambda M_, x, A: None
         expect_raise(lambda: matroid.is_interior_point(M([[1, 0], [0, 1]]), vec([1, 1])), 5)
         net = crn.parse_network({"species": ["A", "B"], "reactions": [
             {"from": {"stoich": {"A": 1}}, "to": {"stoich": {"B": 1}}, "reversible": True}]})

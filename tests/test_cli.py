@@ -285,6 +285,9 @@ VERIFY_EXAMPLES = {
     "CC_EXAMPLE": ([[1, 1, -1]], [[1, 0, -1]]),
     "EX1": (EX1_W["entries"], EX1_WT["entries"]),
     "FACE_GAP": ([[1, 1, 0], [0, 1, 1]], [[1, 0, -1], [0, 1, 0]]),
+    # robust_coefficients fails with face-sets-differ, then cone-not-robustly-generated
+    "FACES_DIFFER": ([[-1, -1, 0, 2], [-2, -1, -1, -2]], [[2, 1, 2, 1], [-2, 1, -2, -1]]),
+    "NOT_ROBUSTLY_GENERATED": ([[1, 1, 1], [-2, -2, 1]], [[-2, -2, 2], [-2, -2, -1]]),
 }
 
 
@@ -301,6 +304,8 @@ VERIFY_EXAMPLES = {
     ("FACE_GAP", "robust_coefficients", ()),
     ("NONINJ", "robust_both", ()),
     ("NONINJ", "robust_exponents", ("minor_form",)),
+    ("FACES_DIFFER", "robust_coefficients", ()),
+    ("NOT_ROBUSTLY_GENERATED", "robust_coefficients", ()),
 ])
 def test_verify_certificate_rejects_unchecked_fails(example, key, where):
     W, Wt = VERIFY_EXAMPLES[example]
@@ -317,6 +322,20 @@ def test_verify_certificate_rejects_unchecked_fails(example, key, where):
             cert = cert[field]
         cert["reason"] = "unknown-reason"
     assert verify_certificate(report) is False
+
+
+def test_verify_certificate_checks_the_separating_face():
+    # the separating face must lie in exactly one of the two face sets
+    W, Wt = VERIFY_EXAMPLES["FACES_DIFFER"]
+    spec = ExponentialMapSpec(RationalMatrix(W), RationalMatrix(Wt))
+    report = json.loads(canonical_json(build_report(analyze(spec), {})))
+    cert = report["conditions"]["robust_coefficients"]["certificate"]
+    assert cert == {"reason": "face-sets-differ", "separating_face": "+++0"}
+    assert verify_certificate(report)
+    shared = set(report["cones"]["coeff"]["faces"]) & set(report["cones"]["exp"]["faces"])
+    for face in sorted(shared):
+        cert["separating_face"] = face
+        assert verify_certificate(report) is False, face
 
 
 @pytest.mark.parametrize("example, verdict", [("NONINJ", "fails"), ("EX1", "holds")])

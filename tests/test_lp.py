@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import expbij
-from expbij import analyzer, lp, matroid
+from expbij import analyzer, lp
 from expbij.linalg import InputError, RationalMatrix, vec
 from expbij.lp import (
     Rel,
@@ -20,6 +20,7 @@ from expbij.lp import (
     feasible,
     make_system,
     positive_kernel_vector,
+    realize_conformal_covector,
     realize_kernel_sign,
     realize_sign_vector,
     simplex_max,
@@ -57,7 +58,7 @@ def test_feasible_examples():
 
     # realize covector (0,+,-) for rows of [[1,0,-1],[0,1,-1]]
     W = RationalMatrix([[1, 0, -1], [0, 1, -1]])
-    x = realize_sign_vector(W, pack(S("0+-")))
+    x = realize_sign_vector(W, pack(S("0+-")), 0b111)
     assert x is not None
     assert sign_of(W.transpose_vec(x)) == S("0+-")
 
@@ -82,18 +83,24 @@ def test_witness_tamper_detection():
 
 def test_realize_sign_vector_examples():
     ident = RationalMatrix([[1, 0], [0, 1]])
-    x = realize_sign_vector(ident, pack(S("+-")))
+    x = realize_sign_vector(ident, pack(S("+-")), 0b11)
     assert x is not None and x[0] > 0 and x[1] < 0
 
     row = RationalMatrix([[1, 1, -1]])
-    x = realize_sign_vector(row, pack(S("++-")))
+    x = realize_sign_vector(row, pack(S("++-")), 0b111)
     assert x is not None and x[0] > 0
 
     W = RationalMatrix([[1, 0, -1], [0, 1, -1]])
-    assert realize_sign_vector(W, pack(S("+00"))) is None  # not a covector
+    assert realize_sign_vector(W, pack(S("+00")), 0b111) is None  # not a covector
+    y = realize_sign_vector(W, pack(S("+00")), 0b001)  # columns 2 and 3 free
+    assert y is not None and W.transpose_vec(y)[0] > 0
+    # a nonzero covector conformal to +-+, and none conformal to ++0
+    y = realize_conformal_covector(W, pack(S("+-+")))
+    assert y is not None and any(W.transpose_vec(y)) and sign_of(W.transpose_vec(y)).leq(S("+-+"))
+    assert realize_conformal_covector(W, pack(S("++0"))) is None
     for bad in (1 << 6, 1 | 1 << 3):  # a bit beyond 2n; + and - at position 0
         with pytest.raises(InputError):
-            realize_sign_vector(W, bad)
+            realize_sign_vector(W, bad, 0b111)
 
 
 def test_realize_matches_grid_enumeration():
@@ -103,7 +110,7 @@ def test_realize_matches_grid_enumeration():
     for a, b in product(range(-3, 4), repeat=2):
         grid_covectors.add(sign_of(W.transpose_vec(vec([a, b]))))
     for tau in all_sign_vectors(3):
-        x = realize_sign_vector(W, pack(tau))
+        x = realize_sign_vector(W, pack(tau), 0b111)
         if tau in grid_covectors:
             assert x is not None and sign_of(W.transpose_vec(x)) == tau
         else:
@@ -288,7 +295,7 @@ def _analyzer_systems():
     alphas = ("1/3", "1/2", "2/3", "1", "4/3", "3/2", "2", "5/2", "3")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "_simplex", solve)
-        for module in (lp, analyzer, matroid):
+        for module in (lp, analyzer):
             mp.setattr(module, "feasible", recording)
         for spec in [sv_example(Fraction(a)) for a in alphas] + _corpus(24):
             analyzer.analyze(spec)

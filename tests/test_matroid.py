@@ -526,12 +526,11 @@ def test_conformal_decompose_bound_random():
         d = rng.randint(1, 3)
         n = rng.randint(d + 1, min(d + 3, 6))
         W = _random_full_rank(rng, d, n)
-        circ = circuits(W)
         dim_ker = n - d
         for tau in vectors(W):
             if tau.is_zero():
                 continue
-            parts = conformal_decompose(W, tau, circ)
+            parts = conformal_decompose(W, tau)
             assert len(parts) <= min(dim_ker, len(tau.support_set()))
             for rho in parts:
                 assert rho.leq(tau)
@@ -646,6 +645,11 @@ def test_is_interior_point_examples():
 
     # full space: everything is interior
     assert is_interior_point(M([[1, -1, 0, 0], [0, 0, 1, -1]]), vec([5, -7]))
+
+    # a ray in R^2 spans no open set: no point is interior, on the ray or off it
+    ray = M([[1, 0], [1, 0]])
+    assert not is_interior_point(ray, vec([1, 1]))
+    assert not is_interior_point(ray, vec([1, -1]))
 
 
 def test_public_calls_share_one_table_per_matrix_object(monkeypatch):
