@@ -4,18 +4,20 @@ All of it comes from one table per matrix, the signs of its maximal minors
 (`linalg.maximal_minor_signs`, an integer table built from one echelon form).
 That table is the chirotope; the cocircuits are read off the chirotope on
 (d-1)-subsets, and the circuits on (d+1)-subsets by Cramer's rule. The full
-vector and covector sets are the composition closures of the circuits and
-cocircuits. The face lattice of the cone spanned by the columns is the
-nonnegative part of the covectors, which is the closure of the nonnegative
-cocircuits alone, since every covector is the composition of the cocircuits
-conformal to it. The facets of that cone are the nonnegative cocircuits, and
-two configurations have equal vector sets iff their chirotopes agree up to
-sign, so neither needs a closure. Nor do questions about single vectors: a
-sign vector is a vector iff it is orthogonal to every cocircuit, which
-`extends` tests on a restriction and `first_vector` uses to find the first
-vector with given signs by prefix search; `vector_point` and `covector_point`
-return the rational witnesses of such questions. `OrientedMatroid` holds these
-for one matrix, as packed ints, and computes each at most once. The module
+covector set is the sign vectors orthogonal to every circuit, and the full
+vector set those orthogonal to every cocircuit; `_orthogonal_masks` builds
+either in one pass over the columns. The face lattice of the cone spanned by
+the columns is the nonnegative part of the covectors, which is the
+composition closure of the nonnegative cocircuits alone, since every
+covector is the composition of the cocircuits conformal to it. The facets
+of that cone are the nonnegative cocircuits, and two configurations have
+equal vector sets iff their chirotopes agree up to sign, so neither needs an
+enumeration. Nor do questions about single vectors: a sign vector is a
+vector iff it is orthogonal to every cocircuit, which `extends` tests on a
+restriction and `first_vector` uses to find the first vector with given
+signs by prefix search; `vector_point` and `covector_point` return the
+rational witnesses of such questions. `OrientedMatroid` holds these for one
+matrix, as packed ints, and computes each at most once. The module
 functions are the `SignVector` API: they share one `OrientedMatroid` per
 matrix object (`oriented_matroid`) and unpack its sets. Conformal
 decomposition, interior membership, and the two-branch alternative for sign
@@ -94,6 +96,8 @@ class Chirotope:
         tup = tuple(tup)
         if len(tup) != self.d:
             raise InputError(f"chirotope takes {self.d}-tuples, got {len(tup)}")
+        if not all(0 <= i < self.n for i in tup):
+            raise InputError(f"chirotope column indices lie in 0..{self.n - 1}, got {tup}")
         s = _perm_sign(tup)
         if s == 0:
             return 0
@@ -140,6 +144,64 @@ def _cocircuit_masks(chi: Chirotope) -> set[int]:
             out.add(plus | minus << n)
             out.add(minus | plus << n)
     return out
+
+
+def _orthogonal_masks(gens, n: int) -> frozenset[int]:
+    """Every packed sign vector of length n orthogonal to all of gens, a set
+    closed under negation: the covectors when gens are the circuits, the
+    vectors when they are the cocircuits.
+
+    Positions are set in order 0..n-1. The prefixes kept after position k are
+    the sign vectors of the first k+1 columns, those orthogonal to every
+    generator whose support lies in 0..k, and each extends to position k+1 in
+    exactly one way or in all three (a face lies on one side of a new
+    hyperplane, inside it, or is cut by it). A node (x, P, N) carries the
+    generators, one per opposite pair and as bit i of an int, that x already
+    meets with a + product (P) and with a - product (N). At position k only
+    the generators whose support ends there and are not in P & N can forbid a
+    sign; the lowest of them fixes it: 0 when x does not meet it yet, else the
+    sign whose product at k is the missing one."""
+    full = (1 << n) - 1
+    pos, neg, ends = [0] * n, [0] * n, [0] * n
+    reps = (g for g in gens if g < (g >> n | (g & full) << n))
+    for i, g in enumerate(reps):
+        b = 1 << i
+        for j in bits(g & full):
+            pos[j] |= b
+        for j in bits(g >> n):
+            neg[j] |= b
+        ends[((g | g >> n) & full).bit_length() - 1] |= b
+    nodes = [(0, 0, 0)]
+    for k in range(n - 1):
+        p, m, e, bp, bm = pos[k], neg[k], ends[k], 1 << k, 1 << k + n
+        children = []
+        add = children.append
+        for x, P, N in nodes:
+            g = e & ~(P & N)
+            if not g:
+                add((x, P, N))
+                add((x | bp, P | p, N | m))
+                add((x | bm, P | m, N | p))
+                continue
+            g &= -g
+            if not g & (P | N):
+                add((x, P, N))
+            elif g & (P & m | N & p):
+                add((x | bp, P | p, N | m))
+            else:
+                add((x | bm, P | m, N | p))
+        nodes = children
+    # the same step at the last position, where only the signs are kept
+    p, m, e, bp, bm = pos[-1], neg[-1], ends[-1], 1 << n - 1, 1 << 2 * n - 1
+    out: set[int] = set()
+    for x, P, N in nodes:
+        g = e & ~(P & N)
+        if not g:
+            out.update((x, x | bp, x | bm))
+            continue
+        g &= -g
+        out.add(x if not g & (P | N) else x | bp if g & (P & m | N & p) else x | bm)
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -290,11 +352,16 @@ class OrientedMatroid:
 
     @cached_property
     def _covector_masks(self) -> frozenset[int]:
-        return composition_closure(self.cocircuit_masks, self.W.cols)
+        covs = _orthogonal_masks(self.circuit_masks, self.W.cols)
+        # the cocircuits come from the chirotope directly, the circuits by Cramer
+        check(self.cocircuit_masks <= covs, "a cocircuit is not orthogonal to every circuit")
+        return covs
 
     @cached_property
     def _vector_masks(self) -> frozenset[int]:
-        return composition_closure(self.circuit_masks, self.W.cols)
+        vecs = _orthogonal_masks(self.cocircuit_masks, self.W.cols)
+        check(self.circuit_masks <= vecs, "a circuit is not orthogonal to every cocircuit")
+        return vecs
 
     @cached_property
     def _nonneg_covector_masks(self) -> frozenset[int]:
@@ -302,12 +369,14 @@ class OrientedMatroid:
         return composition_closure(self.nonneg_cocircuit_masks, self.W.cols)
 
     def covector_masks(self, cap: int = 12) -> frozenset[int]:
-        """All of sign(im W^T), packed: composition closure of the cocircuits."""
+        """All of sign(im W^T), packed: the sign vectors orthogonal to every
+        circuit, by one pass over the columns (`_orthogonal_masks`)."""
         self.check_cap("covector", cap)
         return self._covector_masks
 
     def vector_masks(self, cap: int = 12) -> frozenset[int]:
-        """All of sign(ker W), packed: composition closure of the circuits."""
+        """All of sign(ker W), packed: the sign vectors orthogonal to every
+        cocircuit, by one pass over the columns (`_orthogonal_masks`)."""
         self.check_cap("vector", cap)
         return self._vector_masks
 
@@ -402,12 +471,12 @@ def circuits(M: RationalMatrix) -> frozenset[SignVector]:
 
 
 def covectors(M: RationalMatrix, cap: int = 12) -> frozenset[SignVector]:
-    """All of sign(im M^T): composition closure of the cocircuits."""
+    """All of sign(im M^T): the sign vectors orthogonal to every circuit."""
     return unpack_all(oriented_matroid(M).covector_masks(cap), M.cols)
 
 
 def vectors(M: RationalMatrix, cap: int = 12) -> frozenset[SignVector]:
-    """All of sign(ker M): composition closure of the circuits."""
+    """All of sign(ker M): the sign vectors orthogonal to every cocircuit."""
     return unpack_all(oriented_matroid(M).vector_masks(cap), M.cols)
 
 

@@ -87,7 +87,7 @@ class SignVector:
                 and (self.n, self.plus, self.minus) == (other.n, other.plus, other.minus))
 
     def __hash__(self):
-        return hash((self.n, self.plus, self.minus))
+        return hash(self.plus | self.minus << self.n)
 
     def __neg__(self) -> "SignVector":
         return SignVector(self.n, self.minus, self.plus)

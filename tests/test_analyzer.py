@@ -408,8 +408,10 @@ def _signvector_picks(spec):
     made on SignVector sets in str order."""
     n = spec.n
     om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
-    V, T, C = (unpack_all(masks, n) for masks in (
-        om_w.vector_masks(), om_wt.vector_masks(), om_wt.covector_masks()))
+    # the sign sets as closures, independent of the orthogonality that
+    # analyze and the package's enumeration both rest on
+    V, T, C = (unpack_all(composition_closure(gens, n), n) for gens in (
+        om_w.circuit_masks, om_wt.circuit_masks, om_wt.cocircuit_masks))
     common = min((t for t in V & C if not t.is_zero()), key=str, default=None)
     iv = None
     for tau_t in sorted((t for t in C if t.plus and SignVector(n, t.plus, 0) in V), key=str):
@@ -561,8 +563,8 @@ def test_excluded_tope_matches_closure_route():
     for spec in _corpus(200) + _zero_heavy_corpus(100):
         om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
         for first, second in ((om_w, om_wt), (om_wt, om_w)):
-            want = closure_excluded(unpack_all(first.vector_masks(), spec.n),
-                                    unpack_all(second.vector_masks(), spec.n))
+            want = closure_excluded(unpack_all(composition_closure(first.circuit_masks, spec.n), spec.n),
+                                    unpack_all(composition_closure(second.circuit_masks, spec.n), spec.n))
             got = _excluded_tope(first, second, spec.n)
             assert (None if got is None else unpack(got, spec.n)) == want, (spec.coeff, spec.exponents)
             seen[want is None] += 1
@@ -576,9 +578,10 @@ def test_iv_dominating_vector_matches_sorted_closure():
     for spec in _corpus(200) + _zero_heavy_corpus(100):
         n, full = spec.n, (1 << spec.n) - 1
         om_w = spec._om(spec.coeff)
-        by_order = sorted(om_w.vector_masks(), key=str_order(n))
+        vectors_w = composition_closure(om_w.circuit_masks, n)
+        by_order = sorted(vectors_w, key=str_order(n))
         for t in spec._om(spec.exponents).covector_masks():
-            if not (t & full and t & full in om_w.vector_masks()):
+            if not (t & full and t & full in vectors_w):
                 continue
             support = (t | t >> n) & full
             want = next((r for r in by_order if support & ~r == 0), None)
@@ -598,7 +601,7 @@ def _crn_pool_networks():
 
 def test_analyze_enumerates_no_vector_set(monkeypatch):
     # every sign(ker .) question of analyze is answered from the cocircuits;
-    # only the public vectors API builds the closure
+    # only the public vectors API builds the vector set
     built = []
 
     def vector_masks(om):
@@ -614,7 +617,7 @@ def test_analyze_enumerates_no_vector_set(monkeypatch):
         robust_deficiency_zero_gmak(net)
         assert not built, net
     vectors(M([[1, 2, -1]]))
-    assert built  # the patch sees a closure that is built
+    assert built  # the patch sees a vector set that is built
 
 
 def test_iii_search_solves_no_system_twice(monkeypatch):
@@ -717,8 +720,9 @@ def test_analyze_builds_each_closure_once(monkeypatch):
 
 def test_internal_checks_survive_python_O():
     # the LP and the sign sets, the two injectivity forms, a face covector and
-    # its functional, and the two deficiency formulas are forced to disagree;
-    # each module must raise even when asserts are stripped
+    # its functional, the two deficiency formulas, and the cocircuits or
+    # circuits and the enumerated sign sets are forced to disagree; each module
+    # must raise even when asserts are stripped
     code = textwrap.dedent("""
         import sys
         from expbij import analyzer, crn, matroid
@@ -747,6 +751,9 @@ def test_internal_checks_survive_python_O():
             {"from": {"stoich": {"A": 1}}, "to": {"stoich": {"B": 1}}, "reversible": True}]})
         crn.intersection_dim = lambda U, V: -1
         expect_raise(lambda: crn.structure(net), 6)
+        matroid._orthogonal_masks = lambda gens, n: {0}
+        expect_raise(lambda: matroid.covectors(M([[1, 1, -1]])), 7)
+        expect_raise(lambda: matroid.vectors(M([[1, 1, -1]])), 8)
         sys.exit(0)
     """)
     src = str(Path(expbij.__file__).resolve().parents[1])

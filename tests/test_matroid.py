@@ -10,6 +10,7 @@ import pytest
 import expbij.matroid
 from expbij.analyzer import ExponentialMapSpec, condition_ii
 from expbij.linalg import (
+    InputError,
     RationalMatrix,
     SubspaceBasis,
     dot,
@@ -22,6 +23,7 @@ from expbij.linalg import (
 )
 from expbij.matroid import (
     OrientedMatroid,
+    _orthogonal_masks,
     chirotope,
     circuits,
     cocircuits,
@@ -38,6 +40,7 @@ from expbij.signs import (
     EnumerationCap,
     SignVector,
     bits,
+    composition_closure,
     minimal_support_members,
     pack,
     sign_of,
@@ -261,6 +264,39 @@ def test_mask_accessors_are_the_packed_sets():
             accessor(cap=2)
 
 
+def test_orthogonal_masks_match_composition_closure():
+    """The one-pass enumeration against its definition: the covectors are the
+    composition closure of the cocircuits and are orthogonal to the circuits,
+    and the vectors the other way round."""
+    rng = random.Random(57721)
+    kinds = Counter()
+    for _ in range(120):
+        n = rng.randint(1, 9)
+        d = rng.randint(1, n)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)]
+        if d > 1 and rng.random() < 0.3:
+            rows[-1] = [a - b for a, b in zip(rows[0], rows[-2])]
+        if n > 1 and rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        W = M(rows)
+        if rank(W) == 0:
+            continue
+        om = OrientedMatroid(W)
+        full = (1 << n) - 1
+        kinds["rank-deficient"] += rank(W) < d
+        kinds["zero column"] += any(not any(W.column(j)) for j in range(n))
+        kinds["coloop"] += bool(om.circuit_masks) and any(
+            bin((c | c >> n) & full).count("1") == 1 for c in om.cocircuit_masks)
+        kinds["no circuits"] += not om.circuit_masks
+        kinds["n = 9"] += n == 9
+        assert _orthogonal_masks(om.circuit_masks, n) == composition_closure(om.cocircuit_masks, n), W
+        assert _orthogonal_masks(om.cocircuit_masks, n) == composition_closure(om.circuit_masks, n), W
+    assert all(kinds[k] >= 5 for k in ("rank-deficient", "zero column", "coloop", "no circuits",
+                                       "n = 9")), kinds
+
+
 def _oracle_matrices(count):
     """Seeded matrices with n <= 6: zero entries, rational entries, and often
     rank-deficient or with a zero column."""
@@ -302,12 +338,12 @@ def _packed_on(A, n, comps):
 
 def test_extends_is_membership_in_the_restricted_closure():
     # extends(x, A) against the restrictions to A of every vector of the
-    # closure, for every sign vector x on A
+    # closure of the circuits, for every sign vector x on A
     rng = random.Random(4669)
     for W in _oracle_matrices(220):
         om, n = OrientedMatroid(W), W.cols
         full = (1 << n) - 1
-        vectors_w = om.vector_masks()
+        vectors_w = composition_closure(om.circuit_masks, n)
         for A in {full, rng.randrange(1 << n), rng.randrange(1 << n)}:
             both = A | A << n
             restricted = {v & both for v in vectors_w}
@@ -360,7 +396,7 @@ def test_first_vector_is_the_first_of_the_sorted_closure():
     for W in _oracle_matrices(220):
         om, n = OrientedMatroid(W), W.cols
         full = (1 << n) - 1
-        by_str = sorted(om.vector_masks(), key=lambda v: str(unpack(v, n)))
+        by_str = sorted(composition_closure(om.circuit_masks, n), key=lambda v: str(unpack(v, n)))
         union = 0
         for v in by_str:
             union |= (v | v >> n) & full
@@ -423,6 +459,13 @@ def test_chirotope_examples():
 
     with pytest.raises(Exception):
         chirotope(M([[1, 1], [1, 1]]))
+
+
+def test_chirotope_value_rejects_bad_tuples():
+    chi = chirotope(M([[1, 0, -1], [0, 1, -1]]))
+    for tup in ((0, 5), (3, 1), (-1, 0), (0, 1, 2)):
+        with pytest.raises(InputError):
+            chi.value(tup)
 
 
 def test_cocircuits_from_chirotope_examples():
