@@ -16,7 +16,6 @@ from .analyzer import Caps, ExponentialMapSpec, analyze
 from .crn import deficiency_zero_gmak, parse_network, robust_deficiency_zero_gmak, structure
 from .linalg import InputError, InternalInconsistency, RationalMatrix
 from .matroid import chirotope, circuits, cocircuits, covectors, face_lattice, vectors
-from .numeric import NumericMapInstance, multi_start_solve, solve
 from .report import build_report, canonical_json, digest_of
 from .signs import EnumerationCap
 
@@ -112,17 +111,9 @@ def _cmd_matroid(args) -> int:
         lines = [",".join(str(i + 1) for i in I) + " " + {1: "+", 0: "0", -1: "-"}[s]
                  for I, s in chi.sorted_items()]
     else:
-        if args.what == "circuits":
-            svs = circuits(mat)
-        elif args.what == "cocircuits":
-            svs = cocircuits(mat)
-        elif args.what == "covectors":
-            svs = covectors(mat)
-        elif args.what == "vectors":
-            svs = vectors(mat)
-        else:
-            svs = face_lattice(mat).faces
-        lines = sorted(str(t) for t in svs)
+        sign_set = {"circuits": circuits, "cocircuits": cocircuits, "covectors": covectors,
+                    "vectors": vectors, "faces": lambda m: face_lattice(m).faces}[args.what]
+        lines = sorted(str(t) for t in sign_set(mat))
     _emit("\n".join(lines) + "\n", None)
     return EXIT_OK
 
@@ -159,6 +150,8 @@ def _cmd_crn(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .numeric import NumericMapInstance, multi_start_solve, solve  # the only numpy user
+
     spec = ExponentialMapSpec(_load_matrix(args.coeff), _load_matrix(args.exp))
     c = _load_vector(args.c, spec.n, "parameter", positive=True)
     y = _load_vector(args.y, spec.d, "target")
@@ -182,6 +175,13 @@ def _cmd_solve(args) -> int:
         }
     _emit(json.dumps(result, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
+
+
+def _seed(text: str) -> int:
+    """A --seed value; numpy's default_rng takes only nonnegative seeds."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> _Parser:
@@ -217,7 +217,7 @@ def build_parser() -> _Parser:
     s.add_argument("--c", required=True, help="positive parameter vector JSON file")
     s.add_argument("--y", required=True, help="target vector JSON file")
     s.add_argument("--starts", type=int, default=1)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out")
     s.set_defaults(fn=_cmd_solve)
     return p

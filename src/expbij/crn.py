@@ -100,8 +100,8 @@ def parse_network(doc: dict) -> GeneralizedNetwork:
     if not isinstance(doc, dict):
         raise NetworkError("network document must be a JSON object")
     species = doc.get("species")
-    if not species or not isinstance(species, list):
-        raise NetworkError('a nonempty "species" list is required')
+    if not species or not isinstance(species, list) or not all(isinstance(s, str) for s in species):
+        raise NetworkError('a nonempty "species" list of names is required')
     if len(set(species)) != len(species):
         raise NetworkError("species names must be unique")
     index = {name: i for i, name in enumerate(species)}
@@ -115,7 +115,7 @@ def parse_network(doc: dict) -> GeneralizedNetwork:
     rates: list[Fraction | None] = []
 
     def vertex(side) -> int:
-        if "stoich" not in side:
+        if not isinstance(side, dict) or "stoich" not in side:
             raise NetworkError('every reaction side needs a "stoich" complex')
         y = _parse_complex(side, index, "stoich", nonneg=True)
         yt = _parse_complex(side, index, "kinetic", nonneg=False)

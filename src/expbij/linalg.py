@@ -236,9 +236,10 @@ class RationalMatrix:
 
     @classmethod
     def from_json_dict(cls, obj) -> "RationalMatrix":
-        if not isinstance(obj, dict) or "entries" not in obj:
-            raise InputError('matrix JSON must be an object with an "entries" field')
-        mat = cls(obj["entries"])
+        entries = obj.get("entries") if isinstance(obj, dict) else None
+        if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+            raise InputError('matrix JSON must be an object whose "entries" is a list of rows')
+        mat = cls(entries)
         for key, want in (("rows", mat.rows), ("cols", mat.cols)):
             if key in obj and obj[key] != want:
                 raise InputError(f'matrix JSON field "{key}"={obj[key]} does not match entries ({want})')

@@ -6,8 +6,10 @@ pivoting rule the simplex method terminates, so feasibility is decided
 exactly and every witness is an exact rational point.
 
 One integer simplex core, `_simplex`, solves every LP. `feasible` hands it
-the int rows it builds and reads the witness off the final basis rows;
-`simplex_max` is the Fraction interface to the same core.
+the int rows it builds and reads the witness off the final basis rows. Those
+LPs are homogeneous apart from the margin row t + s = 1, so the origin is
+feasible and the margin is at most 1: every one has an optimum, and `_simplex`
+treats an infeasible or unbounded LP as an internal inconsistency.
 
 Every realization system is built here, by one of three builders that take
 sign vectors as packed ints (`plus | minus << n`, see `signs`):
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-from .linalg import InputError, InternalInconsistency, RationalMatrix, Vec, dot
+from .linalg import InputError, RationalMatrix, Vec, check, dot
 from .signs import bits
 
 
@@ -112,13 +114,14 @@ def _pivot(T, obj, basis, r, j):
     basis[r] = j
 
 
-def _run_simplex(T, obj, basis) -> str:
+def _run_simplex(T, obj, basis) -> None:
     """Maximize by Bland's rule: the first column with a positive reduced cost
-    enters; the smallest ratio leaves, ties broken by smallest basic index."""
+    enters; the smallest ratio leaves, ties broken by smallest basic index.
+    Every LP `feasible` builds is bounded, so some row always leaves."""
     while True:
         enter = next((j for j, cost in enumerate(obj) if cost > 0), None)
         if enter is None:
-            return "optimal"
+            return
         leave = None
         for r, row in enumerate(T):
             a = row[enter]
@@ -129,37 +132,36 @@ def _run_simplex(T, obj, basis) -> str:
                 lhs, rhs = row[-1] * la, lb * a  # row[-1] / a against lb / la
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
                     leave, la, lb = r, a, row[-1]
-        if leave is None:
-            return "unbounded"
+        check(leave is not None, "simplex unbounded: the margin is at most 1")
         _pivot(T, obj, basis, leave, enter)
 
 
 def _simplex(rows: list[list[int]], c: list[int]):
     """max c.x subject to A x = b, x >= 0, on ints, by the two-phase simplex
-    with Bland's rule.
+    with Bland's rule, for the systems `feasible` builds.
 
     rows[r] is [A_r | b_r] with b_r >= 0. Each row gets an artificial column
     with coefficient 1, and phase 1 maximizes minus their sum. The input lists
     are not modified.
 
-    Returns (status, T, basis), status in {"optimal", "infeasible",
-    "unbounded"}. On "optimal", T holds the final basis rows [A | b], without
-    redundant rows: variable basis[r] takes the value T[r][-1] / T[r][basis[r]]
-    (the denominator is positive) and every nonbasic variable is 0."""
+    Every such system is homogeneous apart from the margin row t + s = 1, so
+    x = 0 with s = 1 is feasible and phase 1 reaches 0, and phase 2 maximizes
+    the margin t <= 1 (or the zero cost), so it is bounded. Either failing is
+    an `InternalInconsistency`.
+
+    Returns (T, basis): T holds the final basis rows [A | b], without
+    redundant rows, and variable basis[r] takes the value
+    T[r][-1] / T[r][basis[r]] (the denominator is positive); every nonbasic
+    variable is 0."""
     m, n = len(rows), len(c)
     # phase 1: artificial columns n..n+m-1 form the starting basis
-    T = []
-    for r, row in enumerate(rows):
-        t = row[:-1] + [0] * m
-        t[n + r] = 1
-        t.append(row[-1])
-        T.append(t)
+    T = [row[:-1] + [0] * r + [1] + [0] * (m - 1 - r) + row[-1:] for r, row in enumerate(rows)]
     basis = list(range(n, n + m))
     # reduced costs of max(-sum artificials): the column sums of the rows
     obj = [sum(row[j] for row in rows) for j in range(n)] + [0] * m
-    status = _run_simplex(T, obj, basis)
-    if status != "optimal" or any(basis[r] >= n and T[r][-1] > 0 for r in range(m)):
-        return "infeasible", None, None
+    _run_simplex(T, obj, basis)
+    check(all(basis[r] < n or T[r][-1] == 0 for r in range(m)),
+          "simplex infeasible: the origin satisfies every system feasible builds")
     # drive artificials out of the basis; drop redundant rows
     r = 0
     while r < len(T):
@@ -177,43 +179,8 @@ def _simplex(rows: list[list[int]], c: list[int]):
         f = obj[j]
         if f:
             _eliminate(obj, f, row[j], [(k, x) for k, x in enumerate(row[:n]) if x])
-    if _run_simplex(T, obj, basis) == "unbounded":
-        return "unbounded", None, None
-    return "optimal", T, basis
-
-
-def _basic_solution(T, basis, n: int) -> list[Fraction]:
-    """The n-variable point of `_simplex`'s final basis rows."""
-    x = [Fraction(0)] * n
-    for row, j in zip(T, basis):
-        x[j] = Fraction(row[-1], row[j])
-    return x
-
-
-def simplex_max(A_rows, b_vals, c_vals):
-    """max c.x subject to A x = b, x >= 0 over exact rationals.
-
-    Entries are ints or Fractions. Returns (status, x, value) with status in
-    {"optimal", "infeasible", "unbounded"}. Every row goes to `_simplex` as
-    ints, times one scale L, the lcm of all denominators in A and b, and
-    negated where b < 0; the costs are scaled by the lcm of theirs. This is
-    the rational tableau with each artificial variable scaled by L, so the
-    signs and ratios Bland's rule reads, and so the pivots, are the rational
-    tableau's.
-    """
-    scale = lcm(*(x.denominator for row in A_rows for x in row),
-                *(b.denominator for b in b_vals))
-    rows = []
-    for row, b in zip(A_rows, b_vals):
-        s = -scale if b < 0 else scale
-        rows.append([x.numerator * (s // x.denominator) for x in (*row, b)])
-    scale = lcm(*(c.denominator for c in c_vals))
-    status, T, basis = _simplex(rows, [c.numerator * (scale // c.denominator) for c in c_vals])
-    if status != "optimal":
-        return status, None, None
-    x = _basic_solution(T, basis, len(c_vals))
-    value = sum((Fraction(c_vals[j]) * x[j] for j in basis), Fraction(0))
-    return "optimal", x, value
+    _run_simplex(T, obj, basis)
+    return T, basis
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -255,9 +222,7 @@ def feasible(system: SignSystem) -> FeasibilityWitness | None:
         row[t_col] = row[slack_at + k] = row[-1] = 1
         rows.append(row)
         c[t_col] = 1
-    status, T, basis = _simplex(rows, c)
-    if status != "optimal":
-        return None
+    T, basis = _simplex(rows, c)
     point = [_ZERO] * dim
     slack = _ZERO if strict else _ONE
     for row, j in zip(T, basis):
@@ -270,8 +235,7 @@ def feasible(system: SignSystem) -> FeasibilityWitness | None:
     if slack <= 0:
         return None
     witness = FeasibilityWitness(tuple(point), slack)
-    if not check_witness(system, witness):
-        raise InternalInconsistency("simplex returned a point violating the system")
+    check(check_witness(system, witness), "simplex returned a point violating the system")
     return witness
 
 

@@ -35,7 +35,6 @@ from expbij.linalg import (
     kernel_basis,
     rank,
     row_space_basis,
-    vec,
 )
 from expbij.matroid import (
     chirotope,
@@ -50,6 +49,7 @@ from expbij.numeric import NumericMapInstance, evaluate, probe_bijectivity, solv
 from expbij.report import build_report, canonical_json, verify_certificate
 from expbij.signs import SignVector, sign_of
 from sign_oracles import all_sign_vectors, orthogonal_set
+from test_analyzer import CC_EXAMPLE, EX1, EX2, FACE_GAP, _random_full_rank, sv_example
 
 M = RationalMatrix
 S = SignVector.from_string
@@ -65,29 +65,6 @@ def criterion(number, description):
         raise
     dt = time.perf_counter() - t0
     print(f"ACCEPTANCE {number}: PASS - {description} ({dt:.1f}s)")
-
-
-def spec_of(W, Wt):
-    return ExponentialMapSpec(M(W), M(Wt))
-
-
-def sv_example(alpha):
-    Wt = [[1, 1, 0, 0, -1, alpha], [1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0]]
-    W = [[0, 0, 1, 1, -1, 0], [1, -1, 0, 0, 0, -1], [0, 0, 1, -1, 0, 0]]
-    return spec_of(W, Wt)
-
-
-EX1 = spec_of([[1, 0, -1], [0, 1, 0]], [[1, 0, -1], [0, 1, -1]])
-EX2 = spec_of([[1, 0, -1], [0, 1, 0]], [[1, 1, 0], [0, 1, 1]])
-CC_EXAMPLE = spec_of([[1, 1, -1]], [[1, 0, -1]])
-FACE_GAP = spec_of([[1, 1, 0], [0, 1, 1]], [[1, 0, -1], [0, 1, 0]])
-
-
-def _random_full_rank(rng, d, n):
-    while True:
-        mat = M([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
-        if rank(mat) == d:
-            return mat
 
 
 def test_criterion_1_worked_example_classification():

@@ -95,6 +95,13 @@ def _random_full_rank(rng, d, n, zero_p=0.0):
             return mat
 
 
+def run_python(*args):
+    """`python *args` in a subprocess that imports expbij from this source tree."""
+    src = str(Path(expbij.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
 def random_spec(rng):
     d = rng.randint(1, 4)
     n = rng.randint(d, d + 4)
@@ -756,10 +763,7 @@ def test_internal_checks_survive_python_O():
         expect_raise(lambda: matroid.vectors(M([[1, 1, -1]])), 8)
         sys.exit(0)
     """)
-    src = str(Path(expbij.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+    proc = run_python("-O", "-c", code)
     assert proc.returncode == 0, (proc.returncode, proc.stderr)
 
 

@@ -9,6 +9,7 @@ from expbij.cli import main
 from expbij.linalg import InternalInconsistency, RationalMatrix, kernel_basis, maximal_minors
 from expbij.matroid import vectors
 from expbij.report import build_report, canonical_json, digest_of, verify_certificate
+from test_analyzer import run_python
 
 
 def write_json(tmp_path, name, obj):
@@ -32,6 +33,13 @@ SV_W = matrix_json([[0, 0, 1, 1, -1, 0], [1, -1, 0, 0, 0, -1], [0, 0, 1, -1, 0, 
 
 def sv_wt(alpha):
     return matrix_json([[1, 1, 0, 0, -1, alpha], [1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0]])
+
+
+def solve_args(tmp_path, c=(2,), y=(6,)):
+    """`expbij solve` for F_c(x) = c exp(x) = y."""
+    one = write_json(tmp_path, "M.json", matrix_json([[1]]))
+    return ["solve", "--coeff", one, "--exp", one, "--c", write_json(tmp_path, "c.json", c),
+            "--y", write_json(tmp_path, "y.json", y)]
 
 
 def run_analyze(tmp_path, W, Wt, caps=None, out="report.json"):
@@ -102,6 +110,28 @@ def test_malformed_json_exit_one(tmp_path, capsys):
     assert main(["analyze", "--coeff", str(bad), "--exp", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("entries", [5, [5, 6], None])
+def test_malformed_matrix_shape_exit_one(tmp_path, capsys, entries):
+    assert main(["analyze",
+                 "--coeff", write_json(tmp_path, "W.json", {"entries": entries}),
+                 "--exp", write_json(tmp_path, "Wt.json", BIRCH)]) == 1
+    assert _one_error_line(capsys)
+
+
+A_TO_B = {"from": {"stoich": {"A": 1}}, "to": {"stoich": {"B": 1}}}
+
+
+@pytest.mark.parametrize("doc", [
+    {"species": ["A", "B"], "reactions": [dict(A_TO_B, to="stoich")]},
+    {"species": ["A", "B"], "reactions": [dict(A_TO_B, to=["stoich"])]},
+    {"species": ["A", "B"], "reactions": [dict(A_TO_B, to=None)]},
+    {"species": [["A"]], "reactions": [A_TO_B]},
+])
+def test_malformed_network_shape_exit_one(tmp_path, capsys, doc):
+    assert main(["crn", "analyze", write_json(tmp_path, "net.json", doc)]) == 1
+    assert _one_error_line(capsys)
+
+
 def test_dimension_mismatch_exit_one(tmp_path, capsys):
     code = main(["analyze",
                  "--coeff", write_json(tmp_path, "W.json", matrix_json([[1, 0, -1]])),
@@ -151,17 +181,28 @@ def test_crn_subcommand(tmp_path):
 
 
 def test_solve_subcommand(tmp_path, capsys):
-    code = main([
-        "solve",
-        "--coeff", write_json(tmp_path, "W.json", matrix_json([[1]])),
-        "--exp", write_json(tmp_path, "Wt.json", matrix_json([[1]])),
-        "--c", write_json(tmp_path, "c.json", [2]),
-        "--y", write_json(tmp_path, "y.json", [6]),
-    ])
-    assert code == 0
+    assert main(solve_args(tmp_path)) == 0
     result = json.loads(capsys.readouterr().out)
     assert result["status"] == "converged"
     assert abs(result["x"][0] - 1.0986122886681098) < 1e-9
+
+
+@pytest.mark.parametrize("seed", [["--seed", "-1"], ["--seed=-1"], ["--seed", "x"]])
+def test_solve_rejects_negative_seed(tmp_path, capsys, seed):
+    assert main(solve_args(tmp_path) + ["--starts", "3", *seed]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_exact_subcommands_run_without_numpy(tmp_path):
+    # only `solve` needs numpy; the exact subcommands must not import it
+    mat = write_json(tmp_path, "M.json", EX1_WT)
+    net = write_json(tmp_path, "net.json", {"species": ["A", "B"],
+                                            "reactions": [dict(A_TO_B, reversible=True)]})
+    code = "import sys; sys.modules['numpy'] = None; from expbij.cli import main; sys.exit(main())"
+    for args in (["analyze", "--coeff", mat, "--exp", mat], ["matroid", "circuits", mat],
+                 ["crn", "analyze", net]):
+        proc = run_python("-c", code, *args)
+        assert proc.returncode == 0, (args, proc.stderr)
 
 
 @pytest.mark.parametrize("caps", [
@@ -202,14 +243,7 @@ def test_zero_caps_are_accepted(tmp_path):
     ([2], [float("nan")]),
 ])
 def test_solve_rejects_bad_vectors(tmp_path, capsys, c, y):
-    code = main([
-        "solve",
-        "--coeff", write_json(tmp_path, "W.json", matrix_json([[1]])),
-        "--exp", write_json(tmp_path, "Wt.json", matrix_json([[1]])),
-        "--c", write_json(tmp_path, "c.json", c),
-        "--y", write_json(tmp_path, "y.json", y),
-    ])
-    assert code == 1
+    assert main(solve_args(tmp_path, c, y)) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 

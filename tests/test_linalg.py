@@ -21,6 +21,7 @@ from expbij.linalg import (
     rref,
     vec,
 )
+from test_analyzer import _random_full_rank
 
 
 def M(entries):
@@ -155,19 +156,12 @@ def test_matrix_with_kernel_rejects_dependent():
         SubspaceBasis(3, (vec([1, 0, 1]), vec([2, 0, 2])))
 
 
-def _random_matrix(rng, d, n):
-    while True:
-        mat = M([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
-        if rank(mat) == d:
-            return mat
-
-
 def test_rank_nullity_and_kernel_roundtrip():
     rng = random.Random(20240811)
     for _ in range(60):
         d = rng.randint(1, 4)
         n = rng.randint(d, d + 4)
-        mat = _random_matrix(rng, d, n)
+        mat = _random_full_rank(rng, d, n)
         ker = kernel_basis(mat)
         assert rank(mat) + ker.dim == n  # rank-nullity, exact
         for v in ker.vectors:
@@ -182,7 +176,7 @@ def test_minors_row_permutation_single_global_sign():
     for _ in range(25):
         d = rng.randint(2, 4)
         n = rng.randint(d, d + 3)
-        mat = _random_matrix(rng, d, n)
+        mat = _random_full_rank(rng, d, n)
         perm = list(range(d))
         rng.shuffle(perm)
         permuted = M([mat.row(i) for i in perm])

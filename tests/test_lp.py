@@ -1,18 +1,14 @@
-import os
 import random
-import subprocess
-import sys
 import textwrap
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from pathlib import Path
+from math import lcm
 
 import pytest
 
-import expbij
 from expbij import analyzer, lp
-from expbij.linalg import InputError, RationalMatrix, vec
+from expbij.linalg import InputError, InternalInconsistency, RationalMatrix, vec
 from expbij.lp import (
     Rel,
     SignSystem,
@@ -23,28 +19,31 @@ from expbij.lp import (
     realize_conformal_covector,
     realize_kernel_sign,
     realize_sign_vector,
-    simplex_max,
 )
 from expbij.signs import SignVector, pack, sign_of
 from sign_oracles import all_sign_vectors
-from test_analyzer import _corpus, sv_example
+from test_analyzer import _corpus, run_python, sv_example
 
 S = SignVector.from_string
 
 
+def _point(T, basis, n):
+    """The n-variable point of lp._simplex's final basis rows."""
+    x = [Fraction(0)] * n
+    for row, j in zip(T, basis):
+        x[j] = Fraction(row[-1], row[j])
+    return x
+
+
 def test_simplex_basic():
-    # max x subject to x <= 5 (x + s = 5)
-    status, x, val = simplex_max([[1, 1]], [5], [1, 0])
-    assert status == "optimal" and val == 5 and x[0] == 5
-
-    # infeasible: x = -1, x >= 0
-    status, _, _ = simplex_max([[1]], [-1], [0])
-    # b is sign-flipped to 1 with row -x = 1, infeasible over x >= 0
-    assert status == "infeasible"
-
-    # unbounded: max x, no constraints binding
-    status, _, _ = simplex_max([[1, -1]], [0], [1, 0])
-    assert status == "unbounded"
+    # max x subject to x + s = 5
+    T, basis = lp._simplex([[1, 1, 5]], [1, 0])
+    assert _point(T, basis, 2) == [5, 0]
+    # no system feasible builds is infeasible (-x = 1 over x >= 0) or
+    # unbounded (max x subject to x - y = 0)
+    for rows, c in (([[-1, 1]], [0]), ([[1, -1, 0]], [1, 0])):
+        with pytest.raises(InternalInconsistency):
+            lp._simplex(rows, c)
 
 
 def test_feasible_examples():
@@ -159,9 +158,9 @@ def test_random_strict_systems_sound_and_grid_complete():
                 assert not ok, f"grid point {point} satisfies a system reported infeasible"
 
 
-# Reference oracle: the Fraction-tableau Bland simplex that the integer-row
-# simplex_max replaced. Both must take the same pivots and return the same
-# (status, x, value).
+# Reference oracle: the Fraction-tableau Bland simplex that the integer core
+# replaced. Both must take the same pivots and reach the same optimum, and the
+# core must raise wherever the oracle finds no optimum.
 
 def _fraction_pivot(A, b, obj, basis, r, j):
     inv = A[r][j]
@@ -172,50 +171,35 @@ def _fraction_pivot(A, b, obj, basis, r, j):
             f = A[i][j]
             A[i] = [x - f * y for x, y in zip(A[i], A[r])]
             b[i] -= f * b[r]
-    if obj[j] != 0:
-        f = obj[j]
-        for k in range(len(obj)):
-            obj[k] -= f * A[r][k]
-        obj_val = f * b[r]
-    else:
-        obj_val = Fraction(0)
+    f = obj[j]
+    obj[:] = [x - f * y for x, y in zip(obj, A[r])]
     basis[r] = j
-    return obj_val
 
 
 def _fraction_run_simplex(A, b, obj, basis):
-    gain = Fraction(0)
     while True:
         enter = next((j for j in range(len(obj)) if obj[j] > 0), None)
         if enter is None:
-            return gain, "optimal"
+            return "optimal"
         ratios = [(b[r] / A[r][enter], basis[r], r) for r in range(len(A)) if A[r][enter] > 0]
         if not ratios:
-            return gain, "unbounded"
-        _, _, leave = min(ratios, key=lambda t: (t[0], t[1]))
-        gain += _fraction_pivot(A, b, obj, basis, leave, enter)
+            return "unbounded"
+        _fraction_pivot(A, b, obj, basis, min(ratios)[2], enter)
 
 
 def _fraction_simplex_max(A_rows, b_vals, c_vals):
-    m = len(A_rows)
-    n = len(c_vals)
+    """max c.x subject to A x = b, x >= 0: (status, x, value)."""
+    m, n = len(A_rows), len(c_vals)
     A = [[Fraction(x) for x in row] for row in A_rows]
     b = [Fraction(x) for x in b_vals]
     for r in range(m):
         if b[r] < 0:
-            A[r] = [-x for x in A[r]]
-            b[r] = -b[r]
-    for r in range(m):
-        for i in range(m):
-            A[i].append(Fraction(1 if i == r else 0))
+            A[r], b[r] = [-x for x in A[r]], -b[r]
+        A[r] += [Fraction(int(i == r)) for i in range(m)]
     basis = list(range(n, n + m))
-    obj = [Fraction(0)] * (n + m)
-    for j in range(n):
-        obj[j] = sum(A[r][j] for r in range(m))
-    value = -sum(b)
-    gain, status = _fraction_run_simplex(A, b, obj, basis)
-    value += gain
-    if status != "optimal" or value < 0:
+    obj = [sum(row[j] for row in A) for j in range(n)] + [Fraction(0)] * m
+    _fraction_run_simplex(A, b, obj, basis)
+    if any(basis[r] >= n and b[r] > 0 for r in range(m)):
         return "infeasible", None, None
     r = 0
     while r < len(A):
@@ -228,21 +212,15 @@ def _fraction_simplex_max(A_rows, b_vals, c_vals):
         r += 1
     A = [row[:n] for row in A]
     obj = [Fraction(c) for c in c_vals]
-    value = Fraction(0)
-    for r in range(len(A)):
-        if obj[basis[r]] != 0:
-            f = obj[basis[r]]
-            for k in range(n):
-                obj[k] -= f * A[r][k]
-            value += f * b[r]
-    gain, status = _fraction_run_simplex(A, b, obj, basis)
-    value += gain
-    if status == "unbounded":
+    for row, j in zip(A, basis):
+        f = obj[j]
+        obj = [x - f * y for x, y in zip(obj, row)]
+    if _fraction_run_simplex(A, b, obj, basis) == "unbounded":
         return "unbounded", None, None
     x = [Fraction(0)] * n
     for r, j in enumerate(basis):
         x[j] = b[r]
-    return "optimal", x, value
+    return "optimal", x, sum(Fraction(c) * v for c, v in zip(c_vals, x))
 
 
 def _random_lp(rng):
@@ -269,8 +247,20 @@ def _random_lp(rng):
 
 
 def _rational_lp(rows, c):
-    """The (A, b, c) of simplex_max for the int rows [A_r | b_r] of lp._simplex."""
+    """The (A, b, c) of the oracle for the int rows [A_r | b_r] of lp._simplex."""
     return [row[:-1] for row in rows], [row[-1] for row in rows], c
+
+
+def _int_lp(A, b, c):
+    """The int rows and costs of lp._simplex for the rational LP (A, b, c):
+    every row times one lcm of the denominators in A and b, negated where
+    b < 0, and the costs times the lcm of theirs. This scales every
+    artificial variable alike, so the pivots are the oracle's."""
+    entries = [x for row in A for x in row] + list(b)
+    scale = lcm(*(Fraction(x).denominator for x in entries))
+    rows = [[int(x * (scale if r >= 0 else -scale)) for x in (*row, r)] for row, r in zip(A, b)]
+    scale = lcm(*(Fraction(x).denominator for x in c))
+    return rows, [int(x * scale) for x in c]
 
 
 @cache
@@ -302,38 +292,54 @@ def _analyzer_systems():
     return out
 
 
-def test_simplex_matches_fraction_oracle(monkeypatch):
-    # same pivots (row, entering column) in the same order, same results, on
-    # random LPs and on the LPs feasible builds for the analyzer's systems
-    pivots = {"int": [], "fraction": []}
+@pytest.fixture
+def same_pivots(monkeypatch):
+    """Records the pivots (row, entering column) of the int core and of the
+    Fraction oracle, and returns a check that both took the same ones, in the
+    same order, since its last call."""
+    _analyzer_systems()  # solved before the recorders go in
+    log = {"int": [], "fraction": []}
 
     def recording(pivot, key):
         def wrapped(*args):
-            pivots[key].append(args[-2:])
+            log[key].append(args[-2:])
             return pivot(*args)
         return wrapped
 
+    monkeypatch.setattr(lp, "_pivot", recording(lp._pivot, "int"))
+    monkeypatch.setitem(globals(), "_fraction_pivot", recording(_fraction_pivot, "fraction"))
+
+    def check():
+        same = log["int"] == log["fraction"]
+        log["int"].clear()
+        log["fraction"].clear()
+        return same
+    return check
+
+
+def test_simplex_matches_fraction_oracle(same_pivots):
+    # same pivots and optimum on random LPs and on the LPs feasible builds for
+    # the analyzer's systems; an error where the oracle finds no optimum
     rng = random.Random(20180417)
     cases = [_random_lp(rng) for _ in range(600)]
     cases += [(A, b, c, "analyzer") for _, (A, b, c) in _analyzer_systems()]
-    monkeypatch.setattr(lp, "_pivot", recording(lp._pivot, "int"))
-    monkeypatch.setitem(globals(), "_fraction_pivot", recording(_fraction_pivot, "fraction"))
     seen = set()
     for A, b, c, shape in cases:
-        got = simplex_max(A, b, c)
-        assert got == _fraction_simplex_max(A, b, c), (A, b, c)
-        assert pivots["int"] == pivots["fraction"], (A, b, c)
-        pivots["int"].clear()
-        pivots["fraction"].clear()
-        if got[0] == "optimal":
-            assert all(sum(a * x for a, x in zip(row, got[1])) == rhs for row, rhs in zip(A, b))
-        seen.add((shape, got[0]))
-    for status in ("optimal", "infeasible", "unbounded"):
-        assert any(st == status for _, st in seen)
+        status, x, _ = _fraction_simplex_max(A, b, c)
+        if status == "optimal":
+            T, basis = lp._simplex(*_int_lp(A, b, c))
+            assert _point(T, basis, len(c)) == x, (A, b, c)
+            assert all(sum(a * xj for a, xj in zip(row, x)) == rhs for row, rhs in zip(A, b))
+        else:
+            with pytest.raises(InternalInconsistency):
+                lp._simplex(*_int_lp(A, b, c))
+        assert same_pivots(), (A, b, c)
+        seen.add((shape, status))
+    for shape in ("degenerate", "redundant", "feasible", "analyzer"):
+        assert (shape, "optimal") in seen
     for shape in ("degenerate", "redundant"):
-        assert (shape, "optimal") in seen and (shape, "unbounded") in seen
+        assert (shape, "unbounded") in seen
     assert ("redundant", "infeasible") in seen
-    assert ("analyzer", "optimal") in seen
 
 
 def test_feasible_systems_match_fraction_oracle(monkeypatch):
@@ -342,9 +348,9 @@ def test_feasible_systems_match_fraction_oracle(monkeypatch):
     core = lp._simplex
 
     def both(rows, c):
-        got = status, T, basis = core(rows, c)
-        x = lp._basic_solution(T, basis, len(c)) if status == "optimal" else None
-        assert (status, x) == _fraction_simplex_max(*_rational_lp(rows, c))[:2]
+        got = T, basis = core(rows, c)
+        x = _point(T, basis, len(c))
+        assert ("optimal", x) == _fraction_simplex_max(*_rational_lp(rows, c))[:2]
         calls.append(got)
         return got
 
@@ -365,23 +371,19 @@ def test_feasible_systems_match_fraction_oracle(monkeypatch):
 
 
 # Reference construction: the Fraction rows feasible() built before its rows
-# became column-scaled ints. Scaling a column by a positive constant leaves
-# Bland's pivots unchanged, so both must return the same (point, slack).
+# became column-scaled ints, solved by the Fraction oracle. Scaling a column by
+# a positive constant leaves Bland's pivots unchanged, so both must take the
+# same pivots and return the same (point, slack).
 
 def _fraction_feasible(system):
     dim = system.dim
     strict = any(rel in lp.STRICT for rel in system.rels)
-    rows, b = [], []
     n_slack = sum(1 for rel in system.rels if rel is not Rel.EQ)
-    width = 2 * dim + (1 if strict else 0) + n_slack + (1 if strict else 0)
-    t_col = 2 * dim if strict else None
-    slack_at = 2 * dim + (1 if strict else 0)
-    k = 0
+    t_col, slack_at = 2 * dim, 2 * dim + strict
+    width = slack_at + n_slack + strict
+    rows, k = [], 0
     for form, rel in zip(system.forms, system.rels):
-        row = [Fraction(0)] * width
-        for j, a in enumerate(form):
-            row[j] = a
-            row[dim + j] = -a
+        row = [*form, *(-a for a in form)] + [Fraction(0)] * (width - 2 * dim)
         if rel is not Rel.EQ:
             row[slack_at + k] = Fraction(-1 if rel in (Rel.GE, Rel.GT) else 1)
             k += 1
@@ -390,23 +392,30 @@ def _fraction_feasible(system):
         elif rel is Rel.LT:
             row[t_col] = Fraction(1)
         rows.append(row)
-        b.append(Fraction(0))
     if strict:
         row = [Fraction(0)] * width
-        row[t_col] = Fraction(1)
-        row[slack_at + k] = Fraction(1)
+        row[t_col] = row[slack_at + k] = Fraction(1)
         rows.append(row)
-        b.append(Fraction(1))
-    c = [Fraction(0)] * width
-    if strict:
-        c[t_col] = Fraction(1)
-    status, x, value = simplex_max(rows, b, c)
+    b = [0] * len(system.forms) + [1] * strict
+    c = [Fraction(int(strict and j == t_col)) for j in range(width)]
+    status, x, value = _fraction_simplex_max(rows, b, c)
     if status != "optimal" or (strict and value <= 0):
         return None
     return tuple(x[j] - x[dim + j] for j in range(dim)), value if strict else Fraction(1)
 
 
-def test_feasible_matches_fraction_row_construction(monkeypatch):
+def test_feasible_matches_fraction_row_construction(same_pivots):
+    # random systems, then the analyzer's own, with the same pivots on both
+    # constructions
+    analyzer_systems = [sys_ for sys_, _ in _analyzer_systems()]
+
+    def outcome(sys_):
+        wit = feasible(sys_)
+        got = None if wit is None else (wit.point, wit.slack)
+        assert got == _fraction_feasible(sys_), sys_
+        assert same_pivots(), sys_
+        return wit is not None, any(x.denominator > 1 for f in sys_.forms for x in f)
+
     rng = random.Random(1968)
     entries = [0, 0, 1, -1, 2, "1/2", "-3/2", "2/3", "-1/5", "7/6"]
     outcomes = set()
@@ -415,56 +424,39 @@ def test_feasible_matches_fraction_row_construction(monkeypatch):
         nrows = rng.randint(1, 7)
         forms = [vec([rng.choice(entries) for _ in range(dim)]) for _ in range(nrows)]
         rels = [rng.choice(list(Rel)) for _ in range(nrows)]
-        sys_ = SignSystem(dim, tuple(forms), tuple(rels))
-        wit = feasible(sys_)
-        got = None if wit is None else (wit.point, wit.slack)
-        assert got == _fraction_feasible(sys_), sys_
-        outcomes.add((wit is not None, any(x.denominator > 1 for f in forms for x in f)))
+        outcomes.add(outcome(SignSystem(dim, tuple(forms), tuple(rels))))
     assert outcomes == {(True, True), (False, True), (True, False), (False, False)}
-    # the analyzer's own systems, with the same pivots on both constructions
-    pivots = []
-    pivot = lp._pivot
-
-    def recording(*args):
-        pivots.append(args[-2:])
-        return pivot(*args)
-
-    monkeypatch.setattr(lp, "_pivot", recording)
-    outcomes.clear()
-    for sys_, _ in _analyzer_systems():
-        wit = feasible(sys_)
-        got = None if wit is None else (wit.point, wit.slack)
-        int_pivots = pivots[:]
-        pivots.clear()
-        assert got == _fraction_feasible(sys_), sys_
-        assert int_pivots == pivots, sys_
-        pivots.clear()
-        outcomes.add((wit is not None, any(x.denominator > 1 for f in sys_.forms for x in f)))
+    outcomes = {outcome(sys_) for sys_ in analyzer_systems}
     assert outcomes >= {(True, True), (False, True), (True, False)}
     # the kernel systems of sv_example (n = 6, d = 3) and of an n = 8, d = 4 pair
-    shapes = {(s.dim, len(s.forms)) for s, _ in _analyzer_systems()}
+    shapes = {(s.dim, len(s.forms)) for s in analyzer_systems}
     assert {(6, 6 + 3), (8, 8 + 4)} <= shapes
 
 
 def test_witness_check_survives_python_O():
-    # the re-substitution of the witness must raise even when asserts are stripped
+    # the re-substitution of the witness, and the simplex's checks that its LP
+    # is feasible and bounded, must raise even when asserts are stripped
     code = textwrap.dedent("""
         import sys
         from expbij import lp
         from expbij.linalg import InputError, InternalInconsistency
         if sys.flags.optimize < 1 or issubclass(InternalInconsistency, InputError):
             sys.exit(2)
+
+        def raises(f, *args):
+            try:
+                f(*args)
+            except InternalInconsistency:
+                return True
+            return False
+
+        # infeasible (-x = 1 over x >= 0) and unbounded (max x, x - y = 0)
+        if not (raises(lp._simplex, [[-1, 1]], [0]) and raises(lp._simplex, [[1, -1, 0]], [1, 0])):
+            sys.exit(1)
         # final basis rows [x+, x-, t, slack, margin slack | rhs] with x- = t = 1,
         # so the point is -1 against a required margin of 1
-        lp._simplex = lambda rows, c: ("optimal", [[0, 1, 0, 0, 0, 1], [0, 0, 1, 0, 0, 1]], [1, 2])
-        try:
-            lp.feasible(lp.make_system(1, [((1,), lp.Rel.GT)]))
-        except InternalInconsistency:
-            sys.exit(0)
-        sys.exit(1)
+        lp._simplex = lambda rows, c: ([[0, 1, 0, 0, 0, 1], [0, 0, 1, 0, 0, 1]], [1, 2])
+        sys.exit(0 if raises(lp.feasible, lp.make_system(1, [((1,), lp.Rel.GT)])) else 1)
     """)
-    src = str(Path(expbij.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+    proc = run_python("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr

@@ -48,16 +48,10 @@ from expbij.signs import (
     unpack_all,
 )
 from sign_oracles import all_sign_vectors, nonneg_part, orthogonal_set
+from test_analyzer import _random_full_rank
 
 S = SignVector.from_string
 M = RationalMatrix
-
-
-def _random_full_rank(rng, d, n):
-    while True:
-        mat = M([[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)])
-        if rank(mat) == d:
-            return mat
 
 
 def _rref_row_basis(mat):
