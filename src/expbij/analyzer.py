@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from functools import reduce
 from operator import or_
 
@@ -40,15 +39,13 @@ from .linalg import (
     check,
     dot,
     frac_str,
-    is_zero_vec,
     kernel_basis,
     rank,
     rref,
-    vec,
     vec_sub,
 )
 from .lp import Rel, feasible, make_system
-from .matroid import FaceLattice, OrientedMatroid, is_interior_point, orthogonal_witness
+from .matroid import FaceLattice, OrientedMatroid, orthogonal_witness
 from .signs import EnumerationCap, bits, pack, sign_of, str_order, unpack
 
 HOLDS = "holds"
@@ -313,22 +310,25 @@ def condition_ii(spec: ExponentialMapSpec) -> ConditionResult:
     for tau_t in sorted(om_wt.nonneg_cocircuit_masks, key=str_order(n)):
         tau = reduce(or_, (t for t in facets_w if t & ~tau_t == 0), 0)
         face = str(unpack(tau_t, n))
+        x_t = om_wt.covector_point(tau_t)
+        check(x_t is not None, f"face covector {face} has no supporting functional")
         if not tau:
             # a kernel point positive on the face's support, free elsewhere
             evidence = om_w.vector_point(tau_t, tau_t)
             check(evidence is not None, "uncovered face without interior evidence")
-            x_t = om_wt.covector_point(tau_t)
-            check(x_t is not None, f"face covector {face} has no supporting functional")
             return ConditionResult(FAILS, tag, certificate={
                 "uncovered_face": face,
                 "exponent_functional": _jvec(x_t),
                 "kernel_interior_evidence": _jvec(evidence),
             })
+        coeff_face = str(unpack(tau, n))
+        x = om_w.covector_point(tau)
+        check(x is not None, f"face covector {coeff_face} has no supporting functional")
         coverings.append({
             "exponent_face": face,
-            "coeff_face": str(unpack(tau, n)),
-            "coeff_functional": _jvec(om_w.covector_point(tau)),
-            "exponent_functional": _jvec(om_wt.covector_point(tau_t)),
+            "coeff_face": coeff_face,
+            "coeff_functional": _jvec(x),
+            "exponent_functional": _jvec(x_t),
         })
     return ConditionResult(HOLDS, tag, certificate={"coverings": coverings} if coverings else None)
 
@@ -651,78 +651,6 @@ def robust_both(spec: ExponentialMapSpec) -> ConditionResult:
     else:
         cert = {"reference_sign": "+" if next(iter(products.values())) > 0 else "-"}
     return ConditionResult(verdict, tag, certificate=cert)
-
-
-# ---------------------------------------------------------------------------
-# rays
-
-
-@dataclass(frozen=True)
-class LevelPartition:
-    """Indices grouped by the exact value of w~^i . x, highest level first."""
-
-    direction: Vec
-    levels: tuple[tuple[Fraction, tuple[int, ...]], ...]
-    lambda_max: Fraction | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "direction": _jvec(self.direction),
-            "levels": [{"level": frac_str(l), "indices": _jidx(I)} for l, I in self.levels],
-            "lambda_max": None if self.lambda_max is None else frac_str(self.lambda_max),
-        }
-
-
-@dataclass(frozen=True)
-class RayLimit:
-    diverges: bool
-    partition: LevelPartition
-    rate: Fraction | None = None
-    direction: Vec | None = None
-    limit: Vec | None = None
-    interior: bool | None = None
-
-
-def ray_limit(spec: ExponentialMapSpec, c: Vec, x: Vec) -> RayLimit:
-    """Behaviour of t -> F_c(x t) as t grows: escape to infinity or a limit in
-    the closed coefficient cone."""
-    c = vec(c)
-    x = vec(x)
-    if len(c) != spec.n:
-        raise InputError(f"parameter vector must have length {spec.n}")
-    if any(ci <= 0 for ci in c):
-        raise InputError("parameters must be strictly positive")
-    if len(x) != spec.d_tilde:
-        raise InputError(f"direction must have length {spec.d_tilde}")
-    if is_zero_vec(x):
-        raise InputError("ray direction must be nonzero")
-    z = spec.exponents.transpose_vec(x)
-    groups: dict[Fraction, list[int]] = {}
-    for i, zi in enumerate(z):
-        groups.setdefault(zi, []).append(i)
-    levels = tuple(sorted(((lam, tuple(I)) for lam, I in groups.items()), reverse=True))
-    lambda_max = None
-    direction = None
-    for lam, I in levels:
-        s = [Fraction(0)] * spec.d
-        for i in I:
-            col = spec.coeff.column(i)
-            s = [a + c[i] * b for a, b in zip(s, col)]
-        if not is_zero_vec(tuple(s)):
-            lambda_max = lam
-            direction = tuple(s)
-            break
-    partition = LevelPartition(x, levels, lambda_max)
-    if lambda_max is not None and lambda_max > 0:
-        return RayLimit(True, partition, rate=lambda_max, direction=direction)
-    zero_indices = groups.get(Fraction(0), [])
-    y = [Fraction(0)] * spec.d
-    for i in zero_indices:
-        col = spec.coeff.column(i)
-        y = [a + c[i] * b for a, b in zip(y, col)]
-    y = tuple(y)
-    return RayLimit(False, partition, limit=y,
-                    interior=is_interior_point(spec.coeff, y))
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _starts(text: str) -> int:
+    """A --starts value: the number of starting points, at least one."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="expbij", description=(
         "Exact injectivity/bijectivity analysis of families of exponential maps, "
@@ -216,7 +223,7 @@ def build_parser() -> _Parser:
     s.add_argument("--exp", required=True)
     s.add_argument("--c", required=True, help="positive parameter vector JSON file")
     s.add_argument("--y", required=True, help="target vector JSON file")
-    s.add_argument("--starts", type=int, default=1)
+    s.add_argument("--starts", type=_starts, default=1)
     s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out")
     s.set_defaults(fn=_cmd_solve)

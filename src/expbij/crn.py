@@ -141,8 +141,11 @@ def parse_network(doc: dict) -> GeneralizedNetwork:
         k = frac(rxn["k"]) if "k" in rxn and rxn["k"] is not None else None
         if k is not None and k <= 0:
             raise NetworkError("rate constants must be positive")
+        reversible = rxn.get("reversible", False)
+        if not isinstance(reversible, bool):
+            raise NetworkError(f'"reversible" must be true or false, got {reversible!r}')
         add_edge(u, v, k)
-        if rxn.get("reversible"):
+        if reversible:
             add_edge(v, u, k)
 
     return GeneralizedNetwork(tuple(species), tuple(vertices), tuple(edges), tuple(rates))

@@ -93,10 +93,6 @@ def dot(u: Vec, v: Vec) -> Fraction:
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
-def vec_scale(t, v: Vec) -> Vec:
-    t = frac(t)
-    return tuple(t * x for x in v)
-
 def is_zero_vec(v: Vec) -> bool:
     return all(x == 0 for x in v)
 

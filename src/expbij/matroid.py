@@ -19,19 +19,17 @@ signs by prefix search; `vector_point` and `covector_point` return the
 rational witnesses of such questions. `OrientedMatroid` holds these for one
 matrix, as packed ints, and computes each at most once. The module
 functions are the `SignVector` API: they share one `OrientedMatroid` per
-matrix object (`oriented_matroid`) and unpack its sets. Conformal
-decomposition, interior membership, and the two-branch alternative for sign
-vectors against a subspace also live here. This module builds no LP rows:
-every system it solves comes from a builder in `lp`, on packed sign vectors.
+matrix object (`oriented_matroid`) and unpack its sets. The two-branch
+alternative for sign vectors against a subspace also lives here. This module
+builds no LP rows: every system it solves comes from a builder in `lp`, on
+packed sign vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations
-from operator import or_
 
 from .linalg import (
     InputError,
@@ -41,13 +39,10 @@ from .linalg import (
     _bareiss_echelon,
     _int_rows,
     check,
-    dot,
     is_zero_vec,
     kernel_basis,
     maximal_minor_signs,
     rank,
-    vec_scale,
-    vec_sub,
 )
 from .lp import realize_conformal_covector, realize_kernel_sign, realize_sign_vector, unit_vectors
 from .signs import (
@@ -56,9 +51,6 @@ from .signs import (
     bits,
     composition_closure,
     pack,
-    sign_of,
-    str_order,
-    unpack,
     unpack_all,
 )
 
@@ -315,13 +307,6 @@ class OrientedMatroid:
         return frozenset(c for c in self.cocircuit_masks if not c >> n)
 
     @cached_property
-    def uniform(self) -> bool:
-        """Every d-subset of columns is a basis: every cocircuit has exactly
-        d-1 zeros, since a dependent d-subset lies in some cocircuit's zeros."""
-        n, full = self.W.cols, (1 << self.W.cols) - 1
-        return all(bin(full & ~(c | c >> n)).count("1") == self.W.rows - 1 for c in self.cocircuit_masks)
-
-    @cached_property
     def circuit_masks(self) -> frozenset[int]:
         """Minimal-support sign vectors of ker W, packed, by Cramer's rule: for
         sorted J = (j_0..j_d) the vector with entry (-1)^k chi(J minus j_k) at
@@ -484,45 +469,6 @@ def face_lattice(W: RationalMatrix, cap: int = 12) -> FaceLattice:
     return oriented_matroid(W).face_lattice(cap)
 
 
-def conformal_decompose(M: RationalMatrix, tau: SignVector) -> list[SignVector]:
-    """Circuits rho_k <= tau composing to tau, at most min(dim ker, |supp tau|)
-    of them. Each step takes the first circuit in string order conformal to
-    the remaining kernel vector."""
-    n = M.cols
-    if tau.n != n:
-        raise InputError("sign vector length differs from the column count")
-    if tau.is_zero():
-        return []
-    full = (1 << n) - 1
-    target = pack(tau)
-    x = realize_kernel_sign(M, target, full)
-    if x is None:
-        raise InputError(f"{tau} is not a sign vector of the kernel")
-    ordered = sorted(oriented_matroid(M).circuit_masks, key=str_order(n))
-    out: list[int] = []
-    while not is_zero_vec(x):
-        sx = pack(sign_of(x))
-        rho = next((c for c in ordered if c & ~sx == 0), None)
-        check(rho is not None, "nonzero kernel vector without a conformal circuit")
-        J = bits((rho | rho >> n) & full)
-        ker = kernel_basis(M.column_submatrix(J))
-        check(ker.dim == 1, f"circuit {unpack(rho, n)} without a one-dimensional kernel")
-        u = [Fraction(0)] * n
-        for pos, j in enumerate(J):
-            u[j] = ker.vectors[0][pos]
-        u = tuple(u)
-        if pack(sign_of(u)) != rho:
-            u = vec_scale(-1, u)
-        check(pack(sign_of(u)) == rho, f"kernel vector of circuit {unpack(rho, n)} has another sign")
-        t = min(x[j] / u[j] for j in J)
-        x = vec_sub(x, vec_scale(t, u))
-        out.append(rho)
-    # sign vectors conformal to one another compose by OR
-    composed = reduce(or_, out)
-    check(composed == target, f"circuits of {tau} compose to {unpack(composed, n)}")
-    return [unpack(rho, n) for rho in out]
-
-
 @dataclass(frozen=True)
 class MintyWitness:
     """branch "subspace": x in S, strictly signed on supp(sigma) as sigma demands.
@@ -562,20 +508,3 @@ def orthogonal_witness(basis: SubspaceBasis, x: int) -> Vec | None:
     C = RationalMatrix(comp)
     y = realize_conformal_covector(C, x)
     return None if y is None else C.transpose_vec(y)
-
-
-def is_interior_point(W: RationalMatrix, y: Vec) -> bool:
-    """y in the interior of cone(columns of W): strictly positive at every
-    facet's supporting functional. The facets are the nonnegative cocircuits.
-    A cone whose columns do not span the ambient space has no interior."""
-    if len(y) != W.rows:
-        raise InputError("point dimension differs from the cone's ambient dimension")
-    om = oriented_matroid(W)
-    if om.W.rows < W.rows:
-        return False
-    for tau in om.nonneg_cocircuit_masks:
-        x = om.covector_point(tau)
-        check(x is not None, f"face covector {unpack(tau, W.cols)} without a supporting functional")
-        if dot(x, y) <= 0:
-            return False
-    return True

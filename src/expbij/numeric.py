@@ -1,8 +1,8 @@
-"""Floating-point side: map evaluation, Jacobians, a damped Newton solver,
-and Monte Carlo probes that cross-check the exact verdicts.
+"""Floating-point side: map evaluation, Jacobians, and a damped Newton solver
+with seeded multi-start, behind `expbij solve`.
 
-The exact layer is ground truth; the probe exists to falsify it and must
-never succeed in doing so. All randomness is seeded by the caller.
+The exact layer is ground truth; nothing here feeds a verdict. All
+randomness is seeded by the caller.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyzer import CLASS_BIJECTIVE, Caps, ExponentialMapSpec, analyze
+from .analyzer import ExponentialMapSpec
 
 EXP_CLAMP = 700.0
 
@@ -63,9 +63,14 @@ def evaluate(instance: NumericMapInstance, x) -> np.ndarray:
     return instance.coeff @ mono
 
 
+def _jacobian(instance: NumericMapInstance, mono: np.ndarray) -> np.ndarray:
+    """DF_c at the point whose monomials c o exp(Wt^T x) are mono."""
+    return instance.coeff @ (mono[:, None] * instance.exponents.T)
+
+
 def jacobian(instance: NumericMapInstance, x) -> np.ndarray:
     mono, _ = _monomials(instance, np.asarray(x, dtype=float))
-    return instance.coeff @ (mono[:, None] * instance.exponents.T)
+    return _jacobian(instance, mono)
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ def solve(instance: NumericMapInstance, y, x0=None, tol: float = 1e-10,
                 return SolveResult("converged", x, res, it)
             if not np.isfinite(res) or np.linalg.norm(x) > 1e8:
                 break
-            J = instance.coeff @ (mono[:, None] * instance.exponents.T)
+            J = _jacobian(instance, mono)
             try:
                 step = np.linalg.solve(J, -r)
             except np.linalg.LinAlgError:
@@ -134,7 +139,7 @@ def _polish(instance: NumericMapInstance, x: np.ndarray, y: np.ndarray, res: flo
     for _ in range(3):
         mono, _ = _monomials(instance, x)
         r = instance.coeff @ mono - y
-        J = instance.coeff @ (mono[:, None] * instance.exponents.T)
+        J = _jacobian(instance, mono)
         try:
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
@@ -163,47 +168,3 @@ def multi_start_solve(instance: NumericMapInstance, y, starts: int, seed: int,
         if all(np.max(np.abs(res.x - s)) > 1e-6 * (1.0 + np.max(np.abs(s))) for s in solutions):
             solutions.append(res.x)
     return solutions
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    trials: int
-    seed: int
-    classification: str
-    contradictions: tuple[str, ...] = ()
-
-    @property
-    def consistent(self) -> bool:
-        return not self.contradictions
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "classification": self.classification,
-            "contradictions": list(self.contradictions),
-        }
-
-
-def probe_bijectivity(spec: ExponentialMapSpec, trials: int, seed: int,
-                      classification: str | None = None, caps: Caps = Caps(),
-                      starts: int = 6) -> ProbeReport:
-    """Monte Carlo falsifier: when the exact verdict says bijective, every
-    sampled target must be solvable and no second solution may appear."""
-    if classification is None:
-        classification = analyze(spec, caps).classification
-    rng = np.random.default_rng(seed)
-    contradictions: list[str] = []
-    for trial in range(trials):
-        c = np.exp(rng.uniform(-1.0, 1.0, spec.n))
-        instance = NumericMapInstance.from_spec(spec, c)
-        x_star = rng.uniform(-2.0, 2.0, spec.d_tilde)
-        y = evaluate(instance, x_star)
-        solutions = multi_start_solve(instance, y, starts=starts, seed=seed + 7919 * (trial + 1))
-        if classification == CLASS_BIJECTIVE:
-            if not solutions:
-                contradictions.append(f"trial {trial}: no solution recovered for an attained target")
-            elif len(solutions) > 1:
-                contradictions.append(f"trial {trial}: {len(solutions)} distinct preimages found")
-    return ProbeReport(trials=trials, seed=seed, classification=classification,
-                       contradictions=tuple(contradictions))

@@ -15,7 +15,7 @@ from functools import cache
 
 from . import __version__
 from .analyzer import AnalysisReport, _classify
-from .linalg import InputError, RationalMatrix, Vec, dot, frac, kernel_basis, maximal_minors, vec
+from .linalg import InputError, RationalMatrix, dot, frac, kernel_basis, maximal_minors, vec
 from .signs import SignVector, sign_of
 
 TOOL = {"name": "expbij", "version": __version__}

@@ -1,13 +1,20 @@
-"""Brute-force sign-vector routines that the tests use as oracles.
+"""Sign-vector routines that the tests use as oracles.
 
-The package keeps sign sets as packed ints; these work on `SignVector`
-objects by their definitions, with no packing, so the packed code can be
-checked against them.
+The package keeps sign sets as packed ints; most of these work on
+`SignVector` objects by their definitions, with no packing, so the packed
+code can be checked against them. `conformal_decompose` and `is_uniform`
+read an `OrientedMatroid` instead: the package itself needs neither.
 """
 
+from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import or_
 
-from expbij.signs import EnumerationCap, SignVector
+from expbij.linalg import InputError, check, is_zero_vec, kernel_basis
+from expbij.lp import realize_kernel_sign
+from expbij.matroid import oriented_matroid
+from expbij.signs import EnumerationCap, SignVector, bits, pack, sign_of, str_order, unpack
 
 
 def all_sign_vectors(n: int, cap: int = 12):
@@ -59,3 +66,47 @@ def closure_excluded(V, T) -> SignVector | None:
     return min((pi for pi in V if pi.support == union and (pi.plus, pi.minus) not in below),
                key=str, default=None)
 
+
+def is_uniform(om) -> bool:
+    """Every d-subset of columns is a basis: every cocircuit has exactly
+    d-1 zeros, since a dependent d-subset lies in some cocircuit's zeros."""
+    n, full = om.W.cols, (1 << om.W.cols) - 1
+    return all(bin(full & ~(c | c >> n)).count("1") == om.W.rows - 1 for c in om.cocircuit_masks)
+
+
+def conformal_decompose(M, tau: SignVector) -> list[SignVector]:
+    """Circuits rho_k <= tau composing to tau, at most min(dim ker, |supp tau|)
+    of them. Each step takes the first circuit in string order conformal to
+    the remaining kernel vector."""
+    n = M.cols
+    if tau.n != n:
+        raise InputError("sign vector length differs from the column count")
+    if tau.is_zero():
+        return []
+    full = (1 << n) - 1
+    target = pack(tau)
+    x = realize_kernel_sign(M, target, full)
+    if x is None:
+        raise InputError(f"{tau} is not a sign vector of the kernel")
+    ordered = sorted(oriented_matroid(M).circuit_masks, key=str_order(n))
+    out: list[int] = []
+    while not is_zero_vec(x):
+        sx = pack(sign_of(x))
+        rho = next((c for c in ordered if c & ~sx == 0), None)
+        check(rho is not None, "nonzero kernel vector without a conformal circuit")
+        J = bits((rho | rho >> n) & full)
+        ker = kernel_basis(M.column_submatrix(J))
+        check(ker.dim == 1, f"circuit {unpack(rho, n)} without a one-dimensional kernel")
+        u = [Fraction(0)] * n
+        for pos, j in enumerate(J):
+            u[j] = ker.vectors[0][pos]
+        if pack(sign_of(u)) != rho:
+            u = [-a for a in u]
+        check(pack(sign_of(u)) == rho, f"kernel vector of circuit {unpack(rho, n)} has another sign")
+        t = min(x[j] / u[j] for j in J)
+        x = tuple(a - t * b for a, b in zip(x, u))
+        out.append(rho)
+    # sign vectors conformal to one another compose by OR
+    composed = reduce(or_, out)
+    check(composed == target, f"circuits of {tau} compose to {unpack(composed, n)}")
+    return [unpack(rho, n) for rho in out]

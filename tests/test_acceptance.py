@@ -40,16 +40,16 @@ from expbij.matroid import (
     chirotope,
     cocircuits,
     cocircuits_from_chirotope,
-    conformal_decompose,
     covectors,
     minty_alternative,
     vectors,
 )
-from expbij.numeric import NumericMapInstance, evaluate, probe_bijectivity, solve
+from expbij.numeric import NumericMapInstance, evaluate, solve
 from expbij.report import build_report, canonical_json, verify_certificate
 from expbij.signs import SignVector, sign_of
-from sign_oracles import all_sign_vectors, orthogonal_set
+from sign_oracles import all_sign_vectors, conformal_decompose, is_uniform, orthogonal_set
 from test_analyzer import CC_EXAMPLE, EX1, EX2, FACE_GAP, _random_full_rank, sv_example
+from test_numeric import probe_bijectivity
 
 M = RationalMatrix
 S = SignVector.from_string
@@ -131,7 +131,7 @@ def test_criterion_2_oracle_equivalences():
             # the strict minor form against equal kernel sign sets (closures)
             # plus a uniform matroid of W
             om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
-            sign_form = om_w.vector_masks() == om_wt.vector_masks() and om_w.uniform
+            sign_form = om_w.vector_masks() == om_wt.vector_masks() and is_uniform(om_w)
             assert robust_both(spec).holds == sign_form
             count += 1
         assert time.perf_counter() - t0 < 300

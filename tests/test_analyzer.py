@@ -35,7 +35,6 @@ from expbij.analyzer import (
     injectivity_via_minors,
     injectivity_via_signs,
     newton_polytope_sufficient,
-    ray_limit,
     robust_both,
     robust_coefficients,
     robust_exponents,
@@ -63,7 +62,7 @@ from expbij.signs import (
     unpack,
     unpack_all,
 )
-from sign_oracles import closure_excluded, nonneg_part
+from sign_oracles import closure_excluded, is_uniform, nonneg_part
 
 M = RationalMatrix
 S = SignVector.from_string
@@ -290,29 +289,6 @@ def test_robust_both_examples():
     assert robust_both(EX1).fails  # a zero product
 
 
-def test_ray_limit_examples():
-    birch = spec_of([[1, 0], [0, 1]], [[1, 0], [0, 1]])
-    res = ray_limit(birch, [1, 1], [1, 0])
-    assert res.diverges and res.rate == 1 and res.direction == (1, 0)
-
-    res = ray_limit(birch, [1, 1], [-1, -1])
-    assert not res.diverges and res.limit == (0, 0) and res.interior is False
-
-    res = ray_limit(EX1, [1, 1, 1], [-1, -1])
-    assert res.diverges and res.rate == 2 and res.direction == (-1, 0)
-
-    with pytest.raises(Exception):
-        ray_limit(birch, [1, 1], [0, 0])
-    with pytest.raises(Exception):
-        ray_limit(birch, [1, 0], [1, 0])  # parameters must be positive
-
-    # a zero exponent column sits at level 0 on every ray
-    zero_col = spec_of([[1, 0, 1], [0, 1, 1]], [[1, 0, 0], [0, 1, 0]])
-    res = ray_limit(zero_col, [1, 1, 1], [-1, -1])
-    assert dict(res.partition.levels)[Fraction(0)] == (2,)
-    assert not res.diverges and res.limit == (1, 1)
-
-
 def test_analyze_classifications():
     assert analyze(spec_of([[1, 0], [0, 1]], [[1, 0], [0, 1]])).classification == CLASS_BIJECTIVE
     assert analyze(sv_example(1)).classification == CLASS_INJECTIVE
@@ -385,7 +361,7 @@ def test_equivalence_oracles_on_random_corpus():
         # kernel sign sets, compared as closures so that the check does not
         # reduce to the minor form, and a uniform matroid of W
         om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
-        sign_form = HOLDS if om_w.vector_masks() == om_wt.vector_masks() and om_w.uniform else FAILS
+        sign_form = HOLDS if om_w.vector_masks() == om_wt.vector_masks() and is_uniform(om_w) else FAILS
         assert robust_both(spec).verdict == sign_form, (spec.coeff, spec.exponents)
         seen[sign_form] += 1
     assert seen[HOLDS] and seen[FAILS], seen
@@ -734,7 +710,7 @@ def test_internal_checks_survive_python_O():
         import sys
         from expbij import analyzer, crn, matroid
         from expbij.analyzer import ConditionResult, ExponentialMapSpec
-        from expbij.linalg import InternalInconsistency, RationalMatrix as M, vec
+        from expbij.linalg import InternalInconsistency, RationalMatrix as M
         if sys.flags.optimize < 1:
             sys.exit(2)
 
@@ -753,7 +729,8 @@ def test_internal_checks_survive_python_O():
         expect_raise(lambda: analyzer.analyze(
             ExponentialMapSpec(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]]))), 4)
         matroid.realize_sign_vector = lambda M_, x, A: None
-        expect_raise(lambda: matroid.is_interior_point(M([[1, 0], [0, 1]]), vec([1, 1])), 5)
+        expect_raise(lambda: analyzer.condition_ii(
+            ExponentialMapSpec(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]]))), 5)
         net = crn.parse_network({"species": ["A", "B"], "reactions": [
             {"from": {"stoich": {"A": 1}}, "to": {"stoich": {"B": 1}}, "reversible": True}]})
         crn.intersection_dim = lambda U, V: -1

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import expbij.cli
+import expbij.matroid
 import expbij.report
 from expbij.analyzer import Caps, ExponentialMapSpec, analyze
 from expbij.cli import main
@@ -132,6 +133,14 @@ def test_malformed_network_shape_exit_one(tmp_path, capsys, doc):
     assert _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("flag", ["no", "false", [0], 1, None])
+def test_reversible_must_be_a_bool(tmp_path, capsys, flag):
+    # a truthy non-bool such as "no" must not add the reverse edge B -> A
+    doc = {"species": ["A", "B"], "reactions": [dict(A_TO_B, reversible=flag)]}
+    assert main(["crn", "analyze", write_json(tmp_path, "net.json", doc)]) == 1
+    assert _one_error_line(capsys)
+
+
 def test_dimension_mismatch_exit_one(tmp_path, capsys):
     code = main(["analyze",
                  "--coeff", write_json(tmp_path, "W.json", matrix_json([[1, 0, -1]])),
@@ -190,6 +199,12 @@ def test_solve_subcommand(tmp_path, capsys):
 @pytest.mark.parametrize("seed", [["--seed", "-1"], ["--seed=-1"], ["--seed", "x"]])
 def test_solve_rejects_negative_seed(tmp_path, capsys, seed):
     assert main(solve_args(tmp_path) + ["--starts", "3", *seed]) == 1
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("starts", ["0", "-5"])
+def test_solve_rejects_nonpositive_starts(tmp_path, capsys, starts):
+    assert main(solve_args(tmp_path) + ["--starts", starts]) == 1
     assert _one_error_line(capsys)
 
 
@@ -428,3 +443,14 @@ def test_internal_inconsistency_exit_three(tmp_path, monkeypatch, capsys):
             "--exp", write_json(tmp_path, "Wt.json", BIRCH)]
     assert main(args) == 3
     assert "internal error" in capsys.readouterr().err
+
+
+def test_missing_covering_functional_exit_three(tmp_path, monkeypatch, capsys):
+    # condition ii's coverings name both faces' functionals; an LP that finds
+    # none is a bug, reported as such rather than as a TypeError traceback
+    monkeypatch.setattr(expbij.matroid, "realize_sign_vector", lambda M, x, A: None)
+    args = ["analyze",
+            "--coeff", write_json(tmp_path, "W.json", BIRCH),
+            "--exp", write_json(tmp_path, "Wt.json", BIRCH)]
+    assert main(args) == 3
+    assert capsys.readouterr().err.startswith("internal error: ")

@@ -28,10 +28,8 @@ from expbij.matroid import (
     circuits,
     cocircuits,
     cocircuits_from_chirotope,
-    conformal_decompose,
     covectors,
     face_lattice,
-    is_interior_point,
     minty_alternative,
     oriented_matroid,
     vectors,
@@ -47,7 +45,7 @@ from expbij.signs import (
     unpack,
     unpack_all,
 )
-from sign_oracles import all_sign_vectors, nonneg_part, orthogonal_set
+from sign_oracles import all_sign_vectors, conformal_decompose, is_uniform, nonneg_part, orthogonal_set
 from test_analyzer import _random_full_rank
 
 S = SignVector.from_string
@@ -199,7 +197,7 @@ def test_nonneg_covectors_are_closure_of_nonneg_cocircuits():
 
 
 def test_nonneg_cocircuits_are_the_minimal_nonneg_covectors():
-    # the facets that ii, iii and is_interior_point read without a closure,
+    # the facets that ii and iii read without a closure,
     # and uniformity read off the cocircuits, against the closures they replace
     rng = random.Random(27182)
     kinds = Counter()
@@ -220,9 +218,9 @@ def test_nonneg_cocircuits_are_the_minimal_nonneg_covectors():
         d, n = om.W.rows, W.cols
         C = unpack_all(om.covector_masks(), n)
         with_d_minus_1_zeros = {t for t in C if t.support and n - len(t.support_set()) == d - 1}
-        assert om.uniform == (minimal_support_members(C) == with_d_minus_1_zeros), W
-        assert om.uniform == all(m != 0 for m in maximal_minors(om.W).values()), W
-        kinds["uniform" if om.uniform else "not uniform"] += 1
+        assert is_uniform(om) == (minimal_support_members(C) == with_d_minus_1_zeros), W
+        assert is_uniform(om) == all(m != 0 for m in maximal_minors(om.W).values()), W
+        kinds["uniform" if is_uniform(om) else "not uniform"] += 1
         checked += 1
     assert all(kinds[k] for k in ("lifted", "deficient", "full rank", "zero column", "no facet",
                                   "uniform", "not uniform")), kinds
@@ -670,25 +668,6 @@ def test_minty_totality_random():
                     assert dot(wit.vector, b) == 0
 
 
-def test_is_interior_point_examples():
-    ident = M([[1, 0], [0, 1]])
-    assert is_interior_point(ident, vec([1, 1]))
-    assert not is_interior_point(ident, vec([1, 0]))
-    assert not is_interior_point(ident, vec([-1, 1]))
-
-    W = M([[1, 0, -1], [0, 1, 0]])
-    assert is_interior_point(W, vec([0, 1]))
-    assert not is_interior_point(W, vec([1, 0]))
-
-    # full space: everything is interior
-    assert is_interior_point(M([[1, -1, 0, 0], [0, 0, 1, -1]]), vec([5, -7]))
-
-    # a ray in R^2 spans no open set: no point is interior, on the ray or off it
-    ray = M([[1, 0], [1, 0]])
-    assert not is_interior_point(ray, vec([1, 1]))
-    assert not is_interior_point(ray, vec([1, -1]))
-
-
 def test_public_calls_share_one_table_per_matrix_object(monkeypatch):
     built = []
 
@@ -700,8 +679,7 @@ def test_public_calls_share_one_table_per_matrix_object(monkeypatch):
     W = M([[1, 0, -1, 2], [0, 1, 1, -1]])
     om = oriented_matroid(W)
     chi = chirotope(W)
-    results = (covectors(W), vectors(W), face_lattice(W), cocircuits(W), circuits(W),
-               is_interior_point(W, vec([1, 1])))
+    results = (covectors(W), vectors(W), face_lattice(W), cocircuits(W), circuits(W))
     assert len(built) == 1 and oriented_matroid(W) is om and chi is om.chirotope
     assert results[3] == cocircuits_from_chirotope(chi)
     # an equal but distinct matrix object gets its own OrientedMatroid and table
