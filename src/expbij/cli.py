@@ -37,10 +37,12 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer past the int-string limit, or nesting
+        # deeper than the decoder's recursion limit
+        raise InputError(f"malformed JSON in {path}: {exc}")
 
 
 def _load_matrix(path: str) -> RationalMatrix:

@@ -16,6 +16,7 @@ division); the certificate verifier keeps one Bareiss determinant per minor
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -39,8 +40,13 @@ def check(ok: bool, what: str):
         raise InternalInconsistency(what)
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def frac(value) -> Fraction:
-    """Parse an entry: int, Fraction, or a string "p/q" with q > 0."""
+    """Parse an entry: int, Fraction, or a string "p" or "p/q" with q > 0,
+    where p and q are an optional sign and ASCII digits; whitespace may
+    surround the string."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -49,17 +55,15 @@ def frac(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         parts = value.strip().split("/")
+        if len(parts) > 2 or not all(_INTEGER.fullmatch(part) for part in parts):
+            raise InputError(f"not a rational: {value!r}")
         try:
-            if len(parts) == 1:
-                return Fraction(int(parts[0]))
-            if len(parts) == 2:
-                p, q = int(parts[0]), int(parts[1])
-                if q <= 0:
-                    raise InputError(f"denominator must be positive in {value!r}")
-                return Fraction(p, q)
-        except ValueError as exc:
+            p, q = int(parts[0]), int(parts[1]) if len(parts) == 2 else 1
+        except ValueError as exc:  # more digits than the int-string limit
             raise InputError(f"not a rational: {value!r}") from exc
-        raise InputError(f"not a rational: {value!r}")
+        if q <= 0:
+            raise InputError(f"denominator must be positive in {value!r}")
+        return Fraction(p, q)
     raise InputError(f"unsupported rational entry of type {type(value).__name__}: {value!r}")
 
 
@@ -199,10 +203,6 @@ class RationalMatrix:
             raise InputError("matmul: inner dimensions differ")
         cols = list(zip(*other._data))
         return RationalMatrix([[dot(row, c) for c in cols] for row in self._data])
-
-    def column_submatrix(self, idx) -> "RationalMatrix":
-        idx = tuple(idx)
-        return RationalMatrix([[row[j] for j in idx] for row in self._data])
 
     def det(self) -> Fraction:
         if self.rows != self.cols:

@@ -7,15 +7,17 @@ That table is the chirotope; the cocircuits are read off the chirotope on
 covector set is the sign vectors orthogonal to every circuit, and the full
 vector set those orthogonal to every cocircuit; `_orthogonal_masks` builds
 either in one pass over the columns. The face lattice of the cone spanned by
-the columns is the nonnegative part of the covectors, which is the
-composition closure of the nonnegative cocircuits alone, since every
-covector is the composition of the cocircuits conformal to it. The facets
-of that cone are the nonnegative cocircuits, and two configurations have
-equal vector sets iff their chirotopes agree up to sign, so neither needs an
-enumeration. Nor do questions about single vectors: a sign vector is a
-vector iff it is orthogonal to every cocircuit, which `extends` tests on a
-restriction and `first_vector` uses to find the first vector with given
-signs by prefix search; `vector_point` and `covector_point` return the
+the columns is the nonnegative part of the covectors, which the same pass
+builds when it allows only + at every position, and its flags (zero
+columns, lineality rank) are read off the cocircuits and the minor table.
+Every sign set the module enumerates comes from that one routine; the
+matrix is read only to build the minor table and to solve for witnesses.
+The facets of that cone are the nonnegative cocircuits, and two
+configurations have equal vector sets iff their chirotopes agree up to
+sign, so neither needs an enumeration. Nor do questions about single
+vectors: a sign vector is a vector iff it is orthogonal to every cocircuit,
+which `extends` tests on a restriction and `first_vector` uses to find the
+first vector with given signs by prefix search; `vector_point` and `covector_point` return the
 rational witnesses of such questions. `OrientedMatroid` holds these for one
 matrix, as packed ints, and computes each at most once. The module
 functions are the `SignVector` API: they share one `OrientedMatroid` per
@@ -39,7 +41,6 @@ from .linalg import (
     _bareiss_echelon,
     _int_rows,
     check,
-    is_zero_vec,
     kernel_basis,
     maximal_minor_signs,
     rank,
@@ -49,7 +50,6 @@ from .signs import (
     EnumerationCap,
     SignVector,
     bits,
-    composition_closure,
     pack,
     unpack_all,
 )
@@ -138,21 +138,24 @@ def _cocircuit_masks(chi: Chirotope) -> set[int]:
     return out
 
 
-def _orthogonal_masks(gens, n: int) -> frozenset[int]:
-    """Every packed sign vector of length n orthogonal to all of gens, a set
-    closed under negation: the covectors when gens are the circuits, the
-    vectors when they are the cocircuits.
+def _orthogonal_masks(gens, n: int, allowed: int) -> frozenset[int]:
+    """Every packed sign vector of length n orthogonal to all of gens whose
+    nonzero signs lie in `allowed`, a packed mask of the signs each position
+    may take (zero is always allowed): the covectors when gens are the
+    circuits and every sign is allowed, the vectors when they are the
+    cocircuits, and the nonnegative covectors when only + is allowed.
 
     Positions are set in order 0..n-1. The prefixes kept after position k are
-    the sign vectors of the first k+1 columns, those orthogonal to every
-    generator whose support lies in 0..k, and each extends to position k+1 in
-    exactly one way or in all three (a face lies on one side of a new
-    hyperplane, inside it, or is cut by it). A node (x, P, N) carries the
-    generators, one per opposite pair and as bit i of an int, that x already
-    meets with a + product (P) and with a - product (N). At position k only
-    the generators whose support ends there and are not in P & N can forbid a
-    sign; the lowest of them fixes it: 0 when x does not meet it yet, else the
-    sign whose product at k is the missing one."""
+    the allowed sign vectors of the first k+1 columns, those orthogonal to
+    every generator whose support lies in 0..k, and each extends to position
+    k+1 in exactly one way or in all three (a face lies on one side of a new
+    hyperplane, inside it, or is cut by it); an extension by a sign that is
+    not allowed is dropped. A node (x, P, N) carries the generators, one per
+    opposite pair and as bit i of an int, that x already meets with a +
+    product (P) and with a - product (N). At position k only the generators
+    whose support ends there and are not in P & N can forbid a sign; the
+    lowest of them fixes it: 0 when x does not meet it yet, else the sign
+    whose product at k is the missing one."""
     full = (1 << n) - 1
     pos, neg, ends = [0] * n, [0] * n, [0] * n
     reps = (g for g in gens if g < (g >> n | (g & full) << n))
@@ -166,25 +169,30 @@ def _orthogonal_masks(gens, n: int) -> frozenset[int]:
     nodes = [(0, 0, 0)]
     for k in range(n - 1):
         p, m, e, bp, bm = pos[k], neg[k], ends[k], 1 << k, 1 << k + n
+        plus_ok, minus_ok = allowed & bp, allowed & bm
         children = []
         add = children.append
         for x, P, N in nodes:
             g = e & ~(P & N)
             if not g:
                 add((x, P, N))
-                add((x | bp, P | p, N | m))
-                add((x | bm, P | m, N | p))
+                if plus_ok:
+                    add((x | bp, P | p, N | m))
+                if minus_ok:
+                    add((x | bm, P | m, N | p))
                 continue
             g &= -g
             if not g & (P | N):
                 add((x, P, N))
             elif g & (P & m | N & p):
-                add((x | bp, P | p, N | m))
-            else:
+                if plus_ok:
+                    add((x | bp, P | p, N | m))
+            elif minus_ok:
                 add((x | bm, P | m, N | p))
         nodes = children
     # the same step at the last position, where only the signs are kept
     p, m, e, bp, bm = pos[-1], neg[-1], ends[-1], 1 << n - 1, 1 << 2 * n - 1
+    bp, bm = allowed & bp, allowed & bm  # a sign that is not allowed adds nothing
     out: set[int] = set()
     for x, P, N in nodes:
         g = e & ~(P & N)
@@ -192,7 +200,13 @@ def _orthogonal_masks(gens, n: int) -> frozenset[int]:
             out.update((x, x | bp, x | bm))
             continue
         g &= -g
-        out.add(x if not g & (P | N) else x | bp if g & (P & m | N & p) else x | bm)
+        if not g & (P | N):
+            out.add(x)
+        elif g & (P & m | N & p):
+            if bp:
+                out.add(x | bp)
+        elif bm:
+            out.add(x | bm)
     return frozenset(out)
 
 
@@ -337,21 +351,26 @@ class OrientedMatroid:
 
     @cached_property
     def _covector_masks(self) -> frozenset[int]:
-        covs = _orthogonal_masks(self.circuit_masks, self.W.cols)
+        n = self.W.cols
+        covs = _orthogonal_masks(self.circuit_masks, n, (1 << 2 * n) - 1)
         # the cocircuits come from the chirotope directly, the circuits by Cramer
         check(self.cocircuit_masks <= covs, "a cocircuit is not orthogonal to every circuit")
         return covs
 
     @cached_property
     def _vector_masks(self) -> frozenset[int]:
-        vecs = _orthogonal_masks(self.cocircuit_masks, self.W.cols)
+        n = self.W.cols
+        vecs = _orthogonal_masks(self.cocircuit_masks, n, (1 << 2 * n) - 1)
         check(self.circuit_masks <= vecs, "a circuit is not orthogonal to every cocircuit")
         return vecs
 
     @cached_property
     def _nonneg_covector_masks(self) -> frozenset[int]:
-        # a covector is the composition of the cocircuits conformal to it
-        return composition_closure(self.nonneg_cocircuit_masks, self.W.cols)
+        n = self.W.cols
+        faces = _orthogonal_masks(self.circuit_masks, n, (1 << n) - 1)
+        check(self.nonneg_cocircuit_masks <= faces,
+              "a nonnegative cocircuit is not orthogonal to every circuit")
+        return faces
 
     def covector_masks(self, cap: int = 12) -> frozenset[int]:
         """All of sign(im W^T), packed: the sign vectors orthogonal to every
@@ -367,7 +386,8 @@ class OrientedMatroid:
 
     def nonneg_covector_masks(self, cap: int = 12) -> frozenset[int]:
         """sign(im W^T) within {0,+}^n, packed (each is its own positive part):
-        composition closure of the nonnegative cocircuits."""
+        the sign vectors in {0,+}^n orthogonal to every circuit, by the pass
+        of `_orthogonal_masks` that allows only +."""
         self.check_cap("covector", cap)
         return self._nonneg_covector_masks
 
@@ -377,52 +397,57 @@ class OrientedMatroid:
 
     @cached_property
     def _face_lattice(self) -> FaceLattice:
-        W, n = self.W, self.W.cols
+        """Read off the sign sets and the minor table; no matrix entry. The
+        zero columns are those in no cocircuit's support. The lineality space
+        is spanned by the columns in no nonzero face (all of them when the
+        cone is the full space), and the rank of a column set L is the
+        largest |I & L| over the bases I, the d-sets with a nonzero minor."""
+        d, n = self.W.rows, self.W.cols
         full = (1 << n) - 1
         masks = self._nonneg_covector_masks
-        full_space = masks == {0}
-        top = 0
+        top = support = 0
         for tau in masks:
             top |= tau
-        lineality_cols = bits(full & ~top)
-        if full_space:
-            lineality_dim = W.rows
-        elif lineality_cols:
-            lineality_dim = rank(W.column_submatrix(lineality_cols))
-        else:
-            lineality_dim = 0
-        zero_columns = tuple(j for j in range(n) if is_zero_vec(W.column(j)))
+        for c in self.cocircuit_masks:
+            support |= c
+        lineality = full & ~top
+        lineality_dim = 0
+        if lineality:
+            lineality_dim = max(sum(lineality >> i & 1 for i in I)
+                                for I, s in self.minor_signs.items() if s)
+        full_space = masks == {0}
+        zero_columns = bits(full & ~support)
         return FaceLattice(
             n=n,
             d=self.d,
             faces=unpack_all(masks, n),
             pointed=(lineality_dim == 0),
             lineality_dim=lineality_dim,
-            robustly_generated=_robustly_generated(W, masks, full_space, zero_columns),
+            robustly_generated=_robustly_generated(d, n, masks, full_space, zero_columns),
             full_space=full_space,
             all_plus=full in masks,
             zero_columns=zero_columns,
         )
 
 
-def _robustly_generated(W, faces, full_space, zero_columns) -> bool:
+def _robustly_generated(d, n, faces, full_space, zero_columns) -> bool:
     """Either d = 1, or every extreme ray carries a unique generator and all
-    remaining generators are interior. W has full row rank; faces are the
-    packed nonnegative covectors."""
-    if W.rows == 1:
+    remaining generators are interior. d is the rank of the n columns; faces
+    are the packed nonnegative covectors."""
+    if d == 1:
         return True
     if full_space:
         return True
     if zero_columns:
         return False
-    full = (1 << W.cols) - 1
+    full = (1 << n) - 1
     nonzero_faces = [t for t in faces if t]
     # generator i spans its own extreme-ray face when a face is zero at i only
     extreme = {full & ~t for t in nonzero_faces}
     interior = full  # generator i is interior when every nonzero face is + at i
     for t in nonzero_faces:
         interior &= t
-    return all(1 << i in extreme or interior >> i & 1 for i in range(W.cols))
+    return all(1 << i in extreme or interior >> i & 1 for i in range(n))
 
 
 def oriented_matroid(M: RationalMatrix) -> OrientedMatroid:

@@ -224,6 +224,10 @@ def composition_closure(generators, n: int) -> frozenset[int]:
     That depends only on g's entries on z, so each zero set gets the distinct
     nonzero restrictions of the generators once, and x is composed with those
     only; a full-support element gets none.
+
+    The package enumerates its sign sets with `matroid._orthogonal_masks`
+    and does not call this; it stays as the definition those sets are
+    tested against, and because the benchmark's tracer names it.
     """
     full = (1 << n) - 1
     gens = set(generators)

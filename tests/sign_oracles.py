@@ -11,10 +11,15 @@ from functools import reduce
 from itertools import product
 from operator import or_
 
-from expbij.linalg import InputError, check, is_zero_vec, kernel_basis
+from expbij.linalg import InputError, RationalMatrix, check, is_zero_vec, kernel_basis
 from expbij.lp import realize_kernel_sign
 from expbij.matroid import oriented_matroid
 from expbij.signs import EnumerationCap, SignVector, bits, pack, sign_of, str_order, unpack
+
+
+def column_submatrix(M: RationalMatrix, idx) -> RationalMatrix:
+    """The columns idx of M, in that order."""
+    return RationalMatrix([[row[j] for j in idx] for row in M.row_tuples])
 
 
 def all_sign_vectors(n: int, cap: int = 12):
@@ -95,7 +100,7 @@ def conformal_decompose(M, tau: SignVector) -> list[SignVector]:
         rho = next((c for c in ordered if c & ~sx == 0), None)
         check(rho is not None, "nonzero kernel vector without a conformal circuit")
         J = bits((rho | rho >> n) & full)
-        ker = kernel_basis(M.column_submatrix(J))
+        ker = kernel_basis(column_submatrix(M, J))
         check(ker.dim == 1, f"circuit {unpack(rho, n)} without a one-dimensional kernel")
         u = [Fraction(0)] * n
         for pos, j in enumerate(J):

@@ -111,7 +111,18 @@ def test_malformed_json_exit_one(tmp_path, capsys):
     assert main(["analyze", "--coeff", str(bad), "--exp", str(bad)]) == 1
 
 
-@pytest.mark.parametrize("entries", [5, [5, 6], None])
+@pytest.mark.parametrize("text", ["[" + "9" * 5000 + "]", "[" * 100_000 + "]" * 100_000],
+                         ids=["5000-digit-int", "100000-deep"])
+def test_unreadable_json_values_exit_one(tmp_path, capsys, text):
+    # an integer past the int-string limit, and nesting past the recursion limit
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["analyze", "--coeff", str(bad), "--exp", str(bad)]) == 1
+    assert _one_error_line(capsys)
+
+
+# the last is well shaped, but "1_000" is not an entry (only a sign and ASCII digits)
+@pytest.mark.parametrize("entries", [5, [5, 6], None, [["1_000", 2], [3, 4]]])
 def test_malformed_matrix_shape_exit_one(tmp_path, capsys, entries):
     assert main(["analyze",
                  "--coeff", write_json(tmp_path, "W.json", {"entries": entries}),

@@ -38,8 +38,10 @@ def test_frac_parsing():
         frac("1/0")
     with pytest.raises(InputError):
         frac("1/-2")
-    with pytest.raises(InputError):
-        frac("x")
+    for bad in ("x", "1_000", "\u0663", "3/0_1", "1//2", "1/2/3", "", "+", "1/", "9" * 5000):
+        with pytest.raises(InputError):
+            frac(bad)
+    assert frac(" -3/+6 ") == Fraction(-1, 2)
 
 
 def test_rank_examples():

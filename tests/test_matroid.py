@@ -45,7 +45,14 @@ from expbij.signs import (
     unpack,
     unpack_all,
 )
-from sign_oracles import all_sign_vectors, conformal_decompose, is_uniform, nonneg_part, orthogonal_set
+from sign_oracles import (
+    all_sign_vectors,
+    column_submatrix,
+    conformal_decompose,
+    is_uniform,
+    nonneg_part,
+    orthogonal_set,
+)
 from test_analyzer import _random_full_rank
 
 S = SignVector.from_string
@@ -87,7 +94,7 @@ def _rref_circuits(mat):
         for J in combinations(range(n), size):
             if any(s <= set(J) for s in found_supports):
                 continue
-            ker = kernel_basis(W.column_submatrix(J))
+            ker = kernel_basis(column_submatrix(W, J))
             if ker.dim != 1 or any(x == 0 for x in ker.vectors[0]):
                 continue  # no dependency, or not minimal on J; handled by a subset
             comps = [Fraction(0)] * n
@@ -188,7 +195,7 @@ def test_nonneg_covectors_are_closure_of_nonneg_cocircuits():
         kinds.add("deficient" if rank(W) < W.rows else "full rank")
         om, n = OrientedMatroid(W), W.cols
         nonneg = unpack_all(om.nonneg_covector_masks(), n)
-        assert nonneg == nonneg_part(unpack_all(om.covector_masks(), n)), W
+        assert nonneg == unpack_all(composition_closure(om.nonneg_cocircuit_masks, n), n), W
         assert om.face_lattice().faces == nonneg
         checked += 1
     assert kinds == {"lifted", "deficient", "full rank"}
@@ -259,7 +266,9 @@ def test_mask_accessors_are_the_packed_sets():
 def test_orthogonal_masks_match_composition_closure():
     """The one-pass enumeration against its definition: the covectors are the
     composition closure of the cocircuits and are orthogonal to the circuits,
-    and the vectors the other way round."""
+    and the vectors the other way round. Restricted to +, it gives the
+    nonnegative covectors, each the composition of the nonnegative cocircuits
+    conformal to it."""
     rng = random.Random(57721)
     kinds = Counter()
     for _ in range(120):
@@ -283,8 +292,12 @@ def test_orthogonal_masks_match_composition_closure():
             bin((c | c >> n) & full).count("1") == 1 for c in om.cocircuit_masks)
         kinds["no circuits"] += not om.circuit_masks
         kinds["n = 9"] += n == 9
-        assert _orthogonal_masks(om.circuit_masks, n) == composition_closure(om.cocircuit_masks, n), W
-        assert _orthogonal_masks(om.cocircuit_masks, n) == composition_closure(om.circuit_masks, n), W
+        every = (1 << 2 * n) - 1
+        assert _orthogonal_masks(om.circuit_masks, n, every) == composition_closure(om.cocircuit_masks, n), W
+        assert _orthogonal_masks(om.cocircuit_masks, n, every) == composition_closure(om.circuit_masks, n), W
+        # only + allowed: the nonnegative covectors, composed of the nonnegative cocircuits
+        assert _orthogonal_masks(om.circuit_masks, n, full) == composition_closure(
+            om.nonneg_cocircuit_masks, n), W
     assert all(kinds[k] >= 5 for k in ("rank-deficient", "zero column", "coloop", "no circuits",
                                        "n = 9")), kinds
 
@@ -420,6 +433,42 @@ def _robustly_generated_oracle(W, fl) -> bool:
     nonzero = [t for t in fl.faces if not t.is_zero()]
     return all(any(t.zero_set() == (i,) for t in nonzero) or all(t[i] == 1 for t in nonzero)
                for i in range(W.cols))
+
+
+def test_cone_flags_from_the_table_match_the_matrix_route():
+    """The zero columns and the lineality rank that face_lattice reads off the
+    cocircuits and the minor table, against the entries: a zero column is all
+    zero, and the lineality space is spanned by the columns in no nonzero
+    face, whose rank is that of their column submatrix."""
+    rng = random.Random(31415)
+    kinds = Counter()
+    checked = 0
+    while checked < 400:
+        W = _random_matrix(rng, 6)
+        if rank(W) == 0:
+            continue
+        if rng.random() < 0.3:  # opposite columns: a lineality space, often the full space
+            k = rng.randint(1, W.cols)
+            W = M([list(r) + [-x for x in r[:k]] for r in W.row_tuples])
+        n = W.cols
+        fl = face_lattice(W)
+        zero_columns = tuple(j for j in range(n) if not any(row[j] for row in W.row_tuples))
+        top = 0
+        for t in fl.faces:
+            top |= t.plus
+        L = [j for j in range(n) if not top >> j & 1]
+        lineality_dim = rank(column_submatrix(W, L)) if L else 0
+        assert fl.zero_columns == zero_columns, W
+        assert fl.lineality_dim == lineality_dim and fl.pointed == (lineality_dim == 0), W
+        assert fl.full_space == (lineality_dim == rank(W)), W
+        kinds["rank-deficient"] += rank(W) < W.rows
+        kinds["zero column"] += bool(zero_columns)
+        kinds["full space"] += fl.full_space
+        kinds["lineality"] += 0 < lineality_dim < rank(W)
+        kinds["pointed"] += fl.pointed
+        checked += 1
+    assert all(kinds[k] >= 10 for k in ("rank-deficient", "zero column", "full space", "lineality",
+                                        "pointed")), kinds
 
 
 def test_robustly_generated_matches_signvector_oracle():
