@@ -160,12 +160,7 @@ class ConditionResult:
         return self.verdict == FAILS
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "tag": self.tag,
-            "certificate": self.certificate,
-            "detail": self.detail,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _jvec(v: Vec) -> list[str]:
@@ -396,6 +391,8 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
                 f"candidate {unpack(tau_t, n)} has {len(plus)} positive components, "
                 f"above max_blocks = {caps.max_blocks}; "
                 f"{len(candidates) - idx} candidates unexplored"))
+        if not dependent(plus):  # blocks' kernel vectors would sum to one on plus
+            continue
         zero_rows = [(spec.exponents.column(i), Rel.EQ) for i in bits(full & ~support)]
         minus_rows = [(spec.exponents.column(i), Rel.LT) for i in bits(tau_t >> n)]
         for blocks in _ordered_partitions(plus, dependent):

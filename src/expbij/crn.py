@@ -5,12 +5,13 @@ analysis to the map analyzer.
 
 A network is a digraph whose vertices carry a stoichiometric complex y(i) >= 0
 and a kinetic-order complex yt(i) (any rationals); under plain mass-action
-kinetics the two coincide.
+kinetics the two coincide. The linkage classes and weak reversibility are
+searches of one routine, `_reachable` (see `is_weakly_reversible`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 
@@ -18,6 +19,9 @@ from .analyzer import (
     AnalysisReport,
     CLASS_BIJECTIVE,
     CLASS_INCONCLUSIVE,
+    FAILS,
+    HOLDS,
+    INCONCLUSIVE,
     Caps,
     ConditionResult,
     ExponentialMapSpec,
@@ -37,10 +41,7 @@ from .linalg import (
     vec_sub,
 )
 
-HOLDS = "holds"
-FAILS = "fails"
 NOT_APPLICABLE = "criteria-not-applicable"
-INCONCLUSIVE = "inconclusive"
 
 
 class NetworkError(InputError):
@@ -151,57 +152,42 @@ def parse_network(doc: dict) -> GeneralizedNetwork:
     return GeneralizedNetwork(tuple(species), tuple(vertices), tuple(edges), tuple(rates))
 
 
+def _reachable(adj: list[list[int]], start: int) -> set[int]:
+    """The vertices reachable from start along adj."""
+    seen, stack = {start}, [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def _weak_components(m: int, edges) -> list[list[int]]:
     adj = [[] for _ in range(m)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    seen = [False] * m
-    comps = []
+    comps, seen = [], set()
     for start in range(m):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
+        if start not in seen:
+            comps.append(sorted(_reachable(adj, start)))
+            seen.update(comps[-1])
     return comps
 
 
-def _strongly_connected(vertices: list[int], edges) -> bool:
-    vset = set(vertices)
-    fwd = {u: [] for u in vertices}
-    rev = {u: [] for u in vertices}
-    for u, v in edges:
-        if u in vset and v in vset:
-            fwd[u].append(v)
-            rev[v].append(u)
-
-    def reaches_all(adj, start):
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(vertices)
-
-    start = vertices[0]
-    return reaches_all(fwd, start) and reaches_all(rev, start)
-
-
-def is_weakly_reversible(network: GeneralizedNetwork) -> bool:
-    """Every weakly connected component of the reaction digraph is strongly connected."""
-    comps = _weak_components(network.num_vertices, network.edges)
-    return all(_strongly_connected(comp, network.edges) for comp in comps)
+def is_weakly_reversible(network: GeneralizedNetwork, components=None) -> bool:
+    """Every weakly connected component of the reaction digraph is strongly
+    connected: one vertex of it reaches all of it forward and is reached from
+    all of it. components, when given, are the network's weak components."""
+    m = network.num_vertices
+    fwd, rev = [[] for _ in range(m)], [[] for _ in range(m)]
+    for u, v in network.edges:
+        fwd[u].append(v)
+        rev[v].append(u)
+    if components is None:
+        components = _weak_components(m, network.edges)
+    return all(len(_reachable(fwd, c[0])) == len(c) == len(_reachable(rev, c[0])) for c in components)
 
 
 @dataclass(frozen=True)
@@ -270,7 +256,7 @@ def _structure_of(network: GeneralizedNetwork) -> NetworkStructure:
         incidence=incidence,
         laplacian=laplacian,
         components=tuple(tuple(c) for c in comps),
-        weakly_reversible=is_weakly_reversible(network),
+        weakly_reversible=is_weakly_reversible(network, comps),
         stoich_subspace=S,
         kinetic_subspace=St,
         deficiency=deficiency,
@@ -309,16 +295,9 @@ class DeficiencyZeroVerdict:
     analysis: AnalysisReport | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "deficiency": self.deficiency,
-            "kinetic_deficiency": self.kinetic_deficiency,
-            "weakly_reversible": self.weakly_reversible,
-            "existence_for_all_rates": self.existence_for_all_rates,
-            "mass_action": self.mass_action,
-            "reason": self.reason,
-            "analysis": self.analysis.to_json_dict() if self.analysis else None,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["analysis"] = self.analysis.to_json_dict() if self.analysis else None
+        return out
 
 
 @dataclass(frozen=True)
@@ -335,16 +314,9 @@ class RobustDeficiencyZeroVerdict:
     closure: ConditionResult | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "deficiency": self.deficiency,
-            "kinetic_deficiency": self.kinetic_deficiency,
-            "weakly_reversible": self.weakly_reversible,
-            "mass_action": self.mass_action,
-            "mass_action_reduction": self.mass_action_reduction,
-            "reason": self.reason,
-            "closure": self.closure.to_json_dict() if self.closure else None,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["closure"] = self.closure.to_json_dict() if self.closure else None
+        return out
 
 
 def _build_verdicts(network: GeneralizedNetwork,

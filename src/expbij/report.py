@@ -149,6 +149,13 @@ def _verify(report: dict):
         elif key == "robust_both" and cert is not None:
             _verify_robust_both_cert(minors, verdict, cert)
 
+    # theorem-level equalities; each right side was checked on the minor tables
+    _need(conditions["i"]["verdict"] == conditions["injectivity_minors"]["verdict"],
+          "i disagrees with its minor form")
+    if "robust_exponents" in conditions:  # analyze --robust may filter it out
+        _need(conditions["cc"]["verdict"] == conditions["robust_exponents"]["verdict"],
+              "cc disagrees with the strict minor form of robust_exponents")
+
     want = _classify(*(conditions[k]["verdict"] for k in ("i", "ii", "iii")))
     _need(report["classification"] == want, "classification inconsistent with verdicts")
 

@@ -2,7 +2,7 @@
 
 Sign vectors are stored as two bitmasks (positive positions, negative
 positions), which makes the partial order (0 < -, 0 < +), composition, and
-orthogonality O(1) bit operations. Lengths are capped at 64.
+orthogonality bit operations on Python ints, for any length.
 
 Inside the exact layer a sign vector of length n is one packed int,
 `plus | minus << n`: `x <= y` is `x & ~y == 0`, the support is
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from functools import cache
 
-MAX_LEN = 64
-
 
 class EnumerationCap(RuntimeError):
     """A brute-force enumeration would exceed its configured cap."""
@@ -26,8 +24,8 @@ class SignVector:
     __slots__ = ("n", "plus", "minus")
 
     def __init__(self, n: int, plus: int, minus: int):
-        if not 1 <= n <= MAX_LEN:
-            raise ValueError(f"sign vector length must be in 1..{MAX_LEN}, got {n}")
+        if n < 1:
+            raise ValueError(f"sign vector length must be positive, got {n}")
         mask = (1 << n) - 1
         if plus & ~mask or minus & ~mask or plus & minus:
             raise ValueError("invalid sign masks")

@@ -4,12 +4,15 @@ Run as `PYTHONPATH=src python tests/scale_smoke.py FAMILY`, FAMILY one of
 - `low-d`: three seeded pairs at n = 14, d = 2;
 - `high-d`: seeded pairs with d = n - 3 at n = 10, 11, 12;
 - `sums`: three block-diagonal sums of the bijective and injective examples,
-  at n = 12, 15 and 15.
+  at n = 12, 15 and 15;
+- `big-sum`: `sv(1/2) + sv(1/2) + sv(1/2)` at n = 18, d = 9, which reaches
+  the exact iii search with 59,318 candidates; it stays fast only because a
+  candidate whose positive part is not positively dependent is skipped.
 Seeded entries come from one `random.Random(7)` in [-3, 3]. The n cap is 16,
-and for the sums the block cap is 16 too. Every analysis must be decided and
-its report must verify, else the exit status is 1. A sum must also take the
-class its blocks predict: a direct sum is injective (or bijective) iff every
-block is.
+and for the sums the block cap is 16 too; for the big sum the n cap is 18.
+Every analysis must be decided and its report must verify, else the exit
+status is 1. A sum must also take the class its blocks predict: a direct sum
+is injective (or bijective) iff every block is.
 pytest does not collect this file.
 """
 
@@ -25,26 +28,11 @@ from expbij.analyzer import (
     ExponentialMapSpec,
     analyze,
 )
-from expbij.linalg import RationalMatrix
 from expbij.report import build_report, verify_certificate
-from test_analyzer import EX1, EX2, FACE_GAP, _random_full_rank, sv_example
+from test_analyzer import EX1, EX2, FACE_GAP, _random_full_rank, direct_sum, sv_example
 
 SUM_CAPS = Caps(max_n_enumeration=16, max_blocks=16)
-
-
-def block_diagonal(mats):
-    """The block-diagonal matrix of mats, in order."""
-    n = sum(m.cols for m in mats)
-    rows, at = [], 0
-    for m in mats:
-        rows += [[0] * at + list(r) + [0] * (n - at - m.cols) for r in m.row_tuples]
-        at += m.cols
-    return RationalMatrix(rows)
-
-
-def direct_sum(specs):
-    return ExponentialMapSpec(block_diagonal([s.coeff for s in specs]),
-                              block_diagonal([s.exponents for s in specs]))
+BIG_SUM_CAPS = Caps(max_n_enumeration=18, max_blocks=16)
 
 
 def predicted_class(blocks):
@@ -70,10 +58,16 @@ def sums():
         yield label, direct_sum(blocks), SUM_CAPS, predicted_class(blocks)
 
 
+def big_sum():
+    blocks = [sv_example(Fraction(1, 2))] * 3
+    yield "sv(1/2) + sv(1/2) + sv(1/2)", direct_sum(blocks), BIG_SUM_CAPS, predicted_class(blocks)
+
+
 FAMILIES = {
     "low-d": lambda: seeded_pairs([(f"pair {k}", 2, 14) for k in range(3)]),
     "high-d": lambda: seeded_pairs([(f"n = {n}", n - 3, n) for n in (10, 11, 12)]),
     "sums": sums,
+    "big-sum": big_sum,
 }
 
 if __name__ == "__main__":
@@ -82,7 +76,8 @@ if __name__ == "__main__":
     for label, spec, caps, want in FAMILIES[sys.argv[1]]():
         rep = analyze(spec, caps)
         ok = rep.classification != "inconclusive" and verify_certificate(build_report(rep, {}))
-        print(f"{label}: {rep.classification}, {'verified' if ok else 'NOT decided and verified'}")
+        print(f"{label}: {rep.classification}, {'verified' if ok else 'NOT decided and verified'}; "
+              f"iii: {rep.conditions['iii'].detail}")
         if not ok:
             sys.exit(1)
         if want is not None and rep.classification != want:

@@ -26,6 +26,8 @@ from expbij.analyzer import (
     _degeneracy_candidates,
     _excluded_tope,
     _jvec,
+    _ordered_partitions,
+    _positively_dependent,
     analyze,
     closure_cc,
     closure_cc_prime,
@@ -54,6 +56,7 @@ from expbij.report import build_report, verify_certificate
 from expbij.signs import (
     EnumerationCap,
     SignVector,
+    bits,
     composition_closure,
     minimal_support_members,
     pack,
@@ -83,6 +86,21 @@ EX2 = spec_of([[1, 0, -1], [0, 1, 0]], [[1, 1, 0], [0, 1, 1]])
 CC_EXAMPLE = spec_of([[1, 1, -1]], [[1, 0, -1]])
 FACE_GAP = spec_of([[1, 1, 0], [0, 1, 1]], [[1, 0, -1], [0, 1, 0]])
 NONINJ = spec_of([[1, 1]], [[1, -1]])
+
+
+def block_diagonal(mats):
+    """The block-diagonal matrix of mats, in order."""
+    n = sum(m.cols for m in mats)
+    rows, at = [], 0
+    for m in mats:
+        rows += [[0] * at + list(r) + [0] * (n - at - m.cols) for r in m.row_tuples]
+        at += m.cols
+    return RationalMatrix(rows)
+
+
+def direct_sum(specs):
+    return ExponentialMapSpec(block_diagonal([s.coeff for s in specs]),
+                              block_diagonal([s.exponents for s in specs]))
 
 
 def _random_full_rank(rng, d, n, zero_p=0.0):
@@ -384,6 +402,25 @@ def test_iii_shortcuts_agree_with_exact_search_on_random_corpus():
             exact = condition_iii_exact(spec)
             assert exact.holds, (spec.coeff, spec.exponents, shortcuts, exact)
     assert settled >= 100
+
+
+def test_iii_skips_only_candidates_without_partitions():
+    # condition_iii_exact skips a candidate whose positive part is not
+    # positively dependent; _ordered_partitions must yield nothing for it
+    skipped = searched = 0
+    for spec in _corpus(200) + [direct_sum([sv_example(Fraction(1, 2))] * 2)]:
+        om_w = spec._om(spec.coeff)
+        full = (1 << spec.n) - 1
+        dependent = _positively_dependent(spec)
+        for tau_t in _degeneracy_candidates(om_w.nonneg_cocircuit_masks,
+                                            spec._om(spec.exponents).covector_masks(12), spec.n):
+            plus = bits(tau_t & full)
+            if dependent(plus):
+                searched += 1
+            else:
+                skipped += 1
+                assert next(_ordered_partitions(plus, dependent), None) is None, (spec.coeff, tau_t)
+    assert skipped >= 100 and searched >= 10, (skipped, searched)
 
 
 def _signvector_picks(spec):

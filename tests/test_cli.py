@@ -1,16 +1,17 @@
 import json
+import random
 
 import pytest
 
 import expbij.cli
 import expbij.matroid
 import expbij.report
-from expbij.analyzer import Caps, ExponentialMapSpec, analyze
+from expbij.analyzer import Caps, ExponentialMapSpec, _classify, analyze
 from expbij.cli import main
 from expbij.linalg import InternalInconsistency, RationalMatrix, kernel_basis, maximal_minors
 from expbij.matroid import vectors
 from expbij.report import build_report, canonical_json, digest_of, verify_certificate
-from test_analyzer import run_python
+from test_analyzer import CORPUS_SEED, random_spec, run_python
 
 
 def write_json(tmp_path, name, obj):
@@ -382,6 +383,38 @@ def test_verify_certificate_rejects_unchecked_fails(example, key, where):
             cert = cert[field]
         cert["reason"] = "unknown-reason"
     assert verify_certificate(report) is False
+
+
+@pytest.mark.parametrize("n", [64, 65, 70])
+def test_verify_certificate_accepts_sign_vectors_longer_than_64(n):
+    # W = (1 ... 1), Wt the same with its last entry -1: not injective, with
+    # i, cc, cc_prime and the robust forms failing on sign vectors of length n
+    spec = ExponentialMapSpec(RationalMatrix([[1] * n]), RationalMatrix([[1] * (n - 1) + [-1]]))
+    report = json.loads(canonical_json(build_report(analyze(spec), {})))
+    assert report["classification"] == "not-injective"
+    assert all(report["conditions"][k]["verdict"] == "fails" for k in ("i", "cc", "cc_prime"))
+    assert verify_certificate(report)
+
+
+def test_verify_certificate_rejects_flipped_i_and_cc():
+    # a failing i or cc turned into holds, its certificate dropped and the
+    # class re-derived, must contradict its minor form (injectivity_minors,
+    # the strict minor form of robust_exponents), which the verifier checks
+    rng = random.Random(CORPUS_SEED)
+    flips = {"i": 0, "cc": 0}
+    for _ in range(150):
+        report = json.loads(canonical_json(build_report(analyze(random_spec(rng)), {})))
+        assert verify_certificate(report)
+        for key in flips:
+            if report["conditions"][key]["verdict"] != "fails":
+                continue
+            forged = json.loads(json.dumps(report))
+            forged["conditions"][key].update(verdict="holds", certificate=None)
+            forged["classification"] = _classify(
+                *(forged["conditions"][k]["verdict"] for k in ("i", "ii", "iii")))
+            assert verify_certificate(forged) is False, (key, report["map"])
+            flips[key] += 1
+    assert min(flips.values()) >= 100, flips
 
 
 def test_verify_certificate_checks_the_separating_face():

@@ -1,12 +1,15 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import expbij.crn
-from expbij.analyzer import Caps
+from expbij.analyzer import Caps, ConditionResult
 from expbij.crn import (
+    DeficiencyZeroVerdict,
     NetworkError,
+    RobustDeficiencyZeroVerdict,
     deficiency_zero_gmak,
     is_weakly_reversible,
     map_spec_of,
@@ -132,6 +135,93 @@ def test_weak_reversibility_examples():
         ],
     }
     assert not is_weakly_reversible(parse_network(chain))
+
+
+def _random_network_doc(rng):
+    """Linkage classes of three kinds on disjoint complexes, each complex one
+    species: irreversible chains, directed cycles and reversible chains, each
+    sometimes with one extra reaction inside the class. The reactions of all
+    classes are shuffled together, so vertex numbers interleave the classes."""
+    kinds, reactions, m = [], [], 0
+    for _ in range(rng.randint(1, 3)):
+        kind, size = rng.choice(("chain", "cycle", "reversible")), rng.randint(2, 5)
+        pairs = [(m + i, m + i + 1) for i in range(size - 1)]
+        if kind == "cycle":
+            pairs.append((m + size - 1, m))
+        if rng.random() < 0.3:
+            extra = tuple(rng.sample(range(m, m + size), 2))
+            if extra not in pairs and extra[::-1] not in pairs:
+                pairs.append(extra)
+        reactions += [rxn({"stoich": {f"X{u}": 1}}, {"stoich": {f"X{v}": 1}}, reversible=kind == "reversible")
+                      for u, v in pairs]
+        kinds.append(kind)
+        m += size
+    rng.shuffle(reactions)
+    return {"species": [f"X{i}" for i in range(m)], "reactions": reactions}, kinds
+
+
+def _closure_oracle(net):
+    """Weak components (sorted, by least vertex) and weak reversibility from
+    the transitive closure of the reaction digraph."""
+    m = net.num_vertices
+    reach = [[u == v for v in range(m)] for u in range(m)]
+    for u, v in net.edges:
+        reach[u][v] = True
+    for k in range(m):
+        for u in range(m):
+            if reach[u][k]:
+                reach[u] = [a or b for a, b in zip(reach[u], reach[k])]
+    linked = [[reach[u][v] or reach[v][u] for v in range(m)] for u in range(m)]
+    for k in range(m):
+        for u in range(m):
+            if linked[u][k]:
+                linked[u] = [a or b for a, b in zip(linked[u], linked[k])]
+    components = sorted({tuple(v for v in range(m) if linked[u][v]) for u in range(m)})
+    reversible = all(reach[v][u] for u in range(m) for v in range(m) if reach[u][v])
+    return tuple(components), reversible
+
+
+def test_components_and_weak_reversibility_match_closure_oracle():
+    rng = random.Random(22)
+    kinds, several, outcomes = Counter(), 0, Counter()
+    for _ in range(150):
+        doc, doc_kinds = _random_network_doc(rng)
+        net = parse_network(doc)
+        components, reversible = _closure_oracle(net)
+        s = structure(net)
+        assert s.components == components, doc
+        assert s.weakly_reversible == reversible == is_weakly_reversible(net), doc
+        kinds.update(doc_kinds)
+        several += len(doc_kinds) > 1
+        outcomes[reversible] += 1
+    assert min(kinds.values()) >= 10 and several >= 10, (kinds, several)
+    assert outcomes[True] >= 10 and outcomes[False] >= 10, outcomes
+
+
+def test_structure_finds_the_components_once(monkeypatch):
+    calls = []
+    weak_components = expbij.crn._weak_components
+    monkeypatch.setattr(expbij.crn, "_weak_components", lambda *a: calls.append(a) or weak_components(*a))
+    s = structure(parse_network(CC_NETWORK))
+    assert s.weakly_reversible and len(calls) == 1
+
+
+def test_verdict_records_serialize_their_fields():
+    # the JSON keys are the dataclass fields, so renaming a field would change
+    # report bytes; pin the keys here
+    net = parse_network(CC_NETWORK)
+    verdict, robust = deficiency_zero_gmak(net), robust_deficiency_zero_gmak(net)
+    assert isinstance(verdict, DeficiencyZeroVerdict) and isinstance(robust, RobustDeficiencyZeroVerdict)
+    assert sorted(verdict.to_json_dict()) == [
+        "analysis", "deficiency", "existence_for_all_rates", "kinetic_deficiency", "mass_action",
+        "reason", "verdict", "weakly_reversible"]
+    assert sorted(robust.to_json_dict()) == [
+        "closure", "deficiency", "kinetic_deficiency", "mass_action", "mass_action_reduction",
+        "reason", "verdict", "weakly_reversible"]
+    assert isinstance(robust.closure, ConditionResult)
+    assert sorted(robust.closure.to_json_dict()) == ["certificate", "detail", "tag", "verdict"]
+    assert verdict.to_json_dict()["analysis"] == verdict.analysis.to_json_dict()
+    assert robust.to_json_dict()["closure"] == robust.closure.to_json_dict()
 
 
 def test_deficiency_formulas_agree():

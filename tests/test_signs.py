@@ -27,7 +27,7 @@ def test_str_order_matches_string_order():
         assert len({key(pack(t)) for t in everything}) == 3 ** n
     # lengths past one byte of positions, sampled
     rng = random.Random(8)
-    for n in (9, 16, 17, 64):
+    for n in (9, 16, 17, 64, 65, 100):
         sample = [SignVector.from_components(rng.choice((-1, 0, 1)) for _ in range(n)) for _ in range(300)]
         sample += [SignVector(n, t.plus & 1, t.minus & ~1) for t in sample]  # long shared prefixes
         key = str_order(n)
@@ -42,6 +42,9 @@ def test_sign_of():
 
 def test_string_roundtrip_and_validation():
     assert str(S("+0-")) == "+0-"
+    # no length cap: reports name sign vectors of any length
+    for text in ("+" * 65, "-0+" * 30):
+        assert str(S(text)) == text and S(text).n == len(text)
     with pytest.raises(ValueError):
         S("+x")
 
