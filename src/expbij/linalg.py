@@ -8,10 +8,10 @@ accumulate one numerator and one denominator. A `Fraction` is built only for
 a value that leaves the kernel. Kernels and row spaces come from the reduced
 row echelon form, which is unique and therefore gives reproducible bases and
 certificates. The signs of all maximal minors, which is what the analyzer
-reads, come from one integer table per matrix (`maximal_minor_signs`: one
-echelon form, one Bareiss determinant, then Laplace expansion without
-division); the certificate verifier keeps one Bareiss determinant per minor
-(`maximal_minors`) as an independent route.
+and the certificate verifier read, come from one integer table per matrix
+(`maximal_minor_signs`: one echelon form, one Bareiss determinant, then
+Laplace expansion without division). `maximal_minors`, one Bareiss
+determinant per minor, is kept as the tests' oracle for that table.
 """
 
 from __future__ import annotations
@@ -357,7 +357,8 @@ def matrix_with_kernel(B: SubspaceBasis) -> RationalMatrix:
 
 
 def maximal_minors(M: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
-    """det(M_I) for every column subset I of size d, keys sorted ascending (0-based)."""
+    """det(M_I) for every column subset I of size d, keys sorted ascending (0-based),
+    one Bareiss determinant each: the tests' oracle for `maximal_minor_signs`."""
     d, n = M.rows, M.cols
     if d > n:
         raise InputError("maximal_minors requires d <= n")

@@ -4,7 +4,8 @@ Reports are canonical JSON (sorted keys, lowest-terms "p/q" rationals) so
 they diff cleanly; per-condition runtimes are stored under "runtimes_ms",
 which the canonical form strips. verify_certificate re-checks every
 substitution-checkable claim in a report against the canonical matrices
-embedded in it, without re-running any search.
+embedded in it, without re-running any search, and decides every minor-form
+verdict and sign_sets_equal from the matrices' two tables of minor signs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cache
 
 from . import __version__
 from .analyzer import AnalysisReport, _classify
-from .linalg import InputError, RationalMatrix, dot, frac, kernel_basis, maximal_minors, vec
+from .linalg import InputError, RationalMatrix, dot, frac, kernel_basis, maximal_minor_signs, vec
 from .signs import SignVector, sign_of
 
 TOOL = {"name": "expbij", "version": __version__}
@@ -76,18 +77,21 @@ def _verify(report: dict):
     W = RationalMatrix.from_json_dict(m["canonical_coeff"])
     Wt = RationalMatrix.from_json_dict(m["canonical_exponents"])
     conditions = report["conditions"]
-    # both minor tables and each kernel basis, computed once and only if a
-    # certificate needs them
-    minors = cache(lambda: (maximal_minors(W), maximal_minors(Wt)))
-    kernel = cache(kernel_basis)
+    sw, swt = maximal_minor_signs(W), maximal_minor_signs(Wt)
+    for key, want in _minor_verdicts(sw, swt).items():
+        _need(key not in conditions or conditions[key]["verdict"] == want,
+              f"{key} disagrees with the minor signs")
+    _need(report["sign_sets_equal"] is (sw in (swt, {I: -s for I, s in swt.items()})),
+          "sign_sets_equal disagrees with the minor signs")
+    kernel = cache(kernel_basis)  # each basis built once, if a certificate needs it
 
     for key, entry in conditions.items():
         cert = entry.get("certificate")
         verdict = entry["verdict"]
         _need(verdict != "fails" or isinstance(cert, dict), "fails without a certificate")
-        if key == "i" and cert is not None and "common_sign_vector" not in cert:
-            # the sign form hit a cap and the minor form decided instead
-            _verify_minor_cert(minors, verdict, cert)
+        if key in ("i", "injectivity_minors") and cert is not None and "common_sign_vector" not in cert:
+            # i carries the minor form's certificate when its sign form hit a cap
+            _verify_minor_cert(sw, swt, verdict, cert)
         elif key == "i" and verdict == "fails":
             tau = _sv(cert["common_sign_vector"])
             v = vec(cert["kernel_vector"])
@@ -97,8 +101,6 @@ def _verify(report: dict):
             _need(all(t == 0 for t in W.mat_vec(v)), "kernel vector not in ker W")
             _need(Wt.transpose_vec(x) == z, "rowspace vector mismatch")
             _need(sign_of(z) == tau, "rowspace vector sign mismatch")
-        elif key == "injectivity_minors" and cert is not None:
-            _verify_minor_cert(minors, verdict, cert)
         elif key == "ii" and verdict == "fails":
             tau_t = _sv(cert["uncovered_face"])
             x_t = vec(cert["exponent_functional"])
@@ -135,7 +137,7 @@ def _verify(report: dict):
         elif key == "robust_exponents" and cert is not None:
             if "closure_form" in cert and verdict == "fails":
                 _verify_closure_cert(W, Wt, kernel, "cc", cert["closure_form"])
-            _verify_strict_minor_cert(minors, verdict, cert["minor_form"])
+            _verify_strict_minor_cert(sw, swt, verdict, cert["minor_form"])
         elif key == "robust_coefficients" and verdict == "fails":
             if cert.get("reason") == "reversed-closure-fails":
                 _verify_closure_cert(W, Wt, kernel, "cc_prime", cert["closure_form"])
@@ -147,14 +149,7 @@ def _verify(report: dict):
             else:
                 _reason(cert, "all-plus-covector-missing", "cone-not-robustly-generated")
         elif key == "robust_both" and cert is not None:
-            _verify_robust_both_cert(minors, verdict, cert)
-
-    # theorem-level equalities; each right side was checked on the minor tables
-    _need(conditions["i"]["verdict"] == conditions["injectivity_minors"]["verdict"],
-          "i disagrees with its minor form")
-    if "robust_exponents" in conditions:  # analyze --robust may filter it out
-        _need(conditions["cc"]["verdict"] == conditions["robust_exponents"]["verdict"],
-              "cc disagrees with the strict minor form of robust_exponents")
+            _verify_robust_both_cert(sw, swt, verdict, cert)
 
     want = _classify(*(conditions[k]["verdict"] for k in ("i", "ii", "iii")))
     _need(report["classification"] == want, "classification inconsistent with verdicts")
@@ -167,54 +162,59 @@ def _reason(cert, *known) -> str | None:
     return reason
 
 
-def _verify_minor_cert(minors, verdict, cert):
-    minors_w, minors_wt = minors()
+def _minor_verdicts(sw, swt) -> dict[str, str]:
+    """Each minor form's verdict: it holds iff the products sign det(W_I) det(Wt_I)
+    share one nonzero sign over its subsets I, which are the nonzero products
+    for i, every I with det(W_I) != 0 for cc and robust_exponents, every I with
+    det(Wt_I) != 0 for cc_prime, and all I for robust_both."""
+    def verdict(over) -> str:
+        return "holds" if {sw[I] * swt[I] for I in sw if over(I)} in ({1}, {-1}) else "fails"
+
+    i, cc = verdict(lambda I: sw[I] * swt[I]), verdict(lambda I: sw[I])
+    return {"i": i, "injectivity_minors": i, "cc": cc, "robust_exponents": cc,
+            "cc_prime": verdict(lambda I: swt[I]), "robust_both": verdict(lambda I: True)}
+
+
+_SIGN = {"+": 1, "-": -1}
+
+
+def _product(sw, swt, subset) -> int:
+    """sign det(W_I) det(Wt_I) for a certificate's 1-based subset I."""
+    I = tuple(_idx(subset))
+    return sw[I] * swt[I]
+
+
+def _verify_minor_cert(sw, swt, verdict, cert):
     if _reason(cert, None, "all-products-zero") == "all-products-zero":
-        _need(all(minors_w[I] * minors_wt[I] == 0 for I in minors_w), "a nonzero product exists")
+        _need(not any(sw[I] * swt[I] for I in sw), "a nonzero product exists")
         return
-    ref = tuple(_idx(cert["reference_subset"]))
-    ref_p = minors_w[ref] * minors_wt[ref]
-    sign = 1 if cert["reference_sign"] == "+" else -1
-    _need(ref_p != 0 and (ref_p > 0) == (sign > 0), "reference product sign mismatch")
+    ref = _product(sw, swt, cert["reference_subset"])
+    _need(ref == _SIGN[cert["reference_sign"]], "reference product sign mismatch")
     if verdict == "fails":
-        bad = tuple(_idx(cert["violating_subset"]))
-        bad_p = minors_w[bad] * minors_wt[bad]
-        _need(bad_p * ref_p < 0, "violating product does not oppose the reference")
-    else:
-        _need(all((minors_w[I] * minors_wt[I]) * sign >= 0 for I in minors_w),
-              "a product opposes the reference sign")
+        _need(_product(sw, swt, cert["violating_subset"]) == -ref,
+              "violating product does not oppose the reference")
 
 
-def _verify_strict_minor_cert(minors, verdict, cert):
-    minors_w, minors_wt = minors()
-    if verdict == "fails":
-        bad = tuple(_idx(cert["violating_subset"]))
-        reason = _reason(cert, "zero-product-at-nonzero-minor", "mixed-product-signs")
-        if reason == "zero-product-at-nonzero-minor":
-            _need(minors_w[bad] != 0 and minors_wt[bad] == 0, "zero-product claim wrong")
-        else:
-            ref = tuple(_idx(cert["reference_subset"]))
-            _need((minors_w[ref] * minors_wt[ref]) * (minors_w[bad] * minors_wt[bad]) < 0,
-                  "mixed-sign claim wrong")
-    else:
-        products = [minors_w[I] * minors_wt[I] for I in minors_w if minors_w[I] != 0]
-        _need(len({p > 0 for p in products if p != 0}) == 1 and all(p != 0 for p in products),
-              "strict minor condition does not hold")
-
-
-def _verify_robust_both_cert(minors, verdict, cert):
-    minors_w, minors_wt = minors()
-    products = {I: minors_w[I] * minors_wt[I] for I in minors_w}
+def _verify_strict_minor_cert(sw, swt, verdict, cert):
     if verdict == "holds":
-        _need(all(p != 0 for p in products.values()), "a zero product exists")
-        signs = {p > 0 for p in products.values()}
-        _need(len(signs) == 1, "mixed product signs")
-        _need(("+" == cert["reference_sign"]) == signs.pop(), "reference sign wrong")
-    elif _reason(cert, "zero-product", "mixed-product-signs") == "zero-product":
-        _need(products[tuple(_idx(cert["violating_subset"]))] == 0, "product is not zero")
+        _need(_product(sw, swt, cert["reference_subset"]) == _SIGN[cert["reference_sign"]],
+              "reference product sign mismatch")
+    elif _reason(cert, "zero-product-at-nonzero-minor", "mixed-product-signs") == "mixed-product-signs":
+        ref, bad = (_product(sw, swt, cert[f]) for f in ("reference_subset", "violating_subset"))
+        _need(ref * bad < 0, "mixed-sign claim wrong")
     else:
-        pos = products[tuple(_idx(cert["positive_subset"]))]
-        neg = products[tuple(_idx(cert["negative_subset"]))]
+        bad = tuple(_idx(cert["violating_subset"]))
+        _need(sw[bad] != 0 and swt[bad] == 0, "zero-product claim wrong")
+
+
+def _verify_robust_both_cert(sw, swt, verdict, cert):
+    if verdict == "holds":
+        I = next(iter(sw))  # the table's verdict says every product has one sign
+        _need(sw[I] * swt[I] == _SIGN[cert["reference_sign"]], "reference sign wrong")
+    elif _reason(cert, "zero-product", "mixed-product-signs") == "zero-product":
+        _need(_product(sw, swt, cert["violating_subset"]) == 0, "product is not zero")
+    else:
+        pos, neg = (_product(sw, swt, cert[f]) for f in ("positive_subset", "negative_subset"))
         _need(pos > 0 > neg, "claimed mixed signs are wrong")
 
 

@@ -26,6 +26,7 @@ from expbij.analyzer import (
     _degeneracy_candidates,
     _excluded_tope,
     _jvec,
+    _minor_form_strict_closure,
     _ordered_partitions,
     _positively_dependent,
     analyze,
@@ -81,6 +82,8 @@ def sv_example(alpha):
     return spec_of(W, Wt)
 
 
+# the alphas at which the tests and the benchmark's iii-search workload run sv_example
+SV_ALPHAS = ("1/3", "1/2", "2/3", "1", "4/3", "3/2", "2", "5/2", "3")
 EX1 = spec_of([[1, 0, -1], [0, 1, 0]], [[1, 0, -1], [0, 1, -1]])
 EX2 = spec_of([[1, 0, -1], [0, 1, 0]], [[1, 1, 0], [0, 1, 1]])
 CC_EXAMPLE = spec_of([[1, 1, -1]], [[1, 0, -1]])
@@ -383,6 +386,21 @@ def test_equivalence_oracles_on_random_corpus():
         assert robust_both(spec).verdict == sign_form, (spec.coeff, spec.exponents)
         seen[sign_form] += 1
     assert seen[HOLDS] and seen[FAILS], seen
+
+
+def test_closure_conditions_equal_their_strict_minor_forms():
+    # cc holds iff every I with det(W_I) != 0 has det(W_I) det(Wt_I) of one
+    # strict sign; cc_prime is the same form with W and Wt swapped. The
+    # verifier decides both from the minor signs alone, so a counterexample
+    # here would show up as a genuine report that fails to verify.
+    seen = Counter()
+    for spec in _corpus(200) + [sv_example(Fraction(a)) for a in SV_ALPHAS]:
+        swapped = ExponentialMapSpec(spec.exponents, spec.coeff)
+        assert closure_cc(spec).verdict == _minor_form_strict_closure(spec)[0], spec
+        ccp = closure_cc_prime(spec).verdict
+        assert ccp == _minor_form_strict_closure(swapped)[0], (spec.coeff, spec.exponents)
+        seen[ccp] += 1
+    assert seen[HOLDS] >= 50 and seen[FAILS] >= 50, seen
 
 
 def test_iii_shortcuts_agree_with_exact_search_on_random_corpus():

@@ -1,5 +1,8 @@
 import json
 import random
+from collections import Counter
+from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -7,11 +10,20 @@ import expbij.cli
 import expbij.matroid
 import expbij.report
 from expbij.analyzer import Caps, ExponentialMapSpec, _classify, analyze
-from expbij.cli import main
-from expbij.linalg import InternalInconsistency, RationalMatrix, kernel_basis, maximal_minors
+from expbij.cli import ROBUST_KEYS, main
+from expbij.linalg import InternalInconsistency, RationalMatrix, kernel_basis, maximal_minor_signs
 from expbij.matroid import vectors
 from expbij.report import build_report, canonical_json, digest_of, verify_certificate
-from test_analyzer import CORPUS_SEED, random_spec, run_python
+from test_analyzer import (
+    CORPUS_SEED,
+    EX1,
+    EX2,
+    FACE_GAP,
+    SV_ALPHAS,
+    random_spec,
+    run_python,
+    sv_example,
+)
 
 
 def write_json(tmp_path, name, obj):
@@ -396,25 +408,96 @@ def test_verify_certificate_accepts_sign_vectors_longer_than_64(n):
     assert verify_certificate(report)
 
 
-def test_verify_certificate_rejects_flipped_i_and_cc():
-    # a failing i or cc turned into holds, its certificate dropped and the
-    # class re-derived, must contradict its minor form (injectivity_minors,
-    # the strict minor form of robust_exponents), which the verifier checks
+@cache
+def _corpus_reports() -> tuple[str, ...]:
+    """Canonical reports of the first 150 pairs of the random corpus (seed 90125)."""
     rng = random.Random(CORPUS_SEED)
-    flips = {"i": 0, "cc": 0}
-    for _ in range(150):
-        report = json.loads(canonical_json(build_report(analyze(random_spec(rng)), {})))
-        assert verify_certificate(report)
-        for key in flips:
-            if report["conditions"][key]["verdict"] != "fails":
+    return tuple(canonical_json(build_report(analyze(random_spec(rng)), {})) for _ in range(150))
+
+
+# a failing minor form flipped to holds, alone or together with the
+# conditions the theorems equate it with; the last kind filters the robust
+# keys as `analyze --robust both` does, which leaves cc without a partner
+MINOR_FORGERIES = {
+    "i": ("i",),
+    "i and injectivity_minors": ("i", "injectivity_minors"),
+    "cc": ("cc",),
+    "cc and robust_exponents": ("cc", "robust_exponents"),
+    "cc_prime": ("cc_prime",),
+    "robust_both": ("robust_both",),
+    "cc under --robust both": ("cc",),
+}
+
+
+def test_verify_certificate_rejects_forged_minor_form_holds():
+    # with every flipped certificate dropped and the class re-derived, the
+    # forgery agrees with the rest of the report; only the minor signs show it
+    flips = Counter()
+    for text in _corpus_reports():
+        assert verify_certificate(json.loads(text))
+        for kind, keys in MINOR_FORGERIES.items():
+            forged = json.loads(text)
+            conditions = forged["conditions"]
+            if kind == "cc under --robust both":
+                conditions = forged["conditions"] = {
+                    k: v for k, v in conditions.items()
+                    if not k.startswith("robust_") or k in ROBUST_KEYS["both"]}
+                assert verify_certificate(forged)
+            if conditions[keys[0]]["verdict"] != "fails":
                 continue
-            forged = json.loads(json.dumps(report))
-            forged["conditions"][key].update(verdict="holds", certificate=None)
-            forged["classification"] = _classify(
-                *(forged["conditions"][k]["verdict"] for k in ("i", "ii", "iii")))
-            assert verify_certificate(forged) is False, (key, report["map"])
-            flips[key] += 1
-    assert min(flips.values()) >= 100, flips
+            for key in keys:
+                conditions[key].update(verdict="holds", certificate=None)
+            forged["classification"] = _classify(*(conditions[k]["verdict"] for k in ("i", "ii", "iii")))
+            assert verify_certificate(forged) is False, (kind, forged["map"])
+            flips[kind] += 1
+    assert set(flips) == set(MINOR_FORGERIES) and min(flips.values()) >= 100, flips
+
+
+def test_verify_certificate_checks_sign_sets_equal():
+    # sign_sets_equal must say whether the two minor-sign tables agree up to
+    # one global sign; flipping it is rejected either way
+    seen = Counter()
+    for text in _corpus_reports()[:60]:
+        report = json.loads(text)
+        seen[report["sign_sets_equal"]] += 1
+        report["sign_sets_equal"] = not report["sign_sets_equal"]
+        assert verify_certificate(report) is False, report["map"]
+    assert seen[True] >= 5 and seen[False] >= 5, seen
+
+
+FUZZ_VALUES = (None, "1/0", [], {}, 1.5, True, "+-0", "7" * 5000, list(range(100)))
+
+
+def _leaf_paths(obj, path=()):
+    """Paths to the values in obj that are not a nonempty dict or list."""
+    if isinstance(obj, (dict, list)) and obj:
+        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _leaf_paths(v, path + (k,))
+    else:
+        yield path
+
+
+def test_verify_certificate_returns_a_bool_on_mutated_reports():
+    # 1-3 leaves of a genuine report replaced by values of the wrong type,
+    # size or form; the verifier must answer True or False and never raise
+    specs = [sv_example(Fraction(a)) for a in SV_ALPHAS] + [EX1, EX2, FACE_GAP]
+    texts = _corpus_reports()[:28] + tuple(
+        canonical_json(build_report(analyze(spec), {})) for spec in specs)
+    rng = random.Random(4242)
+    answers = Counter()
+    for text in texts:
+        paths = list(_leaf_paths(json.loads(text)))
+        for _ in range(75):
+            report = json.loads(text)
+            for path in rng.sample(paths, rng.randint(1, 3)):
+                parent = report
+                for k in path[:-1]:
+                    parent = parent[k]
+                parent[path[-1]] = rng.choice(FUZZ_VALUES)
+            answer = verify_certificate(report)
+            assert type(answer) is bool
+            answers[answer] += 1
+    assert answers[False] > answers[True] > 0, answers
 
 
 def test_verify_certificate_checks_the_separating_face():
@@ -455,8 +538,8 @@ def test_verify_certificate_computes_each_minor_table_once(monkeypatch):
     for key in ("injectivity_minors", "robust_exponents", "robust_both"):
         assert report["conditions"][key]["certificate"] is not None
     calls = []
-    monkeypatch.setattr(expbij.report, "maximal_minors",
-                        lambda M: calls.append(M) or maximal_minors(M))
+    monkeypatch.setattr(expbij.report, "maximal_minor_signs",
+                        lambda M: calls.append(M) or maximal_minor_signs(M))
     assert verify_certificate(report)
     assert len(calls) == 2
 

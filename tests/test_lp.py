@@ -22,7 +22,7 @@ from expbij.lp import (
 )
 from expbij.signs import SignVector, pack, sign_of
 from sign_oracles import all_sign_vectors
-from test_analyzer import _corpus, run_python, sv_example
+from test_analyzer import SV_ALPHAS, _corpus, run_python, sv_example
 
 S = SignVector.from_string
 
@@ -282,12 +282,11 @@ def _analyzer_systems():
         lps.append(_rational_lp(rows, c))
         return core(rows, c)
 
-    alphas = ("1/3", "1/2", "2/3", "1", "4/3", "3/2", "2", "5/2", "3")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "_simplex", solve)
         for module in (lp, analyzer):
             mp.setattr(module, "feasible", recording)
-        for spec in [sv_example(Fraction(a)) for a in alphas] + _corpus(24):
+        for spec in [sv_example(Fraction(a)) for a in SV_ALPHAS] + _corpus(24):
             analyzer.analyze(spec)
     return out
 
