@@ -22,7 +22,9 @@ a certificate names. The kernel and covector witnesses come from the same
 `OrientedMatroid` (`vector_point`, `covector_point`); the closure's
 orthogonal witness comes from `matroid.orthogonal_witness`, on the kernel
 basis of the other side. Only the nondegeneracy search builds LP rows of its
-own.
+own. The maximal-minor forms of i, cc, cc_prime and robust_both are one
+scan, `minor_form`, over the two tables of minor signs; the certificate
+verifier calls the same function.
 """
 
 from __future__ import annotations
@@ -255,31 +257,64 @@ def injectivity_via_signs(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Cond
     })
 
 
-def _minor_products(spec: ExponentialMapSpec) -> dict[tuple[int, ...], int]:
-    """The sign of det(W_I) det(Wt_I) for every column subset I of size d."""
-    signs_w = spec._om(spec.coeff).minor_signs
-    signs_wt = spec._om(spec.exponents).minor_signs
-    return {I: s * signs_wt[I] for I, s in signs_w.items()}
+# the zero products det(W_I) det(Wt_I) each minor form covers, given
+# sign det(W_I) and sign det(Wt_I); every form covers every nonzero product
+_COVERS_ZERO = {"i": lambda a, b: False, "cc": lambda a, b: a,
+                "cc_prime": lambda a, b: b, "robust_both": lambda a, b: True}
+
+
+def minor_form(key: str, sw: dict, swt: dict) -> tuple[str, dict]:
+    """Verdict and certificate of a maximal-minor form from the two tables of
+    minor signs: it holds iff the products sign det(W_I) det(Wt_I) share one
+    nonzero sign over the subsets I it covers, which are the nonzero products
+    for "i", every I with det(W_I) != 0 for "cc", every I with det(Wt_I) != 0
+    for "cc_prime", and all I for "robust_both".
+
+    One ascending pass records the first nonzero product (the reference), the
+    first zero product it covers and the first product of the other sign;
+    every certificate names subsets among those three."""
+    covers_zero = _COVERS_ZERO[key]
+    ref = zero = other = None
+    for I, a in sw.items():  # keys ascend
+        b = swt[I]
+        if a * b == 0:
+            if zero is None and covers_zero(a, b):
+                zero = I
+        elif ref is None:
+            ref, ref_p = I, a * b
+        elif a * b != ref_p and other is None:
+            other = I
+        if zero is not None and other is not None:
+            break
+    if zero is None and other is None:
+        if ref is None:
+            return FAILS, {"reason": "all-products-zero"}
+        cert = {"reference_sign": "+" if ref_p > 0 else "-"}
+        if key != "robust_both":
+            cert["reference_subset"] = _jidx(ref)
+        return HOLDS, cert
+    if key == "robust_both":
+        if zero is not None:
+            return FAILS, {"violating_subset": _jidx(zero), "reason": "zero-product"}
+        pos, neg = (ref, other) if ref_p > 0 else (other, ref)
+        return FAILS, {"positive_subset": _jidx(pos), "negative_subset": _jidx(neg),
+                       "reason": "mixed-product-signs"}
+    if other is None or zero is not None and zero < other:  # cc and cc_prime name the first
+        return FAILS, {"violating_subset": _jidx(zero), "reason": "zero-product-at-nonzero-minor"}
+    extra = {"reference_sign": "+" if ref_p > 0 else "-"} if key == "i" else {"reason": "mixed-product-signs"}
+    return FAILS, {"reference_subset": _jidx(ref), "violating_subset": _jidx(other), **extra}
+
+
+def _minor_condition(spec: ExponentialMapSpec, key: str, tag: str) -> ConditionResult:
+    """The minor form `key` read off the spec's two tables of minor signs."""
+    spec.require_square()
+    verdict, cert = minor_form(key, spec._om(spec.coeff).minor_signs, spec._om(spec.exponents).minor_signs)
+    return ConditionResult(verdict, tag, cert)
 
 
 def injectivity_via_minors(spec: ExponentialMapSpec) -> ConditionResult:
     """Products det(W_I) det(Wt_I) all >= 0 or all <= 0, at least one nonzero."""
-    tag = "injectivity-minor-criterion"
-    spec.require_square()
-    products = _minor_products(spec)
-    reference = next(((I, p) for I, p in sorted(products.items()) if p != 0), None)
-    if reference is None:
-        return ConditionResult(FAILS, tag, certificate={"reason": "all-products-zero"})
-    ref_subset, ref_value = reference
-    bad = next((I for I, p in sorted(products.items()) if p * ref_value < 0), None)
-    cert = {
-        "reference_subset": _jidx(ref_subset),
-        "reference_sign": "+" if ref_value > 0 else "-",
-    }
-    if bad is None:
-        return ConditionResult(HOLDS, tag, certificate=cert)
-    cert["violating_subset"] = _jidx(bad)
-    return ConditionResult(FAILS, tag, certificate=cert)
+    return _minor_condition(spec, "i", "injectivity-minor-criterion")
 
 
 # ---------------------------------------------------------------------------
@@ -563,40 +598,15 @@ def closure_cc_prime(spec: ExponentialMapSpec) -> ConditionResult:
     return _closure_condition(spec, swap=True, tag="kernel-sign-closure-reversed")
 
 
-def _minor_form_strict_closure(spec) -> tuple[str, dict]:
-    """det(W_I) != 0 implies det(W_I) det(Wt_I) > 0 for all I (or < 0 for all I)."""
-    signs_w = spec._om(spec.coeff).minor_signs
-    signs_wt = spec._om(spec.exponents).minor_signs
-    ref = None
-    for I in sorted(signs_w):
-        if signs_w[I] == 0:
-            continue
-        p = signs_w[I] * signs_wt[I]
-        if p == 0:
-            return FAILS, {"violating_subset": _jidx(I), "reason": "zero-product-at-nonzero-minor"}
-        if ref is None:
-            ref = (I, p)
-        elif p * ref[1] < 0:
-            return FAILS, {
-                "reference_subset": _jidx(ref[0]),
-                "violating_subset": _jidx(I),
-                "reason": "mixed-product-signs",
-            }
-    check(ref is not None, "full-rank coefficient matrix without a nonzero minor")
-    return HOLDS, {"reference_subset": _jidx(ref[0]), "reference_sign": "+" if ref[1] > 0 else "-"}
-
-
 def robust_exponents(spec: ExponentialMapSpec) -> ConditionResult:
     """Bijective for all c and all small exponent perturbations."""
-    tag = "robust-exponent-perturbations"
-    spec.require_square()
-    minor_verdict, minor_cert = _minor_form_strict_closure(spec)
+    minor = _minor_condition(spec, "cc", "robust-exponent-perturbations")
     sign_form = closure_cc(spec)
-    check(sign_form.verdict == minor_verdict, "closure condition disagrees with its minor form")
-    cert = {"minor_form": minor_cert}
+    check(sign_form.verdict == minor.verdict, "closure condition disagrees with its minor form")
+    cert = {"minor_form": minor.certificate}
     if sign_form.certificate:
         cert["closure_form"] = sign_form.certificate
-    return ConditionResult(minor_verdict, tag, certificate=cert)
+    return ConditionResult(minor.verdict, minor.tag, certificate=cert)
 
 
 def robust_coefficients(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
@@ -631,23 +641,7 @@ def robust_coefficients(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
 def robust_both(spec: ExponentialMapSpec) -> ConditionResult:
     """Bijective for all c and all small perturbations of both matrices:
     all maximal-minor products strictly share one sign."""
-    tag = "robust-general-perturbations"
-    spec.require_square()
-    products = _minor_products(spec)
-    zero = next((I for I in sorted(products) if products[I] == 0), None)
-    verdict = FAILS if zero is not None else (
-        HOLDS if len({p > 0 for p in products.values()}) == 1 else FAILS)
-    if verdict == FAILS:
-        if zero is not None:
-            cert = {"violating_subset": _jidx(zero), "reason": "zero-product"}
-        else:
-            pos = next(I for I in sorted(products) if products[I] > 0)
-            neg = next(I for I in sorted(products) if products[I] < 0)
-            cert = {"positive_subset": _jidx(pos), "negative_subset": _jidx(neg),
-                    "reason": "mixed-product-signs"}
-    else:
-        cert = {"reference_sign": "+" if next(iter(products.values())) > 0 else "-"}
-    return ConditionResult(verdict, tag, certificate=cert)
+    return _minor_condition(spec, "robust_both", "robust-general-perturbations")
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +726,8 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
     newton = run("newton", newton_polytope_sufficient, spec_c, caps)
     cc = run("cc", closure_cc, spec_c)
     ccp = run("cc_prime", closure_cc_prime, spec_c)
+    check(ccp.verdict == minor_form("cc_prime", om_w.minor_signs, om_wt.minor_signs)[0],
+          "reversed closure condition disagrees with its minor form")
 
     t0 = time.perf_counter()
     if sign_sets_equal:

@@ -4,8 +4,10 @@ Reports are canonical JSON (sorted keys, lowest-terms "p/q" rationals) so
 they diff cleanly; per-condition runtimes are stored under "runtimes_ms",
 which the canonical form strips. verify_certificate re-checks every
 substitution-checkable claim in a report against the canonical matrices
-embedded in it, without re-running any search, and decides every minor-form
-verdict and sign_sets_equal from the matrices' two tables of minor signs.
+embedded in it, without re-running any search. From the matrices' two tables
+of minor signs it decides sign_sets_equal, the facets that ii must cover, and
+every minor-form verdict and certificate by the analyzer's own rule,
+`minor_form`, one scan per form.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import json
 from functools import cache
 
 from . import __version__
-from .analyzer import AnalysisReport, _classify
-from .linalg import InputError, RationalMatrix, dot, frac, kernel_basis, maximal_minor_signs, vec
-from .signs import SignVector, sign_of
+from .analyzer import FAILS, HOLDS, INCONCLUSIVE, AnalysisReport, _classify, minor_form
+from .linalg import InputError, RationalMatrix, dot, frac, kernel_basis, vec
+from .matroid import OrientedMatroid
+from .signs import SignVector, sign_of, unpack_all
 
 TOOL = {"name": "expbij", "version": __version__}
 
@@ -68,31 +71,33 @@ def _sv(s: str) -> SignVector:
     return SignVector.from_string(s)
 
 
-def _idx(indices) -> list[int]:
-    return [i - 1 for i in indices]
+# the minor form that decides each condition key
+_MINOR_FORMS = {"i": "i", "injectivity_minors": "i", "cc": "cc", "robust_exponents": "cc",
+                "cc_prime": "cc_prime", "robust_both": "robust_both"}
 
 
 def _verify(report: dict):
     m = report["map"]
     W = RationalMatrix.from_json_dict(m["canonical_coeff"])
     Wt = RationalMatrix.from_json_dict(m["canonical_exponents"])
+    om_w, om_wt = OrientedMatroid(W), OrientedMatroid(Wt)
     conditions = report["conditions"]
-    sw, swt = maximal_minor_signs(W), maximal_minor_signs(Wt)
-    for key, want in _minor_verdicts(sw, swt).items():
-        _need(key not in conditions or conditions[key]["verdict"] == want,
-              f"{key} disagrees with the minor signs")
-    _need(report["sign_sets_equal"] is (sw in (swt, {I: -s for I, s in swt.items()})),
+    _need(report["sign_sets_equal"] is om_w.chirotope.equal_up_to_sign(om_wt.chirotope),
           "sign_sets_equal disagrees with the minor signs")
+    form = cache(lambda key: minor_form(key, om_w.minor_signs, om_wt.minor_signs))
+    facets = sorted(map(str, unpack_all(om_wt.nonneg_cocircuit_masks, Wt.cols)))  # of cone(Wt)
     kernel = cache(kernel_basis)  # each basis built once, if a certificate needs it
 
     for key, entry in conditions.items():
         cert = entry.get("certificate")
         verdict = entry["verdict"]
-        _need(verdict != "fails" or isinstance(cert, dict), "fails without a certificate")
-        if key in ("i", "injectivity_minors") and cert is not None and "common_sign_vector" not in cert:
-            # i carries the minor form's certificate when its sign form hit a cap
-            _verify_minor_cert(sw, swt, verdict, cert)
-        elif key == "i" and verdict == "fails":
+        _need(verdict in (HOLDS, FAILS) or verdict == INCONCLUSIVE and key != "ii",
+              f"{key} has an unknown verdict")
+        _need(verdict != FAILS or isinstance(cert, dict), "fails without a certificate")
+        if key in _MINOR_FORMS:
+            want, want_cert = form(_MINOR_FORMS[key])
+            _need(verdict == want, f"{key} disagrees with the minor signs")
+        if key == "i" and verdict == FAILS and "common_sign_vector" in cert:
             tau = _sv(cert["common_sign_vector"])
             v = vec(cert["kernel_vector"])
             x = vec(cert["exponent_direction"])
@@ -101,25 +106,39 @@ def _verify(report: dict):
             _need(all(t == 0 for t in W.mat_vec(v)), "kernel vector not in ker W")
             _need(Wt.transpose_vec(x) == z, "rowspace vector mismatch")
             _need(sign_of(z) == tau, "rowspace vector sign mismatch")
-        elif key == "ii" and verdict == "fails":
+        elif key in ("injectivity_minors", "robust_both") or key == "i" and cert is not None:
+            # i carries the minor form's certificate when its sign form hit a cap
+            _need(cert == want_cert, "minor certificate is not the table's")
+        elif key == "robust_exponents":
+            _need(cert["minor_form"] == want_cert, "minor certificate is not the table's")
+            if verdict == FAILS:
+                _verify_closure_cert(W, Wt, kernel, "cc", cert["closure_form"])
+        elif key == "ii" and verdict == FAILS:
+            _need(cert["uncovered_face"] in facets, "uncovered face is not a facet")
             tau_t = _sv(cert["uncovered_face"])
             x_t = vec(cert["exponent_functional"])
             _need(sign_of(Wt.transpose_vec(x_t)) == tau_t, "uncovered face not realized")
             ev = vec(cert["kernel_interior_evidence"])
             _need(all(t == 0 for t in W.mat_vec(ev)), "interior evidence not in ker W")
             _need(all(ev[i] > 0 for i in tau_t.plus_set()), "interior evidence not positive")
-        elif key == "ii" and verdict == "holds" and cert is not None:
-            for cover in cert["coverings"]:
+        elif key == "ii" and verdict == HOLDS:
+            # one covering per facet, in string order
+            _need((cert is None) == (not facets), "coverings do not match the facets")
+            coverings = cert["coverings"] if facets else []
+            _need([cover["exponent_face"] for cover in coverings] == facets,
+                  "coverings do not match the facets")
+            for cover in coverings:
                 tau = _sv(cover["coeff_face"])
                 tau_t = _sv(cover["exponent_face"])
-                _need(tau.leq(tau_t), "covering face not below the covered one")
+                _need(not tau.is_zero() and tau.leq(tau_t),
+                      "covering face is zero or not below the covered one")
                 _need(sign_of(W.transpose_vec(vec(cover["coeff_functional"]))) == tau,
                       "coefficient face not realized")
                 _need(sign_of(Wt.transpose_vec(vec(cover["exponent_functional"]))) == tau_t,
                       "exponent face not realized")
-        elif key == "iii" and verdict == "fails":
+        elif key == "iii" and verdict == FAILS:
             _verify_degeneracy(W, Wt, cert)
-        elif key == "iv" and verdict == "fails":
+        elif key == "iv" and verdict == FAILS:
             tau_t = _sv(cert["exponent_covector"])
             _need(sign_of(Wt.transpose_vec(vec(cert["exponent_functional"]))) == tau_t,
                   "exponent covector not realized")
@@ -132,13 +151,12 @@ def _verify(report: dict):
             _need(all(t == 0 for t in W.mat_vec(u)), "dominating vector not in ker W")
             _need(sign_of(u) == _sv(cert["dominating_sign_vector"]), "dominating sign mismatch")
             _need(all(u[i] > 0 for i in tau_t.support_set()), "dominating vector not positive on support")
-        elif key in ("cc", "cc_prime") and verdict == "fails":
+        elif key in ("cc", "cc_prime") and verdict == FAILS:
             _verify_closure_cert(W, Wt, kernel, key, cert)
-        elif key == "robust_exponents" and cert is not None:
-            if "closure_form" in cert and verdict == "fails":
-                _verify_closure_cert(W, Wt, kernel, "cc", cert["closure_form"])
-            _verify_strict_minor_cert(sw, swt, verdict, cert["minor_form"])
-        elif key == "robust_coefficients" and verdict == "fails":
+        elif key == "robust_coefficients" and verdict == HOLDS:
+            # coefficient robustness needs the reversed closure condition
+            _need(form("cc_prime")[0] == HOLDS, "robust_coefficients holds but cc_prime fails")
+        elif key == "robust_coefficients" and verdict == FAILS:
             if cert.get("reason") == "reversed-closure-fails":
                 _verify_closure_cert(W, Wt, kernel, "cc_prime", cert["closure_form"])
             elif cert.get("reason") == "face-sets-differ":
@@ -147,75 +165,11 @@ def _verify(report: dict):
                 _need(cert["separating_face"] in faces_w ^ faces_wt,
                       "separating face not in the symmetric difference")
             else:
-                _reason(cert, "all-plus-covector-missing", "cone-not-robustly-generated")
-        elif key == "robust_both" and cert is not None:
-            _verify_robust_both_cert(sw, swt, verdict, cert)
+                _need(cert.get("reason") in ("all-plus-covector-missing", "cone-not-robustly-generated"),
+                      "unknown reason")
 
     want = _classify(*(conditions[k]["verdict"] for k in ("i", "ii", "iii")))
     _need(report["classification"] == want, "classification inconsistent with verdicts")
-
-
-def _reason(cert, *known) -> str | None:
-    """The certificate's reason, which must be one the analyzer emits."""
-    reason = cert.get("reason")
-    _need(reason in known, f"unknown reason {reason!r}")
-    return reason
-
-
-def _minor_verdicts(sw, swt) -> dict[str, str]:
-    """Each minor form's verdict: it holds iff the products sign det(W_I) det(Wt_I)
-    share one nonzero sign over its subsets I, which are the nonzero products
-    for i, every I with det(W_I) != 0 for cc and robust_exponents, every I with
-    det(Wt_I) != 0 for cc_prime, and all I for robust_both."""
-    def verdict(over) -> str:
-        return "holds" if {sw[I] * swt[I] for I in sw if over(I)} in ({1}, {-1}) else "fails"
-
-    i, cc = verdict(lambda I: sw[I] * swt[I]), verdict(lambda I: sw[I])
-    return {"i": i, "injectivity_minors": i, "cc": cc, "robust_exponents": cc,
-            "cc_prime": verdict(lambda I: swt[I]), "robust_both": verdict(lambda I: True)}
-
-
-_SIGN = {"+": 1, "-": -1}
-
-
-def _product(sw, swt, subset) -> int:
-    """sign det(W_I) det(Wt_I) for a certificate's 1-based subset I."""
-    I = tuple(_idx(subset))
-    return sw[I] * swt[I]
-
-
-def _verify_minor_cert(sw, swt, verdict, cert):
-    if _reason(cert, None, "all-products-zero") == "all-products-zero":
-        _need(not any(sw[I] * swt[I] for I in sw), "a nonzero product exists")
-        return
-    ref = _product(sw, swt, cert["reference_subset"])
-    _need(ref == _SIGN[cert["reference_sign"]], "reference product sign mismatch")
-    if verdict == "fails":
-        _need(_product(sw, swt, cert["violating_subset"]) == -ref,
-              "violating product does not oppose the reference")
-
-
-def _verify_strict_minor_cert(sw, swt, verdict, cert):
-    if verdict == "holds":
-        _need(_product(sw, swt, cert["reference_subset"]) == _SIGN[cert["reference_sign"]],
-              "reference product sign mismatch")
-    elif _reason(cert, "zero-product-at-nonzero-minor", "mixed-product-signs") == "mixed-product-signs":
-        ref, bad = (_product(sw, swt, cert[f]) for f in ("reference_subset", "violating_subset"))
-        _need(ref * bad < 0, "mixed-sign claim wrong")
-    else:
-        bad = tuple(_idx(cert["violating_subset"]))
-        _need(sw[bad] != 0 and swt[bad] == 0, "zero-product claim wrong")
-
-
-def _verify_robust_both_cert(sw, swt, verdict, cert):
-    if verdict == "holds":
-        I = next(iter(sw))  # the table's verdict says every product has one sign
-        _need(sw[I] * swt[I] == _SIGN[cert["reference_sign"]], "reference sign wrong")
-    elif _reason(cert, "zero-product", "mixed-product-signs") == "zero-product":
-        _need(_product(sw, swt, cert["violating_subset"]) == 0, "product is not zero")
-    else:
-        pos, neg = (_product(sw, swt, cert[f]) for f in ("positive_subset", "negative_subset"))
-        _need(pos > 0 > neg, "claimed mixed signs are wrong")
 
 
 def _verify_closure_cert(W, Wt, kernel, key, cert):
@@ -245,7 +199,7 @@ def _verify_degeneracy(W, Wt, cert):
           "block levels not strictly decreasing")
     covered = []
     for b in blocks:
-        idx = _idx(b["indices"])
+        idx = [i - 1 for i in b["indices"]]
         level = frac(b["level"])
         _need(all(z[i] == level for i in idx), "block entries do not sit at the level")
         kv = vec(b["kernel_vector"])

@@ -4,6 +4,7 @@ The package keeps sign sets as packed ints; most of these work on
 `SignVector` objects by their definitions, with no packing, so the packed
 code can be checked against them. `conformal_decompose` and `is_uniform`
 read an `OrientedMatroid` instead: the package itself needs neither.
+`minor_verdicts` states the four maximal-minor rules on the Fraction minors.
 """
 
 from fractions import Fraction
@@ -11,7 +12,7 @@ from functools import reduce
 from itertools import product
 from operator import or_
 
-from expbij.linalg import InputError, RationalMatrix, check, is_zero_vec, kernel_basis
+from expbij.linalg import InputError, RationalMatrix, check, is_zero_vec, kernel_basis, maximal_minors
 from expbij.lp import realize_kernel_sign
 from expbij.matroid import oriented_matroid
 from expbij.signs import EnumerationCap, SignVector, bits, pack, sign_of, str_order, unpack
@@ -70,6 +71,22 @@ def closure_excluded(V, T) -> SignVector | None:
     below = {(r.plus & union, r.minus & union) for r in T}
     return min((pi for pi in V if pi.support == union and (pi.plus, pi.minus) not in below),
                key=str, default=None)
+
+
+def minor_verdicts(W: RationalMatrix, Wt: RationalMatrix) -> dict[str, str]:
+    """Each minor form's verdict from the exact minors of W and Wt: it holds
+    iff the products sign det(W_I) det(Wt_I) share one nonzero sign over its
+    subsets I, which are the nonzero products for i, every I with
+    det(W_I) != 0 for cc, every I with det(Wt_I) != 0 for cc_prime, and all I
+    for robust_both."""
+    sw = {I: (x > 0) - (x < 0) for I, x in maximal_minors(W).items()}
+    swt = {I: (x > 0) - (x < 0) for I, x in maximal_minors(Wt).items()}
+
+    def verdict(over) -> str:
+        return "holds" if {sw[I] * swt[I] for I in sw if over(I)} in ({1}, {-1}) else "fails"
+
+    return {"i": verdict(lambda I: sw[I] * swt[I]), "cc": verdict(lambda I: sw[I]),
+            "cc_prime": verdict(lambda I: swt[I]), "robust_both": verdict(lambda I: True)}
 
 
 def is_uniform(om) -> bool:

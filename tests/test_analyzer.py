@@ -26,7 +26,6 @@ from expbij.analyzer import (
     _degeneracy_candidates,
     _excluded_tope,
     _jvec,
-    _minor_form_strict_closure,
     _ordered_partitions,
     _positively_dependent,
     analyze,
@@ -37,6 +36,7 @@ from expbij.analyzer import (
     condition_iv,
     injectivity_via_minors,
     injectivity_via_signs,
+    minor_form,
     newton_polytope_sufficient,
     robust_both,
     robust_coefficients,
@@ -66,7 +66,7 @@ from expbij.signs import (
     unpack,
     unpack_all,
 )
-from sign_oracles import closure_excluded, column_submatrix, is_uniform, nonneg_part
+from sign_oracles import closure_excluded, column_submatrix, is_uniform, minor_verdicts, nonneg_part
 
 M = RationalMatrix
 S = SignVector.from_string
@@ -395,12 +395,46 @@ def test_closure_conditions_equal_their_strict_minor_forms():
     # here would show up as a genuine report that fails to verify.
     seen = Counter()
     for spec in _corpus(200) + [sv_example(Fraction(a)) for a in SV_ALPHAS]:
-        swapped = ExponentialMapSpec(spec.exponents, spec.coeff)
-        assert closure_cc(spec).verdict == _minor_form_strict_closure(spec)[0], spec
+        sw, swt = spec._om(spec.coeff).minor_signs, spec._om(spec.exponents).minor_signs
+        assert closure_cc(spec).verdict == minor_form("cc", sw, swt)[0], spec
         ccp = closure_cc_prime(spec).verdict
-        assert ccp == _minor_form_strict_closure(swapped)[0], (spec.coeff, spec.exponents)
+        assert ccp == minor_form("cc_prime", sw, swt)[0] == minor_form("cc", swt, sw)[0], (
+            spec.coeff, spec.exponents)
         seen[ccp] += 1
     assert seen[HOLDS] >= 50 and seen[FAILS] >= 50, seen
+
+
+def _seeded_sums(count):
+    """Direct sums of 2 or 3 seeded small blocks and worked examples, n <= 12."""
+    rng = random.Random(11)
+    examples = [EX1, EX2, FACE_GAP, CC_EXAMPLE, sv_example(Fraction(1, 2))]
+    sums = []
+    while len(sums) < count:
+        blocks = []
+        for _ in range(rng.randint(2, 3)):
+            if rng.random() < 0.3:
+                blocks.append(rng.choice(examples))
+            else:
+                d = rng.randint(1, 3)
+                n = rng.randint(d + 1, d + 3)
+                blocks.append(ExponentialMapSpec(_random_full_rank(rng, d, n), _random_full_rank(rng, d, n)))
+        if sum(b.n for b in blocks) <= 12:
+            sums.append(direct_sum(blocks))
+    return sums
+
+
+def test_minor_form_verdicts_match_the_fraction_oracle():
+    # the one scan of the analyzer and the verifier against the four rules
+    # stated on the exact minors
+    seen = Counter()
+    specs = _corpus(200) + [sv_example(Fraction(a)) for a in SV_ALPHAS] + _seeded_sums(20)
+    for spec in specs:
+        sw, swt = spec._om(spec.coeff).minor_signs, spec._om(spec.exponents).minor_signs
+        want = minor_verdicts(spec.coeff, spec.exponents)
+        assert {key: minor_form(key, sw, swt)[0] for key in want} == want, (spec.coeff, spec.exponents)
+        seen.update((key, v) for key, v in want.items())
+    assert min(seen[key, v] for key in ("i", "cc", "cc_prime", "robust_both")
+               for v in (HOLDS, FAILS)) >= 10, seen
 
 
 def test_iii_shortcuts_agree_with_exact_search_on_random_corpus():
@@ -757,10 +791,11 @@ def test_analyze_builds_each_closure_once(monkeypatch):
 
 
 def test_internal_checks_survive_python_O():
-    # the LP and the sign sets, the two injectivity forms, a face covector and
-    # its functional, the two deficiency formulas, and the cocircuits or
-    # circuits and the enumerated sign sets are forced to disagree; each module
-    # must raise even when asserts are stripped
+    # the LP and the sign sets, the two injectivity forms, cc_prime and its
+    # minor form, a face covector and its functional, the two deficiency
+    # formulas, and the cocircuits or circuits and the enumerated sign sets
+    # are forced to disagree; each module must raise even when asserts are
+    # stripped
     code = textwrap.dedent("""
         import sys
         from expbij import analyzer, crn, matroid
@@ -780,9 +815,14 @@ def test_internal_checks_survive_python_O():
         Wt = [[1, 1, 0, 0, -1, 2], [1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0]]
         matroid.realize_kernel_sign = lambda M_, x, A: None
         expect_raise(lambda: analyzer.condition_iii_exact(ExponentialMapSpec(M(W), M(Wt))), 3)
+        minors = analyzer.injectivity_via_minors
         analyzer.injectivity_via_minors = lambda spec: ConditionResult("fails", "flipped")
         expect_raise(lambda: analyzer.analyze(
             ExponentialMapSpec(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]]))), 4)
+        analyzer.injectivity_via_minors = minors
+        analyzer.closure_cc_prime = lambda spec: ConditionResult("fails", "flipped")
+        expect_raise(lambda: analyzer.analyze(
+            ExponentialMapSpec(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]]))), 10)
         matroid.realize_sign_vector = lambda M_, x, A: None
         expect_raise(lambda: analyzer.condition_ii(
             ExponentialMapSpec(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]]))), 5)

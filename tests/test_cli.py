@@ -465,6 +465,107 @@ def test_verify_certificate_checks_sign_sets_equal():
     assert seen[True] >= 5 and seen[False] >= 5, seen
 
 
+@pytest.mark.parametrize("key, verdict", [
+    ("ii", "maybe"), ("iii", "maybe"), ("iv", "maybe"), ("newton", "maybe"),
+    ("robust_coefficients", "maybe"), ("ii", "inconclusive"),
+])
+def test_verify_certificate_rejects_unknown_verdicts(key, verdict):
+    # a verdict is holds, fails or inconclusive, and condition ii takes no cap
+    W, Wt = VERIFY_EXAMPLES["EX1"]
+    spec = ExponentialMapSpec(RationalMatrix(W), RationalMatrix(Wt))
+    report = json.loads(canonical_json(build_report(analyze(spec), {})))
+    assert verify_certificate(report)
+    conditions = report["conditions"]
+    conditions[key]["verdict"] = verdict
+    report["classification"] = _classify(*(conditions[k]["verdict"] for k in ("i", "ii", "iii")))
+    assert verify_certificate(report) is False
+
+
+def _forge(text, key, **entry):
+    """The report with one condition entry changed and the class re-derived."""
+    report = json.loads(text)
+    conditions = report["conditions"]
+    conditions[key].update(entry)
+    report["classification"] = _classify(*(conditions[k]["verdict"] for k in ("i", "ii", "iii")))
+    return report
+
+
+def test_verify_certificate_requires_one_covering_per_facet():
+    # a holds for ii names one covering per facet of cone(Wt): dropping the
+    # certificate of a failing ii, or one covering of a true one, is rejected
+    flipped = dropped = 0
+    for text in _corpus_reports():
+        entry = json.loads(text)["conditions"]["ii"]
+        if entry["verdict"] == "fails":
+            forged = _forge(text, "ii", verdict="holds", certificate=None)
+            assert verify_certificate(forged) is False, forged["map"]
+            flipped += 1
+        elif entry["certificate"] is not None:
+            coverings = entry["certificate"]["coverings"]
+            for k in range(len(coverings)):
+                cert = {"coverings": coverings[:k] + coverings[k + 1:]}
+                forged = _forge(text, "ii", certificate=cert if cert["coverings"] else None)
+                assert verify_certificate(forged) is False, (forged["map"], k)
+                dropped += 1
+    assert flipped >= 50 and dropped >= 10, (flipped, dropped)
+
+
+def test_verify_certificate_rejects_zero_faces_in_ii():
+    # the zero face is realized by the zero functional and covered by nothing,
+    # but it is not a facet, nor does it cover one
+    W, Wt = VERIFY_EXAMPLES["EX1"]
+    spec = ExponentialMapSpec(RationalMatrix(W), RationalMatrix(Wt))
+    text = canonical_json(build_report(analyze(spec), {}))
+    zeros = ["0"] * 3
+    forged = _forge(text, "ii", verdict="fails", certificate={
+        "uncovered_face": "000", "exponent_functional": zeros[:2], "kernel_interior_evidence": zeros})
+    assert forged["classification"] == "injective-not-bijective"
+    assert verify_certificate(forged) is False
+
+    W, Wt = VERIFY_EXAMPLES["FACE_GAP"]
+    spec = ExponentialMapSpec(RationalMatrix(W), RationalMatrix(Wt))
+    text = canonical_json(build_report(analyze(spec), {}))
+    cover = {"exponent_face": "0+0", "exponent_functional": ["0", "1"],
+             "coeff_face": "000", "coeff_functional": ["0", "0"]}
+    forged = _forge(text, "ii", verdict="holds", certificate={"coverings": [cover]})
+    assert verify_certificate(forged) is False
+
+
+def test_verify_certificate_rejects_robust_coefficients_without_cc_prime():
+    # coefficient robustness needs cc_prime, which the minor signs decide
+    flipped = 0
+    for text in _corpus_reports():
+        cert = json.loads(text)["conditions"]["robust_coefficients"]["certificate"]
+        if cert is not None and cert["reason"] == "reversed-closure-fails":
+            forged = _forge(text, "robust_coefficients", verdict="holds", certificate=None)
+            assert verify_certificate(forged) is False, forged["map"]
+            flipped += 1
+    assert flipped >= 50, flipped
+
+
+def test_verify_certificate_requires_the_tables_first_subsets():
+    # a minor certificate names the first subsets of the one scan; another
+    # subset whose product also opposes the reference is rejected
+    replaced = 0
+    for text in _corpus_reports():
+        report = json.loads(text)
+        cert = report["conditions"]["injectivity_minors"]["certificate"]
+        if "violating_subset" not in cert:
+            continue
+        W, Wt = (RationalMatrix.from_json_dict(report["map"][k])
+                 for k in ("canonical_coeff", "canonical_exponents"))
+        sw, swt = maximal_minor_signs(W), maximal_minor_signs(Wt)
+        ref = sw[tuple(i - 1 for i in cert["reference_subset"])]
+        ref *= swt[tuple(i - 1 for i in cert["reference_subset"])]
+        later = [[i + 1 for i in I] for I in sw if sw[I] * swt[I] == -ref]
+        assert later[0] == cert["violating_subset"]
+        if len(later) > 1:
+            cert["violating_subset"] = later[1]
+            assert verify_certificate(report) is False, report["map"]
+            replaced += 1
+    assert replaced >= 30, replaced
+
+
 FUZZ_VALUES = (None, "1/0", [], {}, 1.5, True, "+-0", "7" * 5000, list(range(100)))
 
 
@@ -538,7 +639,7 @@ def test_verify_certificate_computes_each_minor_table_once(monkeypatch):
     for key in ("injectivity_minors", "robust_exponents", "robust_both"):
         assert report["conditions"][key]["certificate"] is not None
     calls = []
-    monkeypatch.setattr(expbij.report, "maximal_minor_signs",
+    monkeypatch.setattr(expbij.matroid, "maximal_minor_signs",
                         lambda M: calls.append(M) or maximal_minor_signs(M))
     assert verify_certificate(report)
     assert len(calls) == 2
