@@ -684,7 +684,7 @@ def _cone_json(fl: FaceLattice | None) -> dict | None:
     if fl is None:
         return None
     return {
-        "faces": sorted(str(t) for t in fl.faces),
+        "faces": fl.faces.strings(),
         "pointed": fl.pointed,
         "lineality_dim": fl.lineality_dim,
         "full_space": fl.full_space,

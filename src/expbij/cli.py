@@ -115,7 +115,7 @@ def _cmd_matroid(args) -> int:
     else:
         sign_set = {"circuits": circuits, "cocircuits": cocircuits, "covectors": covectors,
                     "vectors": vectors, "faces": lambda m: face_lattice(m).faces}[args.what]
-        lines = sorted(str(t) for t in sign_set(mat))
+        lines = sign_set(mat).strings()
     _emit("\n".join(lines) + "\n", None)
     return EXIT_OK
 

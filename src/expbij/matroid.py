@@ -21,7 +21,8 @@ first vector with given signs by prefix search; `vector_point` and `covector_poi
 rational witnesses of such questions. `OrientedMatroid` holds these for one
 matrix, as packed ints, and computes each at most once. The module
 functions are the `SignVector` API: they share one `OrientedMatroid` per
-matrix object (`oriented_matroid`) and unpack its sets. The two-branch
+matrix object (`oriented_matroid`) and return its sets as `SignSet` views,
+which build a `SignVector` only for a caller that iterates. The two-branch
 alternative for sign vectors against a subspace also lives here. This module
 builds no LP rows: every system it solves comes from a builder in `lp`, on
 packed sign vectors.
@@ -48,10 +49,10 @@ from .linalg import (
 from .lp import realize_conformal_covector, realize_kernel_sign, realize_sign_vector, unit_vectors
 from .signs import (
     EnumerationCap,
+    SignSet,
     SignVector,
     bits,
     pack,
-    unpack_all,
 )
 
 
@@ -107,13 +108,13 @@ class Chirotope:
         return self._signs in (other._signs, {I: -s for I, s in other._signs.items()})
 
 
-def cocircuits_from_chirotope(chi: Chirotope) -> set[SignVector]:
+def cocircuits_from_chirotope(chi: Chirotope) -> SignSet:
     """The nonzero sign vectors j -> chi(I + j) over sorted (d-1)-tuples I, and
     their negatives."""
-    return set(unpack_all(_cocircuit_masks(chi), chi.n))
+    return SignSet(_cocircuit_masks(chi), chi.n)
 
 
-def _cocircuit_masks(chi: Chirotope) -> set[int]:
+def _cocircuit_masks(chi: Chirotope) -> frozenset[int]:
     """cocircuits_from_chirotope as packed ints. For j not in I, inserting j
     into I at position k sorts the tuple with len(I) - k transpositions."""
     signs, n, m = chi._signs, chi.n, chi.d - 1
@@ -135,7 +136,7 @@ def _cocircuit_masks(chi: Chirotope) -> set[int]:
         if plus | minus:
             out.add(plus | minus << n)
             out.add(minus | plus << n)
-    return out
+    return frozenset(out)
 
 
 def _orthogonal_masks(gens, n: int, allowed: int) -> frozenset[int]:
@@ -217,7 +218,7 @@ class FaceLattice:
 
     n: int
     d: int
-    faces: frozenset[SignVector]
+    faces: SignSet
     pointed: bool
     lineality_dim: int
     robustly_generated: bool
@@ -233,7 +234,7 @@ class OrientedMatroid:
     full-rank matrix W with the row space of M (W is M when M has full
     rank), and each piece is computed at most once. Sign vectors are packed
     ints (see `signs`) and sign sets are frozen sets of them, because callers
-    share them; the module functions convert them to `SignVector`s. Beside
+    share them; the module functions wrap them in `SignSet` views. Beside
     its two oracles, `extends` for sign(ker W) and the covector sets for
     sign(im W^T), it hands out their rational witnesses, `vector_point` and
     `covector_point`, each solved once per argument.
@@ -258,7 +259,7 @@ class OrientedMatroid:
     @cached_property
     def cocircuit_masks(self) -> frozenset[int]:
         """Minimal-support sign vectors of im W^T, packed."""
-        return frozenset(_cocircuit_masks(self.chirotope))
+        return _cocircuit_masks(self.chirotope)
 
     @cached_property
     def _cocircuit_pairs(self) -> tuple[tuple[int, int, int], ...]:
@@ -420,7 +421,7 @@ class OrientedMatroid:
         return FaceLattice(
             n=n,
             d=self.d,
-            faces=unpack_all(masks, n),
+            faces=SignSet(masks, n),
             pointed=(lineality_dim == 0),
             lineality_dim=lineality_dim,
             robustly_generated=_robustly_generated(d, n, masks, full_space, zero_columns),
@@ -470,24 +471,24 @@ def chirotope(W: RationalMatrix) -> Chirotope:
     return oriented_matroid(W).chirotope
 
 
-def cocircuits(M: RationalMatrix) -> frozenset[SignVector]:
+def cocircuits(M: RationalMatrix) -> SignSet:
     """Minimal-support sign vectors of im M^T."""
-    return unpack_all(oriented_matroid(M).cocircuit_masks, M.cols)
+    return SignSet(oriented_matroid(M).cocircuit_masks, M.cols)
 
 
-def circuits(M: RationalMatrix) -> frozenset[SignVector]:
+def circuits(M: RationalMatrix) -> SignSet:
     """Minimal-support sign vectors of ker M: minimal dependent column sets."""
-    return unpack_all(oriented_matroid(M).circuit_masks, M.cols)
+    return SignSet(oriented_matroid(M).circuit_masks, M.cols)
 
 
-def covectors(M: RationalMatrix, cap: int = 12) -> frozenset[SignVector]:
+def covectors(M: RationalMatrix, cap: int = 12) -> SignSet:
     """All of sign(im M^T): the sign vectors orthogonal to every circuit."""
-    return unpack_all(oriented_matroid(M).covector_masks(cap), M.cols)
+    return SignSet(oriented_matroid(M).covector_masks(cap), M.cols)
 
 
-def vectors(M: RationalMatrix, cap: int = 12) -> frozenset[SignVector]:
+def vectors(M: RationalMatrix, cap: int = 12) -> SignSet:
     """All of sign(ker M): the sign vectors orthogonal to every cocircuit."""
-    return unpack_all(oriented_matroid(M).vector_masks(cap), M.cols)
+    return SignSet(oriented_matroid(M).vector_masks(cap), M.cols)
 
 
 def face_lattice(W: RationalMatrix, cap: int = 12) -> FaceLattice:

@@ -20,7 +20,7 @@ from . import __version__
 from .analyzer import FAILS, HOLDS, INCONCLUSIVE, AnalysisReport, _classify, minor_form
 from .linalg import InputError, RationalMatrix, dot, frac, kernel_basis, vec
 from .matroid import OrientedMatroid
-from .signs import SignVector, sign_of, unpack_all
+from .signs import SignSet, SignVector, sign_of
 
 TOOL = {"name": "expbij", "version": __version__}
 
@@ -85,7 +85,7 @@ def _verify(report: dict):
     _need(report["sign_sets_equal"] is om_w.chirotope.equal_up_to_sign(om_wt.chirotope),
           "sign_sets_equal disagrees with the minor signs")
     form = cache(lambda key: minor_form(key, om_w.minor_signs, om_wt.minor_signs))
-    facets = sorted(map(str, unpack_all(om_wt.nonneg_cocircuit_masks, Wt.cols)))  # of cone(Wt)
+    facets = SignSet(om_wt.nonneg_cocircuit_masks, Wt.cols).strings()  # of cone(Wt)
     kernel = cache(kernel_basis)  # each basis built once, if a certificate needs it
 
     for key, entry in conditions.items():

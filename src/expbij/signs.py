@@ -7,12 +7,15 @@ orthogonality bit operations on Python ints, for any length.
 Inside the exact layer a sign vector of length n is one packed int,
 `plus | minus << n`: `x <= y` is `x & ~y == 0`, the support is
 `(x | x >> n) & (2^n - 1)`, and sets of sign vectors are sets of ints.
-`SignVector` objects are built from packed ints only at the API and report
-boundary.
+A set crosses the API as a `SignSet`, a read-only view of its frozen set of
+ints: length, membership, equality and hashing stay int operations, a
+`SignVector` is built only when a caller iterates, and `strings()` sorts and
+formats the ints with no `SignVector` at all (`str_order`, `sign_string`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
 from functools import cache
 
 
@@ -71,11 +74,8 @@ class SignVector:
             return -1
         return 0
 
-    def components(self) -> tuple[int, ...]:
-        return tuple(self[i] for i in range(self.n))
-
     def __str__(self) -> str:
-        return "".join("+" if s > 0 else "-" if s < 0 else "0" for s in self.components())
+        return sign_string(self.plus | self.minus << self.n, self.n)
 
     def __repr__(self) -> str:
         return f"SignVector({str(self)!r})"
@@ -168,10 +168,65 @@ def unpack(x: int, n: int) -> SignVector:
     return SignVector._trusted(n, x & ((1 << n) - 1), x >> n)
 
 
-def unpack_all(xs, n: int) -> frozenset[SignVector]:
-    full = (1 << n) - 1
-    trusted = SignVector._trusted
-    return frozenset(trusted(n, x & full, x >> n) for x in xs)
+# the string of a 4-position chunk, indexed by its plus bits | minus bits << 4
+# (None where a position would be both + and -)
+_CHUNK = [None if p & m else "".join("+" if p >> i & 1 else "-" if m >> i & 1 else "0" for i in range(4))
+          for m in range(16) for p in range(16)]
+
+
+def sign_string(x: int, n: int) -> str:
+    """The string of the packed sign vector x of length n, position 0 first,
+    four positions at a time from one table."""
+    plus, minus = x & ((1 << n) - 1), x >> n
+    return "".join([_CHUNK[(plus >> k & 15) | (minus >> k & 15) << 4] for k in range(0, n, 4)])[:n]
+
+
+class SignSet(Set):
+    """A read-only set of sign vectors of length n over a frozen set of packed
+    ints, which it wraps without copying. Length, membership, equality and the
+    hash are int operations; the hash equals that of the frozenset of the
+    members. Iteration builds one `SignVector` at a time, the set operators
+    return frozensets of them, and `strings()` builds none."""
+
+    __slots__ = ("masks", "n")
+
+    def __init__(self, masks: frozenset[int], n: int):
+        self.masks = masks
+        self.n = n
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __contains__(self, t) -> bool:
+        return isinstance(t, SignVector) and t.n == self.n and pack(t) in self.masks
+
+    def __iter__(self):
+        n, full, trusted = self.n, (1 << self.n) - 1, SignVector._trusted
+        for x in self.masks:
+            yield trusted(n, x & full, x >> n)
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset[SignVector]:
+        return frozenset(it)
+
+    def __eq__(self, other):
+        if isinstance(other, SignSet):
+            # sign vectors of different lengths differ; empty sets are equal
+            return self.masks == other.masks and (self.n == other.n or not self.masks)
+        if isinstance(other, Set):
+            return len(self) == len(other) and all(t in self for t in other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.masks)
+
+    def __repr__(self) -> str:
+        return f"SignSet({self.strings()!r})"
+
+    def strings(self) -> list[str]:
+        """The members' strings in string order."""
+        n = self.n
+        return [sign_string(x, n) for x in sorted(self.masks, key=str_order(n))]
 
 
 @cache

@@ -1,4 +1,5 @@
-"""Scale smoke: analyze pairs past the default n cap.
+"""Scale smoke: analyze pairs past the default n cap, and print a large
+sign set through the CLI.
 
 Run as `PYTHONPATH=src python tests/scale_smoke.py FAMILY`, FAMILY one of
 - `low-d`: three seeded pairs at n = 14, d = 2;
@@ -7,18 +8,24 @@ Run as `PYTHONPATH=src python tests/scale_smoke.py FAMILY`, FAMILY one of
   at n = 12, 15 and 15;
 - `big-sum`: `sv(1/2) + sv(1/2) + sv(1/2)` at n = 18, d = 9, which reaches
   the exact iii search with 59,318 candidates; it stays fast only because a
-  candidate whose positive part is not positively dependent is skipped.
+  candidate whose positive part is not positively dependent is skipped;
+- `matroid`: `expbij matroid covectors` on a seeded (n, d) = (12, 6) matrix,
+  whose output must have one line per covector, in string order.
 Seeded entries come from one `random.Random(7)` in [-3, 3]. The n cap is 16,
 and for the sums the block cap is 16 too; for the big sum the n cap is 18.
-Every analysis must be decided and its report must verify, else the exit
-status is 1. A sum must also take the class its blocks predict: a direct sum
-is injective (or bijective) iff every block is.
+Every analysis must be decided and its report must verify, and the
+`matroid` output must pass its checks, else the exit status is 1. A sum must
+also take the class its blocks predict: a direct sum is injective (or
+bijective) iff every block is.
 pytest does not collect this file.
 """
 
+import json
 import random
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 from expbij.analyzer import (
     CLASS_BIJECTIVE,
@@ -28,8 +35,9 @@ from expbij.analyzer import (
     ExponentialMapSpec,
     analyze,
 )
+from expbij.matroid import covectors
 from expbij.report import build_report, verify_certificate
-from test_analyzer import EX1, EX2, FACE_GAP, _random_full_rank, direct_sum, sv_example
+from test_analyzer import EX1, EX2, FACE_GAP, _random_full_rank, direct_sum, run_python, sv_example
 
 SUM_CAPS = Caps(max_n_enumeration=16, max_blocks=16)
 BIG_SUM_CAPS = Caps(max_n_enumeration=18, max_blocks=16)
@@ -63,6 +71,25 @@ def big_sum():
     yield "sv(1/2) + sv(1/2) + sv(1/2)", direct_sum(blocks), BIG_SUM_CAPS, predicted_class(blocks)
 
 
+def matroid_covectors():
+    """The problems with `expbij matroid covectors` on a seeded (12, 6) matrix."""
+    W = _random_full_rank(random.Random(7), 6, 12)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "W.json"
+        path.write_text(json.dumps(W.to_json_dict()))
+        proc = run_python("-m", "expbij.cli", "matroid", "covectors", str(path))
+    lines = proc.stdout.splitlines()
+    print(f"matroid covectors at (12, 6): exit {proc.returncode}, {len(lines)} lines")
+    problems = []
+    if proc.returncode != 0:
+        problems.append(proc.stderr.strip())
+    if len(lines) != len(covectors(W)):
+        problems.append(f"{len(covectors(W))} covectors")
+    if lines != sorted(lines):
+        problems.append("the lines are not in string order")
+    return problems
+
+
 FAMILIES = {
     "low-d": lambda: seeded_pairs([(f"pair {k}", 2, 14) for k in range(3)]),
     "high-d": lambda: seeded_pairs([(f"n = {n}", n - 3, n) for n in (10, 11, 12)]),
@@ -71,8 +98,10 @@ FAMILIES = {
 }
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2 or sys.argv[1] not in FAMILIES:
-        sys.exit(f"usage: scale_smoke.py {{{','.join(FAMILIES)}}}")
+    if len(sys.argv) != 2 or sys.argv[1] not in (*FAMILIES, "matroid"):
+        sys.exit(f"usage: scale_smoke.py {{{','.join(FAMILIES)},matroid}}")
+    if sys.argv[1] == "matroid":
+        sys.exit("; ".join(matroid_covectors()) or None)
     for label, spec, caps, want in FAMILIES[sys.argv[1]]():
         rep = analyze(spec, caps)
         ok = rep.classification != "inconclusive" and verify_certificate(build_report(rep, {}))

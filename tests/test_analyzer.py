@@ -56,6 +56,7 @@ from expbij.matroid import OrientedMatroid, covectors, vectors
 from expbij.report import build_report, verify_certificate
 from expbij.signs import (
     EnumerationCap,
+    SignSet,
     SignVector,
     bits,
     composition_closure,
@@ -64,7 +65,6 @@ from expbij.signs import (
     sign_of,
     str_order,
     unpack,
-    unpack_all,
 )
 from sign_oracles import closure_excluded, column_submatrix, is_uniform, minor_verdicts, nonneg_part
 
@@ -482,7 +482,7 @@ def _signvector_picks(spec):
     om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
     # the sign sets as closures, independent of the orthogonality that
     # analyze and the package's enumeration both rest on
-    V, T, C = (unpack_all(composition_closure(gens, n), n) for gens in (
+    V, T, C = (SignSet(composition_closure(gens, n), n) for gens in (
         om_w.circuit_masks, om_wt.circuit_masks, om_wt.cocircuit_masks))
     common = min((t for t in V & C if not t.is_zero()), key=str, default=None)
     iv = None
@@ -542,9 +542,9 @@ def _closure_condition_ii(spec):
     nonnegative covector of W below it in string order."""
     tag = "surjectivity-face-cover"
     full = (1 << spec.n) - 1
-    faces_w = unpack_all(spec._om(spec.coeff).nonneg_covector_masks(), spec.n)
+    faces_w = SignSet(spec._om(spec.coeff).nonneg_covector_masks(), spec.n)
     facets_exp = minimal_support_members(
-        unpack_all(spec._om(spec.exponents).nonneg_covector_masks(), spec.n))
+        SignSet(spec._om(spec.exponents).nonneg_covector_masks(), spec.n))
     nonzero_w = sorted((t for t in faces_w if t.support), key=str)
     coverings = []
     for tau_t in sorted(facets_exp, key=str):
@@ -635,8 +635,8 @@ def test_excluded_tope_matches_closure_route():
     for spec in _corpus(200) + _zero_heavy_corpus(100):
         om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
         for first, second in ((om_w, om_wt), (om_wt, om_w)):
-            want = closure_excluded(unpack_all(composition_closure(first.circuit_masks, spec.n), spec.n),
-                                    unpack_all(composition_closure(second.circuit_masks, spec.n), spec.n))
+            want = closure_excluded(SignSet(composition_closure(first.circuit_masks, spec.n), spec.n),
+                                    SignSet(composition_closure(second.circuit_masks, spec.n), spec.n))
             got = _excluded_tope(first, second, spec.n)
             assert (None if got is None else unpack(got, spec.n)) == want, (spec.coeff, spec.exponents)
             seen[want is None] += 1

@@ -11,8 +11,8 @@ import expbij.matroid
 import expbij.report
 from expbij.analyzer import Caps, ExponentialMapSpec, _classify, analyze
 from expbij.cli import ROBUST_KEYS, main
-from expbij.linalg import InternalInconsistency, RationalMatrix, kernel_basis, maximal_minor_signs
-from expbij.matroid import vectors
+from expbij.linalg import InternalInconsistency, RationalMatrix, kernel_basis, maximal_minor_signs, rank
+from expbij.matroid import circuits, cocircuits, covectors, face_lattice, vectors
 from expbij.report import build_report, canonical_json, digest_of, verify_certificate
 from test_analyzer import (
     CORPUS_SEED,
@@ -195,6 +195,32 @@ def test_matroid_vectors_subcommand(tmp_path, capsys, entries):
     W = RationalMatrix(entries)
     assert main(["matroid", "vectors", write_json(tmp_path, "M.json", matrix_json(entries))]) == 0
     assert capsys.readouterr().out.splitlines() == sorted(str(t) for t in vectors(W))
+
+
+def test_matroid_sign_set_output_is_the_sorted_strings(tmp_path, capsys):
+    # n = 9 and 10 take two bytes of str_order tables; rank-deficient matrices
+    # and zero columns are drawn too
+    rng = random.Random(4242)
+    kinds = Counter()
+    for k in range(8):
+        n, d = 9 + k % 2, rng.randint(1, 4)
+        rows = [[rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(d)]
+        if k % 4 == 1:
+            rows.append([a - b for a, b in zip(rows[0], rows[-1])])
+        if k % 4 == 2:
+            for row in rows:
+                row[rng.randrange(n)] = 0
+        W = RationalMatrix(rows)
+        kinds["deficient" if rank(W) < W.rows else "full rank"] += 1
+        kinds["zero column"] += any(all(x == 0 for x in W.column(j)) for j in range(n))
+        path = write_json(tmp_path, "M.json", matrix_json(rows))
+        for what, sign_set in (("circuits", circuits), ("cocircuits", cocircuits),
+                               ("covectors", covectors), ("vectors", vectors),
+                               ("faces", lambda m: face_lattice(m).faces)):
+            assert main(["matroid", what, path]) == 0
+            want = "".join(line + "\n" for line in sorted(str(t) for t in sign_set(W)))
+            assert capsys.readouterr().out == want, (what, rows)
+    assert kinds["deficient"] and kinds["full rank"] and kinds["zero column"], kinds
 
 
 def test_crn_subcommand(tmp_path):

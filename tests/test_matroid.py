@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import operator
 import random
 import weakref
 from collections import Counter
@@ -36,6 +38,7 @@ from expbij.matroid import (
 )
 from expbij.signs import (
     EnumerationCap,
+    SignSet,
     SignVector,
     bits,
     composition_closure,
@@ -43,7 +46,6 @@ from expbij.signs import (
     pack,
     sign_of,
     unpack,
-    unpack_all,
 )
 from sign_oracles import (
     all_sign_vectors,
@@ -194,8 +196,8 @@ def test_nonneg_covectors_are_closure_of_nonneg_cocircuits():
             kinds.add("lifted")
         kinds.add("deficient" if rank(W) < W.rows else "full rank")
         om, n = OrientedMatroid(W), W.cols
-        nonneg = unpack_all(om.nonneg_covector_masks(), n)
-        assert nonneg == unpack_all(composition_closure(om.nonneg_cocircuit_masks, n), n), W
+        nonneg = SignSet(om.nonneg_covector_masks(), n)
+        assert nonneg == SignSet(composition_closure(om.nonneg_cocircuit_masks, n), n), W
         assert om.face_lattice().faces == nonneg
         checked += 1
     assert kinds == {"lifted", "deficient", "full rank"}
@@ -219,11 +221,11 @@ def test_nonneg_cocircuits_are_the_minimal_nonneg_covectors():
         kinds["deficient" if rank(W) < W.rows else "full rank"] += 1
         kinds["zero column"] += any(all(x == 0 for x in W.column(j)) for j in range(W.cols))
         om = OrientedMatroid(W)
-        facets = {pack(t) for t in minimal_support_members(unpack_all(om.nonneg_covector_masks(), W.cols))}
+        facets = {pack(t) for t in minimal_support_members(SignSet(om.nonneg_covector_masks(), W.cols))}
         assert om.nonneg_cocircuit_masks == facets, W
         kinds["no facet"] += not facets
         d, n = om.W.rows, W.cols
-        C = unpack_all(om.covector_masks(), n)
+        C = SignSet(om.covector_masks(), n)
         with_d_minus_1_zeros = {t for t in C if t.support and n - len(t.support_set()) == d - 1}
         assert is_uniform(om) == (minimal_support_members(C) == with_d_minus_1_zeros), W
         assert is_uniform(om) == all(m != 0 for m in maximal_minors(om.W).values()), W
@@ -618,6 +620,57 @@ def test_conformal_decompose_bound_random():
             assert len(parts) <= min(dim_ker, len(tau.support_set()))
             for rho in parts:
                 assert rho.leq(tau)
+
+
+def _check_sign_set(view, other):
+    """view is a SignSet; other is a sign set of the same length."""
+    members = list(view)
+    plain = frozenset(members)
+    assert len(members) == len(plain) == len(view)  # each member once
+    assert all(type(t) is SignVector and t.n == view.n for t in members)
+    for same in (plain, set(members), SignSet(view.masks, view.n)):
+        assert view == same and same == view
+        assert not view != same and not same != view
+    assert hash(view) == hash(plain)
+    assert all(t in view for t in members)
+    wrong_length = SignVector.zero(view.n + 1)
+    assert wrong_length not in view and 0 not in view and "0" * view.n not in view
+    for near in (plain | {wrong_length}, plain - set(members[:1])):
+        if near != plain:
+            assert view != near and near != view and not view == near
+    other_plain = frozenset(other)
+    assert (view == other) == (plain == other_plain)
+    for op in (operator.and_, operator.or_, operator.sub, operator.xor):
+        for a, b, pa, pb in ((view, other, plain, other_plain), (view, other_plain, plain, other_plain),
+                             (other_plain, view, other_plain, plain), (set(other), view, other_plain, plain)):
+            got = op(a, b)
+            assert type(got) is frozenset and got == op(pa, pb)
+
+
+def test_sign_sets_are_views_that_act_as_sets_of_sign_vectors():
+    rng = random.Random(31415)
+    kinds = Counter()
+    for _ in range(40):
+        W = _random_matrix(rng, 7)
+        if rank(W) == 0:
+            continue
+        kinds["deficient" if rank(W) < W.rows else "full rank"] += 1
+        kinds["zero column"] += any(all(x == 0 for x in W.column(j)) for j in range(W.cols))
+        fl = face_lattice(W)
+        views = [circuits(W), cocircuits(W), covectors(W), vectors(W), fl.faces,
+                 cocircuits_from_chirotope(oriented_matroid(W).chirotope)]
+        assert all(type(v) is SignSet and v.n == W.cols for v in views)
+        for view, other in zip(views, views[1:] + views[:1]):
+            _check_sign_set(view, other)
+        # a lattice with plain faces equals and hashes as the one with the view
+        plain = dataclasses.replace(fl, faces=frozenset(fl.faces))
+        assert fl == plain and plain == fl and hash(fl) == hash(plain)
+    assert kinds["deficient"] and kinds["full rank"] and kinds["zero column"], kinds
+    # empty sets are equal whatever their lengths, as frozensets of sign vectors are
+    empty2, empty3 = circuits(M([[1, 0], [0, 1]])), circuits(M([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    assert empty2 == empty3 == frozenset() and hash(empty2) == hash(empty3) == hash(frozenset())
+    assert SignSet(frozenset({0}), 2) != SignSet(frozenset({0}), 3)
+    assert frozenset({S("00")}) != frozenset({S("000")})
 
 
 def test_face_lattice_examples():

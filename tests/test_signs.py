@@ -6,13 +6,14 @@ import pytest
 
 from expbij.signs import (
     EnumerationCap,
+    SignSet,
     SignVector,
     composition_closure,
     minimal_support_members,
     pack,
     sign_of,
+    sign_string,
     str_order,
-    unpack_all,
 )
 from sign_oracles import all_sign_vectors, closure, nonneg_part, orthogonal_set
 
@@ -32,6 +33,24 @@ def test_str_order_matches_string_order():
         sample += [SignVector(n, t.plus & 1, t.minus & ~1) for t in sample]  # long shared prefixes
         key = str_order(n)
         assert sorted(sample, key=lambda t: key(pack(t))) == sorted(sample, key=str)
+
+
+def _joined(t: SignVector) -> str:
+    return "".join("+" if t[i] > 0 else "-" if t[i] < 0 else "0" for i in range(t.n))
+
+
+def test_packed_formatter_matches_the_per_position_join():
+    # str(t) and sign_string read the packed int four positions at a time
+    for n in range(1, 7):
+        for t in all_sign_vectors(n):
+            assert str(t) == sign_string(pack(t), n) == _joined(t)
+    rng = random.Random(9)
+    for n in (9, 16, 17, 64):
+        for _ in range(300):
+            t = SignVector.from_components(rng.choice((-1, 0, 1)) for _ in range(n))
+            assert str(t) == sign_string(pack(t), n) == _joined(t)
+        for t in (SignVector.zero(n), SignVector(n, (1 << n) - 1, 0), SignVector(n, 0, (1 << n) - 1)):
+            assert str(t) == _joined(t)
 
 
 def test_sign_of():
@@ -146,7 +165,7 @@ def test_subspace_orthogonal_complement_identity():
 
 def _closure(generators, n):
     """composition_closure on sign vectors, packed and unpacked at the boundary."""
-    return unpack_all(composition_closure({pack(g) for g in generators}, n), n)
+    return SignSet(composition_closure({pack(g) for g in generators}, n), n)
 
 
 def test_composition_closure_generators():
