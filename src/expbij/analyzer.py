@@ -22,9 +22,11 @@ a certificate names. The kernel and covector witnesses come from the same
 `OrientedMatroid` (`vector_point`, `covector_point`); the closure's
 orthogonal witness comes from `matroid.orthogonal_witness`, on the kernel
 basis of the other side. Only the nondegeneracy search builds LP rows of its
-own. The maximal-minor forms of i, cc, cc_prime and robust_both are one
-scan, `minor_form`, over the two tables of minor signs; the certificate
-verifier calls the same function.
+own. The certificate verifier calls the analyzer's two rules: `minor_form`,
+one scan over the two tables of minor signs, decides the maximal-minor forms
+of i, cc, cc_prime and robust_both, and `cone_form` decides robust_coefficients
+from cc_prime and the facets of the two cones, so that only the separating
+face of differing face sets is enumerated.
 """
 
 from __future__ import annotations
@@ -407,7 +409,7 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
     full = (1 << n) - 1
     om_w = spec._om(spec.coeff)
     facets_w = om_w.nonneg_cocircuit_masks
-    if reduce(or_, facets_w, 0) == full:
+    if om_w.cone.all_plus:
         # an all-plus coefficient covector: pointed coefficient cone with no
         # zero column, so no positive dependence at all
         return ConditionResult(HOLDS, tag, detail="all-plus coefficient covector")
@@ -609,33 +611,45 @@ def robust_exponents(spec: ExponentialMapSpec) -> ConditionResult:
     return ConditionResult(minor.verdict, minor.tag, certificate=cert)
 
 
+def cone_form(ccp: str, om_w: OrientedMatroid, om_wt: OrientedMatroid) -> tuple[str, str | None]:
+    """Coefficient robustness from cc_prime's verdict and the facets of the two
+    cones (`OrientedMatroid.cone`), with no cap: the verdict, and the reason of
+    a fails or the detail of a holds. Equal facets mean equal face sets."""
+    if ccp == FAILS:
+        return FAILS, "reversed-closure-fails"
+    cw, ce = om_w.cone, om_wt.cone
+    if cw.full_space and ce.full_space:
+        return HOLDS, "both cones are the full space"
+    if not (cw.all_plus and ce.all_plus):
+        return FAILS, "all-plus-covector-missing"
+    if om_w.nonneg_cocircuit_masks != om_wt.nonneg_cocircuit_masks:
+        return FAILS, "face-sets-differ"
+    if not (cw.robustly_generated and ce.robustly_generated):
+        return FAILS, "cone-not-robustly-generated"
+    return HOLDS, None
+
+
 def robust_coefficients(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
-    """Bijective for all c and all small coefficient perturbations."""
+    """Bijective for all c and all small coefficient perturbations. Only the
+    separating face of differing face sets is enumerated, under the cap."""
     tag = "robust-coefficient-perturbations"
     spec.require_square()
     ccp = closure_cc_prime(spec)
-    if ccp.verdict == FAILS:
-        return ConditionResult(FAILS, tag, certificate={
-            "reason": "reversed-closure-fails", "closure_form": ccp.certificate})
     om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
-    cap = caps.max_n_enumeration
-    try:
-        cone_w = om_w.face_lattice(cap)
-        cone_wt = om_wt.face_lattice(cap)
-    except EnumerationCap as e:
-        return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
-    if cone_w.full_space and cone_wt.full_space:
-        return ConditionResult(HOLDS, tag, detail="both cones are the full space")
-    if not (cone_w.all_plus and cone_wt.all_plus):
-        return ConditionResult(FAILS, tag, certificate={"reason": "all-plus-covector-missing"})
-    faces_w, faces_wt = om_w.nonneg_covector_masks(cap), om_wt.nonneg_covector_masks(cap)
-    if faces_w != faces_wt:
-        diff = min(faces_w ^ faces_wt, key=str_order(spec.n))
-        return ConditionResult(FAILS, tag, certificate={
-            "reason": "face-sets-differ", "separating_face": str(unpack(diff, spec.n))})
-    if not (cone_w.robustly_generated and cone_wt.robustly_generated):
-        return ConditionResult(FAILS, tag, certificate={"reason": "cone-not-robustly-generated"})
-    return ConditionResult(HOLDS, tag)
+    verdict, reason = cone_form(ccp.verdict, om_w, om_wt)
+    if verdict == HOLDS:
+        return ConditionResult(HOLDS, tag, detail=reason)
+    cert = {"reason": reason}
+    if reason == "reversed-closure-fails":
+        cert["closure_form"] = ccp.certificate
+    elif reason == "face-sets-differ":
+        try:
+            faces_w = om_w.nonneg_covector_masks(caps.max_n_enumeration)
+            faces_wt = om_wt.nonneg_covector_masks(caps.max_n_enumeration)
+        except EnumerationCap as e:
+            return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
+        cert["separating_face"] = str(unpack(min(faces_w ^ faces_wt, key=str_order(spec.n)), spec.n))
+    return ConditionResult(FAILS, tag, certificate=cert)
 
 
 def robust_both(spec: ExponentialMapSpec) -> ConditionResult:
@@ -757,7 +771,7 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
         cones = {"coeff": None, "exp": None}
 
     classification = _classify(*(conditions[k].verdict for k in ("i", "ii", "iii")))
-    _assert_implications(conditions, cones, sign_sets_equal, classification)
+    _assert_implications(conditions, om_w, om_wt, sign_sets_equal, classification)
 
     return AnalysisReport(
         n=spec_c.n,
@@ -787,7 +801,7 @@ def _classify(i: str, ii: str, iii: str) -> str:
     return CLASS_BIJECTIVE
 
 
-def _assert_implications(conditions, cones, sign_sets_equal, classification):
+def _assert_implications(conditions, om_w, om_wt, sign_sets_equal, classification):
     """Theorem-level consistency; a violation is a bug, not a verdict."""
     def v(key):
         return conditions[key].verdict
@@ -805,11 +819,10 @@ def _assert_implications(conditions, cones, sign_sets_equal, classification):
     implies(v("newton") == HOLDS, v("iii") == HOLDS, "newton holds but iii does not")
     implies(sign_sets_equal, classification == CLASS_BIJECTIVE,
             "equal kernel sign sets but not bijective")
-    cw, ce = cones.get("coeff"), cones.get("exp")
-    if cw is not None and ce is not None:
-        implies(v("cc_prime") == HOLDS and v("ii") == HOLDS, cw.faces == ce.faces,
-                "cc_prime and ii hold but the cones' faces differ")
-        implies(classification == CLASS_BIJECTIVE and cw.all_plus, ce.all_plus,
-                "bijective with an all-plus coefficient covector but none on the exponent side")
+    implies(v("cc_prime") == HOLDS and v("ii") == HOLDS,
+            om_w.nonneg_cocircuit_masks == om_wt.nonneg_cocircuit_masks,
+            "cc_prime and ii hold but the cones' faces differ")
+    implies(classification == CLASS_BIJECTIVE and om_w.cone.all_plus, om_wt.cone.all_plus,
+            "bijective with an all-plus coefficient covector but none on the exponent side")
     implies(v("robust_both") == HOLDS, v("robust_exponents") == HOLDS,
             "robust_both holds but robust_exponents does not")

@@ -97,9 +97,6 @@ def dot(u: Vec, v: Vec) -> Fraction:
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
-def is_zero_vec(v: Vec) -> bool:
-    return all(x == 0 for x in v)
-
 
 def _reduce(row: list[int]) -> list[int]:
     """Divide an int row by the gcd of its entries."""
@@ -306,20 +303,6 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return len(self.vectors)
-
-    def contains(self, v: Vec) -> bool:
-        if is_zero_vec(v):
-            return True
-        if not self.vectors:
-            return False
-        base = RationalMatrix(self.vectors)
-        ext = RationalMatrix(self.vectors + (vec(v),))
-        return rank(ext) == rank(base)
-
-    def same_subspace(self, other: "SubspaceBasis") -> bool:
-        if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
-            return False
-        return all(other.contains(v) for v in self.vectors)
 
 
 def kernel_basis(M: RationalMatrix) -> SubspaceBasis:

@@ -6,19 +6,19 @@ That table is the chirotope; the cocircuits are read off the chirotope on
 (d-1)-subsets, and the circuits on (d+1)-subsets by Cramer's rule. The full
 covector set is the sign vectors orthogonal to every circuit, and the full
 vector set those orthogonal to every cocircuit; `_orthogonal_masks` builds
-either in one pass over the columns. The face lattice of the cone spanned by
-the columns is the nonnegative part of the covectors, which the same pass
-builds when it allows only + at every position, and its flags (zero
-columns, lineality rank) are read off the cocircuits and the minor table.
-Every sign set the module enumerates comes from that one routine; the
-matrix is read only to build the minor table and to solve for witnesses.
-The facets of that cone are the nonnegative cocircuits, and two
-configurations have equal vector sets iff their chirotopes agree up to
-sign, so neither needs an enumeration. Nor do questions about single
-vectors: a sign vector is a vector iff it is orthogonal to every cocircuit,
-which `extends` tests on a restriction and `first_vector` uses to find the
-first vector with given signs by prefix search; `vector_point` and `covector_point` return the
-rational witnesses of such questions. `OrientedMatroid` holds these for one
+either in one pass over the columns. The faces of the cone spanned by the
+columns are the nonnegative covectors, which the same pass builds when it
+allows only + at every position, but only to print them: the facets, the
+nonnegative cocircuits, decide every flag of the cone (`cone`) and whether
+two cones have the same faces. Every sign set the module enumerates comes
+from that one routine; the matrix is read only to build the minor table and
+to solve for witnesses. Two configurations have equal vector sets iff their
+chirotopes agree up to sign, so that needs no enumeration either. Nor do
+questions about single vectors: a sign vector is a vector iff it is
+orthogonal to every cocircuit, which `extends` tests on a restriction and
+`first_vector` uses to find the first vector with given signs by prefix
+search; `vector_point` and `covector_point` return the rational witnesses
+of such questions. `OrientedMatroid` holds these for one
 matrix, as packed ints, and computes each at most once. The module
 functions are the `SignVector` API: they share one `OrientedMatroid` per
 matrix object (`oriented_matroid`) and return its sets as `SignSet` views,
@@ -31,8 +31,9 @@ packed sign vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import and_, or_
 
 from .linalg import (
     InputError,
@@ -212,19 +213,25 @@ def _orthogonal_masks(gens, n: int, allowed: int) -> frozenset[int]:
 
 
 @dataclass(frozen=True)
-class FaceLattice:
-    """Nonnegative covectors of cone(columns), with the face order reversed:
-    face(tau) is contained in face(tau') iff tau' <= tau."""
+class Cone:
+    """What the facets of cone(columns) decide; d is the matrix's row count."""
 
     n: int
     d: int
-    faces: SignSet
     pointed: bool
     lineality_dim: int
     robustly_generated: bool
     full_space: bool
     all_plus: bool
     zero_columns: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class FaceLattice(Cone):
+    """The cone with its faces, the nonnegative covectors, in reverse order:
+    face(tau) is contained in face(tau') iff tau' <= tau."""
+
+    faces: SignSet
 
 
 class OrientedMatroid:
@@ -392,63 +399,41 @@ class OrientedMatroid:
         self.check_cap("covector", cap)
         return self._nonneg_covector_masks
 
+    @cached_property
+    def cone(self) -> Cone:
+        """Read off the facets F and the cocircuits; nothing is enumerated, so
+        no cap applies. Every nonzero face is the OR of the facets below it:
+        the cone is the full space iff F is empty, and the OR of F is the
+        largest face, all + iff the lineality space, spanned by the columns
+        off it, is zero. The rank of a column set L is the largest |I & L|
+        over the bases I, the d-sets with a nonzero minor; the zero columns
+        are in no cocircuit's support. Robustly generated: d = 1, the full
+        space, or no zero column and each column interior (+ on every facet)
+        or alone on an extreme ray (the OR of the facets zero at it, the
+        largest face zero there, is zero nowhere else)."""
+        d, n = self.W.rows, self.W.cols
+        full = (1 << n) - 1
+        facets = self.nonneg_cocircuit_masks
+        lineality = full & ~reduce(or_, facets, 0)
+        lineality_dim = max(sum(lineality >> i & 1 for i in I)
+                            for I, s in self.minor_signs.items() if s) if lineality else 0
+        zero_columns = bits(full & ~reduce(or_, self.cocircuit_masks, 0))
+        interior = reduce(and_, facets, full)
+        robust = d == 1 or not facets or not zero_columns and all(
+            interior >> i & 1 or reduce(or_, (t for t in facets if not t >> i & 1), 0) == full ^ 1 << i
+            for i in range(n))
+        return Cone(n=n, d=self.d, pointed=lineality_dim == 0, lineality_dim=lineality_dim,
+                    robustly_generated=robust, full_space=not facets, all_plus=not lineality,
+                    zero_columns=zero_columns)
+
     def face_lattice(self, cap: int = 12) -> FaceLattice:
         self.check_cap("covector", cap)
         return self._face_lattice
 
     @cached_property
     def _face_lattice(self) -> FaceLattice:
-        """Read off the sign sets and the minor table; no matrix entry. The
-        zero columns are those in no cocircuit's support. The lineality space
-        is spanned by the columns in no nonzero face (all of them when the
-        cone is the full space), and the rank of a column set L is the
-        largest |I & L| over the bases I, the d-sets with a nonzero minor."""
-        d, n = self.W.rows, self.W.cols
-        full = (1 << n) - 1
-        masks = self._nonneg_covector_masks
-        top = support = 0
-        for tau in masks:
-            top |= tau
-        for c in self.cocircuit_masks:
-            support |= c
-        lineality = full & ~top
-        lineality_dim = 0
-        if lineality:
-            lineality_dim = max(sum(lineality >> i & 1 for i in I)
-                                for I, s in self.minor_signs.items() if s)
-        full_space = masks == {0}
-        zero_columns = bits(full & ~support)
-        return FaceLattice(
-            n=n,
-            d=self.d,
-            faces=SignSet(masks, n),
-            pointed=(lineality_dim == 0),
-            lineality_dim=lineality_dim,
-            robustly_generated=_robustly_generated(d, n, masks, full_space, zero_columns),
-            full_space=full_space,
-            all_plus=full in masks,
-            zero_columns=zero_columns,
-        )
-
-
-def _robustly_generated(d, n, faces, full_space, zero_columns) -> bool:
-    """Either d = 1, or every extreme ray carries a unique generator and all
-    remaining generators are interior. d is the rank of the n columns; faces
-    are the packed nonnegative covectors."""
-    if d == 1:
-        return True
-    if full_space:
-        return True
-    if zero_columns:
-        return False
-    full = (1 << n) - 1
-    nonzero_faces = [t for t in faces if t]
-    # generator i spans its own extreme-ray face when a face is zero at i only
-    extreme = {full & ~t for t in nonzero_faces}
-    interior = full  # generator i is interior when every nonzero face is + at i
-    for t in nonzero_faces:
-        interior &= t
-    return all(1 << i in extreme or interior >> i & 1 for i in range(n))
+        """The cone with its faces, the only part that is enumerated."""
+        return FaceLattice(faces=SignSet(self._nonneg_covector_masks, self.W.cols), **vars(self.cone))
 
 
 def oriented_matroid(M: RationalMatrix) -> OrientedMatroid:

@@ -7,7 +7,8 @@ substitution-checkable claim in a report against the canonical matrices
 embedded in it, without re-running any search. From the matrices' two tables
 of minor signs it decides sign_sets_equal, the facets that ii must cover, and
 every minor-form verdict and certificate by the analyzer's own rule,
-`minor_form`, one scan per form.
+`minor_form`, one scan per form; from the facets of the two cones it decides
+robust_coefficients' verdict and reason by the analyzer's `cone_form`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 from functools import cache
 
 from . import __version__
-from .analyzer import FAILS, HOLDS, INCONCLUSIVE, AnalysisReport, _classify, minor_form
+from .analyzer import FAILS, HOLDS, INCONCLUSIVE, AnalysisReport, _classify, cone_form, minor_form
 from .linalg import InputError, RationalMatrix, dot, frac, kernel_basis, vec
 from .matroid import OrientedMatroid
 from .signs import SignSet, SignVector, sign_of
@@ -153,20 +154,20 @@ def _verify(report: dict):
             _need(all(u[i] > 0 for i in tau_t.support_set()), "dominating vector not positive on support")
         elif key in ("cc", "cc_prime") and verdict == FAILS:
             _verify_closure_cert(W, Wt, kernel, key, cert)
-        elif key == "robust_coefficients" and verdict == HOLDS:
-            # coefficient robustness needs the reversed closure condition
-            _need(form("cc_prime")[0] == HOLDS, "robust_coefficients holds but cc_prime fails")
-        elif key == "robust_coefficients" and verdict == FAILS:
-            if cert.get("reason") == "reversed-closure-fails":
-                _verify_closure_cert(W, Wt, kernel, "cc_prime", cert["closure_form"])
-            elif cert.get("reason") == "face-sets-differ":
-                faces_w = set(report["cones"]["coeff"]["faces"])
-                faces_wt = set(report["cones"]["exp"]["faces"])
-                _need(cert["separating_face"] in faces_w ^ faces_wt,
-                      "separating face not in the symmetric difference")
-            else:
-                _need(cert.get("reason") in ("all-plus-covector-missing", "cone-not-robustly-generated"),
-                      "unknown reason")
+        elif key == "robust_coefficients":
+            # the facets decide every reason; only a separating face takes the cap
+            want, reason = cone_form(form("cc_prime")[0], om_w, om_wt)
+            capped = reason == "face-sets-differ" and W.cols > report["caps"]["max_n_enumeration"]
+            _need(verdict == want or verdict == INCONCLUSIVE and capped,
+                  "robust_coefficients disagrees with the facets")
+            if verdict == FAILS:
+                _need(cert["reason"] == reason, "robust_coefficients names the wrong reason")
+                if reason == "reversed-closure-fails":
+                    _verify_closure_cert(W, Wt, kernel, "cc_prime", cert["closure_form"])
+                elif reason == "face-sets-differ":
+                    faces = [set(report["cones"][side]["faces"]) for side in ("coeff", "exp")]
+                    _need(cert["separating_face"] in faces[0] ^ faces[1],
+                          "separating face not in the symmetric difference")
 
     want = _classify(*(conditions[k]["verdict"] for k in ("i", "ii", "iii")))
     _need(report["classification"] == want, "classification inconsistent with verdicts")

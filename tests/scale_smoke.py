@@ -9,12 +9,16 @@ Run as `PYTHONPATH=src python tests/scale_smoke.py FAMILY`, FAMILY one of
 - `big-sum`: `sv(1/2) + sv(1/2) + sv(1/2)` at n = 18, d = 9, which reaches
   the exact iii search with 59,318 candidates; it stays fast only because a
   candidate whose positive part is not positively dependent is skipped;
+- `cones`: the pairs of `test_cli.ABOVE_CAP_CONES`, n = 13 to 20, at the
+  default caps, where `robust_coefficients` is read off the facets;
 - `matroid`: `expbij matroid covectors` on a seeded (n, d) = (12, 6) matrix,
   whose output must have one line per covector, in string order.
 Seeded entries come from one `random.Random(7)` in [-3, 3]. The n cap is 16,
 and for the sums the block cap is 16 too; for the big sum the n cap is 18.
 Every analysis must be decided and its report must verify, and the
-`matroid` output must pass its checks, else the exit status is 1. A sum must
+`matroid` output must pass its checks, else the exit status is 1. So must
+`robust_coefficients` wherever the two cones have the same facets: only a
+separating face is enumerated, and only it can take the cap. A sum must
 also take the class its blocks predict: a direct sum is injective (or
 bijective) iff every block is.
 pytest does not collect this file.
@@ -35,9 +39,10 @@ from expbij.analyzer import (
     ExponentialMapSpec,
     analyze,
 )
-from expbij.matroid import covectors
+from expbij.matroid import OrientedMatroid, covectors
 from expbij.report import build_report, verify_certificate
 from test_analyzer import EX1, EX2, FACE_GAP, _random_full_rank, direct_sum, run_python, sv_example
+from test_cli import ABOVE_CAP_CONES
 
 SUM_CAPS = Caps(max_n_enumeration=16, max_blocks=16)
 BIG_SUM_CAPS = Caps(max_n_enumeration=18, max_blocks=16)
@@ -95,7 +100,15 @@ FAMILIES = {
     "high-d": lambda: seeded_pairs([(f"n = {n}", n - 3, n) for n in (10, 11, 12)]),
     "sums": sums,
     "big-sum": big_sum,
+    "cones": lambda: ((label, make(), Caps(), None) for label, (make, *_) in ABOVE_CAP_CONES.items()),
 }
+
+
+def facets_agree(rep) -> bool:
+    """The two cones of the analyzed pair have the same facets."""
+    om_w, om_wt = OrientedMatroid(rep.canonical_coeff), OrientedMatroid(rep.canonical_exponents)
+    return om_w.nonneg_cocircuit_masks == om_wt.nonneg_cocircuit_masks
+
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or sys.argv[1] not in (*FAMILIES, "matroid"):
@@ -104,9 +117,11 @@ if __name__ == "__main__":
         sys.exit("; ".join(matroid_covectors()) or None)
     for label, spec, caps, want in FAMILIES[sys.argv[1]]():
         rep = analyze(spec, caps)
-        ok = rep.classification != "inconclusive" and verify_certificate(build_report(rep, {}))
-        print(f"{label}: {rep.classification}, {'verified' if ok else 'NOT decided and verified'}; "
-              f"iii: {rep.conditions['iii'].detail}")
+        robust = rep.conditions["robust_coefficients"].verdict
+        ok = (rep.classification != "inconclusive" and verify_certificate(build_report(rep, {}))
+              and (robust != "inconclusive" or not facets_agree(rep)))
+        print(f"{label}: {rep.classification}, robust_coefficients {robust}, "
+              f"{'verified' if ok else 'NOT decided and verified'}; iii: {rep.conditions['iii'].detail}")
         if not ok:
             sys.exit(1)
         if want is not None and rep.classification != want:

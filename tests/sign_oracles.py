@@ -5,17 +5,48 @@ The package keeps sign sets as packed ints; most of these work on
 code can be checked against them. `conformal_decompose` and `is_uniform`
 read an `OrientedMatroid` instead: the package itself needs neither.
 `minor_verdicts` states the four maximal-minor rules on the Fraction minors.
+`cone_flags_from_faces` reads the cone flags off the enumerated faces, and
+`subspace_contains` and `same_subspace` test subspaces by rank.
 """
 
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from operator import or_
+from operator import and_, or_
 
-from expbij.linalg import InputError, RationalMatrix, check, is_zero_vec, kernel_basis, maximal_minors
+from expbij.linalg import (
+    InputError,
+    RationalMatrix,
+    SubspaceBasis,
+    Vec,
+    check,
+    kernel_basis,
+    maximal_minors,
+    rank,
+    vec,
+)
 from expbij.lp import realize_kernel_sign
 from expbij.matroid import oriented_matroid
 from expbij.signs import EnumerationCap, SignVector, bits, pack, sign_of, str_order, unpack
+
+
+def is_zero_vec(v: Vec) -> bool:
+    return all(x == 0 for x in v)
+
+
+def subspace_contains(basis: SubspaceBasis, v: Vec) -> bool:
+    """v lies in the span of the basis: appending it keeps the rank."""
+    if is_zero_vec(v):
+        return True
+    if not basis.vectors:
+        return False
+    return rank(RationalMatrix(basis.vectors + (vec(v),))) == basis.dim
+
+
+def same_subspace(a: SubspaceBasis, b: SubspaceBasis) -> bool:
+    if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
+        return False
+    return all(subspace_contains(b, v) for v in a.vectors)
 
 
 def column_submatrix(M: RationalMatrix, idx) -> RationalMatrix:
@@ -87,6 +118,27 @@ def minor_verdicts(W: RationalMatrix, Wt: RationalMatrix) -> dict[str, str]:
 
     return {"i": verdict(lambda I: sw[I] * swt[I]), "cc": verdict(lambda I: sw[I]),
             "cc_prime": verdict(lambda I: swt[I]), "robust_both": verdict(lambda I: True)}
+
+
+def cone_flags_from_faces(om, cap: int = 12) -> tuple[bool, bool, bool]:
+    """full_space, all_plus and robustly_generated of cone(columns), read off
+    every enumerated face (nonnegative covector) and the matrix entries: the
+    full space has only the zero face, all_plus is the all-+ face, and the
+    cone is robustly generated when d = 1, it is the full space, or it has no
+    zero column and every generator spans its own extreme-ray face (a face
+    zero at it only) or is + on every nonzero face."""
+    d, n = om.W.rows, om.W.cols
+    full = (1 << n) - 1
+    faces = om.nonneg_covector_masks(cap)
+    full_space, all_plus = faces == {0}, full in faces
+    if d == 1 or full_space:
+        return full_space, all_plus, True
+    if any(not any(row[j] for row in om.W.row_tuples) for j in range(n)):
+        return full_space, all_plus, False
+    nonzero = [t for t in faces if t]
+    extreme = {full & ~t for t in nonzero}
+    interior = reduce(and_, nonzero, full)
+    return full_space, all_plus, all(1 << i in extreme or interior >> i & 1 for i in range(n))
 
 
 def is_uniform(om) -> bool:

@@ -47,7 +47,7 @@ from expbij.matroid import (
 from expbij.numeric import NumericMapInstance, evaluate, solve
 from expbij.report import build_report, canonical_json, verify_certificate
 from expbij.signs import SignVector, sign_of
-from sign_oracles import all_sign_vectors, conformal_decompose, is_uniform, orthogonal_set
+from sign_oracles import all_sign_vectors, conformal_decompose, is_uniform, orthogonal_set, subspace_contains
 from test_analyzer import CC_EXAMPLE, EX1, EX2, FACE_GAP, _random_full_rank, sv_example
 from test_numeric import probe_bijectivity
 
@@ -180,7 +180,7 @@ def test_criterion_4_minty_totality():
                     continue
                 wit = minty_alternative(basis, sigma)
                 if wit.branch == "subspace":
-                    assert basis.contains(wit.vector)
+                    assert subspace_contains(basis, wit.vector)
                     assert all(wit.vector[i] > 0 for i in sigma.plus_set())
                     assert all(wit.vector[i] < 0 for i in sigma.minus_set())
                 else:

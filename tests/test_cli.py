@@ -20,6 +20,7 @@ from test_analyzer import (
     EX2,
     FACE_GAP,
     SV_ALPHAS,
+    direct_sum,
     random_spec,
     run_python,
     sv_example,
@@ -557,16 +558,71 @@ def test_verify_certificate_rejects_zero_faces_in_ii():
     assert verify_certificate(forged) is False
 
 
-def test_verify_certificate_rejects_robust_coefficients_without_cc_prime():
-    # coefficient robustness needs cc_prime, which the minor signs decide
-    flipped = 0
-    for text in _corpus_reports():
+CONE_REASONS = ("reversed-closure-fails", "all-plus-covector-missing", "face-sets-differ",
+                "cone-not-robustly-generated")
+
+
+def test_verify_certificate_rejects_forged_robust_coefficients():
+    # cc_prime's minor form and the facets of both cones decide the verdict
+    # and the reason: every failing robust_coefficients flipped to holds, and
+    # every fails that names another valid reason, is rejected
+    texts = _corpus_reports() + tuple(
+        canonical_json(build_report(analyze(ExponentialMapSpec(RationalMatrix(W), RationalMatrix(Wt))), {}))
+        for W, Wt in (VERIFY_EXAMPLES["FACES_DIFFER"], VERIFY_EXAMPLES["NOT_ROBUSTLY_GENERATED"]))
+    flipped, swapped = Counter(), 0
+    for text in texts:
         cert = json.loads(text)["conditions"]["robust_coefficients"]["certificate"]
-        if cert is not None and cert["reason"] == "reversed-closure-fails":
-            forged = _forge(text, "robust_coefficients", verdict="holds", certificate=None)
-            assert verify_certificate(forged) is False, forged["map"]
-            flipped += 1
-    assert flipped >= 50, flipped
+        if cert is None:
+            continue
+        forged = _forge(text, "robust_coefficients", verdict="holds", certificate=None)
+        assert verify_certificate(forged) is False, forged["map"]
+        flipped[cert["reason"]] += 1
+        for reason in CONE_REASONS:
+            if reason != cert["reason"]:
+                forged = _forge(text, "robust_coefficients", certificate={**cert, "reason": reason})
+                assert verify_certificate(forged) is False, (forged["map"], reason)
+                swapped += 1
+    # 113 flips from the corpus, one from each of the two examples
+    assert flipped == {"reversed-closure-fails": 111, "all-plus-covector-missing": 2,
+                       "face-sets-differ": 1, "cone-not-robustly-generated": 1}, flipped
+    assert swapped == 3 * sum(flipped.values())
+
+
+def _moment_curve(n):
+    """W = Wt with columns (t, t^2, 1), t = 0..n-1: a pointed cone with every
+    column alone on an extreme ray, so robust_coefficients holds."""
+    W = RationalMatrix([list(range(n)), [t * t for t in range(n)], [1] * n])
+    return ExponentialMapSpec(W, W)
+
+
+def _sum_of(example, k):
+    W, Wt = VERIFY_EXAMPLES[example]
+    return direct_sum([ExponentialMapSpec(RationalMatrix(W), RationalMatrix(Wt))] * k)
+
+
+# pairs past the default n cap: the facets decide robust_coefficients, and
+# only the separating face of differing face sets takes the cap
+ABOVE_CAP_CONES = {
+    "moment curve, n = 13": (lambda: _moment_curve(13), "holds", None, None),
+    "moment curve, n = 16": (lambda: _moment_curve(16), "holds", None, None),
+    "moment curve, n = 20": (lambda: _moment_curve(20), "holds", None, None),
+    "FACE_GAP x 5, n = 15": (lambda: _sum_of("FACE_GAP", 5), "fails",
+                             {"reason": "all-plus-covector-missing"}, None),
+    "NOT_ROBUSTLY_GENERATED x 5, n = 15": (lambda: _sum_of("NOT_ROBUSTLY_GENERATED", 5), "fails",
+                                           {"reason": "cone-not-robustly-generated"}, None),
+    "FACES_DIFFER x 4, n = 16": (lambda: _sum_of("FACES_DIFFER", 4), "inconclusive", None,
+                                 "covector enumeration capped at n <= 12, got n = 16"),
+}
+
+
+@pytest.mark.parametrize("label", list(ABOVE_CAP_CONES))
+def test_robust_coefficients_past_the_n_cap(label):
+    make, verdict, cert, detail = ABOVE_CAP_CONES[label]
+    rep = analyze(make())
+    assert rep.n > Caps().max_n_enumeration and rep.cones == {"coeff": None, "exp": None}
+    rc = rep.conditions["robust_coefficients"]
+    assert (rc.verdict, rc.certificate, rc.detail) == (verdict, cert, detail)
+    assert verify_certificate(build_report(rep, {}))
 
 
 def test_verify_certificate_requires_the_tables_first_subsets():

@@ -18,6 +18,7 @@ from expbij.crn import (
     structure,
 )
 from expbij.linalg import SubspaceBasis, intersection_dim, kernel_basis, row_space_basis, vec
+from sign_oracles import same_subspace, subspace_contains
 
 
 def rxn(frm, to, **kw):
@@ -92,7 +93,7 @@ def test_structure_ab():
     assert s.num_components == 1
     assert s.stoich_subspace.dim == 1
     assert s.deficiency == 0 and s.kinetic_deficiency == 0
-    assert s.stoich_subspace.contains(vec([-1, 1]))
+    assert subspace_contains(s.stoich_subspace, vec([-1, 1]))
     assert s.weakly_reversible
     # Laplacian columns sum to zero
     lap = s.laplacian
@@ -266,8 +267,8 @@ def test_cc_network_structure_matches_closure_counterexample():
     net = parse_network(CC_NETWORK)
     s = structure(net)
     assert s.deficiency == 0 and s.kinetic_deficiency == 0 and s.weakly_reversible
-    assert s.stoich_subspace.same_subspace(SubspaceBasis(3, (vec([1, 0, 1]), vec([0, 1, 1]))))
-    assert s.kinetic_subspace.same_subspace(SubspaceBasis(3, (vec([1, 0, 1]), vec([0, 1, 0]))))
+    assert same_subspace(s.stoich_subspace, SubspaceBasis(3, (vec([1, 0, 1]), vec([0, 1, 1]))))
+    assert same_subspace(s.kinetic_subspace, SubspaceBasis(3, (vec([1, 0, 1]), vec([0, 1, 0]))))
     spec = map_spec_of(s)
     r = spec.coeff.row(0)
     assert (r[1] / r[0], r[2] / r[0]) == (1, -1)  # proportional to (1,1,-1)

@@ -21,6 +21,7 @@ from expbij.linalg import (
     rref,
     vec,
 )
+from sign_oracles import same_subspace, subspace_contains
 from test_analyzer import _random_full_rank
 
 
@@ -57,19 +58,19 @@ def test_kernel_basis_examples():
     for v in B.vectors:
         assert M([[1, 1, -1]]).mat_vec(v) == (0,)
     # same subspace as the stated basis
-    assert B.same_subspace(SubspaceBasis(3, (vec([1, 0, 1]), vec([0, 1, 1]))))
+    assert same_subspace(B, SubspaceBasis(3, (vec([1, 0, 1]), vec([0, 1, 1]))))
 
     assert kernel_basis(M([[1, 0], [0, 1]])).dim == 0
 
     B2 = kernel_basis(M([[1, 0, -1]]))
     assert B2.dim == 2
-    assert B2.contains(vec([1, 0, 1]))
-    assert B2.contains(vec([0, 1, 0]))
+    assert subspace_contains(B2, vec([1, 0, 1]))
+    assert subspace_contains(B2, vec([0, 1, 0]))
 
 
 def test_row_space_basis_examples():
     B = row_space_basis(M([[1, 1, -1]]))
-    assert B.dim == 1 and B.contains(vec([1, 1, -1]))
+    assert B.dim == 1 and subspace_contains(B, vec([1, 1, -1]))
 
     B = row_space_basis(M([[1, 0], [0, 1]]))
     assert B.vectors == (vec([1, 0]), vec([0, 1]))
@@ -170,7 +171,7 @@ def test_rank_nullity_and_kernel_roundtrip():
             assert all(x == 0 for x in mat.mat_vec(v))
         if ker.dim < n:
             W2 = matrix_with_kernel(ker)
-            assert kernel_basis(W2).same_subspace(ker)
+            assert same_subspace(kernel_basis(W2), ker)
 
 
 def test_minors_row_permutation_single_global_sign():

@@ -50,10 +50,12 @@ from expbij.signs import (
 from sign_oracles import (
     all_sign_vectors,
     column_submatrix,
+    cone_flags_from_faces,
     conformal_decompose,
     is_uniform,
     nonneg_part,
     orthogonal_set,
+    subspace_contains,
 )
 from test_analyzer import _random_full_rank
 
@@ -437,21 +439,29 @@ def _robustly_generated_oracle(W, fl) -> bool:
                for i in range(W.cols))
 
 
+def _cone_matrices(count):
+    """Seeded nonzero matrices, often rank-deficient or with a zero column,
+    and with opposite columns, a lineality space that is often the full space."""
+    rng = random.Random(31415)
+    out = []
+    while len(out) < count:
+        W = _random_matrix(rng, 6)
+        if rank(W) == 0:
+            continue
+        if rng.random() < 0.3:  # opposite columns
+            k = rng.randint(1, W.cols)
+            W = M([list(r) + [-x for x in r[:k]] for r in W.row_tuples])
+        out.append(W)
+    return out
+
+
 def test_cone_flags_from_the_table_match_the_matrix_route():
     """The zero columns and the lineality rank that face_lattice reads off the
     cocircuits and the minor table, against the entries: a zero column is all
     zero, and the lineality space is spanned by the columns in no nonzero
     face, whose rank is that of their column submatrix."""
-    rng = random.Random(31415)
     kinds = Counter()
-    checked = 0
-    while checked < 400:
-        W = _random_matrix(rng, 6)
-        if rank(W) == 0:
-            continue
-        if rng.random() < 0.3:  # opposite columns: a lineality space, often the full space
-            k = rng.randint(1, W.cols)
-            W = M([list(r) + [-x for x in r[:k]] for r in W.row_tuples])
+    for W in _cone_matrices(400):
         n = W.cols
         fl = face_lattice(W)
         zero_columns = tuple(j for j in range(n) if not any(row[j] for row in W.row_tuples))
@@ -468,9 +478,23 @@ def test_cone_flags_from_the_table_match_the_matrix_route():
         kinds["full space"] += fl.full_space
         kinds["lineality"] += 0 < lineality_dim < rank(W)
         kinds["pointed"] += fl.pointed
-        checked += 1
     assert all(kinds[k] >= 10 for k in ("rank-deficient", "zero column", "full space", "lineality",
                                         "pointed")), kinds
+
+
+def test_cone_flags_from_the_facets_match_the_face_walk():
+    # OrientedMatroid.cone reads these three flags off the facets alone; the
+    # oracle walks every enumerated face
+    kinds = Counter()
+    for W in _cone_matrices(400):
+        om = OrientedMatroid(W)
+        cone = om.cone
+        flags = (cone.full_space, cone.all_plus, cone.robustly_generated)
+        assert flags == cone_flags_from_faces(om), W
+        kinds.update(name for name, flag in zip(("full space", "all plus", "robust"), flags) if flag)
+        kinds["not robust"] += not cone.robustly_generated
+        kinds["robust, d > 1, pointed"] += cone.robustly_generated and rank(W) > 1 and cone.pointed
+    assert min(kinds.values()) >= 10 and len(kinds) == 5, kinds
 
 
 def test_robustly_generated_matches_signvector_oracle():
@@ -758,7 +782,7 @@ def test_minty_totality_random():
                 continue
             wit = minty_alternative(basis, sigma)
             if wit.branch == "subspace":
-                assert basis.contains(wit.vector)
+                assert subspace_contains(basis, wit.vector)
                 for i in sigma.plus_set():
                     assert wit.vector[i] > 0
                 for i in sigma.minus_set():
