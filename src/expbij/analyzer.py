@@ -17,6 +17,10 @@ Every question about a kernel sign set sign(ker M), membership or the first
 member with given signs, is answered from the cocircuits of M
 (`OrientedMatroid.extends`, `first_vector`), so no vector set is enumerated.
 The only enumerations are covector sets, and `max_n_enumeration` caps those.
+ii, iii, iv and newton share two rules on index masks: the largest face of
+cone(W) inside a mask (`OrientedMatroid.face_below`) and positive dependence
+in W (`_positively_dependent`). iv fails at the first of iii's candidates
+whose positive part is positively dependent.
 Sign vectors stay packed ints, and `SignVector` appears only as the strings
 a certificate names. The kernel and covector witnesses come from the same
 `OrientedMatroid` (`vector_point`, `covector_point`); the closure's
@@ -33,8 +37,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
-from functools import reduce
-from operator import or_
 
 from .linalg import (
     InputError,
@@ -214,16 +216,15 @@ def _excluded_tope(om_first: OrientedMatroid, om_second: OrientedMatroid, n: int
 
 
 def _positively_dependent(spec: ExponentialMapSpec):
-    """Predicate on index sets I: some v >= 0 in ker W has support exactly I,
+    """Predicate on index masks I: some v >= 0 in ker W has support exactly I,
     i.e. the sign vector + on I and 0 elsewhere is a vector of W."""
     om, full = spec._om(spec.coeff), (1 << spec.n) - 1
     memo: dict[int, bool] = {}
 
-    def dependent(I) -> bool:
-        x = sum(1 << i for i in I)
-        if x not in memo:
-            memo[x] = om.extends(x, full)
-        return memo[x]
+    def dependent(I: int) -> bool:
+        if I not in memo:
+            memo[I] = om.extends(I, full)
+        return memo[I]
 
     return dependent
 
@@ -329,18 +330,16 @@ def condition_ii(spec: ExponentialMapSpec) -> ConditionResult:
 
     It suffices to cover the facets of cone(Wt), its nonnegative cocircuits.
     The nonnegative covectors of W below a facet are closed under composition,
-    so the largest of them, which is also the first in string order, is the OR
-    of W's nonnegative cocircuits below it. Nothing is enumerated, so no cap
-    applies and none is taken."""
+    so the largest of them, which is also the first in string order, is
+    `face_below` the facet. Nothing is enumerated, so no cap applies and none
+    is taken."""
     tag = "surjectivity-face-cover"
     spec.require_square()
     n = spec.n
     om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
-    # nonnegative cocircuits are packed as their positive parts
-    facets_w = om_w.nonneg_cocircuit_masks
     coverings = []
     for tau_t in sorted(om_wt.nonneg_cocircuit_masks, key=str_order(n)):
-        tau = reduce(or_, (t for t in facets_w if t & ~tau_t == 0), 0)
+        tau = om_w.face_below(tau_t)
         face = str(unpack(tau_t, n))
         x_t = om_wt.covector_point(tau_t)
         check(x_t is not None, f"face covector {face} has no supporting functional")
@@ -365,33 +364,25 @@ def condition_ii(spec: ExponentialMapSpec) -> ConditionResult:
     return ConditionResult(HOLDS, tag, certificate={"coverings": coverings} if coverings else None)
 
 
-def _ordered_partitions(elements: tuple[int, ...], admissible):
-    """Ordered partitions of the element set into admissible blocks."""
-    if not elements:
+def _ordered_partitions(mask: int, admissible):
+    """Ordered partitions of the index mask into admissible blocks, each a
+    submask. The first block runs over the submasks in increasing order."""
+    if not mask:
         yield ()
         return
-    elems = tuple(sorted(elements))
-    k = len(elems)
-    for mask in range(1, 1 << k):
-        block = frozenset(elems[i] for i in range(k) if mask >> i & 1)
-        if not admissible(block):
-            continue
-        rest = tuple(e for e in elems if e not in block)
-        for tail in _ordered_partitions(rest, admissible):
-            yield (block,) + tail
+    block = mask & -mask
+    while block:
+        if admissible(block):
+            for tail in _ordered_partitions(mask & ~block, admissible):
+                yield (block,) + tail
+        block = (block - mask) & mask  # the next submask
 
 
-def _degeneracy_candidates(facets_w: frozenset[int], covs_exp: frozenset[int], n: int) -> list[int]:
-    """Covectors of Wt with a positive component whose support contains the
-    support of no nonzero nonnegative covector of W, in string order. Each of
-    those is composed of nonnegative cocircuits, so testing W's nonnegative
-    cocircuits facets_w (packed as their supports) suffices."""
+def _degeneracy_candidates(om_w: OrientedMatroid, covs_exp: frozenset[int], n: int) -> list[int]:
+    """Covectors of Wt with a positive component whose support contains no
+    nonzero face of cone(W) (`face_below` is 0), in string order."""
     full = (1 << n) - 1
-
-    def has_covering_face(support: int) -> bool:
-        return any(t & ~support == 0 for t in facets_w)
-
-    return sorted((t for t in covs_exp if t & full and not has_covering_face((t | t >> n) & full)),
+    return sorted((t for t in covs_exp if t & full and not om_w.face_below((t | t >> n) & full)),
                   key=str_order(n))
 
 
@@ -408,13 +399,12 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
     n, cap = spec.n, caps.max_n_enumeration
     full = (1 << n) - 1
     om_w = spec._om(spec.coeff)
-    facets_w = om_w.nonneg_cocircuit_masks
     if om_w.cone.all_plus:
         # an all-plus coefficient covector: pointed coefficient cone with no
         # zero column, so no positive dependence at all
         return ConditionResult(HOLDS, tag, detail="all-plus coefficient covector")
     try:
-        candidates = _degeneracy_candidates(facets_w, spec._om(spec.exponents).covector_masks(cap), n)
+        candidates = _degeneracy_candidates(om_w, spec._om(spec.exponents).covector_masks(cap), n)
     except EnumerationCap as e:
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
     dependent = _positively_dependent(spec)
@@ -422,14 +412,14 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
     pairs_tried = 0
     infeasible: set[frozenset] = set()  # systems this search already found empty
     for idx, tau_t in enumerate(candidates):
-        plus, support = bits(tau_t & full), (tau_t | tau_t >> n) & full
-        if len(plus) > caps.max_blocks:
-            return ConditionResult(INCONCLUSIVE, tag, detail=(
-                f"candidate {unpack(tau_t, n)} has {len(plus)} positive components, "
-                f"above max_blocks = {caps.max_blocks}; "
-                f"{len(candidates) - idx} candidates unexplored"))
+        plus, support = tau_t & full, (tau_t | tau_t >> n) & full
         if not dependent(plus):  # blocks' kernel vectors would sum to one on plus
             continue
+        if plus.bit_count() > caps.max_blocks:
+            return ConditionResult(INCONCLUSIVE, tag, detail=(
+                f"candidate {unpack(tau_t, n)} has {plus.bit_count()} positive components, "
+                f"above max_blocks = {caps.max_blocks}; "
+                f"{len(candidates) - idx} candidates unexplored"))
         zero_rows = [(spec.exponents.column(i), Rel.EQ) for i in bits(full & ~support)]
         minus_rows = [(spec.exponents.column(i), Rel.LT) for i in bits(tau_t >> n)]
         for blocks in _ordered_partitions(plus, dependent):
@@ -438,11 +428,11 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
                 return ConditionResult(INCONCLUSIVE, tag, detail=(
                     f"max_partition_pairs = {caps.max_partition_pairs} exhausted at "
                     f"candidate {unpack(tau_t, n)} ({len(candidates) - idx} candidates unexplored)"))
-            reps = [min(b) for b in blocks]
+            reps = [(b & -b).bit_length() - 1 for b in blocks]  # lowest indices
             rows = list(zero_rows) + list(minus_rows)
             for block, rep in zip(blocks, reps):
                 rep_col = spec.exponents.column(rep)
-                for i in sorted(block):
+                for i in bits(block):
                     if i != rep:
                         rows.append((vec_sub(spec.exponents.column(i), rep_col), Rel.EQ))
             for ra, rb in zip(reps, reps[1:]):
@@ -465,8 +455,8 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
             check(evidence is not None, "candidate without covering face lacks interior evidence")
             cert_blocks = []
             for b in blocks:
-                indices = sorted(b)
-                v = om_w.vector_point(sum(1 << i for i in b), full)
+                indices = bits(b)
+                v = om_w.vector_point(b, full)
                 check(v is not None, f"block {_jidx(indices)} is a nonnegative vector of W "
                                      "but has no positive kernel vector")
                 cert_blocks.append({
@@ -486,9 +476,12 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
 
 
 def condition_iv(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
-    """Sign-vector condition sufficient for nondegeneracy (the weakest one).
-    The covectors of Wt are enumerated; the vectors of W they are tested
-    against come from W's cocircuits."""
+    """Sign-vector condition sufficient for nondegeneracy (the weakest one):
+    no covector of Wt has a positively dependent positive part P != 0 and a
+    vector of W + on its whole support. By Gordan's alternative that vector
+    exists iff `face_below` the support is 0, so iv fails at the first of
+    iii's candidates, in string order, whose P is dependent. Its dominating
+    vector is the first in string order, by `first_vector`."""
     tag = "nondegeneracy-sign-sufficient"
     spec.require_square()
     om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
@@ -498,33 +491,27 @@ def condition_iv(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResu
         return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
     n = spec.n
     full = (1 << n) - 1
-    # covectors with a positive part that is itself a nonnegative vector of W
-    dependent = sorted((t for t in covs_exp if t & full and om_w.extends(t & full, full)),
-                       key=str_order(n))
-    undominated: set[int] = set()
-    for tau_t in dependent:
-        support = (tau_t | tau_t >> n) & full
-        if support in undominated:
-            continue
-        # the first vector of W that is + on the whole support of tau_t
-        rho = om_w.first_vector(support, support)
-        if rho is None:
-            undominated.add(support)
-            continue
-        v_pi = om_w.vector_point(tau_t & full, full)
-        v_rho = om_w.vector_point(rho, full)
-        x_t = om_wt.covector_point(tau_t)
-        tau_t, rho = unpack(tau_t, n), unpack(rho, n)
-        check(v_pi is not None and v_rho is not None and x_t is not None,
-              f"covector {tau_t} or its dominating vector {rho} has no realization")
-        return ConditionResult(FAILS, tag, certificate={
-            "exponent_covector": str(tau_t),
-            "exponent_functional": _jvec(x_t),
-            "positive_dependence": _jvec(v_pi),
-            "dominating_kernel_vector": _jvec(v_rho),
-            "dominating_sign_vector": str(rho),
-        })
-    return ConditionResult(HOLDS, tag)
+    dependent = _positively_dependent(spec)
+    tau_t = min((t for t in covs_exp if t & full and dependent(t & full)
+                 and not om_w.face_below((t | t >> n) & full)), key=str_order(n), default=None)
+    if tau_t is None:
+        return ConditionResult(HOLDS, tag)
+    support = (tau_t | tau_t >> n) & full
+    rho = om_w.first_vector(support, support)
+    check(rho is not None, "a support with no face below it has no dominating vector")
+    v_pi = om_w.vector_point(tau_t & full, full)
+    v_rho = om_w.vector_point(rho, full)
+    x_t = om_wt.covector_point(tau_t)
+    tau_t, rho = unpack(tau_t, n), unpack(rho, n)
+    check(v_pi is not None and v_rho is not None and x_t is not None,
+          f"covector {tau_t} or its dominating vector {rho} has no realization")
+    return ConditionResult(FAILS, tag, certificate={
+        "exponent_covector": str(tau_t),
+        "exponent_functional": _jvec(x_t),
+        "positive_dependence": _jvec(v_pi),
+        "dominating_kernel_vector": _jvec(v_rho),
+        "dominating_sign_vector": str(rho),
+    })
 
 
 def newton_polytope_sufficient(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
@@ -548,11 +535,11 @@ def newton_polytope_sufficient(spec: ExponentialMapSpec, caps: Caps = Caps()) ->
     dependent = _positively_dependent(spec)
     full = (1 << n) - 1
     # lifted faces that are + at the origin (bit n), by their zero sets
-    positive_faces = sorted(bits(z) for z in {full & ~t for t in lifted_faces if t >> n} - {0})
+    positive_faces = sorted({full & ~t for t in lifted_faces if t >> n} - {0}, key=bits)
     for I in positive_faces:
         if dependent(I):
             return ConditionResult(INCONCLUSIVE, tag, detail=(
-                f"positive face {{{','.join(str(i + 1) for i in I)}}} is positively dependent"))
+                f"positive face {{{','.join(str(i + 1) for i in bits(I))}}} is positively dependent"))
     return ConditionResult(HOLDS, tag, detail=f"{len(positive_faces)} positive faces checked")
 
 

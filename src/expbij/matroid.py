@@ -328,6 +328,16 @@ class OrientedMatroid:
         n = self.W.cols
         return frozenset(c for c in self.cocircuit_masks if not c >> n)
 
+    def face_below(self, A: int) -> int:
+        """The largest face of cone(columns) inside the index mask A, packed:
+        the OR of the facets inside A. By Gordan's alternative it is 0 iff a
+        vector of ker W is + on all of A (first_vector(A, A) is not None)."""
+        face = 0
+        for t in self.nonneg_cocircuit_masks:
+            if t & ~A == 0:
+                face |= t
+        return face
+
     @cached_property
     def circuit_masks(self) -> frozenset[int]:
         """Minimal-support sign vectors of ker W, packed, by Cramer's rule: for
@@ -403,24 +413,24 @@ class OrientedMatroid:
     def cone(self) -> Cone:
         """Read off the facets F and the cocircuits; nothing is enumerated, so
         no cap applies. Every nonzero face is the OR of the facets below it:
-        the cone is the full space iff F is empty, and the OR of F is the
-        largest face, all + iff the lineality space, spanned by the columns
-        off it, is zero. The rank of a column set L is the largest |I & L|
-        over the bases I, the d-sets with a nonzero minor; the zero columns
-        are in no cocircuit's support. Robustly generated: d = 1, the full
-        space, or no zero column and each column interior (+ on every facet)
-        or alone on an extreme ray (the OR of the facets zero at it, the
-        largest face zero there, is zero nowhere else)."""
+        the cone is the full space iff F is empty, and face_below(full), the
+        OR of F, is the largest face, all + iff the lineality space, spanned
+        by the columns off it, is zero. The rank of a column set L is the
+        largest |I & L| over the bases I, the d-sets with a nonzero minor; the
+        zero columns are in no cocircuit's support. Robustly generated: d = 1,
+        the full space, or no zero column and each column interior (+ on
+        every facet) or alone on an extreme ray (the largest face zero at it
+        is zero nowhere else)."""
         d, n = self.W.rows, self.W.cols
         full = (1 << n) - 1
         facets = self.nonneg_cocircuit_masks
-        lineality = full & ~reduce(or_, facets, 0)
+        lineality = full & ~self.face_below(full)
         lineality_dim = max(sum(lineality >> i & 1 for i in I)
                             for I, s in self.minor_signs.items() if s) if lineality else 0
         zero_columns = bits(full & ~reduce(or_, self.cocircuit_masks, 0))
         interior = reduce(and_, facets, full)
         robust = d == 1 or not facets or not zero_columns and all(
-            interior >> i & 1 or reduce(or_, (t for t in facets if not t >> i & 1), 0) == full ^ 1 << i
+            interior >> i & 1 or self.face_below(full ^ 1 << i) == full ^ 1 << i
             for i in range(n))
         return Cone(n=n, d=self.d, pointed=lineality_dim == 0, lineality_dim=lineality_dim,
                     robustly_generated=robust, full_space=not facets, all_plus=not lineality,

@@ -8,7 +8,9 @@ embedded in it, without re-running any search. From the matrices' two tables
 of minor signs it decides sign_sets_equal, the facets that ii must cover, and
 every minor-form verdict and certificate by the analyzer's own rule,
 `minor_form`, one scan per form; from the facets of the two cones it decides
-robust_coefficients' verdict and reason by the analyzer's `cone_form`.
+robust_coefficients' verdict and reason by the analyzer's `cone_form`. The
+`cones` block must equal the face lattices of the two matrices up to the
+report's n cap, and be null past it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 from functools import cache
 
 from . import __version__
-from .analyzer import FAILS, HOLDS, INCONCLUSIVE, AnalysisReport, _classify, cone_form, minor_form
+from .analyzer import FAILS, HOLDS, INCONCLUSIVE, AnalysisReport, _classify, _cone_json, cone_form, minor_form
 from .linalg import InputError, RationalMatrix, dot, frac, kernel_basis, vec
 from .matroid import OrientedMatroid
 from .signs import SignSet, SignVector, sign_of
@@ -85,6 +87,11 @@ def _verify(report: dict):
     conditions = report["conditions"]
     _need(report["sign_sets_equal"] is om_w.chirotope.equal_up_to_sign(om_wt.chirotope),
           "sign_sets_equal disagrees with the minor signs")
+    # the cones are enumerated, so only up to the report's cap
+    cap = report["caps"]["max_n_enumeration"]
+    _need(report["cones"] == {side: _cone_json(om.face_lattice(cap)) if W.cols <= cap else None
+                              for side, om in (("coeff", om_w), ("exp", om_wt))},
+          "cones disagree with the matrices")
     form = cache(lambda key: minor_form(key, om_w.minor_signs, om_wt.minor_signs))
     facets = SignSet(om_wt.nonneg_cocircuit_masks, Wt.cols).strings()  # of cone(Wt)
     kernel = cache(kernel_basis)  # each basis built once, if a certificate needs it
@@ -157,7 +164,7 @@ def _verify(report: dict):
         elif key == "robust_coefficients":
             # the facets decide every reason; only a separating face takes the cap
             want, reason = cone_form(form("cc_prime")[0], om_w, om_wt)
-            capped = reason == "face-sets-differ" and W.cols > report["caps"]["max_n_enumeration"]
+            capped = reason == "face-sets-differ" and W.cols > cap
             _need(verdict == want or verdict == INCONCLUSIVE and capped,
                   "robust_coefficients disagrees with the facets")
             if verdict == FAILS:

@@ -14,7 +14,8 @@ Run as `PYTHONPATH=src python tests/scale_smoke.py FAMILY`, FAMILY one of
 - `matroid`: `expbij matroid covectors` on a seeded (n, d) = (12, 6) matrix,
   whose output must have one line per covector, in string order.
 Seeded entries come from one `random.Random(7)` in [-3, 3]. The n cap is 16,
-and for the sums the block cap is 16 too; for the big sum the n cap is 18.
+and the sums keep the default block cap of 8; for the big sum the n cap is
+18 and the block cap 16.
 Every analysis must be decided and its report must verify, and the
 `matroid` output must pass its checks, else the exit status is 1. So must
 `robust_coefficients` wherever the two cones have the same facets: only a
@@ -44,7 +45,7 @@ from expbij.report import build_report, verify_certificate
 from test_analyzer import EX1, EX2, FACE_GAP, _random_full_rank, direct_sum, run_python, sv_example
 from test_cli import ABOVE_CAP_CONES
 
-SUM_CAPS = Caps(max_n_enumeration=16, max_blocks=16)
+SUM_CAPS = Caps(max_n_enumeration=16)
 BIG_SUM_CAPS = Caps(max_n_enumeration=18, max_blocks=16)
 
 

@@ -4,7 +4,8 @@ The package keeps sign sets as packed ints; most of these work on
 `SignVector` objects by their definitions, with no packing, so the packed
 code can be checked against them. `conformal_decompose` and `is_uniform`
 read an `OrientedMatroid` instead: the package itself needs neither.
-`minor_verdicts` states the four maximal-minor rules on the Fraction minors.
+`minor_verdicts` states the four maximal-minor rules on the Fraction minors,
+and `ordered_partitions_of_elements` the iii search's partitions on tuples.
 `cone_flags_from_faces` reads the cone flags off the enumerated faces, and
 `subspace_contains` and `same_subspace` test subspaces by rank.
 """
@@ -139,6 +140,24 @@ def cone_flags_from_faces(om, cap: int = 12) -> tuple[bool, bool, bool]:
     extreme = {full & ~t for t in nonzero}
     interior = reduce(and_, nonzero, full)
     return full_space, all_plus, all(1 << i in extreme or interior >> i & 1 for i in range(n))
+
+
+def ordered_partitions_of_elements(elements: tuple[int, ...], admissible):
+    """Ordered partitions of the element set into admissible blocks, each a
+    frozenset: the first block runs over the subsets of the sorted elements
+    in the order of their bit patterns."""
+    if not elements:
+        yield ()
+        return
+    elems = tuple(sorted(elements))
+    k = len(elems)
+    for mask in range(1, 1 << k):
+        block = frozenset(elems[i] for i in range(k) if mask >> i & 1)
+        if not admissible(block):
+            continue
+        rest = tuple(e for e in elems if e not in block)
+        for tail in ordered_partitions_of_elements(rest, admissible):
+            yield (block,) + tail
 
 
 def is_uniform(om) -> bool:

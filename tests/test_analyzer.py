@@ -66,7 +66,14 @@ from expbij.signs import (
     str_order,
     unpack,
 )
-from sign_oracles import closure_excluded, column_submatrix, is_uniform, minor_verdicts, nonneg_part
+from sign_oracles import (
+    closure_excluded,
+    column_submatrix,
+    is_uniform,
+    minor_verdicts,
+    nonneg_part,
+    ordered_partitions_of_elements,
+)
 
 M = RationalMatrix
 S = SignVector.from_string
@@ -456,6 +463,22 @@ def test_iii_shortcuts_agree_with_exact_search_on_random_corpus():
     assert settled >= 100
 
 
+def test_mask_partitions_follow_the_tuple_order():
+    # the first block runs over the submasks in increasing order, as the
+    # tuple version ran over the subsets of the sorted elements: depositing
+    # the bits of a counter into the mask keeps its order
+    rng = random.Random(1729)
+    admit = {m for m in range(1, 1 << 8) if rng.random() < 0.4}
+    total = 0
+    for mask in range(1 << 8):
+        got = [tuple(bits(b) for b in p) for p in _ordered_partitions(mask, admit.__contains__)]
+        want = [tuple(tuple(sorted(b)) for b in p) for p in ordered_partitions_of_elements(
+            bits(mask), lambda b: sum(1 << i for i in b) in admit)]
+        assert got == want, mask
+        total += len(got)
+    assert total >= 1000, total
+
+
 def test_iii_skips_only_candidates_without_partitions():
     # condition_iii_exact skips a candidate whose positive part is not
     # positively dependent; _ordered_partitions must yield nothing for it
@@ -464,9 +487,8 @@ def test_iii_skips_only_candidates_without_partitions():
         om_w = spec._om(spec.coeff)
         full = (1 << spec.n) - 1
         dependent = _positively_dependent(spec)
-        for tau_t in _degeneracy_candidates(om_w.nonneg_cocircuit_masks,
-                                            spec._om(spec.exponents).covector_masks(12), spec.n):
-            plus = bits(tau_t & full)
+        for tau_t in _degeneracy_candidates(om_w, spec._om(spec.exponents).covector_masks(12), spec.n):
+            plus = tau_t & full
             if dependent(plus):
                 searched += 1
             else:
@@ -517,7 +539,7 @@ def test_packed_picks_match_signvector_oracle_on_random_corpus():
             assert (None if cert is None else cert["excluded_sign_vector"]) == (
                 None if want[key] is None else str(want[key]))
         om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
-        candidates = _degeneracy_candidates(om_w.nonneg_cocircuit_masks, om_wt.covector_masks(), spec.n)
+        candidates = _degeneracy_candidates(om_w, om_wt.covector_masks(), spec.n)
         assert [unpack(t, spec.n) for t in candidates] == want["iii"]
         seen.update(k for k, v in want.items() if v)
         seen["iii order"] += len(want["iii"]) > 1
@@ -659,6 +681,22 @@ def test_iv_dominating_vector_matches_sorted_closure():
             want = next((r for r in by_order if support & ~r == 0), None)
             assert om_w.first_vector(support, support) == want, (spec.coeff, spec.exponents)
             seen[want is None] += 1
+    assert seen[True] and seen[False], seen
+
+
+def test_face_below_is_the_largest_face_and_decides_first_vector():
+    # Gordan's alternative, on which iv's failure test rests: no face of
+    # cone(W) lies inside A iff a vector of W is + on all of A; face_below(A)
+    # is the largest of the enumerated faces inside A
+    seen = Counter()
+    for spec in _corpus(200) + _zero_heavy_corpus(100):
+        for om in (spec._om(spec.coeff), spec._om(spec.exponents)):
+            faces = om.nonneg_covector_masks()
+            for A in range(1 << spec.n):
+                face = om.face_below(A)
+                assert face in faces and all(f & ~face == 0 for f in faces if f & ~A == 0), (om.W, A)
+                assert (face == 0) == (om.first_vector(A, A) is not None), (om.W, A)
+                seen[face == 0] += 1
     assert seen[True] and seen[False], seen
 
 

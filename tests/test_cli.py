@@ -697,6 +697,27 @@ def test_verify_certificate_checks_the_separating_face():
         assert verify_certificate(report) is False, face
 
 
+def test_verify_certificate_checks_the_cones():
+    # the cones block is the two face lattices up to the report's n cap and
+    # null past it: a flipped all-plus flag, a dropped face or a lattice past
+    # the cap is rejected
+    rejected = Counter()
+    for text in _corpus_reports():
+        report = json.loads(text)
+        cone = report["cones"]["coeff"]
+        cone["all_plus_covector"] = not cone["all_plus_covector"]
+        rejected["all_plus_covector"] += verify_certificate(report) is False
+        report = json.loads(text)
+        del report["cones"]["exp"]["faces"][0]
+        rejected["faces"] += verify_certificate(report) is False
+    assert rejected == {"all_plus_covector": 150, "faces": 150}, rejected
+    spec = ABOVE_CAP_CONES["moment curve, n = 13"][0]()
+    report = build_report(analyze(spec), {})
+    assert verify_certificate(report)
+    report["cones"] = build_report(analyze(spec, Caps(max_n_enumeration=13)), {})["cones"]
+    assert verify_certificate(report) is False
+
+
 @pytest.mark.parametrize("example, verdict", [("NONINJ", "fails"), ("EX1", "holds")])
 def test_verify_certificate_reads_minor_form_of_capped_i(example, verdict):
     # with the sign form of i capped, i carries the minor-form certificate
