@@ -6,9 +6,11 @@ That table is the chirotope; the cocircuits are read off the chirotope on
 (d-1)-subsets, and the circuits on (d+1)-subsets by Cramer's rule. The full
 covector set is the sign vectors orthogonal to every circuit, and the full
 vector set those orthogonal to every cocircuit; `_orthogonal_masks` builds
-either in one pass over the columns. The faces of the cone spanned by the
-columns are the nonnegative covectors, which the same pass builds when it
-allows only + at every position, but only to print them: the facets, the
+either in one pass over the columns. Both are closed under negation, so the
+pass builds only the members whose first nonzero sign is + and adds their
+negatives at the end. The faces of the cone spanned by the columns are the
+nonnegative covectors, which the same pass builds when it allows only + at
+every position, but only to print them: the facets, the
 nonnegative cocircuits, decide every flag of the cone (`cone`) and whether
 two cones have the same faces. Every sign set the module enumerates comes
 from that one routine; the matrix is read only to build the minor table and
@@ -45,7 +47,6 @@ from .linalg import (
     check,
     kernel_basis,
     maximal_minor_signs,
-    rank,
 )
 from .lp import realize_conformal_covector, realize_kernel_sign, realize_sign_vector, unit_vectors
 from .signs import (
@@ -157,8 +158,17 @@ def _orthogonal_masks(gens, n: int, allowed: int) -> frozenset[int]:
     product (P) and with a - product (N). At position k only the generators
     whose support ends there and are not in P & N can forbid a sign; the
     lowest of them fixes it: 0 when x does not meet it yet, else the sign
-    whose product at k is the missing one."""
+    whose product at k is the missing one.
+
+    The zero prefix meets no generator, so it stays zero wherever a
+    generator ends and may leave zero only where none does; it is kept
+    outside the node list. When `allowed` is closed under negation, so is
+    the result (X is orthogonal to Y iff -X is), and the pass builds only
+    the prefixes whose first nonzero sign is +, then adds their negatives.
+    Distinct prefixes end in distinct sign vectors, so the members are
+    collected in a list and frozen once."""
     full = (1 << n) - 1
+    symmetric = allowed & full == allowed >> n
     pos, neg, ends = [0] * n, [0] * n, [0] * n
     reps = (g for g in gens if g < (g >> n | (g & full) << n))
     for i, g in enumerate(reps):
@@ -168,7 +178,7 @@ def _orthogonal_masks(gens, n: int, allowed: int) -> frozenset[int]:
         for j in bits(g >> n):
             neg[j] |= b
         ends[((g | g >> n) & full).bit_length() - 1] |= b
-    nodes = [(0, 0, 0)]
+    nodes = []
     for k in range(n - 1):
         p, m, e, bp, bm = pos[k], neg[k], ends[k], 1 << k, 1 << k + n
         plus_ok, minus_ok = allowed & bp, allowed & bm
@@ -191,24 +201,42 @@ def _orthogonal_masks(gens, n: int, allowed: int) -> frozenset[int]:
                     add((x | bp, P | p, N | m))
             elif minus_ok:
                 add((x | bm, P | m, N | p))
+        if not e:  # the zero prefix leaves zero
+            if plus_ok:
+                add((bp, p, m))
+            if minus_ok and not symmetric:
+                add((bm, m, p))
         nodes = children
     # the same step at the last position, where only the signs are kept
     p, m, e, bp, bm = pos[-1], neg[-1], ends[-1], 1 << n - 1, 1 << 2 * n - 1
     bp, bm = allowed & bp, allowed & bm  # a sign that is not allowed adds nothing
-    out: set[int] = set()
+    out = []
+    add = out.append
     for x, P, N in nodes:
         g = e & ~(P & N)
         if not g:
-            out.update((x, x | bp, x | bm))
+            add(x)
+            if bp:
+                add(x | bp)
+            if bm:
+                add(x | bm)
             continue
         g &= -g
         if not g & (P | N):
-            out.add(x)
+            add(x)
         elif g & (P & m | N & p):
             if bp:
-                out.add(x | bp)
+                add(x | bp)
         elif bm:
-            out.add(x | bm)
+            add(x | bm)
+    if not e:
+        if bp:
+            add(bp)
+        if bm and not symmetric:
+            add(bm)
+    if symmetric:
+        out += [x >> n | (x & full) << n for x in out]
+    out.append(0)
     return frozenset(out)
 
 
@@ -458,10 +486,12 @@ def oriented_matroid(M: RationalMatrix) -> OrientedMatroid:
 
 
 def chirotope(W: RationalMatrix) -> Chirotope:
+    """The chirotope of a full-rank W; the rank is that of the row basis the
+    OrientedMatroid builds, so W is eliminated once."""
     d, n = W.rows, W.cols
     if d > n:
         raise InputError("chirotope needs d <= n")
-    if rank(W) < d:
+    if not any(any(row) for row in W.row_tuples) or oriented_matroid(W).W.rows < d:
         raise InputError("chirotope needs a full-rank configuration")
     return oriented_matroid(W).chirotope
 

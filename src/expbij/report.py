@@ -95,6 +95,14 @@ def _verify(report: dict):
     form = cache(lambda key: minor_form(key, om_w.minor_signs, om_wt.minor_signs))
     facets = SignSet(om_wt.nonneg_cocircuit_masks, Wt.cols).strings()  # of cone(Wt)
     kernel = cache(kernel_basis)  # each basis built once, if a certificate needs it
+    passed = set()  # closure certificates checked in this call, by direction and JSON
+
+    def closure_cert(key, cert):
+        # robust_exponents and robust_coefficients embed cc's and cc_prime's certificate
+        token = key, json.dumps(cert, sort_keys=True)
+        if token not in passed:
+            _verify_closure_cert(W, Wt, kernel, key, cert)
+            passed.add(token)
 
     for key, entry in conditions.items():
         cert = entry.get("certificate")
@@ -120,7 +128,7 @@ def _verify(report: dict):
         elif key == "robust_exponents":
             _need(cert["minor_form"] == want_cert, "minor certificate is not the table's")
             if verdict == FAILS:
-                _verify_closure_cert(W, Wt, kernel, "cc", cert["closure_form"])
+                closure_cert("cc", cert["closure_form"])
         elif key == "ii" and verdict == FAILS:
             _need(cert["uncovered_face"] in facets, "uncovered face is not a facet")
             tau_t = _sv(cert["uncovered_face"])
@@ -160,7 +168,7 @@ def _verify(report: dict):
             _need(sign_of(u) == _sv(cert["dominating_sign_vector"]), "dominating sign mismatch")
             _need(all(u[i] > 0 for i in tau_t.support_set()), "dominating vector not positive on support")
         elif key in ("cc", "cc_prime") and verdict == FAILS:
-            _verify_closure_cert(W, Wt, kernel, key, cert)
+            closure_cert(key, cert)
         elif key == "robust_coefficients":
             # the facets decide every reason; only a separating face takes the cap
             want, reason = cone_form(form("cc_prime")[0], om_w, om_wt)
@@ -170,7 +178,7 @@ def _verify(report: dict):
             if verdict == FAILS:
                 _need(cert["reason"] == reason, "robust_coefficients names the wrong reason")
                 if reason == "reversed-closure-fails":
-                    _verify_closure_cert(W, Wt, kernel, "cc_prime", cert["closure_form"])
+                    closure_cert("cc_prime", cert["closure_form"])
                 elif reason == "face-sets-differ":
                     faces = [set(report["cones"][side]["faces"]) for side in ("coeff", "exp")]
                     _need(cert["separating_face"] in faces[0] ^ faces[1],

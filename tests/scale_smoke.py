@@ -12,7 +12,9 @@ Run as `PYTHONPATH=src python tests/scale_smoke.py FAMILY`, FAMILY one of
 - `cones`: the pairs of `test_cli.ABOVE_CAP_CONES`, n = 13 to 20, at the
   default caps, where `robust_coefficients` is read off the facets;
 - `matroid`: `expbij matroid covectors` on a seeded (n, d) = (12, 6) matrix,
-  whose output must have one line per covector, in string order.
+  whose output must have one line per covector, in string order; the
+  covectors and vectors of it and of a seeded (14, 7) matrix must equal
+  those of the whole prefix tree (`sign_oracles.orthogonal_masks_tree`).
 Seeded entries come from one `random.Random(7)` in [-3, 3]. The n cap is 16,
 and the sums keep the default block cap of 8; for the big sum the n cap is
 18 and the block cap 16.
@@ -29,6 +31,7 @@ import json
 import random
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,8 +43,9 @@ from expbij.analyzer import (
     ExponentialMapSpec,
     analyze,
 )
-from expbij.matroid import OrientedMatroid, covectors
+from expbij.matroid import OrientedMatroid, _orthogonal_masks, covectors
 from expbij.report import build_report, verify_certificate
+from sign_oracles import orthogonal_masks_tree
 from test_analyzer import EX1, EX2, FACE_GAP, _random_full_rank, direct_sum, run_python, sv_example
 from test_cli import ABOVE_CAP_CONES
 
@@ -78,8 +82,11 @@ def big_sum():
 
 
 def matroid_covectors():
-    """The problems with `expbij matroid covectors` on a seeded (12, 6) matrix."""
-    W = _random_full_rank(random.Random(7), 6, 12)
+    """The problems with `expbij matroid covectors` on a seeded (12, 6) matrix,
+    and with the covectors and vectors of it and of a seeded (14, 7) matrix,
+    which must equal those of the whole prefix tree."""
+    rng = random.Random(7)
+    W = _random_full_rank(rng, 6, 12)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "W.json"
         path.write_text(json.dumps(W.to_json_dict()))
@@ -93,6 +100,17 @@ def matroid_covectors():
         problems.append(f"{len(covectors(W))} covectors")
     if lines != sorted(lines):
         problems.append("the lines are not in string order")
+    for M in (W, _random_full_rank(rng, 7, 14)):
+        om, n = OrientedMatroid(M), M.cols
+        for what, gens in (("covectors", om.circuit_masks), ("vectors", om.cocircuit_masks)):
+            start = time.perf_counter()
+            got = _orthogonal_masks(gens, n, (1 << 2 * n) - 1)
+            mid = time.perf_counter()
+            same = got == orthogonal_masks_tree(gens, n, (1 << 2 * n) - 1)
+            print(f"{what} at ({n}, {M.rows}): {len(got)}, {mid - start:.2f} s; "
+                  f"the tree {'agrees' if same else 'DISAGREES'}, {time.perf_counter() - mid:.2f} s")
+            if not same:
+                problems.append(f"{what} at ({n}, {M.rows}) differ from the tree's")
     return problems
 
 

@@ -6,8 +6,10 @@ code can be checked against them. `conformal_decompose` and `is_uniform`
 read an `OrientedMatroid` instead: the package itself needs neither.
 `minor_verdicts` states the four maximal-minor rules on the Fraction minors,
 and `ordered_partitions_of_elements` the iii search's partitions on tuples.
-`cone_flags_from_faces` reads the cone flags off the enumerated faces, and
-`subspace_contains` and `same_subspace` test subspaces by rank.
+`orthogonal_masks_tree` builds a sign set from the whole prefix tree, both
+halves of a set closed under negation. `cone_flags_from_faces` reads the
+cone flags off the enumerated faces, and `subspace_contains` and
+`same_subspace` test subspaces by rank.
 """
 
 from fractions import Fraction
@@ -203,3 +205,66 @@ def conformal_decompose(M, tau: SignVector) -> list[SignVector]:
     composed = reduce(or_, out)
     check(composed == target, f"circuits of {tau} compose to {unpack(composed, n)}")
     return [unpack(rho, n) for rho in out]
+
+
+def orthogonal_masks_tree(gens, n: int, allowed: int) -> frozenset[int]:
+    """The packed sign vectors of length n orthogonal to all of gens whose
+    nonzero signs lie in `allowed`, by the whole prefix tree: both halves of
+    a set closed under negation are built, and every member is put into a
+    set as it is found. A node (x, P, N) is a prefix x with the generators,
+    one per opposite pair, that it meets with a + product (P) and with a -
+    product (N); at position k the lowest generator that ends there and is
+    not in P & N fixes the sign, and with no such generator all three signs
+    extend x."""
+    full = (1 << n) - 1
+    pos, neg, ends = [0] * n, [0] * n, [0] * n
+    reps = (g for g in gens if g < (g >> n | (g & full) << n))
+    for i, g in enumerate(reps):
+        b = 1 << i
+        for j in bits(g & full):
+            pos[j] |= b
+        for j in bits(g >> n):
+            neg[j] |= b
+        ends[((g | g >> n) & full).bit_length() - 1] |= b
+    nodes = [(0, 0, 0)]
+    for k in range(n - 1):
+        p, m, e, bp, bm = pos[k], neg[k], ends[k], 1 << k, 1 << k + n
+        plus_ok, minus_ok = allowed & bp, allowed & bm
+        children = []
+        add = children.append
+        for x, P, N in nodes:
+            g = e & ~(P & N)
+            if not g:
+                add((x, P, N))
+                if plus_ok:
+                    add((x | bp, P | p, N | m))
+                if minus_ok:
+                    add((x | bm, P | m, N | p))
+                continue
+            g &= -g
+            if not g & (P | N):
+                add((x, P, N))
+            elif g & (P & m | N & p):
+                if plus_ok:
+                    add((x | bp, P | p, N | m))
+            elif minus_ok:
+                add((x | bm, P | m, N | p))
+        nodes = children
+    # the same step at the last position, where only the signs are kept
+    p, m, e, bp, bm = pos[-1], neg[-1], ends[-1], 1 << n - 1, 1 << 2 * n - 1
+    bp, bm = allowed & bp, allowed & bm  # a sign that is not allowed adds nothing
+    out: set[int] = set()
+    for x, P, N in nodes:
+        g = e & ~(P & N)
+        if not g:
+            out.update((x, x | bp, x | bm))
+            continue
+        g &= -g
+        if not g & (P | N):
+            out.add(x)
+        elif g & (P & m | N & p):
+            if bp:
+                out.add(x | bp)
+        elif bm:
+            out.add(x | bm)
+    return frozenset(out)

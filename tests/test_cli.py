@@ -190,6 +190,18 @@ def test_matroid_subcommand(tmp_path, capsys):
     assert set(out) == {"00", "+0", "0+", "++"}
 
 
+@pytest.mark.parametrize("entries, problem", [
+    ([[0, 0, 0]], "a full-rank configuration"),
+    ([[0, 0, 0], [0, 0, 0]], "a full-rank configuration"),
+    ([[1, 2, 3], [2, 4, 6]], "a full-rank configuration"),
+    ([[1, 0, 1, 2], [0, 1, 1, 0], [1, 1, 2, 2]], "a full-rank configuration"),
+    ([[1, 2], [2, 4], [0, 1]], "d <= n"),
+])
+def test_matroid_chirotope_rejects_rank_deficient_input(tmp_path, capsys, entries, problem):
+    assert main(["matroid", "chirotope", write_json(tmp_path, "M.json", matrix_json(entries))]) == 1
+    assert capsys.readouterr().err == f"error: chirotope needs {problem}\n"
+
+
 @pytest.mark.parametrize("entries", [[[1, 0, -1], [0, 1, -1]], [[1, "1/2", 0, -2]],
                                      [[1, 1, 0, 2], [2, 2, 1, 0], [3, 3, 1, 2]]])
 def test_matroid_vectors_subcommand(tmp_path, capsys, entries):
@@ -388,6 +400,8 @@ VERIFY_EXAMPLES = {
     # robust_coefficients fails with face-sets-differ, then cone-not-robustly-generated
     "FACES_DIFFER": ([[-1, -1, 0, 2], [-2, -1, -1, -2]], [[2, 1, 2, 1], [-2, 1, -2, -1]]),
     "NOT_ROBUSTLY_GENERATED": ([[1, 1, 1], [-2, -2, 1]], [[-2, -2, 2], [-2, -2, -1]]),
+    # cc and cc_prime fail, and both robust forms embed their closure certificates
+    "FOUR_CLOSURES": ([[1, 1, 1]], [[1, 1, -1]]),
 }
 
 
@@ -751,7 +765,8 @@ def test_verify_certificate_computes_each_minor_table_once(monkeypatch):
 def test_verify_certificate_computes_each_kernel_basis_once(monkeypatch):
     # four closure certificates (cc, cc_prime and the closure forms of both
     # robustness conditions) over the report's two matrices
-    spec = ExponentialMapSpec(RationalMatrix([[1, 1, 1]]), RationalMatrix([[1, 1, -1]]))
+    W, Wt = VERIFY_EXAMPLES["FOUR_CLOSURES"]
+    spec = ExponentialMapSpec(RationalMatrix(W), RationalMatrix(Wt))
     report = json.loads(canonical_json(build_report(analyze(spec), {})))
     conditions = report["conditions"]
     assert conditions["cc"]["verdict"] == conditions["cc_prime"]["verdict"] == "fails"
@@ -762,6 +777,29 @@ def test_verify_certificate_computes_each_kernel_basis_once(monkeypatch):
                         lambda M: calls.append(M) or kernel_basis(M))
     assert verify_certificate(report)
     assert len(calls) == 2 and calls[0] != calls[1]
+
+
+@pytest.mark.parametrize("key, own", [("robust_exponents", "cc"), ("robust_coefficients", "cc_prime")])
+def test_verify_certificate_checks_each_distinct_closure_certificate(monkeypatch, key, own):
+    # the embedded closure_form equals its condition's certificate and is
+    # checked once per report; a copy made invalid differs, so it is checked
+    # and rejected while the condition's own copy stays intact, and so is the
+    # other way round. A scaled witness is still a valid certificate.
+    W, Wt = VERIFY_EXAMPLES["FOUR_CLOSURES"]
+    text = canonical_json(build_report(analyze(ExponentialMapSpec(RationalMatrix(W), RationalMatrix(Wt))), {}))
+    report = json.loads(text)
+    assert report["conditions"][key]["certificate"]["closure_form"] == report["conditions"][own]["certificate"]
+    calls = []
+    checked = expbij.report._verify_closure_cert
+    monkeypatch.setattr(expbij.report, "_verify_closure_cert", lambda *a: calls.append(a[3]) or checked(*a))
+    assert verify_certificate(report)
+    assert sorted(calls) == ["cc", "cc_prime"]
+    for tampered, scale in ((key, -1), (own, -1), (key, 2), (own, 2)):
+        forged = json.loads(text)
+        cert = forged["conditions"][tampered]["certificate"]
+        cert = cert.get("closure_form", cert)
+        cert["orthogonal_witness"] = [str(scale * Fraction(x)) for x in cert["orthogonal_witness"]]
+        assert verify_certificate(forged) is (scale > 0), (tampered, scale)
 
 
 def test_internal_inconsistency_exit_three(tmp_path, monkeypatch, capsys):

@@ -54,6 +54,7 @@ from sign_oracles import (
     conformal_decompose,
     is_uniform,
     nonneg_part,
+    orthogonal_masks_tree,
     orthogonal_set,
     subspace_contains,
 )
@@ -272,8 +273,11 @@ def test_orthogonal_masks_match_composition_closure():
     composition closure of the cocircuits and are orthogonal to the circuits,
     and the vectors the other way round. Restricted to +, it gives the
     nonnegative covectors, each the composition of the nonnegative cocircuits
-    conformal to it."""
-    rng = random.Random(57721)
+    conformal to it. It also equals the whole prefix tree for circuits and
+    cocircuits as generators under masks that allow every sign, + only, -
+    only, a random set of signs closed under negation and any random set; a
+    mask closed under negation gives a set closed under negation."""
+    rng, masks = random.Random(57721), random.Random(16180)
     kinds = Counter()
     for _ in range(120):
         n = rng.randint(1, 9)
@@ -296,14 +300,22 @@ def test_orthogonal_masks_match_composition_closure():
             bin((c | c >> n) & full).count("1") == 1 for c in om.cocircuit_masks)
         kinds["no circuits"] += not om.circuit_masks
         kinds["n = 9"] += n == 9
+        kinds["n = 1"] += n == 1
         every = (1 << 2 * n) - 1
         assert _orthogonal_masks(om.circuit_masks, n, every) == composition_closure(om.cocircuit_masks, n), W
         assert _orthogonal_masks(om.cocircuit_masks, n, every) == composition_closure(om.circuit_masks, n), W
         # only + allowed: the nonnegative covectors, composed of the nonnegative cocircuits
         assert _orthogonal_masks(om.circuit_masks, n, full) == composition_closure(
             om.nonneg_cocircuit_masks, n), W
+        half = masks.getrandbits(n)
+        for allowed in (every, full, full << n, half | half << n, masks.getrandbits(2 * n)):
+            for gens in (om.circuit_masks, om.cocircuit_masks):
+                got = _orthogonal_masks(gens, n, allowed)
+                assert got == orthogonal_masks_tree(gens, n, allowed), (W, allowed)
+                if allowed & full == allowed >> n:
+                    assert {x >> n | (x & full) << n for x in got} == got, (W, allowed)
     assert all(kinds[k] >= 5 for k in ("rank-deficient", "zero column", "coloop", "no circuits",
-                                       "n = 9")), kinds
+                                       "n = 9", "n = 1")), kinds
 
 
 def _oracle_matrices(count):
