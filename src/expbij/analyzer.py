@@ -131,9 +131,11 @@ class ExponentialMapSpec:
         """Replace both matrices by the canonical representatives of their kernels,
         so that every downstream verdict and certificate depends only on the
         subspace pair (ker W, ker Wt). For a full-row-rank matrix that
-        representative is its reduced row echelon form."""
-        return ExponentialMapSpec(RationalMatrix(rref(self.coeff)[0]),
-                                  RationalMatrix(rref(self.exponents)[0]))
+        representative is its reduced row echelon form. Equal forms give one
+        matrix object for both sides, so that `_om` finds it by identity."""
+        W = RationalMatrix(rref(self.coeff)[0])
+        rows = rref(self.exponents)[0]
+        return ExponentialMapSpec(W, W if rows == W.row_tuples else RationalMatrix(rows))
 
     def __eq__(self, other):
         return (isinstance(other, ExponentialMapSpec)

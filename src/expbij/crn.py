@@ -1,7 +1,9 @@
 """Reaction-network front-end: generalized mass-action networks, their
 structural data (complex matrices, incidence, Laplacian, deficiencies, weak
 reversibility), and the deficiency-zero criteria, delegating the subspace
-analysis to the map analyzer.
+analysis to the map analyzer. The subspaces are computed on int rows: one
+integer echelon per subspace, and the deficiency's cross-check on the integer
+kernel of the complex matrix.
 
 A network is a digraph whose vertices carry a stoichiometric complex y(i) >= 0
 and a kinetic-order complex yt(i) (any rationals); under plain mass-action
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .analyzer import (
     AnalysisReport,
@@ -32,16 +35,20 @@ from .linalg import (
     RationalMatrix,
     SubspaceBasis,
     Vec,
+    _ONE,
+    _ZERO,
+    _fraction_rows,
+    _int_rows,
+    _kernel_ints,
+    _rref_ints,
     check,
     frac,
-    intersection_dim,
-    kernel_basis,
     matrix_with_kernel,
-    row_space_basis,
-    vec_sub,
 )
 
 NOT_APPLICABLE = "criteria-not-applicable"
+
+_MINUS_ONE = -_ONE
 
 
 class NetworkError(InputError):
@@ -78,21 +85,30 @@ class GeneralizedNetwork:
         return {}
 
 
-def _parse_complex(side: dict, species_index: dict[str, int], field: str, nonneg: bool) -> Vec:
+def _parse_complex(side: dict, species_index: dict[str, int], field: str,
+                   nonneg: bool) -> tuple[Vec, tuple[tuple[int, int, int], ...]] | None:
+    """The complex `field` of a reaction side as a Fraction vector and as its
+    key: the (species, numerator, denominator) triples of its nonzero amounts,
+    in species order. Two complexes are equal iff their keys are."""
     table = side.get(field)
     if table is None:
         return None
     if not isinstance(table, dict):
         raise NetworkError(f'"{field}" must map species names to rational amounts')
-    out = [Fraction(0)] * len(species_index)
+    out = [_ZERO] * len(species_index)
+    key = []
     for name, amount in table.items():
         if name not in species_index:
             raise NetworkError(f"species {name!r} is not declared")
         value = frac(amount)
-        if nonneg and value < 0:
+        if nonneg and value.numerator < 0:
             raise NetworkError(f"stoichiometric coefficient of {name!r} is negative")
-        out[species_index[name]] = value
-    return tuple(out)
+        i = species_index[name]
+        out[i] = value
+        if value:
+            key.append((i, value.numerator, value.denominator))
+    key.sort()
+    return tuple(out), tuple(key)
 
 
 def parse_network(doc: dict) -> GeneralizedNetwork:
@@ -111,26 +127,28 @@ def parse_network(doc: dict) -> GeneralizedNetwork:
         raise NetworkError('a nonempty "reactions" list is required')
 
     vertices: list[tuple[Vec, Vec]] = []
-    vertex_ids: dict[tuple[Vec, Vec], int] = {}
+    vertex_ids: dict[tuple, int] = {}  # keyed by the complexes' int triples
     edges: list[tuple[int, int]] = []
+    seen_edges: set[tuple[int, int]] = set()
     rates: list[Fraction | None] = []
 
     def vertex(side) -> int:
         if not isinstance(side, dict) or "stoich" not in side:
             raise NetworkError('every reaction side needs a "stoich" complex')
-        y = _parse_complex(side, index, "stoich", nonneg=True)
-        yt = _parse_complex(side, index, "kinetic", nonneg=False)
-        key = (y, yt if yt is not None else y)
+        y, y_key = _parse_complex(side, index, "stoich", nonneg=True)
+        yt, yt_key = _parse_complex(side, index, "kinetic", nonneg=False) or (y, y_key)
+        key = (y_key, yt_key)
         if key not in vertex_ids:
             vertex_ids[key] = len(vertices)
-            vertices.append(key)
+            vertices.append((y, yt))
         return vertex_ids[key]
 
     def add_edge(u, v, k):
         if u == v:
             raise NetworkError("self-loop: a reaction must change the complex")
-        if (u, v) in edges:
+        if (u, v) in seen_edges:
             raise NetworkError("duplicate reaction between the same complexes")
+        seen_edges.add((u, v))
         edges.append((u, v))
         rates.append(k)
 
@@ -213,20 +231,81 @@ def structure(network: GeneralizedNetwork) -> NetworkStructure:
     return network._structure
 
 
+def _one_way(edges) -> list[tuple[int, int]]:
+    """The edges without the second of each reversible pair: v -> u is left
+    out when u -> v comes first. Its reaction vector and its incidence
+    column are the negatives of the first's, so every span stays the same."""
+    first = set()
+    out = []
+    for u, v in edges:
+        if (v, u) not in first:
+            first.add((u, v))
+            out.append((u, v))
+    return out
+
+
+def _scaled_complexes(network: GeneralizedNetwork, side: int) -> list[tuple[list[int], int]]:
+    """Each vertex's complex on one side (0 stoichiometric, 1 kinetic-order)
+    as int amounts over their least common denominator: (amounts, denominator)."""
+    out = []
+    for vertex in network.vertices:
+        q = lcm(*(x.denominator for x in vertex[side]))
+        out.append(([x.numerator * (q // x.denominator) for x in vertex[side]], q))
+    return out
+
+
+def _reaction_rows(edges, scaled: list[tuple[list[int], int]]) -> list[list[int]]:
+    """The reaction vectors y(v) - y(u), one int row per edge u -> v, each
+    scaled by the lcm of the two complexes' denominators."""
+    rows = []
+    for u, v in edges:
+        (a, p), (b, q) = scaled[v], scaled[u]
+        if p == q:
+            rows.append([x - y for x, y in zip(a, b)])
+        else:
+            m = lcm(p, q)
+            rows.append([x * (m // p) - y * (m // q) for x, y in zip(a, b)])
+    return rows
+
+
+def _subspace(rows: list[list[int]], ns: int) -> SubspaceBasis:
+    """The span of int rows as the canonical basis of nonzero RREF rows."""
+    E, pivots = _rref_ints(rows, ns)
+    return SubspaceBasis(ns, _fraction_rows(E, pivots))
+
+
+def _deficiency_by_intersection(Y: RationalMatrix, edges) -> int:
+    """dim(ker Y ∩ im I), I the incidence matrix, on int rows: dim ker Y +
+    rank I - dim(ker Y + im I), each rank the pivot count of one echelon
+    form; ker Y + im I is spanned by the kernel rows and the echelon rows of
+    I. It equals m - ℓ - dim S, the deficiency."""
+    m = Y.cols
+    E, pivots = _rref_ints(_int_rows(Y.row_tuples)[0], m)
+    kernel = _kernel_ints(E, pivots, m)
+    image = []
+    for u, v in edges:
+        row = [0] * m
+        row[u], row[v] = -1, 1
+        image.append(row)
+    image, image_pivots = _rref_ints(image, m)
+    image = image[:len(image_pivots)]
+    return len(kernel) + len(image) - len(_rref_ints(image + kernel, m)[1])
+
+
 def _structure_of(network: GeneralizedNetwork) -> NetworkStructure:
     ns, m = network.num_species, network.num_vertices
-    Y = RationalMatrix([[network.vertices[j][0][i] for j in range(m)] for i in range(ns)])
-    Yt = RationalMatrix([[network.vertices[j][1][i] for j in range(m)] for i in range(ns)])
+    mak = network.is_mass_action
+    Y = RationalMatrix(zip(*(y for y, _ in network.vertices)))
+    Yt = Y if mak else RationalMatrix(zip(*(yt for _, yt in network.vertices)))
     ne = len(network.edges)
-    inc = [[Fraction(0)] * ne for _ in range(m)]
+    inc = [[_ZERO] * ne for _ in range(m)]
     for e, (u, v) in enumerate(network.edges):
-        inc[u][e] -= 1
-        inc[v][e] += 1
+        inc[u][e], inc[v][e] = _MINUS_ONE, _ONE
     incidence = RationalMatrix(inc)
 
     laplacian = None
     if all(k is not None for k in network.rate_constants):
-        lap = [[Fraction(0)] * m for _ in range(m)]
+        lap = [[_ZERO] * m for _ in range(m)]
         for (u, v), k in zip(network.edges, network.rate_constants):
             lap[v][u] += k
             lap[u][u] -= k
@@ -234,20 +313,15 @@ def _structure_of(network: GeneralizedNetwork) -> NetworkStructure:
 
     comps = _weak_components(m, network.edges)
 
-    # the reaction vectors y(v) - y(u), one per edge: the columns of Y times
-    # the incidence matrix
-    def reactions(side: int) -> RationalMatrix:
-        return RationalMatrix([vec_sub(network.vertices[v][side], network.vertices[u][side])
-                               for u, v in network.edges])
-
-    S = row_space_basis(reactions(0))
-    St = row_space_basis(reactions(1))
+    edges = _one_way(network.edges)
+    S = _subspace(_reaction_rows(edges, _scaled_complexes(network, 0)), ns)
+    St = S if mak else _subspace(_reaction_rows(edges, _scaled_complexes(network, 1)), ns)
     ell = len(comps)
     deficiency = m - ell - S.dim
     kinetic_deficiency = m - ell - St.dim
     check(deficiency >= 0 and kinetic_deficiency >= 0, "negative deficiency")
     # the two standard formulas must agree
-    check(deficiency == intersection_dim(kernel_basis(Y), row_space_basis(incidence.transpose())),
+    check(deficiency == _deficiency_by_intersection(Y, edges),
           "the two deficiency formulas disagree")
 
     return NetworkStructure(
@@ -270,10 +344,10 @@ def map_spec_of(struct: NetworkStructure) -> ExponentialMapSpec:
     ns = struct.stoich_complexes.rows
     if struct.stoich_subspace.dim >= ns or struct.kinetic_subspace.dim >= ns:
         raise InputError("a subspace fills the whole species space; no matrix to build")
-    return ExponentialMapSpec(
-        matrix_with_kernel(struct.stoich_subspace),
-        matrix_with_kernel(struct.kinetic_subspace),
-    )
+    W = matrix_with_kernel(struct.stoich_subspace)
+    if struct.kinetic_subspace == struct.stoich_subspace:
+        return ExponentialMapSpec(W, W)
+    return ExponentialMapSpec(W, matrix_with_kernel(struct.kinetic_subspace))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ echelon form runs Gauss-Jordan on primitive integer rows, and products
 accumulate one numerator and one denominator. A `Fraction` is built only for
 a value that leaves the kernel. Kernels and row spaces come from the reduced
 row echelon form, which is unique and therefore gives reproducible bases and
-certificates. The signs of all maximal minors, which is what the analyzer
-and the certificate verifier read, come from one integer table per matrix
+certificates; one Gauss-Jordan core on int rows (`_rref_ints`) computes it,
+and callers that hold int rows, such as `crn`, call the core directly. The
+signs of all maximal minors, which is what the analyzer and the certificate
+verifier read, come from one integer table per matrix
 (`maximal_minor_signs`: one echelon form, one Bareiss determinant, then
 Laplace expansion without division). `maximal_minors`, one Bareiss
 determinant per minor, is kept as the tests' oracle for that table.
@@ -23,6 +25,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 Vec = tuple[Fraction, ...]
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class InputError(ValueError):
@@ -157,7 +160,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "_data", "_hash", "_om")
 
     def __init__(self, entries):
-        data = tuple(tuple(frac(x) for x in row) for row in entries)
+        data = tuple(tuple(map(frac, row)) for row in entries)
         if not data or not data[0]:
             raise InputError("matrix must have at least one row and one column")
         if any(len(row) != len(data[0]) for row in data):
@@ -240,21 +243,20 @@ class RationalMatrix:
 
 
 def rank(M: RationalMatrix) -> int:
-    ints, _ = _int_rows([list(r) for r in M.row_tuples])
-    _, r, _ = _bareiss_echelon(ints)
-    return r
+    return _bareiss_echelon(_int_rows(M.row_tuples)[0])[1]
 
 
-def _int_rref(M: RationalMatrix) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan on integer rows: each elimination p_c * row - f * p is
-    divided by its gcd. Returns (rows, pivot columns); row k is p_k times
-    the k-th row of the reduced row echelon form, where p_k is its entry in
-    pivot column k, and rows past the rank are zero."""
-    m, _ = _int_rows([list(r) for r in M.row_tuples])
-    nr, nc = M.rows, M.cols
+def _rref_ints(m: list[list[int]], nc: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan on int rows of length nc, in place: each elimination
+    p_c * row - f * p is divided by its gcd. Returns (rows, pivot columns);
+    row k is p_k times the k-th row of the reduced row echelon form, where
+    p_k is its entry in pivot column k, and rows past the rank are zero."""
+    nr = len(m)
     pivots = []
     r = 0
     for c in range(nc):
+        if r == nr:
+            break
         piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
         if piv is None:
             continue
@@ -267,9 +269,45 @@ def _int_rref(M: RationalMatrix) -> tuple[list[list[int]], list[int]]:
                 m[i] = _reduce([pc * a - f * b for a, b in zip(m[i], p)])
         pivots.append(c)
         r += 1
-        if r == nr:
-            break
     return m, pivots
+
+
+def _int_rref(M: RationalMatrix) -> tuple[list[list[int]], list[int]]:
+    """`_rref_ints` on the integer-scaled rows of M."""
+    return _rref_ints(_int_rows(M.row_tuples)[0], M.cols)
+
+
+def _fraction_rows(E: list[list[int]], pivots: list[int]) -> tuple[Vec, ...]:
+    """Row k of E divided by its entry in column pivots[k], for each k: the
+    nonzero rows of the reduced row echelon form from the rows and pivots of
+    `_rref_ints`, or the canonical kernel vectors from the rows of
+    `_kernel_ints` and the free columns. Most entries are 0 or that divisor,
+    and share one Fraction each."""
+    out = []
+    for k, c in enumerate(pivots):
+        row, p = E[k], E[k][c]
+        out.append(tuple(_ONE if x == p else Fraction(x, p) if x else _ZERO for x in row))
+    return tuple(out)
+
+
+def _kernel_ints(E: list[list[int]], pivots: list[int], nc: int) -> list[list[int]]:
+    """Integer rows spanning the kernel of the integer echelon rows E of
+    `_rref_ints`, one per free column f, in order: the canonical kernel
+    vector of `kernel_basis` (1 at f, minus the reduced entry in column f at
+    each pivot column) times the lcm of the pivot entries it divides by."""
+    pivot_set = set(pivots)
+    out = []
+    for f in range(nc):
+        if f in pivot_set:
+            continue
+        hits = [(k, c) for k, c in enumerate(pivots) if E[k][f]]
+        scale = lcm(*(E[k][c] for k, c in hits))
+        v = [0] * nc
+        v[f] = scale
+        for k, c in hits:
+            v[c] = -E[k][f] * (scale // E[k][c])
+        out.append(v)
+    return out
 
 
 def rref(M: RationalMatrix) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
@@ -278,9 +316,7 @@ def rref(M: RationalMatrix) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
     The integer rows of `_int_rref` are divided by their pivots only when
     they leave as Fractions."""
     m, pivots = _int_rref(M)
-    nc, r = M.cols, len(pivots)
-    rows = tuple(tuple(Fraction(x, m[k][c]) for x in m[k]) for k, c in enumerate(pivots))
-    return rows + ((Fraction(0),) * nc,) * (M.rows - r), tuple(pivots)
+    return _fraction_rows(m, pivots) + ((_ZERO,) * M.cols,) * (M.rows - len(pivots)), tuple(pivots)
 
 
 @dataclass(frozen=True)
@@ -306,37 +342,23 @@ class SubspaceBasis:
 
 
 def kernel_basis(M: RationalMatrix) -> SubspaceBasis:
-    """Canonical basis of ker M (one vector per free column of the RREF)."""
-    rows, pivots = rref(M)
-    n = M.cols
-    free = [c for c in range(n) if c not in pivots]
-    out = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for k, p in enumerate(pivots):
-            v[p] = -rows[k][f]
-        out.append(tuple(v))
-    return SubspaceBasis(n, tuple(out))
-
-
-def row_space_basis(M: RationalMatrix) -> SubspaceBasis:
-    """Canonical basis of im M^T: the nonzero rows of the RREF."""
-    rows, pivots = rref(M)
-    return SubspaceBasis(M.cols, tuple(rows[: len(pivots)]))
+    """Canonical basis of ker M: one vector per free column f of the RREF,
+    1 at f and minus the reduced entry in column f at each pivot column."""
+    E, pivots = _int_rref(M)
+    free = [c for c in range(M.cols) if c not in pivots]
+    return SubspaceBasis(M.cols, _fraction_rows(_kernel_ints(E, pivots, M.cols), free))
 
 
 def matrix_with_kernel(B: SubspaceBasis) -> RationalMatrix:
-    """Full-rank matrix whose kernel is span(B), in reduced row echelon form."""
+    """Full-rank matrix whose kernel is span(B), in reduced row echelon form:
+    the kernel of B's rows and then its echelon form, both on integer rows
+    (the identity when B is empty)."""
     n = B.ambient_dim
     if B.dim == n:
         raise InputError("kernel equals the whole space; a matrix needs at least one row")
-    if B.dim == 0:
-        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        return RationalMatrix(ident)
-    complement = kernel_basis(RationalMatrix(B.vectors))
-    rows, pivots = rref(RationalMatrix(complement.vectors))
-    return RationalMatrix(rows[: len(pivots)])
+    E, pivots = _rref_ints(_int_rows(B.vectors)[0], n)
+    K, kernel_pivots = _rref_ints(_kernel_ints(E, pivots, n), n)
+    return RationalMatrix(_fraction_rows(K, kernel_pivots))
 
 
 def maximal_minors(M: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
@@ -395,13 +417,3 @@ def maximal_minor_signs(M: RationalMatrix) -> dict[tuple[int, ...], int]:
         v = table.get(sum(1 << j for j in I), 0)
         out[I] = (v > 0) - (v < 0)
     return out
-
-
-def intersection_dim(A: SubspaceBasis, B: SubspaceBasis) -> int:
-    """dim(span A ∩ span B), via dim A + dim B - dim(A + B)."""
-    if A.ambient_dim != B.ambient_dim:
-        raise InputError("intersection_dim: ambient dimensions differ")
-    if A.dim == 0 or B.dim == 0:
-        return 0
-    stacked = RationalMatrix(A.vectors + B.vectors)
-    return A.dim + B.dim - rank(stacked)

@@ -14,16 +14,22 @@ Run as `PYTHONPATH=src python tests/scale_smoke.py FAMILY`, FAMILY one of
 - `matroid`: `expbij matroid covectors` on a seeded (n, d) = (12, 6) matrix,
   whose output must have one line per covector, in string order; the
   covectors and vectors of it and of a seeded (14, 7) matrix must equal
-  those of the whole prefix tree (`sign_oracles.orthogonal_masks_tree`).
+  those of the whole prefix tree (`sign_oracles.orthogonal_masks_tree`);
+- `crn`: reaction-network chains, cycles and binding trees
+  (`test_crn.family_network`) at 12, 16 and 20 species, under mass action
+  and under seeded kinetic orders; each structure must equal the Fraction
+  oracle (`sign_oracles.structure_oracle`), both deficiency-zero verdicts
+  must be decided, a mass-action network must get holds/holds (the
+  deficiency zero theorem), and the analysis report must verify.
 Seeded entries come from one `random.Random(7)` in [-3, 3]. The n cap is 16,
 and the sums keep the default block cap of 8; for the big sum the n cap is
 18 and the block cap 16.
 Every analysis must be decided and its report must verify, and the
-`matroid` output must pass its checks, else the exit status is 1. So must
-`robust_coefficients` wherever the two cones have the same facets: only a
-separating face is enumerated, and only it can take the cap. A sum must
-also take the class its blocks predict: a direct sum is injective (or
-bijective) iff every block is.
+`matroid` and `crn` outputs must pass their checks, else the exit status is
+1. So must `robust_coefficients` wherever the two cones have the same
+facets: only a separating face is enumerated, and only it can take the cap.
+A sum must also take the class its blocks predict: a direct sum is
+injective (or bijective) iff every block is.
 pytest does not collect this file.
 """
 
@@ -43,11 +49,13 @@ from expbij.analyzer import (
     ExponentialMapSpec,
     analyze,
 )
+from expbij.crn import deficiency_zero_gmak, parse_network, robust_deficiency_zero_gmak, structure
 from expbij.matroid import OrientedMatroid, _orthogonal_masks, covectors
 from expbij.report import build_report, verify_certificate
-from sign_oracles import orthogonal_masks_tree
+from sign_oracles import orthogonal_masks_tree, structure_oracle
 from test_analyzer import EX1, EX2, FACE_GAP, _random_full_rank, direct_sum, run_python, sv_example
 from test_cli import ABOVE_CAP_CONES
+from test_crn import family_network
 
 SUM_CAPS = Caps(max_n_enumeration=16)
 BIG_SUM_CAPS = Caps(max_n_enumeration=18, max_blocks=16)
@@ -114,6 +122,34 @@ def matroid_covectors():
     return problems
 
 
+def crn_networks():
+    """The problems with the reaction-network families at 12, 16 and 20
+    species; the kinetic orders come from one `random.Random(7)`."""
+    rng = random.Random(7)
+    problems = []
+    for family in ("chain", "cycle", "binding"):
+        for s in (12, 16, 20):
+            for orders in (None, [Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2))) for _ in range(s)]):
+                label = f"{family} {s} {'mass action' if orders is None else 'generalized'}"
+                net = parse_network(family_network(family, s, orders))
+                start = time.perf_counter()
+                st = structure(net)
+                mid = time.perf_counter()
+                verdict, robust = deficiency_zero_gmak(net), robust_deficiency_zero_gmak(net)
+                end = time.perf_counter()
+                print(f"{label}: structure {1000 * (mid - start):.1f} ms, verdicts "
+                      f"{verdict.verdict}/{robust.verdict} {1000 * (end - mid):.1f} ms")
+                if st != structure_oracle(net):
+                    problems.append(f"{label}: the structure differs from the oracle's")
+                if "inconclusive" in (verdict.verdict, robust.verdict) or verdict.analysis is None:
+                    problems.append(f"{label}: verdicts {verdict.verdict}/{robust.verdict} not decided")
+                elif not verify_certificate(build_report(verdict.analysis, {})):
+                    problems.append(f"{label}: the analysis report does not verify")
+                if orders is None and (verdict.verdict, robust.verdict) != ("holds", "holds"):
+                    problems.append(f"{label}: a mass-action network with deficiency zero must hold")
+    return problems
+
+
 FAMILIES = {
     "low-d": lambda: seeded_pairs([(f"pair {k}", 2, 14) for k in range(3)]),
     "high-d": lambda: seeded_pairs([(f"n = {n}", n - 3, n) for n in (10, 11, 12)]),
@@ -130,10 +166,10 @@ def facets_agree(rep) -> bool:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2 or sys.argv[1] not in (*FAMILIES, "matroid"):
-        sys.exit(f"usage: scale_smoke.py {{{','.join(FAMILIES)},matroid}}")
-    if sys.argv[1] == "matroid":
-        sys.exit("; ".join(matroid_covectors()) or None)
+    if len(sys.argv) != 2 or sys.argv[1] not in (*FAMILIES, "matroid", "crn"):
+        sys.exit(f"usage: scale_smoke.py {{{','.join(FAMILIES)},matroid,crn}}")
+    if sys.argv[1] in ("matroid", "crn"):
+        sys.exit("; ".join({"matroid": matroid_covectors, "crn": crn_networks}[sys.argv[1]]()) or None)
     for label, spec, caps, want in FAMILIES[sys.argv[1]]():
         rep = analyze(spec, caps)
         robust = rep.conditions["robust_coefficients"].verdict

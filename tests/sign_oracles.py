@@ -9,7 +9,12 @@ and `ordered_partitions_of_elements` the iii search's partitions on tuples.
 `orthogonal_masks_tree` builds a sign set from the whole prefix tree, both
 halves of a set closed under negation. `cone_flags_from_faces` reads the
 cone flags off the enumerated faces, and `subspace_contains` and
-`same_subspace` test subspaces by rank.
+`same_subspace` test subspaces by rank. `structure_oracle` builds a reaction
+network's structure in `Fraction` arithmetic, from `row_space_basis`,
+`kernel_basis` and `intersection_dim`, and `matrix_with_kernel_oracle` the
+matrix with a given kernel through an intermediate `SubspaceBasis` and
+`RationalMatrix` (`kernel_basis`, then `rref`); the package computes both on
+int rows.
 """
 
 from fractions import Fraction
@@ -17,6 +22,7 @@ from functools import reduce
 from itertools import product
 from operator import and_, or_
 
+from expbij.crn import GeneralizedNetwork, NetworkStructure, _weak_components, is_weakly_reversible
 from expbij.linalg import (
     InputError,
     RationalMatrix,
@@ -26,7 +32,9 @@ from expbij.linalg import (
     kernel_basis,
     maximal_minors,
     rank,
+    rref,
     vec,
+    vec_sub,
 )
 from expbij.lp import realize_kernel_sign
 from expbij.matroid import oriented_matroid
@@ -50,6 +58,83 @@ def same_subspace(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
         return False
     return all(subspace_contains(b, v) for v in a.vectors)
+
+
+def row_space_basis(M: RationalMatrix) -> SubspaceBasis:
+    """Canonical basis of im M^T: the nonzero rows of the RREF."""
+    rows, pivots = rref(M)
+    return SubspaceBasis(M.cols, tuple(rows[: len(pivots)]))
+
+
+def intersection_dim(A: SubspaceBasis, B: SubspaceBasis) -> int:
+    """dim(span A ∩ span B), via dim A + dim B - dim(A + B)."""
+    if A.ambient_dim != B.ambient_dim:
+        raise InputError("intersection_dim: ambient dimensions differ")
+    if A.dim == 0 or B.dim == 0:
+        return 0
+    stacked = RationalMatrix(A.vectors + B.vectors)
+    return A.dim + B.dim - rank(stacked)
+
+
+def matrix_with_kernel_oracle(B: SubspaceBasis) -> RationalMatrix:
+    """Full-rank matrix whose kernel is span(B), in reduced row echelon form:
+    the RREF of the Fraction kernel basis of B's rows, or the identity."""
+    n = B.ambient_dim
+    if B.dim == 0:
+        return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+    complement = kernel_basis(RationalMatrix(B.vectors))
+    rows, pivots = rref(RationalMatrix(complement.vectors))
+    return RationalMatrix(rows[: len(pivots)])
+
+
+def structure_oracle(network: GeneralizedNetwork) -> NetworkStructure:
+    """The network's structure in Fraction arithmetic: reaction vectors by
+    `vec_sub`, both subspaces by `row_space_basis`, and the deficiency
+    formulas checked against each other with `intersection_dim`."""
+    ns, m = network.num_species, network.num_vertices
+    Y = RationalMatrix([[network.vertices[j][0][i] for j in range(m)] for i in range(ns)])
+    Yt = RationalMatrix([[network.vertices[j][1][i] for j in range(m)] for i in range(ns)])
+    ne = len(network.edges)
+    inc = [[Fraction(0)] * ne for _ in range(m)]
+    for e, (u, v) in enumerate(network.edges):
+        inc[u][e] -= 1
+        inc[v][e] += 1
+    incidence = RationalMatrix(inc)
+
+    laplacian = None
+    if all(k is not None for k in network.rate_constants):
+        lap = [[Fraction(0)] * m for _ in range(m)]
+        for (u, v), k in zip(network.edges, network.rate_constants):
+            lap[v][u] += k
+            lap[u][u] -= k
+        laplacian = RationalMatrix(lap)
+
+    comps = _weak_components(m, network.edges)
+
+    def reactions(side: int) -> RationalMatrix:
+        return RationalMatrix([vec_sub(network.vertices[v][side], network.vertices[u][side])
+                               for u, v in network.edges])
+
+    S = row_space_basis(reactions(0))
+    St = row_space_basis(reactions(1))
+    ell = len(comps)
+    deficiency = m - ell - S.dim
+    kinetic_deficiency = m - ell - St.dim
+    check(deficiency >= 0 and kinetic_deficiency >= 0, "negative deficiency")
+    check(deficiency == intersection_dim(kernel_basis(Y), row_space_basis(incidence.transpose())),
+          "the two deficiency formulas disagree")
+    return NetworkStructure(
+        stoich_complexes=Y,
+        kinetic_complexes=Yt,
+        incidence=incidence,
+        laplacian=laplacian,
+        components=tuple(tuple(c) for c in comps),
+        weakly_reversible=is_weakly_reversible(network, comps),
+        stoich_subspace=S,
+        kinetic_subspace=St,
+        deficiency=deficiency,
+        kinetic_deficiency=kinetic_deficiency,
+    )
 
 
 def column_submatrix(M: RationalMatrix, idx) -> RationalMatrix:

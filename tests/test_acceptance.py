@@ -31,10 +31,8 @@ from expbij.linalg import (
     RationalMatrix,
     SubspaceBasis,
     dot,
-    intersection_dim,
     kernel_basis,
     rank,
-    row_space_basis,
 )
 from expbij.matroid import (
     chirotope,
@@ -47,7 +45,15 @@ from expbij.matroid import (
 from expbij.numeric import NumericMapInstance, evaluate, solve
 from expbij.report import build_report, canonical_json, verify_certificate
 from expbij.signs import SignVector, sign_of
-from sign_oracles import all_sign_vectors, conformal_decompose, is_uniform, orthogonal_set, subspace_contains
+from sign_oracles import (
+    all_sign_vectors,
+    conformal_decompose,
+    intersection_dim,
+    is_uniform,
+    orthogonal_set,
+    row_space_basis,
+    subspace_contains,
+)
 from test_analyzer import CC_EXAMPLE, EX1, EX2, FACE_GAP, _random_full_rank, sv_example
 from test_numeric import probe_bijectivity
 

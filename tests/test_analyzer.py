@@ -43,7 +43,7 @@ from expbij.analyzer import (
     robust_exponents,
 )
 from expbij.crn import deficiency_zero_gmak, parse_network, robust_deficiency_zero_gmak
-from expbij.linalg import RationalMatrix, kernel_basis, matrix_with_kernel, rank, vec
+from expbij.linalg import RationalMatrix, kernel_basis, matrix_with_kernel, rank, rref, vec
 from expbij.lp import (
     Rel,
     feasible,
@@ -866,7 +866,7 @@ def test_internal_checks_survive_python_O():
             ExponentialMapSpec(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]]))), 5)
         net = crn.parse_network({"species": ["A", "B"], "reactions": [
             {"from": {"stoich": {"A": 1}}, "to": {"stoich": {"B": 1}}, "reversible": True}]})
-        crn.intersection_dim = lambda U, V: -1
+        crn._deficiency_by_intersection = lambda Y, edges: -1
         expect_raise(lambda: crn.structure(net), 6)
         matroid._orthogonal_masks = lambda gens, n, allowed: {0}
         expect_raise(lambda: matroid.covectors(M([[1, 1, -1]])), 7)
@@ -941,3 +941,16 @@ def test_canonical_is_the_matrix_with_the_same_kernel():
     assert square > 10
     assert spec_of([[2, 1], [1, 1]], [[0, 3], ["1/2", 0]]).canonical() == spec_of(
         [[1, 0], [0, 1]], [[1, 0], [0, 1]])
+
+
+def test_canonical_shares_one_matrix_when_the_forms_are_equal():
+    # equal reduced row echelon forms, as under mass action or whenever
+    # n = d, give one matrix object, which _om then finds by identity
+    for spec in (spec_of([[2, 1], [1, 1]], [[0, 3], ["1/2", 0]]), spec_of([[1, 1, -1]], [[2, 2, -2]])):
+        canon = spec.canonical()
+        assert canon.coeff is canon.exponents
+        assert canon._om(canon.coeff) is canon._om(canon.exponents)
+        assert len(canon._oriented_matroids) == 1
+    canon = EX1.canonical()
+    assert canon.coeff is not canon.exponents and canon.coeff != canon.exponents
+    assert canon == ExponentialMapSpec(M(rref(EX1.coeff)[0]), M(rref(EX1.exponents)[0]))

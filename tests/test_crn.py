@@ -1,11 +1,14 @@
 import random
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
+import expbij.analyzer
 import expbij.crn
-from expbij.analyzer import Caps, ConditionResult
+import expbij.linalg
+from expbij.analyzer import Caps, ConditionResult, ExponentialMapSpec
 from expbij.crn import (
     DeficiencyZeroVerdict,
     NetworkError,
@@ -17,8 +20,23 @@ from expbij.crn import (
     robust_deficiency_zero_gmak,
     structure,
 )
-from expbij.linalg import SubspaceBasis, intersection_dim, kernel_basis, row_space_basis, vec
-from sign_oracles import same_subspace, subspace_contains
+from expbij.linalg import (
+    InputError,
+    RationalMatrix,
+    SubspaceBasis,
+    kernel_basis,
+    matrix_with_kernel,
+    rank,
+    vec,
+)
+from sign_oracles import (
+    intersection_dim,
+    matrix_with_kernel_oracle,
+    row_space_basis,
+    same_subspace,
+    structure_oracle,
+    subspace_contains,
+)
 
 
 def rxn(frm, to, **kw):
@@ -334,3 +352,190 @@ def test_equal_networks_parsed_separately_build_their_own_results():
     assert structure(a) is structure(a)
     assert structure(a) is not structure(b)
     assert deficiency_zero_gmak(a).analysis is not deficiency_zero_gmak(b).analysis
+
+
+def family_network(family: str, s: int, orders=None) -> dict:
+    """A weakly reversible, deficiency-zero network on species X1..Xs: a
+    reversible chain X1 <=> ... <=> Xs, a directed cycle X1 -> ... -> Xs -> X1,
+    or a binding tree X_i + X_{i+1} <=> X_{i+2}. orders, one per species,
+    scale every kinetic complex; None is mass action."""
+    def cx(coeffs: dict[int, int]):
+        side = {"stoich": {f"X{i}": c for i, c in coeffs.items()}}
+        if orders is not None:
+            side["kinetic"] = {f"X{i}": str(c * orders[i - 1]) for i, c in coeffs.items()}
+        return side
+
+    if family == "chain":
+        rxns = [(cx({i: 1}), cx({i + 1: 1}), True) for i in range(1, s)]
+    elif family == "cycle":
+        rxns = [(cx({i: 1}), cx({i % s + 1: 1}), False) for i in range(1, s + 1)]
+    else:
+        rxns = [(cx({i: 1, i + 1: 1}), cx({i + 2: 1}), True) for i in range(1, s - 1)]
+    return {"species": [f"X{i}" for i in range(1, s + 1)],
+            "reactions": [rxn(a, b, reversible=rev, k=f"{i % 5 + 1}/{i % 3 + 1}")
+                          for i, (a, b, rev) in enumerate(rxns)]}
+
+
+def assert_structure_matches_oracle(net):
+    """structure(net) equals the Fraction-built oracle field by field, and
+    map_spec_of equals the pair of the Fraction-built matrices with those
+    kernels, or refuses a subspace that fills the species space."""
+    got, want = structure(net), structure_oracle(net)
+    for f in fields(want):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    S, St = want.stoich_subspace, want.kinetic_subspace
+    if max(S.dim, St.dim) >= net.num_species:
+        with pytest.raises(InputError):
+            map_spec_of(got)
+    else:
+        want_spec = ExponentialMapSpec(matrix_with_kernel_oracle(S), matrix_with_kernel_oracle(St))
+        assert map_spec_of(got) == want_spec
+    return got
+
+
+def _random_complex(rng, ns, amounts):
+    return {f"X{i}": rng.choice(amounts) for i in rng.sample(range(ns), rng.randint(1, min(3, ns)))}
+
+
+def _random_mixed_network(rng):
+    """Linkage classes on distinct complexes of up to three species each, with
+    rational stoichiometry and, unless mass action, kinetic orders that may be
+    rational, negative or zero. A class is a reversible chain, a directed
+    cycle or a one-way chain, sometimes with one extra reaction; rates are
+    sometimes left out."""
+    ns = rng.randint(2, 6)
+    mass_action = rng.random() < 0.3
+    seen, complexes = set(), []
+    while len(complexes) < rng.randint(4, 9):
+        side = {"stoich": _random_complex(rng, ns, (1, 1, 2, 3, "1/2", "3/2"))}
+        if not mass_action:
+            side["kinetic"] = _random_complex(rng, ns, (1, 2, "1/2", "-1", "-3/2", "2/3", 0))
+        key = tuple(frozenset((x, Fraction(a)) for x, a in side.get(f, side["stoich"]).items() if Fraction(a))
+                    for f in ("stoich", "kinetic"))
+        if key not in seen:
+            seen.add(key)
+            complexes.append(side)
+    reactions, start, rated = [], 0, rng.random() < 0.7
+    while start < len(complexes) - 1:
+        size = min(rng.randint(2, 4), len(complexes) - start)
+        kind = rng.choice(("reversible", "cycle", "one-way"))
+        pairs = [(start + i, start + i + 1) for i in range(size - 1)]
+        if kind == "cycle" and size > 2:
+            pairs.append((start + size - 1, start))
+        extra = (start + size - 1, start + rng.randint(0, size - 3)) if size > 2 else None
+        if extra and extra not in pairs and rng.random() < 0.3:
+            pairs.append(extra)
+        for u, v in pairs:
+            extra = {"k": f"{rng.randint(1, 5)}/{rng.randint(1, 3)}"} if rated else {}
+            reactions.append(rxn(complexes[u], complexes[v], reversible=kind == "reversible", **extra))
+        start += size
+    rng.shuffle(reactions)
+    return {"species": [f"X{i}" for i in range(ns)], "reactions": reactions}, mass_action
+
+
+def test_structure_and_map_spec_match_the_fraction_oracle_on_random_networks():
+    rng = random.Random(2912)
+    seen = Counter()
+    for _ in range(120):
+        doc, mass_action = _random_mixed_network(rng)
+        net = parse_network(doc)
+        s = assert_structure_matches_oracle(net)
+        kinetic = [x for _, yt in net.vertices for x in yt]
+        seen["mass action"] += mass_action
+        seen["negative order"] += any(x < 0 for x in kinetic)
+        seen["rational order"] += any(x.denominator > 1 for x in kinetic)
+        seen["several species"] += any(sum(1 for x in y if x) > 1 for y, _ in net.vertices)
+        seen["several classes"] += s.num_components > 1
+        seen["not weakly reversible"] += not s.weakly_reversible
+        seen["weakly reversible"] += s.weakly_reversible
+        seen["no laplacian"] += s.laplacian is None
+        seen["map spec"] += max(s.stoich_subspace.dim, s.kinetic_subspace.dim) < net.num_species
+        seen["deficiency > 0"] += s.deficiency > 0
+    assert len(seen) == 10 and min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("family", ["chain", "cycle", "binding"])
+def test_structure_matches_the_oracle_on_the_network_families(family):
+    rng = random.Random(5)
+    for s in (3, 6, 9):
+        assert_structure_matches_oracle(parse_network(family_network(family, s)))
+        orders = [Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2))) for _ in range(s)]
+        assert_structure_matches_oracle(parse_network(family_network(family, s, orders)))
+
+
+INFLOW = {"species": ["A", "B"], "reactions": [
+    rxn({"stoich": {}}, {"stoich": {"A": 1}}, reversible=True, k=2),
+    rxn({"stoich": {"A": 1}}, {"stoich": {"B": 1}}, reversible=True, k=1)]}
+ZERO_KINETIC = {"species": ["A", "B", "C"], "reactions": [
+    rxn({"stoich": {"A": 1}, "kinetic": {}}, {"stoich": {"B": 1}, "kinetic": {}}, reversible=True),
+    rxn({"stoich": {"B": 1}, "kinetic": {}}, {"stoich": {"C": 2}, "kinetic": {"A": 0}})]}
+RATIONAL_STOICH = {"species": ["A", "B", "C"], "reactions": [
+    rxn({"stoich": {"A": "1/2"}}, {"stoich": {"B": "2/3"}}, reversible=True, k="1/3"),
+    rxn({"stoich": {"B": "2/3"}}, {"stoich": {"A": "1/2", "C": "5/4"}}),
+    rxn({"stoich": {"A": "1/2", "C": "5/4"}}, {"stoich": {"A": "1/2"}})]}
+SAME_STOICH = {"species": ["A", "B"], "reactions": [
+    rxn({"stoich": {"A": 1}, "kinetic": {"A": 1}}, {"stoich": {"B": 1}}),
+    rxn({"stoich": {"B": 1}}, {"stoich": {"A": 1}, "kinetic": {"A": 2}}),
+    rxn({"stoich": {"A": 1}, "kinetic": {"A": 2}}, {"stoich": {"A": 1}, "kinetic": {"A": 1}})]}
+
+
+@pytest.mark.parametrize("doc", [INFLOW, ZERO_KINETIC, RATIONAL_STOICH, SAME_STOICH, AB_REVERSIBLE,
+                                 AB_IRREVERSIBLE, CC_NETWORK],
+                         ids=["inflow", "zero-kinetic", "rational-stoich", "same-stoich", "ab",
+                              "ab-irreversible", "cc"])
+def test_structure_matches_the_oracle_on_edge_cases(doc):
+    net = parse_network(doc)
+    s = assert_structure_matches_oracle(net)
+    if doc is INFLOW:
+        assert any(not any(y) for y, _ in net.vertices) and s.deficiency == 0
+    if doc is ZERO_KINETIC:
+        assert s.kinetic_subspace.dim == 0 and s.stoich_subspace.dim == 2
+        assert map_spec_of(s).exponents == RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    if doc is SAME_STOICH:
+        # two vertices share the stoichiometric complex A, so one reaction
+        # vector is zero
+        assert net.num_vertices == 3 and s.stoich_subspace.dim == 1 and s.kinetic_subspace.dim == 2
+    verdict = deficiency_zero_gmak(net)
+    assert verdict.deficiency == s.deficiency
+
+
+def test_matrix_with_kernel_matches_the_fraction_construction():
+    rng = random.Random(4242)
+    dims = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        k = rng.randint(0, n - 1)
+        while True:
+            entries = (0, 0, 1, -2, 3, "1/2", "-4/3")
+            vectors = tuple(vec(rng.choice(entries) for _ in range(n)) for _ in range(k))
+            if not vectors or rank(RationalMatrix(vectors)) == k:
+                break
+        B = SubspaceBasis(n, vectors)
+        W = matrix_with_kernel(B)
+        assert W == matrix_with_kernel_oracle(B)
+        assert W.rows == n - k and all(x == 0 for v in vectors for x in W.mat_vec(v))
+        dims["dim 0" if k == 0 else "dim > 0"] += 1
+    assert min(dims.values()) >= 20, dims
+    with pytest.raises(InputError):
+        matrix_with_kernel(SubspaceBasis(2, (vec([1, 0]), vec([0, 1]))))
+
+
+def test_structure_and_map_spec_take_no_rref_and_no_kernel_basis(monkeypatch):
+    # both work on int rows; the crn path's two RREFs are canonical()'s
+    calls = Counter()
+    for module in (expbij.crn, expbij.linalg, expbij.analyzer):
+        for name in ("rref", "kernel_basis"):
+            if hasattr(module, name):
+                def counted(*args, _name=name, _fn=getattr(module, name)):
+                    calls[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
+    orders = [Fraction(1, 2), 2, 3, 1, Fraction(3, 2), 1]
+    for doc in (family_network("binding", 6, orders), family_network("cycle", 5), CC_NETWORK):
+        net = parse_network(doc)
+        calls.clear()
+        map_spec_of(structure(net))
+        assert not calls, calls
+    net = parse_network(family_network("binding", 6, orders))
+    deficiency_zero_gmak(net)
+    assert calls == {"rref": 2}, calls

@@ -11,17 +11,15 @@ from expbij.linalg import (
     dot,
     frac,
     frac_str,
-    intersection_dim,
     kernel_basis,
     matrix_with_kernel,
     maximal_minor_signs,
     maximal_minors,
     rank,
-    row_space_basis,
     rref,
     vec,
 )
-from sign_oracles import same_subspace, subspace_contains
+from sign_oracles import intersection_dim, row_space_basis, same_subspace, subspace_contains
 from test_analyzer import _random_full_rank
 
 
@@ -291,6 +289,13 @@ def test_rref_matches_fraction_oracle():
         got = rref(mat)
         assert got == _fraction_rref(mat), mat
         assert all(type(x) is Fraction for row in got[0] for x in row)
+        # the canonical kernel vectors: 1 at a free column f, minus the
+        # reduced entries of column f at the pivot columns
+        rows, pivots = got
+        want = tuple(tuple(-rows[pivots.index(j)][f] if j in pivots else Fraction(j == f) for j in range(mat.cols))
+                     for f in range(mat.cols) if f not in pivots)
+        kernel = kernel_basis(mat).vectors
+        assert kernel == want and all(type(x) is Fraction for v in kernel for x in v), mat
         kinds.add(kind)
         if rank(mat) < min(mat.rows, mat.cols):
             kinds.add("rank-deficient")

@@ -20,7 +20,6 @@ from expbij.linalg import (
     maximal_minor_signs,
     maximal_minors,
     rank,
-    row_space_basis,
     vec,
 )
 from expbij.matroid import (
@@ -56,6 +55,7 @@ from sign_oracles import (
     nonneg_part,
     orthogonal_masks_tree,
     orthogonal_set,
+    row_space_basis,
     subspace_contains,
 )
 from test_analyzer import _random_full_rank
