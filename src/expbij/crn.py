@@ -133,7 +133,7 @@ def parse_network(doc: dict) -> GeneralizedNetwork:
     rates: list[Fraction | None] = []
 
     def vertex(side) -> int:
-        if not isinstance(side, dict) or "stoich" not in side:
+        if not isinstance(side, dict) or side.get("stoich") is None:
             raise NetworkError('every reaction side needs a "stoich" complex')
         y, y_key = _parse_complex(side, index, "stoich", nonneg=True)
         yt, yt_key = _parse_complex(side, index, "kinetic", nonneg=False) or (y, y_key)

@@ -9,18 +9,19 @@ vector set those orthogonal to every cocircuit; `_orthogonal_masks` builds
 either in one pass over the columns. Both are closed under negation, so the
 pass builds only the members whose first nonzero sign is + and adds their
 negatives at the end. The faces of the cone spanned by the columns are the
-nonnegative covectors, which the same pass builds when it allows only + at
-every position, but only to print them: the facets, the
-nonnegative cocircuits, decide every flag of the cone (`cone`) and whether
-two cones have the same faces. Every sign set the module enumerates comes
-from that one routine; the matrix is read only to build the minor table and
-to solve for witnesses. Two configurations have equal vector sets iff their
-chirotopes agree up to sign, so that needs no enumeration either. Nor do
-questions about single vectors: a sign vector is a vector iff it is
-orthogonal to every cocircuit, which `extends` tests on a restriction and
-`first_vector` uses to find the first vector with given signs by prefix
-search; `vector_point` and `covector_point` return the rational witnesses
-of such questions. `OrientedMatroid` holds these for one
+nonnegative covectors; each is the OR of the facets, the nonnegative
+cocircuits, below it, so the faces are the OR-closure of the facets and
+need no circuit. They are enumerated only to be printed: the facets decide
+every flag of the cone (`cone`) and whether two cones have the same faces.
+Every signed set the module enumerates comes from `_orthogonal_masks`, and
+every face set from the facets; the matrix is read only to build the minor
+table and to solve for witnesses. Two configurations have equal vector
+sets iff their chirotopes agree up to sign, so that needs no enumeration
+either. Nor do questions about single vectors: a sign vector is a vector
+iff it is orthogonal to every cocircuit, which `extends` tests on a
+restriction and `first_vector` uses to find the first vector with given
+signs by prefix search; `vector_point` and `covector_point` return the
+rational witnesses of such questions. `OrientedMatroid` holds these for one
 matrix, as packed ints, and computes each at most once. The module
 functions are the `SignVector` API: they share one `OrientedMatroid` per
 matrix object (`oriented_matroid`) and return its sets as `SignSet` views,
@@ -141,34 +142,29 @@ def _cocircuit_masks(chi: Chirotope) -> frozenset[int]:
     return frozenset(out)
 
 
-def _orthogonal_masks(gens, n: int, allowed: int) -> frozenset[int]:
-    """Every packed sign vector of length n orthogonal to all of gens whose
-    nonzero signs lie in `allowed`, a packed mask of the signs each position
-    may take (zero is always allowed): the covectors when gens are the
-    circuits and every sign is allowed, the vectors when they are the
-    cocircuits, and the nonnegative covectors when only + is allowed.
+def _orthogonal_masks(gens, n: int) -> frozenset[int]:
+    """Every packed sign vector of length n orthogonal to all of gens: the
+    covectors when gens are the circuits, the vectors when they are the
+    cocircuits. Both sets are closed under negation (X is orthogonal to Y
+    iff -X is), so the pass builds only the members whose first nonzero sign
+    is +, then adds their negatives.
 
     Positions are set in order 0..n-1. The prefixes kept after position k are
-    the allowed sign vectors of the first k+1 columns, those orthogonal to
-    every generator whose support lies in 0..k, and each extends to position
-    k+1 in exactly one way or in all three (a face lies on one side of a new
-    hyperplane, inside it, or is cut by it); an extension by a sign that is
-    not allowed is dropped. A node (x, P, N) carries the generators, one per
-    opposite pair and as bit i of an int, that x already meets with a +
-    product (P) and with a - product (N). At position k only the generators
-    whose support ends there and are not in P & N can forbid a sign; the
-    lowest of them fixes it: 0 when x does not meet it yet, else the sign
-    whose product at k is the missing one.
+    the sign vectors of the first k+1 columns orthogonal to every generator
+    whose support lies in 0..k, and each extends to position k+1 in exactly
+    one way or in all three (a face lies on one side of a new hyperplane,
+    inside it, or is cut by it). A node (x, P, N) carries the generators,
+    one per opposite pair and as bit i of an int, that x already meets with
+    a + product (P) and with a - product (N). At position k only the
+    generators whose support ends there and are not in P & N can forbid a
+    sign; the lowest of them fixes it: 0 when x does not meet it yet, else
+    the sign whose product at k is the missing one.
 
     The zero prefix meets no generator, so it stays zero wherever a
-    generator ends and may leave zero only where none does; it is kept
-    outside the node list. When `allowed` is closed under negation, so is
-    the result (X is orthogonal to Y iff -X is), and the pass builds only
-    the prefixes whose first nonzero sign is +, then adds their negatives.
-    Distinct prefixes end in distinct sign vectors, so the members are
-    collected in a list and frozen once."""
+    generator ends and may leave zero, to +, only where none does; it is
+    kept outside the node list. Distinct prefixes end in distinct sign
+    vectors, so the members are collected in a list and frozen once."""
     full = (1 << n) - 1
-    symmetric = allowed & full == allowed >> n
     pos, neg, ends = [0] * n, [0] * n, [0] * n
     reps = (g for g in gens if g < (g >> n | (g & full) << n))
     for i, g in enumerate(reps):
@@ -181,61 +177,44 @@ def _orthogonal_masks(gens, n: int, allowed: int) -> frozenset[int]:
     nodes = []
     for k in range(n - 1):
         p, m, e, bp, bm = pos[k], neg[k], ends[k], 1 << k, 1 << k + n
-        plus_ok, minus_ok = allowed & bp, allowed & bm
         children = []
         add = children.append
         for x, P, N in nodes:
             g = e & ~(P & N)
             if not g:
                 add((x, P, N))
-                if plus_ok:
-                    add((x | bp, P | p, N | m))
-                if minus_ok:
-                    add((x | bm, P | m, N | p))
+                add((x | bp, P | p, N | m))
+                add((x | bm, P | m, N | p))
                 continue
             g &= -g
             if not g & (P | N):
                 add((x, P, N))
             elif g & (P & m | N & p):
-                if plus_ok:
-                    add((x | bp, P | p, N | m))
-            elif minus_ok:
+                add((x | bp, P | p, N | m))
+            else:
                 add((x | bm, P | m, N | p))
         if not e:  # the zero prefix leaves zero
-            if plus_ok:
-                add((bp, p, m))
-            if minus_ok and not symmetric:
-                add((bm, m, p))
+            add((bp, p, m))
         nodes = children
     # the same step at the last position, where only the signs are kept
     p, m, e, bp, bm = pos[-1], neg[-1], ends[-1], 1 << n - 1, 1 << 2 * n - 1
-    bp, bm = allowed & bp, allowed & bm  # a sign that is not allowed adds nothing
     out = []
     add = out.append
     for x, P, N in nodes:
         g = e & ~(P & N)
         if not g:
-            add(x)
-            if bp:
-                add(x | bp)
-            if bm:
-                add(x | bm)
+            out += (x, x | bp, x | bm)
             continue
         g &= -g
         if not g & (P | N):
             add(x)
         elif g & (P & m | N & p):
-            if bp:
-                add(x | bp)
-        elif bm:
+            add(x | bp)
+        else:
             add(x | bm)
     if not e:
-        if bp:
-            add(bp)
-        if bm and not symmetric:
-            add(bm)
-    if symmetric:
-        out += [x >> n | (x & full) << n for x in out]
+        add(bp)
+    out += [x >> n | (x & full) << n for x in out]
     out.append(0)
     return frozenset(out)
 
@@ -398,7 +377,7 @@ class OrientedMatroid:
     @cached_property
     def _covector_masks(self) -> frozenset[int]:
         n = self.W.cols
-        covs = _orthogonal_masks(self.circuit_masks, n, (1 << 2 * n) - 1)
+        covs = _orthogonal_masks(self.circuit_masks, n)
         # the cocircuits come from the chirotope directly, the circuits by Cramer
         check(self.cocircuit_masks <= covs, "a cocircuit is not orthogonal to every circuit")
         return covs
@@ -406,17 +385,16 @@ class OrientedMatroid:
     @cached_property
     def _vector_masks(self) -> frozenset[int]:
         n = self.W.cols
-        vecs = _orthogonal_masks(self.cocircuit_masks, n, (1 << 2 * n) - 1)
+        vecs = _orthogonal_masks(self.cocircuit_masks, n)
         check(self.circuit_masks <= vecs, "a circuit is not orthogonal to every cocircuit")
         return vecs
 
     @cached_property
     def _nonneg_covector_masks(self) -> frozenset[int]:
-        n = self.W.cols
-        faces = _orthogonal_masks(self.circuit_masks, n, (1 << n) - 1)
-        check(self.nonneg_cocircuit_masks <= faces,
-              "a nonnegative cocircuit is not orthogonal to every circuit")
-        return faces
+        faces = {0}
+        for t in self.nonneg_cocircuit_masks:
+            faces |= {f | t for f in faces}
+        return frozenset(faces)
 
     def covector_masks(self, cap: int = 12) -> frozenset[int]:
         """All of sign(im W^T), packed: the sign vectors orthogonal to every
@@ -432,8 +410,11 @@ class OrientedMatroid:
 
     def nonneg_covector_masks(self, cap: int = 12) -> frozenset[int]:
         """sign(im W^T) within {0,+}^n, packed (each is its own positive part):
-        the sign vectors in {0,+}^n orthogonal to every circuit, by the pass
-        of `_orthogonal_masks` that allows only +."""
+        the faces of cone(columns). Every nonnegative covector is the
+        composition of the nonnegative cocircuits conformal to it, and
+        nonnegative sign vectors compose by OR, so the faces are the
+        OR-closure of the facets: starting from {0}, each facet is ORed into
+        every face found so far. No circuit is needed."""
         self.check_cap("covector", cap)
         return self._nonneg_covector_masks
 

@@ -278,9 +278,11 @@ def composition_closure(generators, n: int) -> frozenset[int]:
     nonzero restrictions of the generators once, and x is composed with those
     only; a full-support element gets none.
 
-    The package enumerates its sign sets with `matroid._orthogonal_masks`
-    and does not call this; it stays as the definition those sets are
-    tested against, and because the benchmark's tracer names it.
+    The package enumerates its signed sets with `matroid._orthogonal_masks`
+    and its faces as the OR-closure of the facets (the composition of
+    nonnegative sign vectors is their OR), and does not call this; it stays
+    as the definition those sets are tested against, and because the
+    benchmark's tracer names it.
     """
     full = (1 << n) - 1
     gens = set(generators)

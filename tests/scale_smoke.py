@@ -14,7 +14,9 @@ Run as `PYTHONPATH=src python tests/scale_smoke.py FAMILY`, FAMILY one of
 - `matroid`: `expbij matroid covectors` on a seeded (n, d) = (12, 6) matrix,
   whose output must have one line per covector, in string order; the
   covectors and vectors of it and of a seeded (14, 7) matrix must equal
-  those of the whole prefix tree (`sign_oracles.orthogonal_masks_tree`);
+  those of the whole prefix tree (`sign_oracles.orthogonal_masks_tree`),
+  and their faces, the OR-closure of the facets, those of the tree over
+  the circuits with only + allowed;
 - `crn`: reaction-network chains, cycles and binding trees
   (`test_crn.family_network`) at 12, 16 and 20 species, under mass action
   and under seeded kinetic orders; each structure must equal the Fraction
@@ -91,8 +93,8 @@ def big_sum():
 
 def matroid_covectors():
     """The problems with `expbij matroid covectors` on a seeded (12, 6) matrix,
-    and with the covectors and vectors of it and of a seeded (14, 7) matrix,
-    which must equal those of the whole prefix tree."""
+    and with the covectors, vectors and faces of it and of a seeded (14, 7)
+    matrix, which must equal those of the whole prefix tree."""
     rng = random.Random(7)
     W = _random_full_rank(rng, 6, 12)
     with tempfile.TemporaryDirectory() as tmp:
@@ -112,13 +114,23 @@ def matroid_covectors():
         om, n = OrientedMatroid(M), M.cols
         for what, gens in (("covectors", om.circuit_masks), ("vectors", om.cocircuit_masks)):
             start = time.perf_counter()
-            got = _orthogonal_masks(gens, n, (1 << 2 * n) - 1)
+            got = _orthogonal_masks(gens, n)
             mid = time.perf_counter()
             same = got == orthogonal_masks_tree(gens, n, (1 << 2 * n) - 1)
             print(f"{what} at ({n}, {M.rows}): {len(got)}, {mid - start:.2f} s; "
                   f"the tree {'agrees' if same else 'DISAGREES'}, {time.perf_counter() - mid:.2f} s")
             if not same:
                 problems.append(f"{what} at ({n}, {M.rows}) differ from the tree's")
+        # the faces, the OR-closure of the facets, against the circuit route
+        start = time.perf_counter()
+        faces = om.nonneg_covector_masks(n)
+        mid = time.perf_counter()
+        same = faces == orthogonal_masks_tree(om.circuit_masks, n, (1 << n) - 1)
+        print(f"faces at ({n}, {M.rows}): {len(faces)}, {(mid - start) * 1000:.0f} ms; "
+              f"the + only tree {'agrees' if same else 'DISAGREES'}, "
+              f"{(time.perf_counter() - mid) * 1000:.0f} ms")
+        if not same:
+            problems.append(f"faces at ({n}, {M.rows}) differ from the + only tree's")
     return problems
 
 

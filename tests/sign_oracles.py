@@ -7,7 +7,8 @@ read an `OrientedMatroid` instead: the package itself needs neither.
 `minor_verdicts` states the four maximal-minor rules on the Fraction minors,
 and `ordered_partitions_of_elements` the iii search's partitions on tuples.
 `orthogonal_masks_tree` builds a sign set from the whole prefix tree, both
-halves of a set closed under negation. `cone_flags_from_faces` reads the
+halves of a set closed under negation, and with only + allowed builds the
+faces over the circuits, a route the package does not take. `cone_flags_from_faces` reads the
 cone flags off the enumerated faces, and `subspace_contains` and
 `same_subspace` test subspaces by rank. `structure_oracle` builds a reaction
 network's structure in `Fraction` arithmetic, from `row_space_basis`,

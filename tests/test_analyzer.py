@@ -52,7 +52,7 @@ from expbij.lp import (
     realize_kernel_sign,
     realize_sign_vector,
 )
-from expbij.matroid import OrientedMatroid, covectors, vectors
+from expbij.matroid import OrientedMatroid, covectors, face_lattice, vectors
 from expbij.report import build_report, verify_certificate
 from expbij.signs import (
     EnumerationCap,
@@ -730,6 +730,44 @@ def test_analyze_enumerates_no_vector_set(monkeypatch):
     assert built  # the patch sees a vector set that is built
 
 
+def test_circuits_only_for_the_covector_pass(monkeypatch):
+    # the faces are the OR-closure of the facets, so the only circuit table
+    # analyze builds is the exponent matrix's, for the covectors that i, iv
+    # and iii read; the verifier and face_lattice build none
+    built = []
+    circuit_masks = OrientedMatroid.circuit_masks.func
+
+    def recorded(om):
+        built.append(om)
+        return circuit_masks(om)
+
+    monkeypatch.setattr(OrientedMatroid, "circuit_masks", property(recorded))
+
+    def check_report(rep):
+        assert built and all(om.W == rep.canonical_exponents for om in built), (
+            rep.canonical_coeff, rep.canonical_exponents)
+        built.clear()
+        assert verify_certificate(build_report(rep, {}))
+        assert not built, (rep.canonical_coeff, rep.canonical_exponents)
+
+    specs = _corpus(200) + [sv_example(Fraction(a)) for a in SV_ALPHAS]
+    for spec in specs:
+        check_report(analyze(spec))
+        analyze(spec, Caps(max_n_enumeration=spec.n - 1))
+        assert not built, (spec.coeff, spec.exponents)
+    analyzed = 0
+    for net in _crn_pool_networks():
+        rep = deficiency_zero_gmak(net).analysis
+        if rep is not None:
+            check_report(rep)
+            analyzed += 1
+    assert analyzed
+    fl = face_lattice(M([[1, 0, 1, 2], [0, 1, 1, -1]]))
+    assert len(fl.faces) > 1 and not built
+    covectors(M([[1, 2, -1]]))
+    assert built  # the patch sees a circuit table that is built
+
+
 def test_iii_search_solves_no_system_twice(monkeypatch):
     # only infeasible systems can repeat (a feasible one ends the search);
     # a repeat is skipped but still counted as a partition tried
@@ -868,10 +906,9 @@ def test_internal_checks_survive_python_O():
             {"from": {"stoich": {"A": 1}}, "to": {"stoich": {"B": 1}}, "reversible": True}]})
         crn._deficiency_by_intersection = lambda Y, edges: -1
         expect_raise(lambda: crn.structure(net), 6)
-        matroid._orthogonal_masks = lambda gens, n, allowed: {0}
+        matroid._orthogonal_masks = lambda gens, n: {0}
         expect_raise(lambda: matroid.covectors(M([[1, 1, -1]])), 7)
         expect_raise(lambda: matroid.vectors(M([[1, 1, -1]])), 8)
-        expect_raise(lambda: matroid.face_lattice(M([[1, 1, 1]])), 9)
         sys.exit(0)
     """)
     proc = run_python("-O", "-c", code)

@@ -152,6 +152,7 @@ A_TO_B = {"from": {"stoich": {"A": 1}}, "to": {"stoich": {"B": 1}}}
     {"species": ["A", "B"], "reactions": [dict(A_TO_B, to=["stoich"])]},
     {"species": ["A", "B"], "reactions": [dict(A_TO_B, to=None)]},
     {"species": [["A"]], "reactions": [A_TO_B]},
+    {"species": ["A", "B"], "reactions": [dict(A_TO_B, to={"stoich": None})]},
 ])
 def test_malformed_network_shape_exit_one(tmp_path, capsys, doc):
     assert main(["crn", "analyze", write_json(tmp_path, "net.json", doc)]) == 1

@@ -224,7 +224,9 @@ def test_nonneg_cocircuits_are_the_minimal_nonneg_covectors():
         kinds["deficient" if rank(W) < W.rows else "full rank"] += 1
         kinds["zero column"] += any(all(x == 0 for x in W.column(j)) for j in range(W.cols))
         om = OrientedMatroid(W)
-        facets = {pack(t) for t in minimal_support_members(SignSet(om.nonneg_covector_masks(), W.cols))}
+        # the minimal faces of the circuit route, which the package does not take
+        faces = orthogonal_masks_tree(om.circuit_masks, W.cols, (1 << W.cols) - 1)
+        facets = {pack(t) for t in minimal_support_members(SignSet(faces, W.cols))}
         assert om.nonneg_cocircuit_masks == facets, W
         kinds["no facet"] += not facets
         d, n = om.W.rows, W.cols
@@ -271,13 +273,12 @@ def test_mask_accessors_are_the_packed_sets():
 def test_orthogonal_masks_match_composition_closure():
     """The one-pass enumeration against its definition: the covectors are the
     composition closure of the cocircuits and are orthogonal to the circuits,
-    and the vectors the other way round. Restricted to +, it gives the
-    nonnegative covectors, each the composition of the nonnegative cocircuits
-    conformal to it. It also equals the whole prefix tree for circuits and
-    cocircuits as generators under masks that allow every sign, + only, -
-    only, a random set of signs closed under negation and any random set; a
-    mask closed under negation gives a set closed under negation."""
-    rng, masks = random.Random(57721), random.Random(16180)
+    and the vectors the other way round; each equals the whole prefix tree
+    and is closed under negation. The faces, the OR-closure of the facets,
+    are the nonnegative covectors by two routes the package does not take:
+    the prefix tree over the circuits with only + allowed, and the
+    composition closure of the nonnegative cocircuits."""
+    rng = random.Random(57721)
     kinds = Counter()
     for _ in range(120):
         n = rng.randint(1, 9)
@@ -302,18 +303,13 @@ def test_orthogonal_masks_match_composition_closure():
         kinds["n = 9"] += n == 9
         kinds["n = 1"] += n == 1
         every = (1 << 2 * n) - 1
-        assert _orthogonal_masks(om.circuit_masks, n, every) == composition_closure(om.cocircuit_masks, n), W
-        assert _orthogonal_masks(om.cocircuit_masks, n, every) == composition_closure(om.circuit_masks, n), W
-        # only + allowed: the nonnegative covectors, composed of the nonnegative cocircuits
-        assert _orthogonal_masks(om.circuit_masks, n, full) == composition_closure(
-            om.nonneg_cocircuit_masks, n), W
-        half = masks.getrandbits(n)
-        for allowed in (every, full, full << n, half | half << n, masks.getrandbits(2 * n)):
-            for gens in (om.circuit_masks, om.cocircuit_masks):
-                got = _orthogonal_masks(gens, n, allowed)
-                assert got == orthogonal_masks_tree(gens, n, allowed), (W, allowed)
-                if allowed & full == allowed >> n:
-                    assert {x >> n | (x & full) << n for x in got} == got, (W, allowed)
+        for gens, dual in ((om.circuit_masks, om.cocircuit_masks), (om.cocircuit_masks, om.circuit_masks)):
+            got = _orthogonal_masks(gens, n)
+            assert got == composition_closure(dual, n) == orthogonal_masks_tree(gens, n, every), W
+            assert {x >> n | (x & full) << n for x in got} == got, W
+        faces = om.nonneg_covector_masks()
+        assert faces == orthogonal_masks_tree(om.circuit_masks, n, full), W
+        assert faces == composition_closure(om.nonneg_cocircuit_masks, n), W
     assert all(kinds[k] >= 5 for k in ("rank-deficient", "zero column", "coloop", "no circuits",
                                        "n = 9", "n = 1")), kinds
 
