@@ -27,7 +27,7 @@ a certificate names. The kernel and covector witnesses come from the same
 orthogonal witness comes from `matroid.orthogonal_witness`, on the kernel
 basis of the other side. Only the nondegeneracy search builds LP rows of its
 own. The certificate verifier calls the analyzer's two rules: `minor_form`,
-one scan over the two tables of minor signs, decides the maximal-minor forms
+one scan over the two tables of nonzero minor signs, decides the minor forms
 of i, cc, cc_prime and robust_both, and `cone_form` decides robust_coefficients
 from cc_prime and the facets of the two cones, so that only the separating
 face of differing face sets is enumerated.
@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
+from itertools import combinations
+from math import comb
 
 from .linalg import (
     InputError,
@@ -262,58 +264,70 @@ def injectivity_via_signs(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Cond
     })
 
 
-# the zero products det(W_I) det(Wt_I) each minor form covers, given
-# sign det(W_I) and sign det(Wt_I); every form covers every nonzero product
-_COVERS_ZERO = {"i": lambda a, b: False, "cc": lambda a, b: a,
-                "cc_prime": lambda a, b: b, "robust_both": lambda a, b: True}
+def _before(a: int, b: int) -> bool:
+    """Column masks of one size: a comes before b in ascending tuple order,
+    that is, the lowest column where they differ is in a."""
+    x = a ^ b
+    return bool(x & -x & a)
 
 
-def minor_form(key: str, sw: dict, swt: dict) -> tuple[str, dict]:
+def minor_form(key: str, om_w: OrientedMatroid, om_wt: OrientedMatroid) -> tuple[str, dict]:
     """Verdict and certificate of a maximal-minor form from the two tables of
-    minor signs: it holds iff the products sign det(W_I) det(Wt_I) share one
-    nonzero sign over the subsets I it covers, which are the nonzero products
-    for "i", every I with det(W_I) != 0 for "cc", every I with det(Wt_I) != 0
-    for "cc_prime", and all I for "robust_both".
+    nonzero minor signs: it holds iff the products sign det(W_I) det(Wt_I)
+    share one nonzero sign over the subsets I it covers, which are the nonzero
+    products for "i", every I with det(W_I) != 0 for "cc", every I with
+    det(Wt_I) != 0 for "cc_prime", and all I for "robust_both".
 
-    One ascending pass records the first nonzero product (the reference), the
-    first zero product it covers and the first product of the other sign;
-    every certificate names subsets among those three."""
-    covers_zero = _COVERS_ZERO[key]
-    ref = zero = other = None
-    for I, a in sw.items():  # keys ascend
-        b = swt[I]
-        if a * b == 0:
-            if zero is None and covers_zero(a, b):
+    The certificate names the first, in ascending tuple order, of three kinds
+    of subset: a nonzero product (the reference), a zero product the form
+    covers, and a product of the other sign. One pass over W's table (Wt's for
+    "cc_prime", the same form with the sides swapped) keeps the first of each
+    by `_before`, with no sort. A zero product of "robust_both" may lie in
+    neither table, so its first is found by walking the subsets in order,
+    when some minor is zero."""
+    sw, swt = om_w.minor_signs, om_wt.minor_signs
+    if key == "cc_prime":
+        sw, swt = swt, sw
+    zeros = key in ("cc", "cc_prime")
+    pos = neg = zero = None
+    for I, a in sw.items():
+        b = swt.get(I)
+        if b is None:
+            if zeros and (zero is None or _before(I, zero)):
                 zero = I
-        elif ref is None:
-            ref, ref_p = I, a * b
-        elif a * b != ref_p and other is None:
-            other = I
-        if zero is not None and other is not None:
-            break
+        elif a == b:
+            if pos is None or _before(I, pos):
+                pos = I
+        elif neg is None or _before(I, neg):
+            neg = I
+    d, n = om_w.W.rows, om_w.W.cols
+    if key == "robust_both" and min(len(sw), len(swt)) < comb(n, d):
+        zero = next(m for m in (sum(1 << i for i in I) for I in combinations(range(n), d))
+                    if m not in sw or m not in swt)
+    ref, other = (neg, pos) if pos is None or neg is not None and _before(neg, pos) else (pos, neg)
+    sign = "+" if ref == pos else "-"
     if zero is None and other is None:
         if ref is None:
             return FAILS, {"reason": "all-products-zero"}
-        cert = {"reference_sign": "+" if ref_p > 0 else "-"}
+        cert = {"reference_sign": sign}
         if key != "robust_both":
-            cert["reference_subset"] = _jidx(ref)
+            cert["reference_subset"] = _jidx(bits(ref))
         return HOLDS, cert
     if key == "robust_both":
         if zero is not None:
-            return FAILS, {"violating_subset": _jidx(zero), "reason": "zero-product"}
-        pos, neg = (ref, other) if ref_p > 0 else (other, ref)
-        return FAILS, {"positive_subset": _jidx(pos), "negative_subset": _jidx(neg),
+            return FAILS, {"violating_subset": _jidx(bits(zero)), "reason": "zero-product"}
+        return FAILS, {"positive_subset": _jidx(bits(pos)), "negative_subset": _jidx(bits(neg)),
                        "reason": "mixed-product-signs"}
-    if other is None or zero is not None and zero < other:  # cc and cc_prime name the first
-        return FAILS, {"violating_subset": _jidx(zero), "reason": "zero-product-at-nonzero-minor"}
-    extra = {"reference_sign": "+" if ref_p > 0 else "-"} if key == "i" else {"reason": "mixed-product-signs"}
-    return FAILS, {"reference_subset": _jidx(ref), "violating_subset": _jidx(other), **extra}
+    if other is None or zero is not None and _before(zero, other):  # cc and cc_prime name the first
+        return FAILS, {"violating_subset": _jidx(bits(zero)), "reason": "zero-product-at-nonzero-minor"}
+    extra = {"reference_sign": sign} if key == "i" else {"reason": "mixed-product-signs"}
+    return FAILS, {"reference_subset": _jidx(bits(ref)), "violating_subset": _jidx(bits(other)), **extra}
 
 
 def _minor_condition(spec: ExponentialMapSpec, key: str, tag: str) -> ConditionResult:
     """The minor form `key` read off the spec's two tables of minor signs."""
     spec.require_square()
-    verdict, cert = minor_form(key, spec._om(spec.coeff).minor_signs, spec._om(spec.exponents).minor_signs)
+    verdict, cert = minor_form(key, spec._om(spec.coeff), spec._om(spec.exponents))
     return ConditionResult(verdict, tag, cert)
 
 
@@ -712,8 +726,8 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
         runtimes[key] = round((time.perf_counter() - t0) * 1000, 3)
         return conditions[key]
 
-    # sign(ker W) = sign(ker Wt) iff the chirotopes agree up to a global sign
-    sign_sets_equal = om_w.chirotope.equal_up_to_sign(om_wt.chirotope)
+    # sign(ker W) = sign(ker Wt) iff the minor tables agree up to a global sign
+    sign_sets_equal = om_w.equal_up_to_sign(om_wt)
 
     cond_i = run("i", injectivity_via_signs, spec_c, caps)
     minors = run("injectivity_minors", injectivity_via_minors, spec_c)
@@ -729,7 +743,7 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
     newton = run("newton", newton_polytope_sufficient, spec_c, caps)
     cc = run("cc", closure_cc, spec_c)
     ccp = run("cc_prime", closure_cc_prime, spec_c)
-    check(ccp.verdict == minor_form("cc_prime", om_w.minor_signs, om_wt.minor_signs)[0],
+    check(ccp.verdict == minor_form("cc_prime", om_w, om_wt)[0],
           "reversed closure condition disagrees with its minor form")
 
     t0 = time.perf_counter()

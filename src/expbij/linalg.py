@@ -12,8 +12,8 @@ and callers that hold int rows, such as `crn`, call the core directly. The
 signs of all maximal minors, which is what the analyzer and the certificate
 verifier read, come from one integer table per matrix
 (`maximal_minor_signs`: one echelon form, one Bareiss determinant, then
-Laplace expansion without division). `maximal_minors`, one Bareiss
-determinant per minor, is kept as the tests' oracle for that table.
+Laplace expansion; one entry per nonzero minor, keyed by column bitmask).
+`maximal_minors`, one Bareiss determinant per minor, is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -372,9 +372,10 @@ def maximal_minors(M: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
             for I in combinations(range(n), d)}
 
 
-def maximal_minor_signs(M: RationalMatrix) -> dict[tuple[int, ...], int]:
-    """sign det(M_I) for every column subset I of size d, keys sorted ascending
-    (0-based), from one integer table.
+def maximal_minor_signs(M: RationalMatrix) -> dict[int, int]:
+    """sign det(M_I) for every column subset I of size d with a nonzero
+    minor, keyed by the bitmask of I (bit j for column j); a subset with a
+    zero minor has no entry.
 
     Let R be the reduced row echelon form of M and B its pivot columns. Then
     M = M_B R, so det(M_I) = det(M_B) det(R_I). Row k of the integer echelon
@@ -384,13 +385,13 @@ def maximal_minor_signs(M: RationalMatrix) -> dict[tuple[int, ...], int]:
     row k, on ints and without division; a zero entry or a zero smaller minor
     adds no term, so the identity block of E costs little. One Bareiss
     determinant gives the sign of det(M_B). A matrix of rank below d has
-    every maximal minor zero."""
+    every maximal minor zero, and so an empty table."""
     d, n = M.rows, M.cols
     if d > n:
         raise InputError("maximal_minor_signs requires d <= n")
     E, pivots = _int_rref(M)
     if len(pivots) < d:
-        return dict.fromkeys(combinations(range(n), d), 0)
+        return {}
     ints, _ = _int_rows([[row[j] for j in pivots] for row in M.row_tuples])
     scale = _int_det(ints)
     for k, c in enumerate(pivots):
@@ -412,8 +413,4 @@ def maximal_minor_signs(M: RationalMatrix) -> dict[tuple[int, ...], int]:
                 else:
                     nxt[cols | bit] = nxt.get(cols | bit, 0) + a * v
         table = {cols: v for cols, v in nxt.items() if v}
-    out = {}
-    for I in combinations(range(n), d):
-        v = table.get(sum(1 << j for j in I), 0)
-        out[I] = (v > 0) - (v < 0)
-    return out
+    return {cols: 1 if v > 0 else -1 for cols, v in table.items()}

@@ -1,34 +1,28 @@
 """Oriented-matroid data of a rational vector configuration.
 
-All of it comes from one table per matrix, the signs of its maximal minors
-(`linalg.maximal_minor_signs`, an integer table built from one echelon form).
-That table is the chirotope; the cocircuits are read off the chirotope on
-(d-1)-subsets, and the circuits on (d+1)-subsets by Cramer's rule. The full
-covector set is the sign vectors orthogonal to every circuit, and the full
-vector set those orthogonal to every cocircuit; `_orthogonal_masks` builds
-either in one pass over the columns. Both are closed under negation, so the
-pass builds only the members whose first nonzero sign is + and adds their
-negatives at the end. The faces of the cone spanned by the columns are the
-nonnegative covectors; each is the OR of the facets, the nonnegative
-cocircuits, below it, so the faces are the OR-closure of the facets and
-need no circuit. They are enumerated only to be printed: the facets decide
-every flag of the cone (`cone`) and whether two cones have the same faces.
-Every signed set the module enumerates comes from `_orthogonal_masks`, and
-every face set from the facets; the matrix is read only to build the minor
-table and to solve for witnesses. Two configurations have equal vector
-sets iff their chirotopes agree up to sign, so that needs no enumeration
-either. Nor do questions about single vectors: a sign vector is a vector
-iff it is orthogonal to every cocircuit, which `extends` tests on a
-restriction and `first_vector` uses to find the first vector with given
-signs by prefix search; `vector_point` and `covector_point` return the
-rational witnesses of such questions. `OrientedMatroid` holds these for one
-matrix, as packed ints, and computes each at most once. The module
-functions are the `SignVector` API: they share one `OrientedMatroid` per
-matrix object (`oriented_matroid`) and return its sets as `SignSet` views,
-which build a `SignVector` only for a caller that iterates. The two-branch
-alternative for sign vectors against a subspace also lives here. This module
-builds no LP rows: every system it solves comes from a builder in `lp`, on
-packed sign vectors.
+All of it comes from one table per matrix: the signs of its nonzero maximal
+minors, keyed by column bitmask (`linalg.maximal_minor_signs`), whose keys
+are the bases. The cocircuits are read off the hyperplanes, each a basis
+minus one column, and the circuits off each basis plus one column by
+Cramer's rule, in one routine (`_signed_masks`). The covectors are the sign
+vectors orthogonal to every circuit, and the vectors those orthogonal to
+every cocircuit; `_orthogonal_masks` builds either in one pass over the
+columns, only the half whose first nonzero sign is +, and adds the
+negatives. The faces of the cone spanned by the columns are the OR-closure
+of its facets, the nonnegative cocircuits, and are enumerated only to be
+printed: the facets decide every flag of the cone (`cone`). Two
+configurations have equal vector sets iff their tables agree up to sign. A
+sign vector is a vector iff it is orthogonal to every cocircuit: `extends`
+tests that on a restriction, `first_vector` finds the first vector with
+given signs by prefix search, and `vector_point` and `covector_point` return
+rational witnesses. `OrientedMatroid` holds these for one matrix, as packed
+ints, and computes each at most once. The module functions are the
+`SignVector` API: they share one `OrientedMatroid` per matrix object and
+return its sets as `SignSet` views. `Chirotope` and
+`cocircuits_from_chirotope` are thin views of the table, kept for the
+benchmark's `enumerate` workload, which binds them by name. The two-branch
+alternative for sign vectors against a subspace also lives here; every
+system it solves comes from a builder in `lp`.
 """
 
 from __future__ import annotations
@@ -69,21 +63,11 @@ def _row_basis(M: RationalMatrix) -> RationalMatrix:
     return M if r == M.rows else RationalMatrix(echelon[:r])
 
 
-def _perm_sign(tup) -> int:
-    inv = 0
-    for i in range(len(tup)):
-        for j in range(i + 1, len(tup)):
-            if tup[i] > tup[j]:
-                inv += 1
-            elif tup[i] == tup[j]:
-                return 0
-    return -1 if inv % 2 else 1
-
-
 class Chirotope:
-    """Sign of det(W_I) on sorted d-tuples, extended alternately to all tuples."""
+    """Sign of det(W_I) on d-tuples, extended alternately to all tuples: a view
+    of the minor table {column mask: +-1} of an `OrientedMatroid`."""
 
-    def __init__(self, d: int, n: int, signs: dict[tuple[int, ...], int]):
+    def __init__(self, d: int, n: int, signs: dict[int, int]):
         self.d = d
         self.n = n
         self._signs = signs  # shared with the OrientedMatroid that built it
@@ -94,51 +78,55 @@ class Chirotope:
             raise InputError(f"chirotope takes {self.d}-tuples, got {len(tup)}")
         if not all(0 <= i < self.n for i in tup):
             raise InputError(f"chirotope column indices lie in 0..{self.n - 1}, got {tup}")
-        s = _perm_sign(tup)
-        if s == 0:
+        if len(set(tup)) < len(tup):
             return 0
-        return s * self._signs[tuple(sorted(tup))]
+        inversions = sum(a > b for k, a in enumerate(tup) for b in tup[k + 1:])
+        return (-1) ** inversions * self._signs.get(sum(1 << i for i in tup), 0)
 
-    def sorted_items(self):
-        return sorted(self._signs.items())
+    def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
+        """(I, sign det(W_I)) for every sorted d-tuple I, ascending, zeros included."""
+        get = self._signs.get
+        return [(I, get(sum(1 << i for i in I), 0)) for I in combinations(range(self.n), self.d)]
 
     def __eq__(self, other):
         return (isinstance(other, Chirotope)
                 and (self.d, self.n, self._signs) == (other.d, other.n, other._signs))
 
-    def equal_up_to_sign(self, other: "Chirotope") -> bool:
-        """chi = +-other: the two configurations have the same vectors."""
-        return self._signs in (other._signs, {I: -s for I, s in other._signs.items()})
-
 
 def cocircuits_from_chirotope(chi: Chirotope) -> SignSet:
-    """The nonzero sign vectors j -> chi(I + j) over sorted (d-1)-tuples I, and
-    their negatives."""
-    return SignSet(_cocircuit_masks(chi), chi.n)
+    """The cocircuits read off the chirotope's minor table."""
+    return SignSet(_signed_masks(chi._signs, chi.n, cocircuits=True), chi.n)
 
 
-def _cocircuit_masks(chi: Chirotope) -> frozenset[int]:
-    """cocircuits_from_chirotope as packed ints. For j not in I, inserting j
-    into I at position k sorts the tuple with len(I) - k transpositions."""
-    signs, n, m = chi._signs, chi.n, chi.d - 1
+def _signed_masks(table: dict[int, int], n: int, cocircuits: bool) -> frozenset[int]:
+    """The cocircuits or the circuits, packed, from the minor table {basis
+    mask: +-1}. Each hyperplane, a basis minus one column, gives a cocircuit,
+    and each basis plus one column holds one circuit. For such a set S the
+    sign vector is j -> table[S ^ j] times (-1) to the number k of elements
+    of S below j, with its negative. For a basis plus one this is Cramer's
+    vector, (-1)^k chi(S minus j) at the k-th element j of S, which spans
+    the kernel of W_S. For a hyperplane it is chi(S, j) up to the sign
+    (-1)^(d-1), since the elements above j are the transpositions that sort
+    j into place."""
+    cols = [1 << j for j in range(n)]
+    sets = ({B ^ bit for B in table for bit in cols if B & bit} if cocircuits
+            else {B | bit for B in table for bit in cols if not B & bit})
+    get = table.get
     out: set[int] = set()
-    for I in combinations(range(n), m):
+    for S in sets:
         plus = minus = 0
-        k = 0
-        for j in range(n):
-            if k < m and I[k] == j:
-                k += 1
-                continue
-            s = signs[I[:k] + (j,) + I[k:]]
-            if (m - k) & 1:
-                s = -s
-            if s > 0:
-                plus |= 1 << j
-            elif s < 0:
-                minus |= 1 << j
-        if plus | minus:
-            out.add(plus | minus << n)
-            out.add(minus | plus << n)
+        odd = 0  # parity of the elements of S below the column
+        for bit in cols:
+            s = get(S ^ bit)
+            if s is not None:
+                if (s > 0) != odd:
+                    plus |= bit
+                else:
+                    minus |= bit
+            if S & bit:
+                odd ^= 1
+        out.add(plus | minus << n)
+        out.add(minus | plus << n)
     return frozenset(out)
 
 
@@ -261,10 +249,18 @@ class OrientedMatroid:
         self._covector_points: dict[int, Vec | None] = {}
 
     @cached_property
-    def minor_signs(self) -> dict[tuple[int, ...], int]:
-        """sign det(W_I) for every sorted d-subset I, in ascending order; the
-        chirotope reads this table, so it must not be changed."""
+    def minor_signs(self) -> dict[int, int]:
+        """sign det(W_I) for every d-subset I with a nonzero minor, keyed by
+        the column mask of I: the bases. Every piece of oriented-matroid data
+        is read off this one table, so it must not be changed."""
         return maximal_minor_signs(self.W)
+
+    def equal_up_to_sign(self, other: "OrientedMatroid") -> bool:
+        """The two minor tables agree up to one global sign: the
+        configurations have the same vectors, and the same covectors."""
+        a, b = self.minor_signs, other.minor_signs
+        return (self.W.cols == other.W.cols and a.keys() == b.keys()
+                and len({s * b[I] for I, s in a.items()}) <= 1)
 
     @cached_property
     def chirotope(self) -> Chirotope:
@@ -273,7 +269,7 @@ class OrientedMatroid:
     @cached_property
     def cocircuit_masks(self) -> frozenset[int]:
         """Minimal-support sign vectors of im W^T, packed."""
-        return _cocircuit_masks(self.chirotope)
+        return _signed_masks(self.minor_signs, self.W.cols, cocircuits=True)
 
     @cached_property
     def _cocircuit_pairs(self) -> tuple[tuple[int, int, int], ...]:
@@ -347,27 +343,10 @@ class OrientedMatroid:
 
     @cached_property
     def circuit_masks(self) -> frozenset[int]:
-        """Minimal-support sign vectors of ker W, packed, by Cramer's rule: for
-        sorted J = (j_0..j_d) the vector with entry (-1)^k chi(J minus j_k) at
-        j_k spans the kernel of W_J when it is nonzero, and it is zero when W_J
-        has rank below d. Every circuit lies in some J of rank d."""
-        chi = self.chirotope
-        signs, n = chi._signs, chi.n
-        out: set[int] = set()
-        for J in combinations(range(n), chi.d + 1):
-            plus = minus = 0
-            for k, j in enumerate(J):
-                s = signs[J[:k] + J[k + 1:]]  # already sorted
-                if k & 1:
-                    s = -s
-                if s > 0:
-                    plus |= 1 << j
-                elif s < 0:
-                    minus |= 1 << j
-            if plus | minus:
-                out.add(plus | minus << n)
-                out.add(minus | plus << n)
-        return frozenset(out)
+        """Minimal-support sign vectors of ker W, packed, by Cramer's rule on
+        each basis plus one column (`_signed_masks`); every circuit lies in
+        such a set."""
+        return _signed_masks(self.minor_signs, self.W.cols, cocircuits=False)
 
     def check_cap(self, what: str, cap: int):
         """Raise EnumerationCap when the configuration has more than cap columns."""
@@ -376,16 +355,14 @@ class OrientedMatroid:
 
     @cached_property
     def _covector_masks(self) -> frozenset[int]:
-        n = self.W.cols
-        covs = _orthogonal_masks(self.circuit_masks, n)
-        # the cocircuits come from the chirotope directly, the circuits by Cramer
+        covs = _orthogonal_masks(self.circuit_masks, self.W.cols)
+        # the cocircuits and the circuits are read off the table by two walks
         check(self.cocircuit_masks <= covs, "a cocircuit is not orthogonal to every circuit")
         return covs
 
     @cached_property
     def _vector_masks(self) -> frozenset[int]:
-        n = self.W.cols
-        vecs = _orthogonal_masks(self.cocircuit_masks, n)
+        vecs = _orthogonal_masks(self.cocircuit_masks, self.W.cols)
         check(self.circuit_masks <= vecs, "a circuit is not orthogonal to every cocircuit")
         return vecs
 
@@ -434,8 +411,7 @@ class OrientedMatroid:
         full = (1 << n) - 1
         facets = self.nonneg_cocircuit_masks
         lineality = full & ~self.face_below(full)
-        lineality_dim = max(sum(lineality >> i & 1 for i in I)
-                            for I, s in self.minor_signs.items() if s) if lineality else 0
+        lineality_dim = max((B & lineality).bit_count() for B in self.minor_signs) if lineality else 0
         zero_columns = bits(full & ~reduce(or_, self.cocircuit_masks, 0))
         interior = reduce(and_, facets, full)
         robust = d == 1 or not facets or not zero_columns and all(

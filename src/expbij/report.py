@@ -4,8 +4,10 @@ Reports are canonical JSON (sorted keys, lowest-terms "p/q" rationals) so
 they diff cleanly; per-condition runtimes are stored under "runtimes_ms",
 which the canonical form strips. verify_certificate re-checks every
 substitution-checkable claim in a report against the canonical matrices
-embedded in it, without re-running any search. From the matrices' two tables
-of minor signs it decides sign_sets_equal, the facets that ii must cover, and
+embedded in it, without re-running any search. Each matrix must be a
+full-rank reduced row echelon form, and the `map` block's n, d and d_tilde
+their shapes, with d = d_tilde. From the matrices' two tables of nonzero
+minor signs it decides sign_sets_equal, the facets that ii must cover, and
 every minor-form verdict and certificate by the analyzer's own rule,
 `minor_form`, one scan per form; from the facets of the two cones it decides
 robust_coefficients' verdict and reason by the analyzer's `cone_form`. The
@@ -21,7 +23,7 @@ from functools import cache
 
 from . import __version__
 from .analyzer import FAILS, HOLDS, INCONCLUSIVE, AnalysisReport, _classify, _cone_json, cone_form, minor_form
-from .linalg import InputError, RationalMatrix, dot, frac, kernel_basis, vec
+from .linalg import InputError, RationalMatrix, dot, frac, kernel_basis, rref, vec
 from .matroid import OrientedMatroid
 from .signs import SignSet, SignVector, sign_of
 
@@ -83,16 +85,22 @@ def _verify(report: dict):
     m = report["map"]
     W = RationalMatrix.from_json_dict(m["canonical_coeff"])
     Wt = RationalMatrix.from_json_dict(m["canonical_exponents"])
+    _need(m["n"] == W.cols == Wt.cols and m["d"] == m["d_tilde"] == W.rows == Wt.rows,
+          "map shape disagrees with its matrices, or d differs from d_tilde")
+    for M in (W, Wt):
+        rows, pivots = rref(M)
+        _need(len(pivots) == M.rows and rows == M.row_tuples,
+              "a canonical matrix is not a full-rank reduced row echelon form")
     om_w, om_wt = OrientedMatroid(W), OrientedMatroid(Wt)
     conditions = report["conditions"]
-    _need(report["sign_sets_equal"] is om_w.chirotope.equal_up_to_sign(om_wt.chirotope),
+    _need(report["sign_sets_equal"] is om_w.equal_up_to_sign(om_wt),
           "sign_sets_equal disagrees with the minor signs")
     # the cones are enumerated, so only up to the report's cap
     cap = report["caps"]["max_n_enumeration"]
     _need(report["cones"] == {side: _cone_json(om.face_lattice(cap)) if W.cols <= cap else None
                               for side, om in (("coeff", om_w), ("exp", om_wt))},
           "cones disagree with the matrices")
-    form = cache(lambda key: minor_form(key, om_w.minor_signs, om_wt.minor_signs))
+    form = cache(lambda key: minor_form(key, om_w, om_wt))
     facets = SignSet(om_wt.nonneg_cocircuit_masks, Wt.cols).strings()  # of cone(Wt)
     kernel = cache(kernel_basis)  # each basis built once, if a certificate needs it
     passed = set()  # closure certificates checked in this call, by direction and JSON

@@ -4,7 +4,8 @@ The package keeps sign sets as packed ints; most of these work on
 `SignVector` objects by their definitions, with no packing, so the packed
 code can be checked against them. `conformal_decompose` and `is_uniform`
 read an `OrientedMatroid` instead: the package itself needs neither.
-`minor_verdicts` states the four maximal-minor rules on the Fraction minors,
+`minor_forms` states the four maximal-minor rules and their certificates on
+the Fraction minors,
 and `ordered_partitions_of_elements` the iii search's partitions on tuples.
 `orthogonal_masks_tree` builds a sign set from the whole prefix tree, both
 halves of a set closed under negation, and with only + allowed builds the
@@ -193,20 +194,48 @@ def closure_excluded(V, T) -> SignVector | None:
                key=str, default=None)
 
 
-def minor_verdicts(W: RationalMatrix, Wt: RationalMatrix) -> dict[str, str]:
-    """Each minor form's verdict from the exact minors of W and Wt: it holds
-    iff the products sign det(W_I) det(Wt_I) share one nonzero sign over its
-    subsets I, which are the nonzero products for i, every I with
-    det(W_I) != 0 for cc, every I with det(Wt_I) != 0 for cc_prime, and all I
-    for robust_both."""
+def minor_forms(W: RationalMatrix, Wt: RationalMatrix) -> dict[str, tuple[str, dict]]:
+    """Each minor form's verdict and certificate from the exact minors of W
+    and Wt. The form holds iff the products sign det(W_I) det(Wt_I) share one
+    nonzero sign over its subsets I, which are the nonzero products for i,
+    every I with det(W_I) != 0 for cc, every I with det(Wt_I) != 0 for
+    cc_prime, and all I for robust_both. The certificate names the first, in
+    `combinations` order, of three kinds of subset: a nonzero product (the
+    reference), a zero product the form covers, and a product of the other
+    sign than the reference."""
     sw = {I: (x > 0) - (x < 0) for I, x in maximal_minors(W).items()}
     swt = {I: (x > 0) - (x < 0) for I, x in maximal_minors(Wt).items()}
+    covers = {"i": lambda I: sw[I] * swt[I], "cc": lambda I: sw[I], "cc_prime": lambda I: swt[I],
+              "robust_both": lambda I: True}
+    ref = next((I for I in sw if sw[I] * swt[I]), None)
+    sign = sw[ref] * swt[ref] if ref else 0
+    other = next((I for I in sw if sw[I] * swt[I] == -sign), None) if ref else None
 
-    def verdict(over) -> str:
-        return "holds" if {sw[I] * swt[I] for I in sw if over(I)} in ({1}, {-1}) else "fails"
+    def one(I):
+        return [i + 1 for i in I]
 
-    return {"i": verdict(lambda I: sw[I] * swt[I]), "cc": verdict(lambda I: sw[I]),
-            "cc_prime": verdict(lambda I: swt[I]), "robust_both": verdict(lambda I: True)}
+    out = {}
+    for key, over in covers.items():
+        holds = {sw[I] * swt[I] for I in sw if over(I)} in ({1}, {-1})
+        zero = next((I for I in sw if over(I) and not sw[I] * swt[I]), None)
+        if holds:
+            cert = {"reference_sign": "+" if sign > 0 else "-"}
+            if key != "robust_both":
+                cert["reference_subset"] = one(ref)
+        elif ref is None and zero is None:
+            cert = {"reason": "all-products-zero"}
+        elif key == "robust_both":
+            cert = ({"violating_subset": one(zero), "reason": "zero-product"} if zero is not None else
+                    {"positive_subset": one(ref if sign > 0 else other),
+                     "negative_subset": one(other if sign > 0 else ref), "reason": "mixed-product-signs"})
+        elif zero is not None and (other is None or zero < other):
+            cert = {"violating_subset": one(zero), "reason": "zero-product-at-nonzero-minor"}
+        else:
+            cert = {"reference_subset": one(ref), "violating_subset": one(other),
+                    **({"reference_sign": "+" if sign > 0 else "-"} if key == "i"
+                       else {"reason": "mixed-product-signs"})}
+        out[key] = ("holds" if holds else "fails", cert)
+    return out
 
 
 def cone_flags_from_faces(om, cap: int = 12) -> tuple[bool, bool, bool]:

@@ -70,7 +70,7 @@ from sign_oracles import (
     closure_excluded,
     column_submatrix,
     is_uniform,
-    minor_verdicts,
+    minor_forms,
     nonneg_part,
     ordered_partitions_of_elements,
 )
@@ -402,10 +402,10 @@ def test_closure_conditions_equal_their_strict_minor_forms():
     # here would show up as a genuine report that fails to verify.
     seen = Counter()
     for spec in _corpus(200) + [sv_example(Fraction(a)) for a in SV_ALPHAS]:
-        sw, swt = spec._om(spec.coeff).minor_signs, spec._om(spec.exponents).minor_signs
-        assert closure_cc(spec).verdict == minor_form("cc", sw, swt)[0], spec
+        om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
+        assert closure_cc(spec).verdict == minor_form("cc", om_w, om_wt)[0], spec
         ccp = closure_cc_prime(spec).verdict
-        assert ccp == minor_form("cc_prime", sw, swt)[0] == minor_form("cc", swt, sw)[0], (
+        assert ccp == minor_form("cc_prime", om_w, om_wt)[0] == minor_form("cc", om_wt, om_w)[0], (
             spec.coeff, spec.exponents)
         seen[ccp] += 1
     assert seen[HOLDS] >= 50 and seen[FAILS] >= 50, seen
@@ -432,16 +432,21 @@ def _seeded_sums(count):
 
 def test_minor_form_verdicts_match_the_fraction_oracle():
     # the one scan of the analyzer and the verifier against the four rules
-    # stated on the exact minors
+    # stated on the exact minors, verdicts and certificates: the scan keeps
+    # the first masks in tuple order without sorting, which the oracle takes
+    # from the combinations order of the Fraction minors
     seen = Counter()
     specs = _corpus(200) + [sv_example(Fraction(a)) for a in SV_ALPHAS] + _seeded_sums(20)
     for spec in specs:
-        sw, swt = spec._om(spec.coeff).minor_signs, spec._om(spec.exponents).minor_signs
-        want = minor_verdicts(spec.coeff, spec.exponents)
-        assert {key: minor_form(key, sw, swt)[0] for key in want} == want, (spec.coeff, spec.exponents)
-        seen.update((key, v) for key, v in want.items())
+        om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
+        want = minor_forms(spec.coeff, spec.exponents)
+        assert {key: minor_form(key, om_w, om_wt) for key in want} == want, (spec.coeff, spec.exponents)
+        seen.update((key, v) for key, (v, _) in want.items())
+        seen.update(("reason", cert.get("reason")) for _, cert in want.values())
     assert min(seen[key, v] for key in ("i", "cc", "cc_prime", "robust_both")
                for v in (HOLDS, FAILS)) >= 10, seen
+    assert all(seen["reason", r] for r in ("zero-product", "zero-product-at-nonzero-minor",
+                                           "mixed-product-signs")), seen
 
 
 def test_iii_shortcuts_agree_with_exact_search_on_random_corpus():
@@ -602,9 +607,9 @@ def test_condition_ii_matches_closure_oracle():
 
 
 def test_chirotopes_decide_sign_set_equality():
-    # analyze reads sign(ker W) = sign(ker Wt) off the chirotopes; the vector
-    # closures it no longer builds must agree, including after row changes
-    # that flip the chirotope's sign
+    # analyze reads sign(ker W) = sign(ker Wt) off the two minor tables; the
+    # vector closures it no longer builds must agree, including after row
+    # changes that flip the table's sign
     rng = random.Random(1618)
     specs = _corpus(200)
     for spec in specs[:60]:
@@ -616,10 +621,10 @@ def test_chirotopes_decide_sign_set_equality():
     for spec in specs:
         om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
         equal = om_w.vector_masks() == om_wt.vector_masks()
-        assert om_w.chirotope.equal_up_to_sign(om_wt.chirotope) == equal, (spec.coeff, spec.exponents)
-        assert om_wt.chirotope.equal_up_to_sign(om_w.chirotope) == equal
+        assert om_w.equal_up_to_sign(om_wt) == equal, (spec.coeff, spec.exponents)
+        assert om_wt.equal_up_to_sign(om_w) == equal
         seen[equal] += 1
-        seen["flipped"] += equal and om_w.chirotope != om_wt.chirotope
+        seen["flipped"] += equal and om_w.minor_signs != om_wt.minor_signs
         seen["other kernel"] += equal and spec.canonical().coeff != spec.canonical().exponents
     assert all(seen[k] for k in (True, False, "flipped", "other kernel")), seen
     for spec in specs[:40] + specs[200:240]:
@@ -946,6 +951,60 @@ def test_change_of_basis_invariance():
             rep = analyze(transformed).to_json_dict()
             rep.pop("runtimes_ms")
             assert rep == base
+
+
+def _columns(mat, perm=None, scale=None, sign=1):
+    """mat with its columns reordered by perm, each scaled by scale[j], and
+    every entry times sign."""
+    perm = perm or range(mat.cols)
+    return M([[sign * (scale[j] if scale else 1) * row[j] for j in perm] for row in mat.row_tuples])
+
+
+SYMMETRIES = ("permutation", "positive scaling of W", "negated W", "negated Wt")
+
+
+def _symmetric_pair(name, rng, W, Wt):
+    """(W, Wt) under one of the family's symmetries, drawn from rng."""
+    if name == "permutation":
+        perm = rng.sample(range(W.cols), W.cols)
+        return _columns(W, perm), _columns(Wt, perm)
+    if name == "positive scaling of W":
+        return _columns(W, scale=[Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(W.cols)]), Wt
+    return (_columns(W, sign=-1), Wt) if name == "negated W" else (W, _columns(Wt, sign=-1))
+
+
+def test_family_symmetries_keep_every_verdict():
+    # each relation maps {F_c : c > 0} to itself up to a linear change of
+    # variables on either side, so no verdict, class or sign_sets_equal may
+    # move, while certificates may; every transformed report must verify. A
+    # permutation reorders the minor table against the tuple order of the
+    # minor forms' scan, and interleaves the blocks of a direct sum. Swapping
+    # W and Wt keeps the symmetric minor forms and exchanges cc and cc_prime.
+    rng = random.Random(15)
+    specs = (_corpus(200) + _zero_heavy_corpus(60) + [sv_example(Fraction(a)) for a in SV_ALPHAS]
+             + [EX1, EX2, FACE_GAP] + _seeded_sums(10))
+    seen = Counter()
+
+    def verdicts(spec):
+        rep = analyze(spec)
+        assert verify_certificate(build_report(rep, {})), (spec.coeff, spec.exponents)
+        return ({k: c.verdict for k, c in rep.conditions.items()}, rep.classification, rep.sign_sets_equal)
+
+    for spec in specs:
+        base = verdicts(spec)
+        # the permutation on every spec, and the other relations in turn
+        for name in dict.fromkeys(("permutation", SYMMETRIES[seen["spec"] % len(SYMMETRIES)])):
+            assert verdicts(ExponentialMapSpec(*_symmetric_pair(name, rng, spec.coeff, spec.exponents))) == base, (
+                name, spec.coeff, spec.exponents)
+            seen[name] += 1
+        swapped, _, equal = verdicts(ExponentialMapSpec(spec.exponents, spec.coeff))
+        assert equal == base[2] and all(swapped[k] == base[0][k] for k in
+                                        ("i", "injectivity_minors", "robust_both")), spec
+        assert (swapped["cc"], swapped["cc_prime"]) == (base[0]["cc_prime"], base[0]["cc"]), spec
+        seen["spec"] += 1
+        seen[base[1]] += 1
+    assert all(seen[name] >= 60 for name in SYMMETRIES), seen
+    assert all(seen[c] >= 10 for c in (CLASS_BIJECTIVE, CLASS_INJECTIVE, CLASS_NOT_INJECTIVE)), seen
 
 
 def _random_invertible(rng, d):

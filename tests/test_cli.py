@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +16,7 @@ from expbij.linalg import InternalInconsistency, RationalMatrix, kernel_basis, m
 from expbij.matroid import circuits, cocircuits, covectors, face_lattice, vectors
 from expbij.report import build_report, canonical_json, digest_of, verify_certificate
 from test_analyzer import (
+    CC_EXAMPLE,
     CORPUS_SEED,
     EX1,
     EX2,
@@ -507,6 +509,33 @@ def test_verify_certificate_checks_sign_sets_equal():
     assert seen[True] >= 5 and seen[False] >= 5, seen
 
 
+def _tamper_map(report, how):
+    """The report with its map block changed so that it disagrees with its own
+    matrices: d raised by one, a copy of row 0 appended to the canonical
+    coefficient matrix (with its row count), or that row doubled."""
+    m = report["map"]
+    coeff = m["canonical_coeff"]
+    if how == "d + 1":
+        m["d"] += 1
+    elif how == "row 0 appended":
+        coeff["entries"].append(list(coeff["entries"][0]))
+        coeff["rows"] += 1
+    else:
+        coeff["entries"][0] = [str(2 * Fraction(x)) for x in coeff["entries"][0]]
+    return report
+
+
+def test_verify_certificate_rejects_a_map_that_disagrees_with_its_matrices():
+    # n, d and d_tilde must be the matrices' shapes with d = d_tilde, and each
+    # canonical matrix a full-rank reduced row echelon form; the minor tables
+    # alone do not show these tamperings
+    texts = [canonical_json(build_report(analyze(spec), {})) for spec in (EX1, EX2, CC_EXAMPLE, FACE_GAP)]
+    for text in texts + list(_corpus_reports()):
+        assert verify_certificate(json.loads(text))
+        for how in ("d + 1", "row 0 appended", "row 0 doubled"):
+            assert verify_certificate(_tamper_map(json.loads(text), how)) is False, (how, text)
+
+
 @pytest.mark.parametrize("key, verdict", [
     ("ii", "maybe"), ("iii", "maybe"), ("iv", "maybe"), ("newton", "maybe"),
     ("robust_coefficients", "maybe"), ("ii", "inconclusive"),
@@ -652,9 +681,13 @@ def test_verify_certificate_requires_the_tables_first_subsets():
         W, Wt = (RationalMatrix.from_json_dict(report["map"][k])
                  for k in ("canonical_coeff", "canonical_exponents"))
         sw, swt = maximal_minor_signs(W), maximal_minor_signs(Wt)
-        ref = sw[tuple(i - 1 for i in cert["reference_subset"])]
-        ref *= swt[tuple(i - 1 for i in cert["reference_subset"])]
-        later = [[i + 1 for i in I] for I in sw if sw[I] * swt[I] == -ref]
+
+        def product(I):
+            mask = sum(1 << i for i in I)
+            return sw.get(mask, 0) * swt.get(mask, 0)
+
+        ref = product(i - 1 for i in cert["reference_subset"])
+        later = [[i + 1 for i in I] for I in combinations(range(W.cols), W.rows) if product(I) == -ref]
         assert later[0] == cert["violating_subset"]
         if len(later) > 1:
             cert["violating_subset"] = later[1]

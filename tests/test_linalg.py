@@ -118,8 +118,11 @@ def test_maximal_minor_signs_match_bareiss_minors():
             kinds["lifted"] += 1
         mat = M(rows)
         signs = maximal_minor_signs(mat)
-        assert signs == {I: (m > 0) - (m < 0) for I, m in maximal_minors(mat).items()}, mat
-        assert all(type(s) is int for s in signs.values())
+        minors = maximal_minors(mat)
+        # keyed by column mask, one entry per nonzero minor and none for a zero one
+        assert signs == {sum(1 << j for j in I): (m > 0) - (m < 0) for I, m in minors.items() if m}, mat
+        assert all(type(s) is int and s in (1, -1) for s in signs.values())
+        kinds["zero minor"] += len(signs) < len(minors)
         kinds[f"d={min(mat.rows, 6)}"] += 1
         kinds["square" if mat.rows == mat.cols else "wide"] += 1
         kinds["rational" if rational else "integer"] += 1
@@ -128,7 +131,7 @@ def test_maximal_minor_signs_match_bareiss_minors():
         kinds["repeated column"] += len(set(columns)) < len(columns)
         kinds["full rank" if rank(mat) == mat.rows else "rank-deficient"] += 1
     assert all(kinds[k] for k in ("lifted", "square", "wide", "rational", "integer", "zero column",
-                                  "repeated column", "full rank", "rank-deficient",
+                                  "zero minor", "repeated column", "full rank", "rank-deficient",
                                   *(f"d={d}" for d in range(1, 7)))), kinds
     with pytest.raises(InputError):
         maximal_minor_signs(M([[1], [2]]))

@@ -241,13 +241,15 @@ def test_nonneg_cocircuits_are_the_minimal_nonneg_covectors():
 
 
 def test_chirotopes_up_to_sign():
-    chi = chirotope(M([[1, 0, -1], [0, 1, 1]]))
-    assert chi.equal_up_to_sign(chi)
-    assert chi.equal_up_to_sign(chirotope(M([[0, 1, 1], [1, 0, -1]])))  # rows swapped: -chi
-    assert chi.equal_up_to_sign(chirotope(M([[2, 1, -1], [0, 3, 3]])))
-    assert not chi.equal_up_to_sign(chirotope(M([[1, 0, 1], [0, 1, 1]])))
-    assert not chi.equal_up_to_sign(chirotope(M([[1, 0, -1, 0], [0, 1, 1, 0]])))  # another n
-    assert not chi.equal_up_to_sign(chirotope(M([[1, 0, -1]])))  # another d
+    # the minor tables of the two matrices agree up to one global sign
+    om = oriented_matroid(M([[1, 0, -1], [0, 1, 1]]))
+    assert om.equal_up_to_sign(om)
+    assert om.equal_up_to_sign(oriented_matroid(M([[0, 1, 1], [1, 0, -1]])))  # rows swapped: -chi
+    assert om.equal_up_to_sign(oriented_matroid(M([[2, 1, -1], [0, 3, 3]])))
+    assert not om.equal_up_to_sign(oriented_matroid(M([[1, 0, 1], [0, 1, 1]])))
+    # another n, with the same nonzero minors, and another d
+    assert not om.equal_up_to_sign(oriented_matroid(M([[1, 0, -1, 0], [0, 1, 1, 0]])))
+    assert not om.equal_up_to_sign(oriented_matroid(M([[1, 0, -1]])))
 
 
 def test_mask_accessors_are_the_packed_sets():
