@@ -49,7 +49,7 @@ from .linalg import (
     frac_str,
     kernel_basis,
     rank,
-    rref,
+    reduced,
     vec_sub,
 )
 from .lp import Rel, feasible, make_system
@@ -133,11 +133,11 @@ class ExponentialMapSpec:
         """Replace both matrices by the canonical representatives of their kernels,
         so that every downstream verdict and certificate depends only on the
         subspace pair (ker W, ker Wt). For a full-row-rank matrix that
-        representative is its reduced row echelon form. Equal forms give one
-        matrix object for both sides, so that `_om` finds it by identity."""
-        W = RationalMatrix(rref(self.coeff)[0])
-        rows = rref(self.exponents)[0]
-        return ExponentialMapSpec(W, W if rows == W.row_tuples else RationalMatrix(rows))
+        representative is its reduced row echelon form (`linalg.reduced`).
+        Equal forms give one matrix object for both sides, so that `_om` finds
+        it by identity."""
+        W, Wt = reduced(self.coeff), reduced(self.exponents)
+        return ExponentialMapSpec(W, W if Wt == W else Wt)
 
     def __eq__(self, other):
         return (isinstance(other, ExponentialMapSpec)

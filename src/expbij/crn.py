@@ -38,7 +38,6 @@ from .linalg import (
     _ONE,
     _ZERO,
     _fraction_rows,
-    _int_rows,
     _kernel_ints,
     _rref_ints,
     check,
@@ -280,8 +279,7 @@ def _deficiency_by_intersection(Y: RationalMatrix, edges) -> int:
     form; ker Y + im I is spanned by the kernel rows and the echelon rows of
     I. It equals m - ℓ - dim S, the deficiency."""
     m = Y.cols
-    E, pivots = _rref_ints(_int_rows(Y.row_tuples)[0], m)
-    kernel = _kernel_ints(E, pivots, m)
+    kernel = _kernel_ints(*Y.echelon(), m)
     image = []
     for u, v in edges:
         row = [0] * m

@@ -1,25 +1,26 @@
 """Exact rational vectors, matrices, and the elimination kernel.
 
 All entries are `fractions.Fraction` (always reduced, positive denominator).
-Inside the kernel the arithmetic runs on Python ints: determinants and ranks
-use fraction-free Bareiss elimination on integer-scaled rows, the reduced row
-echelon form runs Gauss-Jordan on primitive integer rows, and products
-accumulate one numerator and one denominator. A `Fraction` is built only for
-a value that leaves the kernel. Kernels and row spaces come from the reduced
-row echelon form, which is unique and therefore gives reproducible bases and
-certificates; one Gauss-Jordan core on int rows (`_rref_ints`) computes it,
-and callers that hold int rows, such as `crn`, call the core directly. The
-signs of all maximal minors, which is what the analyzer and the certificate
-verifier read, come from one integer table per matrix
-(`maximal_minor_signs`: one echelon form, one Bareiss determinant, then
-Laplace expansion; one entry per nonzero minor, keyed by column bitmask).
-`maximal_minors`, one Bareiss determinant per minor, is the tests' oracle.
+Inside the kernel the arithmetic runs on Python ints, and products
+accumulate one numerator and one denominator; a `Fraction` is built only for
+a value that leaves the kernel. One Gauss-Jordan core on primitive int rows
+(`_rref_ints`) does all elimination: a matrix runs it once, on first use,
+and keeps the result (`RationalMatrix.echelon`), which its rank, reduced row
+echelon form, kernel basis, row basis and table of maximal minor signs all
+read. The reduced row echelon form is unique, so bases and certificates are
+reproducible. Callers that hold int rows, such as `crn`, call the core
+directly. Bareiss elimination only computes determinants (`_int_det`). The
+signs of the maximal minors, which the analyzer and the certificate verifier
+read, form one integer table per matrix (`maximal_minor_signs`: the echelon,
+one Bareiss determinant, then Laplace expansion; one entry per nonzero
+minor, keyed by column bitmask). `maximal_minors`, one Bareiss determinant
+per minor, is the tests' oracle.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -101,16 +102,9 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def _reduce(row: list[int]) -> list[int]:
-    """Divide an int row by the gcd of its entries."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
 def _int_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], int]:
     """Scale each row to integers; return (int rows, product of the row scales)."""
-    out = []
-    scale = 1
+    out, scale = [], 1
     for row in rows:
         m = lcm(*(x.denominator for x in row))
         out.append([x.numerator * (m // x.denominator) for x in row])
@@ -118,46 +112,33 @@ def _int_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], int]:
     return out, scale
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], int, int]:
-    """Fraction-free elimination. Returns (echelon rows, rank, sign of row swaps)."""
-    m = [row[:] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    prev = 1
-    rank = 0
-    sign = 1
-    col = 0
-    while rank < nr and col < nc:
-        piv = next((i for i in range(rank, nr) if m[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-            sign = -sign
-        for i in range(rank + 1, nr):
-            for j in range(col + 1, nc):
-                m[i][j] = (m[rank][col] * m[i][j] - m[i][col] * m[rank][j]) // prev
-            m[i][col] = 0
-        prev = m[rank][col]
-        rank += 1
-        col += 1
-    return m, rank, sign
-
-
 def _int_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination."""
-    ech, rank, sign = _bareiss_echelon(rows)
-    return sign * ech[-1][-1] if rank == len(rows) else 0
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination; each row swap negates it."""
+    m = [row[:] for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv], sign = m[piv], m[k], -sign
+        p = m[k]
+        for r in m[k + 1:]:
+            for j in range(k + 1, len(m)):
+                r[j] = (p[k] * r[j] - r[k] * p[j]) // prev
+        prev = p[k]
+    return sign * prev
 
 
 class RationalMatrix:
     """Immutable d x n matrix of exact rationals (d, n >= 1).
 
-    `_om` holds the matrix's `matroid.OrientedMatroid` once a `matroid`
-    function has built it, so that it lives exactly as long as this object."""
+    `_echelon` holds the matrix's integer echelon form once `echelon` has
+    computed it, and `_om` its `matroid.OrientedMatroid` once a `matroid`
+    function has built it, so that each lives exactly as long as this object."""
 
-    __slots__ = ("rows", "cols", "_data", "_hash", "_om")
+    __slots__ = ("rows", "cols", "_data", "_hash", "_om", "_echelon")
 
     def __init__(self, entries):
         data = tuple(tuple(map(frac, row)) for row in entries)
@@ -166,10 +147,18 @@ class RationalMatrix:
         if any(len(row) != len(data[0]) for row in data):
             raise InputError("matrix rows must all have the same length")
         self._data = data
-        self._hash = None
-        self._om = None
+        self._hash = self._om = self._echelon = None
         self.rows = len(data)
         self.cols = len(data[0])
+
+    def echelon(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """(E, pivots): the nonzero rows and the pivot columns of `_rref_ints`
+        on the integer-scaled rows, computed on first use. Row k of E is p_k
+        times row k of the reduced row echelon form, where p_k = E[k][pivots[k]]."""
+        if self._echelon is None:
+            E, pivots = _rref_ints(_int_rows(self._data)[0], self.cols)
+            self._echelon = tuple(map(tuple, E[:len(pivots)])), tuple(pivots)
+        return self._echelon
 
     def entry(self, i: int, j: int) -> Fraction:
         return self._data[i][j]
@@ -242,10 +231,6 @@ class RationalMatrix:
         return mat
 
 
-def rank(M: RationalMatrix) -> int:
-    return _bareiss_echelon(_int_rows(M.row_tuples)[0])[1]
-
-
 def _rref_ints(m: list[list[int]], nc: int) -> tuple[list[list[int]], list[int]]:
     """Gauss-Jordan on int rows of length nc, in place: each elimination
     p_c * row - f * p is divided by its gcd. Returns (rows, pivot columns);
@@ -266,15 +251,12 @@ def _rref_ints(m: list[list[int]], nc: int) -> tuple[list[list[int]], list[int]]
         for i in range(nr):
             f = m[i][c]
             if i != r and f != 0:
-                m[i] = _reduce([pc * a - f * b for a, b in zip(m[i], p)])
+                row = [pc * a - f * b for a, b in zip(m[i], p)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
     return m, pivots
-
-
-def _int_rref(M: RationalMatrix) -> tuple[list[list[int]], list[int]]:
-    """`_rref_ints` on the integer-scaled rows of M."""
-    return _rref_ints(_int_rows(M.row_tuples)[0], M.cols)
 
 
 def _fraction_rows(E: list[list[int]], pivots: list[int]) -> tuple[Vec, ...]:
@@ -310,21 +292,50 @@ def _kernel_ints(E: list[list[int]], pivots: list[int], nc: int) -> list[list[in
     return out
 
 
-def rref(M: RationalMatrix) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-    """Reduced row echelon form. Returns (rows, pivot columns).
+def _seeded(rows, echelon) -> RationalMatrix:
+    """The matrix of rows, which have the given echelon form."""
+    M = RationalMatrix(rows)
+    M._echelon = echelon
+    return M
 
-    The integer rows of `_int_rref` are divided by their pivots only when
-    they leave as Fractions."""
-    m, pivots = _int_rref(M)
-    return _fraction_rows(m, pivots) + ((_ZERO,) * M.cols,) * (M.rows - len(pivots)), tuple(pivots)
+
+def rank(M: RationalMatrix) -> int:
+    return len(M.echelon()[1])
+
+
+def rref(M: RationalMatrix) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+    """Reduced row echelon form. Returns (rows, pivot columns): the integer
+    echelon rows divided by their pivots, then the zero rows."""
+    E, pivots = M.echelon()
+    return _fraction_rows(E, pivots) + ((_ZERO,) * M.cols,) * (M.rows - len(pivots)), pivots
+
+
+def reduced(M: RationalMatrix) -> RationalMatrix:
+    """The nonzero rows of the reduced row echelon form of M, as a matrix
+    sharing M's echelon: M itself when it already is that matrix."""
+    rows, pivots = rref(M)
+    return M if rows == M.row_tuples else _seeded(rows[:len(pivots)], M.echelon())
+
+
+def row_basis(M: RationalMatrix) -> RationalMatrix:
+    """Full-rank matrix with the row space of M, and so with its kernel: a
+    copy of M when M has full rank, else the rows of its integer echelon
+    form. It shares M's echelon and holds no reference to M."""
+    E, pivots = M.echelon()
+    if not pivots:
+        raise InputError("zero matrix has no vector configuration")
+    return _seeded(M.row_tuples if len(pivots) == M.rows else E, (E, pivots))
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """A linearly independent spanning set for a subspace of R^n (possibly empty)."""
+    """A linearly independent spanning set for a subspace of R^n (possibly
+    empty). `matrix` has the vectors as rows (None when there are none) and
+    keeps the echelon that the independence check computed."""
 
     ambient_dim: int
     vectors: tuple[Vec, ...]
+    matrix: RationalMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ambient_dim < 1:
@@ -333,8 +344,10 @@ class SubspaceBasis:
             if len(v) != self.ambient_dim:
                 raise InputError("basis vector length differs from ambient dimension")
         if self.vectors:
-            if rank(RationalMatrix(self.vectors)) != len(self.vectors):
+            M = RationalMatrix(self.vectors)
+            if rank(M) != len(self.vectors):
                 raise InputError("basis vectors are linearly dependent")
+            object.__setattr__(self, "matrix", M)
 
     @property
     def dim(self) -> int:
@@ -344,21 +357,21 @@ class SubspaceBasis:
 def kernel_basis(M: RationalMatrix) -> SubspaceBasis:
     """Canonical basis of ker M: one vector per free column f of the RREF,
     1 at f and minus the reduced entry in column f at each pivot column."""
-    E, pivots = _int_rref(M)
+    E, pivots = M.echelon()
     free = [c for c in range(M.cols) if c not in pivots]
     return SubspaceBasis(M.cols, _fraction_rows(_kernel_ints(E, pivots, M.cols), free))
 
 
 def matrix_with_kernel(B: SubspaceBasis) -> RationalMatrix:
     """Full-rank matrix whose kernel is span(B), in reduced row echelon form:
-    the kernel of B's rows and then its echelon form, both on integer rows
-    (the identity when B is empty)."""
+    the echelon form of the integer kernel rows of B's matrix (the identity
+    when B is empty)."""
     n = B.ambient_dim
     if B.dim == n:
         raise InputError("kernel equals the whole space; a matrix needs at least one row")
-    E, pivots = _rref_ints(_int_rows(B.vectors)[0], n)
-    K, kernel_pivots = _rref_ints(_kernel_ints(E, pivots, n), n)
-    return RationalMatrix(_fraction_rows(K, kernel_pivots))
+    E, pivots = B.matrix.echelon() if B.dim else ((), ())
+    K = RationalMatrix(_kernel_ints(E, pivots, n))
+    return _seeded(_fraction_rows(*K.echelon()), K.echelon())
 
 
 def maximal_minors(M: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
@@ -379,7 +392,7 @@ def maximal_minor_signs(M: RationalMatrix) -> dict[int, int]:
 
     Let R be the reduced row echelon form of M and B its pivot columns. Then
     M = M_B R, so det(M_I) = det(M_B) det(R_I). Row k of the integer echelon
-    form E of `_int_rref` is p_k times row k of R, so det(R_I) has the sign
+    form E of `M.echelon` is p_k times row k of R, so det(R_I) has the sign
     of det(E_I) times the signs of the p_k. The minors of E on its first k
     rows follow from those on its first k - 1 rows by Laplace expansion along
     row k, on ints and without division; a zero entry or a zero smaller minor
@@ -389,11 +402,10 @@ def maximal_minor_signs(M: RationalMatrix) -> dict[int, int]:
     d, n = M.rows, M.cols
     if d > n:
         raise InputError("maximal_minor_signs requires d <= n")
-    E, pivots = _int_rref(M)
+    E, pivots = M.echelon()
     if len(pivots) < d:
         return {}
-    ints, _ = _int_rows([[row[j] for j in pivots] for row in M.row_tuples])
-    scale = _int_det(ints)
+    scale = _int_det(_int_rows([[row[j] for j in pivots] for row in M.row_tuples])[0])
     for k, c in enumerate(pivots):
         scale *= E[k][c]
     # minors of E on its first k rows, keyed by their column sets as bitmasks;

@@ -1,8 +1,10 @@
 """Oriented-matroid data of a rational vector configuration.
 
-All of it comes from one table per matrix: the signs of its nonzero maximal
-minors, keyed by column bitmask (`linalg.maximal_minor_signs`), whose keys
-are the bases. The cocircuits are read off the hyperplanes, each a basis
+All of it comes from one table per matrix: the signs of the nonzero maximal
+minors of a full-rank row basis (`linalg.row_basis`), keyed by column
+bitmask (`linalg.maximal_minor_signs`), whose keys are the bases; the row
+basis and the table read the matrix's one echelon form, so no elimination
+happens here. The cocircuits are read off the hyperplanes, each a basis
 minus one column, and the circuits off each basis plus one column by
 Cramer's rule, in one routine (`_signed_masks`). The covectors are the sign
 vectors orthogonal to every circuit, and the vectors those orthogonal to
@@ -37,11 +39,10 @@ from .linalg import (
     RationalMatrix,
     SubspaceBasis,
     Vec,
-    _bareiss_echelon,
-    _int_rows,
     check,
     kernel_basis,
     maximal_minor_signs,
+    row_basis,
 )
 from .lp import realize_conformal_covector, realize_kernel_sign, realize_sign_vector, unit_vectors
 from .signs import (
@@ -51,16 +52,6 @@ from .signs import (
     bits,
     pack,
 )
-
-
-def _row_basis(M: RationalMatrix) -> RationalMatrix:
-    """Full-rank matrix with the same row space (and hence the same kernel):
-    M itself, or the nonzero rows of its fraction-free echelon form."""
-    ints, _ = _int_rows([list(r) for r in M.row_tuples])
-    echelon, r, _ = _bareiss_echelon(ints)
-    if r == 0:
-        raise InputError("zero matrix has no vector configuration")
-    return M if r == M.rows else RationalMatrix(echelon[:r])
 
 
 class Chirotope:
@@ -233,18 +224,19 @@ class OrientedMatroid:
     """Oriented-matroid data of the columns of M, filled lazily.
 
     Everything is derived from the signs of the maximal minors of a
-    full-rank matrix W with the row space of M (W is M when M has full
-    rank), and each piece is computed at most once. Sign vectors are packed
-    ints (see `signs`) and sign sets are frozen sets of them, because callers
-    share them; the module functions wrap them in `SignSet` views. Beside
-    its two oracles, `extends` for sign(ker W) and the covector sets for
-    sign(im W^T), it hands out their rational witnesses, `vector_point` and
-    `covector_point`, each solved once per argument.
+    full-rank matrix W with the row space of M (`linalg.row_basis`: a copy
+    of M when M has full rank, sharing its echelon), and each piece is
+    computed at most once. Sign vectors are packed ints (see `signs`) and
+    sign sets are frozen sets of them, because callers share them; the
+    module functions wrap them in `SignSet` views. Beside its two oracles,
+    `extends` for sign(ker W) and the covector sets for sign(im W^T), it
+    hands out their rational witnesses, `vector_point` and `covector_point`,
+    each solved once per argument.
     """
 
     def __init__(self, M: RationalMatrix):
         self.d = M.rows  # W has rank(M) rows
-        self.W = _row_basis(M)
+        self.W = row_basis(M)
         self._vector_points: dict[tuple[int, int], Vec | None] = {}
         self._covector_points: dict[int, Vec | None] = {}
 
@@ -434,11 +426,11 @@ class OrientedMatroid:
 def oriented_matroid(M: RationalMatrix) -> OrientedMatroid:
     """The OrientedMatroid of M, built once per matrix object and kept on it.
 
-    It is built on an equal copy of M, so that it holds no reference back to
-    M and dies with M without waiting for the cyclic garbage collector. An
-    equal but distinct matrix object gets its own."""
+    Its row basis is a copy of M, so that it holds no reference back to M and
+    dies with M without waiting for the cyclic garbage collector. An equal
+    but distinct matrix object gets its own."""
     if M._om is None:
-        M._om = OrientedMatroid(RationalMatrix(M.row_tuples))
+        M._om = OrientedMatroid(M)
     return M._om
 
 
@@ -495,10 +487,9 @@ def minty_alternative(basis: SubspaceBasis, sigma: SignVector) -> MintyWitness:
         raise InputError("the alternative needs a nonzero sign vector")
     x = pack(sigma)
     if basis.dim:
-        B = RationalMatrix(basis.vectors)
-        y = realize_sign_vector(B, x, sigma.support)
+        y = realize_sign_vector(basis.matrix, x, sigma.support)
         if y is not None:
-            return MintyWitness("subspace", B.transpose_vec(y))
+            return MintyWitness("subspace", basis.matrix.transpose_vec(y))
     dual = orthogonal_witness(basis, x)
     check(dual is not None, "both branches of the alternative failed")
     return MintyWitness("orthogonal", dual)
@@ -510,9 +501,8 @@ def orthogonal_witness(basis: SubspaceBasis, x: int) -> Vec | None:
     the kernel basis of the basis matrix, which fixes the LP and so the
     witness."""
     n = basis.ambient_dim
-    comp = kernel_basis(RationalMatrix(basis.vectors)).vectors if basis.dim else unit_vectors(n)
-    if not comp:
+    C = kernel_basis(basis.matrix).matrix if basis.dim else RationalMatrix(unit_vectors(n))
+    if C is None:
         return None
-    C = RationalMatrix(comp)
     y = realize_conformal_covector(C, x)
     return None if y is None else C.transpose_vec(y)

@@ -23,7 +23,7 @@ from functools import cache
 
 from . import __version__
 from .analyzer import FAILS, HOLDS, INCONCLUSIVE, AnalysisReport, _classify, _cone_json, cone_form, minor_form
-from .linalg import InputError, RationalMatrix, dot, frac, kernel_basis, rref, vec
+from .linalg import InputError, RationalMatrix, dot, frac, kernel_basis, rank, reduced, vec
 from .matroid import OrientedMatroid
 from .signs import SignSet, SignVector, sign_of
 
@@ -63,12 +63,12 @@ def _need(condition: bool, what: str):
 
 def verify_certificate(report: dict) -> bool:
     """Re-check every certificate by exact substitution. True iff all pass;
-    False for a malformed report."""
+    False for a malformed report, nested too deep to read included."""
     try:
         _verify(report)
         return True
     except (_Tampered, InputError, AttributeError, IndexError, KeyError, ValueError, TypeError,
-            ZeroDivisionError):
+            ZeroDivisionError, RecursionError):
         return False
 
 
@@ -87,10 +87,8 @@ def _verify(report: dict):
     Wt = RationalMatrix.from_json_dict(m["canonical_exponents"])
     _need(m["n"] == W.cols == Wt.cols and m["d"] == m["d_tilde"] == W.rows == Wt.rows,
           "map shape disagrees with its matrices, or d differs from d_tilde")
-    for M in (W, Wt):
-        rows, pivots = rref(M)
-        _need(len(pivots) == M.rows and rows == M.row_tuples,
-              "a canonical matrix is not a full-rank reduced row echelon form")
+    _need(all(rank(M) == M.rows and reduced(M) is M for M in (W, Wt)),
+          "a canonical matrix is not a full-rank reduced row echelon form")
     om_w, om_wt = OrientedMatroid(W), OrientedMatroid(Wt)
     conditions = report["conditions"]
     _need(report["sign_sets_equal"] is om_w.equal_up_to_sign(om_wt),

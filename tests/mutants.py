@@ -1,0 +1,198 @@
+"""Deliberate faults that the tests must catch.
+
+Each entry of MUTANTS names a module of the package, an exact snippet of its
+source, the snippet's replacement and the tests that must fail once the
+replacement is made. For each entry, src/ is copied to a temporary
+directory, the one replacement is made there, and `pytest -x -q` runs the
+named tests against the copy. The run fails if a snippet does not occur
+exactly once in its module (a refactor must update its mutants), if the
+named tests fail on the unchanged source, or if a mutant survives: its tests
+pass, or pytest stops for another reason than a failing test.
+
+Run from the root of a source checkout:
+
+    python tests/mutants.py          # every mutant
+    python tests/mutants.py NAME ... # the named ones
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (name, module, snippet, replacement, tests that must kill it)
+MUTANTS = [
+    # linalg: the one echelon per matrix and the Bareiss determinant
+    ("det-ignores-row-swaps", "linalg",
+     "m[k], m[piv], sign = m[piv], m[k], -sign",
+     "m[k], m[piv], sign = m[piv], m[k], sign",
+     ["test_linalg.py::test_int_det_matches_the_leibniz_determinant"]),
+    ("minor-table-without-pivot-signs", "linalg",
+     "    for k, c in enumerate(pivots):\n        scale *= E[k][c]\n",
+     "",
+     ["test_linalg.py::test_maximal_minor_signs_match_bareiss_minors"]),
+    ("row-basis-keeps-dependent-rows", "linalg",
+     "M.row_tuples if len(pivots) == M.rows else E",
+     "M.row_tuples",
+     ["test_matroid.py::test_echelon_reads_match_the_bareiss_oracles"]),
+    ("gauss-jordan-clears-only-below", "linalg",
+     "        for i in range(nr):\n            f = m[i][c]",
+     "        for i in range(r + 1, nr):\n            f = m[i][c]",
+     ["test_linalg.py::test_rref_matches_fraction_oracle"]),
+    ("echelon-not-kept", "linalg",
+     "        if self._echelon is None:\n",
+     "        if True:\n",
+     ["test_linalg.py::test_each_matrix_object_is_eliminated_once"]),
+    ("kernel-vector-sign-flipped", "linalg",
+     "v[c] = -E[k][f] * (scale // E[k][c])",
+     "v[c] = E[k][f] * (scale // E[k][c])",
+     ["test_linalg.py::test_kernel_basis_examples"]),
+    ("matrix-with-kernel-not-reduced", "linalg",
+     "return _seeded(_fraction_rows(*K.echelon()), K.echelon())",
+     "return K",
+     ["test_crn.py::test_matrix_with_kernel_matches_the_fraction_construction"]),
+    ("subspace-basis-unchecked", "linalg",
+     "if rank(M) != len(self.vectors):",
+     "if False:",
+     ["test_linalg.py::test_matrix_with_kernel_rejects_dependent"]),
+    # matroid: signs read off the minor table, and the cone's facets
+    ("parity-never-flips", "matroid",
+     "                odd ^= 1\n",
+     "                odd ^= 0\n",
+     ["test_matroid.py::test_circuits_cocircuits_match_rref_oracle"]),
+    ("cramer-sets-miss-the-last-column", "matroid",
+     "else {B | bit for B in table for bit in cols if not B & bit})",
+     "else {B | bit for B in table for bit in cols[:-1] if not B & bit})",
+     ["test_matroid.py::test_circuits_cocircuits_match_rref_oracle"]),
+    ("equal-up-to-sign-ignores-n", "matroid",
+     "return (self.W.cols == other.W.cols and a.keys() == b.keys()",
+     "return (a.keys() == b.keys()",
+     ["test_matroid.py::test_chirotopes_up_to_sign"]),
+    ("face-below-skips-a-facet-on-column-0", "matroid",
+     "            if t & ~A == 0:\n",
+     "            if t & ~A == 0 and t != 1:\n",
+     ["test_analyzer.py::test_face_below_is_the_largest_face_and_decides_first_vector"]),
+    ("zero-columns-miss-the-last-column", "matroid",
+     "zero_columns = bits(full & ~reduce(or_, self.cocircuit_masks, 0))",
+     "zero_columns = bits(full >> 1 & ~reduce(or_, self.cocircuit_masks, 0))",
+     ["test_matroid.py::test_cone_flags_from_the_table_match_the_matrix_route"]),
+    ("column-0-never-interior", "matroid",
+     "interior >> i & 1 or self.face_below",
+     "i and interior >> i & 1 or self.face_below",
+     ["test_matroid.py::test_robustly_generated_matches_signvector_oracle"]),
+    ("extends-ignores-the-restriction", "matroid",
+     "if support & ~A == 0 and (x & c == 0) != (x & neg == 0):",
+     "if (x & c == 0) != (x & neg == 0):",
+     ["test_matroid.py::test_extends_is_membership_in_the_restricted_closure"]),
+    ("forced-sign-flipped", "matroid",
+     "            elif g & (P & m | N & p):\n                add((x | bp, P | p, N | m))",
+     "            elif g & (P & p | N & m):\n                add((x | bp, P | p, N | m))",
+     ["test_matroid.py::test_orthogonal_masks_match_composition_closure"]),
+    ("faces-not-closed-under-or", "matroid",
+     "            faces |= {f | t for f in faces}",
+     "            faces |= {t}",
+     ["test_matroid.py::test_nonneg_covectors_are_closure_of_nonneg_cocircuits"]),
+    # analyzer: the minor forms, the cone form, the class and canonical()
+    ("before-as-numeric-order", "analyzer",
+     "    return bool(x & -x & a)\n",
+     "    return a < b\n",
+     ["test_analyzer.py::test_minor_form_verdicts_match_the_fraction_oracle"]),
+    ("robust-both-zero-walk-off", "analyzer",
+     'if key == "robust_both" and min(len(sw), len(swt)) < comb(n, d):',
+     "if False:",
+     ["test_analyzer.py::test_minor_form_verdicts_match_the_fraction_oracle"]),
+    ("cone-form-skips-the-face-sets", "analyzer",
+     '        return FAILS, "face-sets-differ"\n',
+     "        pass\n",
+     ["test_cli.py::test_robust_coefficients_past_the_n_cap"]),
+    ("classify-ignores-iii", "analyzer",
+     "    if FAILS in (ii, iii):\n",
+     "    if FAILS == ii:\n",
+     ["test_analyzer.py::test_analyze_classifications"]),
+    ("canonical-returns-its-input", "analyzer",
+     "W, Wt = reduced(self.coeff), reduced(self.exponents)",
+     "W, Wt = self.coeff, self.exponents",
+     ["test_analyzer.py::test_change_of_basis_invariance"]),
+    # signs: the string order of packed sign vectors
+    ("str-order-swaps-zero-and-minus", "signs",
+     "k += 2 * table[z & 255] + table[m & 255]",
+     "k += table[z & 255] + 2 * table[m & 255]",
+     ["test_signs.py::test_str_order_matches_string_order"]),
+    # report: the verifier's own checks
+    ("verifier-skips-the-shape-check", "report",
+     'm["n"] == W.cols == Wt.cols and m["d"] == m["d_tilde"] == W.rows == Wt.rows',
+     "True",
+     ["test_cli.py::test_verify_certificate_rejects_a_map_that_disagrees_with_its_matrices"]),
+    ("verifier-skips-the-rref-check", "report",
+     "all(rank(M) == M.rows and reduced(M) is M for M in (W, Wt))",
+     "True",
+     ["test_cli.py::test_verify_certificate_rejects_a_map_that_disagrees_with_its_matrices"]),
+    ("verifier-kernel-always-of-W", "report",
+     "    for b in kernel(second).vectors:\n",
+     "    for b in kernel(W).vectors:\n",
+     ["test_cli.py::test_verify_certificate_checks_each_distinct_closure_certificate"]),
+    ("verifier-raises-on-deep-nesting", "report",
+     "            ZeroDivisionError, RecursionError):\n",
+     "            ZeroDivisionError):\n",
+     ["test_cli.py::test_verify_certificate_rejects_a_closure_certificate_nested_too_deep"]),
+]
+
+
+def _pytest(src: Path, tests) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           *(f"tests/{t}" for t in tests)],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def _problem(tmp: Path, mutant) -> str | None:
+    """What is wrong with one mutant, or None when its tests kill it."""
+    name, module, snippet, replacement, tests = mutant
+    src = tmp / name / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "expbij" / f"{module}.py"
+    text = path.read_text()
+    if text.count(snippet) != 1:
+        return f"the snippet occurs {text.count(snippet)} times in {module}.py"
+    path.write_text(text.replace(snippet, replacement))
+    proc = _pytest(src, tests)
+    if proc.returncode == 0:
+        return "survived " + " ".join(tests)
+    if proc.returncode != 1:  # 1: a test failed; anything else: collection or usage error
+        return f"pytest exited {proc.returncode}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}"
+    return None
+
+
+def main(names) -> int:
+    mutants = [m for m in MUTANTS if not names or m[0] in names]
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        sys.exit(f"unknown mutants: {sorted(unknown)}")
+    problems = []
+    tests = sorted({t for m in mutants for t in m[4]})
+    proc = _pytest(ROOT / "src", tests)
+    if proc.returncode != 0:
+        problems.append(f"the named tests fail on the unchanged source:\n{proc.stdout[-2000:]}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for mutant in mutants:
+            start = time.perf_counter()
+            problem = _problem(Path(tmp), mutant)
+            print(f"{mutant[0]}: {'killed' if problem is None else 'PROBLEM'} "
+                  f"({time.perf_counter() - start:.1f} s)", flush=True)
+            if problem is not None:
+                problems.append(f"{mutant[0]}: {problem}")
+    for problem in problems:
+        print(problem)
+    print(f"{len(mutants)} mutants, {len(problems)} problems")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -16,12 +16,16 @@ network's structure in `Fraction` arithmetic, from `row_space_basis`,
 `kernel_basis` and `intersection_dim`, and `matrix_with_kernel_oracle` the
 matrix with a given kernel through an intermediate `SubspaceBasis` and
 `RationalMatrix` (`kernel_basis`, then `rref`); the package computes both on
-int rows.
+int rows. `bareiss_rank` and `bareiss_row_basis` are the fraction-free
+Bareiss elimination that gave ranks and row bases before every one came
+from a matrix's integer echelon form, and `leibniz_det` is the determinant
+summed over permutations in Fraction arithmetic.
 """
 
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import permutations, product
+from math import lcm
 from operator import and_, or_
 
 from expbij.crn import GeneralizedNetwork, NetworkStructure, _weak_components, is_weakly_reversible
@@ -66,6 +70,53 @@ def row_space_basis(M: RationalMatrix) -> SubspaceBasis:
     """Canonical basis of im M^T: the nonzero rows of the RREF."""
     rows, pivots = rref(M)
     return SubspaceBasis(M.cols, tuple(rows[: len(pivots)]))
+
+
+def _bareiss_echelon(M: RationalMatrix) -> tuple[list[list[int]], int]:
+    """Fraction-free Bareiss elimination of M's rows, each scaled to
+    integers: (echelon rows, rank)."""
+    m = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in M.row_tuples]
+    nr, nc = len(m), len(m[0])
+    prev, r = 1, 0
+    for col in range(nc):
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, nr):
+            for j in range(col + 1, nc):
+                m[i][j] = (m[r][col] * m[i][j] - m[i][col] * m[r][j]) // prev
+            m[i][col] = 0
+        prev = m[r][col]
+        r += 1
+    return m, r
+
+
+def bareiss_rank(M: RationalMatrix) -> int:
+    return _bareiss_echelon(M)[1]
+
+
+def bareiss_row_basis(M: RationalMatrix) -> RationalMatrix:
+    """Full-rank matrix with the row space of M: M itself, or the nonzero
+    rows of its Bareiss echelon form."""
+    echelon, r = _bareiss_echelon(M)
+    if r == 0:
+        raise InputError("zero matrix has no vector configuration")
+    return M if r == M.rows else RationalMatrix(echelon[:r])
+
+
+def leibniz_det(M: RationalMatrix) -> Fraction:
+    """det M as the signed sum over permutations, in Fraction arithmetic."""
+    total = Fraction(0)
+    for perm in permutations(range(M.rows)):
+        inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:])
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= M.entry(i, j)
+        total += term
+    return total
 
 
 def intersection_dim(A: SubspaceBasis, B: SubspaceBasis) -> int:

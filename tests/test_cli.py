@@ -836,6 +836,21 @@ def test_verify_certificate_checks_each_distinct_closure_certificate(monkeypatch
         assert verify_certificate(forged) is (scale > 0), (tampered, scale)
 
 
+@pytest.mark.parametrize("key", ["cc", "robust_exponents", "robust_coefficients"])
+def test_verify_certificate_rejects_a_closure_certificate_nested_too_deep(key):
+    # a kernel vector nested 5,000 lists deep is malformed: the verifier
+    # answers False rather than raising RecursionError
+    W, Wt = VERIFY_EXAMPLES["FOUR_CLOSURES"]
+    spec = ExponentialMapSpec(RationalMatrix(W), RationalMatrix(Wt))
+    report = json.loads(canonical_json(build_report(analyze(spec), {})))
+    cert = report["conditions"][key]["certificate"]
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    cert.get("closure_form", cert)["kernel_vector"] = deep
+    assert verify_certificate(report) is False
+
+
 def test_internal_inconsistency_exit_three(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise InternalInconsistency("simplex returned a point violating the system")

@@ -1,13 +1,17 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import expbij.linalg
+from expbij.analyzer import analyze
 from expbij.linalg import (
     InputError,
     RationalMatrix,
     SubspaceBasis,
+    _int_det,
     dot,
     frac,
     frac_str,
@@ -19,8 +23,10 @@ from expbij.linalg import (
     rref,
     vec,
 )
-from sign_oracles import intersection_dim, row_space_basis, same_subspace, subspace_contains
-from test_analyzer import _random_full_rank
+from expbij.matroid import OrientedMatroid, chirotope, covectors, oriented_matroid
+from expbij.report import build_report, canonical_json, verify_certificate
+from sign_oracles import intersection_dim, leibniz_det, row_space_basis, same_subspace, subspace_contains
+from test_analyzer import EX1, _corpus, _random_full_rank
 
 
 def M(entries):
@@ -213,6 +219,28 @@ def test_det_bareiss_against_cofactor():
         assert all(type(v) is Fraction for v in maximal_minors(mat).values())
 
 
+def test_int_det_matches_the_leibniz_determinant():
+    # square integer matrices whose Bareiss elimination must swap rows (a zero
+    # in the first pivot place) and singular ones (a row combining others, or
+    # a zero row)
+    rng = random.Random(39)
+    kinds = Counter()
+    for k in range(240):
+        d = rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(d)] for _ in range(d)]
+        if d > 1 and k % 4 == 0:
+            rows[0][0] = 0
+        elif d > 1 and k % 4 == 1:
+            a, b = rng.sample(range(d), 2)
+            rows[a] = [2 * x - 3 * y for x, y in zip(rows[b], rows[rng.randrange(d)])]
+        want = leibniz_det(M(rows))
+        assert _int_det(rows) == want, rows
+        kinds["singular" if want == 0 else "nonsingular"] += 1
+        kinds["swap"] += rows[0][0] == 0 and want != 0  # the first pivot needs a swap
+    assert _int_det([[0, 1], [1, 0]]) == -1 and _int_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert all(kinds[key] >= 30 for key in ("singular", "nonsingular", "swap")), kinds
+
+
 def test_matrix_json_roundtrip_and_validation():
     mat = M([[1, "1/2"], ["-3/4", 0]])
     obj = mat.to_json_dict()
@@ -331,3 +359,40 @@ def test_products_match_fraction_sums():
         assert prod == M([[sum(A.entry(i, l) * B.entry(l, j) for l in range(n)) for j in range(k)]
                           for i in range(d)])
         assert hash(prod) == hash(M(prod.row_tuples))
+
+
+def test_each_matrix_object_is_eliminated_once(monkeypatch):
+    # rank, rref, kernel_basis, the minor table, the row basis and the
+    # oriented matroid all read one echelon per matrix object; a kernel basis
+    # checks its own vectors' independence on a matrix of its own
+    calls = []
+    core = expbij.linalg._rref_ints
+    monkeypatch.setattr(expbij.linalg, "_rref_ints", lambda m, nc: calls.append(nc) or core(m, nc))
+    for W in (M([[1, 0, -1, 2], [0, 1, 1, -1]]), M([[2, 4, 6], [1, 2, 3]]), M([["1/2", 0], [0, 3]]),
+              M([[0, 0, 0], [1, -1, 0], [0, 0, 0]])):
+        calls.clear()
+        rank(W), rref(W), maximal_minor_signs(W), covectors(W)
+        for om in (OrientedMatroid(W), oriented_matroid(W)):
+            om.minor_signs, om.cocircuit_masks, om.covector_masks(), om.cone
+        if rank(W) == W.rows:
+            chirotope(W)
+        assert len(calls) == 1, W
+        ker = kernel_basis(W)
+        assert len(calls) == 1 + (ker.dim > 0), W
+        if ker.dim:  # the basis of the kernel's complement that a closure witness uses
+            kernel_basis(ker.matrix)
+        assert len(calls) == 1 + 2 * (ker.dim > 0), W
+
+    # whole operations: the canonical matrices share the input matrices'
+    # echelons, the verifier eliminates each matrix it reads once, and each
+    # failing closure certificate eliminates two kernel bases
+    for spec, pins in ((EX1, (3, 0, 3)), (_corpus(3)[2], (5, 0, 4))):
+        calls.clear()
+        counts = []
+        rep = analyze(spec)
+        counts.append(len(calls))
+        report = json.loads(canonical_json(build_report(rep, {})))
+        counts.append(len(calls) - sum(counts))
+        assert verify_certificate(report)
+        counts.append(len(calls) - sum(counts))
+        assert all(got <= pin for got, pin in zip(counts, pins)), (counts, pins)

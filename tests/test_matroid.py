@@ -48,6 +48,8 @@ from expbij.signs import (
 )
 from sign_oracles import (
     all_sign_vectors,
+    bareiss_rank,
+    bareiss_row_basis,
     column_submatrix,
     cone_flags_from_faces,
     conformal_decompose,
@@ -58,7 +60,7 @@ from sign_oracles import (
     row_space_basis,
     subspace_contains,
 )
-from test_analyzer import _random_full_rank
+from test_analyzer import _corpus, _random_full_rank, _zero_heavy_corpus
 
 S = SignVector.from_string
 M = RationalMatrix
@@ -847,3 +849,30 @@ def test_shared_oriented_matroid_dies_with_its_matrix():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_echelon_reads_match_the_bareiss_oracles():
+    # rank, the row basis and so every sign set come from one integer
+    # echelon per matrix; the Bareiss elimination they replaced must agree
+    mats = [m for spec in _corpus(200) + _zero_heavy_corpus(60) for m in (spec.coeff, spec.exponents)]
+    for W in _oracle_matrices(120):  # and the same with a zero row inserted
+        mats += [W, M(W.row_tuples[:1] + ((0,) * W.cols,) + W.row_tuples[1:])]
+    kinds = Counter()
+    for W in mats + [M([[0, 0, 0], [0, 0, 0]])]:
+        r = rank(W)
+        assert r == bareiss_rank(W), W
+        if r == 0:
+            with pytest.raises(InputError):
+                OrientedMatroid(W)
+            continue
+        om, ref = OrientedMatroid(W), OrientedMatroid(bareiss_row_basis(W))
+        assert om.W.rows == ref.W.rows == r and om.d == W.rows
+        assert om.circuit_masks == ref.circuit_masks, W
+        assert om.cocircuit_masks == ref.cocircuit_masks, W
+        assert om.covector_masks() == ref.covector_masks(), W
+        assert om.vector_masks() == ref.vector_masks(), W
+        assert om.nonneg_covector_masks() == ref.nonneg_covector_masks(), W
+        kinds["rank-deficient" if r < W.rows else "full rank"] += 1
+        kinds["zero row"] += any(not any(row) for row in W.row_tuples)
+        kinds["fraction"] += any(x.denominator > 1 for row in W.row_tuples for x in row)
+    assert all(kinds[k] >= 30 for k in ("rank-deficient", "full rank", "zero row", "fraction")), kinds
