@@ -16,11 +16,16 @@ carries a certificate whose claims re-verify by exact substitution:
 Every question about a kernel sign set sign(ker M), membership or the first
 member with given signs, is answered from the cocircuits of M
 (`OrientedMatroid.extends`, `first_vector`), so no vector set is enumerated.
-The only enumerations are covector sets, and `max_n_enumeration` caps those.
+The only enumerations are covector sets. Each condition that reads one (i,
+iii, iv, newton and robust_coefficients' separating face) first checks the
+n cap, `signs.over_cap` at `max_n_enumeration`, and past it returns
+inconclusive with the rule's message; `analyze` leaves the cones null there.
 ii, iii, iv and newton share two rules on index masks: the largest face of
 cone(W) inside a mask (`OrientedMatroid.face_below`) and positive dependence
-in W (`_positively_dependent`). iv fails at the first of iii's candidates
-whose positive part is positively dependent.
+in W (`OrientedMatroid.positively_dependent`, memoized per mask). iii and iv
+read one candidate list, `ExponentialMapSpec.degeneracy_candidates`: iii
+searches it, and iv fails at its first member whose positive part is
+positively dependent.
 Sign vectors stay packed ints, and `SignVector` appears only as the strings
 a certificate names. The kernel and covector witnesses come from the same
 `OrientedMatroid` (`vector_point`, `covector_point`); the closure's
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -54,7 +60,7 @@ from .linalg import (
 )
 from .lp import Rel, feasible, make_system
 from .matroid import FaceLattice, OrientedMatroid, orthogonal_witness
-from .signs import EnumerationCap, bits, pack, sign_of, str_order, unpack
+from .signs import MAX_N_ENUMERATION, bits, over_cap, pack, sign_of, str_order, unpack
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -72,7 +78,7 @@ class DimensionMismatch(InputError):
 
 @dataclass(frozen=True)
 class Caps:
-    max_n_enumeration: int = 12
+    max_n_enumeration: int = MAX_N_ENUMERATION
     max_partition_pairs: int = 100_000
     max_blocks: int = 8
 
@@ -153,6 +159,16 @@ class ExponentialMapSpec:
             self._oriented_matroids[M] = OrientedMatroid(M)
         return self._oriented_matroids[M]
 
+    @cached_property
+    def degeneracy_candidates(self) -> list[int]:
+        """The covectors of Wt with a positive component whose support contains
+        no nonzero face of cone(W) (`face_below` is 0), packed, in string
+        order. Built with no cap, so each condition that reads them checks
+        the n cap first."""
+        n, full, om_w = self.n, (1 << self.n) - 1, self._om(self.coeff)
+        return sorted((t for t in self._om(self.exponents).covector_masks
+                       if t & full and not om_w.face_below((t | t >> n) & full)), key=str_order(n))
+
 
 @dataclass(frozen=True)
 class ConditionResult:
@@ -219,20 +235,6 @@ def _excluded_tope(om_first: OrientedMatroid, om_second: OrientedMatroid, n: int
     return best
 
 
-def _positively_dependent(spec: ExponentialMapSpec):
-    """Predicate on index masks I: some v >= 0 in ker W has support exactly I,
-    i.e. the sign vector + on I and 0 elsewhere is a vector of W."""
-    om, full = spec._om(spec.coeff), (1 << spec.n) - 1
-    memo: dict[int, bool] = {}
-
-    def dependent(I: int) -> bool:
-        if I not in memo:
-            memo[I] = om.extends(I, full)
-        return memo[I]
-
-    return dependent
-
-
 # ---------------------------------------------------------------------------
 # injectivity
 
@@ -242,13 +244,11 @@ def injectivity_via_signs(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Cond
     The covectors of Wt are enumerated, and each is tested against the
     cocircuits of W for membership in sign(ker W)."""
     tag = "injectivity-sign-criterion"
+    if capped := over_cap("covector", spec.n, caps.max_n_enumeration):
+        return ConditionResult(INCONCLUSIVE, tag, detail=capped)
     om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
-    try:
-        covs_exp = om_wt.covector_masks(caps.max_n_enumeration)
-    except EnumerationCap as e:
-        return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
     full = (1 << spec.n) - 1
-    common = [t for t in covs_exp if t and om_w.extends(t, full)]
+    common = [t for t in om_wt.covector_masks if t and om_w.extends(t, full)]
     if not common:
         return ConditionResult(HOLDS, tag)
     tau = min(common, key=str_order(spec.n))
@@ -394,14 +394,6 @@ def _ordered_partitions(mask: int, admissible):
         block = (block - mask) & mask  # the next submask
 
 
-def _degeneracy_candidates(om_w: OrientedMatroid, covs_exp: frozenset[int], n: int) -> list[int]:
-    """Covectors of Wt with a positive component whose support contains no
-    nonzero face of cone(W) (`face_below` is 0), in string order."""
-    full = (1 << n) - 1
-    return sorted((t for t in covs_exp if t & full and not om_w.face_below((t | t >> n) & full)),
-                  key=str_order(n))
-
-
 def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
     """Exhaustive nondegeneracy decision for the subspace pair.
 
@@ -412,18 +404,16 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
     """
     tag = "properness-nondegeneracy"
     spec.require_square()
-    n, cap = spec.n, caps.max_n_enumeration
+    n = spec.n
     full = (1 << n) - 1
     om_w = spec._om(spec.coeff)
     if om_w.cone.all_plus:
         # an all-plus coefficient covector: pointed coefficient cone with no
         # zero column, so no positive dependence at all
         return ConditionResult(HOLDS, tag, detail="all-plus coefficient covector")
-    try:
-        candidates = _degeneracy_candidates(om_w, spec._om(spec.exponents).covector_masks(cap), n)
-    except EnumerationCap as e:
-        return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
-    dependent = _positively_dependent(spec)
+    if capped := over_cap("covector", n, caps.max_n_enumeration):
+        return ConditionResult(INCONCLUSIVE, tag, detail=capped)
+    candidates, dependent = spec.degeneracy_candidates, om_w.positively_dependent
 
     pairs_tried = 0
     infeasible: set[frozenset] = set()  # systems this search already found empty
@@ -500,16 +490,12 @@ def condition_iv(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResu
     vector is the first in string order, by `first_vector`."""
     tag = "nondegeneracy-sign-sufficient"
     spec.require_square()
-    om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
-    try:
-        covs_exp = om_wt.covector_masks(caps.max_n_enumeration)
-    except EnumerationCap as e:
-        return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
     n = spec.n
+    if capped := over_cap("covector", n, caps.max_n_enumeration):
+        return ConditionResult(INCONCLUSIVE, tag, detail=capped)
+    om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
     full = (1 << n) - 1
-    dependent = _positively_dependent(spec)
-    tau_t = min((t for t in covs_exp if t & full and dependent(t & full)
-                 and not om_w.face_below((t | t >> n) & full)), key=str_order(n), default=None)
+    tau_t = next((t for t in spec.degeneracy_candidates if om_w.positively_dependent(t & full)), None)
     if tau_t is None:
         return ConditionResult(HOLDS, tag)
     support = (tau_t | tau_t >> n) & full
@@ -541,14 +527,12 @@ def newton_polytope_sufficient(spec: ExponentialMapSpec, caps: Caps = Caps()) ->
     """
     tag = "nondegeneracy-newton-polytope"
     spec.require_square()
-    n, cap = spec.n, caps.max_n_enumeration
+    n = spec.n
+    if capped := over_cap("covector", n, caps.max_n_enumeration):  # the map's n, not the lifted n + 1
+        return ConditionResult(INCONCLUSIVE, tag, detail=capped)
     lifted = RationalMatrix([list(r) + [0] for r in spec.exponents.row_tuples] + [[1] * (n + 1)])
-    try:
-        spec._om(spec.exponents).check_cap("covector", cap)  # the cap counts the map's n columns
-        lifted_faces = spec._om(lifted).nonneg_covector_masks(cap + 1)
-    except EnumerationCap as e:
-        return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
-    dependent = _positively_dependent(spec)
+    lifted_faces = spec._om(lifted).nonneg_covector_masks
+    dependent = spec._om(spec.coeff).positively_dependent
     full = (1 << n) - 1
     # lifted faces that are + at the origin (bit n), by their zero sets
     positive_faces = sorted({full & ~t for t in lifted_faces if t >> n} - {0}, key=bits)
@@ -646,12 +630,10 @@ def robust_coefficients(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
     if reason == "reversed-closure-fails":
         cert["closure_form"] = ccp.certificate
     elif reason == "face-sets-differ":
-        try:
-            faces_w = om_w.nonneg_covector_masks(caps.max_n_enumeration)
-            faces_wt = om_wt.nonneg_covector_masks(caps.max_n_enumeration)
-        except EnumerationCap as e:
-            return ConditionResult(INCONCLUSIVE, tag, detail=str(e))
-        cert["separating_face"] = str(unpack(min(faces_w ^ faces_wt, key=str_order(spec.n)), spec.n))
+        if capped := over_cap("covector", spec.n, caps.max_n_enumeration):
+            return ConditionResult(INCONCLUSIVE, tag, detail=capped)
+        differ = om_w.nonneg_covector_masks ^ om_wt.nonneg_covector_masks
+        cert["separating_face"] = str(unpack(min(differ, key=str_order(spec.n)), spec.n))
     return ConditionResult(FAILS, tag, certificate=cert)
 
 
@@ -716,7 +698,6 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
     spec.require_square()
     spec_c = spec.canonical()
     om_w, om_wt = spec_c._om(spec_c.coeff), spec_c._om(spec_c.exponents)
-    cap = caps.max_n_enumeration
     conditions: dict[str, ConditionResult] = {}
     runtimes: dict[str, float] = {}
 
@@ -768,10 +749,9 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
     run("robust_coefficients", robust_coefficients, spec_c, caps)
     run("robust_both", robust_both, spec_c)
 
-    try:
-        cones: dict[str, FaceLattice | None] = {"coeff": om_w.face_lattice(cap), "exp": om_wt.face_lattice(cap)}
-    except EnumerationCap:
-        cones = {"coeff": None, "exp": None}
+    cones: dict[str, FaceLattice | None] = (
+        {"coeff": None, "exp": None} if over_cap("covector", spec_c.n, caps.max_n_enumeration)
+        else {"coeff": om_w.face_lattice, "exp": om_wt.face_lattice})
 
     classification = _classify(*(conditions[k].verdict for k in ("i", "ii", "iii")))
     _assert_implications(conditions, om_w, om_wt, sign_sets_equal, classification)

@@ -18,9 +18,10 @@ sign vector is a vector iff it is orthogonal to every cocircuit: `extends`
 tests that on a restriction, `first_vector` finds the first vector with
 given signs by prefix search, and `vector_point` and `covector_point` return
 rational witnesses. `OrientedMatroid` holds these for one matrix, as packed
-ints, and computes each at most once. The module functions are the
-`SignVector` API: they share one `OrientedMatroid` per matrix object and
-return its sets as `SignSet` views. `Chirotope` and
+ints, and computes each at most once; it takes no cap. The module functions
+are the `SignVector` API: they share one `OrientedMatroid` per matrix object,
+return its sets as `SignSet` views, and raise `EnumerationCap` past the n
+cap (`signs.over_cap`). `Chirotope` and
 `cocircuits_from_chirotope` are thin views of the table, kept for the
 benchmark's `enumerate` workload, which binds them by name. The two-branch
 alternative for sign vectors against a subspace also lives here; every
@@ -45,13 +46,7 @@ from .linalg import (
     row_basis,
 )
 from .lp import realize_conformal_covector, realize_kernel_sign, realize_sign_vector, unit_vectors
-from .signs import (
-    EnumerationCap,
-    SignSet,
-    SignVector,
-    bits,
-    pack,
-)
+from .signs import MAX_N_ENUMERATION, EnumerationCap, SignSet, SignVector, bits, over_cap, pack
 
 
 class Chirotope:
@@ -230,8 +225,10 @@ class OrientedMatroid:
     sign sets are frozen sets of them, because callers share them; the
     module functions wrap them in `SignSet` views. Beside its two oracles,
     `extends` for sign(ker W) and the covector sets for sign(im W^T), it
-    hands out their rational witnesses, `vector_point` and `covector_point`,
-    each solved once per argument.
+    hands out positive dependence and the rational witnesses,
+    `vector_point` and `covector_point`, each computed once per argument. It
+    holds data only: the sets are built whole when read, and the n cap on
+    enumerations is the callers' (`signs.over_cap`).
     """
 
     def __init__(self, M: RationalMatrix):
@@ -239,6 +236,7 @@ class OrientedMatroid:
         self.W = row_basis(M)
         self._vector_points: dict[tuple[int, int], Vec | None] = {}
         self._covector_points: dict[int, Vec | None] = {}
+        self._dependent: dict[int, bool] = {}
 
     @cached_property
     def minor_signs(self) -> dict[int, int]:
@@ -281,6 +279,13 @@ class OrientedMatroid:
             if support & ~A == 0 and (x & c == 0) != (x & neg == 0):
                 return False
         return True
+
+    def positively_dependent(self, I: int) -> bool:
+        """Some v >= 0 in ker W has support exactly the index mask I: the sign
+        vector + on I and 0 elsewhere is a vector. Memoized per I."""
+        if I not in self._dependent:
+            self._dependent[I] = self.extends(I, (1 << self.W.cols) - 1)
+        return self._dependent[I]
 
     def first_vector(self, x: int, A: int) -> int | None:
         """The first vector of ker W in `str_order` that agrees with x on A, or
@@ -340,52 +345,35 @@ class OrientedMatroid:
         such a set."""
         return _signed_masks(self.minor_signs, self.W.cols, cocircuits=False)
 
-    def check_cap(self, what: str, cap: int):
-        """Raise EnumerationCap when the configuration has more than cap columns."""
-        if self.W.cols > cap:
-            raise EnumerationCap(f"{what} enumeration capped at n <= {cap}, got n = {self.W.cols}")
-
     @cached_property
-    def _covector_masks(self) -> frozenset[int]:
+    def covector_masks(self) -> frozenset[int]:
+        """All of sign(im W^T), packed: the sign vectors orthogonal to every
+        circuit, by one pass over the columns (`_orthogonal_masks`)."""
         covs = _orthogonal_masks(self.circuit_masks, self.W.cols)
         # the cocircuits and the circuits are read off the table by two walks
         check(self.cocircuit_masks <= covs, "a cocircuit is not orthogonal to every circuit")
         return covs
 
     @cached_property
-    def _vector_masks(self) -> frozenset[int]:
+    def vector_masks(self) -> frozenset[int]:
+        """All of sign(ker W), packed: the sign vectors orthogonal to every
+        cocircuit, by one pass over the columns (`_orthogonal_masks`)."""
         vecs = _orthogonal_masks(self.cocircuit_masks, self.W.cols)
         check(self.circuit_masks <= vecs, "a circuit is not orthogonal to every cocircuit")
         return vecs
 
     @cached_property
-    def _nonneg_covector_masks(self) -> frozenset[int]:
-        faces = {0}
-        for t in self.nonneg_cocircuit_masks:
-            faces |= {f | t for f in faces}
-        return frozenset(faces)
-
-    def covector_masks(self, cap: int = 12) -> frozenset[int]:
-        """All of sign(im W^T), packed: the sign vectors orthogonal to every
-        circuit, by one pass over the columns (`_orthogonal_masks`)."""
-        self.check_cap("covector", cap)
-        return self._covector_masks
-
-    def vector_masks(self, cap: int = 12) -> frozenset[int]:
-        """All of sign(ker W), packed: the sign vectors orthogonal to every
-        cocircuit, by one pass over the columns (`_orthogonal_masks`)."""
-        self.check_cap("vector", cap)
-        return self._vector_masks
-
-    def nonneg_covector_masks(self, cap: int = 12) -> frozenset[int]:
+    def nonneg_covector_masks(self) -> frozenset[int]:
         """sign(im W^T) within {0,+}^n, packed (each is its own positive part):
         the faces of cone(columns). Every nonnegative covector is the
         composition of the nonnegative cocircuits conformal to it, and
         nonnegative sign vectors compose by OR, so the faces are the
         OR-closure of the facets: starting from {0}, each facet is ORed into
         every face found so far. No circuit is needed."""
-        self.check_cap("covector", cap)
-        return self._nonneg_covector_masks
+        faces = {0}
+        for t in self.nonneg_cocircuit_masks:
+            faces |= {f | t for f in faces}
+        return frozenset(faces)
 
     @cached_property
     def cone(self) -> Cone:
@@ -413,14 +401,10 @@ class OrientedMatroid:
                     robustly_generated=robust, full_space=not facets, all_plus=not lineality,
                     zero_columns=zero_columns)
 
-    def face_lattice(self, cap: int = 12) -> FaceLattice:
-        self.check_cap("covector", cap)
-        return self._face_lattice
-
     @cached_property
-    def _face_lattice(self) -> FaceLattice:
+    def face_lattice(self) -> FaceLattice:
         """The cone with its faces, the only part that is enumerated."""
-        return FaceLattice(faces=SignSet(self._nonneg_covector_masks, self.W.cols), **vars(self.cone))
+        return FaceLattice(faces=SignSet(self.nonneg_covector_masks, self.W.cols), **vars(self.cone))
 
 
 def oriented_matroid(M: RationalMatrix) -> OrientedMatroid:
@@ -455,18 +439,25 @@ def circuits(M: RationalMatrix) -> SignSet:
     return SignSet(oriented_matroid(M).circuit_masks, M.cols)
 
 
-def covectors(M: RationalMatrix, cap: int = 12) -> SignSet:
+def _enumerable(M: RationalMatrix, what: str, cap: int) -> OrientedMatroid:
+    """The OrientedMatroid of M, or EnumerationCap when M has more than cap columns."""
+    if capped := over_cap(what, M.cols, cap):
+        raise EnumerationCap(capped)
+    return oriented_matroid(M)
+
+
+def covectors(M: RationalMatrix, cap: int = MAX_N_ENUMERATION) -> SignSet:
     """All of sign(im M^T): the sign vectors orthogonal to every circuit."""
-    return SignSet(oriented_matroid(M).covector_masks(cap), M.cols)
+    return SignSet(_enumerable(M, "covector", cap).covector_masks, M.cols)
 
 
-def vectors(M: RationalMatrix, cap: int = 12) -> SignSet:
+def vectors(M: RationalMatrix, cap: int = MAX_N_ENUMERATION) -> SignSet:
     """All of sign(ker M): the sign vectors orthogonal to every cocircuit."""
-    return SignSet(oriented_matroid(M).vector_masks(cap), M.cols)
+    return SignSet(_enumerable(M, "vector", cap).vector_masks, M.cols)
 
 
-def face_lattice(W: RationalMatrix, cap: int = 12) -> FaceLattice:
-    return oriented_matroid(W).face_lattice(cap)
+def face_lattice(W: RationalMatrix, cap: int = MAX_N_ENUMERATION) -> FaceLattice:
+    return _enumerable(W, "covector", cap).face_lattice
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from . import __version__
 from .analyzer import FAILS, HOLDS, INCONCLUSIVE, AnalysisReport, _classify, _cone_json, cone_form, minor_form
 from .linalg import InputError, RationalMatrix, dot, frac, kernel_basis, rank, reduced, vec
 from .matroid import OrientedMatroid
-from .signs import SignSet, SignVector, sign_of
+from .signs import SignSet, SignVector, over_cap, sign_of
 
 TOOL = {"name": "expbij", "version": __version__}
 
@@ -93,9 +93,9 @@ def _verify(report: dict):
     conditions = report["conditions"]
     _need(report["sign_sets_equal"] is om_w.equal_up_to_sign(om_wt),
           "sign_sets_equal disagrees with the minor signs")
-    # the cones are enumerated, so only up to the report's cap
-    cap = report["caps"]["max_n_enumeration"]
-    _need(report["cones"] == {side: _cone_json(om.face_lattice(cap)) if W.cols <= cap else None
+    # the cones are enumerated, so only up to the report's n cap
+    past_cap = over_cap("covector", W.cols, report["caps"]["max_n_enumeration"])
+    _need(report["cones"] == {side: None if past_cap else _cone_json(om.face_lattice)
                               for side, om in (("coeff", om_w), ("exp", om_wt))},
           "cones disagree with the matrices")
     form = cache(lambda key: minor_form(key, om_w, om_wt))
@@ -178,7 +178,7 @@ def _verify(report: dict):
         elif key == "robust_coefficients":
             # the facets decide every reason; only a separating face takes the cap
             want, reason = cone_form(form("cc_prime")[0], om_w, om_wt)
-            capped = reason == "face-sets-differ" and W.cols > cap
+            capped = reason == "face-sets-differ" and past_cap
             _need(verdict == want or verdict == INCONCLUSIVE and capped,
                   "robust_coefficients disagrees with the facets")
             if verdict == FAILS:

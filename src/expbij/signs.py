@@ -19,8 +19,17 @@ from collections.abc import Set
 from functools import cache
 
 
+MAX_N_ENUMERATION = 12  # the default n cap on sign-set enumerations
+
+
 class EnumerationCap(RuntimeError):
     """A brute-force enumeration would exceed its configured cap."""
+
+
+def over_cap(what: str, n: int, cap: int) -> str | None:
+    """The one n cap rule: why an enumeration of sign vectors of length n is
+    not made under cap, or None when n <= cap."""
+    return f"{what} enumeration capped at n <= {cap}, got n = {n}" if n > cap else None
 
 
 class SignVector:

@@ -120,11 +120,46 @@ MUTANTS = [
      "W, Wt = reduced(self.coeff), reduced(self.exponents)",
      "W, Wt = self.coeff, self.exponents",
      ["test_analyzer.py::test_change_of_basis_invariance"]),
-    # signs: the string order of packed sign vectors
+    # analyzer: iii's one candidate list, iv, newton and positive dependence
+    ("iv-ignores-dependence", "analyzer",
+     "tau_t = next((t for t in spec.degeneracy_candidates if om_w.positively_dependent(t & full)), None)",
+     "tau_t = next(iter(spec.degeneracy_candidates), None)",
+     ["test_analyzer.py::test_packed_picks_match_signvector_oracle_on_random_corpus"]),
+    ("candidates-ignore-the-faces-below", "analyzer",
+     "if t & full and not om_w.face_below((t | t >> n) & full)), key=str_order(n))",
+     "if t & full), key=str_order(n))",
+     ["test_analyzer.py::test_packed_picks_match_signvector_oracle_on_random_corpus"]),
+    ("newton-never-tests-dependence", "analyzer",
+     "        if dependent(I):\n",
+     "        if False:\n",
+     ["test_analyzer.py::test_newton_matches_lp_oracle"]),
+    ("iii-counts-blocks-before-skipping", "analyzer",
+     "        if not dependent(plus):  # blocks' kernel vectors would sum to one on plus\n"
+     "            continue\n"
+     "        if plus.bit_count() > caps.max_blocks:\n"
+     "            return ConditionResult(INCONCLUSIVE, tag, detail=(\n"
+     "                f\"candidate {unpack(tau_t, n)} has {plus.bit_count()} positive components, \"\n"
+     "                f\"above max_blocks = {caps.max_blocks}; \"\n"
+     "                f\"{len(candidates) - idx} candidates unexplored\"))\n",
+     "        if plus.bit_count() > caps.max_blocks:\n"
+     "            return ConditionResult(INCONCLUSIVE, tag, detail=\"max_blocks\")\n"
+     "        if not dependent(plus):\n"
+     "            continue\n",
+     ["test_analyzer.py::test_iii_skips_a_candidate_before_counting_its_blocks"]),
+    ("dependence-memo-restricted-to-I", "matroid",
+     "self._dependent[I] = self.extends(I, (1 << self.W.cols) - 1)",
+     "self._dependent[I] = self.extends(I, I)",
+     ["test_analyzer.py::test_iii_skips_only_candidates_without_partitions"]),
+    # signs: the string order of packed sign vectors, and the n cap rule
     ("str-order-swaps-zero-and-minus", "signs",
      "k += 2 * table[z & 255] + table[m & 255]",
      "k += table[z & 255] + 2 * table[m & 255]",
      ["test_signs.py::test_str_order_matches_string_order"]),
+    ("n-cap-fires-at-n-equal-cap", "signs",
+     "if n > cap else None",
+     "if n >= cap else None",
+     ["test_analyzer.py::test_verdicts_decided_under_caps_match_uncapped",
+      "test_matroid.py::test_mask_accessors_are_the_packed_sets"]),
     # report: the verifier's own checks
     ("verifier-skips-the-shape-check", "report",
      'm["n"] == W.cols == Wt.cols and m["d"] == m["d_tilde"] == W.rows == Wt.rows',

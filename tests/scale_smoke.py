@@ -123,7 +123,7 @@ def matroid_covectors():
                 problems.append(f"{what} at ({n}, {M.rows}) differ from the tree's")
         # the faces, the OR-closure of the facets, against the circuit route
         start = time.perf_counter()
-        faces = om.nonneg_covector_masks(n)
+        faces = om.nonneg_covector_masks
         mid = time.perf_counter()
         same = faces == orthogonal_masks_tree(om.circuit_masks, n, (1 << n) - 1)
         print(f"faces at ({n}, {M.rows}): {len(faces)}, {(mid - start) * 1000:.0f} ms; "

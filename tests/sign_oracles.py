@@ -289,7 +289,7 @@ def minor_forms(W: RationalMatrix, Wt: RationalMatrix) -> dict[str, tuple[str, d
     return out
 
 
-def cone_flags_from_faces(om, cap: int = 12) -> tuple[bool, bool, bool]:
+def cone_flags_from_faces(om) -> tuple[bool, bool, bool]:
     """full_space, all_plus and robustly_generated of cone(columns), read off
     every enumerated face (nonnegative covector) and the matrix entries: the
     full space has only the zero face, all_plus is the all-+ face, and the
@@ -298,7 +298,7 @@ def cone_flags_from_faces(om, cap: int = 12) -> tuple[bool, bool, bool]:
     zero at it only) or is + on every nonzero face."""
     d, n = om.W.rows, om.W.cols
     full = (1 << n) - 1
-    faces = om.nonneg_covector_masks(cap)
+    faces = om.nonneg_covector_masks
     full_space, all_plus = faces == {0}, full in faces
     if d == 1 or full_space:
         return full_space, all_plus, True

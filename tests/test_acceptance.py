@@ -137,7 +137,7 @@ def test_criterion_2_oracle_equivalences():
             # the strict minor form against equal kernel sign sets (closures)
             # plus a uniform matroid of W
             om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
-            sign_form = om_w.vector_masks() == om_wt.vector_masks() and is_uniform(om_w)
+            sign_form = om_w.vector_masks == om_wt.vector_masks and is_uniform(om_w)
             assert robust_both(spec).holds == sign_form
             count += 1
         assert time.perf_counter() - t0 < 300

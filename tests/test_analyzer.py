@@ -23,11 +23,9 @@ from expbij.analyzer import (
     ConditionResult,
     DimensionMismatch,
     ExponentialMapSpec,
-    _degeneracy_candidates,
     _excluded_tope,
     _jvec,
     _ordered_partitions,
-    _positively_dependent,
     analyze,
     closure_cc,
     closure_cc_prime,
@@ -389,7 +387,7 @@ def test_equivalence_oracles_on_random_corpus():
         # kernel sign sets, compared as closures so that the check does not
         # reduce to the minor form, and a uniform matroid of W
         om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
-        sign_form = HOLDS if om_w.vector_masks() == om_wt.vector_masks() and is_uniform(om_w) else FAILS
+        sign_form = HOLDS if om_w.vector_masks == om_wt.vector_masks and is_uniform(om_w) else FAILS
         assert robust_both(spec).verdict == sign_form, (spec.coeff, spec.exponents)
         seen[sign_form] += 1
     assert seen[HOLDS] and seen[FAILS], seen
@@ -455,7 +453,7 @@ def test_iii_shortcuts_agree_with_exact_search_on_random_corpus():
     for spec in _corpus(200):
         om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
         shortcuts = {
-            "sign_sets_equal": om_w.vector_masks() == om_wt.vector_masks(),
+            "sign_sets_equal": om_w.vector_masks == om_wt.vector_masks,
             "iv": condition_iv(spec).holds,
             "cc": closure_cc(spec).holds,
             "cc_prime": closure_cc_prime(spec).holds,
@@ -484,22 +482,54 @@ def test_mask_partitions_follow_the_tuple_order():
     assert total >= 1000, total
 
 
+def _candidates_and_dependence(spec):
+    """iii's candidates and positive dependence in W, recomputed: the
+    covectors of Wt with a + whose support holds no nonzero face of cone(W),
+    in string order, and the + on I and 0 elsewhere as a vector of W."""
+    n, full = spec.n, (1 << spec.n) - 1
+    om_w = spec._om(spec.coeff)
+    candidates = sorted((t for t in spec._om(spec.exponents).covector_masks
+                         if t & full and om_w.face_below((t | t >> n) & full) == 0), key=str_order(n))
+    return candidates, lambda I: om_w.extends(I, full)
+
+
 def test_iii_skips_only_candidates_without_partitions():
     # condition_iii_exact skips a candidate whose positive part is not
-    # positively dependent; _ordered_partitions must yield nothing for it
+    # positively dependent; _ordered_partitions must yield nothing for it.
+    # The spec's list and the memoized dependence equal their recomputation
     skipped = searched = 0
     for spec in _corpus(200) + [direct_sum([sv_example(Fraction(1, 2))] * 2)]:
         om_w = spec._om(spec.coeff)
         full = (1 << spec.n) - 1
-        dependent = _positively_dependent(spec)
-        for tau_t in _degeneracy_candidates(om_w, spec._om(spec.exponents).covector_masks(12), spec.n):
+        candidates, dependent = _candidates_and_dependence(spec)
+        assert spec.degeneracy_candidates == candidates, (spec.coeff, spec.exponents)
+        for tau_t in candidates:
             plus = tau_t & full
+            assert om_w.positively_dependent(plus) == dependent(plus), (spec.coeff, tau_t)
             if dependent(plus):
                 searched += 1
             else:
                 skipped += 1
                 assert next(_ordered_partitions(plus, dependent), None) is None, (spec.coeff, tau_t)
     assert skipped >= 100 and searched >= 10, (skipped, searched)
+
+
+def test_iii_skips_a_candidate_before_counting_its_blocks():
+    # a candidate whose positive part is not positively dependent has no
+    # partition, so it is skipped before max_blocks is compared with its
+    # positive components: with max_blocks at the most components of a
+    # searched candidate, the search ends as it does uncapped
+    seen = 0
+    for spec in _corpus(200) + _zero_heavy_corpus(60):
+        full = (1 << spec.n) - 1
+        candidates, dependent = _candidates_and_dependence(spec)
+        blocks = [(t & full).bit_count() for t in candidates if dependent(t & full)]
+        skipped = [(t & full).bit_count() for t in candidates if not dependent(t & full)]
+        if not spec._om(spec.coeff).cone.all_plus and max(skipped, default=0) > max(blocks, default=0):
+            capped = condition_iii_exact(spec, Caps(max_blocks=max(blocks, default=0)))
+            assert capped == condition_iii_exact(spec), (spec.coeff, spec.exponents)
+            seen += 1
+    assert seen >= 20, seen
 
 
 def _signvector_picks(spec):
@@ -518,7 +548,7 @@ def _signvector_picks(spec):
         if rho is not None:
             iv = (str(tau_t), str(rho))
             break
-    facets_w = minimal_support_members(om_w.face_lattice().faces)
+    facets_w = minimal_support_members(om_w.face_lattice.faces)
     candidates = sorted((t for t in C if t.plus
                          and not any(f.support & ~t.support == 0 for f in facets_w)), key=str)
     return {
@@ -543,9 +573,7 @@ def test_packed_picks_match_signvector_oracle_on_random_corpus():
             cert = cond(spec).certificate
             assert (None if cert is None else cert["excluded_sign_vector"]) == (
                 None if want[key] is None else str(want[key]))
-        om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
-        candidates = _degeneracy_candidates(om_w, om_wt.covector_masks(), spec.n)
-        assert [unpack(t, spec.n) for t in candidates] == want["iii"]
+        assert [unpack(t, spec.n) for t in spec.degeneracy_candidates] == want["iii"]
         seen.update(k for k, v in want.items() if v)
         seen["iii order"] += len(want["iii"]) > 1
     # every pick was made on some pair, and some iii candidate lists have an order
@@ -569,9 +597,9 @@ def _closure_condition_ii(spec):
     nonnegative covector of W below it in string order."""
     tag = "surjectivity-face-cover"
     full = (1 << spec.n) - 1
-    faces_w = SignSet(spec._om(spec.coeff).nonneg_covector_masks(), spec.n)
+    faces_w = SignSet(spec._om(spec.coeff).nonneg_covector_masks, spec.n)
     facets_exp = minimal_support_members(
-        SignSet(spec._om(spec.exponents).nonneg_covector_masks(), spec.n))
+        SignSet(spec._om(spec.exponents).nonneg_covector_masks, spec.n))
     nonzero_w = sorted((t for t in faces_w if t.support), key=str)
     coverings = []
     for tau_t in sorted(facets_exp, key=str):
@@ -620,7 +648,7 @@ def test_chirotopes_decide_sign_set_equality():
     seen = Counter()
     for spec in specs:
         om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
-        equal = om_w.vector_masks() == om_wt.vector_masks()
+        equal = om_w.vector_masks == om_wt.vector_masks
         assert om_w.equal_up_to_sign(om_wt) == equal, (spec.coeff, spec.exponents)
         assert om_wt.equal_up_to_sign(om_w) == equal
         seen[equal] += 1
@@ -629,28 +657,38 @@ def test_chirotopes_decide_sign_set_equality():
     assert all(seen[k] for k in (True, False, "flipped", "other kernel")), seen
     for spec in specs[:40] + specs[200:240]:
         assert analyze(spec).sign_sets_equal == (
-            spec._om(spec.coeff).vector_masks() == spec._om(spec.exponents).vector_masks())
+            spec._om(spec.coeff).vector_masks == spec._om(spec.exponents).vector_masks)
 
 
 def test_verdicts_decided_under_caps_match_uncapped():
     # ii, iii's all-plus test, cc, cc_prime and sign_sets_equal enumerate
     # nothing, so a cap no longer leaves them undecided; whatever is decided
-    # must be right
+    # must be right. The cap is n > cap alone: at cap n every condition is
+    # the uncapped one. analyze never raises EnumerationCap: every cap gives
+    # a report that verifies
     seen = Counter()
     for spec in _corpus(200) + _zero_heavy_corpus(40):
         full = analyze(spec)
-        capped = analyze(spec, Caps(max_n_enumeration=spec.n - 1))
-        assert verify_certificate(build_report(capped, {}))
-        assert capped.sign_sets_equal == full.sign_sets_equal
-        for key in ("ii", "cc", "cc_prime"):
-            assert capped.conditions[key] == full.conditions[key], (key, spec.coeff, spec.exponents)
-        for key, res in capped.conditions.items():
-            if res.verdict != INCONCLUSIVE:
-                assert res.verdict == full.conditions[key].verdict, (key, spec.coeff, spec.exponents)
-            seen[key, res.verdict] += 1
-        if capped.classification != CLASS_INCONCLUSIVE:
-            assert capped.classification == full.classification
-        seen[capped.classification] += 1
+        at_n = analyze(spec, Caps(max_n_enumeration=spec.n))
+        assert (at_n.conditions, at_n.classification, at_n.cones) == (
+            full.conditions, full.classification, full.cones), (spec.coeff, spec.exponents)
+        for cap in (spec.n - 1, 0):
+            capped = analyze(spec, Caps(max_n_enumeration=cap))
+            assert verify_certificate(build_report(capped, {}))
+            assert capped.sign_sets_equal == full.sign_sets_equal
+            assert capped.cones == {"coeff": None, "exp": None}
+            for key in ("ii", "cc", "cc_prime"):
+                assert capped.conditions[key] == full.conditions[key], (key, spec.coeff, spec.exponents)
+            for key, res in capped.conditions.items():
+                if res.verdict != INCONCLUSIVE:
+                    assert res.verdict == full.conditions[key].verdict, (key, spec.coeff, spec.exponents)
+                else:
+                    assert res.detail in (f"covector enumeration capped at n <= {cap}, got n = {spec.n}",
+                                          full.conditions[key].detail), (key, res.detail)
+                seen[key, res.verdict] += 1
+            if capped.classification != CLASS_INCONCLUSIVE:
+                assert capped.classification == full.classification
+            seen[capped.classification] += 1
     assert seen[CLASS_INCONCLUSIVE] and seen[CLASS_BIJECTIVE] and seen[CLASS_INJECTIVE], seen
     assert seen["iii", INCONCLUSIVE] and seen["iii", HOLDS], seen
 
@@ -679,7 +717,7 @@ def test_iv_dominating_vector_matches_sorted_closure():
         om_w = spec._om(spec.coeff)
         vectors_w = composition_closure(om_w.circuit_masks, n)
         by_order = sorted(vectors_w, key=str_order(n))
-        for t in spec._om(spec.exponents).covector_masks():
+        for t in spec._om(spec.exponents).covector_masks:
             if not (t & full and t & full in vectors_w):
                 continue
             support = (t | t >> n) & full
@@ -696,7 +734,7 @@ def test_face_below_is_the_largest_face_and_decides_first_vector():
     seen = Counter()
     for spec in _corpus(200) + _zero_heavy_corpus(100):
         for om in (spec._om(spec.coeff), spec._om(spec.exponents)):
-            faces = om.nonneg_covector_masks()
+            faces = om.nonneg_covector_masks
             for A in range(1 << spec.n):
                 face = om.face_below(A)
                 assert face in faces and all(f & ~face == 0 for f in faces if f & ~A == 0), (om.W, A)
@@ -723,7 +761,7 @@ def test_analyze_enumerates_no_vector_set(monkeypatch):
         built.append(om)
         return composition_closure(om.circuit_masks, om.W.cols)
 
-    monkeypatch.setattr(OrientedMatroid, "_vector_masks", property(vector_masks))
+    monkeypatch.setattr(OrientedMatroid, "vector_masks", property(vector_masks))
     for spec in _corpus(200):
         analyze(spec)
         assert not built, (spec.coeff, spec.exponents)

@@ -213,6 +213,18 @@ def test_matroid_vectors_subcommand(tmp_path, capsys, entries):
     assert capsys.readouterr().out.splitlines() == sorted(str(t) for t in vectors(W))
 
 
+def test_matroid_subcommand_past_the_n_cap_exits_2(tmp_path, capsys):
+    # the enumerated sets stop at n = 12 with the cap's message; the minimal
+    # ones and the chirotope are read off the minor table at any n
+    path = write_json(tmp_path, "M.json", matrix_json([[1] * 13]))
+    for what, kind in (("covectors", "covector"), ("vectors", "vector"), ("faces", "covector")):
+        assert main(["matroid", what, path]) == 2
+        assert capsys.readouterr().err == f"inconclusive: {kind} enumeration capped at n <= 12, got n = 13\n"
+    for what in ("circuits", "cocircuits", "chirotope"):
+        assert main(["matroid", what, path]) == 0
+        assert capsys.readouterr().out
+
+
 def test_matroid_sign_set_output_is_the_sorted_strings(tmp_path, capsys):
     # n = 9 and 10 take two bytes of str_order tables; rank-deficient matrices
     # and zero columns are drawn too

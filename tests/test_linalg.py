@@ -373,7 +373,7 @@ def test_each_matrix_object_is_eliminated_once(monkeypatch):
         calls.clear()
         rank(W), rref(W), maximal_minor_signs(W), covectors(W)
         for om in (OrientedMatroid(W), oriented_matroid(W)):
-            om.minor_signs, om.cocircuit_masks, om.covector_masks(), om.cone
+            om.minor_signs, om.cocircuit_masks, om.covector_masks, om.cone
         if rank(W) == W.rows:
             chirotope(W)
         assert len(calls) == 1, W

@@ -201,13 +201,13 @@ def test_nonneg_covectors_are_closure_of_nonneg_cocircuits():
             kinds.add("lifted")
         kinds.add("deficient" if rank(W) < W.rows else "full rank")
         om, n = OrientedMatroid(W), W.cols
-        nonneg = SignSet(om.nonneg_covector_masks(), n)
+        nonneg = SignSet(om.nonneg_covector_masks, n)
         assert nonneg == SignSet(composition_closure(om.nonneg_cocircuit_masks, n), n), W
-        assert om.face_lattice().faces == nonneg
+        assert om.face_lattice.faces == nonneg
         checked += 1
     assert kinds == {"lifted", "deficient", "full rank"}
-    with pytest.raises(EnumerationCap):
-        OrientedMatroid(M([[1, 2, 3]])).nonneg_covector_masks(cap=2)
+    with pytest.raises(EnumerationCap, match="^covector enumeration capped at n <= 2, got n = 3$"):
+        face_lattice(M([[1, 2, 3]]), cap=2)
 
 
 def test_nonneg_cocircuits_are_the_minimal_nonneg_covectors():
@@ -232,7 +232,7 @@ def test_nonneg_cocircuits_are_the_minimal_nonneg_covectors():
         assert om.nonneg_cocircuit_masks == facets, W
         kinds["no facet"] += not facets
         d, n = om.W.rows, W.cols
-        C = SignSet(om.covector_masks(), n)
+        C = SignSet(om.covector_masks, n)
         with_d_minus_1_zeros = {t for t in C if t.support and n - len(t.support_set()) == d - 1}
         assert is_uniform(om) == (minimal_support_members(C) == with_d_minus_1_zeros), W
         assert is_uniform(om) == all(m != 0 for m in maximal_minors(om.W).values()), W
@@ -263,15 +263,17 @@ def test_mask_accessors_are_the_packed_sets():
         om = OrientedMatroid(W)
         n = W.cols
         for masks, svs in ((om.circuit_masks, circuits(W)), (om.cocircuit_masks, cocircuits(W)),
-                           (om.vector_masks(), vectors(W)), (om.covector_masks(), covectors(W)),
-                           (om.nonneg_covector_masks(), face_lattice(W).faces)):
+                           (om.vector_masks, vectors(W)), (om.covector_masks, covectors(W)),
+                           (om.nonneg_covector_masks, face_lattice(W).faces)):
             assert masks == {pack(t) for t in svs}, W
             assert all(unpack(x, n) == SignVector(n, x & ((1 << n) - 1), x >> n) for x in masks)
-    om = OrientedMatroid(M([[1, 2, 3]]))
-    for accessor, what in ((om.vector_masks, "vector"), (om.covector_masks, "covector"),
-                           (om.nonneg_covector_masks, "covector")):
-        with pytest.raises(EnumerationCap, match=what):
-            accessor(cap=2)
+    # the n cap is the module functions' alone: n > cap raises, n = cap does not
+    W = M([[1, 2, 3]])
+    for enumerate_, what in ((vectors, "vector"), (covectors, "covector"), (face_lattice, "covector")):
+        with pytest.raises(EnumerationCap) as raised:
+            enumerate_(W, cap=2)
+        assert str(raised.value) == f"{what} enumeration capped at n <= 2, got n = 3"
+        enumerate_(W, cap=3)
 
 
 def test_orthogonal_masks_match_composition_closure():
@@ -311,7 +313,7 @@ def test_orthogonal_masks_match_composition_closure():
             got = _orthogonal_masks(gens, n)
             assert got == composition_closure(dual, n) == orthogonal_masks_tree(gens, n, every), W
             assert {x >> n | (x & full) << n for x in got} == got, W
-        faces = om.nonneg_covector_masks()
+        faces = om.nonneg_covector_masks
         assert faces == orthogonal_masks_tree(om.circuit_masks, n, full), W
         assert faces == composition_closure(om.nonneg_cocircuit_masks, n), W
     assert all(kinds[k] >= 5 for k in ("rank-deficient", "zero column", "coloop", "no circuits",
@@ -388,7 +390,7 @@ def test_witnesses_exist_iff_the_oracles_say_so():
         seen["zero column"] += any(not any(W.column(j)) for j in range(n))
         seen["rational"] += any(x.denominator != 1 for row in W.row_tuples for x in row)
         full = (1 << n) - 1
-        covectors_w = om.covector_masks()
+        covectors_w = om.covector_masks
         for A in {full, rng.randrange(1 << n), rng.randrange(1 << n)}:
             both = A | A << n
             for comps in product((1, -1, 0), repeat=len(bits(A))):
@@ -616,9 +618,9 @@ def test_oriented_matroid_consistency():
     assert circuits(W) == {S("+++"), S("---")}
     assert cocircuits(W) == cocircuits_from_chirotope(om.chirotope)
     assert SignVector.zero(3) in vectors(W) and SignVector.zero(3) in covectors(W)
-    assert om.face_lattice().faces == nonneg_part(covectors(W))
+    assert om.face_lattice.faces == nonneg_part(covectors(W))
     # each piece is computed once and then shared
-    assert om.covector_masks() is om.covector_masks() and om.face_lattice() is om.face_lattice()
+    assert om.covector_masks is om.covector_masks and om.face_lattice is om.face_lattice
     # a rank-deficient matrix has the data of its row space
     assert circuits(M([[1, 0, -1], [0, 1, -1], [1, 1, -2]])) == circuits(W)
 
@@ -869,9 +871,9 @@ def test_echelon_reads_match_the_bareiss_oracles():
         assert om.W.rows == ref.W.rows == r and om.d == W.rows
         assert om.circuit_masks == ref.circuit_masks, W
         assert om.cocircuit_masks == ref.cocircuit_masks, W
-        assert om.covector_masks() == ref.covector_masks(), W
-        assert om.vector_masks() == ref.vector_masks(), W
-        assert om.nonneg_covector_masks() == ref.nonneg_covector_masks(), W
+        assert om.covector_masks == ref.covector_masks, W
+        assert om.vector_masks == ref.vector_masks, W
+        assert om.nonneg_covector_masks == ref.nonneg_covector_masks, W
         kinds["rank-deficient" if r < W.rows else "full rank"] += 1
         kinds["zero row"] += any(not any(row) for row in W.row_tuples)
         kinds["fraction"] += any(x.denominator > 1 for row in W.row_tuples for x in row)
