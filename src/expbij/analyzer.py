@@ -13,29 +13,27 @@ carries a certificate whose claims re-verify by exact substitution:
   - closure failure: an excluded sign vector with its kernel realization and
     a nonzero orthogonal-side witness proving no dominating sign vector exists.
 
-Every question about a kernel sign set sign(ker M), membership or the first
-member with given signs, is answered from the cocircuits of M
-(`OrientedMatroid.extends`, `first_vector`), so no vector set is enumerated.
-The only enumerations are covector sets. Each condition that reads one (i,
-iii, iv, newton and robust_coefficients' separating face) first checks the
-n cap, `signs.over_cap` at `max_n_enumeration`, and past it returns
-inconclusive with the rule's message; `analyze` leaves the cones null there.
-ii, iii, iv and newton share two rules on index masks: the largest face of
-cone(W) inside a mask (`OrientedMatroid.face_below`) and positive dependence
-in W (`OrientedMatroid.positively_dependent`, memoized per mask). iii and iv
-read one candidate list, `ExponentialMapSpec.degeneracy_candidates`: iii
-searches it, and iv fails at its first member whose positive part is
-positively dependent.
-Sign vectors stay packed ints, and `SignVector` appears only as the strings
-a certificate names. The kernel and covector witnesses come from the same
-`OrientedMatroid` (`vector_point`, `covector_point`); the closure's
-orthogonal witness comes from `matroid.orthogonal_witness`, on the kernel
-basis of the other side. Only the nondegeneracy search builds LP rows of its
-own. The certificate verifier calls the analyzer's two rules: `minor_form`,
-one scan over the two tables of nonzero minor signs, decides the minor forms
-of i, cc, cc_prime and robust_both, and `cone_form` decides robust_coefficients
-from cc_prime and the facets of the two cones, so that only the separating
-face of differing face sets is enumerated.
+Every question about sign(ker M), membership or the first member with given
+signs, is one prefix search over the cocircuits of M
+(`matroid.first_orthogonal`), so no vector set is enumerated. i takes the
+minor form's verdict at every n; the same search over W's cocircuits and
+Wt's circuits finds its certificate, and cross-checks a holding i under the
+n cap. The only enumerations are covector sets: iii, iv, newton and
+robust_coefficients' separating face check the n cap first
+(`signs.over_cap` at `max_n_enumeration`) and past it return inconclusive
+with the rule's message; `analyze` leaves the cones null there. ii, iii, iv
+and newton share two rules on index masks, `OrientedMatroid.face_below` and
+the memoized `OrientedMatroid.positively_dependent`; iii searches
+`ExponentialMapSpec.degeneracy_candidates`, and iv fails at its first member
+whose positive part is positively dependent. Sign vectors stay packed ints,
+and `SignVector` appears only as the strings a certificate names. The
+kernel and covector witnesses come from the same `OrientedMatroid`
+(`vector_point`, `covector_point`); the closure's orthogonal witness comes
+from `matroid.orthogonal_witness`. Only the nondegeneracy search builds LP
+rows of its own. The certificate verifier calls the analyzer's two rules:
+`minor_form`, one scan over the two tables of nonzero minor signs, decides
+the minor forms of i, cc, cc_prime and robust_both, and `cone_form` decides
+robust_coefficients from cc_prime and the facets of the two cones.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ from .linalg import (
     vec_sub,
 )
 from .lp import Rel, feasible, make_system
-from .matroid import FaceLattice, OrientedMatroid, orthogonal_witness
+from .matroid import FaceLattice, OrientedMatroid, _prefix_index, first_orthogonal, orthogonal_witness
 from .signs import MAX_N_ENUMERATION, bits, over_cap, pack, sign_of, str_order, unpack
 
 HOLDS = "holds"
@@ -239,25 +237,22 @@ def _excluded_tope(om_first: OrientedMatroid, om_second: OrientedMatroid, n: int
 # injectivity
 
 
-def injectivity_via_signs(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
+def injectivity_via_signs(spec: ExponentialMapSpec) -> ConditionResult:
     """Injective for all c > 0 iff sign(ker W) meets sign(im Wt^T) only in 0.
-    The covectors of Wt are enumerated, and each is tested against the
-    cocircuits of W for membership in sign(ker W)."""
-    tag = "injectivity-sign-criterion"
-    if capped := over_cap("covector", spec.n, caps.max_n_enumeration):
-        return ConditionResult(INCONCLUSIVE, tag, detail=capped)
+    A common sign vector is orthogonal to W's cocircuits and Wt's circuits,
+    so one prefix search over both (`matroid.first_orthogonal`) finds the
+    first in string order, sigma, which is zero, the last, iff i holds."""
+    tag, n = "injectivity-sign-criterion", spec.n
     om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
-    full = (1 << spec.n) - 1
-    common = [t for t in om_wt.covector_masks if t and om_w.extends(t, full)]
-    if not common:
+    sigma = first_orthogonal(_prefix_index(om_wt.circuit_masks | om_w.cocircuit_masks, n), n)
+    if not sigma:
         return ConditionResult(HOLDS, tag)
-    tau = min(common, key=str_order(spec.n))
-    v = om_w.vector_point(tau, full)
-    x = om_wt.covector_point(tau)
-    tau = unpack(tau, spec.n)
-    check(v is not None and x is not None, f"common sign vector {tau} has no realization")
+    v = om_w.vector_point(sigma, (1 << n) - 1)
+    x = om_wt.covector_point(sigma)
+    sigma = unpack(sigma, n)
+    check(v is not None and x is not None, f"common sign vector {sigma} has no realization")
     return ConditionResult(FAILS, tag, certificate={
-        "common_sign_vector": str(tau),
+        "common_sign_vector": str(sigma),
         "kernel_vector": _jvec(v),
         "exponent_direction": _jvec(x),
         "rowspace_vector": _jvec(spec.exponents.transpose_vec(x)),
@@ -710,14 +705,12 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
     # sign(ker W) = sign(ker Wt) iff the minor tables agree up to a global sign
     sign_sets_equal = om_w.equal_up_to_sign(om_wt)
 
-    cond_i = run("i", injectivity_via_signs, spec_c, caps)
     minors = run("injectivity_minors", injectivity_via_minors, spec_c)
-    check(cond_i.verdict in (INCONCLUSIVE, minors.verdict),
-          "sign-form and minor-form injectivity disagree")
-    if cond_i.verdict == INCONCLUSIVE:
-        cond_i = ConditionResult(minors.verdict, cond_i.tag, minors.certificate,
-                                 detail="sign form capped; verdict from the minor form")
-        conditions["i"] = cond_i
+    if minors.holds and over_cap("covector", spec_c.n, caps.max_n_enumeration):
+        run("i", ConditionResult, HOLDS, "injectivity-sign-criterion")
+    else:
+        check(run("i", injectivity_via_signs, spec_c).verdict == minors.verdict,
+              "sign-form and minor-form injectivity disagree")
 
     run("ii", condition_ii, spec_c)
     cond_iv = run("iv", condition_iv, spec_c, caps)

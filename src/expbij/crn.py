@@ -270,7 +270,7 @@ def _reaction_rows(edges, scaled: list[tuple[list[int], int]]) -> list[list[int]
 def _subspace(rows: list[list[int]], ns: int) -> SubspaceBasis:
     """The span of int rows as the canonical basis of nonzero RREF rows."""
     E, pivots = _rref_ints(rows, ns)
-    return SubspaceBasis(ns, _fraction_rows(E, pivots))
+    return SubspaceBasis._trusted(ns, _fraction_rows(E, pivots))
 
 
 def _deficiency_by_intersection(Y: RationalMatrix, edges) -> int:

@@ -349,6 +349,14 @@ class SubspaceBasis:
                 raise InputError("basis vectors are linearly dependent")
             object.__setattr__(self, "matrix", M)
 
+    @classmethod
+    def _trusted(cls, ambient_dim: int, vectors: tuple[Vec, ...]) -> "SubspaceBasis":
+        """For vectors independent by construction: no check, no echelon yet."""
+        B = object.__new__(cls)
+        B.__dict__.update(ambient_dim=ambient_dim, vectors=vectors,
+                          matrix=RationalMatrix(vectors) if vectors else None)
+        return B
+
     @property
     def dim(self) -> int:
         return len(self.vectors)
@@ -359,7 +367,7 @@ def kernel_basis(M: RationalMatrix) -> SubspaceBasis:
     1 at f and minus the reduced entry in column f at each pivot column."""
     E, pivots = M.echelon()
     free = [c for c in range(M.cols) if c not in pivots]
-    return SubspaceBasis(M.cols, _fraction_rows(_kernel_ints(E, pivots, M.cols), free))
+    return SubspaceBasis._trusted(M.cols, _fraction_rows(_kernel_ints(E, pivots, M.cols), free))
 
 
 def matrix_with_kernel(B: SubspaceBasis) -> RationalMatrix:

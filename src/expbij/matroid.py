@@ -2,30 +2,23 @@
 
 All of it comes from one table per matrix: the signs of the nonzero maximal
 minors of a full-rank row basis (`linalg.row_basis`), keyed by column
-bitmask (`linalg.maximal_minor_signs`), whose keys are the bases; the row
-basis and the table read the matrix's one echelon form, so no elimination
-happens here. The cocircuits are read off the hyperplanes, each a basis
-minus one column, and the circuits off each basis plus one column by
-Cramer's rule, in one routine (`_signed_masks`). The covectors are the sign
-vectors orthogonal to every circuit, and the vectors those orthogonal to
-every cocircuit; `_orthogonal_masks` builds either in one pass over the
-columns, only the half whose first nonzero sign is +, and adds the
-negatives. The faces of the cone spanned by the columns are the OR-closure
-of its facets, the nonnegative cocircuits, and are enumerated only to be
-printed: the facets decide every flag of the cone (`cone`). Two
-configurations have equal vector sets iff their tables agree up to sign. A
-sign vector is a vector iff it is orthogonal to every cocircuit: `extends`
-tests that on a restriction, `first_vector` finds the first vector with
-given signs by prefix search, and `vector_point` and `covector_point` return
-rational witnesses. `OrientedMatroid` holds these for one matrix, as packed
-ints, and computes each at most once; it takes no cap. The module functions
-are the `SignVector` API: they share one `OrientedMatroid` per matrix object,
-return its sets as `SignSet` views, and raise `EnumerationCap` past the n
-cap (`signs.over_cap`). `Chirotope` and
-`cocircuits_from_chirotope` are thin views of the table, kept for the
-benchmark's `enumerate` workload, which binds them by name. The two-branch
-alternative for sign vectors against a subspace also lives here; every
-system it solves comes from a builder in `lp`.
+bitmask (`linalg.maximal_minor_signs`); the row basis and the table read the
+matrix's one echelon form. The cocircuits are read off each basis minus one
+column and the circuits off each basis plus one column (`_signed_masks`).
+The covectors are the sign vectors orthogonal to every circuit, and the
+vectors those orthogonal to every cocircuit. Both prefix routines read one
+per-column index of the generators (`_prefix_index`): `_orthogonal_masks`
+enumerates such a set breadth first, and the depth-first `first_orthogonal`
+finds its first member in string order with given signs on given columns,
+which answers `extends`, `first_vector` and, over two families, condition
+i. The faces of the cone of the columns are the OR-closure of its facets,
+the nonnegative cocircuits, which decide every flag of the cone (`cone`).
+`OrientedMatroid` holds all of this for one matrix, as packed ints. The
+module functions are the `SignVector` API: they share one `OrientedMatroid`
+per matrix object, return `SignSet` views and raise `EnumerationCap` past
+the n cap (`signs.over_cap`). The benchmark's `enumerate` workload binds
+`Chirotope` and `cocircuits_from_chirotope`, thin views of the table, by
+name. Minty's alternative also lives here; its systems come from `lp`.
 """
 
 from __future__ import annotations
@@ -116,38 +109,80 @@ def _signed_masks(table: dict[int, int], n: int, cocircuits: bool) -> frozenset[
     return frozenset(out)
 
 
+def _prefix_index(gens, n: int) -> tuple[list[int], list[int], list[int]]:
+    """Per position, the generators (one per opposite pair, as bit i of an
+    int) that are + there, that are - there, and whose support ends there."""
+    full = (1 << n) - 1
+    signs, ends = [0] * 2 * n, [0] * n  # + at j is bit j of a packed g, - at j bit n + j
+    for i, g in enumerate(g for g in gens if g < (g >> n | (g & full) << n)):
+        b = 1 << i
+        ends[((g | g >> n) & full).bit_length() - 1] |= b
+        while g:
+            low = g & -g
+            signs[low.bit_length() - 1] |= b
+            g ^= low
+    return signs[:n], signs[n:], ends
+
+
+def first_orthogonal(index, n: int, x: int = 0, A: int = 0) -> int | None:
+    """The first packed sign vector in string order orthogonal to every
+    indexed generator that agrees with x on the index mask A (x is zero off
+    A), or None. P and N hold the generators met with a + and with a -
+    product; orthogonal ones are met in both or neither. Those inside A are
+    tested first; the free positions are set in order, + before - before 0,
+    each generator is tested at its last one, and a dead end backs up (never
+    over one matroid's cocircuits, where a passing prefix is a restriction
+    of a vector). While x and the prefix are zero, - is skipped by symmetry."""
+    pos, neg, _ = index
+    full = (1 << n) - 1
+    P = N = 0
+    for j in bits(x & full):
+        P, N = P | pos[j], N | neg[j]
+    for j in bits(x >> n):
+        P, N = P | neg[j], N | pos[j]
+    free = bits(full & ~A)
+    last, later = [], 0
+    for j in reversed(free):
+        last.insert(0, (pos[j] | neg[j]) & ~later)
+        later |= pos[j] | neg[j]
+    if (P ^ N) & ~later:  # a generator inside A
+        return None
+
+    def search(k, y, P, N):
+        if k == len(free):
+            return y
+        j, e = free[k], last[k]
+        p, m, found = pos[j], neg[j], None
+        if ((P | p) ^ (N | m)) & e == 0:
+            found = search(k + 1, y | 1 << j, P | p, N | m)
+        if found is None and y and ((P | m) ^ (N | p)) & e == 0:
+            found = search(k + 1, y | 1 << j + n, P | m, N | p)
+        if found is None and (P ^ N) & e == 0:
+            found = search(k + 1, y, P, N)
+        return found
+
+    return search(0, x, P, N)
+
+
 def _orthogonal_masks(gens, n: int) -> frozenset[int]:
     """Every packed sign vector of length n orthogonal to all of gens: the
     covectors when gens are the circuits, the vectors when they are the
-    cocircuits. Both sets are closed under negation (X is orthogonal to Y
-    iff -X is), so the pass builds only the members whose first nonzero sign
-    is +, then adds their negatives.
+    cocircuits. Both sets are closed under negation, so the pass builds the
+    members whose first nonzero sign is + and adds their negatives.
 
-    Positions are set in order 0..n-1. The prefixes kept after position k are
-    the sign vectors of the first k+1 columns orthogonal to every generator
-    whose support lies in 0..k, and each extends to position k+1 in exactly
-    one way or in all three (a face lies on one side of a new hyperplane,
-    inside it, or is cut by it). A node (x, P, N) carries the generators,
-    one per opposite pair and as bit i of an int, that x already meets with
-    a + product (P) and with a - product (N). At position k only the
-    generators whose support ends there and are not in P & N can forbid a
-    sign; the lowest of them fixes it: 0 when x does not meet it yet, else
-    the sign whose product at k is the missing one.
-
-    The zero prefix meets no generator, so it stays zero wherever a
-    generator ends and may leave zero, to +, only where none does; it is
-    kept outside the node list. Distinct prefixes end in distinct sign
-    vectors, so the members are collected in a list and frozen once."""
+    Positions are set in order 0..n-1, breadth first. The prefixes kept after
+    position k are the sign vectors of the first k+1 columns orthogonal to
+    every generator whose support lies in 0..k, and each extends to k+1 in
+    exactly one way or in all three (a face lies on one side of a new
+    hyperplane, inside it, or is cut by it). A node (x, P, N) is as in
+    `first_orthogonal`. At position k the lowest generator that ends there
+    and is not in P & N fixes the sign: 0 when x does not meet it yet, else
+    the sign whose product at k is the missing one. The zero prefix leaves
+    zero, to +, only where no generator ends; it is kept outside the node
+    list. Distinct prefixes end in distinct sign vectors, so the members are
+    collected in a list and frozen once."""
     full = (1 << n) - 1
-    pos, neg, ends = [0] * n, [0] * n, [0] * n
-    reps = (g for g in gens if g < (g >> n | (g & full) << n))
-    for i, g in enumerate(reps):
-        b = 1 << i
-        for j in bits(g & full):
-            pos[j] |= b
-        for j in bits(g >> n):
-            neg[j] |= b
-        ends[((g | g >> n) & full).bit_length() - 1] |= b
+    pos, neg, ends = _prefix_index(gens, n)
     nodes = []
     for k in range(n - 1):
         p, m, e, bp, bm = pos[k], neg[k], ends[k], 1 << k, 1 << k + n
@@ -221,14 +256,10 @@ class OrientedMatroid:
     Everything is derived from the signs of the maximal minors of a
     full-rank matrix W with the row space of M (`linalg.row_basis`: a copy
     of M when M has full rank, sharing its echelon), and each piece is
-    computed at most once. Sign vectors are packed ints (see `signs`) and
-    sign sets are frozen sets of them, because callers share them; the
-    module functions wrap them in `SignSet` views. Beside its two oracles,
-    `extends` for sign(ker W) and the covector sets for sign(im W^T), it
-    hands out positive dependence and the rational witnesses,
-    `vector_point` and `covector_point`, each computed once per argument. It
-    holds data only: the sets are built whole when read, and the n cap on
-    enumerations is the callers' (`signs.over_cap`).
+    computed at most once, a witness once per argument. Sign vectors are
+    packed ints (see `signs`) and sign sets frozen sets of them, shared with
+    callers. It holds data only: the sets are built whole when read, and
+    the n cap on enumerations is the callers' (`signs.over_cap`).
     """
 
     def __init__(self, M: RationalMatrix):
@@ -262,23 +293,17 @@ class OrientedMatroid:
         return _signed_masks(self.minor_signs, self.W.cols, cocircuits=True)
 
     @cached_property
-    def _cocircuit_pairs(self) -> tuple[tuple[int, int, int], ...]:
-        """(c, -c, supp c), packed, once per opposite pair of cocircuits."""
-        n, full = self.W.cols, (1 << self.W.cols) - 1
-        pairs = ((c, c >> n | (c & full) << n) for c in self.cocircuit_masks)
-        return tuple((c, neg, (c | neg) & full) for c, neg in pairs if c < neg)
+    def _cocircuit_index(self) -> tuple[list[int], list[int], list[int]]:
+        return _prefix_index(self.cocircuit_masks, self.W.cols)
+
+    def first_vector(self, x: int, A: int) -> int | None:
+        """The first vector of ker W in `str_order` that agrees with x on A, or
+        None: the vectors are the sign vectors orthogonal to every cocircuit."""
+        return first_orthogonal(self._cocircuit_index, self.W.cols, x, A)
 
     def extends(self, x: int, A: int) -> bool:
-        """Some vector of ker W agrees with the packed sign vector x on the
-        index mask A (x is zero off A). The restrictions of ker W to A are the
-        kernel of the contraction to A, whose cocircuits are the cocircuits
-        with support inside A; a sign vector is a vector iff it is orthogonal
-        to every cocircuit. x is not orthogonal to c iff it meets exactly one
-        of c and -c. extends(x, full) is membership in sign(ker W)."""
-        for c, neg, support in self._cocircuit_pairs:
-            if support & ~A == 0 and (x & c == 0) != (x & neg == 0):
-                return False
-        return True
+        """Some vector of ker W agrees with the packed x on the index mask A."""
+        return self.first_vector(x, A) is not None
 
     def positively_dependent(self, I: int) -> bool:
         """Some v >= 0 in ker W has support exactly the index mask I: the sign
@@ -286,22 +311,6 @@ class OrientedMatroid:
         if I not in self._dependent:
             self._dependent[I] = self.extends(I, (1 << self.W.cols) - 1)
         return self._dependent[I]
-
-    def first_vector(self, x: int, A: int) -> int | None:
-        """The first vector of ker W in `str_order` that agrees with x on A, or
-        None. Each position outside A is fixed in turn to the first of +, -, 0
-        that still `extends`, so at most 2n + 1 orthogonality sweeps replace
-        the sort of sign(ker W)."""
-        n = self.W.cols
-        if not self.extends(x, A):
-            return None
-        for j in bits(((1 << n) - 1) & ~A):
-            A |= 1 << j
-            for s in (1 << j, 1 << j + n):
-                if self.extends(x | s, A):
-                    x |= s
-                    break
-        return x
 
     def vector_point(self, x: int, A: int) -> Vec | None:
         """A point of ker W whose signs agree with the packed x on the index

@@ -119,7 +119,8 @@ def _verify(report: dict):
         if key in _MINOR_FORMS:
             want, want_cert = form(_MINOR_FORMS[key])
             _need(verdict == want, f"{key} disagrees with the minor signs")
-        if key == "i" and verdict == FAILS and "common_sign_vector" in cert:
+        _need(key != "i" or (cert is None) == (verdict == HOLDS), "i carries a certificate iff it fails")
+        if key == "i" and verdict == FAILS:
             tau = _sv(cert["common_sign_vector"])
             v = vec(cert["kernel_vector"])
             x = vec(cert["exponent_direction"])
@@ -128,8 +129,7 @@ def _verify(report: dict):
             _need(all(t == 0 for t in W.mat_vec(v)), "kernel vector not in ker W")
             _need(Wt.transpose_vec(x) == z, "rowspace vector mismatch")
             _need(sign_of(z) == tau, "rowspace vector sign mismatch")
-        elif key in ("injectivity_minors", "robust_both") or key == "i" and cert is not None:
-            # i carries the minor form's certificate when its sign form hit a cap
+        elif key in ("injectivity_minors", "robust_both"):
             _need(cert == want_cert, "minor certificate is not the table's")
         elif key == "robust_exponents":
             _need(cert["minor_form"] == want_cert, "minor certificate is not the table's")

@@ -62,6 +62,12 @@ MUTANTS = [
      "if rank(M) != len(self.vectors):",
      "if False:",
      ["test_linalg.py::test_matrix_with_kernel_rejects_dependent"]),
+    ("kernel-basis-repeats-a-vector", "linalg",
+     "return SubspaceBasis._trusted(M.cols, _fraction_rows(_kernel_ints(E, pivots, M.cols), free))",
+     "return SubspaceBasis._trusted(M.cols, (lambda vs: vs[:-1] + vs[:1])("
+     "_fraction_rows(_kernel_ints(E, pivots, M.cols), free)))",
+     ["test_linalg.py::test_kernel_basis_examples",
+      "test_linalg.py::test_rank_nullity_and_kernel_roundtrip"]),
     # matroid: signs read off the minor table, and the cone's facets
     ("parity-never-flips", "matroid",
      "                odd ^= 1\n",
@@ -87,10 +93,28 @@ MUTANTS = [
      "interior >> i & 1 or self.face_below",
      "i and interior >> i & 1 or self.face_below",
      ["test_matroid.py::test_robustly_generated_matches_signvector_oracle"]),
+    # matroid: the one prefix search behind extends, first_vector and i
     ("extends-ignores-the-restriction", "matroid",
-     "if support & ~A == 0 and (x & c == 0) != (x & neg == 0):",
-     "if (x & c == 0) != (x & neg == 0):",
+     "    if (P ^ N) & ~later:  # a generator inside A\n",
+     "    if P ^ N:\n",
      ["test_matroid.py::test_extends_is_membership_in_the_restricted_closure"]),
+    ("search-skips-the-generators-inside-A", "matroid",
+     "    if (P ^ N) & ~later:  # a generator inside A\n        return None\n",
+     "",
+     ["test_matroid.py::test_first_vector_and_extends_match_the_pair_scan"]),
+    ("search-tests-only-the-lowest-generator", "matroid",
+     "j, e = free[k], last[k]\n",
+     "j, e = free[k], last[k] & -last[k]\n",
+     ["test_matroid.py::test_first_vector_and_extends_match_the_pair_scan",
+      "test_analyzer.py::test_sigma_is_the_first_common_covector"]),
+    ("search-skips-minus-whenever-the-prefix-is-zero", "matroid",
+     "if found is None and y and ((P | m) ^ (N | p)) & e == 0:",
+     "if found is None and y ^ x and ((P | m) ^ (N | p)) & e == 0:",
+     ["test_matroid.py::test_first_vector_and_extends_match_the_pair_scan"]),
+    ("search-never-backs-up", "matroid",
+     "found = search(k + 1, y | 1 << j, P | p, N | m)",
+     "return search(k + 1, y | 1 << j, P | p, N | m)",
+     ["test_analyzer.py::test_joint_search_backs_up_from_a_dead_end"]),
     ("forced-sign-flipped", "matroid",
      "            elif g & (P & m | N & p):\n                add((x | bp, P | p, N | m))",
      "            elif g & (P & p | N & m):\n                add((x | bp, P | p, N | m))",
@@ -169,6 +193,10 @@ MUTANTS = [
      "all(rank(M) == M.rows and reduced(M) is M for M in (W, Wt))",
      "True",
      ["test_cli.py::test_verify_certificate_rejects_a_map_that_disagrees_with_its_matrices"]),
+    ("verifier-accepts-a-certificate-on-a-holding-i", "report",
+     '(cert is None) == (verdict == HOLDS), "i carries a certificate iff it fails")',
+     'True, "")',
+     ["test_cli.py::test_verify_certificate_checks_i_past_the_cap"]),
     ("verifier-kernel-always-of-W", "report",
      "    for b in kernel(second).vectors:\n",
      "    for b in kernel(W).vectors:\n",

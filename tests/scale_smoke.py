@@ -17,6 +17,11 @@ Run as `PYTHONPATH=src python tests/scale_smoke.py FAMILY`, FAMILY one of
   those of the whole prefix tree (`sign_oracles.orthogonal_masks_tree`),
   and their faces, the OR-closure of the facets, those of the tree over
   the circuits with only + allowed;
+- `injectivity`: seeded pairs at (n, d) = (16, 2), (18, 3), (16, 8) and
+  (20, 17) at the default caps, where i fails: each must carry a common sign
+  vector, found by the joint prefix search with no cap, in a report that
+  verifies; and the moment curves of `test_cli.ABOVE_CAP_CONES` at n = 16
+  and 20, where i holds; the time of each analysis and of i is printed;
 - `crn`: reaction-network chains, cycles and binding trees
   (`test_crn.family_network`) at 12, 16 and 20 species, under mass action
   and under seeded kinetic orders; each structure must equal the Fraction
@@ -134,6 +139,29 @@ def matroid_covectors():
     return problems
 
 
+def injectivity():
+    """The problems with i past the n cap: seeded pairs from one
+    `random.Random(7)`, where i fails, and two moment curves, where it holds."""
+    rng = random.Random(7)
+    pairs = [(f"({n}, {d})", ExponentialMapSpec(_random_full_rank(rng, d, n), _random_full_rank(rng, d, n)),
+              "fails") for n, d in ((16, 2), (18, 3), (16, 8), (20, 17))]
+    pairs += [(label, ABOVE_CAP_CONES[label][0](), "holds")
+              for label in ("moment curve, n = 16", "moment curve, n = 20")]
+    problems = []
+    for label, spec, want in pairs:
+        start = time.perf_counter()
+        rep = analyze(spec)
+        took = time.perf_counter() - start
+        i = rep.conditions["i"]
+        ok = verify_certificate(build_report(rep, {}))
+        print(f"{label}: i {i.verdict} in {rep.runtimes_ms['i'] / 1000:.2f} s, analyze {took:.2f} s, "
+              f"{'verified' if ok else 'NOT verified'}"
+              + (f"; sigma {i.certificate['common_sign_vector']}" if i.fails else ""))
+        if i.verdict != want or not ok or (i.fails and "common_sign_vector" not in i.certificate):
+            problems.append(f"{label}: i {i.verdict}, expected {want} with a report that verifies")
+    return problems
+
+
 def crn_networks():
     """The problems with the reaction-network families at 12, 16 and 20
     species; the kinetic orders come from one `random.Random(7)`."""
@@ -178,10 +206,11 @@ def facets_agree(rep) -> bool:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2 or sys.argv[1] not in (*FAMILIES, "matroid", "crn"):
-        sys.exit(f"usage: scale_smoke.py {{{','.join(FAMILIES)},matroid,crn}}")
-    if sys.argv[1] in ("matroid", "crn"):
-        sys.exit("; ".join({"matroid": matroid_covectors, "crn": crn_networks}[sys.argv[1]]()) or None)
+    checks = {"matroid": matroid_covectors, "injectivity": injectivity, "crn": crn_networks}
+    if len(sys.argv) != 2 or sys.argv[1] not in (*FAMILIES, *checks):
+        sys.exit(f"usage: scale_smoke.py {{{','.join((*FAMILIES, *checks))}}}")
+    if sys.argv[1] in checks:
+        sys.exit("; ".join(checks[sys.argv[1]]()) or None)
     for label, spec, caps, want in FAMILIES[sys.argv[1]]():
         rep = analyze(spec, caps)
         robust = rep.conditions["robust_coefficients"].verdict

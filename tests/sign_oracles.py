@@ -19,7 +19,10 @@ matrix with a given kernel through an intermediate `SubspaceBasis` and
 int rows. `bareiss_rank` and `bareiss_row_basis` are the fraction-free
 Bareiss elimination that gave ranks and row bases before every one came
 from a matrix's integer echelon form, and `leibniz_det` is the determinant
-summed over permutations in Fraction arithmetic.
+summed over permutations in Fraction arithmetic. `extends_by_pairs` and
+`first_vector_greedy` are the scan of the cocircuit pairs and the greedy
+search that answered `OrientedMatroid.extends` and `first_vector` before
+the prefix search did.
 """
 
 from fractions import Fraction
@@ -434,3 +437,32 @@ def orthogonal_masks_tree(gens, n: int, allowed: int) -> frozenset[int]:
         elif bm:
             out.add(x | bm)
     return frozenset(out)
+
+
+def extends_by_pairs(om, x: int, A: int) -> bool:
+    """Some vector of ker W agrees with the packed x on the index mask A, by
+    a scan of the cocircuit pairs: x must be orthogonal to every cocircuit c
+    with support inside A, and it is not iff it meets exactly one of c and
+    -c."""
+    n, full = om.W.cols, (1 << om.W.cols) - 1
+    for c in om.cocircuit_masks:
+        neg = c >> n | (c & full) << n
+        if c < neg and (c | neg) & full & ~A == 0 and (x & c == 0) != (x & neg == 0):
+            return False
+    return True
+
+
+def first_vector_greedy(om, x: int, A: int) -> int | None:
+    """The first vector of ker W in string order that agrees with x on A, or
+    None: each position off A is fixed in turn to the first of +, -, 0 that
+    still `extends_by_pairs`."""
+    n = om.W.cols
+    if not extends_by_pairs(om, x, A):
+        return None
+    for j in bits(((1 << n) - 1) & ~A):
+        A |= 1 << j
+        for s in (1 << j, 1 << j + n):
+            if extends_by_pairs(om, x | s, A):
+                x |= s
+                break
+    return x

@@ -67,6 +67,7 @@ from expbij.signs import (
 from sign_oracles import (
     closure_excluded,
     column_submatrix,
+    extends_by_pairs,
     is_uniform,
     minor_forms,
     nonneg_part,
@@ -391,6 +392,39 @@ def test_equivalence_oracles_on_random_corpus():
         assert robust_both(spec).verdict == sign_form, (spec.coeff, spec.exponents)
         seen[sign_form] += 1
     assert seen[HOLDS] and seen[FAILS], seen
+
+
+def test_sigma_is_the_first_common_covector():
+    # the joint prefix search against the enumeration it replaced: the first
+    # covector of Wt in string order that is a vector of W, by the pair scan
+    seen = Counter()
+    for spec in _corpus(200) + _zero_heavy_corpus(60) + _seeded_sums(10):
+        om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
+        full = (1 << spec.n) - 1
+        common = [t for t in om_wt.covector_masks if t and extends_by_pairs(om_w, t, full)]
+        want = str(unpack(min(common, key=str_order(spec.n)), spec.n)) if common else None
+        i = injectivity_via_signs(spec)
+        assert (i.certificate or {}).get("common_sign_vector") == want, (spec.coeff, spec.exponents)
+        assert i.verdict == injectivity_via_minors(spec).verdict
+        seen[want is None] += 1
+    assert seen[True] >= 20 and seen[False] >= 20, seen
+
+
+def test_joint_search_backs_up_from_a_dead_end():
+    # W = Wt = [[1, 1]] on columns 1-2, beside NONINJ on columns 3-4. The
+    # prefix + at column 1 is the restriction of the vector +-00 of W and of
+    # the covector ++00 of Wt, so no generator rules it out, yet no common
+    # sign vector starts with +: at column 2, + and 0 meet the cocircuit ++
+    # of W in one sign and - meets the circuit +- of Wt in one sign. The
+    # search must back up to column 1 (- is skipped there: the common sign
+    # vectors are closed under negation) and find sigma = 00+- after 0
+    spec = direct_sum([spec_of([[1, 1]], [[1, 1]]), NONINJ])
+    om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
+    full = (1 << spec.n) - 1
+    assert om_w.extends(1, 1) and any(t & 1 for t in om_wt.covector_masks)
+    common = [t for t in om_wt.covector_masks if t and om_w.extends(t, full)]
+    assert common and not any(t & 1 for t in common)
+    assert injectivity_via_signs(spec).certificate["common_sign_vector"] == "00+-"
 
 
 def test_closure_conditions_equal_their_strict_minor_forms():
@@ -775,8 +809,10 @@ def test_analyze_enumerates_no_vector_set(monkeypatch):
 
 def test_circuits_only_for_the_covector_pass(monkeypatch):
     # the faces are the OR-closure of the facets, so the only circuit table
-    # analyze builds is the exponent matrix's, for the covectors that i, iv
-    # and iii read; the verifier and face_lattice build none
+    # analyze builds is the exponent matrix's: for the covectors that iv and
+    # iii read and the joint search of i, and past the n cap only for a
+    # failing i, whose sigma the search finds; the verifier and
+    # face_lattice build none
     built = []
     circuit_masks = OrientedMatroid.circuit_masks.func
 
@@ -793,11 +829,16 @@ def test_circuits_only_for_the_covector_pass(monkeypatch):
         assert verify_certificate(build_report(rep, {}))
         assert not built, (rep.canonical_coeff, rep.canonical_exponents)
 
+    seen = Counter()
     specs = _corpus(200) + [sv_example(Fraction(a)) for a in SV_ALPHAS]
     for spec in specs:
         check_report(analyze(spec))
-        analyze(spec, Caps(max_n_enumeration=spec.n - 1))
+        rep = analyze(spec, Caps(max_n_enumeration=spec.n - 1))
+        if rep.conditions["i"].fails:
+            check_report(rep)
         assert not built, (spec.coeff, spec.exponents)
+        seen[rep.conditions["i"].verdict] += 1
+    assert seen[HOLDS] and seen[FAILS], seen
     analyzed = 0
     for net in _crn_pool_networks():
         rep = deficiency_zero_gmak(net).analysis

@@ -779,21 +779,25 @@ def test_verify_certificate_checks_the_cones():
 
 
 @pytest.mark.parametrize("example, verdict", [("NONINJ", "fails"), ("EX1", "holds")])
-def test_verify_certificate_reads_minor_form_of_capped_i(example, verdict):
-    # with the sign form of i capped, i carries the minor-form certificate
+def test_verify_certificate_checks_i_past_the_cap(example, verdict):
+    # past the n cap i still takes the minor form's verdict: a failing i
+    # carries its common sign vector, whose witnesses must match it, and a
+    # holding i carries no certificate
     W, Wt = VERIFY_EXAMPLES[example]
     spec = ExponentialMapSpec(RationalMatrix(W), RationalMatrix(Wt))
     report = json.loads(canonical_json(build_report(analyze(spec, Caps(max_n_enumeration=1)), {})))
     entry = report["conditions"]["i"]
-    assert entry["verdict"] == verdict and "reference_subset" in entry["certificate"]
+    assert entry["verdict"] == verdict and entry["detail"] is None
     assert verify_certificate(report)
-    tampers = [("reference_sign", "-" if entry["certificate"]["reference_sign"] == "+" else "+")]
+    tampered = json.loads(json.dumps(report))
     if verdict == "fails":
-        tampers.append(("violating_subset", entry["certificate"]["reference_subset"]))
-    for field, value in tampers:
-        tampered = json.loads(json.dumps(report))
-        tampered["conditions"]["i"]["certificate"][field] = value
-        assert verify_certificate(tampered) is False, field
+        sigma = entry["certificate"]["common_sign_vector"]
+        assert sigma == "+-"
+        tampered["conditions"]["i"]["certificate"]["common_sign_vector"] = sigma[::-1]
+    else:
+        assert entry["certificate"] is None
+        tampered["conditions"]["i"]["certificate"] = report["conditions"]["injectivity_minors"]["certificate"]
+    assert verify_certificate(tampered) is False
 
 
 def test_verify_certificate_computes_each_minor_table_once(monkeypatch):

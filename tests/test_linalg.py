@@ -25,7 +25,14 @@ from expbij.linalg import (
 )
 from expbij.matroid import OrientedMatroid, chirotope, covectors, oriented_matroid
 from expbij.report import build_report, canonical_json, verify_certificate
-from sign_oracles import intersection_dim, leibniz_det, row_space_basis, same_subspace, subspace_contains
+from sign_oracles import (
+    bareiss_rank,
+    intersection_dim,
+    leibniz_det,
+    row_space_basis,
+    same_subspace,
+    subspace_contains,
+)
 from test_analyzer import EX1, _corpus, _random_full_rank
 
 
@@ -174,6 +181,7 @@ def test_rank_nullity_and_kernel_roundtrip():
         mat = _random_full_rank(rng, d, n)
         ker = kernel_basis(mat)
         assert rank(mat) + ker.dim == n  # rank-nullity, exact
+        assert ker.dim == 0 or bareiss_rank(RationalMatrix(ker.vectors)) == ker.dim  # independent
         for v in ker.vectors:
             assert all(x == 0 for x in mat.mat_vec(v))
         if ker.dim < n:
@@ -364,7 +372,8 @@ def test_products_match_fraction_sums():
 def test_each_matrix_object_is_eliminated_once(monkeypatch):
     # rank, rref, kernel_basis, the minor table, the row basis and the
     # oriented matroid all read one echelon per matrix object; a kernel basis
-    # checks its own vectors' independence on a matrix of its own
+    # is independent by construction, so its own matrix is eliminated only
+    # when it is read
     calls = []
     core = expbij.linalg._rref_ints
     monkeypatch.setattr(expbij.linalg, "_rref_ints", lambda m, nc: calls.append(nc) or core(m, nc))
@@ -378,15 +387,15 @@ def test_each_matrix_object_is_eliminated_once(monkeypatch):
             chirotope(W)
         assert len(calls) == 1, W
         ker = kernel_basis(W)
-        assert len(calls) == 1 + (ker.dim > 0), W
+        assert len(calls) == 1, W
         if ker.dim:  # the basis of the kernel's complement that a closure witness uses
             kernel_basis(ker.matrix)
-        assert len(calls) == 1 + 2 * (ker.dim > 0), W
+        assert len(calls) == 1 + (ker.dim > 0), W
 
     # whole operations: the canonical matrices share the input matrices'
     # echelons, the verifier eliminates each matrix it reads once, and each
-    # failing closure certificate eliminates two kernel bases
-    for spec, pins in ((EX1, (3, 0, 3)), (_corpus(3)[2], (5, 0, 4))):
+    # failing closure certificate eliminates the matrix of one kernel basis
+    for spec, pins in ((EX1, (2, 0, 2)), (_corpus(3)[2], (3, 0, 2))):
         calls.clear()
         counts = []
         rep = analyze(spec)

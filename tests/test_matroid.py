@@ -53,6 +53,8 @@ from sign_oracles import (
     column_submatrix,
     cone_flags_from_faces,
     conformal_decompose,
+    extends_by_pairs,
+    first_vector_greedy,
     is_uniform,
     nonneg_part,
     orthogonal_masks_tree,
@@ -439,6 +441,30 @@ def test_first_vector_is_the_first_of_the_sorted_closure():
             assert om.first_vector(x, A) == want, (W, unpack(x, n), bits(A))
             seen["tope", want is not None] += 1
     assert all(seen[k, found] for k in ("vector", "tope") for found in (True, False)), seen
+
+
+def test_first_vector_and_extends_match_the_pair_scan():
+    # the prefix search over the cocircuit index against the scan of the
+    # cocircuit pairs and the greedy search it replaced, on the oracle
+    # matrices and both matrices of the corpora, with seeded (x, A), x = 0
+    # on A = 0, and A = every column, on a vector and on a seeded x
+    rng = random.Random(5040)
+    specs = _corpus(200) + _zero_heavy_corpus(60)
+    seen = Counter()
+    for W in _oracle_matrices(220) + [mat for spec in specs for mat in (spec.coeff, spec.exponents)]:
+        om, n = OrientedMatroid(W), W.cols
+        full = (1 << n) - 1
+        cases = [(0, 0)]
+        for A in (full, rng.randrange(1 << n), rng.randrange(1 << n), rng.randrange(1 << n)):
+            cases.append((_packed_on(A, n, [rng.choice((1, -1, 0)) for _ in bits(A)]), A))
+        cases.append((first_vector_greedy(om, *cases[-1]) or 0, full))
+        for x, A in cases:
+            want = first_vector_greedy(om, x, A)
+            assert om.first_vector(x, A) == want, (W, unpack(x, n), bits(A))
+            assert om.extends(x, A) == extends_by_pairs(om, x, A) == (want is not None), (W, x, A)
+            seen[A == full, x == 0, want is not None] += 1
+    assert all(seen[True, False, found] for found in (True, False)), seen
+    assert seen[False, False, True] and seen[False, False, False] and seen[False, True, True], seen
 
 
 def _robustly_generated_oracle(W, fl) -> bool:

@@ -13,9 +13,10 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
-from expbij.analyzer import Caps, analyze
+from expbij.analyzer import AnalysisReport, Caps, analyze
 from expbij.report import build_report, canonical_json
 from test_analyzer import (
     CC_EXAMPLE,
@@ -40,14 +41,17 @@ def _specs():
     yield from (("EX1", EX1), ("EX2", EX2), ("FACE_GAP", FACE_GAP), ("CC_EXAMPLE", CC_EXAMPLE))
 
 
+@cache
+def _analyses() -> dict[str, AnalysisReport]:
+    """The analysis per spec and cap, keyed "<spec> @ <cap>"."""
+    return {f"{label} @ {cap}": analyze(spec, caps) for label, spec in _specs()
+            for cap, caps in (("default", Caps()), ("n-1", Caps(max_n_enumeration=spec.n - 1)))}
+
+
 def report_digests() -> dict[str, str]:
     """sha256 of the canonical report per spec and cap, keyed "<spec> @ <cap>"."""
-    out = {}
-    for label, spec in _specs():
-        for cap, caps in (("default", Caps()), ("n-1", Caps(max_n_enumeration=spec.n - 1))):
-            text = canonical_json(build_report(analyze(spec, caps), {}))
-            out[f"{label} @ {cap}"] = hashlib.sha256(text.encode()).hexdigest()
-    return out
+    return {key: hashlib.sha256(canonical_json(build_report(rep, {})).encode()).hexdigest()
+            for key, rep in _analyses().items()}
 
 
 def test_canonical_reports_hash_as_recorded():
@@ -56,6 +60,16 @@ def test_canonical_reports_hash_as_recorded():
     assert got.keys() == want.keys()
     changed = [key for key in want if got[key] != want[key]]
     assert not changed, f"{len(changed)} of {len(want)} reports changed, first {changed[:5]}"
+
+
+def test_i_past_the_cap_equals_i_at_default_caps():
+    # i takes the minor form's verdict at every n, and a failing i finds its
+    # common sign vector by the joint search at every n
+    analyses = _analyses()
+    for key, rep in analyses.items():
+        if key.endswith(" @ n-1"):
+            default = analyses[key.replace(" @ n-1", " @ default")]
+            assert rep.conditions["i"] == default.conditions["i"], key
 
 
 if __name__ == "__main__":
