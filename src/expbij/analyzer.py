@@ -28,12 +28,15 @@ the memoized `OrientedMatroid.positively_dependent`; iii searches
 whose positive part is positively dependent. Sign vectors stay packed ints,
 and `SignVector` appears only as the strings a certificate names. The
 kernel and covector witnesses come from the same `OrientedMatroid`
-(`vector_point`, `covector_point`); the closure's orthogonal witness comes
-from `matroid.orthogonal_witness`. Only the nondegeneracy search builds LP
-rows of its own. The certificate verifier calls the analyzer's two rules:
-`minor_form`, one scan over the two tables of nonzero minor signs, decides
-the minor forms of i, cc, cc_prime and robust_both, and `cone_form` decides
-robust_coefficients from cc_prime and the facets of the two cones.
+(`vector_point`, `covector_point`), read off a line where they are rank one
+and solved by the LP elsewhere, with the same bytes; the closure's
+orthogonal witness comes from `matroid.orthogonal_witness`. Only the
+nondegeneracy search builds LP rows of its own. newton's lifted matrix
+keeps its `OrientedMatroid` to itself. The certificate verifier calls the
+analyzer's two rules: `minor_form`, one scan over the two tables of nonzero
+minor signs, decides the minor forms of i, cc, cc_prime and robust_both, and
+`cone_form` decides robust_coefficients from cc_prime and the facets of the
+two cones.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ from itertools import combinations
 from math import comb
 
 from .linalg import (
+    _ONE,
+    _ZERO,
     InputError,
     RationalMatrix,
     Vec,
@@ -525,8 +530,8 @@ def newton_polytope_sufficient(spec: ExponentialMapSpec, caps: Caps = Caps()) ->
     n = spec.n
     if capped := over_cap("covector", n, caps.max_n_enumeration):  # the map's n, not the lifted n + 1
         return ConditionResult(INCONCLUSIVE, tag, detail=capped)
-    lifted = RationalMatrix([list(r) + [0] for r in spec.exponents.row_tuples] + [[1] * (n + 1)])
-    lifted_faces = spec._om(lifted).nonneg_covector_masks
+    lifted = RationalMatrix._of(tuple(r + (_ZERO,) for r in spec.exponents.row_tuples) + ((_ONE,) * (n + 1),))
+    lifted_faces = OrientedMatroid(lifted).nonneg_covector_masks
     dependent = spec._om(spec.coeff).positively_dependent
     full = (1 << n) - 1
     # lifted faces that are + at the origin (bit n), by their zero sets

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .analyzer import (
     AnalysisReport,
@@ -268,9 +268,16 @@ def _reaction_rows(edges, scaled: list[tuple[list[int], int]]) -> list[list[int]
 
 
 def _subspace(rows: list[list[int]], ns: int) -> SubspaceBasis:
-    """The span of int rows as the canonical basis of nonzero RREF rows."""
+    """The span of int rows as the canonical basis of nonzero RREF rows. Its
+    matrix keeps the echelon of this one elimination, each row divided by its
+    gcd and signed to a positive pivot: the echelon the matrix would compute,
+    since its rows are these rows over their pivots."""
     E, pivots = _rref_ints(rows, ns)
-    return SubspaceBasis._trusted(ns, _fraction_rows(E, pivots))
+    primitive = []
+    for row, c in zip(E, pivots):
+        g = gcd(*row) if row[c] > 0 else -gcd(*row)
+        primitive.append(tuple(x // g for x in row))
+    return SubspaceBasis._trusted(ns, _fraction_rows(E, pivots), (tuple(primitive), tuple(pivots)))
 
 
 def _deficiency_by_intersection(Y: RationalMatrix, edges) -> int:
@@ -293,13 +300,13 @@ def _deficiency_by_intersection(Y: RationalMatrix, edges) -> int:
 def _structure_of(network: GeneralizedNetwork) -> NetworkStructure:
     ns, m = network.num_species, network.num_vertices
     mak = network.is_mass_action
-    Y = RationalMatrix(zip(*(y for y, _ in network.vertices)))
-    Yt = Y if mak else RationalMatrix(zip(*(yt for _, yt in network.vertices)))
+    Y = RationalMatrix._of(tuple(zip(*(y for y, _ in network.vertices))))
+    Yt = Y if mak else RationalMatrix._of(tuple(zip(*(yt for _, yt in network.vertices))))
     ne = len(network.edges)
     inc = [[_ZERO] * ne for _ in range(m)]
     for e, (u, v) in enumerate(network.edges):
         inc[u][e], inc[v][e] = _MINUS_ONE, _ONE
-    incidence = RationalMatrix(inc)
+    incidence = RationalMatrix._of(tuple(map(tuple, inc)))
 
     laplacian = None
     if all(k is not None for k in network.rate_constants):
@@ -307,7 +314,7 @@ def _structure_of(network: GeneralizedNetwork) -> NetworkStructure:
         for (u, v), k in zip(network.edges, network.rate_constants):
             lap[v][u] += k
             lap[u][u] -= k
-        laplacian = RationalMatrix(lap)
+        laplacian = RationalMatrix._of(tuple(map(tuple, lap)))
 
     comps = _weak_components(m, network.edges)
 

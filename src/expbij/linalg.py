@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 Vec = tuple[Fraction, ...]
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -102,14 +102,15 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def _int_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], int]:
-    """Scale each row to integers; return (int rows, product of the row scales)."""
-    out, scale = [], 1
+def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
+    """Scale each row of Fractions to integers by the lcm of its
+    denominators; return (int rows, the row scales)."""
+    out, scales = [], []
     for row in rows:
         m = lcm(*(x.denominator for x in row))
         out.append([x.numerator * (m // x.denominator) for x in row])
-        scale *= m
-    return out, scale
+        scales.append(m)
+    return out, scales
 
 
 def _int_det(rows: list[list[int]]) -> int:
@@ -151,6 +152,18 @@ class RationalMatrix:
         self.rows = len(data)
         self.cols = len(data[0])
 
+    @classmethod
+    def _of(cls, data: tuple[Vec, ...]) -> "RationalMatrix":
+        """The matrix of rows that are already tuples of Fractions, nonempty
+        and of one length: nothing is parsed or checked. Public input goes
+        through the constructor."""
+        M = object.__new__(cls)
+        M._data = data
+        M._hash = M._om = M._echelon = None
+        M.rows = len(data)
+        M.cols = len(data[0])
+        return M
+
     def echelon(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """(E, pivots): the nonzero rows and the pivot columns of `_rref_ints`
         on the integer-scaled rows, computed on first use. Row k of E is p_k
@@ -174,7 +187,7 @@ class RationalMatrix:
         return self._data
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(zip(*self._data))
+        return RationalMatrix._of(tuple(zip(*self._data)))
 
     def mat_vec(self, v: Vec) -> Vec:
         if len(v) != self.cols:
@@ -191,13 +204,13 @@ class RationalMatrix:
         if self.cols != other.rows:
             raise InputError("matmul: inner dimensions differ")
         cols = list(zip(*other._data))
-        return RationalMatrix([[dot(row, c) for c in cols] for row in self._data])
+        return RationalMatrix._of(tuple(tuple(dot(row, c) for c in cols) for row in self._data))
 
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise InputError("det: matrix is not square")
-        ints, scale = _int_rows([list(r) for r in self._data])
-        return Fraction(_int_det(ints), scale)
+        ints, scales = _int_rows(self._data)
+        return Fraction(_int_det(ints), prod(scales))
 
     def __eq__(self, other):
         return isinstance(other, RationalMatrix) and self._data == other._data
@@ -292,9 +305,9 @@ def _kernel_ints(E: list[list[int]], pivots: list[int], nc: int) -> list[list[in
     return out
 
 
-def _seeded(rows, echelon) -> RationalMatrix:
-    """The matrix of rows, which have the given echelon form."""
-    M = RationalMatrix(rows)
+def _seeded(rows: tuple[Vec, ...], echelon) -> RationalMatrix:
+    """The matrix of rows of Fractions, which have the given echelon form."""
+    M = RationalMatrix._of(rows)
     M._echelon = echelon
     return M
 
@@ -324,7 +337,8 @@ def row_basis(M: RationalMatrix) -> RationalMatrix:
     E, pivots = M.echelon()
     if not pivots:
         raise InputError("zero matrix has no vector configuration")
-    return _seeded(M.row_tuples if len(pivots) == M.rows else E, (E, pivots))
+    rows = M.row_tuples if len(pivots) == M.rows else tuple(tuple(map(Fraction, row)) for row in E)
+    return _seeded(rows, (E, pivots))
 
 
 @dataclass(frozen=True)
@@ -350,11 +364,15 @@ class SubspaceBasis:
             object.__setattr__(self, "matrix", M)
 
     @classmethod
-    def _trusted(cls, ambient_dim: int, vectors: tuple[Vec, ...]) -> "SubspaceBasis":
-        """For vectors independent by construction: no check, no echelon yet."""
+    def _trusted(cls, ambient_dim: int, vectors: tuple[Vec, ...], echelon=None) -> "SubspaceBasis":
+        """For vectors of Fractions independent by construction: no check, and
+        the matrix's echelon is the given one, if any, else left to its first
+        use."""
         B = object.__new__(cls)
         B.__dict__.update(ambient_dim=ambient_dim, vectors=vectors,
-                          matrix=RationalMatrix(vectors) if vectors else None)
+                          matrix=RationalMatrix._of(vectors) if vectors else None)
+        if echelon is not None and vectors:
+            B.matrix._echelon = echelon
         return B
 
     @property
@@ -378,8 +396,9 @@ def matrix_with_kernel(B: SubspaceBasis) -> RationalMatrix:
     if B.dim == n:
         raise InputError("kernel equals the whole space; a matrix needs at least one row")
     E, pivots = B.matrix.echelon() if B.dim else ((), ())
-    K = RationalMatrix(_kernel_ints(E, pivots, n))
-    return _seeded(_fraction_rows(*K.echelon()), K.echelon())
+    E, pivots = _rref_ints(_kernel_ints(E, pivots, n), n)
+    echelon = tuple(map(tuple, E[:len(pivots)])), tuple(pivots)
+    return _seeded(_fraction_rows(*echelon), echelon)
 
 
 def maximal_minors(M: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
@@ -388,7 +407,8 @@ def maximal_minors(M: RationalMatrix) -> dict[tuple[int, ...], Fraction]:
     d, n = M.rows, M.cols
     if d > n:
         raise InputError("maximal_minors requires d <= n")
-    ints, scale = _int_rows([list(r) for r in M.row_tuples])
+    ints, scales = _int_rows(M.row_tuples)
+    scale = prod(scales)
     return {I: Fraction(_int_det([[row[j] for j in I] for row in ints]), scale)
             for I in combinations(range(n), d)}
 

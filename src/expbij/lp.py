@@ -11,13 +11,16 @@ LPs are homogeneous apart from the margin row t + s = 1, so the origin is
 feasible and the margin is at most 1: every one has an optimum, and `_simplex`
 treats an infeasible or unbounded LP as an internal inconsistency.
 
-Every realization system is built here, by one of three builders that take
+Every realization LP is built here, by one of three builders that take
 sign vectors as packed ints (`plus | minus << n`, see `signs`):
 `realize_kernel_sign` builds the kernel systems and `realize_sign_vector` the
 covector systems, each signed on an index mask and free elsewhere, and
 `realize_conformal_covector` the orthogonal branch of Minty's alternative, a
 nonzero covector conformal to a sign vector. `matroid.OrientedMatroid`
-memoizes the first two per argument; `matroid` builds no LP rows itself.
+memoizes the first two per argument and calls them only for a system whose
+points do not lie on one line: a rank-one realization, such as a circuit's
+or a cocircuit's, is this module's answer read off the integer echelon
+(`matroid.ray_point`). `matroid` builds no LP rows itself.
 """
 
 from __future__ import annotations

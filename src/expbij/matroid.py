@@ -19,13 +19,29 @@ per matrix object, return `SignSet` views and raise `EnumerationCap` past
 the n cap (`signs.over_cap`). The benchmark's `enumerate` workload binds
 `Chirotope` and `cocircuits_from_chirotope`, thin views of the table, by
 name. Minty's alternative also lives here; its systems come from `lp`.
+
+The witnesses of `OrientedMatroid.vector_point` (on all columns) and
+`covector_point` are `lp`'s answers, but a realization of rank one is read
+off the integer echelon instead. A kernel point vanishes off the support of
+x, and a covector's y is orthogonal to the columns in the zero set of x;
+when eliminating W's integer rows on those columns leaves one free column,
+the candidate points are the multiples of one integer vector. The LP
+maximizes a margin t <= 1, so every optimum has t = 1 and is lambda k with
+lambda >= lambda0, k the line's vector oriented to x and lambda0 k of least
+|value| 1 on supp x. For lambda > lambda0 the nonzero LP columns (the
+coordinates, the strict slacks and t) are dependent along k, so lambda0 k is
+the only basic optimum, whichever path Bland's rule takes (`ray_point`).
+Each such point is re-substituted into W over its common denominator, in
+ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
+from math import lcm
 from operator import and_, or_
 
 from .linalg import (
@@ -33,6 +49,9 @@ from .linalg import (
     RationalMatrix,
     SubspaceBasis,
     Vec,
+    _int_rows,
+    _kernel_ints,
+    _rref_ints,
     check,
     kernel_basis,
     maximal_minor_signs,
@@ -228,6 +247,41 @@ def _orthogonal_masks(gens, n: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _line(rows: list[list[int]], nc: int) -> list[int] | None:
+    """The integer kernel vector of int rows of length nc when their kernel
+    is a line, one free column of `_rref_ints`, else None. The rows are
+    eliminated in place."""
+    E, pivots = _rref_ints(rows, nc)
+    return _kernel_ints(E, pivots, nc)[0] if nc - len(pivots) == 1 else None
+
+
+def _packed_signs(values) -> int:
+    """The packed sign vector of a sequence of ints."""
+    plus = minus = 0
+    for i, a in enumerate(values):
+        if a > 0:
+            plus |= 1 << i
+        elif a < 0:
+            minus |= 1 << i
+    return plus | minus << len(values)
+
+
+def ray_point(k: list[int], values: list[int], x: int) -> Vec | None:
+    """The LP's answer to a realization whose points lie on the line through
+    the integer vector k: k oriented so that its values have the signs of the
+    packed x and divided by the least |value|, so that the margin is 1, or
+    None when their signs are not +-x. The values are k itself for a kernel
+    point and W^T k for a covector point."""
+    n = len(values)
+    signs = _packed_signs(values)
+    if signs != x and signs != (x >> n | (x & ((1 << n) - 1)) << n):
+        return None
+    m = min(abs(a) for a in values if a)
+    if signs != x:
+        m = -m
+    return tuple(Fraction(a, m) for a in k)
+
+
 @dataclass(frozen=True)
 class Cone:
     """What the facets of cone(columns) decide; d is the matrix's row count."""
@@ -312,21 +366,85 @@ class OrientedMatroid:
             self._dependent[I] = self.extends(I, (1 << self.W.cols) - 1)
         return self._dependent[I]
 
+    @cached_property
+    def _scaled(self) -> tuple[list[list[int]], list[int]]:
+        """The rows of W as ints, each times the lcm of its denominators, and
+        those lcms: the rows the rank-one realizations eliminate."""
+        return _int_rows(self.W.row_tuples)
+
+    @cached_property
+    def _common(self) -> tuple[list[list[int]], int]:
+        """W times the lcm D of all its denominators, as int rows, and D: the
+        rows a closed-form point is re-substituted into."""
+        rows = self.W.row_tuples
+        D = lcm(*(a.denominator for row in rows for a in row))
+        return [[a.numerator * (D // a.denominator) for a in row] for row in rows], D
+
+    def _resubstituted(self, point: Vec, x: int, kernel: bool) -> bool:
+        """A closed-form point p times the lcm q of its denominators, put into
+        W over its common denominator D: W p = 0 with sign(p) = x for a kernel
+        point, sign(W^T p) = x for a covector point, and the least |value| on
+        supp x is the margin 1 (q for p, q D for W^T p)."""
+        rows, D = self._common
+        q = lcm(*(a.denominator for a in point))
+        ints = [a.numerator * (q // a.denominator) for a in point]
+        if kernel:
+            if any(sum(a * b for a, b in zip(row, ints)) for row in rows):
+                return False
+            values, margin = ints, q
+        else:
+            values = [sum(a * b for a, b in zip(col, ints)) for col in zip(*rows)]
+            margin = q * D
+        return _packed_signs(values) == x and min(abs(a) for a in values if a) == margin
+
     def vector_point(self, x: int, A: int) -> Vec | None:
         """A point of ker W whose signs agree with the packed x on the index
         mask A, the other coordinates free, or None: the witness of
-        extends(x, A). The simplex is deterministic, so it is solved once per
-        argument."""
+        extends(x, A). With A = all columns the points are zero off the
+        support S of x; when ker W_S is a line they are its rays with the
+        signs of x, and the LP's answer is read off it (`ray_point`, see the
+        module docstring). Any other system is solved by the LP, whose simplex
+        is deterministic. Either way it is computed once per argument."""
         key = (x, A)
         if key not in self._vector_points:
-            self._vector_points[key] = realize_kernel_sign(self.W, x, A)
+            n = self.W.cols
+            k = None
+            if A == (1 << n) - 1 and x:
+                support = bits((x | x >> n) & A)
+                k = _line([[row[j] for j in support] for row in self._scaled[0]], len(support))
+            if k is None:
+                point = realize_kernel_sign(self.W, x, A)
+            else:
+                v = [0] * n
+                for j, a in zip(support, k):
+                    v[j] = a
+                point = ray_point(v, v, x)
+                check(point is None or self._resubstituted(point, x, kernel=True),
+                      "a kernel point read off a line violates its system")
+            self._vector_points[key] = point
         return self._vector_points[key]
 
     def covector_point(self, x: int) -> Vec | None:
         """y with sign(W^T y) = x for the packed x, or None when x is not a
-        covector; solved once per argument."""
+        covector. Such y vanish on the columns of W in the zero set Z of x;
+        when the y with W_Z^T y = 0 form a line, the LP's answer is read off
+        it (`ray_point`), else the LP is solved. Computed once per argument."""
         if x not in self._covector_points:
-            self._covector_points[x] = realize_sign_vector(self.W, x, (1 << self.W.cols) - 1)
+            n = self.W.cols
+            rows, scales = self._scaled
+            k = None
+            if x:
+                zero = bits(((1 << n) - 1) & ~(x | x >> n))
+                k = _line([[row[i] for row in rows] for i in zero], self.W.rows)
+            if k is None:
+                point = realize_sign_vector(self.W, x, (1 << n) - 1)
+            else:
+                # k solves the scaled rows; y = r k solves W, with the same values
+                values = [sum(a * c for a, c in zip(col, k)) for col in zip(*rows)]
+                point = ray_point([r * c for r, c in zip(scales, k)], values, x)
+                check(point is None or self._resubstituted(point, x, kernel=False),
+                      "a covector point read off a line violates its system")
+            self._covector_points[x] = point
         return self._covector_points[x]
 
     @cached_property
@@ -501,7 +619,7 @@ def orthogonal_witness(basis: SubspaceBasis, x: int) -> Vec | None:
     the kernel basis of the basis matrix, which fixes the LP and so the
     witness."""
     n = basis.ambient_dim
-    C = kernel_basis(basis.matrix).matrix if basis.dim else RationalMatrix(unit_vectors(n))
+    C = kernel_basis(basis.matrix).matrix if basis.dim else RationalMatrix._of(unit_vectors(n))
     if C is None:
         return None
     y = realize_conformal_covector(C, x)

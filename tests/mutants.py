@@ -39,7 +39,7 @@ MUTANTS = [
      "",
      ["test_linalg.py::test_maximal_minor_signs_match_bareiss_minors"]),
     ("row-basis-keeps-dependent-rows", "linalg",
-     "M.row_tuples if len(pivots) == M.rows else E",
+     "M.row_tuples if len(pivots) == M.rows else tuple(tuple(map(Fraction, row)) for row in E)",
      "M.row_tuples",
      ["test_matroid.py::test_echelon_reads_match_the_bareiss_oracles"]),
     ("gauss-jordan-clears-only-below", "linalg",
@@ -55,8 +55,8 @@ MUTANTS = [
      "v[c] = E[k][f] * (scale // E[k][c])",
      ["test_linalg.py::test_kernel_basis_examples"]),
     ("matrix-with-kernel-not-reduced", "linalg",
-     "return _seeded(_fraction_rows(*K.echelon()), K.echelon())",
-     "return K",
+     "return _seeded(_fraction_rows(*echelon), echelon)",
+     "return _seeded(tuple(tuple(map(Fraction, row)) for row in echelon[0]), echelon)",
      ["test_crn.py::test_matrix_with_kernel_matches_the_fraction_construction"]),
     ("subspace-basis-unchecked", "linalg",
      "if rank(M) != len(self.vectors):",
@@ -68,6 +68,15 @@ MUTANTS = [
      "_fraction_rows(_kernel_ints(E, pivots, M.cols), free)))",
      ["test_linalg.py::test_kernel_basis_examples",
       "test_linalg.py::test_rank_nullity_and_kernel_roundtrip"]),
+    # crn: one elimination per subspace
+    ("subspace-echelon-not-kept", "crn",
+     "return SubspaceBasis._trusted(ns, _fraction_rows(E, pivots), (tuple(primitive), tuple(pivots)))",
+     "return SubspaceBasis._trusted(ns, _fraction_rows(E, pivots))",
+     ["test_crn.py::test_each_subspace_is_eliminated_once"]),
+    ("subspace-echelon-keeps-negative-pivots", "crn",
+     "g = gcd(*row) if row[c] > 0 else -gcd(*row)",
+     "g = gcd(*row)",
+     ["test_crn.py::test_each_subspace_is_eliminated_once"]),
     # matroid: signs read off the minor table, and the cone's facets
     ("parity-never-flips", "matroid",
      "                odd ^= 1\n",
@@ -123,6 +132,31 @@ MUTANTS = [
      "            faces |= {f | t for f in faces}",
      "            faces |= {t}",
      ["test_matroid.py::test_nonneg_covectors_are_closure_of_nonneg_cocircuits"]),
+    # matroid: rank-one realizations read off the integer echelon
+    ("ray-scaled-by-the-largest-value", "matroid",
+     "    m = min(abs(a) for a in values if a)\n",
+     "    m = max(abs(a) for a in values if a)\n",
+     ["test_matroid.py::test_ray_route_matches_the_lp"]),
+    ("ray-never-flipped", "matroid",
+     "    if signs != x:\n        m = -m\n",
+     "",
+     ["test_matroid.py::test_ray_route_matches_the_lp"]),
+    ("ray-route-with-two-free-columns", "matroid",
+     "if nc - len(pivots) == 1 else None",
+     "if 1 <= nc - len(pivots) <= 2 else None",
+     ["test_matroid.py::test_ray_route_matches_the_lp"]),
+    ("covector-ray-without-row-scales", "matroid",
+     "point = ray_point([r * c for r, c in zip(scales, k)], values, x)",
+     "point = ray_point(list(k), values, x)",
+     ["test_matroid.py::test_ray_route_matches_the_lp"]),
+    ("ray-margin-unchecked", "matroid",
+     "return _packed_signs(values) == x and min(abs(a) for a in values if a) == margin",
+     "return _packed_signs(values) == x",
+     ["test_matroid.py::test_ray_points_are_resubstituted"]),
+    ("kernel-ray-off-the-kernel", "matroid",
+     "            if any(sum(a * b for a, b in zip(row, ints)) for row in rows):\n                return False\n",
+     "",
+     ["test_matroid.py::test_ray_points_are_resubstituted"]),
     # analyzer: the minor forms, the cone form, the class and canonical()
     ("before-as-numeric-order", "analyzer",
      "    return bool(x & -x & a)\n",

@@ -874,9 +874,11 @@ def test_iii_search_solves_no_system_twice(monkeypatch):
 
 
 def test_realizations_are_solved_once_per_spec(monkeypatch):
-    # the LP systems that i, ii, iv and the closure conditions share are
-    # solved once per analysis, each witness still checks, and the memo
-    # lives on the OrientedMatroids of the analysed (canonical) spec
+    # the realizations that i, ii, iv and the closure conditions share are
+    # computed once per analysis, by the LP or read off a line, each witness
+    # still checks, and the memo lives on the OrientedMatroids of the
+    # analysed (canonical) spec: it holds one entry per LP call and one per
+    # ray answer
     calls = Counter()
     for name in ("realize_kernel_sign", "realize_sign_vector"):
         solve = getattr(expbij.matroid, name)
@@ -886,6 +888,10 @@ def test_realizations_are_solved_once_per_spec(monkeypatch):
             return solve(M, *packed)
 
         monkeypatch.setattr(expbij.matroid, name, counted)
+    rays = []
+    ray_point = expbij.matroid.ray_point
+    monkeypatch.setattr(expbij.matroid, "ray_point", lambda *args: rays.append(args) or ray_point(*args))
+    seen = Counter()
     canonical = []
     make_canonical = ExponentialMapSpec.canonical
     monkeypatch.setattr(ExponentialMapSpec, "canonical",
@@ -896,16 +902,22 @@ def test_realizations_are_solved_once_per_spec(monkeypatch):
     for spec in _corpus(20) + [FACE_GAP, CC_EXAMPLE, NONINJ, EX1, EX2, shared_face]:
         spec = ExponentialMapSpec(spec.coeff, spec.exponents)
         calls.clear()
+        rays.clear()
         rep = analyze(spec)
-        assert calls and max(calls.values()) == 1
+        assert calls or rays
+        assert max(calls.values(), default=1) == 1
         assert verify_certificate(build_report(rep, {}))
         assert spec._oriented_matroids == {}  # analyze memoizes on its canonical spec
         memo = sum(len(om._vector_points) + len(om._covector_points)
                    for om in canonical[-1]._oriented_matroids.values())
-        assert memo == len(calls)
+        assert memo == len(calls) + len(rays)
+        seen["lp"] += bool(calls)
+        seen["ray"] += bool(rays)
         calls.clear()
+        rays.clear()
         assert analyze(spec).to_json_dict()["conditions"] == rep.to_json_dict()["conditions"]
-        assert calls  # a second analysis solves again
+        assert calls or rays  # a second analysis solves again
+    assert seen["lp"] and seen["ray"], seen
 
 
 def test_kernel_systems_are_solved_once_per_analysis(monkeypatch):
@@ -951,11 +963,13 @@ def test_analyze_builds_each_closure_once(monkeypatch):
 
 
 def test_internal_checks_survive_python_O():
-    # the LP and the sign sets, the two injectivity forms, cc_prime and its
-    # minor form, a face covector and its functional, the two deficiency
-    # formulas, and the cocircuits or circuits and the enumerated sign sets
-    # are forced to disagree; each module must raise even when asserts are
-    # stripped
+    # a point read off a line and its system, a block's positive dependence
+    # and its kernel vector, the two injectivity forms, cc_prime and its minor
+    # form, a face covector and its functional, the two deficiency formulas,
+    # and the cocircuits or circuits and the enumerated sign sets are forced
+    # to disagree; each module must raise even when asserts are stripped. The
+    # block's and the face's realizations are rank one, so the ray route, not
+    # the LP, is made to find none
     code = textwrap.dedent("""
         import sys
         from expbij import analyzer, crn, matroid
@@ -973,7 +987,11 @@ def test_internal_checks_survive_python_O():
 
         W = [[0, 0, 1, 1, -1, 0], [1, -1, 0, 0, 0, -1], [0, 0, 1, -1, 0, 0]]
         Wt = [[1, 1, 0, 0, -1, 2], [1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0]]
-        matroid.realize_kernel_sign = lambda M_, x, A: None
+        ray_point = matroid.ray_point
+        matroid.ray_point = lambda k, values, x: tuple(2 * a for a in ray_point(k, values, x))
+        expect_raise(lambda: analyzer.condition_ii(
+            ExponentialMapSpec(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]]))), 11)
+        matroid.ray_point = lambda k, values, x: None
         expect_raise(lambda: analyzer.condition_iii_exact(ExponentialMapSpec(M(W), M(Wt))), 3)
         minors = analyzer.injectivity_via_minors
         analyzer.injectivity_via_minors = lambda spec: ConditionResult("fails", "flipped")
@@ -983,7 +1001,6 @@ def test_internal_checks_survive_python_O():
         analyzer.closure_cc_prime = lambda spec: ConditionResult("fails", "flipped")
         expect_raise(lambda: analyzer.analyze(
             ExponentialMapSpec(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]]))), 10)
-        matroid.realize_sign_vector = lambda M_, x, A: None
         expect_raise(lambda: analyzer.condition_ii(
             ExponentialMapSpec(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]]))), 5)
         net = crn.parse_network({"species": ["A", "B"], "reactions": [

@@ -880,9 +880,10 @@ def test_internal_inconsistency_exit_three(tmp_path, monkeypatch, capsys):
 
 
 def test_missing_covering_functional_exit_three(tmp_path, monkeypatch, capsys):
-    # condition ii's coverings name both faces' functionals; an LP that finds
-    # none is a bug, reported as such rather than as a TypeError traceback
-    monkeypatch.setattr(expbij.matroid, "realize_sign_vector", lambda M, x, A: None)
+    # condition ii's coverings name both faces' functionals; a facet's
+    # functional is read off a line, and a line that yields none is a bug,
+    # reported as such rather than as a TypeError traceback
+    monkeypatch.setattr(expbij.matroid, "ray_point", lambda k, values, x: None)
     args = ["analyze",
             "--coeff", write_json(tmp_path, "W.json", BIRCH),
             "--exp", write_json(tmp_path, "Wt.json", BIRCH)]

@@ -520,6 +520,35 @@ def test_matrix_with_kernel_matches_the_fraction_construction():
         matrix_with_kernel(SubspaceBasis(2, (vec([1, 0]), vec([0, 1]))))
 
 
+def test_each_subspace_is_eliminated_once(monkeypatch):
+    # crn._subspace keeps its one elimination as its basis matrix's echelon,
+    # the one that matrix would compute, so map_spec_of eliminates only the
+    # kernel rows of each distinct subspace
+    calls = []
+    core = expbij.linalg._rref_ints
+    for module in (expbij.linalg, expbij.crn):
+        monkeypatch.setattr(module, "_rref_ints", lambda m, nc: calls.append(nc) or core(m, nc))
+    rng = random.Random(3301)
+    for _ in range(300):
+        ns = rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(ns)] for _ in range(rng.randint(1, 5))]
+        B = expbij.crn._subspace(rows, ns)
+        if B.dim:
+            calls.clear()
+            seeded = B.matrix.echelon()
+            assert not calls and seeded == RationalMatrix(B.vectors).echelon(), rows
+    orders = [Fraction(1, 2), 2, 3, 1, Fraction(3, 2), 1]
+    for doc in (family_network("cycle", 5), family_network("binding", 6, orders), CC_NETWORK):
+        struct = structure(parse_network(doc))
+        for B in (struct.stoich_subspace, struct.kinetic_subspace):
+            calls.clear()
+            assert B.matrix.echelon() == RationalMatrix(B.vectors).echelon()
+            assert len(calls) == 1  # the fresh matrix's
+        calls.clear()
+        map_spec_of(struct)
+        assert len(calls) == (1 if struct.kinetic_subspace == struct.stoich_subspace else 2), calls
+
+
 def test_structure_and_map_spec_take_no_rref_and_no_kernel_basis(monkeypatch):
     # both work on int rows; the crn path's two RREFs are canonical()'s
     calls = Counter()

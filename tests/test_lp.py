@@ -23,6 +23,7 @@ from expbij.lp import (
 from expbij.signs import SignVector, pack, sign_of
 from sign_oracles import all_sign_vectors
 from test_analyzer import SV_ALPHAS, _corpus, run_python, sv_example
+from test_golden import PKG, wl
 
 S = SignVector.from_string
 
@@ -459,3 +460,21 @@ def test_witness_check_survives_python_O():
     """)
     proc = run_python("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+# lp.feasible calls in one pass over each benchmark pool: every rank-one
+# realization, a circuit's or a cocircuit's among them, is read off a line,
+# so the reaction-network pass solves no LP at all
+LP_CALLS_PER_PASS = {"analyze-random": 43, "iii-search": 96, "enumerate": 0, "crn-networks": 0}
+
+
+@pytest.mark.parametrize("workload", wl.WORKLOADS)
+def test_lp_calls_per_benchmark_pass(workload, monkeypatch):
+    # one pass as tests/test_golden.py replays it, reading perfbench/ only
+    calls = []
+    for module in (lp, analyzer):
+        monkeypatch.setattr(module, "feasible", lambda system: calls.append(system) or feasible(system))
+    op, check = wl.operation(workload)
+    for inst in wl.make_inputs(workload, 0):
+        assert check(inst, op(PKG, inst)).problems == [], inst["key"]
+    assert len(calls) <= LP_CALLS_PER_PASS[workload], len(calls)

@@ -13,6 +13,7 @@ import expbij.matroid
 from expbij.analyzer import ExponentialMapSpec, condition_ii
 from expbij.linalg import (
     InputError,
+    InternalInconsistency,
     RationalMatrix,
     SubspaceBasis,
     dot,
@@ -35,6 +36,7 @@ from expbij.matroid import (
     oriented_matroid,
     vectors,
 )
+from expbij.lp import realize_kernel_sign, realize_sign_vector
 from expbij.signs import (
     EnumerationCap,
     SignSet,
@@ -411,6 +413,79 @@ def test_witnesses_exist_iff_the_oracles_say_so():
     assert all(seen["vector", on_full, found] for on_full in (True, False) for found in (True, False)), seen
     assert seen["covector", True] and seen["covector", False], seen
     assert all(seen[k] >= 10 for k in ("rank-deficient", "zero column", "rational")), seen
+
+
+def test_ray_route_matches_the_lp(monkeypatch):
+    # vector_point(x, all columns) and covector_point(x) against the LP
+    # systems they replace, lp.realize_kernel_sign and lp.realize_sign_vector
+    # on the row basis, for every nonzero sign vector x of the oracle
+    # matrices with n <= 5, and for every circuit and cocircuit of both
+    # matrices of a corpus (n <= 8), which are all rank one: a realization
+    # read off a line must be the LP's answer, point or None, byte for byte
+    rays = []
+    ray_point = expbij.matroid.ray_point
+
+    def recorded(k, values, x):
+        rays.append(ray_point(k, values, x))
+        return rays[-1]
+
+    monkeypatch.setattr(expbij.matroid, "ray_point", recorded)
+    seen = Counter()
+
+    def compare(om, x, kind):
+        rays.clear()
+        full = (1 << om.W.cols) - 1
+        if kind == "vector":
+            got, want = om.vector_point(x, full), realize_kernel_sign(om.W, x, full)
+        else:
+            got, want = om.covector_point(x), realize_sign_vector(om.W, x, full)
+        assert got == want, (om.W, unpack(x, om.W.cols), kind)
+        assert all(type(a) is Fraction for a in got or ())
+        seen[kind, "ray" if rays else "lp", got is not None] += 1
+
+    for W in _oracle_matrices(100):
+        om, n = OrientedMatroid(W), W.cols
+        if n > 5:
+            continue
+        seen["rank-deficient"] += om.W.rows < W.rows
+        seen["zero column"] += any(not any(W.column(j)) for j in range(n))
+        seen["rational"] += any(x.denominator != 1 for row in W.row_tuples for x in row)
+        seen["d = 1"] += om.W.rows == 1
+        seen["d = n"] += om.W.rows == n
+        for comps in product((1, -1, 0), repeat=n):
+            x = _packed_on((1 << n) - 1, n, comps)
+            if x:
+                compare(om, x, "vector")
+                compare(om, x, "covector")
+    for spec in _corpus(30):
+        for W in (spec.coeff, spec.exponents):
+            om = OrientedMatroid(W)
+            for x in om.circuit_masks:
+                compare(om, x, "vector")
+            for x in om.cocircuit_masks:
+                compare(om, x, "covector")
+    assert all(seen[kind, route, found] >= 100 for kind in ("vector", "covector")
+               for route in ("ray", "lp") for found in (True, False)), seen
+    assert all(seen[k] >= 10 for k in ("rank-deficient", "zero column", "rational", "d = 1", "d = n")), seen
+
+
+def test_ray_points_are_resubstituted(monkeypatch):
+    # a point read off a line is put back into W over its common denominator
+    # before it is kept: a point off the kernel, with a sign flipped or with
+    # a margin other than 1 is an internal inconsistency
+    W = M([[1, 1, -1], ["1/2", 0, "2/3"]])
+    n, full = 3, 7
+    x = _packed_on(full, n, [2, -3, -4])  # the signs of the kernel line (4, -7, -3) of W
+    y = _packed_on(full, n, [1, 0, 1])  # sign(W^T (0, 1)), on the line orthogonal to column 1
+    assert OrientedMatroid(W).vector_point(x, full) and OrientedMatroid(W).covector_point(y)
+    ray_point = expbij.matroid.ray_point
+    for forge in (lambda p: tuple(2 * a for a in p), lambda p: tuple(-a for a in p),
+                  lambda p: p[:1] + (p[1] - 1,) + p[2:]):
+        monkeypatch.setattr(expbij.matroid, "ray_point", lambda *args: forge(ray_point(*args)))
+        with pytest.raises(InternalInconsistency):
+            OrientedMatroid(W).vector_point(x, full)
+        with pytest.raises(InternalInconsistency):
+            OrientedMatroid(W).covector_point(y)
 
 
 def test_first_vector_is_the_first_of_the_sorted_closure():
