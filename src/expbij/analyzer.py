@@ -28,15 +28,19 @@ the memoized `OrientedMatroid.positively_dependent`; iii searches
 whose positive part is positively dependent. Sign vectors stay packed ints,
 and `SignVector` appears only as the strings a certificate names. The
 kernel and covector witnesses come from the same `OrientedMatroid`
-(`vector_point`, `covector_point`), read off a line where they are rank one
-and solved by the LP elsewhere, with the same bytes; the closure's
+(`vector_point`, `covector_point`): a covector's is read off a line where
+it is rank one, and a kernel witness on all columns off its conformal
+circuits where they span a simplicial cone whose least point is the LP's
+optimum; the LP solves the rest, with the same bytes. The closure's
 orthogonal witness comes from `matroid.orthogonal_witness`. Only the
-nondegeneracy search builds LP rows of its own. newton's lifted matrix
-keeps its `OrientedMatroid` to itself. The certificate verifier calls the
-analyzer's two rules: `minor_form`, one scan over the two tables of nonzero
-minor signs, decides the minor forms of i, cc, cc_prime and robust_both, and
-`cone_form` decides robust_coefficients from cc_prime and the facets of the
-two cones.
+nondegeneracy search builds LP rows of its own, and it settles a system
+whose equality rows have full rank empty without the LP (`_only_origin`),
+since only x = 0 meets them and a strict row fails there. newton's lifted
+matrix keeps its `OrientedMatroid` to itself. The certificate verifier
+calls the analyzer's two rules: `minor_form`, one scan over the two tables
+of nonzero minor signs, decides the minor forms of i, cc, cc_prime and
+robust_both, and `cone_form` decides robust_coefficients from cc_prime and
+the facets of the two cones.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ from .linalg import (
     InputError,
     RationalMatrix,
     Vec,
+    _int_rows,
+    _rref_ints,
     check,
     dot,
     frac_str,
@@ -394,6 +400,14 @@ def _ordered_partitions(mask: int, admissible):
         block = (block - mask) & mask  # the next submask
 
 
+def _only_origin(rows, dim: int) -> bool:
+    """The equality rows of a system over Q^dim have rank dim, so only x = 0
+    meets them. A partition system of iii is then empty: its last strict row
+    asks the last representative's functional to be > 0 at x."""
+    eq = [form for form, rel in rows if rel is Rel.EQ]
+    return len(eq) >= dim and len(_rref_ints(_int_rows(eq)[0], dim)[1]) == dim
+
+
 def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResult:
     """Exhaustive nondegeneracy decision for the subspace pair.
 
@@ -449,7 +463,7 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
             key = frozenset(rows)
             if key in infeasible:
                 continue
-            wit = feasible(make_system(spec.d_tilde, rows))
+            wit = None if _only_origin(rows, spec.d_tilde) else feasible(make_system(spec.d_tilde, rows))
             if wit is None:
                 infeasible.add(key)
                 continue

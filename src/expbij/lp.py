@@ -17,10 +17,14 @@ sign vectors as packed ints (`plus | minus << n`, see `signs`):
 covector systems, each signed on an index mask and free elsewhere, and
 `realize_conformal_covector` the orthogonal branch of Minty's alternative, a
 nonzero covector conformal to a sign vector. `matroid.OrientedMatroid`
-memoizes the first two per argument and calls them only for a system whose
-points do not lie on one line: a rank-one realization, such as a circuit's
-or a cocircuit's, is this module's answer read off the integer echelon
-(`matroid.ray_point`). `matroid` builds no LP rows itself.
+memoizes the first two per argument and calls them only where this
+module's answer is not known in closed form: a covector system whose points
+lie on one line is read off it (`matroid.ray_point`), and a kernel system
+on all columns off the circuits conformal to its sign vector when they span
+a simplicial cone whose least point has margin 1 (the least point of the
+optimal face, so the only vertex Bland's rule can stop at), or answered
+None when they do not cover it (`matroid.OrientedMatroid._conformal_point`).
+`matroid` builds no LP rows itself.
 """
 
 from __future__ import annotations
@@ -161,7 +165,7 @@ def _simplex(rows: list[list[int]], c: list[int]):
     T = [row[:-1] + [0] * r + [1] + [0] * (m - 1 - r) + row[-1:] for r, row in enumerate(rows)]
     basis = list(range(n, n + m))
     # reduced costs of max(-sum artificials): the column sums of the rows
-    obj = [sum(row[j] for row in rows) for j in range(n)] + [0] * m
+    obj = [sum(col) for col in zip(*rows)][:n] + [0] * m
     _run_simplex(T, obj, basis)
     check(all(basis[r] < n or T[r][-1] == 0 for r in range(m)),
           "simplex infeasible: the origin satisfies every system feasible builds")
@@ -186,7 +190,7 @@ def _simplex(rows: list[list[int]], c: list[int]):
     return T, basis
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 
 def feasible(system: SignSystem) -> FeasibilityWitness | None:
@@ -197,7 +201,10 @@ def feasible(system: SignSystem) -> FeasibilityWitness | None:
     rows are built as ints: column j of the forms is scaled by the lcm of its
     denominators, a positive change of variables that leaves every sign and
     ratio Bland's rule reads, and so the pivots, unchanged. Each coordinate of
-    the point, and t, is read off the one basis row where it is basic."""
+    the point, and t, is read off the one basis row where it is basic, as an
+    int over the lcm of those rows' basic entries, and put back into the int
+    rows through `check`, which `python -O` keeps; `check_witness`, on the
+    forms as given, is the tests' oracle."""
     dim = system.dim
     strict = any(rel in STRICT for rel in system.rels)
     scales = [lcm(*(form[j].denominator for form in system.forms)) for j in range(dim)]
@@ -226,20 +233,29 @@ def feasible(system: SignSystem) -> FeasibilityWitness | None:
         rows.append(row)
         c[t_col] = 1
     T, basis = _simplex(rows, c)
-    point = [_ZERO] * dim
-    slack = _ZERO if strict else _ONE
+    # the values of the scaled coordinates u (x_j = scales[j] u_j) and of t,
+    # each times the lcm D of their denominators
+    D = lcm(*(row[j] for row, j in zip(T, basis) if j < t_col or strict and j == t_col))
+    u, t = [0] * dim, 0 if strict else D
     for row, j in zip(T, basis):
         if j < dim:
-            point[j] = Fraction(scales[j] * row[-1], row[j])
+            u[j] = row[-1] * (D // row[j])
         elif j < t_col:
-            point[j - dim] = Fraction(-scales[j - dim] * row[-1], row[j])
+            u[j - dim] = -row[-1] * (D // row[j])
         elif strict and j == t_col:
-            slack = Fraction(row[-1], row[j])
-    if slack <= 0:
+            t = row[-1] * (D // row[j])
+    if t <= 0:
         return None
-    witness = FeasibilityWitness(tuple(point), slack)
-    check(check_witness(system, witness), "simplex returned a point violating the system")
-    return witness
+    # re-substituted into the int rows over D: each form's value times D,
+    # negated for an upper bound, is 0, >= 0 or >= the margin t
+    for row, rel in zip(rows, system.rels):
+        v = sum(a * b for a, b in zip(row, u) if b)
+        if rel is Rel.LE or rel is Rel.LT:
+            v = -v
+        check(v == 0 if rel is Rel.EQ else v >= (t if rel in STRICT else 0),
+              "simplex returned a point violating the system")
+    point = tuple(Fraction(m * a, D) if a else _ZERO for m, a in zip(scales, u))
+    return FeasibilityWitness(point, Fraction(t, D))
 
 
 def check_witness(system: SignSystem, witness: FeasibilityWitness) -> bool:

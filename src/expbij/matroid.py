@@ -21,18 +21,36 @@ the n cap (`signs.over_cap`). The benchmark's `enumerate` workload binds
 name. Minty's alternative also lives here; its systems come from `lp`.
 
 The witnesses of `OrientedMatroid.vector_point` (on all columns) and
-`covector_point` are `lp`'s answers, but a realization of rank one is read
-off the integer echelon instead. A kernel point vanishes off the support of
-x, and a covector's y is orthogonal to the columns in the zero set of x;
-when eliminating W's integer rows on those columns leaves one free column,
-the candidate points are the multiples of one integer vector. The LP
-maximizes a margin t <= 1, so every optimum has t = 1 and is lambda k with
-lambda >= lambda0, k the line's vector oriented to x and lambda0 k of least
-|value| 1 on supp x. For lambda > lambda0 the nonzero LP columns (the
-coordinates, the strict slacks and t) are dependent along k, so lambda0 k is
-the only basic optimum, whichever path Bland's rule takes (`ray_point`).
-Each such point is re-substituted into W over its common denominator, in
-ints.
+`covector_point` are `lp`'s answers, read off the integer echelon where the
+LP's answer is known in closed form. The LP maximizes a margin t <= 1, so
+every optimum has t = 1, and Bland's rule stops at a basic optimum.
+
+A kernel point of the packed x vanishes off the support S of x, so the
+LP's optimal face is P = {v in ker W : v = 0 off S, x_i v_i >= 1 on S}. No
+coordinate changes sign on P, so a basic optimum of the split LP (v = v+ -
+v-) is a vertex of P. By conformal decomposition (Rockafellar 1969) x is a
+vector iff the circuits conformal to it, those whose + and - lie in x's,
+cover S, and then they span ker W_S: for v with signs x and any w in
+ker W_S, v and v + eps w both have signs x for a small eps > 0, so both are
+positive combinations of those circuits. When each of them has a private
+column, one that no other touches, they are independent, a basis of
+ker W_S, and the coefficient of a circuit c in a v in P is at least
+1 / |c_p| at each private column p of c. So P lies in m + cone(circuits), m
+the sum of the circuits, each oriented to x and divided by its least
+|entry| on its private columns. When m's least |entry| on S is 1, m lies in
+P and is its only vertex, the LP's answer (`_conformal_point`); a kernel
+line, one circuit, is the case where every column is private. Circuits that
+do not cover S answer None with no LP.
+
+A covector's y is orthogonal to the columns in the zero set of x; when
+eliminating W's integer rows on those columns leaves one free column, the
+candidate points are the multiples of one integer vector, so every optimum
+is lambda k with lambda >= lambda0, k the line's vector oriented to x and
+lambda0 k of least |value| 1 on supp x. For lambda > lambda0 the nonzero LP
+columns (the coordinates, the strict slacks and t) are dependent along k,
+so lambda0 k is the only basic optimum, whichever path Bland's rule takes
+(`ray_point`). Each closed-form point is re-substituted into W over its
+common denominator, in ints.
 """
 
 from __future__ import annotations
@@ -45,6 +63,7 @@ from math import lcm
 from operator import and_, or_
 
 from .linalg import (
+    _ZERO,
     InputError,
     RationalMatrix,
     SubspaceBasis,
@@ -267,11 +286,10 @@ def _packed_signs(values) -> int:
 
 
 def ray_point(k: list[int], values: list[int], x: int) -> Vec | None:
-    """The LP's answer to a realization whose points lie on the line through
-    the integer vector k: k oriented so that its values have the signs of the
-    packed x and divided by the least |value|, so that the margin is 1, or
-    None when their signs are not +-x. The values are k itself for a kernel
-    point and W^T k for a covector point."""
+    """The LP's answer to a covector realization whose points lie on the
+    line through the integer vector k: k oriented so that its values W^T k
+    have the signs of the packed x and divided by the least |value|, so that
+    the margin is 1, or None when their signs are not +-x."""
     n = len(values)
     signs = _packed_signs(values)
     if signs != x and signs != (x >> n | (x & ((1 << n) - 1)) << n):
@@ -369,7 +387,7 @@ class OrientedMatroid:
     @cached_property
     def _scaled(self) -> tuple[list[list[int]], list[int]]:
         """The rows of W as ints, each times the lcm of its denominators, and
-        those lcms: the rows the rank-one realizations eliminate."""
+        those lcms: the rows the closed-form realizations eliminate."""
         return _int_rows(self.W.row_tuples)
 
     @cached_property
@@ -401,28 +419,65 @@ class OrientedMatroid:
         """A point of ker W whose signs agree with the packed x on the index
         mask A, the other coordinates free, or None: the witness of
         extends(x, A). With A = all columns the points are zero off the
-        support S of x; when ker W_S is a line they are its rays with the
-        signs of x, and the LP's answer is read off it (`ray_point`, see the
+        support of x, and x's conformal circuits decide the system: when they
+        do not cover x it is not a vector, and when they span a simplicial
+        cone the LP's answer is read off them (`_conformal_point`, see the
         module docstring). Any other system is solved by the LP, whose simplex
         is deterministic. Either way it is computed once per argument."""
         key = (x, A)
         if key not in self._vector_points:
-            n = self.W.cols
-            k = None
-            if A == (1 << n) - 1 and x:
-                support = bits((x | x >> n) & A)
-                k = _line([[row[j] for j in support] for row in self._scaled[0]], len(support))
-            if k is None:
-                point = realize_kernel_sign(self.W, x, A)
-            else:
-                v = [0] * n
-                for j, a in zip(support, k):
-                    v[j] = a
-                point = ray_point(v, v, x)
-                check(point is None or self._resubstituted(point, x, kernel=True),
-                      "a kernel point read off a line violates its system")
+            point = conformal = None
+            if A == (1 << self.W.cols) - 1 and x:
+                conformal = [c for c in self.circuit_masks if not c & ~x]
+            if conformal is None or reduce(or_, conformal, 0) == x:  # else x is not a vector
+                point = self._conformal_point(x, conformal) if conformal else None
+                if point is None:
+                    point = realize_kernel_sign(self.W, x, A)
+                else:
+                    check(self._resubstituted(point, x, kernel=True),
+                          "a kernel point read off conformal circuits violates its system")
             self._vector_points[key] = point
         return self._vector_points[key]
+
+    def _conformal_point(self, x: int, conformal: list[int]) -> Vec | None:
+        """The LP's answer for the packed vector x, read off the circuits
+        conformal to it, which cover its support S, or None when they do not
+        span a simplicial cone or the cone's least point is not the answer
+        (see the module docstring). Each circuit needs a private column, one
+        that no other touches. Eliminating W on S with one private column of
+        each circuit last leaves exactly those columns free, so the kernel
+        rows of the echelon are the circuits. The point is their sum, each
+        oriented to x and divided by its least |entry| on its private
+        columns, over the lcm L of those divisors; it is the answer iff its
+        least |entry| is 1."""
+        n = self.W.cols
+        S = (x | x >> n) & ((1 << n) - 1)
+        supports = [(c | c >> n) & S for c in conformal]
+        once = twice = 0
+        for s in supports:
+            twice |= once & s
+            once |= s
+        private = [s & ~twice for s in supports]
+        if not all(private):
+            return None
+        last = [(p & -p).bit_length() - 1 for p in private]
+        cols = [*bits(S & ~sum(1 << j for j in last)), *last]
+        E, pivots = _rref_ints([[row[j] for j in cols] for row in self._scaled[0]], len(cols))
+        kernel = _kernel_ints(E, pivots, len(cols))
+        check(len(kernel) == len(conformal), "conformal circuits with private columns are not a kernel basis")
+        at = {j: i for i, j in enumerate(cols)}
+        divisors = []  # each row's least |entry| on its private columns, signed to orient it to x
+        for k, j, p in zip(kernel, last, private):
+            least = min(abs(k[at[i]]) for i in bits(p))
+            divisors.append(least if x >> j & 1 else -least)
+        L = lcm(*divisors)
+        m = [sum(k[i] * (L // q) for k, q in zip(kernel, divisors)) for i in range(len(cols))]
+        if min(map(abs, m)) != L:
+            return None
+        point = [_ZERO] * n
+        for j, a in zip(cols, m):
+            point[j] = Fraction(a, L)
+        return tuple(point)
 
     def covector_point(self, x: int) -> Vec | None:
         """y with sign(W^T y) = x for the packed x, or None when x is not a

@@ -157,6 +157,23 @@ MUTANTS = [
      "            if any(sum(a * b for a, b in zip(row, ints)) for row in rows):\n                return False\n",
      "",
      ["test_matroid.py::test_ray_points_are_resubstituted"]),
+    # matroid: kernel witnesses read off conformal circuits
+    ("conformal-divided-by-the-largest-private-entry", "matroid",
+     "least = min(abs(k[at[i]]) for i in bits(p))",
+     "least = max(abs(k[at[i]]) for i in bits(p))",
+     ["test_matroid.py::test_conformal_route_matches_the_lp"]),
+    ("conformal-route-without-private-columns", "matroid",
+     "        if not all(private):\n            return None\n",
+     "",
+     ["test_matroid.py::test_conformal_route_matches_the_lp"]),
+    ("conformal-route-on-fewer-circuits-than-the-kernel-rank", "matroid",
+     "        kernel = _kernel_ints(E, pivots, len(cols))\n        check(",
+     "        kernel = _kernel_ints(E, pivots, len(cols))[:-1]\n        (lambda *args: None)(",
+     ["test_matroid.py::test_conformal_route_matches_the_lp"]),
+    ("conformal-route-without-the-cover-test", "matroid",
+     "if conformal is None or reduce(or_, conformal, 0) == x:",
+     "if True:",
+     ["test_matroid.py::test_conformal_route_matches_the_lp"]),
     # analyzer: the minor forms, the cone form, the class and canonical()
     ("before-as-numeric-order", "analyzer",
      "    return bool(x & -x & a)\n",
@@ -204,6 +221,10 @@ MUTANTS = [
      "        if not dependent(plus):\n"
      "            continue\n",
      ["test_analyzer.py::test_iii_skips_a_candidate_before_counting_its_blocks"]),
+    ("iii-settles-a-system-of-rank-below-d", "analyzer",
+     "return len(eq) >= dim and len(_rref_ints(_int_rows(eq)[0], dim)[1]) == dim",
+     "return len(eq) >= dim - 1 and len(_rref_ints(_int_rows(eq)[0], dim)[1]) >= dim - 1",
+     ["test_analyzer.py::test_iii_systems_settled_empty_are_infeasible"]),
     ("dependence-memo-restricted-to-I", "matroid",
      "self._dependent[I] = self.extends(I, (1 << self.W.cols) - 1)",
      "self._dependent[I] = self.extends(I, I)",

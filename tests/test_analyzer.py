@@ -808,11 +808,12 @@ def test_analyze_enumerates_no_vector_set(monkeypatch):
 
 
 def test_circuits_only_for_the_covector_pass(monkeypatch):
-    # the faces are the OR-closure of the facets, so the only circuit table
-    # analyze builds is the exponent matrix's: for the covectors that iv and
-    # iii read and the joint search of i, and past the n cap only for a
-    # failing i, whose sigma the search finds; the verifier and
-    # face_lattice build none
+    # the faces are the OR-closure of the facets, so the circuit tables
+    # analyze builds are the exponent matrix's, for the covectors that iv and
+    # iii read and the joint search of i (past the n cap only for a failing
+    # i, whose sigma the search finds), and the coefficient matrix's, whose
+    # conformal circuits give a kernel witness on all columns; the verifier
+    # and face_lattice build none
     built = []
     circuit_masks = OrientedMatroid.circuit_masks.func
 
@@ -822,9 +823,13 @@ def test_circuits_only_for_the_covector_pass(monkeypatch):
 
     monkeypatch.setattr(OrientedMatroid, "circuit_masks", property(recorded))
 
-    def check_report(rep):
-        assert built and all(om.W == rep.canonical_exponents for om in built), (
+    def check_report(rep, exponent_table=True):
+        matrices = {om.W for om in built}
+        assert matrices <= {rep.canonical_exponents, rep.canonical_coeff}, (
             rep.canonical_coeff, rep.canonical_exponents)
+        assert rep.canonical_exponents in matrices or not exponent_table, (
+            rep.canonical_coeff, rep.canonical_exponents)
+        seen["coefficient table"] += rep.canonical_coeff in matrices
         built.clear()
         assert verify_certificate(build_report(rep, {}))
         assert not built, (rep.canonical_coeff, rep.canonical_exponents)
@@ -834,11 +839,12 @@ def test_circuits_only_for_the_covector_pass(monkeypatch):
     for spec in specs:
         check_report(analyze(spec))
         rep = analyze(spec, Caps(max_n_enumeration=spec.n - 1))
-        if rep.conditions["i"].fails:
-            check_report(rep)
-        assert not built, (spec.coeff, spec.exponents)
+        i_fails = rep.conditions["i"].fails
+        # past the n cap a holding i leaves only the closure conditions' kernel witnesses
+        assert i_fails or not built or rep.conditions["cc"].fails or rep.conditions["cc_prime"].fails
+        check_report(rep, exponent_table=i_fails)
         seen[rep.conditions["i"].verdict] += 1
-    assert seen[HOLDS] and seen[FAILS], seen
+    assert seen[HOLDS] and seen[FAILS] and seen["coefficient table"], seen
     analyzed = 0
     for net in _crn_pool_networks():
         rep = deficiency_zero_gmak(net).analysis
@@ -850,6 +856,27 @@ def test_circuits_only_for_the_covector_pass(monkeypatch):
     assert len(fl.faces) > 1 and not built
     covectors(M([[1, 2, -1]]))
     assert built  # the patch sees a circuit table that is built
+
+
+def test_iii_systems_settled_empty_are_infeasible(monkeypatch):
+    # a partition system whose equality rows have rank d~ meets them only at
+    # x = 0, where its last strict row fails, so iii settles it empty without
+    # the LP; the LP must find every such system empty
+    settled, solved = [], []
+    only_origin = expbij.analyzer._only_origin
+
+    def recorded(rows, dim):
+        empty = only_origin(rows, dim)
+        (settled if empty else solved).append(make_system(dim, rows))
+        return empty
+
+    monkeypatch.setattr(expbij.analyzer, "_only_origin", recorded)
+    specs = (_corpus(200) + _zero_heavy_corpus(60) + [sv_example(Fraction(a)) for a in SV_ALPHAS]
+             + _seeded_sums(10))
+    for spec in specs:
+        condition_iii_exact(spec)
+    assert all(feasible(system) is None for system in settled)
+    assert len(settled) >= 100 and solved, (len(settled), len(solved))
 
 
 def test_iii_search_solves_no_system_twice(monkeypatch):
@@ -875,10 +902,10 @@ def test_iii_search_solves_no_system_twice(monkeypatch):
 
 def test_realizations_are_solved_once_per_spec(monkeypatch):
     # the realizations that i, ii, iv and the closure conditions share are
-    # computed once per analysis, by the LP or read off a line, each witness
-    # still checks, and the memo lives on the OrientedMatroids of the
-    # analysed (canonical) spec: it holds one entry per LP call and one per
-    # ray answer
+    # computed once per analysis, by the LP, read off a line or read off
+    # conformal circuits, each witness still checks, and the memo lives on
+    # the OrientedMatroids of the analysed (canonical) spec: it holds one
+    # entry per LP call, one per ray answer and one per conformal answer
     calls = Counter()
     for name in ("realize_kernel_sign", "realize_sign_vector"):
         solve = getattr(expbij.matroid, name)
@@ -891,6 +918,16 @@ def test_realizations_are_solved_once_per_spec(monkeypatch):
     rays = []
     ray_point = expbij.matroid.ray_point
     monkeypatch.setattr(expbij.matroid, "ray_point", lambda *args: rays.append(args) or ray_point(*args))
+    conformal = []
+    conformal_point = OrientedMatroid._conformal_point
+
+    def read_off(om, x, circuits):
+        point = conformal_point(om, x, circuits)
+        if point is not None:  # else the LP solves the system
+            conformal.append(x)
+        return point
+
+    monkeypatch.setattr(OrientedMatroid, "_conformal_point", read_off)
     seen = Counter()
     canonical = []
     make_canonical = ExponentialMapSpec.canonical
@@ -901,23 +938,24 @@ def test_realizations_are_solved_once_per_spec(monkeypatch):
     shared_face = spec_of([[1, 2, 1], [1, 2, -1]], [[-1, 2, 2], [1, 1, -1]])
     for spec in _corpus(20) + [FACE_GAP, CC_EXAMPLE, NONINJ, EX1, EX2, shared_face]:
         spec = ExponentialMapSpec(spec.coeff, spec.exponents)
-        calls.clear()
-        rays.clear()
+        for log in (calls, rays, conformal):
+            log.clear()
         rep = analyze(spec)
-        assert calls or rays
+        assert calls or rays or conformal
         assert max(calls.values(), default=1) == 1
         assert verify_certificate(build_report(rep, {}))
         assert spec._oriented_matroids == {}  # analyze memoizes on its canonical spec
         memo = sum(len(om._vector_points) + len(om._covector_points)
                    for om in canonical[-1]._oriented_matroids.values())
-        assert memo == len(calls) + len(rays)
+        assert memo == len(calls) + len(rays) + len(conformal)
         seen["lp"] += bool(calls)
         seen["ray"] += bool(rays)
-        calls.clear()
-        rays.clear()
+        seen["conformal"] += bool(conformal)
+        for log in (calls, rays, conformal):
+            log.clear()
         assert analyze(spec).to_json_dict()["conditions"] == rep.to_json_dict()["conditions"]
-        assert calls or rays  # a second analysis solves again
-    assert seen["lp"] and seen["ray"], seen
+        assert calls or rays or conformal  # a second analysis solves again
+    assert seen["lp"] and seen["ray"] and seen["conformal"], seen
 
 
 def test_kernel_systems_are_solved_once_per_analysis(monkeypatch):
@@ -963,13 +1001,14 @@ def test_analyze_builds_each_closure_once(monkeypatch):
 
 
 def test_internal_checks_survive_python_O():
-    # a point read off a line and its system, a block's positive dependence
-    # and its kernel vector, the two injectivity forms, cc_prime and its minor
-    # form, a face covector and its functional, the two deficiency formulas,
-    # and the cocircuits or circuits and the enumerated sign sets are forced
-    # to disagree; each module must raise even when asserts are stripped. The
-    # block's and the face's realizations are rank one, so the ray route, not
-    # the LP, is made to find none
+    # a point read off a line and its system, a point read off conformal
+    # circuits and its system, a block's positive dependence and its kernel
+    # vector, the two injectivity forms, cc_prime and its minor form, a face
+    # covector and its functional, the two deficiency formulas, and the
+    # cocircuits or circuits and the enumerated sign sets are forced to
+    # disagree; each module must raise even when asserts are stripped. The
+    # block's realization is read off its conformal circuit, so that route
+    # and the LP behind it are made to find none
     code = textwrap.dedent("""
         import sys
         from expbij import analyzer, crn, matroid
@@ -992,6 +1031,13 @@ def test_internal_checks_survive_python_O():
         expect_raise(lambda: analyzer.condition_ii(
             ExponentialMapSpec(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]]))), 11)
         matroid.ray_point = lambda k, values, x: None
+        OM = matroid.OrientedMatroid
+        conformal_point = OM._conformal_point
+        OM._conformal_point = lambda om, x, cs: tuple(2 * a for a in conformal_point(om, x, cs))
+        expect_raise(lambda: analyzer.condition_iii_exact(ExponentialMapSpec(M(W), M(Wt))), 12)
+        OM._conformal_point = lambda om, x, cs: None
+        solve = matroid.realize_kernel_sign
+        matroid.realize_kernel_sign = lambda M, x, A: None if A == (1 << M.cols) - 1 else solve(M, x, A)
         expect_raise(lambda: analyzer.condition_iii_exact(ExponentialMapSpec(M(W), M(Wt))), 3)
         minors = analyzer.injectivity_via_minors
         analyzer.injectivity_via_minors = lambda spec: ConditionResult("fails", "flipped")

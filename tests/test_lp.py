@@ -462,10 +462,12 @@ def test_witness_check_survives_python_O():
     assert proc.returncode == 0, proc.stderr
 
 
-# lp.feasible calls in one pass over each benchmark pool: every rank-one
-# realization, a circuit's or a cocircuit's among them, is read off a line,
-# so the reaction-network pass solves no LP at all
-LP_CALLS_PER_PASS = {"analyze-random": 43, "iii-search": 96, "enumerate": 0, "crn-networks": 0}
+# lp.feasible calls in one pass over each benchmark pool: every cocircuit's
+# realization is read off a line and every kernel witness on all columns
+# whose conformal circuits span a simplicial cone off those circuits, so the
+# reaction-network pass solves no LP at all, and iii settles a partition
+# system whose equality rows have full rank empty without one
+LP_CALLS_PER_PASS = {"analyze-random": 26, "iii-search": 46, "enumerate": 0, "crn-networks": 0}
 
 
 @pytest.mark.parametrize("workload", wl.WORKLOADS)

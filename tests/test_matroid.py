@@ -416,10 +416,9 @@ def test_witnesses_exist_iff_the_oracles_say_so():
 
 
 def test_ray_route_matches_the_lp(monkeypatch):
-    # vector_point(x, all columns) and covector_point(x) against the LP
-    # systems they replace, lp.realize_kernel_sign and lp.realize_sign_vector
-    # on the row basis, for every nonzero sign vector x of the oracle
-    # matrices with n <= 5, and for every circuit and cocircuit of both
+    # covector_point(x) against the LP system it replaces,
+    # lp.realize_sign_vector on the row basis, for every nonzero sign vector
+    # x of the oracle matrices with n <= 5, and for every cocircuit of both
     # matrices of a corpus (n <= 8), which are all rank one: a realization
     # read off a line must be the LP's answer, point or None, byte for byte
     rays = []
@@ -432,16 +431,12 @@ def test_ray_route_matches_the_lp(monkeypatch):
     monkeypatch.setattr(expbij.matroid, "ray_point", recorded)
     seen = Counter()
 
-    def compare(om, x, kind):
+    def compare(om, x):
         rays.clear()
-        full = (1 << om.W.cols) - 1
-        if kind == "vector":
-            got, want = om.vector_point(x, full), realize_kernel_sign(om.W, x, full)
-        else:
-            got, want = om.covector_point(x), realize_sign_vector(om.W, x, full)
-        assert got == want, (om.W, unpack(x, om.W.cols), kind)
+        got, want = om.covector_point(x), realize_sign_vector(om.W, x, (1 << om.W.cols) - 1)
+        assert got == want, (om.W, unpack(x, om.W.cols))
         assert all(type(a) is Fraction for a in got or ())
-        seen[kind, "ray" if rays else "lp", got is not None] += 1
+        seen["ray" if rays else "lp", got is not None] += 1
 
     for W in _oracle_matrices(100):
         om, n = OrientedMatroid(W), W.cols
@@ -455,33 +450,83 @@ def test_ray_route_matches_the_lp(monkeypatch):
         for comps in product((1, -1, 0), repeat=n):
             x = _packed_on((1 << n) - 1, n, comps)
             if x:
-                compare(om, x, "vector")
-                compare(om, x, "covector")
+                compare(om, x)
     for spec in _corpus(30):
         for W in (spec.coeff, spec.exponents):
             om = OrientedMatroid(W)
-            for x in om.circuit_masks:
-                compare(om, x, "vector")
             for x in om.cocircuit_masks:
-                compare(om, x, "covector")
-    assert all(seen[kind, route, found] >= 100 for kind in ("vector", "covector")
-               for route in ("ray", "lp") for found in (True, False)), seen
+                compare(om, x)
+    assert all(seen[route, found] >= 100 for route in ("ray", "lp") for found in (True, False)), seen
     assert all(seen[k] >= 10 for k in ("rank-deficient", "zero column", "rational", "d = 1", "d = n")), seen
 
 
+def test_conformal_route_matches_the_lp(monkeypatch):
+    # vector_point(x, all columns) against the LP system it replaces,
+    # lp.realize_kernel_sign on the row basis, for every nonzero sign vector
+    # x of the oracle matrices with n <= 5 and every vector of both matrices
+    # of a corpus (n <= 8): a point read off x's conformal circuits, and a
+    # None found without the LP, must be the LP's answer byte for byte. The
+    # LP is asked only about vectors, since x is one iff its conformal
+    # circuits cover it, and circuits of disjoint supports, each column
+    # private to one, always give the point without it
+    solved = []
+    solve = expbij.matroid.realize_kernel_sign
+    monkeypatch.setattr(expbij.matroid, "realize_kernel_sign",
+                        lambda *args: solved.append(args) or solve(*args))
+    seen = Counter()
+
+    def compare(om, x):
+        solved.clear()
+        n = om.W.cols
+        full = (1 << n) - 1
+        got, want = om.vector_point(x, full), realize_kernel_sign(om.W, x, full)
+        assert got == want, (om.W, unpack(x, n))
+        assert all(type(a) is Fraction for a in got or ())
+        route = "lp" if solved else "conformal" if got is not None else "none"
+        assert route != "lp" or got is not None, (om.W, unpack(x, n))
+        supports = [(c | c >> n) & full for c in om.circuit_masks if not c & ~x]
+        if got is not None and sum(map(int.bit_count, supports)) == ((x | x >> n) & full).bit_count():
+            assert route == "conformal", (om.W, unpack(x, n))
+            seen["disjoint"] += 1
+        seen[route] += 1
+
+    for W in _oracle_matrices(100):
+        om, n = OrientedMatroid(W), W.cols
+        if n > 5:
+            continue
+        seen["rank-deficient"] += om.W.rows < W.rows
+        seen["zero column"] += any(not any(W.column(j)) for j in range(n))
+        seen["rational"] += any(x.denominator != 1 for row in W.row_tuples for x in row)
+        for comps in product((1, -1, 0), repeat=n):
+            x = _packed_on((1 << n) - 1, n, comps)
+            if x:
+                compare(om, x)
+    for spec in _corpus(30):
+        for W in (spec.coeff, spec.exponents):
+            om = OrientedMatroid(W)
+            for x in om.vector_masks:
+                if x:
+                    compare(om, x)
+    assert all(seen[k] >= 100 for k in ("conformal", "none", "lp", "disjoint")), seen
+    assert all(seen[k] >= 10 for k in ("rank-deficient", "zero column", "rational")), seen
+
+
 def test_ray_points_are_resubstituted(monkeypatch):
-    # a point read off a line is put back into W over its common denominator
-    # before it is kept: a point off the kernel, with a sign flipped or with
-    # a margin other than 1 is an internal inconsistency
+    # a point read off a line or off conformal circuits is put back into W
+    # over its common denominator before it is kept: a point off the kernel,
+    # with a sign flipped or with a margin other than 1 is an internal
+    # inconsistency
     W = M([[1, 1, -1], ["1/2", 0, "2/3"]])
     n, full = 3, 7
     x = _packed_on(full, n, [2, -3, -4])  # the signs of the kernel line (4, -7, -3) of W
     y = _packed_on(full, n, [1, 0, 1])  # sign(W^T (0, 1)), on the line orthogonal to column 1
     assert OrientedMatroid(W).vector_point(x, full) and OrientedMatroid(W).covector_point(y)
     ray_point = expbij.matroid.ray_point
+    conformal_point = OrientedMatroid._conformal_point
     for forge in (lambda p: tuple(2 * a for a in p), lambda p: tuple(-a for a in p),
                   lambda p: p[:1] + (p[1] - 1,) + p[2:]):
         monkeypatch.setattr(expbij.matroid, "ray_point", lambda *args: forge(ray_point(*args)))
+        monkeypatch.setattr(OrientedMatroid, "_conformal_point", lambda *args: forge(conformal_point(*args)))
         with pytest.raises(InternalInconsistency):
             OrientedMatroid(W).vector_point(x, full)
         with pytest.raises(InternalInconsistency):
