@@ -24,15 +24,16 @@ robust_coefficients' separating face check the n cap first
 with the rule's message; `analyze` leaves the cones null there. ii, iii, iv
 and newton share two rules on index masks, `OrientedMatroid.face_below` and
 the memoized `OrientedMatroid.positively_dependent`; iii searches
-`ExponentialMapSpec.degeneracy_candidates`, and iv fails at its first member
+`ExponentialMapSpec.degeneracy_candidates`, Wt's covectors pruned at the
+facets of cone(W) while they are built, and iv fails at its first member
 whose positive part is positively dependent. Sign vectors stay packed ints,
 and `SignVector` appears only as the strings a certificate names. The
 kernel and covector witnesses come from the same `OrientedMatroid`
-(`vector_point`, `covector_point`): a covector's is read off a line where
-it is rank one, and a kernel witness on all columns off its conformal
-circuits where they span a simplicial cone whose least point is the LP's
-optimum; the LP solves the rest, with the same bytes. The closure's
-orthogonal witness comes from `matroid.orthogonal_witness`. Only the
+(`vector_point`, `covector_point`): a cocircuit's is read off its line, and
+a kernel witness on all columns off its conformal circuits where they span
+a simplicial cone whose least point is the LP's optimum; the LP solves the
+rest, with the same bytes. The closure's orthogonal witness comes from
+`matroid.orthogonal_witness`. Only the
 nondegeneracy search builds LP rows of its own, and it settles a system
 whose equality rows have full rank empty without the LP (`_only_origin`),
 since only x = 0 meets them and a strict row fails there. newton's lifted
@@ -68,8 +69,9 @@ from .linalg import (
     vec_sub,
 )
 from .lp import Rel, feasible, make_system
-from .matroid import FaceLattice, OrientedMatroid, _prefix_index, first_orthogonal, orthogonal_witness
-from .signs import MAX_N_ENUMERATION, bits, over_cap, pack, sign_of, str_order, unpack
+from .matroid import (FaceLattice, OrientedMatroid, _orthogonal_masks, _prefix_index, first_orthogonal,
+                      orthogonal_witness)
+from .signs import MAX_N_ENUMERATION, bits, over_cap, packed_signs, str_order, unpack
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -172,11 +174,14 @@ class ExponentialMapSpec:
     def degeneracy_candidates(self) -> list[int]:
         """The covectors of Wt with a positive component whose support contains
         no nonzero face of cone(W) (`face_below` is 0), packed, in string
-        order. Built with no cap, so each condition that reads them checks
+        order: one pass over Wt's circuits that drops a prefix once it is
+        nonzero on all of a facet of cone(W), so the other covectors are never
+        built. Built with no cap, so each condition that reads them checks
         the n cap first."""
-        n, full, om_w = self.n, (1 << self.n) - 1, self._om(self.coeff)
-        return sorted((t for t in self._om(self.exponents).covector_masks
-                       if t & full and not om_w.face_below((t | t >> n) & full)), key=str_order(n))
+        n, full = self.n, (1 << self.n) - 1
+        covs = _orthogonal_masks(self._om(self.exponents).circuit_masks, n,
+                                 self._om(self.coeff).nonneg_cocircuit_masks)
+        return sorted((t for t in covs if t & full), key=str_order(n))
 
 
 @dataclass(frozen=True)
@@ -469,7 +474,7 @@ def condition_iii_exact(spec: ExponentialMapSpec, caps: Caps = Caps()) -> Condit
                 continue
             x = wit.point
             z = spec.exponents.transpose_vec(x)
-            check(pack(sign_of(z)) == tau_t, f"partition witness misses the sign vector {unpack(tau_t, n)}")
+            check(packed_signs(z) == tau_t, f"partition witness misses the sign vector {unpack(tau_t, n)}")
             # a kernel point positive on the candidate's support, free elsewhere
             evidence = om_w.vector_point(support, support)
             check(evidence is not None, "candidate without covering face lacks interior evidence")

@@ -42,15 +42,20 @@ P and is its only vertex, the LP's answer (`_conformal_point`); a kernel
 line, one circuit, is the case where every column is private. Circuits that
 do not cover S answer None with no LP.
 
-A covector's y is orthogonal to the columns in the zero set of x; when
-eliminating W's integer rows on those columns leaves one free column, the
-candidate points are the multiples of one integer vector, so every optimum
-is lambda k with lambda >= lambda0, k the line's vector oriented to x and
-lambda0 k of least |value| 1 on supp x. For lambda > lambda0 the nonzero LP
-columns (the coordinates, the strict slacks and t) are dependent along k,
-so lambda0 k is the only basic optimum, whichever path Bland's rule takes
-(`ray_point`). Each closed-form point is re-substituted into W over its
-common denominator, in ints.
+A covector's y is orthogonal to the columns in the zero set Z of x. A
+covector whose Z has rank d - 1 is +-a cocircuit, and x is one exactly when
+it is in `cocircuit_masks`; then eliminating W's integer rows on Z leaves
+one free column, and the candidate points are the multiples of one integer
+vector, so every optimum is lambda k with lambda >= lambda0, k the line's
+vector oriented to x and lambda0 k of least |value| 1 on supp x. For
+lambda > lambda0 the nonzero LP columns (the coordinates, the strict slacks
+and t) are dependent along k, so lambda0 k is the only basic optimum,
+whichever path Bland's rule takes (`ray_point`). Both closed forms read one
+integer view of W, its rows times the lcm D of all its denominators
+(`_common`): a positive row scaling keeps the kernel, each conformal circuit
+is divided by its own least private entry, and the covector point is
+rescaled by D. Each closed-form point is re-substituted into that view, in
+ints.
 """
 
 from __future__ import annotations
@@ -68,7 +73,6 @@ from .linalg import (
     RationalMatrix,
     SubspaceBasis,
     Vec,
-    _int_rows,
     _kernel_ints,
     _rref_ints,
     check,
@@ -77,7 +81,7 @@ from .linalg import (
     row_basis,
 )
 from .lp import realize_conformal_covector, realize_kernel_sign, realize_sign_vector, unit_vectors
-from .signs import MAX_N_ENUMERATION, EnumerationCap, SignSet, SignVector, bits, over_cap, pack
+from .signs import MAX_N_ENUMERATION, EnumerationCap, SignSet, SignVector, bits, over_cap, pack, packed_signs
 
 
 class Chirotope:
@@ -202,11 +206,15 @@ def first_orthogonal(index, n: int, x: int = 0, A: int = 0) -> int | None:
     return search(0, x, P, N)
 
 
-def _orthogonal_masks(gens, n: int) -> frozenset[int]:
+def _orthogonal_masks(gens, n: int, facets=()) -> frozenset[int]:
     """Every packed sign vector of length n orthogonal to all of gens: the
     covectors when gens are the circuits, the vectors when they are the
     cocircuits. Both sets are closed under negation, so the pass builds the
-    members whose first nonzero sign is + and adds their negatives.
+    members whose first nonzero sign is + and adds their negatives. Given
+    column masks as facets, it keeps only the members whose support holds
+    none of them: at a facet's last column every prefix nonzero on all of it
+    is dropped. The rule reads only the support, so the half and the
+    negation stay valid, and a column that ends no facet costs nothing.
 
     Positions are set in order 0..n-1, breadth first. The prefixes kept after
     position k are the sign vectors of the first k+1 columns orthogonal to
@@ -221,6 +229,7 @@ def _orthogonal_masks(gens, n: int) -> frozenset[int]:
     collected in a list and frozen once."""
     full = (1 << n) - 1
     pos, neg, ends = _prefix_index(gens, n)
+    closing = [[F for F in facets if F.bit_length() == k + 1] for k in range(n)]  # by last column
     nodes = []
     for k in range(n - 1):
         p, m, e, bp, bm = pos[k], neg[k], ends[k], 1 << k, 1 << k + n
@@ -242,6 +251,8 @@ def _orthogonal_masks(gens, n: int) -> frozenset[int]:
                 add((x | bm, P | m, N | p))
         if not e:  # the zero prefix leaves zero
             add((bp, p, m))
+        if fs := closing[k]:
+            children = [c for c in children if all(F & ~(c[0] | c[0] >> n) for F in fs)]
         nodes = children
     # the same step at the last position, where only the signs are kept
     p, m, e, bp, bm = pos[-1], neg[-1], ends[-1], 1 << n - 1, 1 << 2 * n - 1
@@ -261,41 +272,27 @@ def _orthogonal_masks(gens, n: int) -> frozenset[int]:
             add(x | bm)
     if not e:
         add(bp)
+    if fs := closing[-1]:
+        out = [x for x in out if all(F & ~(x | x >> n) for F in fs)]
     out += [x >> n | (x & full) << n for x in out]
     out.append(0)
     return frozenset(out)
 
 
-def _line(rows: list[list[int]], nc: int) -> list[int] | None:
-    """The integer kernel vector of int rows of length nc when their kernel
-    is a line, one free column of `_rref_ints`, else None. The rows are
-    eliminated in place."""
+def _line(rows: list[list[int]], nc: int) -> list[int]:
+    """The integer kernel vector of int rows of length nc whose kernel is a
+    line, one free column of `_rref_ints`. The rows are eliminated in place."""
     E, pivots = _rref_ints(rows, nc)
-    return _kernel_ints(E, pivots, nc)[0] if nc - len(pivots) == 1 else None
+    return _kernel_ints(E, pivots, nc)[0]
 
 
-def _packed_signs(values) -> int:
-    """The packed sign vector of a sequence of ints."""
-    plus = minus = 0
-    for i, a in enumerate(values):
-        if a > 0:
-            plus |= 1 << i
-        elif a < 0:
-            minus |= 1 << i
-    return plus | minus << len(values)
-
-
-def ray_point(k: list[int], values: list[int], x: int) -> Vec | None:
-    """The LP's answer to a covector realization whose points lie on the
-    line through the integer vector k: k oriented so that its values W^T k
-    have the signs of the packed x and divided by the least |value|, so that
-    the margin is 1, or None when their signs are not +-x."""
-    n = len(values)
-    signs = _packed_signs(values)
-    if signs != x and signs != (x >> n | (x & ((1 << n) - 1)) << n):
-        return None
+def ray_point(k: list[int], values: list[int], x: int) -> Vec:
+    """The LP's answer to the realization of the packed cocircuit x, whose
+    points lie on the line through the integer vector k with values W^T k of
+    signs +-x: k oriented to x and divided by the least |value|, so that the
+    margin is 1."""
     m = min(abs(a) for a in values if a)
-    if signs != x:
+    if packed_signs(values) != x:
         m = -m
     return tuple(Fraction(a, m) for a in k)
 
@@ -385,15 +382,10 @@ class OrientedMatroid:
         return self._dependent[I]
 
     @cached_property
-    def _scaled(self) -> tuple[list[list[int]], list[int]]:
-        """The rows of W as ints, each times the lcm of its denominators, and
-        those lcms: the rows the closed-form realizations eliminate."""
-        return _int_rows(self.W.row_tuples)
-
-    @cached_property
     def _common(self) -> tuple[list[list[int]], int]:
         """W times the lcm D of all its denominators, as int rows, and D: the
-        rows a closed-form point is re-substituted into."""
+        one integer view of W that the closed forms eliminate and that their
+        points are re-substituted into."""
         rows = self.W.row_tuples
         D = lcm(*(a.denominator for row in rows for a in row))
         return [[a.numerator * (D // a.denominator) for a in row] for row in rows], D
@@ -413,7 +405,7 @@ class OrientedMatroid:
         else:
             values = [sum(a * b for a, b in zip(col, ints)) for col in zip(*rows)]
             margin = q * D
-        return _packed_signs(values) == x and min(abs(a) for a in values if a) == margin
+        return packed_signs(values) == x and min(abs(a) for a in values if a) == margin
 
     def vector_point(self, x: int, A: int) -> Vec | None:
         """A point of ker W whose signs agree with the packed x on the index
@@ -462,7 +454,7 @@ class OrientedMatroid:
             return None
         last = [(p & -p).bit_length() - 1 for p in private]
         cols = [*bits(S & ~sum(1 << j for j in last)), *last]
-        E, pivots = _rref_ints([[row[j] for j in cols] for row in self._scaled[0]], len(cols))
+        E, pivots = _rref_ints([[row[j] for j in cols] for row in self._common[0]], len(cols))
         kernel = _kernel_ints(E, pivots, len(cols))
         check(len(kernel) == len(conformal), "conformal circuits with private columns are not a kernel basis")
         at = {j: i for i, j in enumerate(cols)}
@@ -482,23 +474,21 @@ class OrientedMatroid:
     def covector_point(self, x: int) -> Vec | None:
         """y with sign(W^T y) = x for the packed x, or None when x is not a
         covector. Such y vanish on the columns of W in the zero set Z of x;
-        when the y with W_Z^T y = 0 form a line, the LP's answer is read off
-        it (`ray_point`), else the LP is solved. Computed once per argument."""
+        for a cocircuit they form a line, and the LP's answer is read off it
+        (`ray_point`), else the LP is solved. Computed once per argument."""
         if x not in self._covector_points:
             n = self.W.cols
-            rows, scales = self._scaled
-            k = None
-            if x:
+            if x in self.cocircuit_masks:
+                rows, D = self._common
                 zero = bits(((1 << n) - 1) & ~(x | x >> n))
                 k = _line([[row[i] for row in rows] for i in zero], self.W.rows)
-            if k is None:
-                point = realize_sign_vector(self.W, x, (1 << n) - 1)
-            else:
-                # k solves the scaled rows; y = r k solves W, with the same values
+                # k solves D W_Z^T y = 0 with values D W^T k, so the point is D k over them
                 values = [sum(a * c for a, c in zip(col, k)) for col in zip(*rows)]
-                point = ray_point([r * c for r, c in zip(scales, k)], values, x)
-                check(point is None or self._resubstituted(point, x, kernel=False),
+                point = ray_point([D * c for c in k], values, x)
+                check(self._resubstituted(point, x, kernel=False),
                       "a covector point read off a line violates its system")
+            else:
+                point = realize_sign_vector(self.W, x, (1 << n) - 1)
             self._covector_points[x] = point
         return self._covector_points[x]
 

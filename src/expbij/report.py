@@ -12,7 +12,9 @@ every minor-form verdict and certificate by the analyzer's own rule,
 `minor_form`, one scan per form; from the facets of the two cones it decides
 robust_coefficients' verdict and reason by the analyzer's `cone_form`. The
 `cones` block must equal the face lattices of the two matrices up to the
-report's n cap, and be null past it.
+report's n cap, and be null past it. The closure forms that
+robust_exponents and robust_coefficients embed must equal cc's and
+cc_prime's certificates, so each closure certificate is checked once.
 """
 
 from __future__ import annotations
@@ -100,15 +102,6 @@ def _verify(report: dict):
           "cones disagree with the matrices")
     form = cache(lambda key: minor_form(key, om_w, om_wt))
     facets = SignSet(om_wt.nonneg_cocircuit_masks, Wt.cols).strings()  # of cone(Wt)
-    kernel = cache(kernel_basis)  # each basis built once, if a certificate needs it
-    passed = set()  # closure certificates checked in this call, by direction and JSON
-
-    def closure_cert(key, cert):
-        # robust_exponents and robust_coefficients embed cc's and cc_prime's certificate
-        token = key, json.dumps(cert, sort_keys=True)
-        if token not in passed:
-            _verify_closure_cert(W, Wt, kernel, key, cert)
-            passed.add(token)
 
     for key, entry in conditions.items():
         cert = entry.get("certificate")
@@ -133,8 +126,8 @@ def _verify(report: dict):
             _need(cert == want_cert, "minor certificate is not the table's")
         elif key == "robust_exponents":
             _need(cert["minor_form"] == want_cert, "minor certificate is not the table's")
-            if verdict == FAILS:
-                closure_cert("cc", cert["closure_form"])
+            _need(cert.get("closure_form") == conditions["cc"].get("certificate"),
+                  "closure form is not cc's certificate")
         elif key == "ii" and verdict == FAILS:
             _need(cert["uncovered_face"] in facets, "uncovered face is not a facet")
             tau_t = _sv(cert["uncovered_face"])
@@ -174,7 +167,7 @@ def _verify(report: dict):
             _need(sign_of(u) == _sv(cert["dominating_sign_vector"]), "dominating sign mismatch")
             _need(all(u[i] > 0 for i in tau_t.support_set()), "dominating vector not positive on support")
         elif key in ("cc", "cc_prime") and verdict == FAILS:
-            closure_cert(key, cert)
+            _verify_closure_cert(W, Wt, key, cert)
         elif key == "robust_coefficients":
             # the facets decide every reason; only a separating face takes the cap
             want, reason = cone_form(form("cc_prime")[0], om_w, om_wt)
@@ -184,7 +177,8 @@ def _verify(report: dict):
             if verdict == FAILS:
                 _need(cert["reason"] == reason, "robust_coefficients names the wrong reason")
                 if reason == "reversed-closure-fails":
-                    closure_cert("cc_prime", cert["closure_form"])
+                    _need(cert["closure_form"] == conditions["cc_prime"]["certificate"],
+                          "closure form is not cc_prime's certificate")
                 elif reason == "face-sets-differ":
                     faces = [set(report["cones"][side]["faces"]) for side in ("coeff", "exp")]
                     _need(cert["separating_face"] in faces[0] ^ faces[1],
@@ -194,7 +188,7 @@ def _verify(report: dict):
     _need(report["classification"] == want, "classification inconsistent with verdicts")
 
 
-def _verify_closure_cert(W, Wt, kernel, key, cert):
+def _verify_closure_cert(W, Wt, key, cert):
     first, second = (W, Wt) if key == "cc" else (Wt, W)
     pi = _sv(cert["excluded_sign_vector"])
     v = vec(cert["kernel_vector"])
@@ -203,7 +197,7 @@ def _verify_closure_cert(W, Wt, kernel, key, cert):
     z = vec(cert["orthogonal_witness"])
     _need(any(x != 0 for x in z), "orthogonal witness is zero")
     _need(sign_of(z).leq(pi), "orthogonal witness not conformal to the excluded vector")
-    for b in kernel(second).vectors:
+    for b in kernel_basis(second).vectors:
         _need(dot(z, b) == 0, "orthogonal witness not orthogonal to the kernel")
 
 

@@ -59,13 +59,8 @@ class SignVector:
     @classmethod
     def from_components(cls, comps) -> "SignVector":
         comps = list(comps)
-        plus = minus = 0
-        for i, c in enumerate(comps):
-            if c > 0:
-                plus |= 1 << i
-            elif c < 0:
-                minus |= 1 << i
-        return cls(len(comps), plus, minus)
+        x, n = packed_signs(comps), len(comps)
+        return cls(n, x & ((1 << n) - 1), x >> n)
 
     @classmethod
     def from_string(cls, s: str) -> "SignVector":
@@ -163,9 +158,21 @@ def _check(a: SignVector, b: SignVector):
         raise ValueError(f"sign vector length mismatch: {a.n} vs {b.n}")
 
 
+def packed_signs(values) -> int:
+    """The packed sign vector of a sequence of rationals (or ints): the one
+    routine for the sign pattern of a value vector."""
+    plus = minus = 0
+    for i, a in enumerate(values):
+        if a > 0:
+            plus |= 1 << i
+        elif a < 0:
+            minus |= 1 << i
+    return plus | minus << len(values)
+
+
 def sign_of(values) -> SignVector:
     """Componentwise sign of a rational (or integer) vector."""
-    return SignVector.from_components((0 if x == 0 else (1 if x > 0 else -1)) for x in values)
+    return SignVector.from_components(values)
 
 
 def pack(t: SignVector) -> int:

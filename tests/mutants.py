@@ -138,20 +138,20 @@ MUTANTS = [
      "    m = max(abs(a) for a in values if a)\n",
      ["test_matroid.py::test_ray_route_matches_the_lp"]),
     ("ray-never-flipped", "matroid",
-     "    if signs != x:\n        m = -m\n",
+     "    if packed_signs(values) != x:\n        m = -m\n",
      "",
      ["test_matroid.py::test_ray_route_matches_the_lp"]),
-    ("ray-route-with-two-free-columns", "matroid",
-     "if nc - len(pivots) == 1 else None",
-     "if 1 <= nc - len(pivots) <= 2 else None",
+    ("ray-route-for-circuits", "matroid",
+     "if x in self.cocircuit_masks:",
+     "if x in self.circuit_masks:",
      ["test_matroid.py::test_ray_route_matches_the_lp"]),
     ("covector-ray-without-row-scales", "matroid",
-     "point = ray_point([r * c for r, c in zip(scales, k)], values, x)",
+     "point = ray_point([D * c for c in k], values, x)",
      "point = ray_point(list(k), values, x)",
      ["test_matroid.py::test_ray_route_matches_the_lp"]),
     ("ray-margin-unchecked", "matroid",
-     "return _packed_signs(values) == x and min(abs(a) for a in values if a) == margin",
-     "return _packed_signs(values) == x",
+     "return packed_signs(values) == x and min(abs(a) for a in values if a) == margin",
+     "return packed_signs(values) == x",
      ["test_matroid.py::test_ray_points_are_resubstituted"]),
     ("kernel-ray-off-the-kernel", "matroid",
      "            if any(sum(a * b for a, b in zip(row, ints)) for row in rows):\n                return False\n",
@@ -201,9 +201,15 @@ MUTANTS = [
      "tau_t = next(iter(spec.degeneracy_candidates), None)",
      ["test_analyzer.py::test_packed_picks_match_signvector_oracle_on_random_corpus"]),
     ("candidates-ignore-the-faces-below", "analyzer",
-     "if t & full and not om_w.face_below((t | t >> n) & full)), key=str_order(n))",
-     "if t & full), key=str_order(n))",
-     ["test_analyzer.py::test_packed_picks_match_signvector_oracle_on_random_corpus"]),
+     "covs = _orthogonal_masks(self._om(self.exponents).circuit_masks, n,\n"
+     "                                 self._om(self.coeff).nonneg_cocircuit_masks)",
+     "covs = _orthogonal_masks(self._om(self.exponents).circuit_masks, n)",
+     ["test_analyzer.py::test_iii_skips_only_candidates_without_partitions",
+      "test_analyzer.py::test_packed_picks_match_signvector_oracle_on_random_corpus"]),
+    ("candidates-pruned-at-a-zero-of-the-facet", "matroid",
+     "children = [c for c in children if all(F & ~(c[0] | c[0] >> n) for F in fs)]",
+     "children = [c for c in children if all(not F & ~(c[0] | c[0] >> n) for F in fs)]",
+     ["test_analyzer.py::test_iii_skips_only_candidates_without_partitions"]),
     ("newton-never-tests-dependence", "analyzer",
      "        if dependent(I):\n",
      "        if False:\n",
@@ -253,8 +259,8 @@ MUTANTS = [
      'True, "")',
      ["test_cli.py::test_verify_certificate_checks_i_past_the_cap"]),
     ("verifier-kernel-always-of-W", "report",
-     "    for b in kernel(second).vectors:\n",
-     "    for b in kernel(W).vectors:\n",
+     "    for b in kernel_basis(second).vectors:\n",
+     "    for b in kernel_basis(W).vectors:\n",
      ["test_cli.py::test_verify_certificate_checks_each_distinct_closure_certificate"]),
     ("verifier-raises-on-deep-nesting", "report",
      "            ZeroDivisionError, RecursionError):\n",

@@ -22,6 +22,11 @@ Run as `PYTHONPATH=src python tests/scale_smoke.py FAMILY`, FAMILY one of
   vector, found by the joint prefix search with no cap, in a report that
   verifies; and the moment curves of `test_cli.ABOVE_CAP_CONES` at n = 16
   and 20, where i holds; the time of each analysis and of i is printed;
+- `state-pairs`: the nine state pairs of `test_analyzer.STATE_PAIRS`, from
+  (n, d) = (10, 2) to (14, 12), W then Wt per pair from one
+  `random.Random(7)`, with the n cap and the block cap both 16; each must be
+  not injective, and at (14, 12) it takes well under a second only because
+  iii's candidate list is pruned at the facets of cone(W) while it is built;
 - `crn`: reaction-network chains, cycles and binding trees
   (`test_crn.family_network`) at 12, 16 and 20 species, under mass action
   and under seeded kinetic orders; each structure must equal the Fraction
@@ -31,7 +36,8 @@ Run as `PYTHONPATH=src python tests/scale_smoke.py FAMILY`, FAMILY one of
 Seeded entries come from one `random.Random(7)` in [-3, 3]. The n cap is 16,
 and the sums keep the default block cap of 8; for the big sum the n cap is
 18 and the block cap 16.
-Every analysis must be decided and its report must verify, and the
+Every analysis must be decided and its report must verify, its time and
+its costliest condition are printed, and the
 `matroid` and `crn` outputs must pass their checks, else the exit status is
 1. So must `robust_coefficients` wherever the two cones have the same
 facets: only a separating face is enumerated, and only it can take the cap.
@@ -60,12 +66,13 @@ from expbij.crn import deficiency_zero_gmak, parse_network, robust_deficiency_ze
 from expbij.matroid import OrientedMatroid, _orthogonal_masks, covectors
 from expbij.report import build_report, verify_certificate
 from sign_oracles import orthogonal_masks_tree, structure_oracle
-from test_analyzer import EX1, EX2, FACE_GAP, _random_full_rank, direct_sum, run_python, sv_example
+from test_analyzer import EX1, EX2, FACE_GAP, _random_full_rank, direct_sum, run_python, state_pairs, sv_example
 from test_cli import ABOVE_CAP_CONES
 from test_crn import family_network
 
 SUM_CAPS = Caps(max_n_enumeration=16)
 BIG_SUM_CAPS = Caps(max_n_enumeration=18, max_blocks=16)
+STATE_PAIR_CAPS = Caps(max_n_enumeration=16, max_blocks=16)
 
 
 def predicted_class(blocks):
@@ -196,6 +203,7 @@ FAMILIES = {
     "sums": sums,
     "big-sum": big_sum,
     "cones": lambda: ((label, make(), Caps(), None) for label, (make, *_) in ABOVE_CAP_CONES.items()),
+    "state-pairs": lambda: ((label, spec, STATE_PAIR_CAPS, CLASS_NOT_INJECTIVE) for label, spec in state_pairs()),
 }
 
 
@@ -212,13 +220,17 @@ if __name__ == "__main__":
     if sys.argv[1] in checks:
         sys.exit("; ".join(checks[sys.argv[1]]()) or None)
     for label, spec, caps, want in FAMILIES[sys.argv[1]]():
+        start = time.perf_counter()
         rep = analyze(spec, caps)
+        took = time.perf_counter() - start
+        costliest = max(rep.runtimes_ms, key=rep.runtimes_ms.get)
         robust = rep.conditions["robust_coefficients"].verdict
         ok = (rep.classification != "inconclusive" and verify_certificate(build_report(rep, {}))
               and (robust != "inconclusive" or not facets_agree(rep)))
         print(f"{label}: {rep.classification}, robust_coefficients {robust}, "
-              f"{'verified' if ok else 'NOT decided and verified'}; iii: {rep.conditions['iii'].detail}")
+              f"{'verified' if ok else 'NOT decided and verified'}; analyze {took:.2f} s, costliest "
+              f"{costliest} {rep.runtimes_ms[costliest] / 1000:.2f} s; iii: {rep.conditions['iii'].detail}")
         if not ok:
             sys.exit(1)
         if want is not None and rep.classification != want:
-            sys.exit(f"{label}: the blocks predict {want}")
+            sys.exit(f"{label}: expected {want}")

@@ -6,6 +6,7 @@ import sys
 import textwrap
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,18 @@ def _random_full_rank(rng, d, n, zero_p=0.0):
                  for _ in range(d)])
         if rank(mat) == d:
             return mat
+
+
+# the state pairs (n, d): one random.Random(7) draws W and then Wt for each, in this order
+STATE_PAIRS = ((10, 2), (10, 5), (10, 7), (11, 8), (12, 3), (12, 6), (12, 9), (14, 2), (14, 12))
+
+
+def state_pairs():
+    """(label, spec) for each state pair, drawn lazily, so a caller that
+    stops early draws no more."""
+    rng = random.Random(7)
+    for n, d in STATE_PAIRS:
+        yield f"({n}, {d})", ExponentialMapSpec(_random_full_rank(rng, d, n), _random_full_rank(rng, d, n))
 
 
 def run_python(*args):
@@ -530,9 +543,14 @@ def _candidates_and_dependence(spec):
 def test_iii_skips_only_candidates_without_partitions():
     # condition_iii_exact skips a candidate whose positive part is not
     # positively dependent; _ordered_partitions must yield nothing for it.
-    # The spec's list and the memoized dependence equal their recomputation
+    # The spec's list, built by the pass that prunes at the facets of
+    # cone(W), and the memoized dependence equal their recomputation from
+    # all covectors of Wt, here also on the state pairs (10, 7) and (11, 8)
     skipped = searched = 0
-    for spec in _corpus(200) + [direct_sum([sv_example(Fraction(1, 2))] * 2)]:
+    pairs = [spec for label, spec in islice(state_pairs(), 4) if label in ("(10, 7)", "(11, 8)")]
+    for spec in (_corpus(200) + _zero_heavy_corpus(60) + _seeded_sums(10)
+                 + [sv_example(Fraction(a)) for a in SV_ALPHAS] + pairs
+                 + [direct_sum([sv_example(Fraction(1, 2))] * 2)]):
         om_w = spec._om(spec.coeff)
         full = (1 << spec.n) - 1
         candidates, dependent = _candidates_and_dependence(spec)
@@ -1030,7 +1048,7 @@ def test_internal_checks_survive_python_O():
         matroid.ray_point = lambda k, values, x: tuple(2 * a for a in ray_point(k, values, x))
         expect_raise(lambda: analyzer.condition_ii(
             ExponentialMapSpec(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]]))), 11)
-        matroid.ray_point = lambda k, values, x: None
+        matroid.ray_point = ray_point
         OM = matroid.OrientedMatroid
         conformal_point = OM._conformal_point
         OM._conformal_point = lambda om, x, cs: tuple(2 * a for a in conformal_point(om, x, cs))
@@ -1047,6 +1065,7 @@ def test_internal_checks_survive_python_O():
         analyzer.closure_cc_prime = lambda spec: ConditionResult("fails", "flipped")
         expect_raise(lambda: analyzer.analyze(
             ExponentialMapSpec(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]]))), 10)
+        OM.covector_point = lambda om, x: None
         expect_raise(lambda: analyzer.condition_ii(
             ExponentialMapSpec(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]]))), 5)
         net = crn.parse_network({"species": ["A", "B"], "reactions": [

@@ -831,25 +831,28 @@ def test_verify_certificate_computes_each_kernel_basis_once(monkeypatch):
 
 @pytest.mark.parametrize("key, own", [("robust_exponents", "cc"), ("robust_coefficients", "cc_prime")])
 def test_verify_certificate_checks_each_distinct_closure_certificate(monkeypatch, key, own):
-    # the embedded closure_form equals its condition's certificate and is
-    # checked once per report; a copy made invalid differs, so it is checked
-    # and rejected while the condition's own copy stays intact, and so is the
-    # other way round. A scaled witness is still a valid certificate.
+    # the embedded closure_form must equal its condition's certificate, which
+    # is checked once per report: a copy made invalid is rejected, and so is
+    # a copy that is a different valid certificate (a scaled witness or
+    # kernel vector), while scaling both copies alike keeps a valid report
     W, Wt = VERIFY_EXAMPLES["FOUR_CLOSURES"]
     text = canonical_json(build_report(analyze(ExponentialMapSpec(RationalMatrix(W), RationalMatrix(Wt))), {}))
     report = json.loads(text)
     assert report["conditions"][key]["certificate"]["closure_form"] == report["conditions"][own]["certificate"]
     calls = []
     checked = expbij.report._verify_closure_cert
-    monkeypatch.setattr(expbij.report, "_verify_closure_cert", lambda *a: calls.append(a[3]) or checked(*a))
+    monkeypatch.setattr(expbij.report, "_verify_closure_cert", lambda *a: calls.append(a[2]) or checked(*a))
     assert verify_certificate(report)
     assert sorted(calls) == ["cc", "cc_prime"]
-    for tampered, scale in ((key, -1), (own, -1), (key, 2), (own, 2)):
+    for keys, field, scale in (((key,), "orthogonal_witness", -1), ((own,), "orthogonal_witness", -1),
+                               ((key,), "orthogonal_witness", 2), ((own,), "orthogonal_witness", 2),
+                               ((key,), "kernel_vector", 2), ((key, own), "kernel_vector", 2)):
         forged = json.loads(text)
-        cert = forged["conditions"][tampered]["certificate"]
-        cert = cert.get("closure_form", cert)
-        cert["orthogonal_witness"] = [str(scale * Fraction(x)) for x in cert["orthogonal_witness"]]
-        assert verify_certificate(forged) is (scale > 0), (tampered, scale)
+        for k in keys:
+            cert = forged["conditions"][k]["certificate"]
+            cert = cert.get("closure_form", cert)
+            cert[field] = [str(scale * Fraction(x)) for x in cert[field]]
+        assert verify_certificate(forged) is (len(keys) == 2), (keys, field, scale)
 
 
 @pytest.mark.parametrize("key", ["cc", "robust_exponents", "robust_coefficients"])
@@ -880,10 +883,10 @@ def test_internal_inconsistency_exit_three(tmp_path, monkeypatch, capsys):
 
 
 def test_missing_covering_functional_exit_three(tmp_path, monkeypatch, capsys):
-    # condition ii's coverings name both faces' functionals; a facet's
-    # functional is read off a line, and a line that yields none is a bug,
-    # reported as such rather than as a TypeError traceback
-    monkeypatch.setattr(expbij.matroid, "ray_point", lambda k, values, x: None)
+    # condition ii's coverings name both faces' functionals; a face covector
+    # without one is a bug, reported as such rather than as a TypeError
+    # traceback
+    monkeypatch.setattr(expbij.matroid.OrientedMatroid, "covector_point", lambda om, x: None)
     args = ["analyze",
             "--coeff", write_json(tmp_path, "W.json", BIRCH),
             "--exp", write_json(tmp_path, "Wt.json", BIRCH)]

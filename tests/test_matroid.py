@@ -419,8 +419,9 @@ def test_ray_route_matches_the_lp(monkeypatch):
     # covector_point(x) against the LP system it replaces,
     # lp.realize_sign_vector on the row basis, for every nonzero sign vector
     # x of the oracle matrices with n <= 5, and for every cocircuit of both
-    # matrices of a corpus (n <= 8), which are all rank one: a realization
-    # read off a line must be the LP's answer, point or None, byte for byte
+    # matrices of a corpus (n <= 8): the answer, point or None, must be the
+    # LP's byte for byte, and it is read off a line exactly for a cocircuit,
+    # so the line route never answers None
     rays = []
     ray_point = expbij.matroid.ray_point
 
@@ -436,6 +437,7 @@ def test_ray_route_matches_the_lp(monkeypatch):
         got, want = om.covector_point(x), realize_sign_vector(om.W, x, (1 << om.W.cols) - 1)
         assert got == want, (om.W, unpack(x, om.W.cols))
         assert all(type(a) is Fraction for a in got or ())
+        assert bool(rays) == (x in om.cocircuit_masks), (om.W, unpack(x, om.W.cols))
         seen["ray" if rays else "lp", got is not None] += 1
 
     for W in _oracle_matrices(100):
@@ -456,7 +458,7 @@ def test_ray_route_matches_the_lp(monkeypatch):
             om = OrientedMatroid(W)
             for x in om.cocircuit_masks:
                 compare(om, x)
-    assert all(seen[route, found] >= 100 for route in ("ray", "lp") for found in (True, False)), seen
+    assert all(seen[k] >= 100 for k in (("ray", True), ("lp", True), ("lp", False))), seen
     assert all(seen[k] >= 10 for k in ("rank-deficient", "zero column", "rational", "d = 1", "d = n")), seen
 
 
