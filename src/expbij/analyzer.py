@@ -23,7 +23,8 @@ robust_coefficients' separating face check the n cap first
 (`signs.over_cap` at `max_n_enumeration`) and past it return inconclusive
 with the rule's message; `analyze` leaves the cones null there. ii, iii, iv
 and newton share two rules on index masks, `OrientedMatroid.face_below` and
-the memoized `OrientedMatroid.positively_dependent`; iii searches
+the memoized `OrientedMatroid.positively_dependent`, which answers with no
+search when W has an all-+ covector, and then iv holds at once; iii searches
 `ExponentialMapSpec.degeneracy_candidates`, Wt's covectors pruned at the
 facets of cone(W) while they are built, and iv fails at its first member
 whose positive part is positively dependent. Sign vectors stay packed ints,
@@ -107,7 +108,8 @@ class Caps:
         return cls(**known)
 
     def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"max_n_enumeration": self.max_n_enumeration, "max_partition_pairs": self.max_partition_pairs,
+                "max_blocks": self.max_blocks}
 
 
 class ExponentialMapSpec:
@@ -200,7 +202,7 @@ class ConditionResult:
         return self.verdict == FAILS
 
     def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"verdict": self.verdict, "tag": self.tag, "certificate": self.certificate, "detail": self.detail}
 
 
 def _jvec(v: Vec) -> list[str]:
@@ -506,13 +508,17 @@ def condition_iv(spec: ExponentialMapSpec, caps: Caps = Caps()) -> ConditionResu
     vector of W + on its whole support. By Gordan's alternative that vector
     exists iff `face_below` the support is 0, so iv fails at the first of
     iii's candidates, in string order, whose P is dependent. Its dominating
-    vector is the first in string order, by `first_vector`."""
+    vector is the first in string order, by `first_vector`. With an all-+
+    covector of W no P != 0 is dependent, and iv holds with no candidate
+    built."""
     tag = "nondegeneracy-sign-sufficient"
     spec.require_square()
     n = spec.n
     if capped := over_cap("covector", n, caps.max_n_enumeration):
         return ConditionResult(INCONCLUSIVE, tag, detail=capped)
     om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
+    if om_w.cone.all_plus:
+        return ConditionResult(HOLDS, tag)
     full = (1 << n) - 1
     tau_t = next((t for t in spec.degeneracy_candidates if om_w.positively_dependent(t & full)), None)
     if tau_t is None:
@@ -681,21 +687,34 @@ class AnalysisReport:
     runtimes_ms: dict[str, float] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
+        """The report as JSON data. One matrix or face lattice object that
+        serves both sides is built once, and both sides share its dict."""
+        coeff = self.canonical_coeff.to_json_dict()
         return {
             "map": {
                 "n": self.n,
                 "d": self.d,
                 "d_tilde": self.d_tilde,
-                "canonical_coeff": self.canonical_coeff.to_json_dict(),
-                "canonical_exponents": self.canonical_exponents.to_json_dict(),
+                "canonical_coeff": coeff,
+                "canonical_exponents": coeff if self.canonical_exponents is self.canonical_coeff
+                else self.canonical_exponents.to_json_dict(),
             },
             "conditions": {k: v.to_json_dict() for k, v in sorted(self.conditions.items())},
             "classification": self.classification,
-            "cones": {k: _cone_json(v) for k, v in sorted(self.cones.items())},
+            "cones": _cones_json(self.cones),
             "sign_sets_equal": self.sign_sets_equal,
             "caps": self.caps.to_json_dict(),
             "runtimes_ms": dict(self.runtimes_ms),
         }
+
+
+def _cones_json(cones: dict[str, FaceLattice | None]) -> dict[str, dict | None]:
+    """The `cones` block, each distinct face lattice object built once."""
+    built: dict[int, dict | None] = {}
+    for fl in cones.values():
+        if id(fl) not in built:
+            built[id(fl)] = _cone_json(fl)
+    return {side: built[id(fl)] for side, fl in sorted(cones.items())}
 
 
 def _cone_json(fl: FaceLattice | None) -> dict | None:

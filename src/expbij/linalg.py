@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
@@ -44,7 +45,39 @@ def check(ok: bool, what: str):
         raise InternalInconsistency(what)
 
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
+
+
+@lru_cache(maxsize=1024)
+def _str_ratio(value: str) -> tuple[int, int]:
+    """`_ratio` of a string; the few strings a report repeats, such as "0"
+    and "1", are parsed once. The cache is bounded and its values are
+    immutable."""
+    match = _RATIONAL.fullmatch(value.strip())
+    if match is None:
+        raise InputError(f"not a rational: {value!r}")
+    p, q = match.groups()
+    try:
+        p, q = int(p), 1 if q is None else int(q)
+    except ValueError as exc:  # more digits than the int-string limit
+        raise InputError(f"not a rational: {value!r}") from exc
+    if q <= 0:
+        raise InputError(f"denominator must be positive in {value!r}")
+    return p, q
+
+
+def _ratio(value) -> tuple[int, int]:
+    """(p, q) with q > 0 for an entry that `frac` accepts, not necessarily in
+    lowest terms; InputError for any other."""
+    if isinstance(value, str):
+        return _str_ratio(value)
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, bool):
+        raise InputError(f"boolean is not a rational entry: {value!r}")
+    if isinstance(value, int):
+        return value, 1
+    raise InputError(f"unsupported rational entry of type {type(value).__name__}: {value!r}")
 
 
 def frac(value) -> Fraction:
@@ -53,32 +86,32 @@ def frac(value) -> Fraction:
     surround the string."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise InputError(f"boolean is not a rational entry: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        parts = value.strip().split("/")
-        if len(parts) > 2 or not all(_INTEGER.fullmatch(part) for part in parts):
-            raise InputError(f"not a rational: {value!r}")
-        try:
-            p, q = int(parts[0]), int(parts[1]) if len(parts) == 2 else 1
-        except ValueError as exc:  # more digits than the int-string limit
-            raise InputError(f"not a rational: {value!r}") from exc
-        if q <= 0:
-            raise InputError(f"denominator must be positive in {value!r}")
-        return Fraction(p, q)
-    raise InputError(f"unsupported rational entry of type {type(value).__name__}: {value!r}")
+    p, q = _ratio(value)
+    return Fraction(p, q) if q != 1 else Fraction(p)
 
 
 def frac_str(x: Fraction) -> str:
     """Lowest-terms string form, "p" or "p/q"."""
-    x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def vec(values) -> Vec:
     return tuple(frac(v) for v in values)
+
+
+def vec_ints(values) -> tuple[list[int], int]:
+    """The entries of `vec(values)` as ints over one positive denominator D,
+    the lcm of the entries' denominators as written: entry i is ints[i] / D.
+    It accepts and rejects exactly what `vec` does, and builds no Fraction."""
+    ints, D = [], 1
+    for v in values:
+        p, q = _str_ratio(v) if type(v) is str else _ratio(v)
+        if D % q:
+            m = lcm(D, q)
+            ints = [a * (m // D) for a in ints]
+            D = m
+        ints.append(p * (D // q))
+    return ints, D
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
@@ -328,6 +361,25 @@ def reduced(M: RationalMatrix) -> RationalMatrix:
     sharing M's echelon: M itself when it already is that matrix."""
     rows, pivots = rref(M)
     return M if rows == M.row_tuples else _seeded(rows[:len(pivots)], M.echelon())
+
+
+def seed_reduced(M: RationalMatrix) -> bool:
+    """Whether M is a full-rank reduced row echelon form, read off its
+    entries: each row's first nonzero entry is 1, lies right of the previous
+    row's, and is alone in its column. If so, M's echelon is set from its
+    rows over their denominators, with no elimination: those rows are
+    primitive, and `_rref_ints` would neither swap nor change them."""
+    rows, pivots = M.row_tuples, []
+    for row in rows:
+        c = next((j for j, a in enumerate(row) if a), None)
+        if c is None or row[c] != 1 or pivots and c <= pivots[-1]:
+            return False
+        pivots.append(c)
+    if any(row[c] for k, c in enumerate(pivots) for row in rows[:k]):
+        return False
+    if M._echelon is None:
+        M._echelon = tuple(map(tuple, _int_rows(rows)[0])), tuple(pivots)
+    return True
 
 
 def row_basis(M: RationalMatrix) -> RationalMatrix:

@@ -321,14 +321,14 @@ def realize_sign_vector(M: RationalMatrix, x: int, A: int) -> Vec | None:
 def realize_conformal_covector(M: RationalMatrix, x: int) -> Vec | None:
     """y with M^T y nonzero and sign(M^T y) <= the packed sign vector x, or
     None: one weak row per column, >= 0, <= 0 or = 0 by the sign of x there,
-    then the x-signed sum of the columns > 0."""
+    then the x-signed sum of the columns > 0, whose entries `dot` sums on
+    ints."""
     n = M.cols
     _check_packed(x, n)
     weak = {Rel.GT: Rel.GE, Rel.LT: Rel.LE, Rel.EQ: Rel.EQ}
     rows = [(M.column(i), weak[_rel(x, i, n)]) for i in range(n)]
-    plus, minus = bits(x & ((1 << n) - 1)), bits(x >> n)
-    weight = tuple(sum(r[i] for i in plus) - sum(r[i] for i in minus) for r in M.row_tuples)
-    rows.append((weight, Rel.GT))
+    signs = [(x >> i & 1) - (x >> i + n & 1) for i in range(n)]
+    rows.append((tuple(dot(r, signs) for r in M.row_tuples), Rel.GT))
     wit = feasible(make_system(M.rows, rows))
     return wit.point if wit else None
 

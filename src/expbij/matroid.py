@@ -376,7 +376,11 @@ class OrientedMatroid:
 
     def positively_dependent(self, I: int) -> bool:
         """Some v >= 0 in ker W has support exactly the index mask I: the sign
-        vector + on I and 0 elsewhere is a vector. Memoized per I."""
+        vector + on I and 0 elsewhere is a vector. Memoized per I. When the
+        facets cover every column (`cone.all_plus`) some y has W^T y > 0, so by
+        Gordan's alternative no nonzero I is, and no search runs."""
+        if I and self.cone.all_plus:
+            return False
         if I not in self._dependent:
             self._dependent[I] = self.extends(I, (1 << self.W.cols) - 1)
         return self._dependent[I]

@@ -2,19 +2,36 @@
 
 Reports are canonical JSON (sorted keys, lowest-terms "p/q" rationals) so
 they diff cleanly; per-condition runtimes are stored under "runtimes_ms",
-which the canonical form strips. verify_certificate re-checks every
-substitution-checkable claim in a report against the canonical matrices
-embedded in it, without re-running any search. Each matrix must be a
-full-rank reduced row echelon form, and the `map` block's n, d and d_tilde
-their shapes, with d = d_tilde. From the matrices' two tables of nonzero
-minor signs it decides sign_sets_equal, the facets that ii must cover, and
-every minor-form verdict and certificate by the analyzer's own rule,
-`minor_form`, one scan per form; from the facets of the two cones it decides
-robust_coefficients' verdict and reason by the analyzer's `cone_form`. The
-`cones` block must equal the face lattices of the two matrices up to the
-report's n cap, and be null past it. The closure forms that
-robust_exponents and robust_coefficients embed must equal cc's and
-cc_prime's certificates, so each closure certificate is checked once.
+which the canonical form strips at any depth.
+
+verify_certificate re-checks every substitution-checkable claim in a report
+against the canonical matrices embedded in it, on integers, re-running no
+search but the one that picks a failing i's sign vector. Each matrix is
+parsed once and must be a full-rank reduced row echelon form, which is read
+off its entries and gives its echelon with no elimination
+(`linalg.seed_reduced`); the `map` block's n, d and d_tilde must be their
+shapes, with d = d_tilde. One dict that serves both sides is parsed once,
+and equal matrices share one `OrientedMatroid`. Each certificate vector is
+parsed once into ints over one positive denominator (`linalg.vec_ints`) and
+each sign string into a packed int of length n (`signs.parse_signs`). Every
+claim is then checked by substitution into the integer view of its matrix,
+the rows over their common denominator D (`OrientedMatroid._common`), and
+equalities of rationals by cross-multiplying: W v = 0, sign(W^T x) = tau and
+z = Wt^T x. A closure certificate's orthogonal witness w must lie in the row
+space of the other matrix A, which its pivot columns p_k read off: D w =
+sum_k w[p_k] A_k. No kernel basis is built.
+
+From the two tables of nonzero minor signs the verifier decides
+sign_sets_equal, the facets that ii must cover, and every minor-form verdict
+and certificate by the analyzer's own rule, `minor_form`, one scan per form;
+from the facets of the two cones it decides robust_coefficients' verdict and
+reason by the analyzer's `cone_form`. A failing i must name the first common
+sign vector in string order, which the analyzer's prefix search over W's
+cocircuits and Wt's circuits recomputes. The `cones` block must equal the
+face lattices of the two matrices up to the report's n cap, and be null past
+it. The closure forms that robust_exponents and robust_coefficients embed
+must equal cc's and cc_prime's certificates, so each closure certificate is
+checked once.
 """
 
 from __future__ import annotations
@@ -22,12 +39,13 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import cache
+from operator import mul
 
 from . import __version__
-from .analyzer import FAILS, HOLDS, INCONCLUSIVE, AnalysisReport, _classify, _cone_json, cone_form, minor_form
-from .linalg import InputError, RationalMatrix, dot, frac, kernel_basis, rank, reduced, vec
-from .matroid import OrientedMatroid
-from .signs import SignSet, SignVector, over_cap, sign_of
+from .analyzer import FAILS, HOLDS, INCONCLUSIVE, AnalysisReport, _classify, _cones_json, cone_form, minor_form
+from .linalg import InputError, RationalMatrix, frac, seed_reduced, vec_ints
+from .matroid import OrientedMatroid, _prefix_index, first_orthogonal
+from .signs import over_cap, packed_signs, parse_signs, str_order
 
 TOOL = {"name": "expbij", "version": __version__}
 
@@ -42,10 +60,15 @@ def build_report(analysis: AnalysisReport, inputs: dict[str, str], seed: int | N
     return out
 
 
+_FLAT = frozenset({str, int, float, bool, type(None)})
+
+
 def _strip_volatile(obj):
+    """obj without its "runtimes_ms" keys, at any depth. Dicts are rebuilt;
+    a list of scalars is kept as it is."""
     if isinstance(obj, dict):
-        return {k: _strip_volatile(v) for k, v in obj.items() if k != "runtimes_ms"}
-    if isinstance(obj, list):
+        return {k: v if type(v) in _FLAT else _strip_volatile(v) for k, v in obj.items() if k != "runtimes_ms"}
+    if isinstance(obj, list) and not _FLAT.issuperset(map(type, obj)):
         return [_strip_volatile(v) for v in obj]
     return obj
 
@@ -74,8 +97,34 @@ def verify_certificate(report: dict) -> bool:
         return False
 
 
-def _sv(s: str) -> SignVector:
-    return SignVector.from_string(s)
+def _matrix(obj) -> RationalMatrix:
+    """A canonical matrix of the report, parsed, with its echelon read off."""
+    M = RationalMatrix.from_json_dict(obj)
+    _need(seed_reduced(M), "a canonical matrix is not a full-rank reduced row echelon form")
+    return M
+
+
+def _vector(values, length: int) -> tuple[list[int], int]:
+    """A certificate vector of the given length as ints over one positive
+    denominator."""
+    ints, D = vec_ints(values)
+    _need(len(ints) == length, "a vector has the wrong length")
+    return ints, D
+
+
+def _in_kernel(om: OrientedMatroid, v: list[int]) -> bool:
+    return not any(sum(map(mul, row, v)) for row in om._common[0])
+
+
+def _values(om: OrientedMatroid, x: list[int]) -> list[int]:
+    """W^T x for x given as ints over a denominator q, times D q: the signs of
+    W^T x, and its values up to that positive factor."""
+    return [sum(map(mul, col, x)) for col in zip(*om._common[0])]
+
+
+def _value_signs(om: OrientedMatroid, x) -> int:
+    """The packed signs of W^T x for a certificate functional x."""
+    return packed_signs(_values(om, _vector(x, om.W.rows)[0]))
 
 
 # the minor form that decides each condition key
@@ -85,23 +134,23 @@ _MINOR_FORMS = {"i": "i", "injectivity_minors": "i", "cc": "cc", "robust_exponen
 
 def _verify(report: dict):
     m = report["map"]
-    W = RationalMatrix.from_json_dict(m["canonical_coeff"])
-    Wt = RationalMatrix.from_json_dict(m["canonical_exponents"])
+    coeff, exponents = m["canonical_coeff"], m["canonical_exponents"]
+    W = _matrix(coeff)
+    Wt = W if exponents is coeff else _matrix(exponents)  # one dict when built for equal matrices
     _need(m["n"] == W.cols == Wt.cols and m["d"] == m["d_tilde"] == W.rows == Wt.rows,
           "map shape disagrees with its matrices, or d differs from d_tilde")
-    _need(all(rank(M) == M.rows and reduced(M) is M for M in (W, Wt)),
-          "a canonical matrix is not a full-rank reduced row echelon form")
-    om_w, om_wt = OrientedMatroid(W), OrientedMatroid(Wt)
+    om_w = OrientedMatroid(W)
+    om_wt = om_w if Wt == W else OrientedMatroid(Wt)
+    n = W.cols
     conditions = report["conditions"]
     _need(report["sign_sets_equal"] is om_w.equal_up_to_sign(om_wt),
           "sign_sets_equal disagrees with the minor signs")
     # the cones are enumerated, so only up to the report's n cap
-    past_cap = over_cap("covector", W.cols, report["caps"]["max_n_enumeration"])
-    _need(report["cones"] == {side: None if past_cap else _cone_json(om.face_lattice)
-                              for side, om in (("coeff", om_w), ("exp", om_wt))},
+    past_cap = over_cap("covector", n, report["caps"]["max_n_enumeration"])
+    _need(report["cones"] == ({"coeff": None, "exp": None} if past_cap else
+                              _cones_json({"coeff": om_w.face_lattice, "exp": om_wt.face_lattice})),
           "cones disagree with the matrices")
     form = cache(lambda key: minor_form(key, om_w, om_wt))
-    facets = SignSet(om_wt.nonneg_cocircuit_masks, Wt.cols).strings()  # of cone(Wt)
 
     for key, entry in conditions.items():
         cert = entry.get("certificate")
@@ -114,14 +163,18 @@ def _verify(report: dict):
             _need(verdict == want, f"{key} disagrees with the minor signs")
         _need(key != "i" or (cert is None) == (verdict == HOLDS), "i carries a certificate iff it fails")
         if key == "i" and verdict == FAILS:
-            tau = _sv(cert["common_sign_vector"])
-            v = vec(cert["kernel_vector"])
-            x = vec(cert["exponent_direction"])
-            z = vec(cert["rowspace_vector"])
-            _need(sign_of(v) == tau, "kernel vector sign mismatch")
-            _need(all(t == 0 for t in W.mat_vec(v)), "kernel vector not in ker W")
-            _need(Wt.transpose_vec(x) == z, "rowspace vector mismatch")
-            _need(sign_of(z) == tau, "rowspace vector sign mismatch")
+            tau = parse_signs(cert["common_sign_vector"], n)
+            # the str-first common sign vector: orthogonal to W's cocircuits and Wt's circuits
+            _need(tau == first_orthogonal(_prefix_index(om_wt.circuit_masks | om_w.cocircuit_masks, n), n),
+                  "common sign vector is not the first in string order")
+            v, _ = _vector(cert["kernel_vector"], n)
+            _need(packed_signs(v) == tau, "kernel vector sign mismatch")
+            _need(_in_kernel(om_w, v), "kernel vector not in ker W")
+            x, dx = _vector(cert["exponent_direction"], Wt.rows)
+            z, dz = _vector(cert["rowspace_vector"], n)
+            D = om_wt._common[1]
+            _need(all(a * dz == b * D * dx for a, b in zip(_values(om_wt, x), z)), "rowspace vector mismatch")
+            _need(packed_signs(z) == tau, "rowspace vector sign mismatch")
         elif key in ("injectivity_minors", "robust_both"):
             _need(cert == want_cert, "minor certificate is not the table's")
         elif key == "robust_exponents":
@@ -129,45 +182,43 @@ def _verify(report: dict):
             _need(cert.get("closure_form") == conditions["cc"].get("certificate"),
                   "closure form is not cc's certificate")
         elif key == "ii" and verdict == FAILS:
-            _need(cert["uncovered_face"] in facets, "uncovered face is not a facet")
-            tau_t = _sv(cert["uncovered_face"])
-            x_t = vec(cert["exponent_functional"])
-            _need(sign_of(Wt.transpose_vec(x_t)) == tau_t, "uncovered face not realized")
-            ev = vec(cert["kernel_interior_evidence"])
-            _need(all(t == 0 for t in W.mat_vec(ev)), "interior evidence not in ker W")
-            _need(all(ev[i] > 0 for i in tau_t.plus_set()), "interior evidence not positive")
+            tau_t = parse_signs(cert["uncovered_face"], n)
+            _need(tau_t in om_wt.nonneg_cocircuit_masks, "uncovered face is not a facet")
+            _need(_value_signs(om_wt, cert["exponent_functional"]) == tau_t, "uncovered face not realized")
+            ev, _ = _vector(cert["kernel_interior_evidence"], n)
+            _need(_in_kernel(om_w, ev), "interior evidence not in ker W")
+            _need(all(ev[i] > 0 for i in range(n) if tau_t >> i & 1), "interior evidence not positive")
         elif key == "ii" and verdict == HOLDS:
-            # one covering per facet, in string order
+            # one covering per facet of cone(Wt), in string order
+            facets = sorted(om_wt.nonneg_cocircuit_masks, key=str_order(n))
             _need((cert is None) == (not facets), "coverings do not match the facets")
             coverings = cert["coverings"] if facets else []
-            _need([cover["exponent_face"] for cover in coverings] == facets,
+            _need([parse_signs(cover["exponent_face"], n) for cover in coverings] == facets,
                   "coverings do not match the facets")
             for cover in coverings:
-                tau = _sv(cover["coeff_face"])
-                tau_t = _sv(cover["exponent_face"])
-                _need(not tau.is_zero() and tau.leq(tau_t),
-                      "covering face is zero or not below the covered one")
-                _need(sign_of(W.transpose_vec(vec(cover["coeff_functional"]))) == tau,
-                      "coefficient face not realized")
-                _need(sign_of(Wt.transpose_vec(vec(cover["exponent_functional"]))) == tau_t,
+                tau = parse_signs(cover["coeff_face"], n)
+                tau_t = parse_signs(cover["exponent_face"], n)
+                _need(tau and not tau & ~tau_t, "covering face is zero or not below the covered one")
+                _need(_value_signs(om_w, cover["coeff_functional"]) == tau, "coefficient face not realized")
+                _need(_value_signs(om_wt, cover["exponent_functional"]) == tau_t,
                       "exponent face not realized")
         elif key == "iii" and verdict == FAILS:
-            _verify_degeneracy(W, Wt, cert)
+            _verify_degeneracy(om_w, om_wt, cert)
         elif key == "iv" and verdict == FAILS:
-            tau_t = _sv(cert["exponent_covector"])
-            _need(sign_of(Wt.transpose_vec(vec(cert["exponent_functional"]))) == tau_t,
-                  "exponent covector not realized")
-            v = vec(cert["positive_dependence"])
-            _need(all(t == 0 for t in W.mat_vec(v)), "dependence not in ker W")
-            _need(all(x >= 0 for x in v), "dependence not nonnegative")
-            _need({i for i, x in enumerate(v) if x > 0} == set(tau_t.plus_set()),
-                  "dependence support mismatch")
-            u = vec(cert["dominating_kernel_vector"])
-            _need(all(t == 0 for t in W.mat_vec(u)), "dominating vector not in ker W")
-            _need(sign_of(u) == _sv(cert["dominating_sign_vector"]), "dominating sign mismatch")
-            _need(all(u[i] > 0 for i in tau_t.support_set()), "dominating vector not positive on support")
+            tau_t = parse_signs(cert["exponent_covector"], n)
+            _need(_value_signs(om_wt, cert["exponent_functional"]) == tau_t, "exponent covector not realized")
+            v, _ = _vector(cert["positive_dependence"], n)
+            _need(_in_kernel(om_w, v), "dependence not in ker W")
+            _need(all(a >= 0 for a in v), "dependence not nonnegative")
+            _need(packed_signs(v) == tau_t & (1 << n) - 1, "dependence support mismatch")
+            u, _ = _vector(cert["dominating_kernel_vector"], n)
+            _need(_in_kernel(om_w, u), "dominating vector not in ker W")
+            _need(packed_signs(u) == parse_signs(cert["dominating_sign_vector"], n), "dominating sign mismatch")
+            support = (tau_t | tau_t >> n) & (1 << n) - 1
+            _need(all(u[i] > 0 for i in range(n) if support >> i & 1),
+                  "dominating vector not positive on support")
         elif key in ("cc", "cc_prime") and verdict == FAILS:
-            _verify_closure_cert(W, Wt, key, cert)
+            _verify_closure_cert(om_w, om_wt, key, cert)
         elif key == "robust_coefficients":
             # the facets decide every reason; only a separating face takes the cap
             want, reason = cone_form(form("cc_prime")[0], om_w, om_wt)
@@ -188,25 +239,35 @@ def _verify(report: dict):
     _need(report["classification"] == want, "classification inconsistent with verdicts")
 
 
-def _verify_closure_cert(W, Wt, key, cert):
-    first, second = (W, Wt) if key == "cc" else (Wt, W)
-    pi = _sv(cert["excluded_sign_vector"])
-    v = vec(cert["kernel_vector"])
-    _need(sign_of(v) == pi, "excluded vector sign mismatch")
-    _need(all(t == 0 for t in first.mat_vec(v)), "excluded vector not in the kernel")
-    z = vec(cert["orthogonal_witness"])
-    _need(any(x != 0 for x in z), "orthogonal witness is zero")
-    _need(sign_of(z).leq(pi), "orthogonal witness not conformal to the excluded vector")
-    for b in kernel_basis(second).vectors:
-        _need(dot(z, b) == 0, "orthogonal witness not orthogonal to the kernel")
+def _verify_closure_cert(om_w: OrientedMatroid, om_wt: OrientedMatroid, key: str, cert):
+    first, second = (om_w, om_wt) if key == "cc" else (om_wt, om_w)
+    n = first.W.cols
+    pi = parse_signs(cert["excluded_sign_vector"], n)
+    v, _ = _vector(cert["kernel_vector"], n)
+    _need(packed_signs(v) == pi, "excluded vector sign mismatch")
+    _need(_in_kernel(first, v), "excluded vector not in the kernel")
+    w, _ = _vector(cert["orthogonal_witness"], n)
+    signs = packed_signs(w)
+    _need(signs != 0, "orthogonal witness is zero")
+    _need(not signs & ~pi, "orthogonal witness not conformal to the excluded vector")
+    # ker(second) is orthogonal to w iff w is in the row space of second, the
+    # combination of its rows A_k by w's entries at their pivots (A_k is 1 there)
+    rows, D = second._common
+    combination = [0] * n
+    for p, row in zip(second.W.echelon()[1], rows):
+        if c := w[p]:
+            combination = [a + c * b for a, b in zip(combination, row)]
+    _need(all(D * a == b for a, b in zip(w, combination)), "orthogonal witness not orthogonal to the kernel")
 
 
-def _verify_degeneracy(W, Wt, cert):
-    x = vec(cert["direction"])
-    z = vec(cert["z"])
-    _need(Wt.transpose_vec(x) == z, "value vector mismatch")
-    tau = _sv(cert["sign_vector"])
-    _need(sign_of(z) == tau, "value vector sign mismatch")
+def _verify_degeneracy(om_w: OrientedMatroid, om_wt: OrientedMatroid, cert):
+    n = om_w.W.cols
+    x, dx = _vector(cert["direction"], om_wt.W.rows)
+    z, dz = _vector(cert["z"], n)
+    D = om_wt._common[1]
+    _need(all(a * dz == b * D * dx for a, b in zip(_values(om_wt, x), z)), "value vector mismatch")
+    tau = parse_signs(cert["sign_vector"], n)
+    _need(packed_signs(z) == tau, "value vector sign mismatch")
     blocks = cert["blocks"]
     _need(len(blocks) > 0, "no blocks")
     levels = [frac(b["level"]) for b in blocks]
@@ -214,16 +275,17 @@ def _verify_degeneracy(W, Wt, cert):
     _need(levels == sorted(levels, reverse=True) and len(set(levels)) == len(levels),
           "block levels not strictly decreasing")
     covered = []
-    for b in blocks:
+    for b, level in zip(blocks, levels):
         idx = [i - 1 for i in b["indices"]]
-        level = frac(b["level"])
-        _need(all(z[i] == level for i in idx), "block entries do not sit at the level")
-        kv = vec(b["kernel_vector"])
-        _need(all(t == 0 for t in W.mat_vec(kv)), "block vector not in ker W")
+        _need(all(z[i] * level.denominator == level.numerator * dz for i in idx),
+              "block entries do not sit at the level")
+        kv, _ = _vector(b["kernel_vector"], n)
+        _need(_in_kernel(om_w, kv), "block vector not in ker W")
         _need(all(t >= 0 for t in kv), "block vector not nonnegative")
         _need({i for i, t in enumerate(kv) if t > 0} == set(idx), "block vector support mismatch")
         covered.extend(idx)
-    _need(sorted(covered) == sorted(tau.plus_set()), "blocks do not partition the positive part")
-    ev = vec(cert["no_cover_evidence"])
-    _need(all(t == 0 for t in W.mat_vec(ev)), "no-cover evidence not in ker W")
-    _need(all(ev[i] > 0 for i in tau.support_set()), "no-cover evidence not positive on the support")
+    _need(sorted(covered) == [i for i in range(n) if tau >> i & 1], "blocks do not partition the positive part")
+    ev, _ = _vector(cert["no_cover_evidence"], n)
+    _need(_in_kernel(om_w, ev), "no-cover evidence not in ker W")
+    support = (tau | tau >> n) & (1 << n) - 1
+    _need(all(ev[i] > 0 for i in range(n) if support >> i & 1), "no-cover evidence not positive on the support")

@@ -197,6 +197,19 @@ def sign_string(x: int, n: int) -> str:
     return "".join([_CHUNK[(plus >> k & 15) | (minus >> k & 15) << 4] for k in range(0, n, 4)])[:n]
 
 
+# a sign string reversed, as the binary digits of its plus and of its minus mask
+_PLUS_DIGITS, _MINUS_DIGITS = str.maketrans("+-0", "100"), str.maketrans("+-0", "010")
+
+
+def parse_signs(s: str, n: int) -> int:
+    """The packed sign vector of a string of +, - and 0 of length n,
+    position 0 first; ValueError for anything else."""
+    if not isinstance(s, str) or len(s) != n or s.count("+") + s.count("-") + s.count("0") != len(s):
+        raise ValueError(f"not a sign vector string of length {n}: {s!r}")
+    r = s[::-1]
+    return int(r.translate(_PLUS_DIGITS), 2) | int(r.translate(_MINUS_DIGITS), 2) << n
+
+
 class SignSet(Set):
     """A read-only set of sign vectors of length n over a frozen set of packed
     ints, which it wraps without copying. Length, membership, equality and the

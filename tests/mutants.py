@@ -231,6 +231,18 @@ MUTANTS = [
      "return len(eq) >= dim and len(_rref_ints(_int_rows(eq)[0], dim)[1]) == dim",
      "return len(eq) >= dim - 1 and len(_rref_ints(_int_rows(eq)[0], dim)[1]) >= dim - 1",
      ["test_analyzer.py::test_iii_systems_settled_empty_are_infeasible"]),
+    ("dependence-shortcut-on-pointed-cones", "matroid",
+     "if I and self.cone.all_plus:",
+     "if I and self.cone.pointed:",
+     ["test_analyzer.py::test_positive_dependence_without_search_matches_the_prefix_search"]),
+    ("iv-holds-on-pointed-cones", "analyzer",
+     "    if om_w.cone.all_plus:\n        return ConditionResult(HOLDS, tag)\n",
+     "    if om_w.cone.pointed:\n        return ConditionResult(HOLDS, tag)\n",
+     ["test_analyzer.py::test_packed_picks_match_signvector_oracle_on_random_corpus"]),
+    ("conformal-weight-unsigned", "lp",
+     "signs = [(x >> i & 1) - (x >> i + n & 1) for i in range(n)]",
+     "signs = [(x >> i & 1) + (x >> i + n & 1) for i in range(n)]",
+     ["test_lp.py::test_simplex_matches_fraction_oracle"]),
     ("dependence-memo-restricted-to-I", "matroid",
      "self._dependent[I] = self.extends(I, (1 << self.W.cols) - 1)",
      "self._dependent[I] = self.extends(I, I)",
@@ -251,16 +263,37 @@ MUTANTS = [
      "True",
      ["test_cli.py::test_verify_certificate_rejects_a_map_that_disagrees_with_its_matrices"]),
     ("verifier-skips-the-rref-check", "report",
-     "all(rank(M) == M.rows and reduced(M) is M for M in (W, Wt))",
-     "True",
+     '_need(seed_reduced(M), "a canonical matrix',
+     '_need(True, "a canonical matrix',
      ["test_cli.py::test_verify_certificate_rejects_a_map_that_disagrees_with_its_matrices"]),
+    ("rref-read-off-accepts-any-pivot-entry", "linalg",
+     "if c is None or row[c] != 1 or pivots and c <= pivots[-1]:",
+     "if c is None or pivots and c <= pivots[-1]:",
+     ["test_cli.py::test_verify_certificate_rejects_a_map_that_disagrees_with_its_matrices",
+      "test_verifier.py::test_seeded_echelon_is_the_eliminated_one"]),
+    ("verifier-shares-one-matroid-for-unequal-matrices", "report",
+     "om_wt = om_w if Wt == W else OrientedMatroid(Wt)",
+     "om_wt = om_w",
+     ["test_cli.py::test_report_verifies_and_tamper_detected"]),
+    ("sign-strings-of-any-length", "signs",
+     "if not isinstance(s, str) or len(s) != n or",
+     "if not isinstance(s, str) or",
+     ["test_verifier.py::test_verify_certificate_rejects_sign_strings_of_the_wrong_length"]),
+    ("verifier-accepts-any-common-sign-vector", "report",
+     "            _need(tau == first_orthogonal(",
+     "            _need(True or tau == first_orthogonal(",
+     ["test_verifier.py::test_verify_certificate_requires_the_first_common_sign_vector"]),
     ("verifier-accepts-a-certificate-on-a-holding-i", "report",
      '(cert is None) == (verdict == HOLDS), "i carries a certificate iff it fails")',
      'True, "")',
      ["test_cli.py::test_verify_certificate_checks_i_past_the_cap"]),
-    ("verifier-kernel-always-of-W", "report",
-     "    for b in kernel_basis(second).vectors:\n",
-     "    for b in kernel_basis(W).vectors:\n",
+    ("verifier-row-space-always-of-Wt", "report",
+     "    rows, D = second._common\n",
+     "    rows, D = om_wt._common\n",
+     ["test_cli.py::test_verify_certificate_checks_each_distinct_closure_certificate"]),
+    ("verifier-row-space-skips-a-pivot", "report",
+     "for p, row in zip(second.W.echelon()[1], rows):",
+     "for p, row in zip(second.W.echelon()[1][1:], rows[1:]):",
      ["test_cli.py::test_verify_certificate_checks_each_distinct_closure_certificate"]),
     ("verifier-raises-on-deep-nesting", "report",
      "            ZeroDivisionError, RecursionError):\n",

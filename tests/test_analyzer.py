@@ -566,6 +566,25 @@ def test_iii_skips_only_candidates_without_partitions():
     assert skipped >= 100 and searched >= 10, (skipped, searched)
 
 
+def test_positive_dependence_without_search_matches_the_prefix_search():
+    # with an all-+ covector (cone.all_plus) no nonzero index mask is
+    # positively dependent, by Gordan's alternative, and positively_dependent
+    # answers with no search; on every index mask of both corpora's matrices
+    # it equals the prefix search, extends(I, all columns)
+    seen = Counter()
+    for spec in _corpus(200) + _zero_heavy_corpus(60):
+        for M in (spec.coeff, spec.exponents):
+            om = OrientedMatroid(M)
+            full = (1 << M.cols) - 1
+            for I in range(full + 1):
+                assert om.positively_dependent(I) == om.extends(I, full), (M, I)
+            if om.cone.all_plus:
+                assert set(om._dependent) <= {0}, M  # searched only for I = 0
+            seen[om.cone.all_plus, om.cone.pointed] += 1
+    # all-+, pointed with a zero column, and neither
+    assert seen[True, True] and seen[False, True] and seen[False, False], seen
+
+
 def test_iii_skips_a_candidate_before_counting_its_blocks():
     # a candidate whose positive part is not positively dependent has no
     # partition, so it is skipped before max_blocks is compared with its
@@ -830,8 +849,9 @@ def test_circuits_only_for_the_covector_pass(monkeypatch):
     # analyze builds are the exponent matrix's, for the covectors that iv and
     # iii read and the joint search of i (past the n cap only for a failing
     # i, whose sigma the search finds), and the coefficient matrix's, whose
-    # conformal circuits give a kernel witness on all columns; the verifier
-    # and face_lattice build none
+    # conformal circuits give a kernel witness on all columns; face_lattice
+    # builds none, and the verifier only the exponent matrix's, for the joint
+    # search that rechecks the common sign vector of a failing i
     built = []
     circuit_masks = OrientedMatroid.circuit_masks.func
 
@@ -850,7 +870,9 @@ def test_circuits_only_for_the_covector_pass(monkeypatch):
         seen["coefficient table"] += rep.canonical_coeff in matrices
         built.clear()
         assert verify_certificate(build_report(rep, {}))
-        assert not built, (rep.canonical_coeff, rep.canonical_exponents)
+        assert [om.W for om in built] == [rep.canonical_exponents] * rep.conditions["i"].fails, (
+            rep.canonical_coeff, rep.canonical_exponents)
+        built.clear()
 
     seen = Counter()
     specs = _corpus(200) + [sv_example(Fraction(a)) for a in SV_ALPHAS]

@@ -7,12 +7,14 @@ from itertools import combinations
 
 import pytest
 
+import expbij.analyzer
 import expbij.cli
+import expbij.linalg
 import expbij.matroid
 import expbij.report
 from expbij.analyzer import Caps, ExponentialMapSpec, _classify, analyze
 from expbij.cli import ROBUST_KEYS, main
-from expbij.linalg import InternalInconsistency, RationalMatrix, kernel_basis, maximal_minor_signs, rank
+from expbij.linalg import InternalInconsistency, RationalMatrix, maximal_minor_signs, rank
 from expbij.matroid import circuits, cocircuits, covectors, face_lattice, vectors
 from expbij.report import build_report, canonical_json, digest_of, verify_certificate
 from test_analyzer import (
@@ -812,9 +814,10 @@ def test_verify_certificate_computes_each_minor_table_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_verify_certificate_computes_each_kernel_basis_once(monkeypatch):
+def test_verify_certificate_builds_no_kernel_basis(monkeypatch):
     # four closure certificates (cc, cc_prime and the closure forms of both
-    # robustness conditions) over the report's two matrices
+    # robustness conditions) over the report's two matrices: each orthogonal
+    # witness is checked against the rows of the other matrix, not its kernel
     W, Wt = VERIFY_EXAMPLES["FOUR_CLOSURES"]
     spec = ExponentialMapSpec(RationalMatrix(W), RationalMatrix(Wt))
     report = json.loads(canonical_json(build_report(analyze(spec), {})))
@@ -823,10 +826,15 @@ def test_verify_certificate_computes_each_kernel_basis_once(monkeypatch):
     assert "closure_form" in conditions["robust_exponents"]["certificate"]
     assert "closure_form" in conditions["robust_coefficients"]["certificate"]
     calls = []
-    monkeypatch.setattr(expbij.report, "kernel_basis",
-                        lambda M: calls.append(M) or kernel_basis(M))
+    for module in (expbij.linalg, expbij.matroid, expbij.analyzer):
+        for name in ("kernel_basis", "_kernel_ints"):
+            if hasattr(module, name):
+                built = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, built=built: calls.append(a) or built(*a))
     assert verify_certificate(report)
-    assert len(calls) == 2 and calls[0] != calls[1]
+    assert calls == []
+    analyze(ExponentialMapSpec(RationalMatrix(W), RationalMatrix(Wt)))  # the analyzer does build them
+    assert calls
 
 
 @pytest.mark.parametrize("key, own", [("robust_exponents", "cc"), ("robust_coefficients", "cc_prime")])
