@@ -33,10 +33,10 @@ kernel and covector witnesses come from the same `OrientedMatroid`
 (`vector_point`, `covector_point`): a cocircuit's is read off its line, and
 a kernel witness on all columns off its conformal circuits where they span
 a simplicial cone whose least point is the LP's optimum; the LP solves the
-rest, with the same bytes. The closure's orthogonal witness comes from
-`matroid.orthogonal_witness`. Only the
-nondegeneracy search builds LP rows of its own, and it settles a system
-whose equality rows have full rank empty without the LP (`_only_origin`),
+rest, with the same bytes, and so does the closure's orthogonal witness
+(`orthogonal_point`). Only the nondegeneracy search builds LP rows of its
+own, and it settles a system whose equality rows have full rank empty
+without the LP (`_only_origin`),
 since only x = 0 meets them and a strict row fails there. newton's lifted
 matrix keeps its `OrientedMatroid` to itself. The certificate verifier
 calls the analyzer's two rules: `minor_form`, one scan over the two tables
@@ -48,7 +48,7 @@ the facets of the two cones.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -64,14 +64,12 @@ from .linalg import (
     check,
     dot,
     frac_str,
-    kernel_basis,
     rank,
     reduced,
     vec_sub,
 )
 from .lp import Rel, feasible, make_system
-from .matroid import (FaceLattice, OrientedMatroid, _orthogonal_masks, _prefix_index, first_orthogonal,
-                      orthogonal_witness)
+from .matroid import FaceLattice, OrientedMatroid, _orthogonal_masks, first_common_sign_vector
 from .signs import MAX_N_ENUMERATION, bits, over_cap, packed_signs, str_order, unpack
 
 HOLDS = "holds"
@@ -98,14 +96,12 @@ class Caps:
     def from_json_dict(cls, obj) -> "Caps":
         if not isinstance(obj, dict):
             raise InputError("caps JSON must be an object")
-        known = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
-        unknown = set(obj) - set(known)
-        if unknown:
+        if unknown := obj.keys() - cls.__dataclass_fields__.keys():
             raise InputError(f"unknown caps fields: {sorted(unknown)}")
-        for f, value in known.items():
+        for f, value in obj.items():
             if type(value) is not int or value < 0:  # bool is an int subclass
                 raise InputError(f"caps field {f} must be a non-negative integer, got {value!r}")
-        return cls(**known)
+        return cls(**obj)
 
     def to_json_dict(self) -> dict:
         return {"max_n_enumeration": self.max_n_enumeration, "max_partition_pairs": self.max_partition_pairs,
@@ -258,11 +254,11 @@ def _excluded_tope(om_first: OrientedMatroid, om_second: OrientedMatroid, n: int
 def injectivity_via_signs(spec: ExponentialMapSpec) -> ConditionResult:
     """Injective for all c > 0 iff sign(ker W) meets sign(im Wt^T) only in 0.
     A common sign vector is orthogonal to W's cocircuits and Wt's circuits,
-    so one prefix search over both (`matroid.first_orthogonal`) finds the
-    first in string order, sigma, which is zero, the last, iff i holds."""
+    so one prefix search over both (`matroid.first_common_sign_vector`) finds
+    the first in string order, sigma, which is zero, the last, iff i holds."""
     tag, n = "injectivity-sign-criterion", spec.n
     om_w, om_wt = spec._om(spec.coeff), spec._om(spec.exponents)
-    sigma = first_orthogonal(_prefix_index(om_wt.circuit_masks | om_w.cocircuit_masks, n), n)
+    sigma = first_common_sign_vector(om_w, om_wt)
     if not sigma:
         return ConditionResult(HOLDS, tag)
     v = om_w.vector_point(sigma, (1 << n) - 1)
@@ -593,7 +589,7 @@ def _closure_result(spec, swap: bool, tag: str) -> ConditionResult:
     check(v is not None, f"excluded sign vector {tau} has no kernel realization")
     # the sign sets rule out a dominating vector of ker(second), so by Minty's
     # alternative the orthogonal branch must hold
-    w = orthogonal_witness(kernel_basis(second), excluded)
+    w = spec._om(second).orthogonal_point(excluded)
     check(w is not None, "excluded sign vector admits a dominating one")
     return ConditionResult(FAILS, tag, certificate={
         "excluded_sign_vector": tau,
@@ -763,23 +759,14 @@ def analyze(spec: ExponentialMapSpec, caps: Caps = Caps()) -> AnalysisReport:
     check(ccp.verdict == minor_form("cc_prime", om_w, om_wt)[0],
           "reversed closure condition disagrees with its minor form")
 
-    t0 = time.perf_counter()
-    if sign_sets_equal:
-        cond_iii = ConditionResult(HOLDS, "properness-nondegeneracy",
-                                   detail="kernel sign sets are equal")
-    elif cond_iv.holds:
-        cond_iii = ConditionResult(HOLDS, "properness-nondegeneracy",
-                                   detail="implied by the sign-sufficient condition")
-    elif cc.holds or ccp.holds:
-        cond_iii = ConditionResult(HOLDS, "properness-nondegeneracy",
-                                   detail="implied by a closure condition")
-    elif newton.holds:
-        cond_iii = ConditionResult(HOLDS, "properness-nondegeneracy",
-                                   detail="implied by the positive-face test")
+    implied = ("kernel sign sets are equal" if sign_sets_equal
+               else "implied by the sign-sufficient condition" if cond_iv.holds
+               else "implied by a closure condition" if cc.holds or ccp.holds
+               else "implied by the positive-face test" if newton.holds else None)
+    if implied:
+        run("iii", ConditionResult, HOLDS, "properness-nondegeneracy", None, implied)
     else:
-        cond_iii = condition_iii_exact(spec_c, caps)
-    conditions["iii"] = cond_iii
-    runtimes["iii"] = round((time.perf_counter() - t0) * 1000, 3)
+        run("iii", condition_iii_exact, spec_c, caps)
 
     run("robust_exponents", robust_exponents, spec_c)
     run("robust_coefficients", robust_coefficients, spec_c, caps)

@@ -28,6 +28,7 @@ from math import gcd, lcm, prod
 
 Vec = tuple[Fraction, ...]
 _ZERO, _ONE = Fraction(0), Fraction(1)
+_UNITS = (_ZERO, _ONE, -_ONE)  # indexed by 0, 1 and -1
 
 
 class InputError(ValueError):
@@ -83,7 +84,9 @@ def _ratio(value) -> tuple[int, int]:
 def frac(value) -> Fraction:
     """Parse an entry: int, Fraction, or a string "p" or "p/q" with q > 0,
     where p and q are an optional sign and ASCII digits; whitespace may
-    surround the string."""
+    surround the string. The ints 0, 1 and -1 share one Fraction each."""
+    if type(value) is int:  # not a bool
+        return _UNITS[value] if -1 <= value <= 1 else Fraction(value)
     if isinstance(value, Fraction):
         return value
     p, q = _ratio(value)
@@ -272,7 +275,7 @@ class RationalMatrix:
             raise InputError('matrix JSON must be an object whose "entries" is a list of rows')
         mat = cls(entries)
         for key, want in (("rows", mat.rows), ("cols", mat.cols)):
-            if key in obj and obj[key] != want:
+            if key in obj and (type(obj[key]) is not int or obj[key] != want):
                 raise InputError(f'matrix JSON field "{key}"={obj[key]} does not match entries ({want})')
         return mat
 

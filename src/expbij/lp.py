@@ -11,20 +11,20 @@ LPs are homogeneous apart from the margin row t + s = 1, so the origin is
 feasible and the margin is at most 1: every one has an optimum, and `_simplex`
 treats an infeasible or unbounded LP as an internal inconsistency.
 
-Every realization LP is built here, by one of three builders that take
-sign vectors as packed ints (`plus | minus << n`, see `signs`):
+Every realization LP is built here, by one of three builders that take sign
+vectors as packed ints (`plus | minus << n`, see `signs`):
 `realize_kernel_sign` builds the kernel systems and `realize_sign_vector` the
 covector systems, each signed on an index mask and free elsewhere, and
 `realize_conformal_covector` the orthogonal branch of Minty's alternative, a
-nonzero covector conformal to a sign vector. `matroid.OrientedMatroid`
-memoizes the first two per argument and calls them only where this
-module's answer is not known in closed form: a covector system whose points
-lie on one line is read off it (`matroid.ray_point`), and a kernel system
-on all columns off the circuits conformal to its sign vector when they span
-a simplicial cone whose least point has margin 1 (the least point of the
-optimal face, so the only vertex Bland's rule can stop at), or answered
-None when they do not cover it (`matroid.OrientedMatroid._conformal_point`).
-`matroid` builds no LP rows itself.
+nonzero covector conformal to a sign vector (`OrientedMatroid.orthogonal_point`
+reads its rows off an integer echelon). `matroid.OrientedMatroid` memoizes the
+first two per argument and calls them only where this module's answer is not
+known in closed form: a covector system whose points lie on one line is read
+off it (`matroid.ray_point`), and a kernel system on all columns off the
+circuits conformal to its sign vector when they span a simplicial cone whose
+least point has margin 1 (the least point of the optimal face, so the only
+vertex Bland's rule can stop at), or answered None when they do not cover it
+(`matroid.OrientedMatroid._conformal_point`). `matroid` builds no LP rows itself.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 
-from .linalg import InputError, RationalMatrix, Vec, check, dot
+from .linalg import _ZERO, InputError, RationalMatrix, Vec, check, dot
 from .signs import bits
 
 
@@ -190,9 +189,6 @@ def _simplex(rows: list[list[int]], c: list[int]):
     return T, basis
 
 
-_ZERO = Fraction(0)
-
-
 def feasible(system: SignSystem) -> FeasibilityWitness | None:
     """Exact witness for the open/closed system, or None if it has no solution.
 
@@ -275,13 +271,6 @@ def check_witness(system: SignSystem, witness: FeasibilityWitness) -> bool:
     return True
 
 
-@cache
-def unit_vectors(n: int) -> tuple[Vec, ...]:
-    """The n unit vectors of Q^n. They are shared between calls, which is
-    safe because the tuples are immutable."""
-    return tuple(tuple(Fraction(int(j == i)) for j in range(n)) for i in range(n))
-
-
 def _rel(x: int, i: int, n: int) -> Rel:
     """The requirement of the packed sign vector x at position i."""
     return Rel.GT if x >> i & 1 else Rel.LT if x >> i + n & 1 else Rel.EQ
@@ -290,12 +279,11 @@ def _rel(x: int, i: int, n: int) -> Rel:
 def realize_kernel_sign(M: RationalMatrix, x: int, A: int) -> Vec | None:
     """v with M v = 0 whose signs agree with the packed sign vector x on the
     index mask A, the other coordinates free, or None. This builds every
-    kernel system: the rows of M as EQ, then one unit row for each i in A, in
-    increasing i, with the sign of x at i."""
+    kernel system: the rows of M as EQ, then one int unit row for each i in
+    A, in increasing i, with the sign of x at i."""
     n = M.cols
-    unit = unit_vectors(n)
     rows = [(M.row(i), Rel.EQ) for i in range(M.rows)]
-    rows += [(unit[i], _rel(x, i, n)) for i in bits(A)]
+    rows += [(tuple(int(j == i) for j in range(n)), _rel(x, i, n)) for i in bits(A)]
     wit = feasible(make_system(n, rows))
     return wit.point if wit else None
 

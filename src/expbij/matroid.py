@@ -18,7 +18,8 @@ module functions are the `SignVector` API: they share one `OrientedMatroid`
 per matrix object, return `SignSet` views and raise `EnumerationCap` past
 the n cap (`signs.over_cap`). The benchmark's `enumerate` workload binds
 `Chirotope` and `cocircuits_from_chirotope`, thin views of the table, by
-name. Minty's alternative also lives here; its systems come from `lp`.
+name. Minty's alternative also lives here; its orthogonal branch, which is
+also the closure certificates' witness, is `orthogonal_point`.
 
 The witnesses of `OrientedMatroid.vector_point` (on all columns) and
 `covector_point` are `lp`'s answers, read off the integer echelon where the
@@ -76,11 +77,11 @@ from .linalg import (
     _kernel_ints,
     _rref_ints,
     check,
-    kernel_basis,
+    matrix_with_kernel,
     maximal_minor_signs,
     row_basis,
 )
-from .lp import realize_conformal_covector, realize_kernel_sign, realize_sign_vector, unit_vectors
+from .lp import realize_conformal_covector, realize_kernel_sign, realize_sign_vector
 from .signs import MAX_N_ENUMERATION, EnumerationCap, SignSet, SignVector, bits, over_cap, pack, packed_signs
 
 
@@ -496,6 +497,18 @@ class OrientedMatroid:
             self._covector_points[x] = point
         return self._covector_points[x]
 
+    def orthogonal_point(self, x: int) -> Vec | None:
+        """Nonzero w = C^T y in the row space of W with sign(w) <= the packed x,
+        or None (`lp.realize_conformal_covector`). C's rows, positive multiples
+        of the kernel basis of the kernel basis (scales that leave Bland's
+        pivots and w unchanged), are read off W's echelon; unmemoized."""
+        n = self.W.cols
+        kernel = _kernel_ints(*self.W.echelon(), n)
+        rows = _kernel_ints(*_rref_ints(kernel, n), n)
+        C = RationalMatrix._of(tuple(tuple(map(Fraction, row)) for row in rows))
+        y = realize_conformal_covector(C, x)
+        return None if y is None else C.transpose_vec(y)
+
     @cached_property
     def nonneg_cocircuit_masks(self) -> frozenset[int]:
         """The cocircuits in {0,+}^n, packed (a nonnegative packed int has no
@@ -583,6 +596,13 @@ class OrientedMatroid:
         return FaceLattice(faces=SignSet(self.nonneg_covector_masks, self.W.cols), **vars(self.cone))
 
 
+def first_common_sign_vector(om_w: OrientedMatroid, om_wt: OrientedMatroid) -> int:
+    """The first sign vector in string order orthogonal to W's cocircuits and
+    Wt's circuits, so in sign(ker W) and sign(im Wt^T), packed; 0 comes last."""
+    n = om_w.W.cols
+    return first_orthogonal(_prefix_index(om_wt.circuit_masks | om_w.cocircuit_masks, n), n)
+
+
 def oriented_matroid(M: RationalMatrix) -> OrientedMatroid:
     """The OrientedMatroid of M, built once per matrix object and kept on it.
 
@@ -657,19 +677,6 @@ def minty_alternative(basis: SubspaceBasis, sigma: SignVector) -> MintyWitness:
         y = realize_sign_vector(basis.matrix, x, sigma.support)
         if y is not None:
             return MintyWitness("subspace", basis.matrix.transpose_vec(y))
-    dual = orthogonal_witness(basis, x)
+    dual = OrientedMatroid(matrix_with_kernel(basis)).orthogonal_point(x)
     check(dual is not None, "both branches of the alternative failed")
     return MintyWitness("orthogonal", dual)
-
-
-def orthogonal_witness(basis: SubspaceBasis, x: int) -> Vec | None:
-    """Nonzero v in S-perp with sign(v) <= the packed sign vector x, or None:
-    the orthogonal branch of the alternative on its own. S-perp is spanned by
-    the kernel basis of the basis matrix, which fixes the LP and so the
-    witness."""
-    n = basis.ambient_dim
-    C = kernel_basis(basis.matrix).matrix if basis.dim else RationalMatrix._of(unit_vectors(n))
-    if C is None:
-        return None
-    y = realize_conformal_covector(C, x)
-    return None if y is None else C.transpose_vec(y)

@@ -31,7 +31,7 @@ cocircuits and Wt's circuits recomputes. The `cones` block must equal the
 face lattices of the two matrices up to the report's n cap, and be null past
 it. The closure forms that robust_exponents and robust_coefficients embed
 must equal cc's and cc_prime's certificates, so each closure certificate is
-checked once.
+checked once. Integers are read by type, as true == 1 == 1.0 (`_same`).
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from functools import cache
 from operator import mul
 
 from . import __version__
-from .analyzer import FAILS, HOLDS, INCONCLUSIVE, AnalysisReport, _classify, _cones_json, cone_form, minor_form
+from .analyzer import FAILS, HOLDS, INCONCLUSIVE, AnalysisReport, Caps, _classify, _cones_json, cone_form, minor_form
 from .linalg import InputError, RationalMatrix, frac, seed_reduced, vec_ints
-from .matroid import OrientedMatroid, _prefix_index, first_orthogonal
+from .matroid import OrientedMatroid, first_common_sign_vector
 from .signs import over_cap, packed_signs, parse_signs, str_order
 
 TOOL = {"name": "expbij", "version": __version__}
@@ -104,6 +104,17 @@ def _matrix(obj) -> RationalMatrix:
     return M
 
 
+def _same(a, b) -> bool:
+    """a == b, types included (== takes true and 1.0 for 1)."""
+    if type(a) is not type(b):
+        return False
+    if type(b) is dict:
+        return a.keys() == b.keys() and all(_same(a[k], v) for k, v in b.items())
+    if type(b) is list:
+        return a == b and all(type(x) is str for x in b) or len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
 def _vector(values, length: int) -> tuple[list[int], int]:
     """A certificate vector of the given length as ints over one positive
     denominator."""
@@ -137,7 +148,8 @@ def _verify(report: dict):
     coeff, exponents = m["canonical_coeff"], m["canonical_exponents"]
     W = _matrix(coeff)
     Wt = W if exponents is coeff else _matrix(exponents)  # one dict when built for equal matrices
-    _need(m["n"] == W.cols == Wt.cols and m["d"] == m["d_tilde"] == W.rows == Wt.rows,
+    _need(all(type(m[k]) is int for k in ("n", "d", "d_tilde"))
+          and m["n"] == W.cols == Wt.cols and m["d"] == m["d_tilde"] == W.rows == Wt.rows,
           "map shape disagrees with its matrices, or d differs from d_tilde")
     om_w = OrientedMatroid(W)
     om_wt = om_w if Wt == W else OrientedMatroid(Wt)
@@ -146,9 +158,10 @@ def _verify(report: dict):
     _need(report["sign_sets_equal"] is om_w.equal_up_to_sign(om_wt),
           "sign_sets_equal disagrees with the minor signs")
     # the cones are enumerated, so only up to the report's n cap
+    Caps.from_json_dict(report["caps"])  # every cap present is an int, not a bool or a float
     past_cap = over_cap("covector", n, report["caps"]["max_n_enumeration"])
-    _need(report["cones"] == ({"coeff": None, "exp": None} if past_cap else
-                              _cones_json({"coeff": om_w.face_lattice, "exp": om_wt.face_lattice})),
+    _need(_same(report["cones"], {"coeff": None, "exp": None} if past_cap else
+                _cones_json({"coeff": om_w.face_lattice, "exp": om_wt.face_lattice})),
           "cones disagree with the matrices")
     form = cache(lambda key: minor_form(key, om_w, om_wt))
 
@@ -165,8 +178,7 @@ def _verify(report: dict):
         if key == "i" and verdict == FAILS:
             tau = parse_signs(cert["common_sign_vector"], n)
             # the str-first common sign vector: orthogonal to W's cocircuits and Wt's circuits
-            _need(tau == first_orthogonal(_prefix_index(om_wt.circuit_masks | om_w.cocircuit_masks, n), n),
-                  "common sign vector is not the first in string order")
+            _need(tau == first_common_sign_vector(om_w, om_wt), "common sign vector is not the first in string order")
             v, _ = _vector(cert["kernel_vector"], n)
             _need(packed_signs(v) == tau, "kernel vector sign mismatch")
             _need(_in_kernel(om_w, v), "kernel vector not in ker W")
@@ -176,10 +188,10 @@ def _verify(report: dict):
             _need(all(a * dz == b * D * dx for a, b in zip(_values(om_wt, x), z)), "rowspace vector mismatch")
             _need(packed_signs(z) == tau, "rowspace vector sign mismatch")
         elif key in ("injectivity_minors", "robust_both"):
-            _need(cert == want_cert, "minor certificate is not the table's")
+            _need(_same(cert, want_cert), "minor certificate is not the table's")
         elif key == "robust_exponents":
-            _need(cert["minor_form"] == want_cert, "minor certificate is not the table's")
-            _need(cert.get("closure_form") == conditions["cc"].get("certificate"),
+            _need(_same(cert["minor_form"], want_cert), "minor certificate is not the table's")
+            _need(_same(cert.get("closure_form"), conditions["cc"].get("certificate")),
                   "closure form is not cc's certificate")
         elif key == "ii" and verdict == FAILS:
             tau_t = parse_signs(cert["uncovered_face"], n)
@@ -228,7 +240,7 @@ def _verify(report: dict):
             if verdict == FAILS:
                 _need(cert["reason"] == reason, "robust_coefficients names the wrong reason")
                 if reason == "reversed-closure-fails":
-                    _need(cert["closure_form"] == conditions["cc_prime"]["certificate"],
+                    _need(_same(cert["closure_form"], conditions["cc_prime"]["certificate"]),
                           "closure form is not cc_prime's certificate")
                 elif reason == "face-sets-differ":
                     faces = [set(report["cones"][side]["faces"]) for side in ("coeff", "exp")]
@@ -276,6 +288,7 @@ def _verify_degeneracy(om_w: OrientedMatroid, om_wt: OrientedMatroid, cert):
           "block levels not strictly decreasing")
     covered = []
     for b, level in zip(blocks, levels):
+        _need(all(type(i) is int and 0 < i <= n for i in b["indices"]), "a block index is not in 1..n")
         idx = [i - 1 for i in b["indices"]]
         _need(all(z[i] * level.denominator == level.numerator * dz for i in idx),
               "block entries do not sit at the level")

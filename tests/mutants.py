@@ -247,6 +247,14 @@ MUTANTS = [
      "self._dependent[I] = self.extends(I, (1 << self.W.cols) - 1)",
      "self._dependent[I] = self.extends(I, I)",
      ["test_analyzer.py::test_iii_skips_only_candidates_without_partitions"]),
+    ("orthogonal-point-over-W-rows", "matroid",
+     "rows = _kernel_ints(*_rref_ints(kernel, n), n)",
+     "rows = self._common[0]",
+     ["test_report_digests.py::test_canonical_reports_hash_as_recorded"]),
+    ("orthogonal-point-over-the-first-kernel", "matroid",
+     "rows = _kernel_ints(*_rref_ints(kernel, n), n)",
+     "rows = kernel",
+     ["test_matroid.py::test_orthogonal_point_matches_the_kernel_basis_oracle"]),
     # signs: the string order of packed sign vectors, and the n cap rule
     ("str-order-swaps-zero-and-minus", "signs",
      "k += 2 * table[z & 255] + table[m & 255]",
@@ -280,8 +288,8 @@ MUTANTS = [
      "if not isinstance(s, str) or",
      ["test_verifier.py::test_verify_certificate_rejects_sign_strings_of_the_wrong_length"]),
     ("verifier-accepts-any-common-sign-vector", "report",
-     "            _need(tau == first_orthogonal(",
-     "            _need(True or tau == first_orthogonal(",
+     "            _need(tau == first_common_sign_vector(",
+     "            _need(True or tau == first_common_sign_vector(",
      ["test_verifier.py::test_verify_certificate_requires_the_first_common_sign_vector"]),
     ("verifier-accepts-a-certificate-on-a-holding-i", "report",
      '(cert is None) == (verdict == HOLDS), "i carries a certificate iff it fails")',

@@ -16,13 +16,16 @@ network's structure in `Fraction` arithmetic, from `row_space_basis`,
 `kernel_basis` and `intersection_dim`, and `matrix_with_kernel_oracle` the
 matrix with a given kernel through an intermediate `SubspaceBasis` and
 `RationalMatrix` (`kernel_basis`, then `rref`); the package computes both on
-int rows. `bareiss_rank` and `bareiss_row_basis` are the fraction-free
-Bareiss elimination that gave ranks and row bases before every one came
-from a matrix's integer echelon form, and `leibniz_det` is the determinant
-summed over permutations in Fraction arithmetic. `extends_by_pairs` and
-`first_vector_greedy` are the scan of the cocircuit pairs and the greedy
-search that answered `OrientedMatroid.extends` and `first_vector` before
-the prefix search did.
+int rows. `orthogonal_witness_oracle` solves the orthogonal branch of
+Minty's alternative over the Fraction kernel basis of a basis matrix, where
+`OrientedMatroid.orthogonal_point` reads the same LP's rows, up to positive
+scales, off an integer echelon. `bareiss_rank` and `bareiss_row_basis` are
+the fraction-free Bareiss elimination that gave ranks and row bases before
+every one came from a matrix's integer echelon form, and `leibniz_det` is
+the determinant summed over permutations in Fraction arithmetic.
+`extends_by_pairs` and `first_vector_greedy` are the scan of the cocircuit
+pairs and the greedy search that answered `OrientedMatroid.extends` and
+`first_vector` before the prefix search did.
 """
 
 from fractions import Fraction
@@ -45,7 +48,7 @@ from expbij.linalg import (
     vec,
     vec_sub,
 )
-from expbij.lp import realize_kernel_sign
+from expbij.lp import realize_conformal_covector, realize_kernel_sign
 from expbij.matroid import oriented_matroid
 from expbij.signs import EnumerationCap, SignVector, bits, pack, sign_of, str_order, unpack
 
@@ -141,6 +144,22 @@ def matrix_with_kernel_oracle(B: SubspaceBasis) -> RationalMatrix:
     complement = kernel_basis(RationalMatrix(B.vectors))
     rows, pivots = rref(RationalMatrix(complement.vectors))
     return RationalMatrix(rows[: len(pivots)])
+
+
+def orthogonal_witness_oracle(basis: SubspaceBasis, x: int) -> Vec | None:
+    """Nonzero w in span(basis)-perp with sign(w) <= the packed x, or None, as
+    the package solved it before it read the LP's rows off an integer
+    echelon: the LP over the Fraction kernel basis of the basis matrix, or
+    over the unit vectors when the basis is empty."""
+    n = basis.ambient_dim
+    if basis.dim:
+        C = kernel_basis(basis.matrix).matrix
+    else:
+        C = RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+    if C is None:
+        return None
+    y = realize_conformal_covector(C, x)
+    return None if y is None else C.transpose_vec(y)
 
 
 def structure_oracle(network: GeneralizedNetwork) -> NetworkStructure:

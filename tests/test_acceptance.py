@@ -168,19 +168,28 @@ def test_criterion_3_oriented_matroid_consistency():
                 assert len(parts) <= min(dim_ker, len(tau.support_set()))
 
 
+def minty_bases() -> list[SubspaceBasis]:
+    """Six seeded subspaces of Q^n, n from 2 to 5, each of a seeded dimension
+    from 0 to n."""
+    rng = random.Random(405)
+    bases = []
+    for _ in range(6):
+        n = rng.randint(2, 5)
+        dim = rng.randint(0, n)
+        basis_rows = ()
+        while dim:
+            mat = M([[rng.randint(-2, 2) for _ in range(n)] for _ in range(dim)])
+            if rank(mat) == dim:
+                basis_rows = mat.row_tuples
+                break
+        bases.append(SubspaceBasis(n, basis_rows))
+    return bases
+
+
 def test_criterion_4_minty_totality():
     with criterion(4, "two-branch alternative total and verified over all sign vectors"):
-        rng = random.Random(405)
-        for _ in range(6):
-            n = rng.randint(2, 5)
-            dim = rng.randint(0, n)
-            basis_rows = ()
-            while dim:
-                mat = M([[rng.randint(-2, 2) for _ in range(n)] for _ in range(dim)])
-                if rank(mat) == dim:
-                    basis_rows = mat.row_tuples
-                    break
-            basis = SubspaceBasis(n, basis_rows)
+        for basis in minty_bases():
+            n = basis.ambient_dim
             for sigma in all_sign_vectors(n):
                 if sigma.is_zero():
                     continue

@@ -61,10 +61,13 @@ from sign_oracles import (
     nonneg_part,
     orthogonal_masks_tree,
     orthogonal_set,
+    orthogonal_witness_oracle,
     row_space_basis,
     subspace_contains,
 )
+from test_acceptance import minty_bases
 from test_analyzer import _corpus, _random_full_rank, _zero_heavy_corpus
+from test_report_digests import _analyses
 
 S = SignVector.from_string
 M = RationalMatrix
@@ -1026,3 +1029,30 @@ def test_echelon_reads_match_the_bareiss_oracles():
         kinds["zero row"] += any(not any(row) for row in W.row_tuples)
         kinds["fraction"] += any(x.denominator > 1 for row in W.row_tuples for x in row)
     assert all(kinds[k] >= 30 for k in ("rank-deficient", "full rank", "zero row", "fraction")), kinds
+
+
+def test_orthogonal_point_matches_the_kernel_basis_oracle():
+    # the closure witness of every failing cc and cc_prime in the digest
+    # corpora, and minty_alternative's orthogonal branch on the acceptance
+    # suite's subspaces, are exactly the LP's answer over the Fraction kernel
+    # basis of the kernel basis
+    seen = Counter()
+    for key, rep in _analyses().items():
+        for cond, second in (("cc", rep.canonical_exponents), ("cc_prime", rep.canonical_coeff)):
+            result = rep.conditions[cond]
+            if not result.fails:
+                continue
+            x = pack(SignVector.from_string(result.certificate["excluded_sign_vector"]))
+            w = OrientedMatroid(second).orthogonal_point(x)
+            assert w == orthogonal_witness_oracle(kernel_basis(second), x), (key, cond)
+            assert [str(a) for a in w] == result.certificate["orthogonal_witness"], (key, cond)
+            seen[cond] += 1
+    for basis in minty_bases():
+        for sigma in all_sign_vectors(basis.ambient_dim):
+            if sigma.is_zero():
+                continue
+            wit = minty_alternative(basis, sigma)
+            if wit.branch == "orthogonal":
+                assert wit.vector == orthogonal_witness_oracle(basis, pack(sigma)), (basis, sigma)
+                seen["minty" if basis.dim else "minty, empty basis"] += 1
+    assert len(seen) == 4, seen

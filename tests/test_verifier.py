@@ -3,7 +3,9 @@
 `report.verify_certificate` checks on integers, once per distinct matrix;
 `verify_oracle.verify_oracle` is the same checks on Fractions, with kernel
 bases. Both must return the same bool on every report of the digest corpora
-and on seeded single-field tamperings of each.
+and on seeded single-field tamperings of each, except where a tampering only
+changes the type of an equal value (true or 1.0 for 1): the oracle compares
+with ==, which takes it, and the verifier must reject it.
 """
 
 import json
@@ -12,8 +14,10 @@ import re
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from expbij.analyzer import FAILS, HOLDS, INCONCLUSIVE, ExponentialMapSpec, _classify, analyze
-from expbij.linalg import RationalMatrix, _int_rows, _rref_ints, frac, frac_str, seed_reduced
+from expbij.linalg import InputError, RationalMatrix, _int_rows, _rref_ints, frac, frac_str, seed_reduced
 from expbij.report import build_report, canonical_json, verify_certificate
 from test_analyzer import NONINJ, SV_ALPHAS, sv_example
 from test_cli import VERIFY_EXAMPLES, _corpus_reports
@@ -94,7 +98,7 @@ def _digest_reports():
 
 def test_verifier_matches_the_oracle_on_tampered_reports():
     rng = random.Random(49)
-    answers, applied = Counter(), Counter()
+    answers, applied, retyped = Counter(), Counter(), 0
     for key, text in _digest_reports():
         assert verify_certificate(json.loads(text)) and verify_oracle(json.loads(text)), key
         sites = {}
@@ -110,11 +114,24 @@ def test_verifier_matches_the_oracle_on_tampered_reports():
                 continue
             tamper(rng, report, path)
             got = verify_certificate(report)
-            assert got is verify_oracle(report), (key, name, path)
+            if _retyped(report, text):
+                # true for 1 in an index list: the oracle compares with ==, which takes it
+                assert got is False, (key, name, path)
+                retyped += 1
+            else:
+                assert got is verify_oracle(report), (key, name, path)
             answers[got] += 1
             applied[name] += 1
     assert set(applied) == set(TAMPERINGS) and min(applied.values()) >= 50, applied
     assert answers[False] > answers[True] > 100, answers
+    assert retyped > 0
+
+
+def _retyped(report, text) -> bool:
+    """report differs from the JSON text only in the types of equal values,
+    true or 1.0 for 1."""
+    original = json.loads(text)
+    return report == original and json.dumps(report, sort_keys=True) != json.dumps(original, sort_keys=True)
 
 
 # forged holds: a condition that fails (newton: is inconclusive) flipped to
@@ -187,3 +204,46 @@ def test_verify_certificate_rejects_sign_strings_of_the_wrong_length():
                 assert verify_certificate(report) is False, path
                 padded += 1
     assert padded >= 40, padded
+
+
+def _int_leaves(obj, path):
+    """The path of each int of obj, at any depth; a bool is not one."""
+    if type(obj) is int:
+        yield path
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _int_leaves(v, path + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _int_leaves(v, path + (i,))
+
+
+def test_verify_certificate_rejects_a_bool_or_a_float_for_an_int():
+    # true == 1 == 1.0 in Python, so an int of a report, put back as true,
+    # false or a float of the same value, must be read by its type
+    rng = random.Random(50)
+    hit = Counter()
+    for key, text in _digest_reports():
+        for block in ("map", "caps", "cones", "conditions"):
+            leaves = list(_int_leaves(json.loads(text)[block], (block,)))
+            if not leaves:
+                continue
+            report = json.loads(text)
+            path = rng.choice(leaves)
+            v = _at(report, path)
+            _set(report, path, rng.choice([bool(v), float(v)]) if v in (0, 1) else float(v))
+            assert verify_certificate(report) is False, (key, path)
+            hit[next(k for k in reversed(path) if isinstance(k, str))] += 1
+    named = {"n", "d", "d_tilde", "rows", "cols", "entries", "max_n_enumeration", "max_blocks",
+             "max_partition_pairs", "lineality_dim", "zero_columns", "reference_subset",
+             "violating_subset", "indices"}
+    assert named <= set(hit), hit
+    # the pair [[1]], [[1]], whose map block is n = d = d_tilde = 1
+    text = canonical_json(build_report(analyze(ExponentialMapSpec(RationalMatrix([[1]]), RationalMatrix([[1]]))), {}))
+    assert verify_certificate(json.loads(text))
+    for field in ("n", "d", "d_tilde"):
+        report = json.loads(text)
+        report["map"][field] = True
+        assert verify_certificate(report) is False, field
+    with pytest.raises(InputError):
+        RationalMatrix.from_json_dict({"rows": True, "cols": 2.0, "entries": [[1, 2]]})
