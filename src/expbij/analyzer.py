@@ -48,7 +48,6 @@ the facets of the two cones.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -58,6 +57,7 @@ from .linalg import (
     _ZERO,
     InputError,
     RationalMatrix,
+    Record,
     Vec,
     _int_rows,
     _rref_ints,
@@ -86,17 +86,20 @@ class DimensionMismatch(InputError):
     """The bijectivity layer needs equally many coefficient and exponent rows."""
 
 
-@dataclass(frozen=True)
-class Caps:
-    max_n_enumeration: int = MAX_N_ENUMERATION
-    max_partition_pairs: int = 100_000
-    max_blocks: int = 8
+class Caps(Record):
+    _fields = ("max_n_enumeration", "max_partition_pairs", "max_blocks")
+
+    def __init__(self, max_n_enumeration: int = MAX_N_ENUMERATION, max_partition_pairs: int = 100_000,
+                 max_blocks: int = 8):
+        self.__dict__.update(max_n_enumeration=max_n_enumeration, max_partition_pairs=max_partition_pairs,
+                             max_blocks=max_blocks)
 
     @classmethod
     def from_json_dict(cls, obj) -> "Caps":
+        """The caps an object names; a cap it omits takes its default."""
         if not isinstance(obj, dict):
             raise InputError("caps JSON must be an object")
-        if unknown := obj.keys() - cls.__dataclass_fields__.keys():
+        if unknown := obj.keys() - cls._fields:
             raise InputError(f"unknown caps fields: {sorted(unknown)}")
         for f, value in obj.items():
             if type(value) is not int or value < 0:  # bool is an int subclass
@@ -182,12 +185,11 @@ class ExponentialMapSpec:
         return sorted((t for t in covs if t & full), key=str_order(n))
 
 
-@dataclass(frozen=True)
-class ConditionResult:
-    verdict: str
-    tag: str
-    certificate: dict | None = None
-    detail: str | None = None
+class ConditionResult(Record):
+    _fields = ("verdict", "tag", "certificate", "detail")
+
+    def __init__(self, verdict: str, tag: str, certificate: dict | None = None, detail: str | None = None):
+        self.__dict__.update(verdict=verdict, tag=tag, certificate=certificate, detail=detail)
 
     @property
     def holds(self) -> bool:
@@ -668,19 +670,32 @@ def robust_both(spec: ExponentialMapSpec) -> ConditionResult:
 # the full analysis
 
 
-@dataclass
-class AnalysisReport:
-    n: int
-    d: int
-    d_tilde: int
-    canonical_coeff: RationalMatrix
-    canonical_exponents: RationalMatrix
-    conditions: dict[str, ConditionResult]
-    classification: str
-    cones: dict[str, FaceLattice | None]
-    sign_sets_equal: bool
-    caps: Caps
-    runtimes_ms: dict[str, float] = field(default_factory=dict)
+class AnalysisReport(Record):
+    """The outcome of `analyze`. Unlike the other records it can be changed
+    in place, and so it has no hash; each report gets its own `runtimes_ms`
+    dict unless one is given."""
+
+    _fields = ("n", "d", "d_tilde", "canonical_coeff", "canonical_exponents", "conditions", "classification",
+               "cones", "sign_sets_equal", "caps", "runtimes_ms")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, n: int, d: int, d_tilde: int, canonical_coeff: RationalMatrix,
+                 canonical_exponents: RationalMatrix, conditions: dict[str, ConditionResult], classification: str,
+                 cones: dict[str, FaceLattice | None], sign_sets_equal: bool, caps: Caps,
+                 runtimes_ms: dict[str, float] | None = None):
+        self.n = n
+        self.d = d
+        self.d_tilde = d_tilde
+        self.canonical_coeff = canonical_coeff
+        self.canonical_exponents = canonical_exponents
+        self.conditions = conditions
+        self.classification = classification
+        self.cones = cones
+        self.sign_sets_equal = sign_sets_equal
+        self.caps = caps
+        self.runtimes_ms = {} if runtimes_ms is None else runtimes_ms
 
     def to_json_dict(self) -> dict:
         """The report as JSON data. One matrix or face lattice object that

@@ -13,7 +13,6 @@ searches of one routine, `_reachable` (see `is_weakly_reversible`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -33,6 +32,7 @@ from .analyzer import (
 from .linalg import (
     InputError,
     RationalMatrix,
+    Record,
     SubspaceBasis,
     Vec,
     _ONE,
@@ -54,12 +54,13 @@ class NetworkError(InputError):
     """Malformed network document."""
 
 
-@dataclass(frozen=True)
-class GeneralizedNetwork:
-    species: tuple[str, ...]
-    vertices: tuple[tuple[Vec, Vec], ...]  # (stoichiometric, kinetic-order) complexes
-    edges: tuple[tuple[int, int], ...]
-    rate_constants: tuple[Fraction | None, ...]
+class GeneralizedNetwork(Record):
+    _fields = ("species", "vertices", "edges", "rate_constants")
+
+    def __init__(self, species: tuple[str, ...],
+                 vertices: tuple[tuple[Vec, Vec], ...],  # (stoichiometric, kinetic-order) complexes
+                 edges: tuple[tuple[int, int], ...], rate_constants: tuple[Fraction | None, ...]):
+        self.__dict__.update(species=species, vertices=vertices, edges=edges, rate_constants=rate_constants)
 
     @property
     def num_species(self) -> int:
@@ -207,18 +208,21 @@ def is_weakly_reversible(network: GeneralizedNetwork, components=None) -> bool:
     return all(len(_reachable(fwd, c[0])) == len(c) == len(_reachable(rev, c[0])) for c in components)
 
 
-@dataclass(frozen=True)
-class NetworkStructure:
-    stoich_complexes: RationalMatrix  # species x vertices
-    kinetic_complexes: RationalMatrix
-    incidence: RationalMatrix  # vertices x edges
-    laplacian: RationalMatrix | None  # vertices x vertices, when all rates given
-    components: tuple[tuple[int, ...], ...]
-    weakly_reversible: bool
-    stoich_subspace: SubspaceBasis
-    kinetic_subspace: SubspaceBasis
-    deficiency: int
-    kinetic_deficiency: int
+class NetworkStructure(Record):
+    _fields = ("stoich_complexes", "kinetic_complexes", "incidence", "laplacian", "components",
+               "weakly_reversible", "stoich_subspace", "kinetic_subspace", "deficiency", "kinetic_deficiency")
+
+    def __init__(self, stoich_complexes: RationalMatrix,  # species x vertices
+                 kinetic_complexes: RationalMatrix,
+                 incidence: RationalMatrix,  # vertices x edges
+                 laplacian: RationalMatrix | None,  # vertices x vertices, when all rates given
+                 components: tuple[tuple[int, ...], ...], weakly_reversible: bool, stoich_subspace: SubspaceBasis,
+                 kinetic_subspace: SubspaceBasis, deficiency: int, kinetic_deficiency: int):
+        self.__dict__.update(stoich_complexes=stoich_complexes, kinetic_complexes=kinetic_complexes,
+                             incidence=incidence, laplacian=laplacian, components=components,
+                             weakly_reversible=weakly_reversible, stoich_subspace=stoich_subspace,
+                             kinetic_subspace=kinetic_subspace, deficiency=deficiency,
+                             kinetic_deficiency=kinetic_deficiency)
 
     @property
     def num_components(self) -> int:
@@ -355,8 +359,7 @@ def map_spec_of(struct: NetworkStructure) -> ExponentialMapSpec:
     return ExponentialMapSpec(W, matrix_with_kernel(struct.kinetic_subspace))
 
 
-@dataclass(frozen=True)
-class DeficiencyZeroVerdict:
+class DeficiencyZeroVerdict(Record):
     """Structured outcome of the unique-equilibrium criterion.
 
     verdict "holds" means: exactly one complex-balanced equilibrium in every
@@ -364,36 +367,39 @@ class DeficiencyZeroVerdict:
     the weaker existence-only criterion (kinetic deficiency zero and weak
     reversibility)."""
 
-    verdict: str
-    deficiency: int
-    kinetic_deficiency: int
-    weakly_reversible: bool
-    existence_for_all_rates: bool
-    mass_action: bool
-    reason: str | None = None
-    analysis: AnalysisReport | None = None
+    _fields = ("verdict", "deficiency", "kinetic_deficiency", "weakly_reversible", "existence_for_all_rates",
+               "mass_action", "reason", "analysis")
+
+    def __init__(self, verdict: str, deficiency: int, kinetic_deficiency: int, weakly_reversible: bool,
+                 existence_for_all_rates: bool, mass_action: bool, reason: str | None = None,
+                 analysis: AnalysisReport | None = None):
+        self.__dict__.update(verdict=verdict, deficiency=deficiency, kinetic_deficiency=kinetic_deficiency,
+                             weakly_reversible=weakly_reversible, existence_for_all_rates=existence_for_all_rates,
+                             mass_action=mass_action, reason=reason, analysis=analysis)
 
     def to_json_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {f: getattr(self, f) for f in self._fields}
         out["analysis"] = self.analysis.to_json_dict() if self.analysis else None
         return out
 
 
-@dataclass(frozen=True)
-class RobustDeficiencyZeroVerdict:
-    """Unique equilibrium for all rates and all small kinetic-order perturbations."""
+class RobustDeficiencyZeroVerdict(Record):
+    """Unique equilibrium for all rates and all small kinetic-order perturbations.
+    mass_action_reduction: under plain mass action the criterion reduces to
+    deficiency zero and weak reversibility."""
 
-    verdict: str
-    deficiency: int
-    kinetic_deficiency: int
-    weakly_reversible: bool
-    mass_action: bool
-    mass_action_reduction: bool  # plain mass action: criterion reduces to deficiency zero + weak reversibility
-    reason: str | None = None
-    closure: ConditionResult | None = None
+    _fields = ("verdict", "deficiency", "kinetic_deficiency", "weakly_reversible", "mass_action",
+               "mass_action_reduction", "reason", "closure")
+
+    def __init__(self, verdict: str, deficiency: int, kinetic_deficiency: int, weakly_reversible: bool,
+                 mass_action: bool, mass_action_reduction: bool, reason: str | None = None,
+                 closure: ConditionResult | None = None):
+        self.__dict__.update(verdict=verdict, deficiency=deficiency, kinetic_deficiency=kinetic_deficiency,
+                             weakly_reversible=weakly_reversible, mass_action=mass_action,
+                             mass_action_reduction=mass_action_reduction, reason=reason, closure=closure)
 
     def to_json_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {f: getattr(self, f) for f in self._fields}
         out["closure"] = self.closure.to_json_dict() if self.closure else None
         return out
 

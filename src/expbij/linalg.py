@@ -20,7 +20,6 @@ per minor, is the tests' oracle.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
@@ -44,6 +43,38 @@ def check(ok: bool, what: str):
     """Internal consistency check that `python -O` keeps."""
     if not ok:
         raise InternalInconsistency(what)
+
+
+class Record:
+    """Base of the package's value records. A subclass names its fields, in
+    constructor order, in `_fields`, and its `__init__` stores them in the
+    instance `__dict__`. A record is read-only, and `==` (between records of
+    one class), `hash` and `repr` go by those fields; an attribute stored
+    beside them takes no part. The methods are written once, here, rather than
+    generated per class, so that importing the package executes no generated
+    code."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a read-only {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a read-only {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
@@ -396,27 +427,26 @@ def row_basis(M: RationalMatrix) -> RationalMatrix:
     return _seeded(rows, (E, pivots))
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(Record):
     """A linearly independent spanning set for a subspace of R^n (possibly
     empty). `matrix` has the vectors as rows (None when there are none) and
-    keeps the echelon that the independence check computed."""
+    keeps the echelon that the independence check computed; it is not a
+    field, so `==`, `hash` and `repr` skip it."""
 
-    ambient_dim: int
-    vectors: tuple[Vec, ...]
-    matrix: RationalMatrix | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("ambient_dim", "vectors")
 
-    def __post_init__(self):
-        if self.ambient_dim < 1:
+    def __init__(self, ambient_dim: int, vectors: tuple[Vec, ...]):
+        if ambient_dim < 1:
             raise InputError("ambient dimension must be >= 1")
-        for v in self.vectors:
-            if len(v) != self.ambient_dim:
+        for v in vectors:
+            if len(v) != ambient_dim:
                 raise InputError("basis vector length differs from ambient dimension")
-        if self.vectors:
-            M = RationalMatrix(self.vectors)
-            if rank(M) != len(self.vectors):
+        M = None
+        if vectors:
+            M = RationalMatrix(vectors)
+            if rank(M) != len(vectors):
                 raise InputError("basis vectors are linearly dependent")
-            object.__setattr__(self, "matrix", M)
+        self.__dict__.update(ambient_dim=ambient_dim, vectors=vectors, matrix=M)
 
     @classmethod
     def _trusted(cls, ambient_dim: int, vectors: tuple[Vec, ...], echelon=None) -> "SubspaceBasis":

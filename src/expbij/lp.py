@@ -29,12 +29,11 @@ vertex Bland's rule can stop at), or answered None when they do not cover it
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import _ZERO, InputError, RationalMatrix, Vec, check, dot
+from .linalg import _ZERO, InputError, RationalMatrix, Record, Vec, check, dot
 from .signs import bits
 
 
@@ -49,26 +48,25 @@ class Rel(Enum):
 STRICT = (Rel.GT, Rel.LT)
 
 
-@dataclass(frozen=True)
-class SignSystem:
+class SignSystem(Record):
     """Rows are linear forms over R^dim; each row carries a sign requirement."""
 
-    dim: int
-    forms: tuple[Vec, ...]
-    rels: tuple[Rel, ...]
+    _fields = ("dim", "forms", "rels")
 
-    def __post_init__(self):
-        if len(self.forms) != len(self.rels):
+    def __init__(self, dim: int, forms: tuple[Vec, ...], rels: tuple[Rel, ...]):
+        if len(forms) != len(rels):
             raise InputError("one requirement per row is required")
-        for f in self.forms:
-            if len(f) != self.dim:
+        for f in forms:
+            if len(f) != dim:
                 raise InputError("form length differs from the system dimension")
+        self.__dict__.update(dim=dim, forms=forms, rels=rels)
 
 
-@dataclass(frozen=True)
-class FeasibilityWitness:
-    point: Vec
-    slack: Fraction
+class FeasibilityWitness(Record):
+    _fields = ("point", "slack")
+
+    def __init__(self, point: Vec, slack: Fraction):
+        self.__dict__.update(point=point, slack=slack)
 
 
 def make_system(dim, rows) -> SignSystem:

@@ -61,7 +61,6 @@ ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
@@ -72,6 +71,7 @@ from .linalg import (
     _ZERO,
     InputError,
     RationalMatrix,
+    Record,
     SubspaceBasis,
     Vec,
     _kernel_ints,
@@ -298,26 +298,29 @@ def ray_point(k: list[int], values: list[int], x: int) -> Vec:
     return tuple(Fraction(a, m) for a in k)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record):
     """What the facets of cone(columns) decide; d is the matrix's row count."""
 
-    n: int
-    d: int
-    pointed: bool
-    lineality_dim: int
-    robustly_generated: bool
-    full_space: bool
-    all_plus: bool
-    zero_columns: tuple[int, ...]
+    _fields = ("n", "d", "pointed", "lineality_dim", "robustly_generated", "full_space", "all_plus",
+               "zero_columns")
+
+    def __init__(self, n: int, d: int, pointed: bool, lineality_dim: int, robustly_generated: bool,
+                 full_space: bool, all_plus: bool, zero_columns: tuple[int, ...]):
+        self.__dict__.update(n=n, d=d, pointed=pointed, lineality_dim=lineality_dim,
+                             robustly_generated=robustly_generated, full_space=full_space, all_plus=all_plus,
+                             zero_columns=zero_columns)
 
 
-@dataclass(frozen=True)
 class FaceLattice(Cone):
     """The cone with its faces, the nonnegative covectors, in reverse order:
     face(tau) is contained in face(tau') iff tau' <= tau."""
 
-    faces: SignSet
+    _fields = Cone._fields + ("faces",)
+
+    def __init__(self, n: int, d: int, pointed: bool, lineality_dim: int, robustly_generated: bool,
+                 full_space: bool, all_plus: bool, zero_columns: tuple[int, ...], faces: SignSet):
+        super().__init__(n, d, pointed, lineality_dim, robustly_generated, full_space, all_plus, zero_columns)
+        self.__dict__["faces"] = faces
 
 
 class OrientedMatroid:
@@ -656,13 +659,14 @@ def face_lattice(W: RationalMatrix, cap: int = MAX_N_ENUMERATION) -> FaceLattice
     return _enumerable(W, "covector", cap).face_lattice
 
 
-@dataclass(frozen=True)
-class MintyWitness:
+class MintyWitness(Record):
     """branch "subspace": x in S, strictly signed on supp(sigma) as sigma demands.
     branch "orthogonal": nonzero x in S-perp with sign(x) <= sigma."""
 
-    branch: str
-    vector: Vec
+    _fields = ("branch", "vector")
+
+    def __init__(self, branch: str, vector: Vec):
+        self.__dict__.update(branch=branch, vector=vector)
 
 
 def minty_alternative(basis: SubspaceBasis, sigma: SignVector) -> MintyWitness:

@@ -31,7 +31,10 @@ cocircuits and Wt's circuits recomputes. The `cones` block must equal the
 face lattices of the two matrices up to the report's n cap, and be null past
 it. The closure forms that robust_exponents and robust_coefficients embed
 must equal cc's and cc_prime's certificates, so each closure certificate is
-checked once. Integers are read by type, as true == 1 == 1.0 (`_same`).
+checked once. Integers are read by type, as true == 1 == 1.0 (`_same`). The
+`caps` block must name all three caps: `Caps.from_json_dict` gives an
+omitted cap its default, which a `--caps` file may rely on and a report may
+not.
 """
 
 from __future__ import annotations
@@ -159,6 +162,7 @@ def _verify(report: dict):
           "sign_sets_equal disagrees with the minor signs")
     # the cones are enumerated, so only up to the report's n cap
     Caps.from_json_dict(report["caps"])  # every cap present is an int, not a bool or a float
+    _need(report["caps"].keys() == set(Caps._fields), "caps omit a cap")
     past_cap = over_cap("covector", n, report["caps"]["max_n_enumeration"])
     _need(_same(report["cones"], {"coeff": None, "exp": None} if past_cap else
                 _cones_json({"coeff": om_w.face_lattice, "exp": om_wt.face_lattice})),

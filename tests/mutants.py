@@ -59,7 +59,7 @@ MUTANTS = [
      "return _seeded(tuple(tuple(map(Fraction, row)) for row in echelon[0]), echelon)",
      ["test_crn.py::test_matrix_with_kernel_matches_the_fraction_construction"]),
     ("subspace-basis-unchecked", "linalg",
-     "if rank(M) != len(self.vectors):",
+     "if rank(M) != len(vectors):",
      "if False:",
      ["test_linalg.py::test_matrix_with_kernel_rejects_dependent"]),
     ("kernel-basis-repeats-a-vector", "linalg",
@@ -303,6 +303,10 @@ MUTANTS = [
      "for p, row in zip(second.W.echelon()[1], rows):",
      "for p, row in zip(second.W.echelon()[1][1:], rows[1:]):",
      ["test_cli.py::test_verify_certificate_checks_each_distinct_closure_certificate"]),
+    ("verifier-takes-default-caps", "report",
+     '_need(report["caps"].keys() == set(Caps._fields), "caps omit a cap")',
+     '_need(True, "caps omit a cap")',
+     ["test_verifier.py::test_verify_certificate_requires_every_cap"]),
     ("verifier-raises-on-deep-nesting", "report",
      "            ZeroDivisionError, RecursionError):\n",
      "            ZeroDivisionError):\n",

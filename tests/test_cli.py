@@ -89,6 +89,15 @@ def test_analyze_caps_force_inconclusive(tmp_path):
     assert report["classification"] == "inconclusive"
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the package's records are written-out classes (linalg.Record), so a
+    # fresh import of the CLI builds no generated methods; dataclasses would
+    # also load inspect
+    proc = run_python("-c", "import sys, expbij.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_missing_file_exit_one(capsys):
     assert main(["analyze", "--coeff", "nope.json", "--exp", "nope.json"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import expbij.linalg
-from expbij.analyzer import analyze
+from expbij.analyzer import HOLDS, AnalysisReport, Caps, ConditionResult, analyze
 from expbij.linalg import (
     InputError,
     RationalMatrix,
@@ -61,6 +61,28 @@ def test_rank_examples():
     assert rank(M([[1, 1, -1]])) == 1
     # third row is the sum of the first two
     assert rank(M([[1, 0, -1], [0, 1, -1], [1, 1, -2]])) == 2
+
+
+def test_records_are_read_only_values():
+    # the records are plain classes on linalg.Record: a field cannot be
+    # assigned, and ==, hash and repr go by the fields alone
+    B = kernel_basis(M([[1, 1, -1]]))
+    same = SubspaceBasis(3, B.vectors)
+    assert B == same and hash(B) == hash(same) and B.matrix is not same.matrix  # matrix is not a field
+    assert repr(B) == f"SubspaceBasis(ambient_dim=3, vectors={B.vectors!r})"
+    caps = Caps(max_blocks=3)
+    assert caps == Caps(12, 100_000, 3) and {caps: 1}[Caps(max_blocks=3)] == 1 and caps != Caps()
+    for record, name in ((B, "vectors"), (B, "matrix"), (caps, "max_blocks"), (ConditionResult(HOLDS, "i"), "tag")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    # an analysis report can be changed in place and has no hash
+    rep = analyze(EX1)
+    rep.classification = "changed"
+    assert rep.classification == "changed" and rep.__hash__ is None
+    fresh = [AnalysisReport(*(getattr(rep, f) for f in rep._fields[:-1])) for _ in range(2)]
+    assert fresh[0].runtimes_ms == {} and fresh[0].runtimes_ms is not fresh[1].runtimes_ms
 
 
 def test_kernel_basis_examples():

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import operator
 import random
@@ -24,6 +23,7 @@ from expbij.linalg import (
     vec,
 )
 from expbij.matroid import (
+    FaceLattice,
     OrientedMatroid,
     _orthogonal_masks,
     chirotope,
@@ -852,7 +852,8 @@ def test_sign_sets_are_views_that_act_as_sets_of_sign_vectors():
         for view, other in zip(views, views[1:] + views[:1]):
             _check_sign_set(view, other)
         # a lattice with plain faces equals and hashes as the one with the view
-        plain = dataclasses.replace(fl, faces=frozenset(fl.faces))
+        plain = FaceLattice(fl.n, fl.d, fl.pointed, fl.lineality_dim, fl.robustly_generated, fl.full_space,
+                            fl.all_plus, fl.zero_columns, frozenset(fl.faces))
         assert fl == plain and plain == fl and hash(fl) == hash(plain)
     assert kinds["deficient"] and kinds["full rank"] and kinds["zero column"], kinds
     # empty sets are equal whatever their lengths, as frozensets of sign vectors are

@@ -98,7 +98,7 @@ def _digest_reports():
 
 def test_verifier_matches_the_oracle_on_tampered_reports():
     rng = random.Random(49)
-    answers, applied, retyped = Counter(), Counter(), 0
+    answers, applied, retyped, dropped_caps = Counter(), Counter(), 0, 0
     for key, text in _digest_reports():
         assert verify_certificate(json.loads(text)) and verify_oracle(json.loads(text)), key
         sites = {}
@@ -118,13 +118,17 @@ def test_verifier_matches_the_oracle_on_tampered_reports():
                 # true for 1 in an index list: the oracle compares with ==, which takes it
                 assert got is False, (key, name, path)
                 retyped += 1
+            elif path == ("caps",):
+                # a report names all three caps; the oracle reads only the n cap
+                assert got is False, (key, name, path)
+                dropped_caps += 1
             else:
                 assert got is verify_oracle(report), (key, name, path)
             answers[got] += 1
             applied[name] += 1
     assert set(applied) == set(TAMPERINGS) and min(applied.values()) >= 50, applied
     assert answers[False] > answers[True] > 100, answers
-    assert retyped > 0
+    assert retyped > 0 and dropped_caps > 0
 
 
 def _retyped(report, text) -> bool:
@@ -204,6 +208,19 @@ def test_verify_certificate_rejects_sign_strings_of_the_wrong_length():
                 assert verify_certificate(report) is False, path
                 padded += 1
     assert padded >= 40, padded
+
+
+def test_verify_certificate_requires_every_cap():
+    # a --caps file may omit a cap, which takes its default; a report may not
+    text = canonical_json(build_report(analyze(NONINJ), {}))
+    assert verify_certificate(json.loads(text))
+    for cap in json.loads(text)["caps"]:
+        report = json.loads(text)
+        del report["caps"][cap]
+        assert verify_certificate(report) is False, cap
+    report = json.loads(text)
+    report["caps"]["max_depth"] = 1
+    assert verify_certificate(report) is False
 
 
 def _int_leaves(obj, path):
